@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"iter"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,10 +63,12 @@ type Method interface {
 	SizeBytes() int64
 }
 
-// Verifier is implemented by methods that replace the default VF2
-// verification with their own stateless test (CT-Index's tuned matcher).
+// Verifier is implemented by methods that verify with their own variant of
+// the matcher (CT-Index's tuned ordering and pruning). CompileQuery runs
+// once per query plan; the pipeline then tests each candidate graph against
+// the compiled query, so nothing query-dependent is redone per candidate.
 type Verifier interface {
-	VerifyCandidate(q *graph.Graph, id graph.ID) bool
+	CompileQuery(q *graph.Graph) *subiso.Prepared
 }
 
 // Planner is implemented by methods whose verification depends on
@@ -93,12 +96,14 @@ type QueryPlan interface {
 
 // genericPlan adapts a method without its own Planner into a QueryPlan: a
 // candidate set — materialized, or produced lazily in chunks when the
-// method implements CandidateChunker — plus a stateless per-candidate
-// verification function.
+// method implements CandidateChunker — plus the query compiled once, run
+// against each candidate's whole graph under the plan's context.
 type genericPlan struct {
 	cands  graph.IDSet
 	chunks iter.Seq[graph.IDSet]
-	verify func(id graph.ID) bool
+	ctx    context.Context
+	ds     *graph.Dataset
+	prep   *subiso.Prepared
 }
 
 func (p *genericPlan) Candidates() graph.IDSet {
@@ -113,7 +118,10 @@ func (p *genericPlan) Candidates() graph.IDSet {
 	return p.cands
 }
 
-func (p *genericPlan) Verify(id graph.ID) bool { return p.verify(id) }
+func (p *genericPlan) Verify(id graph.ID) bool {
+	g := p.ds.Graph(id)
+	return g != nil && p.prep.Exists(p.ctx, g)
+}
 
 func (p *genericPlan) Chunks() iter.Seq[graph.IDSet] {
 	if p.chunks != nil {
@@ -128,9 +136,10 @@ func (p *genericPlan) Chunks() iter.Seq[graph.IDSet] {
 
 // NewPlan adapts any method into a QueryPlan for one query, regardless of
 // which optional interfaces it implements: a Planner supplies its own plan
-// (filtering state reused during verification); a Verifier pairs its
-// candidate set with its tuned matcher; plain methods fall back to VF2
-// against whole dataset graphs. The context bounds the fallback VF2 runs.
+// (filtering state reused during verification); everything else pairs its
+// candidate set with the query compiled once — by the method when it is a
+// Verifier, as plain VF2 otherwise — and run against whole dataset graphs.
+// The context bounds those runs.
 func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (QueryPlan, error) {
 	if planner, ok := m.(Planner); ok {
 		return planner.PlanQuery(q)
@@ -148,11 +157,6 @@ func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (
 			return nil, err
 		}
 	}
-	if verifier, ok := m.(Verifier); ok {
-		return &genericPlan{cands: cands, chunks: chunks, verify: func(id graph.ID) bool {
-			return verifier.VerifyCandidate(q, id)
-		}}, nil
-	}
 	for _, id := range cands {
 		// Tombstoned candidates are legal (a stale posting the liveness
 		// filter drops before verification); an ID past the dataset's
@@ -163,14 +167,13 @@ func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (
 			return nil, fmt.Errorf("core: candidate %d not in dataset", id)
 		}
 	}
-	return &genericPlan{cands: cands, chunks: chunks, verify: func(id graph.ID) bool {
-		g := ds.Graph(id)
-		if g == nil {
-			return false
-		}
-		m := subiso.NewMatcher(q, g, subiso.Options{Ctx: ctx})
-		return m.Run(nil)
-	}}, nil
+	var prep *subiso.Prepared
+	if verifier, ok := m.(Verifier); ok {
+		prep = verifier.CompileQuery(q)
+	} else {
+		prep = subiso.Compile(q, subiso.Options{})
+	}
+	return &genericPlan{cands: cands, chunks: chunks, ctx: ctx, ds: ds, prep: prep}, nil
 }
 
 // IncrementalIndexer is implemented by methods that can maintain a built
@@ -283,19 +286,20 @@ func (p *Processor) QueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult,
 	csp.End()
 	// Tombstoned graphs never surface: stale postings left behind by a
 	// remove-without-rebuild are dropped here, before verification. The
-	// one-shot path drains the same producer → liveness-filter composition
-	// the streamed path pulls lazily, so the two can never disagree on
-	// what reaches the verifier.
+	// one-shot path ranges over the producer's chunks and applies the same
+	// liveness step (liveStage.admit) the streamed path's Cursor applies
+	// lazily, so the two can never disagree on what reaches the verifier.
 	_, fsp := obs.StartSpan(ctx, "tombstone-filter")
 	var stats PipelineStats
-	cur := NewCursor(p.DS, plan, StreamOptions{Stats: &stats})
+	live := liveStage{ds: p.DS, stats: &stats}
 	var cands graph.IDSet
-	for {
-		id, ok := cur.Next()
-		if !ok {
-			break
+	for chunk := range PlanChunks(plan) {
+		cands = slices.Grow(cands, len(chunk))
+		for _, id := range chunk {
+			if live.admit(id) {
+				cands = append(cands, id)
+			}
 		}
-		cands = append(cands, id)
 	}
 	res.Candidates = cands
 	res.Produced = int(stats.Produced.Load())
@@ -338,12 +342,12 @@ func VerifyCandidates(ctx context.Context, plan QueryPlan, cands graph.IDSet, wo
 	}
 	if workers <= 1 {
 		var out graph.IDSet
-		for _, id := range cands {
+		for i, id := range cands {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 			if plan.Verify(id) {
-				out = append(out, id)
+				out = appendAnswer(out, cands, i)
 			}
 		}
 		return out, nil
@@ -381,10 +385,19 @@ feed:
 	var out graph.IDSet
 	for i, ok := range matched {
 		if ok {
-			out = append(out, cands[i])
+			out = appendAnswer(out, cands, i)
 		}
 	}
 	return out, nil
+}
+
+// appendAnswer appends cands[i] to out, sizing out on the first answer for
+// the candidates still to come (an empty answer set stays nil).
+func appendAnswer(out, cands graph.IDSet, i int) graph.IDSet {
+	if out == nil {
+		out = make(graph.IDSet, 0, len(cands)-i)
+	}
+	return append(out, cands[i])
 }
 
 // StreamAnswers processes one query against a built method and yields
@@ -404,6 +417,7 @@ func StreamAnswers(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Gr
 // in benchmarks.
 func BruteForceAnswers(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (graph.IDSet, error) {
 	var out graph.IDSet
+	prep := subiso.Compile(q, subiso.Options{})
 	for _, g := range ds.Graphs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -411,8 +425,7 @@ func BruteForceAnswers(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (
 		if !ds.Alive(g.ID()) {
 			continue
 		}
-		m := subiso.NewMatcher(q, g, subiso.Options{Ctx: ctx})
-		if m.Run(nil) {
+		if prep.Exists(ctx, g) {
 			out = append(out, g.ID())
 		}
 	}

@@ -85,6 +85,27 @@ type StreamOptions struct {
 	Stats *PipelineStats
 }
 
+// liveStage is the producer's resume-skip plus the liveness filter, one ID
+// at a time: the single definition of which produced IDs reach the verifier,
+// shared by the streamed Cursor and the one-shot Processor.QueryCtx.
+type liveStage struct {
+	ds     *graph.Dataset
+	stats  *PipelineStats
+	skipTo graph.ID
+}
+
+func (l *liveStage) admit(id graph.ID) bool {
+	if id < l.skipTo {
+		return false
+	}
+	l.stats.Produced.Add(1)
+	if !l.ds.Alive(id) {
+		return false
+	}
+	l.stats.Live.Add(1)
+	return true
+}
+
 // Cursor is a pull-side view of the producer and liveness-filter stages:
 // Next returns live candidate IDs one at a time, in ascending order,
 // pulling chunks from the plan only as they are consumed. Callers that
@@ -92,9 +113,7 @@ type StreamOptions struct {
 // streams) drive a Cursor directly; Stop releases the underlying chunk
 // sequence and is idempotent. A Cursor is not safe for concurrent use.
 type Cursor struct {
-	ds      *graph.Dataset
-	stats   *PipelineStats
-	skipTo  graph.ID
+	liveStage
 	next    func() (graph.IDSet, bool)
 	stop    func()
 	chunk   graph.IDSet
@@ -111,7 +130,7 @@ func NewCursor(ds *graph.Dataset, plan QueryPlan, opts StreamOptions) *Cursor {
 		stats = &PipelineStats{}
 	}
 	next, stop := iter.Pull(PlanChunks(plan))
-	return &Cursor{ds: ds, stats: stats, skipTo: opts.SkipTo, next: next, stop: stop}
+	return &Cursor{liveStage: liveStage{ds: ds, stats: stats, skipTo: opts.SkipTo}, next: next, stop: stop}
 }
 
 // Next returns the next live candidate ID, or false when the producer is
@@ -124,15 +143,9 @@ func (c *Cursor) Next() (graph.ID, bool) {
 		for c.pos < len(c.chunk) {
 			id := c.chunk[c.pos]
 			c.pos++
-			if id < c.skipTo {
-				continue
+			if c.admit(id) {
+				return id, true
 			}
-			c.stats.Produced.Add(1)
-			if !c.ds.Alive(id) {
-				continue
-			}
-			c.stats.Live.Add(1)
-			return id, true
 		}
 		chunk, ok := c.next()
 		if !ok {
@@ -192,39 +205,48 @@ func StreamPlan(ctx context.Context, ds *graph.Dataset, plan QueryPlan, opts Str
 	}
 }
 
-// verifyJob carries one candidate through the parallel verifier: the
-// emitter receives jobs in feed order and blocks on each job's res channel,
-// so answers surface in candidate order no matter which worker finishes
-// first.
-type verifyJob struct {
+// verifySlot carries one candidate through the parallel verifier. Slots
+// live in a fixed ring reused across candidates; res has capacity one, so a
+// worker never blocks posting its result.
+type verifySlot struct {
 	id  graph.ID
 	res chan bool
 }
 
 // streamParallel is the verifier stage as a bounded worker pool with ordered
-// emission. A feeder goroutine pulls the cursor and enqueues each candidate
-// into an order channel (buffered to the worker count — this is the
-// read-ahead bound) and then the jobs channel; workers verify and post to
-// the per-job result channel; the emitter walks the order channel. Teardown
-// closes stop, which unblocks the feeder wherever it is parked, and waits
-// for every goroutine before returning — no leaks on early break or
-// cancellation.
+// emission. A feeder goroutine pulls the cursor and, per candidate, takes a
+// token from inflight (the read-ahead bound: 2×workers candidates fed but not
+// yet emitted), fills the next ring slot and hands it to the order channel
+// and then the jobs channel; workers verify and post to the slot's result
+// channel; the emitter walks the order channel, so answers surface in
+// candidate order no matter which worker finishes first, and returns the
+// token once it has drained a slot — tokens are returned in feed order, so
+// the slot a new token maps to is always free. Teardown closes stop, which
+// unblocks the feeder wherever it is parked, and waits for every goroutine
+// before returning — no leaks on early break or cancellation.
 func streamParallel(ctx context.Context, ds *graph.Dataset, plan QueryPlan, opts StreamOptions) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
 		workers := opts.VerifyWorkers
 		stats := opts.Stats
+		ring := make([]verifySlot, 2*workers)
+		for i := range ring {
+			ring[i].res = make(chan bool, 1)
+		}
 		stop := make(chan struct{})
-		jobs := make(chan verifyJob)
-		order := make(chan verifyJob, workers)
+		jobs := make(chan *verifySlot)
+		// Both sized to the ring: every fed slot holds a token, so the
+		// order send never blocks.
+		inflight := make(chan struct{}, len(ring))
+		order := make(chan *verifySlot, len(ring))
 		var wg sync.WaitGroup
 
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for j := range jobs {
+				for s := range jobs {
 					stats.Verified.Add(1)
-					j.res <- plan.Verify(j.id)
+					s.res <- plan.Verify(s.id)
 				}
 			}()
 		}
@@ -236,19 +258,21 @@ func streamParallel(ctx context.Context, ds *graph.Dataset, plan QueryPlan, opts
 			defer close(order)
 			cur := NewCursor(ds, plan, opts)
 			defer cur.Stop()
-			for {
+			for n := 0; ; n++ {
 				id, ok := cur.Next()
 				if !ok {
 					return
 				}
-				j := verifyJob{id: id, res: make(chan bool, 1)}
 				select {
-				case order <- j:
+				case inflight <- struct{}{}:
 				case <-stop:
 					return
 				}
+				s := &ring[n%len(ring)]
+				s.id = id
+				order <- s
 				select {
-				case jobs <- j:
+				case jobs <- s:
 				case <-stop:
 					return
 				}
@@ -257,10 +281,12 @@ func streamParallel(ctx context.Context, ds *graph.Dataset, plan QueryPlan, opts
 
 		defer wg.Wait()
 		defer close(stop)
-		for j := range order {
+		for s := range order {
 			select {
-			case matched := <-j.res:
-				if matched && !yield(j.id, nil) {
+			case matched := <-s.res:
+				id := s.id
+				<-inflight
+				if matched && !yield(id, nil) {
 					return
 				}
 			case <-ctx.Done():

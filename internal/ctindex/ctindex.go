@@ -57,10 +57,10 @@ func (o *Options) fill() {
 
 // Index is a built CT-Index. Create with New, then Build.
 type Index struct {
-	opts  Options
-	ds    *graph.Dataset
-	fps   []*bitset.Bitset // fingerprint per graph
-	built bool
+	opts      Options
+	fps       []*bitset.Bitset // fingerprint per graph
+	labelFreq []int            // label occurrences in ds, for CompileQuery
+	built     bool
 }
 
 // New returns an unbuilt CT-Index.
@@ -74,7 +74,6 @@ func (ix *Index) Name() string { return "CT-Index" }
 
 // Build implements core.Method.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
-	ix.ds = ds
 	ix.fps = make([]*bitset.Bitset, ds.Len())
 	for i, g := range ds.Graphs {
 		if err := ctx.Err(); err != nil {
@@ -85,6 +84,7 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		}
 		ix.fps[i] = ix.fingerprint(g)
 	}
+	ix.labelFreq = countLabels(ds)
 	ix.built = true
 	return nil
 }
@@ -189,13 +189,21 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 	}, nil
 }
 
-// VerifyCandidate implements core.Verifier using the tuned matcher.
-func (ix *Index) VerifyCandidate(q *graph.Graph, id graph.ID) bool {
-	g := ix.ds.Graph(id)
-	if g == nil {
-		return false
+// CompileQuery implements core.Verifier: the matcher's tuned variant, its
+// rarity ordering driven by the dataset's label frequencies.
+func (ix *Index) CompileQuery(q *graph.Graph) *subiso.Prepared {
+	return subiso.Compile(q, subiso.Options{LabelFreq: ix.labelFreq})
+}
+
+// countLabels tallies label occurrences over the live graphs of ds.
+func countLabels(ds *graph.Dataset) []int {
+	freq := []int{}
+	for _, g := range ds.Graphs {
+		if ds.Alive(g.ID()) {
+			freq = subiso.LabelFreq(freq, g)
+		}
 	}
-	return subiso.ExistsTuned(q, g)
+	return freq
 }
 
 // SizeBytes implements core.Method: CT-Index stores one fixed-size

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/subiso"
@@ -85,13 +86,22 @@ func TestVerifyCandidate(t *testing.T) {
 	ds := graph.NewDataset("t")
 	ds.Add(pathGraph(1, 2, 3))
 	ix := build(t, ds, Options{})
-	if !ix.VerifyCandidate(pathGraph(2, 3), 0) {
+	// The pipeline's view of core.Verifier: the query compiled by the
+	// method, run against candidates by the plan.
+	verify := func(q *graph.Graph, id graph.ID) bool {
+		plan, err := core.NewPlan(context.Background(), ix, ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Verify(id)
+	}
+	if !verify(pathGraph(2, 3), 0) {
 		t.Errorf("contained query rejected")
 	}
-	if ix.VerifyCandidate(pathGraph(3, 1), 0) {
+	if verify(pathGraph(3, 1), 0) {
 		t.Errorf("non-contained query accepted")
 	}
-	if ix.VerifyCandidate(pathGraph(1), graph.ID(99)) {
+	if verify(pathGraph(1), graph.ID(99)) {
 		t.Errorf("out-of-range candidate accepted")
 	}
 }

@@ -69,7 +69,7 @@ func (ix *Index) LoadIndex(r io.Reader, ds *graph.Dataset) error {
 		}
 		ix.fps[i] = fp
 	}
-	ix.ds = ds
+	ix.labelFreq = countLabels(ds)
 	ix.built = true
 	return nil
 }

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -285,7 +286,14 @@ func TestCorruptV2FileRebuilds(t *testing.T) {
 	for _, tc := range cases {
 		for _, mode := range tc.modes {
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
-				if err := os.WriteFile(path, tc.corrupt(pristine), 0o644); err != nil {
+				// Replaced by rename like every writer in the repo, never
+				// truncated in place: the previous subtest's engine may still
+				// have the old file mapped, and the mapping keeps its inode.
+				corrupted := tc.corrupt(pristine)
+				if err := engine.AtomicWriteFile(path, func(w io.Writer) error {
+					_, err := w.Write(corrupted)
+					return err
+				}); err != nil {
 					t.Fatal(err)
 				}
 				spec := fmt.Sprintf("grapes:storage=%s", mode)
@@ -313,6 +321,9 @@ func TestCorruptV2FileRebuilds(t *testing.T) {
 				if !again.Restored() {
 					t.Fatalf("rebuild did not overwrite the corrupt index")
 				}
+				// Let the mmap open's background warmer finish before the
+				// next subtest replaces the file it is reading.
+				waitReady(t, again.Ready)
 			})
 		}
 	}

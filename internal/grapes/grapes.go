@@ -303,7 +303,7 @@ func (ix *Index) PlanQuery(q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	plan := &queryPlan{ix: ix, q: q, states: make(map[graph.ID][]bool)}
+	plan := &queryPlan{ix: ix, prep: subiso.Compile(q, subiso.Options{}), states: make(map[graph.ID][]bool)}
 	qf := ix.extractQueryFeatures(q)
 	if len(qf) == 0 {
 		plan.empty = true // no path features: Grapes filters everything out
@@ -350,7 +350,7 @@ const chunkSize = 256
 // one posting instead of intersecting all of them up front.
 type queryPlan struct {
 	ix       *Index
-	q        *graph.Graph
+	prep     *subiso.Prepared // the query, compiled once for every candidate
 	qf       []queryFeature
 	postings []*posting // parallel to qf; qf[0] is the rarest (the driver)
 	empty    bool
@@ -499,13 +499,7 @@ func (p *queryPlan) Verify(id graph.ID) bool {
 }
 
 func (p *queryPlan) verifyComponent(g *graph.Graph, comp []int32, c int) bool {
-	allowed := make([]bool, g.NumVertices())
-	for v := range comp {
-		if comp[v] == int32(c) {
-			allowed[v] = true
-		}
-	}
-	return subiso.ExistsRestricted(p.q, g, allowed)
+	return p.prep.ExistsRestricted(context.TODO(), g, comp, int32(c))
 }
 
 // SizeBytes implements core.Method. A lazily-opened index reports only

@@ -83,12 +83,32 @@ func (g *Graph) HasEdge(u, v int32) bool {
 		return false
 	}
 	// Search the shorter adjacency list.
-	a := g.adj[u]
-	if len(g.adj[v]) < len(a) {
-		a, v = g.adj[v], u
+	if len(g.adj[v]) < len(g.adj[u]) {
+		u, v = v, u
 	}
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return i < len(a) && a[i] == v
+	return SortedContains(g.adj[u], v)
+}
+
+// SortedContains reports whether the ascending slice a (an adjacency list)
+// holds v: a linear scan while a fits a cache line, binary search beyond.
+func SortedContains(a []int32, v int32) bool {
+	if len(a) > 16 {
+		lo, hi := 0, len(a)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); a[mid] < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo < len(a) && a[lo] == v
+	}
+	for _, x := range a {
+		if x >= v {
+			return x == v
+		}
+	}
+	return false
 }
 
 // AddEdge inserts the undirected edge {u, v}. It returns an error if either
@@ -294,7 +314,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted", u)
 			}
 			prev = v
-			if !contains(g.adj[v], u) {
+			if !SortedContains(g.adj[v], u) {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", u, v)
 			}
 			count++
@@ -304,11 +324,6 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("graph: edge count %d inconsistent with adjacency (%d half-edges)", g.edges, count)
 	}
 	return nil
-}
-
-func contains(a []int32, v int32) bool {
-	i := sort.Search(len(a), func(i int) bool { return a[i] >= v })
-	return i < len(a) && a[i] == v
 }
 
 // String returns a compact human-readable rendering, mainly for tests.

@@ -1,10 +1,82 @@
 package subiso
 
 import (
+	"context"
+	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
 )
+
+// refCount is the oracle: it counts the embeddings of q in g by plain
+// backtracking over injective label-preserving maps in vertex-id order, and
+// tests every query edge only once a map is complete. No match order, no
+// pruning, and no code shared with the matcher it judges (core's
+// BruteForceAnswers runs the compiled matcher, so this is the independent
+// check). allowed, when non-nil, limits the data vertices used.
+func refCount(q, g *graph.Graph, allowed func(v int32) bool) int {
+	m := make([]int32, q.NumVertices())
+	used := make([]bool, g.NumVertices())
+	qEdges := q.Edges()
+	hasEdge := func(u, v int32) bool {
+		for _, w := range g.Neighbors(u) {
+			if w == v {
+				return true
+			}
+		}
+		return false
+	}
+	count := 0
+	var assign func(qv int)
+	assign = func(qv int) {
+		if qv == len(m) {
+			for _, e := range qEdges {
+				if !hasEdge(m[e[0]], m[e[1]]) {
+					return
+				}
+			}
+			count++
+			return
+		}
+		for gv := int32(0); int(gv) < g.NumVertices(); gv++ {
+			if used[gv] || q.Label(int32(qv)) != g.Label(gv) || (allowed != nil && !allowed(gv)) {
+				continue
+			}
+			used[gv], m[qv] = true, gv
+			assign(qv + 1)
+			used[gv] = false
+		}
+	}
+	assign(0)
+	return count
+}
+
+// checkEmbedding validates one mapping edge by edge.
+func checkEmbedding(t testing.TB, q, g *graph.Graph, m []int32) {
+	t.Helper()
+	if len(m) != q.NumVertices() {
+		t.Fatalf("mapping has %d entries for %d query vertices", len(m), q.NumVertices())
+	}
+	seen := map[int32]bool{}
+	for qv, gv := range m {
+		if gv < 0 || int(gv) >= g.NumVertices() {
+			t.Fatalf("query vertex %d mapped out of range: %d", qv, gv)
+		}
+		if q.Label(int32(qv)) != g.Label(gv) {
+			t.Fatalf("label mismatch at query vertex %d", qv)
+		}
+		if seen[gv] {
+			t.Fatalf("mapping not injective at data vertex %d", gv)
+		}
+		seen[gv] = true
+	}
+	for _, e := range q.Edges() {
+		if !g.HasEdge(m[e[0]], m[e[1]]) {
+			t.Fatalf("query edge %v not preserved", e)
+		}
+	}
+}
 
 // buildFromBytes deterministically decodes a small graph from fuzz bytes:
 // the first byte is the vertex count, subsequent byte pairs become edges,
@@ -28,21 +100,216 @@ func buildFromBytes(data []byte, maxN int) *graph.Graph {
 	return g
 }
 
-// FuzzTunedAgreesWithVF2 checks the two matchers agree on arbitrary
-// query/data pairs — the tuned heuristics must change performance only,
-// never semantics.
-func FuzzTunedAgreesWithVF2(f *testing.F) {
-	f.Add([]byte{3, 0, 1, 1, 2}, []byte{5, 0, 1, 1, 2, 2, 3, 3, 4})
-	f.Add([]byte{1}, []byte{1})
-	f.Fuzz(func(t *testing.T, qb []byte, gb []byte) {
+// agreeWithReference checks every face of the compiled matcher — plain,
+// tuned under the data graph's and under arbitrary label frequencies,
+// restricted, enumerating — against refCount on one query/data pair. mask
+// picks the restriction (bit v set: data vertex v allowed) and the
+// arbitrary frequencies.
+func agreeWithReference(t testing.TB, q, g *graph.Graph, mask uint16) {
+	t.Helper()
+	ctx := context.Background()
+	want := refCount(q, g, nil)
+	variants := map[string]*Prepared{
+		"plain":       Compile(q, Options{}),
+		"tuned":       Compile(q, Options{LabelFreq: LabelFreq(nil, g)}),
+		"tuned-skew":  Compile(q, Options{LabelFreq: []int{int(mask & 7), int(mask >> 3 & 7)}}),
+		"tuned-empty": Compile(q, Options{LabelFreq: []int{}}),
+	}
+	for name, p := range variants {
+		if got := p.Exists(ctx, g); got != (want > 0) {
+			t.Fatalf("%s: Exists=%v, reference counts %d embeddings\nq=%v %v\ng=%v %v", name, got, want, q, q.Edges(), g, g.Edges())
+		}
+		n := 0
+		found := p.Run(ctx, g, func(m []int32) bool {
+			checkEmbedding(t, q, g, m)
+			n++
+			return true
+		})
+		if n != want || found != (want > 0) {
+			t.Fatalf("%s: Run yielded %d embeddings (found=%v), reference counts %d", name, n, found, want)
+		}
+	}
+	if got := Count(q, g, 0); got != want {
+		t.Fatalf("Count=%d, reference %d", got, want)
+	}
+	if m := FindOne(q, g); (m != nil) != (want > 0 && q.NumVertices() > 0) {
+		t.Fatalf("FindOne=%v, reference counts %d embeddings", m, want)
+	} else if m != nil {
+		checkEmbedding(t, q, g, m)
+	}
+	comp := make([]int32, g.NumVertices())
+	for v := range comp {
+		comp[v] = int32(mask >> (v % 16) & 1)
+	}
+	wantR := refCount(q, g, func(v int32) bool { return comp[v] == 1 })
+	for name, p := range variants {
+		if got := p.ExistsRestricted(ctx, g, comp, 1); got != (wantR > 0) {
+			t.Fatalf("%s: ExistsRestricted=%v under mask %b, reference counts %d", name, got, mask, wantR)
+		}
+	}
+}
+
+// FuzzCompiledAgreesWithReference checks the compiled matcher against the
+// naive oracle on arbitrary query/data pairs; the seeds cover connected and
+// disconnected queries.
+func FuzzCompiledAgreesWithReference(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 1, 2}, []byte{5, 0, 1, 1, 2, 2, 3, 3, 4}, uint16(0xffff)) // connected path
+	f.Add([]byte{1}, []byte{1}, uint16(1))
+	f.Add([]byte{4, 0, 1, 2, 3}, []byte{8, 0, 1, 2, 3, 4, 5, 6, 7, 0, 4}, uint16(0x0f0f))           // two query components
+	f.Add([]byte{5}, []byte{7, 0, 1, 1, 2}, uint16(0x7f))                                           // edgeless query
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 0}, []byte{6, 0, 1, 1, 2, 2, 0, 3, 4, 4, 5, 5, 3}, uint16(0x38)) // triangle, restricted to the second
+	f.Fuzz(func(t *testing.T, qb []byte, gb []byte, mask uint16) {
 		q := buildFromBytes(qb, 6)
 		g := buildFromBytes(gb, 9)
 		if q == nil || g == nil {
 			return
 		}
-		want := Exists(q, g)
-		if got := ExistsTuned(q, g); got != want {
-			t.Fatalf("matchers disagree: tuned=%v vf2=%v\nq=%v\ng=%v", got, want, q, g)
-		}
+		agreeWithReference(t, q, g, mask)
 	})
+}
+
+// randomGraph returns a graph of n vertices over nlab labels with a random
+// spanning forest of the given number of trees plus extra random edges.
+func randomGraph(rng *rand.Rand, n, trees, extra, nlab int) *graph.Graph {
+	g := graph.New(0)
+	for i := 0; i < n; i++ {
+		g.AddVertex(graph.Label(rng.Intn(nlab)))
+	}
+	for i := trees; i < n; i++ {
+		g.MustAddEdge(int32(rng.Intn(i)), int32(i))
+	}
+	for k := 0; k < extra; k++ {
+		u, v := int32(rng.Intn(n)), int32(rng.Intn(n))
+		if u != v && !g.HasEdge(u, v) {
+			g.MustAddEdge(u, v)
+		}
+	}
+	return g
+}
+
+func TestCompiledAgreesWithReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 150; trial++ {
+		q := randomGraph(rng, 1+rng.Intn(5), 1+rng.Intn(2), rng.Intn(3), 2)
+		g := randomGraph(rng, 3+rng.Intn(9), 1+rng.Intn(3), rng.Intn(8), 2)
+		agreeWithReference(t, q, g, uint16(rng.Intn(1<<16)))
+	}
+}
+
+func assertClean(t *testing.T, s *scratch, when string) {
+	t.Helper()
+	for v, qv := range s.coreG {
+		if qv != -1 {
+			t.Fatalf("%s: scratch left data vertex %d mapped to %d", when, v, qv)
+		}
+	}
+}
+
+// TestScratchHygiene drives one scratch through everything that could leave
+// it dirty — graphs growing and shrinking, a cancelled run, a first-match
+// return, a yield that stops — and checks the all-free invariant after each
+// run and every answer against the reference.
+func TestScratchHygiene(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ctx := context.Background()
+	s := new(scratch)
+	queries := []*graph.Graph{path(0, 1), path(1, 0, 1), cycle(0, 0, 1), randomGraph(rng, 4, 2, 1, 2)}
+	for _, n := range []int{4, 12, 30, 7, 3, 18, 5, 30, 2} {
+		g := randomGraph(rng, n, 1+rng.Intn(2), n, 2)
+		for _, q := range queries {
+			p := Compile(q, Options{})
+			want := refCount(q, g, nil)
+			// First-match return.
+			if got := s.search(ctx, p, g, nil, 0, nil); got != (want > 0) {
+				t.Fatalf("n=%d: Exists=%v, reference %d", n, got, want)
+			}
+			assertClean(t, s, "after first-match return")
+			// Full enumeration.
+			got := 0
+			s.search(ctx, p, g, nil, 0, func([]int32) bool { got++; return true })
+			if got != want {
+				t.Fatalf("n=%d: enumerated %d, reference %d", n, got, want)
+			}
+			assertClean(t, s, "after enumeration")
+			// A yield that stops at the first embedding.
+			s.search(ctx, p, g, nil, 0, func([]int32) bool { return false })
+			assertClean(t, s, "after a stopped yield")
+		}
+		if n == 12 {
+			// A run cancelled deep in the recursion (see
+			// TestContextCancellation for why it is cut short).
+			cctx, cancel := context.WithCancel(ctx)
+			cancel()
+			k8, got := clique(8, 1), 0
+			s.search(cctx, Compile(path(1, 1, 1, 1, 1), Options{}), k8, nil, 0, func([]int32) bool { got++; return true })
+			if got == 0 || got >= 6720 {
+				t.Fatalf("cancelled run yielded %d embeddings, want a strict part of 6720", got)
+			}
+			assertClean(t, s, "after cancellation")
+		}
+	}
+}
+
+// TestPreparedConcurrent shares one Prepared between 8 goroutines (run with
+// -race): each checks its own graphs against the reference.
+func TestPreparedConcurrent(t *testing.T) {
+	q := cycle(0, 1, 0, 1)
+	tuned := Compile(q, Options{LabelFreq: []int{3, 1}})
+	plain := Compile(q, Options{})
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 60; i++ {
+				g := randomGraph(rng, 4+rng.Intn(12), 1, rng.Intn(14), 2)
+				want := refCount(q, g, nil) > 0
+				if got := plain.Exists(context.Background(), g); got != want {
+					t.Errorf("plain: Exists=%v, reference %v", got, want)
+				}
+				if got := tuned.Exists(context.Background(), g); got != want {
+					t.Errorf("tuned: Exists=%v, reference %v", got, want)
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+}
+
+var benchSink bool
+
+// BenchmarkPreparedExists measures one verification of a compiled 6-edge
+// query against a 60-vertex, 3-label data graph (the shape of the
+// repository benchmark's verify_heavy): a hit, and a miss that exhausts
+// the search. Run with -benchmem: both must report 0 allocs/op.
+func BenchmarkPreparedExists(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g := randomGraph(rng, 60, 1, 30, 3)
+	hit, _, err := g.InducedSubgraph([]int32{0, 1, 2, 3, 4, 5, 6})
+	if err != nil {
+		b.Fatal(err)
+	}
+	// The hit plus a pendant vertex whose label the data graph lacks: the
+	// search walks every embedding of the hit before it gives up.
+	miss := hit.Clone()
+	miss.AddVertex(9)
+	miss.MustAddEdge(0, int32(miss.NumVertices()-1))
+	for _, bc := range []struct {
+		name string
+		q    *graph.Graph
+		want bool
+	}{{"hit", hit, true}, {"miss", miss, false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := Compile(bc.q, Options{})
+			ctx := context.Background()
+			if got := p.Exists(ctx, g); got != bc.want {
+				b.Fatalf("Exists=%v, want %v", got, bc.want)
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				benchSink = p.Exists(ctx, g)
+			}
+		})
+	}
 }

@@ -159,14 +159,20 @@ func TestRestrict(t *testing.T) {
 	g.MustAddEdge(3, 4)
 	g.MustAddEdge(4, 5)
 	g.MustAddEdge(5, 3)
-	q := cycle(1, 1, 1)
-	allowFirst := []bool{true, true, true, false, false, false}
-	allowNone := make([]bool, 6)
-	if !ExistsRestricted(q, g, allowFirst) {
-		t.Errorf("restricted to first triangle: want match")
+	p := Compile(cycle(1, 1, 1), Options{})
+	ctx := context.Background()
+	comp := []int32{0, 0, 0, 1, 1, 1}
+	for c := int32(0); c < 2; c++ {
+		if !p.ExistsRestricted(ctx, g, comp, c) {
+			t.Errorf("restricted to triangle %d: want match", c)
+		}
 	}
-	if ExistsRestricted(q, g, allowNone) {
+	if p.ExistsRestricted(ctx, g, comp, 2) {
 		t.Errorf("restricted to nothing: want no match")
+	}
+	// A restriction that cuts both triangles leaves no embedding.
+	if p.ExistsRestricted(ctx, g, []int32{0, 0, 1, 1, 0, 0}, 0) {
+		t.Errorf("restricted across triangles: want no match")
 	}
 }
 
@@ -195,7 +201,7 @@ func TestContextCancellation(t *testing.T) {
 	// backtracking: query clique K8 vs data graph K8 minus one edge.
 	q := clique(8, 1)
 	g := clique(8, 1)
-	// remove edge by rebuilding without {0,1}
+	// K8 minus the edge {0,1}
 	g2 := graph.New(0)
 	for i := 0; i < 8; i++ {
 		g2.AddVertex(1)
@@ -210,11 +216,16 @@ func TestContextCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	m := NewMatcher(q, g2, Options{Ctx: ctx})
-	if m.Run(nil) {
+	if Compile(q, Options{}).Exists(ctx, g2) {
 		t.Fatalf("K8 should not embed in K8 minus an edge")
 	}
-	_ = g
+	// The cancellation is seen mid-search, not only between candidates: K8
+	// holds 6720 embeddings of a 5-path, a cancelled run stops short of them.
+	n := 0
+	Compile(path(1, 1, 1, 1, 1), Options{}).Run(ctx, g, func([]int32) bool { n++; return true })
+	if n == 0 || n >= 6720 {
+		t.Fatalf("cancelled enumeration yielded %d embeddings, want some but not all 6720", n)
+	}
 }
 
 func TestRandomPlantedSubgraphs(t *testing.T) {

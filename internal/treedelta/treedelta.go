@@ -349,14 +349,15 @@ func (ix *Index) deltaStructures(q *graph.Graph) map[canon.Key]*graph.Graph {
 // fullPosting computes the exact dataset posting of a Δ structure by
 // subgraph isomorphism over every graph. Postings stored in the index must
 // be complete — partial postings would cause false negatives for later
-// queries.
+// queries — so the sweep runs uncancellable.
 func (ix *Index) fullPosting(proto *graph.Graph) graph.IDSet {
 	var out graph.IDSet
+	prep := subiso.Compile(proto, subiso.Options{})
 	for _, g := range ix.ds.Graphs {
 		if !ix.ds.Alive(g.ID()) {
 			continue // tombstoned graphs never join a Δ posting
 		}
-		if subiso.Exists(proto, g) {
+		if prep.Exists(context.Background(), g) {
 			out = append(out, g.ID())
 		}
 	}
