@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/diskfmt"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/workload"
@@ -299,16 +298,15 @@ func specWithStorage(spec, mode string) string {
 	return spec + ":storage=" + mode
 }
 
-// measureColdOpen times a storage=mmap open of the cell's persisted v2
-// index — the disk-native tier's cold-start path: write the built index to
-// a scratch file, then load it into a fresh instance and record the wall
+// measureColdOpen times a storage=mmap open of the cell's persisted index
+// — the disk-native tier's cold-start path: write the built index to a
+// scratch file, then load it into a fresh instance and record the wall
 // time and the resident heap bytes right after (postings stay on disk
-// until queries fault them in). Methods without a v2 section format leave
+// until queries fault them in). Methods without a storage=mmap mode leave
 // both cells zero. Failures just skip the cells — this measures the tier,
 // it does not gate the run.
 func measureColdOpen(mr *MethodResult, m core.Method, spec string, ds *graph.Dataset) {
-	sp, ok := m.(core.SectionPersistable)
-	if !ok {
+	if _, ok := m.(core.StorageSelector); !ok {
 		return
 	}
 	dir, err := os.MkdirTemp("", "sqbench-idx-*")
@@ -317,38 +315,25 @@ func measureColdOpen(mr *MethodResult, m core.Method, spec string, ds *graph.Dat
 	}
 	defer os.RemoveAll(dir)
 	path := filepath.Join(dir, "idx")
-	w := diskfmt.NewWriter(ds.Epoch(), ds.VersionTag(), m.Name())
-	if err := sp.SaveIndexV2(w); err != nil {
-		return
-	}
-	if err := engine.AtomicWriteFile(path, func(out io.Writer) error {
-		_, err := w.WriteTo(out)
-		return err
-	}); err != nil {
+	if err := engine.SaveMethod(path, m); err != nil {
 		return
 	}
 	fresh, err := engine.New(specWithStorage(spec, core.StorageMmap))
 	if err != nil {
 		return
 	}
-	fsp, ok := fresh.(core.SectionPersistable)
-	if !ok {
-		return
-	}
 	t0 := time.Now()
-	r, err := diskfmt.Open(path, true)
-	if err != nil {
-		return
-	}
-	if err := fsp.LoadIndexV2(r, ds); err != nil {
-		r.Close()
+	if err := engine.LoadMethod(path, fresh, ds); err != nil {
 		return
 	}
 	mr.ColdOpen = time.Since(t0)
 	mr.ColdResident = fresh.SizeBytes()
 	// The instance is done measuring and never queried, so unmap now
-	// rather than on process exit.
-	r.Close()
+	// rather than on process exit (the unlinked scratch file would keep
+	// its blocks until then).
+	if c, ok := fresh.(io.Closer); ok {
+		c.Close()
+	}
 }
 
 // measureQueries drives a workload through one query function — an

@@ -14,9 +14,17 @@ import (
 )
 
 // TestLoadFromShipsIndexFile: re-replication via /node/load fetches the
-// owner's persisted v2 shard index alongside the dump, so the receiving
-// node's engine restores it byte-for-byte instead of rebuilding.
+// owner's persisted shard index alongside the dump, so the receiving
+// node's engine restores it byte-for-byte instead of rebuilding — for a
+// method with a storage=mmap mode and for one without, since every method
+// persists the same container.
 func TestLoadFromShipsIndexFile(t *testing.T) {
+	for _, spec := range []string{"grapes", "ctindex"} {
+		t.Run(spec, func(t *testing.T) { testLoadFromShipsIndexFile(t, spec) })
+	}
+}
+
+func testLoadFromShipsIndexFile(t *testing.T, spec string) {
 	ctx := context.Background()
 	src := gen.Synthetic(gen.SynthConfig{
 		NumGraphs: 30, MeanNodes: 12, MeanDensity: 0.2, NumLabels: 4, Seed: 21,
@@ -28,7 +36,7 @@ func TestLoadFromShipsIndexFile(t *testing.T) {
 	dir := t.TempDir()
 
 	a, err := NewNode(ctx, src, NodeConfig{
-		Name: "a", ShardCount: 2, Shards: []int{0, 1},
+		Name: "a", Spec: spec, ShardCount: 2, Shards: []int{0, 1},
 		IndexPath: filepath.Join(dir, "a.idx"),
 	})
 	if err != nil {
@@ -38,7 +46,7 @@ func TestLoadFromShipsIndexFile(t *testing.T) {
 	defer tsA.Close()
 
 	b, err := NewNode(ctx, src, NodeConfig{
-		Name: "b", ShardCount: 2, Shards: []int{0},
+		Name: "b", Spec: spec, ShardCount: 2, Shards: []int{0},
 		IndexPath: filepath.Join(dir, "b.idx"),
 	})
 	if err != nil {
@@ -47,7 +55,7 @@ func TestLoadFromShipsIndexFile(t *testing.T) {
 	tsB := httptest.NewServer(NewNodeServer(b, NodeServerConfig{}).Handler())
 	defer tsB.Close()
 
-	// The indexfile endpoint serves shard 1's v2 container from a.
+	// The indexfile endpoint serves shard 1's container from a.
 	resp, err := http.Get(tsA.URL + "/node/indexfile?shard=1")
 	if err != nil {
 		t.Fatal(err)
@@ -84,7 +92,7 @@ func TestLoadFromShipsIndexFile(t *testing.T) {
 		t.Fatalf("shard 1 missing on b after load")
 	}
 	if !sh.eng.Restored() {
-		t.Fatalf("installed shard rebuilt its index; the shipped v2 file was not restored")
+		t.Fatalf("installed shard rebuilt its index; the shipped file was not restored")
 	}
 
 	// The restored replica answers exactly like the owner.

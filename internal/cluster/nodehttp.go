@@ -16,7 +16,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/internal/diskfmt"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -440,13 +439,12 @@ func (s *NodeServer) handleDump(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIndexFile serves GET /node/indexfile?shard=k: the shard's persisted
-// v2 index file, byte for byte. A peer installing the shard fetches it
-// alongside the dump so its engine restores the index in O(header) time
-// instead of rebuilding; the file's epoch+tag stamp makes the transfer
-// self-validating — a receiver whose reassembled sub-dataset mismatches
-// falls back to a rebuild. 404 when the node does not persist, does not
-// serve the shard, or the file is absent or not in the v2 container format
-// (legacy v1 gob files are node-local and never shipped).
+// index file, byte for byte, whatever the method. A peer installing the
+// shard fetches it alongside the dump so its engine restores the index
+// instead of rebuilding; the container's checksums and epoch+tag stamp make
+// the transfer self-validating — a receiver whose reassembled sub-dataset
+// mismatches falls back to a rebuild. 404 when the node does not persist,
+// does not serve the shard, or the file is absent.
 func (s *NodeServer) handleIndexFile(w http.ResponseWriter, r *http.Request) {
 	k, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
@@ -470,15 +468,6 @@ func (s *NodeServer) handleIndexFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer f.Close()
-	var magic [8]byte
-	if _, err := io.ReadFull(f, magic[:]); err != nil || !diskfmt.IsMagic(magic[:]) {
-		s.fail(w, http.StatusNotFound, fmt.Errorf("shard %d index file is not a v2 container", k))
-		return
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		s.fail(w, http.StatusInternalServerError, err)
-		return
-	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	io.Copy(w, f)
 }
@@ -589,7 +578,7 @@ func (s *NodeServer) loadFrom(r *http.Request, req LoadRequest) error {
 	if !done {
 		return errors.New("dump ended without done marker — source died mid-dump")
 	}
-	// Ship the owner's v2 index file alongside the dump: the install's
+	// Ship the owner's index file alongside the dump: the install's
 	// engine open restores it byte-for-byte when its epoch+tag stamp
 	// matches the reassembled sub-dataset (always for unmutated and
 	// add-only shard histories; removals leave tombstones the reassembly

@@ -20,12 +20,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"iter"
 	"slices"
 	"sync"
 	"time"
 
+	"repro/internal/diskfmt"
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/subiso"
@@ -197,14 +197,54 @@ type IncrementalIndexer interface {
 	RemoveGraphFromIndex(id graph.ID) error
 }
 
-// Persistable is implemented by methods whose built index can be saved to
-// and restored from a byte stream, so an expensive build can be paid once.
-// LoadIndex must be given the same dataset the index was built over (the
-// index stores graph IDs and, for some methods, vertex IDs into it);
-// implementations validate what they can and reject obvious mismatches.
+// Persistable is implemented by methods whose built index round-trips
+// through the repro-index container (package diskfmt), so an expensive
+// build can be paid once: SaveIndex lays the index out as checksummed
+// sections, LoadIndex restores from a parsed container. LoadIndex must be
+// given the same dataset the index was built over (the index stores graph
+// IDs and, for some methods, vertex IDs into it); implementations validate
+// everything they decode and reject what the dataset cannot match.
+//
+// LoadIndex must honor the method's storage mode (StorageSelector): under
+// StorageHeap it decodes eagerly and must not retain the reader; under
+// StorageMmap it may alias the reader's mapped sections for the life of
+// the index, copying anything it materializes into the heap.
 type Persistable interface {
-	SaveIndex(w io.Writer) error
-	LoadIndex(r io.Reader, ds *graph.Dataset) error
+	SaveIndex(w *diskfmt.Writer) error
+	LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error
+}
+
+// Storage modes of a restored index. Heap decodes the whole index into
+// memory at load; Mmap keeps the container mapped and materializes
+// postings, trie nodes, and codes lazily on first touch.
+const (
+	StorageHeap = "heap"
+	StorageMmap = "mmap"
+)
+
+// StorageMode normalizes a configured storage option: anything but
+// StorageMmap is StorageHeap.
+func StorageMode(configured string) string {
+	if configured == StorageMmap {
+		return StorageMmap
+	}
+	return StorageHeap
+}
+
+// StorageSelector reports a method's configured storage mode (StorageHeap
+// or StorageMmap). Methods without it are heap-only.
+type StorageSelector interface {
+	StorageMode() string
+}
+
+// Warmable is implemented by indexes that can pre-fault their hot
+// sections after a lazy open. The engine calls WarmIndex on a background
+// goroutine and keeps /readyz at 503 until it returns, so load balancers
+// don't route to a cold mmap-backed node. WarmIndex must be safe to run
+// concurrently with queries and must be a no-op for heap-resident
+// indexes.
+type Warmable interface {
+	WarmIndex()
 }
 
 // QueryResult captures one query's outcome and per-stage accounting.

@@ -3,13 +3,33 @@ package core_test
 import (
 	"bytes"
 	"context"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diskfmt"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
+
+// saveToBytes runs p.SaveIndex into an in-memory container.
+func saveToBytes(p core.Persistable) ([]byte, error) {
+	w := diskfmt.NewWriter(0, 0, "")
+	if err := p.SaveIndex(w); err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	_, err := w.WriteTo(&buf)
+	return buf.Bytes(), err
+}
+
+// loadFromBytes parses b as a container and runs p.LoadIndex over it.
+func loadFromBytes(p core.Persistable, b []byte, ds *graph.Dataset) error {
+	r, err := diskfmt.FromBytes(b)
+	if err != nil {
+		return err
+	}
+	return p.LoadIndex(r, ds)
+}
 
 // TestPersistenceRoundTrip builds each method, saves it, loads it into a
 // fresh instance, and checks the loaded index answers identically.
@@ -27,18 +47,17 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s does not implement Persistable", m.Name())
 			}
-			if err := p.SaveIndex(&bytes.Buffer{}); err == nil {
+			if _, err := saveToBytes(p); err == nil {
 				t.Errorf("save before Build should error")
 			}
 			if err := m.Build(ctx, ds); err != nil {
 				t.Fatalf("Build: %v", err)
 			}
-			var buf bytes.Buffer
-			if err := p.SaveIndex(&buf); err != nil {
+			saved, err := saveToBytes(p)
+			if err != nil {
 				t.Fatalf("SaveIndex: %v", err)
 			}
-			lp := target.(core.Persistable)
-			if err := lp.LoadIndex(bytes.NewReader(buf.Bytes()), ds); err != nil {
+			if err := loadFromBytes(target.(core.Persistable), saved, ds); err != nil {
 				t.Fatalf("LoadIndex: %v", err)
 			}
 			procA := core.NewProcessor(m, ds)
@@ -75,25 +94,32 @@ func TestPersistenceRejectsWrongDataset(t *testing.T) {
 		if err := m.Build(ctx, ds); err != nil {
 			t.Fatalf("%s: %v", m.Name(), err)
 		}
-		var buf bytes.Buffer
-		if err := p.SaveIndex(&buf); err != nil {
+		saved, err := saveToBytes(p)
+		if err != nil {
 			t.Fatalf("%s save: %v", m.Name(), err)
 		}
-		if err := p.LoadIndex(bytes.NewReader(buf.Bytes()), other); err == nil {
+		if err := loadFromBytes(p, saved, other); err == nil {
 			t.Errorf("%s: load over a different-size dataset should fail", m.Name())
 		}
 	}
 }
 
-// TestPersistenceRejectsGarbage checks corrupted-stream handling.
+// TestPersistenceRejectsGarbage checks that neither bytes that are no
+// container nor a well-formed container holding none of the method's
+// sections load.
 func TestPersistenceRejectsGarbage(t *testing.T) {
 	ds := testDataset(t)
+	var empty bytes.Buffer
+	if _, err := diskfmt.NewWriter(0, 0, "").WriteTo(&empty); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range allMethods() {
 		p := m.(core.Persistable)
-		err := p.LoadIndex(strings.NewReader("not a gob stream"), ds)
-		if err == nil {
+		if err := loadFromBytes(p, []byte("not a container"), ds); err == nil {
 			t.Errorf("%s: garbage accepted", m.Name())
 		}
+		if err := loadFromBytes(p, empty.Bytes(), ds); err == nil {
+			t.Errorf("%s: container without sections accepted", m.Name())
+		}
 	}
-	_ = graph.ID(0)
 }

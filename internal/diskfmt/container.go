@@ -1,6 +1,8 @@
-// Package diskfmt defines the repro-index v2 on-disk container: a
-// versioned, memory-mappable section-table format plus a compressed
-// posting-list representation (postings.go).
+// Package diskfmt defines the repro-index on-disk container — the one
+// format every persisted index uses: a versioned, memory-mappable
+// section-table layout, a compressed posting-list representation
+// (postings.go), and the keyed-postings section codec the hash-table
+// methods share (keyed.go).
 //
 // File layout (all integers little-endian):
 //
@@ -33,16 +35,12 @@ import (
 	"sync/atomic"
 )
 
-// Version is the container format generation. v1 is the legacy text-header
-// gob stream written by engine.SaveMethod before this package existed.
-const Version = 2
-
-// Magic identifies a v2 container. The trailing CR/LF/SUB/NUL bytes guard
+// Magic identifies a container. The trailing CR/LF/SUB/NUL bytes guard
 // against text-mode transfer mangling, like the PNG signature does.
 var Magic = [8]byte{'R', 'I', 'X', '2', '\r', '\n', 0x1a, 0x00}
 
-// ErrNotDiskFmt reports that a file does not start with the v2 magic —
-// callers fall back to the legacy v1 path (or rebuild).
+// ErrNotDiskFmt reports that a file does not start with the container
+// magic; loaders treat it like a corrupt file and rebuild.
 var ErrNotDiskFmt = errors.New("diskfmt: not a repro-index v2 container")
 
 // CorruptError reports a structurally invalid or checksum-failing
@@ -64,7 +62,22 @@ func IsCorrupt(err error) bool {
 	return errors.As(err, &ce)
 }
 
-// IsMagic reports whether b begins with the v2 container magic.
+// CheckSizeParams rejects size-like parameters restored from a meta
+// section (feature edges, path lengths, eigenvalue counts) that only a
+// damaged file can hold. Query-time enumerators size their scratch space by
+// these, so a wild value has to fail the load, not the first query; no
+// method is usable anywhere near the bound.
+func CheckSizeParams(vals ...int) error {
+	const limit = 1 << 16
+	for _, v := range vals {
+		if v < 0 || v > limit {
+			return corruptf("size parameter %d outside [0, %d]", v, limit)
+		}
+	}
+	return nil
+}
+
+// IsMagic reports whether b begins with the container magic.
 func IsMagic(b []byte) bool {
 	return len(b) >= len(Magic) && bytes.Equal(b[:len(Magic)], Magic[:])
 }
@@ -356,6 +369,18 @@ func (r *Reader) SectionLazy(id uint32) ([]byte, error) {
 func (r *Reader) VerifySection(id uint32) error {
 	_, err := r.Section(id)
 	return err
+}
+
+// VerifySections checks the CRC of every listed section. Heap-mode loaders
+// read every payload anyway, so they verify up front: a bit-flipped file
+// fails here and triggers a rebuild.
+func (r *Reader) VerifySections(ids ...uint32) error {
+	for _, id := range ids {
+		if err := r.VerifySection(id); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Accessed reports whether the section's payload has ever been read in

@@ -28,11 +28,11 @@ func maintenanceOf(d *Descriptor) string {
 	return "rebuild"
 }
 
-// storageOf classifies a descriptor's on-disk index representation:
-// methods implementing core.SectionPersistable persist the mmap-able
-// repro-index v2 container and honor `storage=heap|mmap`; plain
-// core.Persistable methods persist the legacy v1 gob stream (always
-// decoded eagerly); composites delegate persistence to their sub-indexes.
+// storageOf classifies how a descriptor's persisted index can be held
+// once restored. Every method persists the same container; methods
+// implementing core.StorageSelector also honor `storage=mmap`, the rest
+// always decode to the heap. Composites delegate persistence to their
+// sub-indexes.
 func storageOf(d *Descriptor) string {
 	if d.OpenQuerier != nil {
 		return "per sub-index"
@@ -41,13 +41,13 @@ func storageOf(d *Descriptor) string {
 	if err != nil {
 		return "none"
 	}
-	if _, ok := m.(core.SectionPersistable); ok {
-		return "v2 (heap/mmap)"
+	if _, ok := m.(core.Persistable); !ok {
+		return "none"
 	}
-	if _, ok := m.(core.Persistable); ok {
-		return "v1 gob (heap)"
+	if _, ok := m.(core.StorageSelector); ok {
+		return "heap/mmap"
 	}
-	return "none"
+	return "heap"
 }
 
 // WriteMethodsMarkdown renders the per-method reference (docs/METHODS.md)
@@ -83,13 +83,12 @@ func WriteMethodsMarkdown(w io.Writer) error {
 	bw.printf("differences below are filtering power and index cost — never answer\n")
 	bw.printf("order or early-termination semantics.\n\n")
 
-	bw.printf("The **Storage** column shows each method's on-disk index\n")
-	bw.printf("representation. *v2 (heap/mmap)* methods persist the mmap-able\n")
-	bw.printf("repro-index v2 section container and accept a `storage=heap|mmap`\n")
-	bw.printf("runtime parameter: `heap` decodes the file eagerly at open, `mmap`\n")
-	bw.printf("maps it and faults sections in on first touch, so a cold open is\n")
-	bw.printf("O(header) regardless of index size. *v1 gob (heap)* methods persist\n")
-	bw.printf("the legacy header-line gob stream, always decoded eagerly. See\n")
+	bw.printf("Every persistable method saves the same file format, the repro-index\n")
+	bw.printf("section container. The **Storage** column shows how a restored index\n")
+	bw.printf("can be held. *heap/mmap* methods accept a `storage=heap|mmap` runtime\n")
+	bw.printf("parameter: `heap` decodes the file eagerly at open, `mmap` maps it and\n")
+	bw.printf("faults sections in on first touch, so a cold open is O(header)\n")
+	bw.printf("regardless of index size. *heap* methods always decode eagerly. See\n")
 	bw.printf("ARCHITECTURE.md's Storage section for the format and tradeoffs.\n\n")
 
 	bw.printf("| Method | Spec name | Parameters | Updates | Storage | Summary |\n")

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -11,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,7 +81,7 @@ type Engine struct {
 }
 
 // storageModeOf resolves how a method wants its persisted index held;
-// methods that predate the v2 disk format are always heap.
+// methods without a storage parameter are always heap.
 func storageModeOf(m core.Method) string {
 	if ss, ok := m.(core.StorageSelector); ok {
 		return ss.StorageMode()
@@ -91,16 +89,19 @@ func storageModeOf(m core.Method) string {
 	return core.StorageHeap
 }
 
-// indexFileMagic heads every engine-written index file; the header line
-// also carries the dataset epoch and structural version tag the index was
-// built at, so a file persisted before a mutation — or against a
-// different mutation history of the same length — can never restore
-// silently against the mutated dataset. Raw SaveMethod/LoadMethod streams
-// stay headerless.
-const indexFileMagic = "repro-index v1"
+// stamp is what an index file's container header binds it to: the dataset
+// epoch and structural version tag it was built at, and the spec it was
+// built with. A file persisted before a mutation — or against a different
+// mutation history of the same length, or by another method — therefore
+// never restores silently. SaveMethod/LoadMethod files carry a zero
+// epoch+tag and are loaded without comparing stamps.
+type stamp struct {
+	epoch, tag uint64
+	spec       string
+}
 
-func indexFileHeader(ds *graph.Dataset) string {
-	return fmt.Sprintf("%s epoch %d tag %x", indexFileMagic, ds.Epoch(), ds.VersionTag())
+func stampOf(ds *graph.Dataset, spec string) stamp {
+	return stamp{epoch: ds.Epoch(), tag: ds.VersionTag(), spec: spec}
 }
 
 // Open constructs the configured method, then builds its index over ds — or
@@ -128,93 +129,34 @@ func Open(ctx context.Context, ds *graph.Dataset, opts ...Option) (*Engine, erro
 	}
 
 	if cfg.indexPath != "" {
-		persist, ok := m.(core.Persistable)
-		if !ok {
-			return nil, fmt.Errorf("engine: %s does not support index persistence", m.Name())
-		}
 		openStart := time.Now()
-		f, ferr := os.Open(cfg.indexPath)
-		if ferr != nil && !errors.Is(ferr, fs.ErrNotExist) {
-			// A present-but-unreadable index is an error, not a silent
-			// multi-hour rebuild.
-			return nil, fmt.Errorf("engine: opening index at %s: %w", cfg.indexPath, ferr)
-		}
-		if ferr == nil {
-			var magic [8]byte
-			n, _ := io.ReadFull(f, magic[:])
-			legacy := true
-			if n == len(magic) && diskfmt.IsMagic(magic[:]) {
-				// A v2 container: reopen through diskfmt (mapped when the
-				// method asks for storage=mmap) so the load is O(header).
-				legacy = false
-				f.Close()
-				lerr := restoreV2(cfg.indexPath, m, ds)
-				e.restored = lerr == nil
-				if lerr != nil && !errors.Is(lerr, errStaleIndex) {
-					// The load touched the instance before failing; rebuild
-					// from a pristine one so the corrupt file's parameters
-					// never leak into the build.
-					if cfg.method != nil {
-						return nil, fmt.Errorf("engine: loading %s index from %s: %w",
-							m.Name(), cfg.indexPath, lerr)
-					}
-					fresh, nerr := New(cfg.spec)
-					if nerr != nil {
-						return nil, nerr
-					}
-					m = fresh
-					e.method = m
-				}
-			}
-			if legacy {
-				if _, serr := f.Seek(0, io.SeekStart); serr != nil {
-					f.Close()
-					return nil, fmt.Errorf("engine: opening index at %s: %w", cfg.indexPath, serr)
-				}
-				br := bufio.NewReader(f)
-				header, herr := br.ReadString('\n')
-				if herr == nil && strings.TrimSuffix(header, "\n") == indexFileHeader(ds) {
-					lerr := persist.LoadIndex(br, ds)
-					e.restored = lerr == nil
-					if lerr != nil {
-						// A failed load may have left the instance partially
-						// mutated (some implementations overwrite their options
-						// before validating); rebuild from a pristine instance so
-						// the corrupt file's parameters never leak into the build.
-						if cfg.method != nil {
-							f.Close()
-							return nil, fmt.Errorf("engine: loading %s index from %s: %w",
-								m.Name(), cfg.indexPath, lerr)
-						}
-						fresh, nerr := New(cfg.spec)
-						if nerr != nil {
-							f.Close()
-							return nil, nerr
-						}
-						m = fresh
-						e.method = m
-					}
-				}
-				// A missing or mismatched header — a legacy file, or an index
-				// persisted at another dataset epoch — never reaches LoadIndex:
-				// the instance is untouched and the engine rebuilds over the
-				// current dataset, overwriting the stale file.
-				f.Close()
-				if e.restored {
-					if _, ok := m.(core.SectionPersistable); ok {
-						// Upgrade the legacy gob file in place so the next
-						// open is O(header) instead of a full decode.
-						if err := saveEngineIndex(cfg.indexPath, m, ds); err != nil {
-							return nil, err
-						}
-					}
-				}
-			}
-		}
-		if e.restored {
+		want := stampOf(ds, m.Name())
+		touched, err := readIndexFile(cfg.indexPath, m, ds, &want)
+		switch {
+		case err == nil:
+			e.restored = true
 			storage := storageModeOf(m)
 			obs.IndexOpenObserve(m.Name(), storage, time.Since(openStart).Seconds())
 			obs.IndexResidentSet(m.Name(), storage, m.SizeBytes())
+		case touched:
+			// The load touched the instance before failing; rebuild from a
+			// pristine one so the corrupt file's parameters never leak into
+			// the build.
+			if cfg.method != nil {
+				return nil, fmt.Errorf("engine: loading %s index from %s: %w", m.Name(), cfg.indexPath, err)
+			}
+			if m, err = New(cfg.spec); err != nil {
+				return nil, err
+			}
+			e.method = m
+		case errors.Is(err, fs.ErrNotExist), errors.Is(err, errStaleIndex):
+			// Nothing restorable and the instance is untouched: build over
+			// the current dataset and overwrite whatever is there.
+		default:
+			// A present-but-unreadable index is an error, not a silent
+			// multi-hour rebuild; so is a method that cannot persist, before
+			// a build whose result could not be saved.
+			return nil, fmt.Errorf("engine: opening index at %s: %w", cfg.indexPath, err)
 		}
 	}
 	if !e.restored {
@@ -224,7 +166,7 @@ func Open(ctx context.Context, ds *graph.Dataset, opts ...Option) (*Engine, erro
 		}
 		e.build = st
 		if cfg.indexPath != "" {
-			if err := saveEngineIndex(cfg.indexPath, m, ds); err != nil {
+			if err := writeIndexFile(cfg.indexPath, m, stampOf(ds, m.Name())); err != nil {
 				return nil, err
 			}
 		}
@@ -245,70 +187,60 @@ func Open(ctx context.Context, ds *graph.Dataset, opts ...Option) (*Engine, erro
 	return e, nil
 }
 
-// errStaleIndex marks v2 restore failures that never touched the method
-// instance (wrong epoch, unsupported format): the engine rebuilds over the
-// live instance instead of constructing a fresh one.
+// errStaleIndex marks a file that is not a restorable index for this
+// open — not a container (any older format, garbage), damaged, or stamped
+// for another dataset state or spec. The method instance is untouched, so
+// the caller rebuilds over it and overwrites the file.
 var errStaleIndex = errors.New("engine: stale index file")
 
-// restoreV2 opens a v2 container at path and loads it into m, mapped when
-// the method selects storage=mmap. On success in mmap mode the method owns
-// the reader; in heap mode (everything decoded) the reader is closed here.
-func restoreV2(path string, m core.Method, ds *graph.Dataset) error {
-	sp, ok := m.(core.SectionPersistable)
+// readIndexFile is the one read path of every index file: open the
+// container at path — mapped when m selects storage=mmap — compare its
+// stamps with want (nil: any stamps), and load it into m. On success in
+// mmap mode the method owns the reader; in heap mode (everything decoded)
+// the reader is closed here. touched reports that LoadIndex ran, so on
+// error the instance may be half-restored and must not be built over.
+func readIndexFile(path string, m core.Method, ds *graph.Dataset, want *stamp) (touched bool, err error) {
+	p, ok := m.(core.Persistable)
 	if !ok {
-		return errStaleIndex // a v2 file for a method that cannot read it
+		return false, fmt.Errorf("engine: %s does not support index persistence", m.Name())
 	}
-	r, err := diskfmt.Open(path, storageModeOf(m) == core.StorageMmap)
+	mapped := storageModeOf(m) == core.StorageMmap
+	r, err := diskfmt.Open(path, mapped)
 	if err != nil {
 		if errors.Is(err, diskfmt.ErrNotDiskFmt) || diskfmt.IsCorrupt(err) {
-			return errStaleIndex // truncated or bit-flipped: rebuild
+			return false, fmt.Errorf("%w: %v", errStaleIndex, err)
 		}
-		return err
+		return false, err
 	}
-	if r.Epoch() != ds.Epoch() || r.Tag() != ds.VersionTag() {
-		// Persisted against another mutation history; the instance is
-		// untouched, so the caller rebuilds in place and overwrites.
+	if want != nil && (stamp{r.Epoch(), r.Tag(), r.Spec()}) != *want {
 		r.Close()
-		return errStaleIndex
+		return false, errStaleIndex
 	}
-	if err := sp.LoadIndexV2(r, ds); err != nil {
+	if err := p.LoadIndex(r, ds); err != nil {
 		r.Close()
-		return err
+		return true, err
 	}
-	if storageModeOf(m) != core.StorageMmap {
-		return r.Close()
+	if !mapped {
+		return true, r.Close()
 	}
-	return nil
+	return true, nil
 }
 
-// saveEngineIndex persists a built method's index at path, written
-// atomically. Methods that implement core.SectionPersistable get the v2
-// container (epoch+tag in the binary header, mmap-able on restore);
-// everything else gets the legacy v1 format: an epoch+tag-stamped header
-// line, then the method's own gob stream.
-func saveEngineIndex(path string, m core.Method, ds *graph.Dataset) error {
-	if sp, ok := m.(core.SectionPersistable); ok {
-		w := diskfmt.NewWriter(ds.Epoch(), ds.VersionTag(), m.Name())
-		if err := sp.SaveIndexV2(w); err != nil {
-			return fmt.Errorf("engine: saving %s index: %w", m.Name(), err)
-		}
-		return AtomicWriteFile(path, func(out io.Writer) error {
-			_, err := w.WriteTo(out)
-			return err
-		})
-	}
+// writeIndexFile is the one write path of every index file: m's index as
+// a container stamped st, written to a temporary file and renamed into
+// place so path only ever holds a complete file.
+func writeIndexFile(path string, m core.Method, st stamp) error {
 	p, ok := m.(core.Persistable)
 	if !ok {
 		return fmt.Errorf("engine: %s does not support index persistence", m.Name())
 	}
-	return AtomicWriteFile(path, func(w io.Writer) error {
-		if _, err := fmt.Fprintf(w, "%s\n", indexFileHeader(ds)); err != nil {
-			return err
-		}
-		if err := p.SaveIndex(w); err != nil {
-			return fmt.Errorf("engine: saving %s index: %w", m.Name(), err)
-		}
-		return nil
+	w := diskfmt.NewWriter(st.epoch, st.tag, st.spec)
+	if err := p.SaveIndex(w); err != nil {
+		return fmt.Errorf("engine: saving %s index: %w", m.Name(), err)
+	}
+	return AtomicWriteFile(path, func(out io.Writer) error {
+		_, err := w.WriteTo(out)
+		return err
 	})
 }
 
@@ -396,23 +328,15 @@ func (e *Engine) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID,
 func (e *Engine) Save(path string) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return saveEngineIndex(path, e.method, e.ds)
+	return writeIndexFile(path, e.method, stampOf(e.ds, e.method.Name()))
 }
 
-// SaveMethod persists a built method's index to path. The index is written
-// to a temporary file in the same directory and renamed into place, so a
-// mid-stream failure never leaves a partial or corrupt index at path.
+// SaveMethod persists a built method's index to path, atomically (see
+// AtomicWriteFile), in the same container format Open restores from but
+// unbound: the file carries a zero epoch+tag, and LoadMethod's only guard
+// is the method's own check against the dataset it is given.
 func SaveMethod(path string, m core.Method) error {
-	p, ok := m.(core.Persistable)
-	if !ok {
-		return fmt.Errorf("engine: %s does not support index persistence", m.Name())
-	}
-	return AtomicWriteFile(path, func(w io.Writer) error {
-		if err := p.SaveIndex(w); err != nil {
-			return fmt.Errorf("engine: saving %s index: %w", m.Name(), err)
-		}
-		return nil
-	})
+	return writeIndexFile(path, m, stamp{spec: m.Name()})
 }
 
 // AtomicWriteFile streams write's output into a temporary file next to path and
@@ -441,18 +365,9 @@ func AtomicWriteFile(path string, write func(w io.Writer) error) error {
 
 // LoadMethod restores a method's persisted index from path. The method must
 // be unbuilt and constructed with the same parameters, and ds must be the
-// dataset the index was built over.
+// dataset the index was built over; the file's stamps are not compared.
 func LoadMethod(path string, m core.Method, ds *graph.Dataset) error {
-	p, ok := m.(core.Persistable)
-	if !ok {
-		return fmt.Errorf("engine: %s does not support index persistence", m.Name())
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := p.LoadIndex(f, ds); err != nil {
+	if _, err := readIndexFile(path, m, ds, nil); err != nil {
 		return fmt.Errorf("engine: loading %s index: %w", m.Name(), err)
 	}
 	return nil

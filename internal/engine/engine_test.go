@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/diskfmt"
 	"repro/internal/engine"
 	_ "repro/internal/engine/std"
 	"repro/internal/gen"
@@ -335,19 +336,31 @@ func TestStreamMatchesQuery(t *testing.T) {
 	}
 }
 
-// failingSaver is a Persistable method whose SaveIndex fails after writing
-// some bytes, to prove SaveMethod never leaves a partial index behind.
+// failingSaver is a Persistable method whose SaveIndex fails after adding
+// a section, to prove SaveMethod never leaves a partial index behind.
 type failingSaver struct{ core.Method }
 
-func (f *failingSaver) SaveIndex(w io.Writer) error {
-	if _, err := w.Write([]byte("partial bytes")); err != nil {
-		return err
-	}
+func (f *failingSaver) SaveIndex(w *diskfmt.Writer) error {
+	w.AddSection(1, []byte("partial bytes"))
 	return fmt.Errorf("disk on fire")
 }
 
-func (f *failingSaver) LoadIndex(r io.Reader, ds *graph.Dataset) error {
+func (f *failingSaver) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	return fmt.Errorf("unreachable")
+}
+
+// dirEntries lists dir, so a failed save can be shown to have left nothing.
+func dirEntries(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = e.Name()
+	}
+	return names
 }
 
 func TestSaveMethodCleansUpOnFailure(t *testing.T) {
@@ -361,19 +374,28 @@ func TestSaveMethodCleansUpOnFailure(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "broken.idx")
+
+	// A failure inside SaveIndex, before any byte reaches the disk.
 	err = engine.SaveMethod(path, &failingSaver{Method: m})
 	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
 		t.Fatalf("SaveMethod: err = %v, want the save failure", err)
 	}
-	entries, derr := os.ReadDir(dir)
-	if derr != nil {
-		t.Fatal(derr)
-	}
-	if len(entries) != 0 {
-		names := make([]string, len(entries))
-		for i, e := range entries {
-			names[i] = e.Name()
-		}
+	if names := dirEntries(t, dir); len(names) != 0 {
 		t.Fatalf("failed save left files behind: %v", names)
+	}
+
+	// A failure of the writer inside AtomicWriteFile, after the temporary
+	// file already holds bytes.
+	err = engine.AtomicWriteFile(path, func(w io.Writer) error {
+		if _, err := w.Write([]byte("partial bytes")); err != nil {
+			return err
+		}
+		return fmt.Errorf("disk full")
+	})
+	if err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("AtomicWriteFile: err = %v, want the write failure", err)
+	}
+	if names := dirEntries(t, dir); len(names) != 0 {
+		t.Fatalf("failed write left files behind: %v", names)
 	}
 }

@@ -199,8 +199,10 @@ func (e *Engine) rebuildLocked(ctx context.Context) error {
 // lacks the mutations would answer wrongly.
 //
 // The O(index) file write runs under the *read* lock: concurrent queries
-// proceed during it (every method's SaveIndex is safe alongside readers;
-// Tree+Δ locks itself), and only other mutations wait. If another
+// proceed during it, and only other mutations wait. That is safe because
+// SaveIndex only reads a heap-resident index — the mutation that leads
+// here already materialized a storage=mmap one under the write lock —
+// and Tree+Δ, whose queries write to the index, locks itself. If another
 // mutation slipped in between the write-locked apply and this snapshot,
 // the file simply captures the newer — still consistent — state. Engines
 // opened without WithIndexPath skip it.
@@ -210,7 +212,7 @@ func (e *Engine) persist() error {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return saveEngineIndex(e.indexPath, e.method, e.ds)
+	return writeIndexFile(e.indexPath, e.method, stampOf(e.ds, e.method.Name()))
 }
 
 // Epoch implements Mutable: the dataset's version counter.

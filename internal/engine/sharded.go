@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -16,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/diskfmt"
 	"repro/internal/graph"
 )
 
@@ -47,17 +45,10 @@ func ShardIndexPath(base string, i int) string {
 // shardManifestMagic heads the manifest file of a persisted sharded index;
 // bump the version when the layout changes. v2 added the dataset epoch, so
 // shard files persisted before a mutation can never restore silently
-// against the mutated dataset; v3 records the on-disk format of every
-// shard file (v1 gob stream or v2 mmap-able container).
-const shardManifestMagic = "repro-shards v3"
-
-// shardFileMagic heads every legacy (v1) shard index file; the header line
-// also carries the canonical spec the shard was built with, so a shard file
-// overwritten under a different spec fails its load and rebuilds even when
-// a stale manifest (from a save that crashed before its final manifest
-// write) still endorses it. v2 shard files are diskfmt containers carrying
-// the spec in their binary header instead.
-const shardFileMagic = "repro-shard v1"
+// against the mutated dataset; v4 dropped v3's per-shard format list, which
+// one file format made constant. A manifest of another version mismatches
+// and everything rebuilds once.
+const shardManifestMagic = "repro-shards v4"
 
 // shard is one horizontal partition of a sharded engine: a sub-dataset of
 // re-homed graphs, the method index built over it, and the mapping from
@@ -371,33 +362,11 @@ func PartitionShard(ds *graph.Dataset, n, i int) (*graph.Dataset, []graph.ID) {
 
 // manifest renders the sharded-index manifest: a short text file binding
 // the shard files to the shard count, dataset size, epoch and structural
-// version tag, canonical method spec, and per-shard on-disk format they
-// were written for. The format entry is v2 (diskfmt container) for methods
-// implementing core.SectionPersistable, v1 (gob stream) otherwise, and "-"
-// for empty shards that have no file; it is a pure function of the method,
-// so manifests compare by string equality, and a manifest written before
-// a method gained v2 support mismatches — invalidating the stale v1 shard
-// files wholesale instead of sniffing each.
+// version tag, and canonical method spec they were written for. Manifests
+// compare by string equality.
 func (s *Sharded) manifest() string {
-	formats := make([]string, len(s.shards))
-	for i, sh := range s.shards {
-		switch {
-		case sh.empty():
-			formats[i] = "-"
-		case isSectionPersistable(sh.method):
-			formats[i] = "v2"
-		default:
-			formats[i] = "v1"
-		}
-	}
-	return fmt.Sprintf("%s\nshards %d\ngraphs %d\nepoch %d\ntag %x\nspec %s\nformats %s\n",
-		shardManifestMagic, len(s.shards), s.ds.Len(), s.ds.Epoch(), s.ds.VersionTag(), s.spec,
-		strings.Join(formats, ","))
-}
-
-func isSectionPersistable(m core.Method) bool {
-	_, ok := m.(core.SectionPersistable)
-	return ok
+	return fmt.Sprintf("%s\nshards %d\ngraphs %d\nepoch %d\ntag %x\nspec %s\n",
+		shardManifestMagic, len(s.shards), s.ds.Len(), s.ds.Epoch(), s.ds.VersionTag(), s.spec)
 }
 
 // manifestMatches reports whether the manifest at base matches this engine's
@@ -426,93 +395,29 @@ func (s *Sharded) writeManifest(base string) error {
 	})
 }
 
-// saveShardIndex atomically writes shard i's index file under base.
-// Section-persistable methods get a v2 container stamped with the
-// sub-dataset's epoch/tag and the engine's canonical spec — partitioning
-// is deterministic, so another process partitioning the same parent
-// dataset computes the same stamps and can restore (or ship) the file
-// byte-for-byte. Legacy methods get the v1 form: a header line binding
-// the file to the spec, then the method's own gob stream.
+// saveShardIndex atomically writes shard i's index file under base, stamped
+// with the sub-dataset's epoch/tag and the engine's canonical spec —
+// partitioning is deterministic, so another process partitioning the same
+// parent dataset computes the same stamps and can restore (or ship) the
+// file byte-for-byte.
 func (s *Sharded) saveShardIndex(base string, i int) error {
 	sh := s.shards[i]
-	m := sh.method
-	if sp, ok := m.(core.SectionPersistable); ok {
-		w := diskfmt.NewWriter(sh.sub.Epoch(), sh.sub.VersionTag(), s.spec)
-		if err := sp.SaveIndexV2(w); err != nil {
-			return fmt.Errorf("engine: saving %s shard %d: %w", m.Name(), i, err)
-		}
-		return AtomicWriteFile(ShardIndexPath(base, i), func(out io.Writer) error {
-			_, err := w.WriteTo(out)
-			return err
-		})
+	if err := writeIndexFile(ShardIndexPath(base, i), sh.method, stampOf(sh.sub, s.spec)); err != nil {
+		return fmt.Errorf("engine: shard %d/%d: %w", i, len(s.shards), err)
 	}
-	persist, ok := m.(core.Persistable)
-	if !ok {
-		return fmt.Errorf("engine: %s does not support index persistence", m.Name())
-	}
-	return AtomicWriteFile(ShardIndexPath(base, i), func(w io.Writer) error {
-		if _, err := fmt.Fprintf(w, "%s %s\n", shardFileMagic, s.spec); err != nil {
-			return err
-		}
-		if err := persist.SaveIndex(w); err != nil {
-			return fmt.Errorf("engine: saving %s shard %d: %w", m.Name(), i, err)
-		}
-		return nil
-	})
+	return nil
 }
 
 // loadShardIndex tries to restore shard i's index from its file under base,
-// reporting success. Any failure — missing file, wrong header spec, corrupt
-// content — just means this one shard rebuilds.
+// reporting success. Any failure — missing file, stamps for another spec or
+// sub-dataset version (a file overwritten by a save that crashed before
+// its manifest write), corrupt content — just means this one shard
+// rebuilds.
 func (s *Sharded) loadShardIndex(base string, i int) bool {
 	sh := s.shards[i]
-	path := ShardIndexPath(base, i)
-	f, err := os.Open(path)
-	if err != nil {
-		return false
-	}
-	var magic [8]byte
-	n, _ := io.ReadFull(f, magic[:])
-	if n == len(magic) && diskfmt.IsMagic(magic[:]) {
-		f.Close()
-		sp, ok := sh.method.(core.SectionPersistable)
-		if !ok {
-			return false
-		}
-		r, err := diskfmt.Open(path, storageModeOf(sh.method) == core.StorageMmap)
-		if err != nil {
-			return false
-		}
-		// The binary header carries what the v1 header line + manifest did:
-		// the spec the shard was built with and the sub-dataset version it
-		// was persisted at.
-		if r.Spec() != s.spec || r.Epoch() != sh.sub.Epoch() || r.Tag() != sh.sub.VersionTag() {
-			r.Close()
-			return false
-		}
-		if sp.LoadIndexV2(r, sh.sub) != nil {
-			r.Close()
-			return false
-		}
-		if storageModeOf(sh.method) != core.StorageMmap {
-			r.Close()
-		}
-		return true
-	}
-	defer f.Close()
-	persist, ok := sh.method.(core.Persistable)
-	if !ok {
-		return false
-	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return false
-	}
-	br := bufio.NewReader(f)
-	header, err := br.ReadString('\n')
-	if err != nil || strings.TrimSuffix(header, "\n") != shardFileMagic+" "+s.spec {
-		return false
-	}
-	return persist.LoadIndex(br, sh.sub) == nil
+	want := stampOf(sh.sub, s.spec)
+	_, err := readIndexFile(ShardIndexPath(base, i), sh.method, sh.sub, &want)
+	return err == nil
 }
 
 // ForEachBounded runs f(i) for i in [0, n) on a pool of bounded parallelism.

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/diskfmt"
 	"repro/internal/engine"
 	_ "repro/internal/engine/std"
 	"repro/internal/gen"
@@ -242,62 +244,99 @@ func TestMmapOpenIsLazyColdStart(t *testing.T) {
 	}
 }
 
-// TestCorruptV2FileRebuilds: a truncated or bit-flipped v2 index file must
-// trigger a clean rebuild — never a decode panic or silently wrong answers.
+// opened is what TestCorruptV2FileRebuilds needs of an engine, flat or
+// sharded.
+type opened interface {
+	Query(context.Context, *graph.Graph) (*core.QueryResult, error)
+	Restored() bool
+	Ready() bool
+}
+
+// TestCorruptV2FileRebuilds: a truncated or bit-flipped index file, or one
+// in a format this binary never wrote (garbage, the v1 header-line files of
+// earlier releases), must trigger a clean rebuild — never a decode panic or
+// silently wrong answers — and leave a container behind.
 func TestCorruptV2FileRebuilds(t *testing.T) {
 	ctx := context.Background()
 	ds := tinyDataset(t)
 	queries := tinyQueries(t, ds)
 	path := filepath.Join(t.TempDir(), "idx")
-	built, err := engine.Open(ctx, ds, engine.WithSpec("grapes"), engine.WithIndexPath(path))
-	if err != nil {
+	if _, err := engine.Open(ctx, ds, engine.WithSpec("grapes"), engine.WithIndexPath(path)); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]graph.IDSet, len(queries))
 	for i, q := range queries {
-		r, err := built.Query(ctx, q)
-		if err != nil {
+		var err error
+		if want[i], err = core.BruteForceAnswers(ctx, ds, q); err != nil {
 			t.Fatal(err)
 		}
-		want[i] = r.Answers
 	}
 	pristine, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Files are replaced by rename like every writer in the repo, never
+	// truncated in place: the previous subtest's engine may still have the
+	// old file mapped, and the mapping keeps its inode.
+	plant := func(t *testing.T, path string, content []byte) {
+		t.Helper()
+		if err := engine.AtomicWriteFile(path, func(w io.Writer) error {
+			_, err := w.Write(content)
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := fmt.Sprintf("repro-index v1 epoch %d tag %x\n", ds.Epoch(), ds.VersionTag())
 
 	cases := []struct {
 		name    string
 		corrupt func([]byte) []byte
+		shards  int // 0 = flat engine.Open
 		modes   []string
 	}{
 		// Both modes catch a truncated tail at open: the section table
 		// points past the end of the file.
-		{"truncated-tail", func(b []byte) []byte { return b[:len(b)*3/5] }, []string{"heap", "mmap"}},
+		{"truncated-tail", func(b []byte) []byte { return b[:len(b)*3/5] }, 0, []string{"heap", "mmap"}},
 		// A payload bit-flip fails heap's eager CRC pass. (mmap defers bulk
 		// payloads past the CRC by design, so it is not asserted here.)
 		{"bit-flip", func(b []byte) []byte {
 			c := append([]byte(nil), b...)
 			c[len(c)/2] ^= 0x40
 			return c
-		}, []string{"heap"}},
-		{"garbage-header", func([]byte) []byte { return []byte("not an index at all") }, []string{"heap", "mmap"}},
+		}, 0, []string{"heap"}},
+		{"garbage-header", func([]byte) []byte { return []byte("not an index at all") }, 0, []string{"heap", "mmap"}},
+		// What Open wrote for a gob-era method: a stamped header line that
+		// matches this very dataset, then a byte stream. No reader is kept.
+		{"legacy-v1-header", func(b []byte) []byte { return append([]byte(legacy), b...) }, 0, []string{"heap", "mmap"}},
+		// The sharded twin: v1 shard files under the v3 manifest that
+		// endorsed them, every field of which matches this dataset.
+		{"legacy-v1-shard", func(b []byte) []byte { return append([]byte("repro-shard v1 grapes\n"), b...) }, 2, []string{"heap", "mmap"}},
 	}
 	for _, tc := range cases {
 		for _, mode := range tc.modes {
 			t.Run(tc.name+"/"+mode, func(t *testing.T) {
-				// Replaced by rename like every writer in the repo, never
-				// truncated in place: the previous subtest's engine may still
-				// have the old file mapped, and the mapping keeps its inode.
-				corrupted := tc.corrupt(pristine)
-				if err := engine.AtomicWriteFile(path, func(w io.Writer) error {
-					_, err := w.Write(corrupted)
-					return err
-				}); err != nil {
-					t.Fatal(err)
-				}
 				spec := fmt.Sprintf("grapes:storage=%s", mode)
-				eng, err := engine.Open(ctx, ds, engine.WithSpec(spec), engine.WithIndexPath(path))
+				files := []string{path}
+				open := func() (opened, error) {
+					return engine.Open(ctx, ds, engine.WithSpec(spec), engine.WithIndexPath(path))
+				}
+				if tc.shards > 0 {
+					base := filepath.Join(t.TempDir(), "sharded")
+					plant(t, base, []byte(fmt.Sprintf("repro-shards v3\nshards %d\ngraphs %d\nepoch %d\ntag %x\nspec grapes\nformats v1,v1\n",
+						tc.shards, ds.Len(), ds.Epoch(), ds.VersionTag())))
+					files = files[:0]
+					for i := range tc.shards {
+						files = append(files, engine.ShardIndexPath(base, i))
+					}
+					open = func() (opened, error) {
+						return engine.OpenSharded(ctx, ds, tc.shards, engine.WithSpec(spec), engine.WithIndexPath(base))
+					}
+				}
+				for _, f := range files {
+					plant(t, f, tc.corrupt(pristine))
+				}
+				eng, err := open()
 				if err != nil {
 					t.Fatalf("open over corrupt file: %v", err)
 				}
@@ -314,7 +353,14 @@ func TestCorruptV2FileRebuilds(t *testing.T) {
 					}
 				}
 				// The rebuild overwrote the corrupt file with a good one.
-				again, err := engine.Open(ctx, ds, engine.WithSpec(spec), engine.WithIndexPath(path))
+				for _, f := range files {
+					r, err := diskfmt.Open(f, false)
+					if err != nil {
+						t.Fatalf("%s is not a container after the rebuild: %v", filepath.Base(f), err)
+					}
+					r.Close()
+				}
+				again, err := open()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,103 +1,363 @@
 package ggsx
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"sort"
+	"sync"
 
+	"repro/internal/core"
+	"repro/internal/diskfmt"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
-// nodeDTO is the serialized form of one trie node: depth-first flattened,
-// children addressed by edge label.
-type nodeDTO struct {
-	Labels   []int32 // edge labels to children, parallel to Children
-	Children []nodeDTO
-	IDs      []int32
-	Counts   []int32
-}
+// Container layout for GGSX. The trie is flattened post-order into
+// one record stream: each node stores its roaring-compressed posting ids,
+// parallel counts, and a label-sorted child table pointing at child record
+// offsets. Children are written before parents, so every offset in a
+// child table refers backwards and the root record — whose offset the
+// meta section records — comes last. A query materializes exactly the
+// nodes its query trie visits.
+//
+//	secTrieMeta  maxPathLen, numGraphs, nodeCount (excl. root), rootOff (4×u32)
+//	secNodes     per node: card u32, nChildren u32, pLen u32,
+//	             roaring ids [pLen], counts card×u32,
+//	             children nChildren × {label u32, off u32}
+const (
+	secTrieMeta = 1
+	secNodes    = 2
+)
 
-// indexDTO is the serialized form of a GGSX index.
-type indexDTO struct {
-	MaxPathLen int
-	NumGraphs  int
-	Root       nodeDTO
-}
+var (
+	_ core.Persistable     = (*Index)(nil)
+	_ core.StorageSelector = (*Index)(nil)
+	_ core.Warmable        = (*Index)(nil)
+)
 
-func encodeNode(n *node) nodeDTO {
-	dto := nodeDTO{
-		IDs:    make([]int32, len(n.ids)),
-		Counts: append([]int32(nil), n.counts...),
-	}
-	for i, id := range n.ids {
-		dto.IDs[i] = int32(id)
-	}
-	for l, c := range n.children {
-		dto.Labels = append(dto.Labels, int32(l))
-		dto.Children = append(dto.Children, encodeNode(c))
-	}
-	return dto
-}
-
-func decodeNode(dto *nodeDTO) (*node, error) {
-	if len(dto.Labels) != len(dto.Children) {
-		return nil, fmt.Errorf("ggsx: corrupt trie node (label/child mismatch)")
-	}
-	if len(dto.IDs) != len(dto.Counts) {
-		return nil, fmt.Errorf("ggsx: corrupt trie node (id/count mismatch)")
-	}
-	n := &node{
-		children: make(map[graph.Label]*node, len(dto.Labels)),
-		ids:      make(graph.IDSet, len(dto.IDs)),
-		counts:   append([]int32(nil), dto.Counts...),
-	}
-	for i, id := range dto.IDs {
-		n.ids[i] = graph.ID(id)
-	}
-	for i, l := range dto.Labels {
-		c, err := decodeNode(&dto.Children[i])
-		if err != nil {
-			return nil, err
-		}
-		n.children[graph.Label(l)] = c
-	}
-	return n, nil
-}
+// StorageMode implements core.StorageSelector.
+func (ix *Index) StorageMode() string { return core.StorageMode(ix.opts.Storage) }
 
 // SaveIndex implements core.Persistable.
-func (ix *Index) SaveIndex(w io.Writer) error {
+func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("ggsx: save before Build")
 	}
 	if err := ix.materializeAll(); err != nil {
 		return err
 	}
-	dto := indexDTO{
-		MaxPathLen: ix.opts.MaxPathLen,
-		NumGraphs:  ix.nGr,
-		Root:       encodeNode(ix.root),
+	var nodes []byte
+	nodeCount := 0
+	var emit func(n *node) uint32
+	emit = func(n *node) uint32 {
+		labels := make([]graph.Label, 0, len(n.children))
+		for l := range n.children {
+			labels = append(labels, l)
+		}
+		sort.Slice(labels, func(a, b int) bool { return labels[a] < labels[b] })
+		childOffs := make([]uint32, len(labels))
+		for i, l := range labels {
+			childOffs[i] = emit(n.children[l])
+			nodeCount++
+		}
+		off := uint32(len(nodes))
+		enc := diskfmt.EncodeIDs(n.ids)
+		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(n.ids)))
+		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(labels)))
+		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(enc)))
+		nodes = append(nodes, enc...)
+		for _, c := range n.counts {
+			nodes = binary.LittleEndian.AppendUint32(nodes, uint32(c))
+		}
+		for i, l := range labels {
+			nodes = binary.LittleEndian.AppendUint32(nodes, uint32(l))
+			nodes = binary.LittleEndian.AppendUint32(nodes, childOffs[i])
+		}
+		return off
 	}
-	return gob.NewEncoder(w).Encode(&dto)
+	rootOff := emit(ix.root)
+
+	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxPathLen))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.nGr))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(nodeCount))
+	meta = binary.LittleEndian.AppendUint32(meta, rootOff)
+	w.AddSection(secTrieMeta, meta)
+	w.AddSection(secNodes, nodes)
+	return nil
 }
 
-// LoadIndex implements core.Persistable.
-func (ix *Index) LoadIndex(r io.Reader, ds *graph.Dataset) error {
-	var dto indexDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
+// LoadIndex implements core.Persistable. storage=heap decodes the whole
+// trie eagerly; storage=mmap touches only the meta section and resolves
+// trie nodes on demand, taking ownership of the reader.
+func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
+	meta, err := r.Section(secTrieMeta)
+	if err != nil {
 		return fmt.Errorf("ggsx: load: %w", err)
 	}
-	if dto.NumGraphs != ds.Len() {
-		return fmt.Errorf("ggsx: load: index covers %d graphs, dataset has %d", dto.NumGraphs, ds.Len())
+	if len(meta) != 16 {
+		return fmt.Errorf("ggsx: load: meta section of %d bytes", len(meta))
 	}
-	root, err := decodeNode(&dto.Root)
-	if err != nil {
-		return err
+	numGraphs := int(binary.LittleEndian.Uint32(meta[4:]))
+	if numGraphs != ds.Len() {
+		return fmt.Errorf("ggsx: load: index covers %d graphs, dataset has %d", numGraphs, ds.Len())
 	}
-	ix.opts = Options{MaxPathLen: dto.MaxPathLen, Storage: ix.opts.Storage}
+	opts := Options{MaxPathLen: int(binary.LittleEndian.Uint32(meta)), Storage: ix.opts.Storage}
+	if err := diskfmt.CheckSizeParams(opts.MaxPathLen); err != nil {
+		return fmt.Errorf("ggsx: load: %w", err)
+	}
+	ix.opts = opts
 	ix.opts.fill()
+	lz := &lazyTrie{
+		r:         r,
+		nGraphs:   numGraphs,
+		nodeCount: int(binary.LittleEndian.Uint32(meta[8:])),
+		rootOff:   binary.LittleEndian.Uint32(meta[12:]),
+		nodes:     make(map[uint32]*lnode),
+	}
+
+	if ix.StorageMode() == core.StorageMmap {
+		ix.root = nil
+		ix.lazy = lz
+		ix.nGr = numGraphs
+		ix.built = true
+		return nil
+	}
+
+	if err := r.VerifySection(secNodes); err != nil {
+		return fmt.Errorf("ggsx: load: %w", err)
+	}
+	root, err := lz.decodeSubtree(lz.rootOff)
+	if err != nil {
+		return fmt.Errorf("ggsx: load: %w", err)
+	}
 	ix.root = root
 	ix.lazy = nil
-	ix.nGr = dto.NumGraphs
+	ix.nGr = numGraphs
 	ix.built = true
 	return nil
+}
+
+// WarmIndex implements core.Warmable: resolve the root record so the
+// first query starts from a warm trie top. Child subtrees stay lazy.
+func (ix *Index) WarmIndex() {
+	if lz := ix.lazy; lz != nil {
+		lz.node(lz.rootOff)
+	}
+}
+
+// Close releases the container mapping behind a storage=mmap index that
+// will not be queried again; a heap-resident index holds none.
+func (ix *Index) Close() error {
+	if ix.lazy == nil {
+		return nil
+	}
+	return ix.lazy.r.Close()
+}
+
+// materializeAll decodes the whole trie into heap nodes and releases the
+// mapping; mutations splice heap structures and require it.
+func (ix *Index) materializeAll() error {
+	lz := ix.lazy
+	if lz == nil {
+		return nil
+	}
+	root, err := lz.decodeSubtree(lz.rootOff)
+	if err != nil {
+		return fmt.Errorf("ggsx: materialize: %w", err)
+	}
+	ix.root = root
+	ix.lazy = nil
+	obs.IndexResidentSet("GGSX", core.StorageMmap, 0)
+	return lz.r.Close()
+}
+
+// lnode is a materialized lazy trie node: postings plus child offsets.
+type lnode struct {
+	ids      graph.IDSet
+	counts   []int32
+	children map[graph.Label]uint32
+}
+
+// lazyTrie resolves trie node records on demand from the mapped nodes
+// section, caching materialized nodes by offset.
+type lazyTrie struct {
+	r         *diskfmt.Reader
+	rootOff   uint32
+	nGraphs   int
+	nodeCount int
+
+	mu       sync.RWMutex
+	raw      []byte // secNodes, fetched lazily (unverified: decode bounds-checks)
+	nodes    map[uint32]*lnode
+	resident int64
+}
+
+func (lz *lazyTrie) section() ([]byte, error) {
+	if lz.raw != nil {
+		return lz.raw, nil
+	}
+	b, err := lz.r.SectionLazy(secNodes)
+	if err != nil {
+		return nil, err
+	}
+	lz.raw = b
+	return b, nil
+}
+
+// node materializes (and caches) the record at off.
+func (lz *lazyTrie) node(off uint32) (*lnode, error) {
+	lz.mu.RLock()
+	n, ok := lz.nodes[off]
+	lz.mu.RUnlock()
+	if ok {
+		return n, nil
+	}
+	lz.mu.Lock()
+	defer lz.mu.Unlock()
+	if n, ok = lz.nodes[off]; ok {
+		return n, nil
+	}
+	n, err := lz.decodeNode(off)
+	if err != nil {
+		return nil, err
+	}
+	lz.nodes[off] = n
+	delta := int64(len(n.ids))*8 + int64(len(n.children))*16 + 64
+	lz.resident += delta
+	obs.IndexLazyLoadInc("GGSX")
+	obs.IndexResidentAdd("GGSX", core.StorageMmap, delta)
+	return n, nil
+}
+
+// decodeNode decodes the single record at off. Callers hold lz.mu or run
+// before the index is shared.
+func (lz *lazyTrie) decodeNode(off uint32) (*lnode, error) {
+	raw, err := lz.section()
+	if err != nil {
+		return nil, err
+	}
+	if uint64(off)+12 > uint64(len(raw)) {
+		return nil, fmt.Errorf("ggsx: trie record at %d out of bounds", off)
+	}
+	card := binary.LittleEndian.Uint32(raw[off:])
+	nCh := binary.LittleEndian.Uint32(raw[off+4:])
+	pLen := binary.LittleEndian.Uint32(raw[off+8:])
+	base := uint64(off) + 12
+	end := base + uint64(pLen) + 4*uint64(card) + 8*uint64(nCh)
+	if end > uint64(len(raw)) {
+		return nil, fmt.Errorf("ggsx: trie record at %d overruns section", off)
+	}
+	ps, err := diskfmt.MakePostings(raw[base : base+uint64(pLen)])
+	if err != nil {
+		return nil, err
+	}
+	ids, err := ps.DecodeIDs(lz.nGraphs)
+	if err != nil {
+		return nil, err
+	}
+	if uint32(len(ids)) != card {
+		return nil, fmt.Errorf("ggsx: trie record at %d holds %d ids, header says %d", off, len(ids), card)
+	}
+	n := &lnode{
+		ids:      ids,
+		counts:   make([]int32, card),
+		children: make(map[graph.Label]uint32, nCh),
+	}
+	countsAt := base + uint64(pLen)
+	for i := uint32(0); i < card; i++ {
+		n.counts[i] = int32(binary.LittleEndian.Uint32(raw[countsAt+4*uint64(i):]))
+	}
+	chAt := countsAt + 4*uint64(card)
+	for i := uint32(0); i < nCh; i++ {
+		l := graph.Label(binary.LittleEndian.Uint32(raw[chAt+8*uint64(i):]))
+		cOff := binary.LittleEndian.Uint32(raw[chAt+8*uint64(i)+4:])
+		if cOff >= off {
+			return nil, fmt.Errorf("ggsx: trie record at %d has forward child offset %d", off, cOff)
+		}
+		n.children[l] = cOff
+	}
+	return n, nil
+}
+
+// decodeSubtree materializes the record at off and its whole subtree into
+// heap nodes. Child offsets strictly decrease, so the walk terminates; the
+// budget of nodeCount+1 records stops a damaged file whose records share
+// children from expanding exponentially.
+func (lz *lazyTrie) decodeSubtree(off uint32) (*node, error) {
+	budget := lz.nodeCount + 1
+	var walk func(off uint32) (*node, error)
+	walk = func(off uint32) (*node, error) {
+		if budget--; budget < 0 {
+			return nil, fmt.Errorf("ggsx: trie holds more than its %d recorded nodes", lz.nodeCount)
+		}
+		ln, err := lz.decodeNode(off)
+		if err != nil {
+			return nil, err
+		}
+		n := &node{
+			children: make(map[graph.Label]*node, len(ln.children)),
+			ids:      ln.ids,
+			counts:   ln.counts,
+		}
+		for l, cOff := range ln.children {
+			if n.children[l], err = walk(cOff); err != nil {
+				return nil, err
+			}
+		}
+		return n, nil
+	}
+	return walk(off)
+}
+
+// residentBytes estimates heap bytes pinned by materialized nodes.
+func (lz *lazyTrie) residentBytes() int64 {
+	lz.mu.RLock()
+	defer lz.mu.RUnlock()
+	return lz.resident
+}
+
+// trieRef is a resolved reference to one index trie node — a heap *node,
+// or a materialized lazy record. The query path walks trieRefs so the
+// same matching code serves both storage modes.
+type trieRef struct {
+	hn *node
+	lz *lazyTrie
+	ln *lnode
+}
+
+// rootRef resolves the trie root.
+func (ix *Index) rootRef() (trieRef, error) {
+	if ix.lazy != nil {
+		ln, err := ix.lazy.node(ix.lazy.rootOff)
+		if err != nil {
+			return trieRef{}, err
+		}
+		return trieRef{lz: ix.lazy, ln: ln}, nil
+	}
+	return trieRef{hn: ix.root}, nil
+}
+
+// child resolves the edge labeled l, materializing the child in lazy mode.
+func (t trieRef) child(l graph.Label) (trieRef, bool, error) {
+	if t.hn != nil {
+		c, ok := t.hn.children[l]
+		return trieRef{hn: c}, ok, nil
+	}
+	off, ok := t.ln.children[l]
+	if !ok {
+		return trieRef{}, false, nil
+	}
+	ln, err := t.lz.node(off)
+	if err != nil {
+		return trieRef{}, false, err
+	}
+	return trieRef{lz: t.lz, ln: ln}, true, nil
+}
+
+// postings returns the node's sorted posting ids and parallel counts.
+func (t trieRef) postings() (graph.IDSet, []int32) {
+	if t.hn != nil {
+		return t.hn.ids, t.hn.counts
+	}
+	return t.ln.ids, t.ln.counts
 }

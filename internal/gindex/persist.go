@@ -1,76 +1,78 @@
 package gindex
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 
-	"repro/internal/canon"
+	"repro/internal/core"
+	"repro/internal/diskfmt"
 	"repro/internal/graph"
 )
 
-// indexDTO is the serialized form of a gIndex.
-type indexDTO struct {
-	MaxFeatureSize     int
-	SupportRatio       float64
-	DiscriminativeGate float64
-	FragmentBudget     int
-	NumGraphs          int
-	Keys               []string
-	Postings           [][]int32
-}
+// Container layout for gIndex: the discriminative-feature hash table as
+// one keyed-postings section (diskfmt.EncodeKeyedPostings).
+//
+//	secMeta     maxFeatureSize, fragmentBudget, numGraphs, reserved (4×u32),
+//	            supportRatio, discriminativeGate (2×f64)
+//	secPostings feature key → graph ids
+const (
+	secMeta     = 1
+	secPostings = 2
+)
+
+var _ core.Persistable = (*Index)(nil)
 
 // SaveIndex implements core.Persistable.
-func (ix *Index) SaveIndex(w io.Writer) error {
+func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("gindex: save before Build")
 	}
-	dto := indexDTO{
-		MaxFeatureSize:     ix.opts.MaxFeatureSize,
-		SupportRatio:       ix.opts.SupportRatio,
-		DiscriminativeGate: ix.opts.DiscriminativeGate,
-		FragmentBudget:     ix.opts.FragmentBudget,
-		NumGraphs:          ix.nGraphs,
-	}
-	for key, post := range ix.postings {
-		dto.Keys = append(dto.Keys, string(key))
-		ids := make([]int32, len(post))
-		for i, id := range post {
-			ids[i] = int32(id)
-		}
-		dto.Postings = append(dto.Postings, ids)
-	}
-	return gob.NewEncoder(w).Encode(&dto)
+	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxFeatureSize))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.opts.FragmentBudget))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.nGraphs))
+	meta = binary.LittleEndian.AppendUint32(meta, 0)
+	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.opts.SupportRatio))
+	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.opts.DiscriminativeGate))
+	w.AddSection(secMeta, meta)
+	w.AddSection(secPostings, diskfmt.EncodeKeyedPostings(ix.postings))
+	return nil
 }
 
 // LoadIndex implements core.Persistable.
-func (ix *Index) LoadIndex(r io.Reader, ds *graph.Dataset) error {
-	var dto indexDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
+func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
+	meta, err := r.Section(secMeta)
+	if err != nil {
 		return fmt.Errorf("gindex: load: %w", err)
 	}
-	if dto.NumGraphs != ds.Len() {
-		return fmt.Errorf("gindex: load: index covers %d graphs, dataset has %d", dto.NumGraphs, ds.Len())
+	if len(meta) != 32 {
+		return fmt.Errorf("gindex: load: meta section of %d bytes", len(meta))
 	}
-	if len(dto.Keys) != len(dto.Postings) {
-		return fmt.Errorf("gindex: load: corrupt postings")
+	opts := Options{
+		MaxFeatureSize:     int(binary.LittleEndian.Uint32(meta)),
+		FragmentBudget:     int(binary.LittleEndian.Uint32(meta[4:])),
+		SupportRatio:       math.Float64frombits(binary.LittleEndian.Uint64(meta[16:])),
+		DiscriminativeGate: math.Float64frombits(binary.LittleEndian.Uint64(meta[24:])),
 	}
-	ix.opts = Options{
-		MaxFeatureSize:     dto.MaxFeatureSize,
-		SupportRatio:       dto.SupportRatio,
-		DiscriminativeGate: dto.DiscriminativeGate,
-		FragmentBudget:     dto.FragmentBudget,
+	nGraphs := int(binary.LittleEndian.Uint32(meta[8:]))
+	if nGraphs != ds.Len() {
+		return fmt.Errorf("gindex: load: index covers %d graphs, dataset has %d", nGraphs, ds.Len())
 	}
+	if err := diskfmt.CheckSizeParams(opts.MaxFeatureSize); err != nil {
+		return fmt.Errorf("gindex: load: %w", err)
+	}
+	raw, err := r.Section(secPostings)
+	if err != nil {
+		return fmt.Errorf("gindex: load: %w", err)
+	}
+	postings, err := diskfmt.DecodeKeyedPostings(raw, nGraphs)
+	if err != nil {
+		return fmt.Errorf("gindex: load: %w", err)
+	}
+	ix.opts = opts
 	ix.opts.fill()
-	ix.nGraphs = dto.NumGraphs
-	ix.postings = make(map[canon.Key]graph.IDSet, len(dto.Keys))
-	for i, key := range dto.Keys {
-		post := make(graph.IDSet, len(dto.Postings[i]))
-		for j, id := range dto.Postings[i] {
-			post[j] = graph.ID(id)
-		}
-		ix.postings[canon.Key(key)] = post
-	}
+	ix.nGraphs = nGraphs
+	ix.postings = postings
 	ix.built = true
 	return nil
 }

@@ -28,7 +28,7 @@ func TestMmapNeverReadsBulkSections(t *testing.T) {
 	built := build(t, ds, Options{MaxPathLen: 3})
 	path := filepath.Join(t.TempDir(), "grapes.v2")
 	w := diskfmt.NewWriter(ds.Epoch(), ds.VersionTag(), "grapes")
-	if err := built.SaveIndexV2(w); err != nil {
+	if err := built.SaveIndex(w); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Create(path)
@@ -47,7 +47,7 @@ func TestMmapNeverReadsBulkSections(t *testing.T) {
 		t.Fatal(err)
 	}
 	ix := New(Options{MaxPathLen: 3, Storage: core.StorageMmap})
-	if err := ix.LoadIndexV2(r, ds); err != nil {
+	if err := ix.LoadIndex(r, ds); err != nil {
 		t.Fatal(err)
 	}
 	if r.Accessed(secPostings) || r.Accessed(secCompBlob) {

@@ -1,108 +1,92 @@
 package treedelta
 
 import (
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
-	"io"
+	"math"
 
 	"repro/internal/canon"
+	"repro/internal/core"
+	"repro/internal/diskfmt"
 	"repro/internal/graph"
 )
 
-// indexDTO is the serialized form of a Tree+Δ index: the frequent tree
-// features plus the Δ features admitted so far (with their full postings).
-// The transient Δ admission statistics (query counts, prototype graphs) are
-// workload state, not index content, and are reset on load.
-type indexDTO struct {
-	MaxFeatureSize      int
-	SupportRatio        float64
-	DiscriminativeRatio float64
-	QuerySupportToAdd   float64
-	MaxCycleLen         int
-	NumGraphs           int
-	TreeKeys            []string
-	TreePostings        [][]int32
-	DeltaKeys           []string
-	DeltaPostings       [][]int32
-}
+// Container layout for Tree+Δ: the frequent tree features and the Δ
+// features admitted so far (with their full postings), each as one
+// keyed-postings section (diskfmt.EncodeKeyedPostings). The transient Δ
+// admission statistics (query counts, prototype graphs) are workload
+// state, not index content, and are reset on load.
+//
+//	secMeta   maxFeatureSize, maxCycleLen, numGraphs, reserved (4×u32),
+//	          supportRatio, discriminativeRatio, querySupportToAdd (3×f64)
+//	secTrees  tree feature key → graph ids
+//	secDeltas Δ feature key → graph ids
+const (
+	secMeta   = 1
+	secTrees  = 2
+	secDeltas = 3
+)
 
-func packPostings(m map[canon.Key]graph.IDSet) (keys []string, postings [][]int32) {
-	for key, post := range m {
-		keys = append(keys, string(key))
-		ids := make([]int32, len(post))
-		for i, id := range post {
-			ids[i] = int32(id)
-		}
-		postings = append(postings, ids)
-	}
-	return keys, postings
-}
-
-func unpackPostings(keys []string, postings [][]int32) (map[canon.Key]graph.IDSet, error) {
-	if len(keys) != len(postings) {
-		return nil, fmt.Errorf("treedelta: corrupt postings")
-	}
-	m := make(map[canon.Key]graph.IDSet, len(keys))
-	for i, key := range keys {
-		post := make(graph.IDSet, len(postings[i]))
-		for j, id := range postings[i] {
-			post[j] = graph.ID(id)
-		}
-		m[canon.Key(key)] = post
-	}
-	return m, nil
-}
+var _ core.Persistable = (*Index)(nil)
 
 // SaveIndex implements core.Persistable.
-func (ix *Index) SaveIndex(w io.Writer) error {
+func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("treedelta: save before Build")
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	dto := indexDTO{
-		MaxFeatureSize:      ix.opts.MaxFeatureSize,
-		SupportRatio:        ix.opts.SupportRatio,
-		DiscriminativeRatio: ix.opts.DiscriminativeRatio,
-		QuerySupportToAdd:   ix.opts.QuerySupportToAdd,
-		MaxCycleLen:         ix.opts.MaxCycleLen,
-		NumGraphs:           ix.ds.Len(),
-	}
-	dto.TreeKeys, dto.TreePostings = packPostings(ix.trees)
-	dto.DeltaKeys, dto.DeltaPostings = packPostings(ix.deltas)
-	return gob.NewEncoder(w).Encode(&dto)
+	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxFeatureSize))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.opts.MaxCycleLen))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.ds.Len()))
+	meta = binary.LittleEndian.AppendUint32(meta, 0)
+	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.opts.SupportRatio))
+	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.opts.DiscriminativeRatio))
+	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.opts.QuerySupportToAdd))
+	w.AddSection(secMeta, meta)
+	w.AddSection(secTrees, diskfmt.EncodeKeyedPostings(ix.trees))
+	w.AddSection(secDeltas, diskfmt.EncodeKeyedPostings(ix.deltas))
+	return nil
 }
 
 // LoadIndex implements core.Persistable.
-func (ix *Index) LoadIndex(r io.Reader, ds *graph.Dataset) error {
-	var dto indexDTO
-	if err := gob.NewDecoder(r).Decode(&dto); err != nil {
+func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
+	meta, err := r.Section(secMeta)
+	if err != nil {
 		return fmt.Errorf("treedelta: load: %w", err)
 	}
-	if dto.NumGraphs != ds.Len() {
-		return fmt.Errorf("treedelta: load: index covers %d graphs, dataset has %d", dto.NumGraphs, ds.Len())
+	if len(meta) != 40 {
+		return fmt.Errorf("treedelta: load: meta section of %d bytes", len(meta))
 	}
-	trees, err := unpackPostings(dto.TreeKeys, dto.TreePostings)
-	if err != nil {
-		return err
+	opts := Options{
+		MaxFeatureSize:      int(binary.LittleEndian.Uint32(meta)),
+		MaxCycleLen:         int(binary.LittleEndian.Uint32(meta[4:])),
+		SupportRatio:        math.Float64frombits(binary.LittleEndian.Uint64(meta[16:])),
+		DiscriminativeRatio: math.Float64frombits(binary.LittleEndian.Uint64(meta[24:])),
+		QuerySupportToAdd:   math.Float64frombits(binary.LittleEndian.Uint64(meta[32:])),
 	}
-	deltas, err := unpackPostings(dto.DeltaKeys, dto.DeltaPostings)
-	if err != nil {
-		return err
+	if n := int(binary.LittleEndian.Uint32(meta[8:])); n != ds.Len() {
+		return fmt.Errorf("treedelta: load: index covers %d graphs, dataset has %d", n, ds.Len())
+	}
+	if err := diskfmt.CheckSizeParams(opts.MaxFeatureSize, opts.MaxCycleLen); err != nil {
+		return fmt.Errorf("treedelta: load: %w", err)
+	}
+	var tables [2]map[canon.Key]graph.IDSet
+	for i, sec := range []uint32{secTrees, secDeltas} {
+		raw, err := r.Section(sec)
+		if err != nil {
+			return fmt.Errorf("treedelta: load: %w", err)
+		}
+		if tables[i], err = diskfmt.DecodeKeyedPostings(raw, ds.Len()); err != nil {
+			return fmt.Errorf("treedelta: load: %w", err)
+		}
 	}
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	ix.opts = Options{
-		MaxFeatureSize:      dto.MaxFeatureSize,
-		SupportRatio:        dto.SupportRatio,
-		DiscriminativeRatio: dto.DiscriminativeRatio,
-		QuerySupportToAdd:   dto.QuerySupportToAdd,
-		MaxCycleLen:         dto.MaxCycleLen,
-	}
+	ix.opts = opts
 	ix.opts.fill()
 	ix.ds = ds
-	ix.trees = trees
-	ix.deltas = deltas
+	ix.trees, ix.deltas = tables[0], tables[1]
 	ix.seen = make(map[canon.Key]int)
 	ix.protos = make(map[canon.Key]*graph.Graph)
 	ix.queries = 0

@@ -348,16 +348,20 @@ func Summarize(results []BatchResult) WorkloadSummary {
 	return core.Summarize(results)
 }
 
-// SaveIndex persists a built index to a file. All six methods implement
-// core.Persistable, so an expensive build can be paid once per dataset.
-// The index is written to a temporary file and renamed into place, so a
-// failure mid-stream never leaves a partial index at path.
+// SaveIndex persists a built index to a file, so an expensive build can be
+// paid once per dataset. All six methods write the same format — the
+// checksummed section container Open's WithIndexPath uses — but unbound:
+// the file is stamped with no dataset version, and LoadIndex checks it
+// only against the dataset it is given. The index is written to a
+// temporary file and renamed into place, so a failure mid-stream never
+// leaves a partial index at path.
 func SaveIndex(path string, m Method) error {
 	return engine.SaveMethod(path, m)
 }
 
-// LoadIndex restores a previously saved index of the given method over the
-// dataset it was built from.
+// LoadIndex restores an index SaveIndex wrote, of the given method, over
+// the dataset it was built from. A file that is not a container, fails its
+// checksums, or does not fit the dataset is an error.
 func LoadIndex(path string, id MethodID, ds *Dataset) (Method, error) {
 	m, err := New(string(id))
 	if err != nil {
