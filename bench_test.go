@@ -21,10 +21,14 @@ import (
 	"repro/internal/workload"
 )
 
-// newBudgetedMethod constructs id with a tight mining budget on the methods
-// that have one, via the registry-backed bench shim.
+// newBudgetedMethod constructs id with a tight mining budget on the two
+// mining methods, the ones that have one.
 func newBudgetedMethod(id bench.MethodID) (core.Method, error) {
-	return bench.NewMethod(id, bench.MethodLimits{MaxPatterns: 20000})
+	spec := string(id)
+	if id == bench.GIndex || id == bench.TreeDelta {
+		spec += ":maxPatterns=20000"
+	}
+	return New(spec)
 }
 
 // runFigure executes one experiment per iteration and logs the report once.

@@ -32,7 +32,7 @@ func tinyScale() Scale {
 
 func TestNewMethodKnownIDs(t *testing.T) {
 	for _, id := range AllMethods {
-		m, err := NewMethod(id, MethodLimits{})
+		m, err := engine.New(string(id))
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -40,7 +40,7 @@ func TestNewMethodKnownIDs(t *testing.T) {
 			t.Errorf("%s: empty name", id)
 		}
 	}
-	if _, err := NewMethod("bogus", MethodLimits{}); err == nil {
+	if _, err := engine.New("bogus"); err == nil {
 		t.Errorf("unknown method accepted")
 	}
 }
@@ -306,7 +306,7 @@ func TestAblationsAreComplete(t *testing.T) {
 }
 
 func TestNoIndexMethodAvailable(t *testing.T) {
-	m, err := NewMethod(NoIndex, MethodLimits{})
+	m, err := engine.New(string(NoIndex))
 	if err != nil {
 		t.Fatalf("NoIndex: %v", err)
 	}

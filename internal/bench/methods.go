@@ -12,7 +12,6 @@ package bench
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	_ "repro/internal/engine/std" // link all built-in methods
 )
@@ -51,25 +50,6 @@ type MethodLimits struct {
 // run DNF, mirroring the frequent-mining methods' 8-hour timeouts in the
 // paper. It equals the engine registry's maxPatterns default.
 const DefaultMaxPatterns = 200000
-
-// NewMethod instantiates a method with the paper's §4.1 parameter defaults.
-//
-// Deprecated: construct methods through the engine registry instead —
-// engine.New("gIndex:maxPatterns=20000") — which accepts every parameter,
-// not just the mining budget. NewMethod remains as a back-compat shim.
-func NewMethod(id MethodID, lim MethodLimits) (core.Method, error) {
-	d, ok := engine.Lookup(string(id))
-	if !ok {
-		return nil, fmt.Errorf("bench: unknown method %q", id)
-	}
-	p := d.Params()
-	if lim.MaxPatterns > 0 && p.Has("maxPatterns") {
-		if err := p.SetInt("maxPatterns", lim.MaxPatterns); err != nil {
-			return nil, err
-		}
-	}
-	return d.New(p)
-}
 
 // specFor renders the canonical engine spec for one experiment cell — an
 // explicit per-method override from the experiment wins, otherwise the

@@ -235,8 +235,8 @@ func (s *CoordServer) toResponse(res *QueryResult, wall time.Duration) server.Qu
 
 func (s *CoordServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var gj server.GraphJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&gj); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := server.DecodeJSON(r, w, &gj); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	limit := 0
@@ -390,8 +390,8 @@ func (s *CoordServer) streamQuery(ctx context.Context, w http.ResponseWriter, gj
 
 func (s *CoordServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var req server.BatchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := server.DecodeJSON(r, w, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(req.Queries) == 0 {
@@ -421,8 +421,8 @@ func (s *CoordServer) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 func (s *CoordServer) handleAdd(w http.ResponseWriter, r *http.Request) {
 	var gj server.GraphJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&gj); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := server.DecodeJSON(r, w, &gj); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if len(gj.Vertices) == 0 {

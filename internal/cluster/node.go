@@ -294,11 +294,6 @@ func (n *Node) Query(ctx context.Context, shards []int, q *graph.Graph) ([]Shard
 	return results, nil
 }
 
-// nodeStreamQuantum caps the merge steps (verifications) per lock hold in
-// a node stream; the quantum starts at 1 and doubles per chunk, mirroring
-// the engine's chunked-locking streams.
-const nodeStreamQuantum = 64
-
 // Stream yields matching global graph ids across the requested shards in
 // ascending order, verifying lazily — the node-local half of the cluster's
 // streamed k-way merge. Ids <= after are skipped before verification, so a
@@ -306,10 +301,9 @@ const nodeStreamQuantum = 64
 // A filtering failure or context cancellation is yielded once as a non-nil
 // error, then the sequence ends.
 //
-// The node's read lock is NOT held across yields: the merge runs a growing
-// quantum of verifications per lock hold and releases the lock before
-// every yield, so a slow downstream consumer never stalls mutations or
-// shard installs. A mutation (or shard replacement) landing mid-stream
+// The node streams through engine.MergeStream, so its read lock is NOT
+// held across yields and a slow downstream consumer never stalls mutations
+// or shard installs. A mutation (or shard replacement) landing mid-stream
 // aborts it with an engine.ErrStreamStale-wrapped error; the coordinator
 // retries the leg, resumed after its frontier.
 func (n *Node) Stream(ctx context.Context, shards []int, q *graph.Graph, after graph.ID) iter.Seq2[graph.ID, error] {
@@ -320,134 +314,38 @@ func (n *Node) Stream(ctx context.Context, shards []int, q *graph.Graph, after g
 // (nil = no accounting): candidates produced and live across the shard
 // cursors, plus verifier invocations.
 func (n *Node) StreamStats(ctx context.Context, shards []int, q *graph.Graph, after graph.ID, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return func(yield func(graph.ID, error) bool) {
-		if stats == nil {
-			stats = &core.PipelineStats{}
-		}
-		n.mu.RLock()
-		locked := true
-		unlock := func() {
-			if locked {
-				n.mu.RUnlock()
-				locked = false
-			}
-		}
-		defer unlock()
-
-		// leg is one shard's lazy candidate stream: the plan, the cursor
-		// pulling its live candidates, and the head in local and global ids.
-		// The shard pointer and its dataset epoch pin the index generation
-		// the plan was built against — either moving aborts the stream.
-		type leg struct {
-			key    int
-			sh     *nodeShard
-			epoch  uint64
-			plan   core.QueryPlan
-			cur    *core.Cursor
-			local  graph.ID
-			global graph.ID
-			done   bool
-		}
-		advance := func(l *leg) {
-			id, ok := l.cur.Next()
-			if !ok {
-				l.done = true
-				return
-			}
-			l.local, l.global = id, l.sh.global[id]
-		}
-		legs := make([]*leg, 0, len(shards))
-		defer func() {
-			for _, l := range legs {
-				l.cur.Stop()
-			}
-		}()
-		for _, k := range shards {
+	return engine.MergeStream(ctx, &n.mu, stats, func() ([]engine.MergeLeg, func() error, error) {
+		legs := make([]engine.MergeLeg, len(shards))
+		// The shard instances and their dataset epochs pin the index
+		// generation the plans were built against; either moving is stale.
+		pinned := make([]*nodeShard, len(shards))
+		epochs := make([]uint64, len(shards))
+		for i, k := range shards {
 			sh, ok := n.shards[k]
 			if !ok {
-				unlock()
-				yield(0, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name))
-				return
+				return nil, nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
 			}
 			plan, err := core.NewPlan(ctx, sh.eng.Method(), sh.eng.Dataset(), q)
 			if err != nil {
-				unlock()
-				yield(0, err)
-				return
+				return nil, nil, err
 			}
 			// Resume strictly after the frontier before any verification:
 			// global ids ascend with local ids, so the cutoff is the first
 			// local id whose global id exceeds it.
 			skip := graph.ID(sort.Search(len(sh.global), func(i int) bool { return sh.global[i] > after }))
-			l := &leg{
-				key: k, sh: sh, epoch: sh.eng.Dataset().Epoch(), plan: plan,
-				cur: core.NewCursor(sh.eng.Dataset(), plan, core.StreamOptions{Stats: stats, SkipTo: skip}),
-			}
-			advance(l)
-			legs = append(legs, l)
+			legs[i] = engine.MergeLeg{Plan: plan, DS: sh.eng.Dataset(), Global: sh.global, Skip: skip}
+			pinned[i], epochs[i] = sh, sh.eng.Dataset().Epoch()
 		}
-
-		quantum := 1
-		out := make(graph.IDSet, 0, nodeStreamQuantum)
-		for {
-			// Under the lock: up to quantum merge steps (verifications, not
-			// matches — the hold must stay bounded even when nothing
-			// matches), verifying the globally smallest head each time.
-			out = out[:0]
-			done := false
-			var verr error
-			for step := 0; step < quantum; step++ {
-				var best *leg
-				for _, l := range legs {
-					if l.done {
-						continue
-					}
-					if best == nil || l.global < best.global {
-						best = l
-					}
-				}
-				if best == nil {
-					done = true
-					break
-				}
-				if verr = ctx.Err(); verr != nil {
-					break
-				}
-				stats.Verified.Add(1)
-				matched := best.plan.Verify(best.local)
-				id := best.global
-				advance(best)
-				if matched {
-					out = append(out, id)
+		stale := func() error {
+			for i, k := range shards {
+				if cur, ok := n.shards[k]; !ok || cur != pinned[i] || cur.eng.Dataset().Epoch() != epochs[i] {
+					return fmt.Errorf("cluster: %w (shard %d)", engine.ErrStreamStale, k)
 				}
 			}
-			unlock()
-			for _, id := range out {
-				if !yield(id, nil) {
-					return
-				}
-			}
-			if verr != nil {
-				yield(0, verr)
-				return
-			}
-			if done {
-				return
-			}
-			if quantum < nodeStreamQuantum {
-				quantum *= 2
-			}
-			n.mu.RLock()
-			locked = true
-			for _, l := range legs {
-				if cur, ok := n.shards[l.key]; !ok || cur != l.sh || cur.eng.Dataset().Epoch() != l.epoch {
-					unlock()
-					yield(0, fmt.Errorf("cluster: %w (shard %d)", engine.ErrStreamStale, l.key))
-					return
-				}
-			}
+			return nil
 		}
-	}
+		return legs, stale, nil
+	})
 }
 
 // Add applies a coordinator-routed add: the graph joins shard

@@ -193,9 +193,9 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var gj server.GraphJSON
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&gj); err != nil {
+	if err := server.DecodeJSON(r, w, &gj); err != nil {
 		s.reqErrors.Inc()
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	ctx := r.Context()
@@ -372,8 +372,8 @@ func (s *NodeServer) streamQuery(ctx context.Context, w http.ResponseWriter, sha
 func (s *NodeServer) handleAdd(w http.ResponseWriter, r *http.Request) {
 	s.reqMutate.Inc()
 	var req AddRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 32<<20)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := server.DecodeJSON(r, w, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	g, err := s.node.InternGraph(req.Graph)
@@ -505,8 +505,8 @@ func (s *NodeServer) fetchIndexFile(ctx context.Context, from string, k int) boo
 // streamed from the owner at From.
 func (s *NodeServer) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req LoadRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if err := server.DecodeJSON(r, w, &req); err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	if req.From == "" {
@@ -553,7 +553,7 @@ func (s *NodeServer) loadFrom(r *http.Request, req LoadRequest) error {
 	maxID := int64(-1)
 	done := false
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 32<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), server.MaxBodyBytes)
 	for sc.Scan() {
 		var line DumpLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {

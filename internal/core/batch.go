@@ -31,9 +31,10 @@ func (p *Processor) QueryBatch(ctx context.Context, queries []*graph.Graph, opts
 	return QueryBatchFunc(ctx, queries, opts, p.QueryCtx)
 }
 
-// QueryBatchFunc is the batch runner behind Processor.QueryBatch, shared
-// with the sharded engine: it drives queries through the given query
-// function on a worker pool, returning per-query results in input order. An
+// QueryBatchFunc is the one batch runner, behind Processor.QueryBatch and
+// the server's /batch, and over any engine shape's Query: it drives queries
+// through the given query function on a worker pool, returning per-query
+// results in input order. An
 // individual query's failure is recorded on its entry and the rest of the
 // batch still runs, with the first error returned after all workers stop;
 // a context cancellation stops issuing queries — the feeder stops handing

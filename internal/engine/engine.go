@@ -294,33 +294,9 @@ func (e *Engine) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, 
 	return e.proc.QueryCtx(ctx, q)
 }
 
-// QueryBatch processes a workload concurrently, returning per-query results
-// in input order. Per-query verification runs serially inside the batch:
-// batch-level parallelism already saturates the cores, and compounding it
-// with the engine's per-query worker pool would oversubscribe the scheduler
-// and distort per-query timings.
-func (e *Engine) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	serial := *e.proc
-	serial.VerifyWorkers = 1
-	return serial.QueryBatch(ctx, queries, opts)
-}
-
-// Stream processes one query and yields matching graph IDs as verification
-// confirms them, in candidate (ascending ID) order, without materializing
-// the answer or candidate sets: candidates are pulled lazily through the
-// chunked producer, so the first answer is yielded after one verification.
-// A filtering failure or context cancellation is yielded once as a non-nil
-// error, then the sequence ends.
-//
-// The engine's read lock is NOT held across yields: the stream verifies a
-// growing quantum of candidates per lock hold and releases the lock before
-// every yield, so a slow streaming consumer never stalls mutations. A
-// mutation landing mid-stream aborts it with an ErrStreamStale-wrapped
-// error on the next lock re-acquisition.
+// Stream is StreamStats without accounting.
 func (e *Engine) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
-	return e.StreamOpts(ctx, q, core.StreamOptions{VerifyWorkers: e.verifyWorkers})
+	return e.StreamStats(ctx, q, nil)
 }
 
 // Save persists the engine's built index to path, atomically and stamped

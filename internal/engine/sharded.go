@@ -585,11 +585,13 @@ func (s *Sharded) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult,
 	if err != nil {
 		return nil, err
 	}
-	merged := s.mergeSets(results)
+	merged := &core.QueryResult{Method: s.Name()}
 	for _, r := range results {
-		if r.FilterTime > merged.FilterTime {
-			merged.FilterTime = r.FilterTime
-		}
+		merged.Candidates = merged.Candidates.Union(r.Candidates)
+		merged.Answers = merged.Answers.Union(r.Answers)
+		merged.Produced += r.Produced
+		merged.Verified += r.Verified
+		merged.FilterTime = max(merged.FilterTime, r.FilterTime)
 	}
 	if merged.VerifyTime = wall - merged.FilterTime; merged.VerifyTime < 0 {
 		merged.VerifyTime = 0
@@ -597,74 +599,9 @@ func (s *Sharded) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult,
 	return merged, nil
 }
 
-// mergeSets folds per-shard candidate and answer sets (already mapped to
-// global ids) into one QueryResult, leaving the timings to the caller —
-// fan-out and serial execution attribute time differently.
-func (s *Sharded) mergeSets(results []*core.QueryResult) *core.QueryResult {
-	merged := &core.QueryResult{Method: s.Name()}
-	for _, r := range results {
-		merged.Candidates = merged.Candidates.Union(r.Candidates)
-		merged.Answers = merged.Answers.Union(r.Answers)
-		merged.Produced += r.Produced
-		merged.Verified += r.Verified
-	}
-	return merged
-}
-
-// querySerial is Query without the shard fan-out: shards are processed one
-// after another with serial verification, so stage times sum. QueryBatch
-// uses it so batch-level parallelism is the only pool in play.
-func (s *Sharded) querySerial(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	results := make([]*core.QueryResult, 0, len(s.shards))
-	for i, sh := range s.shards {
-		if sh.empty() {
-			continue
-		}
-		if err := s.ensureShard(ctx, i); err != nil {
-			return nil, err
-		}
-		proc := core.Processor{Method: sh.method, DS: sh.sub, VerifyWorkers: 1}
-		r, err := proc.QueryCtx(ctx, q)
-		if err != nil {
-			return nil, err
-		}
-		r.Candidates = sh.toGlobal(r.Candidates)
-		r.Answers = sh.toGlobal(r.Answers)
-		results = append(results, r)
-	}
-	merged := s.mergeSets(results)
-	for _, r := range results {
-		merged.FilterTime += r.FilterTime
-		merged.VerifyTime += r.VerifyTime
-	}
-	return merged, nil
-}
-
-// QueryBatch processes a workload concurrently, returning per-query results
-// in input order with the same semantics as Processor.QueryBatch (shared
-// via core.QueryBatchFunc). Parallelism is at the batch level only — each
-// query walks the shards serially, for the same reason Engine.QueryBatch
-// verifies serially: compounding pools oversubscribes the scheduler.
-func (s *Sharded) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	return core.QueryBatchFunc(ctx, queries, opts, s.querySerial)
-}
-
-// Stream processes one query and yields matching parent-dataset graph IDs
-// as verification confirms them, in ascending ID order, without
-// materializing the answer set — the sharded counterpart of Engine.Stream.
-// Filtering fans out across the shards concurrently; the shard candidate
-// streams are then merged by a k-way walk that verifies lazily in global
-// order. A filtering failure or context cancellation is yielded once as a
-// non-nil error, then the sequence ends.
-// Stream does NOT hold the engine's read lock across yields: like
-// Engine.Stream it verifies a growing quantum per lock hold, releases the
-// lock before every yield, and aborts with an ErrStreamStale-wrapped error
-// when a mutation lands mid-stream. The per-shard candidate sets are never
-// materialized — each shard contributes a lazy cursor to the merge.
+// Stream is StreamStats without accounting.
 func (s *Sharded) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
-	return s.StreamOpts(ctx, q, core.StreamOptions{})
+	return s.StreamStats(ctx, q, nil)
 }
 
 // Save persists every shard's index under base — ShardIndexPath(base, i) per

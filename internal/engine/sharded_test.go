@@ -150,7 +150,7 @@ func TestShardedQueryBatchMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := s.QueryBatch(ctx, queries, core.BatchOptions{Workers: 3})
+	batch, err := core.QueryBatchFunc(ctx, queries, core.BatchOptions{Workers: 3}, s.Query)
 	if err != nil {
 		t.Fatalf("QueryBatch: %v", err)
 	}

@@ -6,86 +6,119 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sort"
+	"sync"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // ErrStreamStale is wrapped into the terminal error of a stream whose
-// dataset was mutated mid-iteration. Streams use epoch-checked chunked
-// locking: the engine's read lock is released before every yield and
-// re-acquired after, so a slow streaming consumer never blocks mutations —
-// the price is that a mutation landing inside that window invalidates the
-// plan's view of the index, and the stream aborts with this error instead
-// of silently mixing two index generations. The consumer restarts the
-// stream (resuming via core.StreamOptions.SkipTo if it kept a frontier).
+// index moved mid-iteration. Streams use chunked locking: the owner's read
+// lock is released before every yield and re-acquired after, so a slow
+// streaming consumer never blocks mutations — the price is that a mutation
+// landing inside that window invalidates the plan's view of the index, and
+// the stream aborts with this error instead of silently mixing two index
+// generations. The consumer restarts the stream (the cluster resumes after
+// the frontier it already holds).
 var ErrStreamStale = errors.New("dataset mutated during stream; restart the stream")
 
-// StatsStreamer is the optional Querier extension for streamed queries with
-// pipeline observability: limit-honoring consumers (the server's limit=N)
-// read how many candidates were produced and verified from the stats.
-// Engine, Sharded, router.Multi, and server.CachedEngine implement it.
-type StatsStreamer interface {
-	StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error]
-}
-
-// streamQuantum is the maximum candidates verified per lock hold in a
+// streamQuantum is the maximum verifications per lock hold in a
 // chunked-locking stream. The quantum starts at 1 — the first answer is
-// yielded after a single verification — and doubles per chunk up to this
+// yielded after a single verification — and doubles per round up to this
 // cap, amortizing lock traffic on long streams while keeping the writer
 // wait bounded.
 const streamQuantum = 64
 
-func growQuantum(q int) int {
-	if q < streamQuantum {
-		q *= 2
-	}
-	return q
-}
+// round is one lock hold of a chunked stream: verify up to quantum
+// candidates and return the matches, in ascending ID order, and whether the
+// candidates ran out. An error ends the stream once the matches are
+// yielded.
+type round func(quantum int) (graph.IDSet, bool, error)
 
-// StreamOpts is Stream with explicit pipeline options. The engine's read
-// lock is held while candidates are pulled and verified, released around
-// every yield (and re-acquired after), and the stream aborts with an
-// ErrStreamStale-wrapped error if the dataset epoch moved while it was
-// unlocked.
-func (e *Engine) StreamOpts(ctx context.Context, q *graph.Graph, opts core.StreamOptions) iter.Seq2[graph.ID, error] {
+// chunkedStream is the chunked-locking loop every stream runs. open is
+// called under mu's read lock: it plans the query and returns the round,
+// the stale check, and a cleanup. Every round runs under the lock; the lock
+// is released before the round's matches are yielded and re-acquired
+// after, and stale — called under the re-acquired lock — ends the stream
+// with its error when the index moved in between.
+func chunkedStream(mu *sync.RWMutex, open func() (round, func() error, func(), error)) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
-		stats := opts.Stats
-		if stats == nil {
-			stats = &core.PipelineStats{}
-			opts.Stats = stats
-		}
-		workers := opts.VerifyWorkers
-		if workers < 1 {
-			workers = 1
-		}
-
-		e.mu.RLock()
+		mu.RLock()
 		locked := true
 		unlock := func() {
 			if locked {
-				e.mu.RUnlock()
+				mu.RUnlock()
 				locked = false
 			}
 		}
 		defer unlock()
-
-		epoch := e.ds.Epoch()
-		plan, err := core.NewPlan(ctx, e.method, e.ds, q)
+		step, stale, stop, err := open()
 		if err != nil {
 			unlock()
-			yield(0, fmt.Errorf("core: filtering with %s: %w", e.method.Name(), err))
+			yield(0, err)
 			return
 		}
-		cur := core.NewCursor(e.ds, plan, opts)
-		defer cur.Stop()
+		defer stop()
+		for quantum := 1; ; quantum = min(2*quantum, streamQuantum) {
+			out, done, err := step(quantum)
+			unlock()
+			for _, id := range out {
+				if !yield(id, nil) {
+					return
+				}
+			}
+			if err != nil {
+				yield(0, err)
+				return
+			}
+			if done {
+				return
+			}
+			mu.RLock()
+			locked = true
+			if err := stale(); err != nil {
+				unlock()
+				yield(0, err)
+				return
+			}
+		}
+	}
+}
 
-		quantum := 1
+// epochStale is the stale check of a stream planned over ds now: it fails
+// once the dataset epoch has moved. Call it under the owner's read lock.
+func epochStale(ds *graph.Dataset) func() error {
+	epoch := ds.Epoch()
+	return func() error {
+		if now := ds.Epoch(); now != epoch {
+			return fmt.Errorf("engine: %w (epoch %d -> %d)", ErrStreamStale, epoch, now)
+		}
+		return nil
+	}
+}
+
+// StreamStats implements StatsStreamer: one query's answers, yielded as
+// verification confirms them, in candidate (ascending ID) order, without
+// materializing the answer or candidate sets — candidates are pulled
+// lazily through the chunked producer, so the first answer is yielded after
+// one verification. Each round verifies its quantum through
+// core.VerifyCandidates with the engine's verify workers. A filtering
+// failure or context cancellation is yielded once as a non-nil error, then
+// the sequence ends. The read lock is never held across a yield, so a slow
+// consumer never stalls mutations; one landing mid-stream aborts it with
+// an ErrStreamStale-wrapped error.
+func (e *Engine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
+	if stats == nil {
+		stats = new(core.PipelineStats)
+	}
+	return chunkedStream(&e.mu, func() (round, func() error, func(), error) {
+		plan, err := core.NewPlan(ctx, e.method, e.ds, q)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("core: filtering with %s: %w", e.method.Name(), err)
+		}
+		cur := core.NewCursor(e.ds, plan, core.StreamOptions{Stats: stats})
 		batch := make(graph.IDSet, 0, streamQuantum)
-		for {
-			// Under the lock: pull up to quantum live candidates and verify
-			// them (bounded-parallel, answers reassembled in order).
+		step := func(quantum int) (graph.IDSet, bool, error) {
 			batch = batch[:0]
 			done := false
 			for len(batch) < quantum {
@@ -96,100 +129,113 @@ func (e *Engine) StreamOpts(ctx context.Context, q *graph.Graph, opts core.Strea
 				}
 				batch = append(batch, id)
 			}
-			matched, verr := core.VerifyCandidates(ctx, plan, batch, workers)
+			matched, err := core.VerifyCandidates(ctx, plan, batch, e.verifyWorkers)
 			stats.Verified.Add(int64(len(batch)))
-			unlock()
-			if verr != nil {
-				yield(0, verr)
-				return
-			}
-			for _, id := range matched {
-				if !yield(id, nil) {
-					return
-				}
-			}
-			if done {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				yield(0, err)
-				return
-			}
-			quantum = growQuantum(quantum)
-			e.mu.RLock()
-			locked = true
-			if now := e.ds.Epoch(); now != epoch {
-				unlock()
-				yield(0, fmt.Errorf("engine: %w (epoch %d -> %d)", ErrStreamStale, epoch, now))
-				return
-			}
+			return matched, done, err
 		}
-	}
+		return step, epochStale(e.ds), cur.Stop, nil
+	})
 }
 
-// StreamStats implements StatsStreamer.
-func (e *Engine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return e.StreamOpts(ctx, q, core.StreamOptions{Stats: stats, VerifyWorkers: e.verifyWorkers})
+// MergeLeg is one shard's input to MergeStream: the plan built against the
+// shard's sub-dataset, that sub-dataset (its tombstones filter the
+// candidates), the ascending shard-local → global ID map, and the
+// shard-local resume point below which candidates are never verified.
+type MergeLeg struct {
+	Plan   core.QueryPlan
+	DS     *graph.Dataset
+	Global []graph.ID
+	Skip   graph.ID
 }
 
-// shardLeg is one shard's lazy candidate stream inside a merged Sharded or
-// cluster stream: the plan, the cursor pulling its live candidates, and the
-// current head in shard-local and global (parent-dataset) IDs.
-type shardLeg struct {
-	shard  int
-	plan   core.QueryPlan
-	cur    *core.Cursor
-	local  graph.ID
-	global graph.ID
-	done   bool
+// mergeHead is a leg's cursor and its current candidate, in shard-local
+// and global IDs.
+type mergeHead struct {
+	MergeLeg
+	cur           *core.Cursor
+	local, global graph.ID
+	done          bool
 }
 
-// advance pulls the leg's next live candidate; global mapping is supplied
-// by the caller. Must be called under the owning engine's read lock.
-func (l *shardLeg) advance(toGlobal func(graph.ID) graph.ID) {
-	id, ok := l.cur.Next()
+func (h *mergeHead) advance() {
+	id, ok := h.cur.Next()
 	if !ok {
-		l.done = true
+		h.done = true
 		return
 	}
-	l.local, l.global = id, toGlobal(id)
+	h.local, h.global = id, h.Global[id]
 }
 
-// localSkip translates a global resume frontier into a shard-local SkipTo:
-// the smallest local ID whose global ID is >= skipTo. global is ascending
-// (partitioning preserves parent order).
-func localSkip(global []graph.ID, skipTo graph.ID) graph.ID {
-	if skipTo <= 0 {
-		return 0
+// MergeStream is the k-way merge over shard cursors that Sharded and
+// cluster.Node stream through. open runs under mu's read lock: it plans
+// every leg (a leg with a nil Plan is an empty shard and is skipped) and
+// returns the stale check. Each round then verifies the globally smallest
+// candidate head, up to quantum times, with chunkedStream's locking; the
+// answers come out in ascending global ID order. stats (nil = none)
+// accumulates every leg's counters.
+func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats,
+	open func() ([]MergeLeg, func() error, error)) iter.Seq2[graph.ID, error] {
+	if stats == nil {
+		stats = new(core.PipelineStats)
 	}
-	return graph.ID(sort.Search(len(global), func(i int) bool { return global[i] >= skipTo }))
-}
-
-// StreamOpts is Stream with explicit pipeline options — the sharded
-// counterpart of Engine.StreamOpts, with the same epoch-checked chunked
-// locking: shard plans are built under the read lock (fan-out), then the
-// k-way merge pulls each shard's lazy candidate cursor and verifies in
-// global ID order, releasing the lock around every yield and aborting with
-// an ErrStreamStale-wrapped error if the parent dataset epoch moved.
-func (s *Sharded) StreamOpts(ctx context.Context, q *graph.Graph, opts core.StreamOptions) iter.Seq2[graph.ID, error] {
-	return func(yield func(graph.ID, error) bool) {
-		stats := opts.Stats
-		if stats == nil {
-			stats = &core.PipelineStats{}
+	return chunkedStream(mu, func() (round, func() error, func(), error) {
+		legs, stale, err := open()
+		if err != nil {
+			return nil, nil, nil, err
 		}
-
-		s.mu.RLock()
-		locked := true
-		unlock := func() {
-			if locked {
-				s.mu.RUnlock()
-				locked = false
+		heads := make([]mergeHead, 0, len(legs))
+		for _, l := range legs {
+			if l.Plan == nil {
+				continue
+			}
+			h := mergeHead{MergeLeg: l, cur: core.NewCursor(l.DS, l.Plan, core.StreamOptions{Stats: stats, SkipTo: l.Skip})}
+			h.advance()
+			heads = append(heads, h)
+		}
+		stop := func() {
+			for i := range heads {
+				heads[i].cur.Stop()
 			}
 		}
-		defer unlock()
+		out := make(graph.IDSet, 0, streamQuantum)
+		step := func(quantum int) (graph.IDSet, bool, error) {
+			out = out[:0]
+			// Count verifications, not matches: the hold must stay bounded
+			// even when nothing matches.
+			for range quantum {
+				var best *mergeHead
+				for i := range heads {
+					if h := &heads[i]; !h.done && (best == nil || h.global < best.global) {
+						best = h
+					}
+				}
+				if best == nil {
+					return out, true, nil
+				}
+				if err := ctx.Err(); err != nil {
+					return out, false, err
+				}
+				stats.Verified.Add(1)
+				matched, id := best.Plan.Verify(best.local), best.global
+				best.advance()
+				if matched {
+					out = append(out, id)
+				}
+			}
+			return out, false, nil
+		}
+		return step, stale, stop, nil
+	})
+}
 
-		epoch := s.ds.Epoch()
-		plans := make([]core.QueryPlan, len(s.shards))
+// StreamStats implements StatsStreamer: the sharded counterpart of
+// Engine.StreamStats. Shard plans are built under the read lock (fan-out),
+// then MergeStream pulls each shard's lazy candidate cursor and verifies in
+// global ID order; a mutation landing mid-stream moves the parent dataset
+// epoch and aborts the stream with an ErrStreamStale-wrapped error.
+func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
+	return MergeStream(ctx, &s.mu, stats, func() ([]MergeLeg, func() error, error) {
+		legs := make([]MergeLeg, len(s.shards))
 		// The plans outlive the fan-out pool, so they must capture the
 		// caller's ctx (cancellation still reaches the verifiers through
 		// it), not the pool's internally cancelled one.
@@ -202,101 +248,9 @@ func (s *Sharded) StreamOpts(ctx context.Context, q *graph.Graph, opts core.Stre
 				return err
 			}
 			p, err := core.NewPlan(ctx, sh.method, sh.sub, q)
-			if err != nil {
-				return err
-			}
-			plans[i] = p
-			return nil
+			legs[i] = MergeLeg{Plan: p, DS: sh.sub, Global: sh.global}
+			return err
 		})
-		if err != nil {
-			unlock()
-			yield(0, err)
-			return
-		}
-		legs := make([]*shardLeg, 0, len(s.shards))
-		defer func() {
-			for _, l := range legs {
-				l.cur.Stop()
-			}
-		}()
-		for i, p := range plans {
-			if p == nil {
-				continue
-			}
-			sh := s.shards[i]
-			leg := &shardLeg{
-				shard: i,
-				plan:  p,
-				cur: core.NewCursor(sh.sub, p, core.StreamOptions{
-					Stats:  stats,
-					SkipTo: localSkip(sh.global, opts.SkipTo),
-				}),
-			}
-			leg.advance(func(id graph.ID) graph.ID { return sh.global[id] })
-			legs = append(legs, leg)
-		}
-
-		quantum := 1
-		out := make(graph.IDSet, 0, streamQuantum)
-		for {
-			// Under the lock: up to quantum k-way merge steps (verifications,
-			// not matches — the hold must stay bounded even when nothing
-			// matches), verifying the globally smallest head each time.
-			out = out[:0]
-			done := false
-			var verr error
-			for step := 0; step < quantum; step++ {
-				var best *shardLeg
-				for _, l := range legs {
-					if l.done {
-						continue
-					}
-					if best == nil || l.global < best.global {
-						best = l
-					}
-				}
-				if best == nil {
-					done = true
-					break
-				}
-				if verr = ctx.Err(); verr != nil {
-					break
-				}
-				stats.Verified.Add(1)
-				matched := best.plan.Verify(best.local)
-				id := best.global
-				sh := s.shards[best.shard]
-				best.advance(func(id graph.ID) graph.ID { return sh.global[id] })
-				if matched {
-					out = append(out, id)
-				}
-			}
-			unlock()
-			for _, id := range out {
-				if !yield(id, nil) {
-					return
-				}
-			}
-			if verr != nil {
-				yield(0, verr)
-				return
-			}
-			if done {
-				return
-			}
-			quantum = growQuantum(quantum)
-			s.mu.RLock()
-			locked = true
-			if now := s.ds.Epoch(); now != epoch {
-				unlock()
-				yield(0, fmt.Errorf("engine: %w (epoch %d -> %d)", ErrStreamStale, epoch, now))
-				return
-			}
-		}
-	}
-}
-
-// StreamStats implements StatsStreamer.
-func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return s.StreamOpts(ctx, q, core.StreamOptions{Stats: stats})
+		return legs, epochStale(s.ds), err
+	})
 }

@@ -153,26 +153,17 @@ func New(ds *graph.Dataset, subs []Sub, opts Options) (*Multi, error) {
 		if sub.Engine == nil {
 			return nil, fmt.Errorf("router: method %q has no engine", d.Name)
 		}
+		// Stats attribution uses the spelling the engine's results carry,
+		// so it matches response attribution exactly.
+		display := engine.MethodName(sub.Engine)
+		if display == "" {
+			display = d.Display
+		}
 		m.names = append(m.names, d.Name)
-		m.displays = append(m.displays, displayOf(sub.Engine, d.Display))
+		m.displays = append(m.displays, display)
 		m.subs = append(m.subs, sub.Engine)
 	}
 	return m, nil
-}
-
-// displayOf returns the spelling the engine's results carry in
-// QueryResult.Method, so stats attribution matches response attribution
-// exactly: an Engine's results use its method's figure-legend Name, a
-// Sharded engine's its own Name; anything else falls back to the registry
-// display.
-func displayOf(q engine.Querier, fallback string) string {
-	switch e := q.(type) {
-	case interface{ Method() core.Method }:
-		return e.Method().Name()
-	case interface{ Name() string }:
-		return e.Name()
-	}
-	return fallback
 }
 
 // buildInfo is the construction-reporting surface Engine and Sharded share.
@@ -330,7 +321,7 @@ func (m *Multi) Dataset() *graph.Dataset { return m.ds }
 // forwards to it through the cache wrapper.
 func (m *Multi) Ready() bool {
 	for _, s := range m.subs {
-		if r, ok := s.(interface{ Ready() bool }); ok && !r.Ready() {
+		if !s.Ready() {
 			return false
 		}
 	}
@@ -485,13 +476,6 @@ func (m *Multi) race(ctx context.Context, q *graph.Graph, f Features, a, b int, 
 	return o.res, nil
 }
 
-// QueryBatch processes a workload concurrently on the shared batch pool,
-// routing each query individually, with the same semantics as the other
-// engines' QueryBatch.
-func (m *Multi) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	return core.QueryBatchFunc(ctx, queries, opts, m.Query)
-}
-
 // Stream routes the query like Query (the race policy streams its top
 // prediction — racing two streams would double-verify every candidate) and
 // yields the chosen engine's answer stream. Streamed queries update the
@@ -508,8 +492,7 @@ func (m *Multi) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, 
 }
 
 // StreamStats implements engine.StatsStreamer: Stream with pipeline
-// counters accumulated into stats (nil = no accounting). Sub-engines that
-// do not expose stats stream without accounting.
+// counters accumulated into stats (nil = no accounting).
 func (m *Multi) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
 		m.mutMu.RLock()
@@ -522,13 +505,7 @@ func (m *Multi) StreamStats(ctx context.Context, q *graph.Graph, stats *core.Pip
 		m.routed[i]++
 		m.won[i]++
 		m.statsMu.Unlock()
-		var seq iter.Seq2[graph.ID, error]
-		if ss, ok := m.subs[i].(engine.StatsStreamer); ok && stats != nil {
-			seq = ss.StreamStats(ctx, q, stats)
-		} else {
-			seq = m.subs[i].Stream(ctx, q)
-		}
-		for id, err := range seq {
+		for id, err := range m.subs[i].StreamStats(ctx, q, stats) {
 			if !yield(id, err) {
 				return
 			}

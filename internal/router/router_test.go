@@ -114,7 +114,7 @@ func TestRouterParityEveryMethod(t *testing.T) {
 			}
 
 			// Batch: same answers, input order.
-			batch, err := m.QueryBatch(ctx, queries, core.BatchOptions{Workers: 3})
+			batch, err := core.QueryBatchFunc(ctx, queries, core.BatchOptions{Workers: 3}, m.Query)
 			if err != nil {
 				t.Fatalf("QueryBatch: %v", err)
 			}

@@ -74,14 +74,8 @@ func (c *CachedEngine) Dataset() *graph.Dataset { return c.inner.Dataset() }
 
 // Ready forwards the wrapped engine's readiness: false while a
 // lazily-opened (storage=mmap) index is still materializing its
-// first-touch sections. Engines without a readiness notion are always
-// ready.
-func (c *CachedEngine) Ready() bool {
-	if r, ok := c.inner.(interface{ Ready() bool }); ok {
-		return r.Ready()
-	}
-	return true
-}
+// first-touch sections.
+func (c *CachedEngine) Ready() bool { return c.inner.Ready() }
 
 // CacheStats snapshots cache and deduplication counters.
 func (c *CachedEngine) CacheStats() CacheStats {
@@ -113,7 +107,7 @@ func (c *CachedEngine) Query(ctx context.Context, q *graph.Graph) (*core.QueryRe
 		// mutation that lands in between stamps this entry with an
 		// already-old epoch, so the worst case is an unnecessary
 		// invalidation later — never a stale replay.
-		epoch := c.epoch()
+		epoch := c.Epoch()
 		if res, hit := c.cache.get(key, epoch); hit {
 			c.obsHits.Inc()
 			return cachedResult(res, time.Since(t0)), nil
@@ -184,42 +178,15 @@ func cachedResult(res *core.QueryResult, lookup time.Duration) *core.QueryResult
 	}
 }
 
-// QueryBatch runs the batch through the cache item by item on the shared
-// batch pool, so repeated or isomorphic queries inside one batch hit (or
-// single-flight) like they do across requests. Unlike Engine.QueryBatch it
-// does not force per-item verification serial: a serving layer bounds total
-// load through admission control, not by flattening each request.
-func (c *CachedEngine) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	return core.QueryBatchFunc(ctx, queries, opts, c.Query)
-}
-
-// Stream passes through uncached: streaming exists to avoid materializing
-// answer sets, which is exactly what caching would require.
+// Stream is StreamStats without accounting.
 func (c *CachedEngine) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
-	return c.inner.Stream(ctx, q)
+	return c.StreamStats(ctx, q, nil)
 }
 
-// StreamStats implements engine.StatsStreamer by delegation: streams pass
-// through uncached, with pipeline counters accumulated into stats when the
-// wrapped engine exposes them (and silently without accounting when not).
+// StreamStats passes through uncached: streaming exists to avoid
+// materializing answer sets, which is exactly what caching would require.
 func (c *CachedEngine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	if ss, ok := c.inner.(engine.StatsStreamer); ok {
-		return ss.StreamStats(ctx, q, stats)
-	}
-	return c.inner.Stream(ctx, q)
-}
-
-// methodName mirrors the attribution an unlimited QueryResult carries in
-// its Method field: a flat engine's method display name, a sharded or
-// routed engine's own name.
-func methodName(q engine.Querier) string {
-	switch e := q.(type) {
-	case interface{ Method() core.Method }:
-		return e.Method().Name()
-	case interface{ Name() string }:
-		return e.Name()
-	}
-	return ""
+	return c.inner.StreamStats(ctx, q, stats)
 }
 
 // QueryLimited serves one query capped at limit answers (limit <= 0 means
@@ -238,7 +205,7 @@ func (c *CachedEngine) QueryLimited(ctx context.Context, q *graph.Graph, limit i
 	if c.cache != nil {
 		if key, ok := QueryKey(q); ok {
 			t0 := time.Now()
-			if res, hit := c.cache.get(key, c.epoch()); hit {
+			if res, hit := c.cache.get(key, c.Epoch()); hit {
 				c.obsHits.Inc()
 				out := cachedResult(res, time.Since(t0))
 				out.Candidates = nil
@@ -247,6 +214,8 @@ func (c *CachedEngine) QueryLimited(ctx context.Context, q *graph.Graph, limit i
 				}
 				return out, nil
 			}
+			c.cache.countMiss()
+			c.obsMisses.Inc()
 		}
 	}
 	t0 := time.Now()
@@ -264,24 +233,15 @@ func (c *CachedEngine) QueryLimited(ctx context.Context, q *graph.Graph, limit i
 	return &core.QueryResult{
 		Answers:    answers,
 		VerifyTime: time.Since(t0),
-		Method:     methodName(c.inner),
+		Method:     engine.MethodName(c.inner),
 		Produced:   int(stats.Produced.Load()),
 		Verified:   int(stats.Verified.Load()),
 	}, nil
 }
 
-// epoch reads the wrapped engine's dataset epoch — the version stamp every
-// cache entry carries. A non-mutable engine is permanently at epoch 0.
-func (c *CachedEngine) epoch() uint64 {
-	if m, ok := c.inner.(interface{ Epoch() uint64 }); ok {
-		return m.Epoch()
-	}
-	return 0
-}
-
-// Epoch implements engine.Mutable (delegated): the wrapped engine's
-// dataset epoch, 0 for engines that do not mutate.
-func (c *CachedEngine) Epoch() uint64 { return c.epoch() }
+// Epoch implements engine.Mutable: the wrapped engine's dataset epoch —
+// the version stamp every cache entry carries.
+func (c *CachedEngine) Epoch() uint64 { return c.inner.Dataset().Epoch() }
 
 // AddGraph implements engine.Mutable by delegating to the wrapped engine.
 // Entries cached at earlier epochs invalidate lazily: the epoch stamp

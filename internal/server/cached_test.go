@@ -71,11 +71,13 @@ func (b *blockingQuerier) Query(ctx context.Context, q *graph.Graph) (*core.Quer
 	return &core.QueryResult{Candidates: graph.NewIDSet(1, 2), Answers: graph.NewIDSet(2)}, nil
 }
 
-func (b *blockingQuerier) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	return core.QueryBatchFunc(ctx, queries, opts, b.Query)
-}
+func (b *blockingQuerier) Ready() bool { return true }
 
 func (b *blockingQuerier) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
+	return b.StreamStats(ctx, q, nil)
+}
+
+func (b *blockingQuerier) StreamStats(context.Context, *graph.Graph, *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {}
 }
 

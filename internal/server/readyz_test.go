@@ -24,10 +24,10 @@ func (f *readyFake) Dataset() *graph.Dataset { return f.ds }
 func (f *readyFake) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
 	return &core.QueryResult{}, nil
 }
-func (f *readyFake) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	return core.QueryBatchFunc(ctx, queries, opts, f.Query)
-}
 func (f *readyFake) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
+	return f.StreamStats(ctx, q, nil)
+}
+func (f *readyFake) StreamStats(context.Context, *graph.Graph, *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {}
 }
 

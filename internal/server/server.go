@@ -21,9 +21,10 @@ import (
 	"repro/internal/router"
 )
 
-// maxBodyBytes bounds request bodies; a query graph is tiny, a batch of a
-// few thousand is comfortably under this.
-const maxBodyBytes = 32 << 20
+// MaxBodyBytes bounds every request body any serving face (flat server,
+// coordinator, node) accepts, and every line of a streamed shard dump; a
+// query graph is tiny, a batch of a few thousand is comfortably under this.
+const MaxBodyBytes = 32 << 20
 
 // Config configures a Server around an opened engine.
 type Config struct {
@@ -321,8 +322,9 @@ func writeJSON(w http.ResponseWriter, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-func decodeJSON(r *http.Request, w http.ResponseWriter, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+// DecodeJSON decodes r's JSON body into v, capped at MaxBodyBytes.
+func DecodeJSON(r *http.Request, w http.ResponseWriter, v any) error {
+	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
 	if err := json.NewDecoder(body).Decode(v); err != nil {
 		return fmt.Errorf("decoding request: %w", err)
 	}
@@ -378,7 +380,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	psp := tr.StartSpan(root, "parse")
 	var gj GraphJSON
-	if err := decodeJSON(r, w, &gj); err != nil {
+	if err := DecodeJSON(r, w, &gj); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -519,7 +521,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *grap
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.cBatch.Inc()
 	var req BatchRequest
-	if err := decodeJSON(r, w, &req); err != nil {
+	if err := DecodeJSON(r, w, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -566,7 +568,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer s.releaseExtra(extra)
 	// The per-item errors land in the results; the batch-level first error
 	// is deliberately not a request failure.
-	results, _ := s.eng.QueryBatch(ctx, valid, core.BatchOptions{Workers: 1 + extra})
+	// Items run through the cache, so repeated or isomorphic queries inside
+	// one batch hit (or single-flight) like they do across requests.
+	results, _ := core.QueryBatchFunc(ctx, valid, core.BatchOptions{Workers: 1 + extra}, s.eng.Query)
 	for j, br := range results {
 		i := validIdx[j]
 		if br.Err != nil {
@@ -601,7 +605,7 @@ func mutationStatusCode(err error) int {
 func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	s.cMutate.Inc()
 	var gj GraphJSON
-	if err := decodeJSON(r, w, &gj); err != nil {
+	if err := DecodeJSON(r, w, &gj); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}

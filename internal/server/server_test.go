@@ -163,13 +163,14 @@ type slowStreamer struct {
 }
 
 func (s *slowStreamer) Dataset() *graph.Dataset { return s.ds }
+func (s *slowStreamer) Ready() bool             { return true }
 func (s *slowStreamer) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
 	return &core.QueryResult{}, nil
 }
-func (s *slowStreamer) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	return core.QueryBatchFunc(ctx, queries, opts, s.Query)
-}
 func (s *slowStreamer) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
+	return s.StreamStats(ctx, q, nil)
+}
+func (s *slowStreamer) StreamStats(ctx context.Context, q *graph.Graph, _ *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
 		for id := graph.ID(0); ; id++ {
 			select {
@@ -261,6 +262,7 @@ type blockingServerQuerier struct {
 }
 
 func (b *blockingServerQuerier) Dataset() *graph.Dataset { return b.ds }
+func (b *blockingServerQuerier) Ready() bool             { return true }
 func (b *blockingServerQuerier) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
 	b.entered <- struct{}{}
 	select {
@@ -270,10 +272,10 @@ func (b *blockingServerQuerier) Query(ctx context.Context, q *graph.Graph) (*cor
 		return nil, ctx.Err()
 	}
 }
-func (b *blockingServerQuerier) QueryBatch(ctx context.Context, queries []*graph.Graph, opts core.BatchOptions) ([]core.BatchResult, error) {
-	return core.QueryBatchFunc(ctx, queries, opts, b.Query)
-}
 func (b *blockingServerQuerier) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
+	return b.StreamStats(ctx, q, nil)
+}
+func (b *blockingServerQuerier) StreamStats(context.Context, *graph.Graph, *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {}
 }
 

@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -178,15 +179,14 @@ func TestLimitEarlyTerminationRouter(t *testing.T) {
 // result cache in both directions — a limited miss must NOT install its
 // truncated result (the later unlimited query would silently lose
 // answers), while a limited query after an unlimited one must be served
-// from the cached full result, truncated on the way out.
+// from the cached full result, truncated on the way out. Limited lookups
+// count as hits and misses like unlimited ones.
 func TestLimitDoesNotPoisonCache(t *testing.T) {
-	ds, _, ts := newTestService(t, Config{})
+	ds, srv, ts := newTestService(t, Config{})
 	var q *graph.Graph
-	// Need a query with >= 2 answers so the truncation is observable.
+	// Brute force picks a query with answers without touching the cache.
 	for _, cand := range testQueries(t, ds) {
-		resp := postJSON(t, ts.URL+"/query?limit=1", GraphToJSON(cand, &ds.Dict))
-		lim := decodeBody[QueryResponse](t, resp)
-		if len(lim.Answers) == 1 {
+		if truth, err := core.BruteForceAnswers(context.Background(), ds, cand); err == nil && len(truth) > 0 {
 			q = cand
 			break
 		}
@@ -195,10 +195,24 @@ func TestLimitDoesNotPoisonCache(t *testing.T) {
 		t.Skip("no workload query with answers")
 	}
 	gj := GraphToJSON(q, &ds.Dict)
+	// Every step below is exactly one cache lookup, counted as a hit or a
+	// miss whether the query is limited or not.
+	wantCounts := func(step string, hits, misses int64) {
+		t.Helper()
+		if st := srv.Engine().CacheStats(); st.Hits != hits || st.Misses != misses {
+			t.Errorf("after %s: hits=%d misses=%d, want %d/%d", step, st.Hits, st.Misses, hits, misses)
+		}
+	}
 
-	// The probe above ran limit=1 as a cache miss. The unlimited query
-	// must now still see the full answer set, uncached — the truncated
-	// result must not have been stored.
+	first := decodeBody[QueryResponse](t, postJSON(t, ts.URL+"/query?limit=1", gj))
+	if first.Cached || len(first.Answers) != 1 {
+		t.Fatalf("first limited query: cached=%v answers=%v, want one computed answer", first.Cached, first.Answers)
+	}
+	wantCounts("limited miss", 0, 1)
+
+	// The limited query was a cache miss. The unlimited query must now
+	// still see the full answer set, uncached — the truncated result must
+	// not have been stored.
 	full := decodeBody[QueryResponse](t, postJSON(t, ts.URL+"/query", gj))
 	if full.Cached {
 		t.Fatal("unlimited query after a limited one was served from cache: the limited result was stored")
@@ -206,6 +220,7 @@ func TestLimitDoesNotPoisonCache(t *testing.T) {
 	if len(full.Answers) < 1 {
 		t.Fatal("unlimited query returned no answers")
 	}
+	wantCounts("unlimited miss", 0, 2)
 
 	// The unlimited result IS cached; a limited query now hits it and
 	// truncates on the way out.
@@ -219,6 +234,7 @@ func TestLimitDoesNotPoisonCache(t *testing.T) {
 	if lim.Limit != 1 {
 		t.Errorf("cached limited response echoes limit %d, want 1", lim.Limit)
 	}
+	wantCounts("limited hit", 1, 2)
 
 	// And the cache still serves the full set afterwards.
 	again := decodeBody[QueryResponse](t, postJSON(t, ts.URL+"/query", gj))
@@ -226,4 +242,5 @@ func TestLimitDoesNotPoisonCache(t *testing.T) {
 		t.Errorf("unlimited after limited hit: cached=%v answers=%v, want cached full %v",
 			again.Cached, again.Answers, full.Answers)
 	}
+	wantCounts("unlimited hit", 2, 2)
 }

@@ -89,8 +89,10 @@ type (
 	// hash-partitioned, per-shard indexes build in parallel, and queries
 	// fan out across the shards and merge; construct with OpenSharded.
 	ShardedEngine = engine.Sharded
-	// Querier is the query surface Engine, ShardedEngine, and CachedEngine
-	// share: Query, QueryBatch, and Stream over one dataset.
+	// Querier is the one query surface every engine shape — Engine,
+	// ShardedEngine, RoutedEngine, CachedEngine — implements: Dataset,
+	// Ready, Query, Stream, and StreamStats over one dataset. Run a batch of
+	// queries through any of them with QueryBatchFunc.
 	Querier = engine.Querier
 	// Mutable is the online-mutation capability every engine shape
 	// implements: AddGraph/RemoveGraph with online index maintenance
@@ -175,6 +177,10 @@ var (
 	// WithVerifyWorkers sets per-query verification parallelism.
 	WithVerifyWorkers = engine.WithVerifyWorkers
 )
+
+// QueryBatchFunc is the one batch runner: it runs query — any Querier's
+// Query — over a workload concurrently, results in input order.
+var QueryBatchFunc = core.QueryBatchFunc
 
 // Table 1 dataset simulator presets.
 var (
@@ -283,19 +289,6 @@ func Methods() []*MethodInfo {
 // this is the free-function form for a caller holding a bare Method.
 func Stream(ctx context.Context, m Method, ds *Dataset, q *Graph) iter.Seq2[ID, error] {
 	return core.StreamAnswers(ctx, m, ds, q)
-}
-
-// NewIndex returns an unbuilt index of the given method with the paper's
-// §4.1 default parameters.
-//
-// Deprecated: NewIndex panics on an unknown method id. Use New, which
-// returns an error and accepts parameter overrides.
-func NewIndex(id MethodID) Method {
-	m, err := New(string(id))
-	if err != nil {
-		panic(err)
-	}
-	return m
 }
 
 // NewProcessor wraps a built method and its dataset into a query processor.

@@ -27,7 +27,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	for _, id := range []repro.MethodID{repro.Grapes, repro.GGSX, repro.CTIndex,
 		repro.GIndex, repro.TreeDelta, repro.GCode} {
-		idx := repro.NewIndex(id)
+		idx, err := repro.New(string(id))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
 		if err := idx.Build(context.Background(), ds); err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
@@ -98,13 +101,12 @@ func TestNewErrorsOnBadSpec(t *testing.T) {
 	}
 }
 
+// TestNewIndexPanicsOnUnknown keeps its name from the removed NewIndex
+// shim, which panicked; New reports an unknown method id as an error.
 func TestNewIndexPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("want panic for unknown method")
-		}
-	}()
-	repro.NewIndex(repro.MethodID("nope"))
+	if _, err := repro.New(string(repro.MethodID("nope"))); err == nil {
+		t.Fatalf("want error for unknown method")
+	}
 }
 
 func TestIsSubgraph(t *testing.T) {
@@ -157,7 +159,10 @@ func Example() {
 	ds := repro.NewSyntheticDataset(repro.SynthConfig{
 		NumGraphs: 20, MeanNodes: 12, MeanDensity: 0.25, NumLabels: 3, Seed: 9,
 	})
-	idx := repro.NewIndex(repro.GGSX)
+	idx, err := repro.New(string(repro.GGSX))
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := idx.Build(context.Background(), ds); err != nil {
 		log.Fatal(err)
 	}
