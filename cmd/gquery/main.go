@@ -317,19 +317,15 @@ func mutateRemote(client *server.RetryClient, baseURL, addPath string, removals 
 	return nil
 }
 
-// mutateLocal applies the -remove/-add mutations to an opened engine
-// through its Mutable capability, maintaining the index online.
+// mutateLocal applies the -remove/-add mutations to an opened engine,
+// maintaining the index online.
 func mutateLocal(ctx context.Context, q engine.Querier, ds *graph.Dataset, addPath string, removals []graph.ID, verbose bool) error {
-	mut, ok := q.(engine.Mutable)
-	if !ok {
-		return fmt.Errorf("engine does not support -add/-remove")
-	}
 	for _, id := range removals {
-		if err := mut.RemoveGraph(ctx, id); err != nil {
+		if err := q.RemoveGraph(ctx, id); err != nil {
 			return err
 		}
 		if verbose {
-			fmt.Printf("removed graph %d (epoch %d, %d live graphs)\n", id, mut.Epoch(), ds.NumAlive())
+			fmt.Printf("removed graph %d (epoch %d, %d live graphs)\n", id, q.Epoch(), ds.NumAlive())
 		}
 	}
 	if addPath == "" {
@@ -342,12 +338,12 @@ func mutateLocal(ctx context.Context, q engine.Querier, ds *graph.Dataset, addPa
 		return fmt.Errorf("loading -add graphs: %w", err)
 	}
 	for _, g := range ads.Graphs {
-		id, err := mut.AddGraph(ctx, g.ShallowWithID(0))
+		id, err := q.AddGraph(ctx, g.ShallowWithID(0))
 		if err != nil {
 			return err
 		}
 		if verbose {
-			fmt.Printf("added graph as id %d (epoch %d, %d live graphs)\n", id, mut.Epoch(), ds.NumAlive())
+			fmt.Printf("added graph as id %d (epoch %d, %d live graphs)\n", id, q.Epoch(), ds.NumAlive())
 		}
 	}
 	return nil

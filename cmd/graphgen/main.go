@@ -113,7 +113,7 @@ func run(preset string, graphDiv, nodeDiv float64, graphs, nodes int, density fl
 			return err
 		}
 		qds := graph.NewDataset("queries")
-		qds.Dict = ds.Dict
+		qds.Dict.CopyFrom(&ds.Dict)
 		for _, q := range qs {
 			qds.Add(q)
 		}

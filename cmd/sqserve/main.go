@@ -21,7 +21,16 @@
 // coordinator over the shard nodes in the manifest (see sqnode), fanning
 // queries across shard owners, hedging slow legs to replicas, routing
 // mutations with epoch propagation, and re-replicating shards off dead
-// nodes — behind the same public endpoints, so gquery -remote is unchanged.
+// nodes. The coordinator is served by the same serving layer as a local
+// index, so every endpoint below answers the same way and gquery -remote
+// is unchanged; /cluster and /metrics/cluster are added. It refuses to
+// start until some owner of every shard answers. The -data, -method,
+// -ix, -shards, -workers, -build-timeout and -cache-* flags do not apply:
+// the coordinator caches nothing, because a shard re-adopted at an older
+// epoch changes answers without moving the cluster epoch. -concurrency,
+// -queue, -req-timeout, -slow-query, -slo and -pprof apply as for a local
+// index, and -node-timeout, -hedge-delay and -probe-interval tune the
+// fan-out.
 //
 // Endpoints:
 //
@@ -32,7 +41,7 @@
 //	POST   /graphs       add a graph to the live dataset (online index maintenance)
 //	DELETE /graphs/{id}  tombstone a graph; its id is never reused
 //	GET    /methods      the live method registry
-//	GET    /stats        cache, admission, request, and epoch counters
+//	GET    /stats        cache, admission, request, graph-count and epoch counters
 //	GET    /healthz      liveness: 200 while the process runs
 //	GET    /readyz       readiness: 503 during index build and graceful drain
 //	GET    /cluster      (coordinator only) topology, per-node health, fan-out counters
@@ -42,6 +51,10 @@
 //	GET    /health/score derived ok/degraded/critical verdict with per-check reasons
 //	                     (error rate, p99 vs -slo, queue depth, cluster membership)
 //	GET    /debug/pprof  runtime profiles (only with -pprof)
+//
+// A cluster answer missing shards whose every owner is down carries
+// "partial": true and the "failed_shards" list, on /query, /batch items
+// and the stream's done line.
 //
 // With -slow-query D, any query slower than D is logged as one structured
 // JSON line carrying the query's span tree, plan, and pipeline counters —
@@ -82,51 +95,53 @@ import (
 	"repro/internal/server"
 )
 
+// options are the command-line flags.
+type options struct {
+	dataPath, methodStr, indexPath, addr, manifest    string
+	shards, verifyW, cacheEntries, concurrency, queue int
+	cacheBytes                                        int64
+	cacheTTL, reqTimeout, buildTimeout, drainTimeout  time.Duration
+	nodeTimeout, hedgeDelay, probeInterval            time.Duration
+	slowQuery, slo                                    time.Duration
+	enablePprof                                       bool
+}
+
 func main() {
-	var (
-		dataPath  = flag.String("data", "", "GFD dataset file (required unless -cluster)")
-		methodStr = flag.String("method", "grapes", "method spec: name[:key=value,...]; see -list")
-		indexPath = flag.String("ix", "", "persist/restore the built index at this path")
-		shards    = flag.Int("shards", 0, "hash-partition the dataset into N shards (0/1 = unsharded)")
-		verifyW   = flag.Int("workers", 0, "per-query verification parallelism (0 = GOMAXPROCS)")
-		addr      = flag.String("addr", ":7474", "listen address")
+	var o options
+	flag.StringVar(&o.dataPath, "data", "", "GFD dataset file (required unless -cluster)")
+	flag.StringVar(&o.methodStr, "method", "grapes", "method spec: name[:key=value,...]; see -list")
+	flag.StringVar(&o.indexPath, "ix", "", "persist/restore the built index at this path")
+	flag.IntVar(&o.shards, "shards", 0, "hash-partition the dataset into N shards (0/1 = unsharded)")
+	flag.IntVar(&o.verifyW, "workers", 0, "per-query verification parallelism (0 = GOMAXPROCS)")
+	flag.StringVar(&o.addr, "addr", ":7474", "listen address")
 
-		clusterManifest = flag.String("cluster", "", "cluster manifest JSON: serve as the coordinator over sqnode members instead of building a local index")
-		nodeTimeout     = flag.Duration("node-timeout", 10*time.Second, "coordinator: per fan-out leg budget")
-		hedgeDelay      = flag.Duration("hedge-delay", 2*time.Second, "coordinator: duplicate a slow leg to a replica after this long (<0 disables)")
-		probeInterval   = flag.Duration("probe-interval", 2*time.Second, "coordinator: node health-check period")
+	flag.StringVar(&o.manifest, "cluster", "", "cluster manifest JSON: serve as the coordinator over sqnode members instead of building a local index")
+	flag.DurationVar(&o.nodeTimeout, "node-timeout", 10*time.Second, "coordinator: per fan-out leg budget")
+	flag.DurationVar(&o.hedgeDelay, "hedge-delay", 2*time.Second, "coordinator: duplicate a slow leg to a replica after this long (<0 disables)")
+	flag.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "coordinator: node health-check period")
 
-		cacheEntries = flag.Int("cache-entries", server.DefaultMaxEntries, "result cache capacity in entries (0 disables the cache)")
-		cacheBytes   = flag.Int64("cache-bytes", server.DefaultMaxBytes, "result cache capacity in bytes")
-		cacheTTL     = flag.Duration("cache-ttl", 0, "result cache entry lifetime (0 = no expiry)")
+	flag.IntVar(&o.cacheEntries, "cache-entries", server.DefaultMaxEntries, "result cache capacity in entries (0 disables the cache)")
+	flag.Int64Var(&o.cacheBytes, "cache-bytes", server.DefaultMaxBytes, "result cache capacity in bytes")
+	flag.DurationVar(&o.cacheTTL, "cache-ttl", 0, "result cache entry lifetime (0 = no expiry)")
 
-		concurrency  = flag.Int("concurrency", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
-		queue        = flag.Int("queue", 0, "max requests queued beyond the executing ones before 429 (0 = 4x concurrency)")
-		reqTimeout   = flag.Duration("req-timeout", 30*time.Second, "per-request execution budget")
-		buildTimeout = flag.Duration("build-timeout", 8*time.Hour, "index construction budget")
-		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")
+	flag.IntVar(&o.concurrency, "concurrency", 0, "max concurrently executing requests (0 = GOMAXPROCS)")
+	flag.IntVar(&o.queue, "queue", 0, "max requests queued beyond the executing ones before 429 (0 = 4x concurrency)")
+	flag.DurationVar(&o.reqTimeout, "req-timeout", 30*time.Second, "per-request execution budget")
+	flag.DurationVar(&o.buildTimeout, "build-timeout", 8*time.Hour, "index construction budget")
+	flag.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful shutdown budget for in-flight requests")
 
-		slowQuery   = flag.Duration("slow-query", 0, "log queries slower than this as structured JSON with their span tree (0 disables)")
-		slo         = flag.Duration("slo", 0, "p99 latency target /health/score compares against (0 disables the latency check)")
-		enablePprof = flag.Bool("pprof", false, "serve runtime profiles under /debug/pprof")
+	flag.DurationVar(&o.slowQuery, "slow-query", 0, "log queries slower than this as structured JSON with their span tree (0 disables)")
+	flag.DurationVar(&o.slo, "slo", 0, "p99 latency target /health/score compares against (0 disables the latency check)")
+	flag.BoolVar(&o.enablePprof, "pprof", false, "serve runtime profiles under /debug/pprof")
 
-		list = flag.Bool("list", false, "list registered methods and their parameters")
-	)
+	list := flag.Bool("list", false, "list registered methods and their parameters")
 	flag.Parse()
 
 	if *list {
 		engine.FprintMethods(os.Stdout)
 		return
 	}
-	var err error
-	if *clusterManifest != "" {
-		err = runCoordinator(*clusterManifest, *addr, *nodeTimeout, *hedgeDelay, *probeInterval, *reqTimeout, *drainTimeout, *slowQuery, *slo, *enablePprof)
-	} else {
-		err = run(*dataPath, *methodStr, *indexPath, *shards, *verifyW, *addr,
-			*cacheEntries, *cacheBytes, *cacheTTL, *concurrency, *queue,
-			*reqTimeout, *buildTimeout, *drainTimeout, *slowQuery, *slo, *enablePprof)
-	}
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "sqserve:", err)
 		os.Exit(1)
 	}
@@ -165,87 +180,131 @@ func listenEarly(addr string) (*http.Server, func(http.Handler), chan error) {
 	return srv, func(next http.Handler) { h.Store(next) }, serveErr
 }
 
-func runCoordinator(manifestPath, addr string, nodeTimeout, hedgeDelay, probeInterval, reqTimeout, drainTimeout, slowQuery, slo time.Duration, enablePprof bool) error {
-	man, err := cluster.LoadManifest(manifestPath)
-	if err != nil {
-		return err
+// run serves one engine — a local index, or with -cluster the coordinator —
+// through the one serving layer, then drains on SIGINT/SIGTERM.
+func run(o options) error {
+	httpSrv, swap, serveErr := listenEarly(o.addr)
+	cfg := server.Config{
+		Cache: server.CacheConfig{
+			Disabled:   o.cacheEntries == 0,
+			MaxEntries: o.cacheEntries,
+			MaxBytes:   o.cacheBytes,
+			TTL:        o.cacheTTL,
+		},
+		Workers:        o.concurrency,
+		MaxQueue:       o.queue,
+		RequestTimeout: o.reqTimeout,
+		SlowQuery:      o.slowQuery,
+		SLO:            o.slo,
+		EnablePprof:    o.enablePprof,
 	}
-	httpSrv, swap, serveErr := listenEarly(addr)
-	coord, err := cluster.NewCoordinator(context.Background(), man, cluster.CoordConfig{
-		NodeTimeout:   nodeTimeout,
-		HedgeDelay:    hedgeDelay,
-		ProbeInterval: probeInterval,
-	})
+	var (
+		q     engine.Querier
+		coord *cluster.Coordinator
+		err   error
+	)
+	if o.manifest != "" {
+		if coord, err = openCoordinator(o); err == nil {
+			defer coord.Close()
+			q = coord
+			cfg.Spec, cfg.Shards, cfg.Registry = coord.Name(), coord.Manifest().Shards, coord.Registry()
+			cfg.Cache = server.CacheConfig{Disabled: true}
+		}
+	} else {
+		q, cfg.Spec, cfg.Shards, err = openLocal(o)
+	}
 	if err != nil {
 		httpSrv.Close()
 		return err
 	}
-	cs := cluster.NewCoordServer(coord, cluster.CoordServerConfig{
-		RequestTimeout: reqTimeout,
-		SlowQuery:      slowQuery,
-		SLO:            slo,
-		EnablePprof:    enablePprof,
-	})
-	swap(cs.Handler())
-	log.Printf("coordinator ready: %s, method %s on %s", man, coord.Spec(), addr)
+	srv := server.New(q, cfg)
+	h := srv.Handler()
+	if coord != nil {
+		h = coord.Handler(h)
+	}
+	swap(h)
 
 	sigs := make(chan os.Signal, 1)
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	done := make(chan error, 1)
+	go func() {
+		<-sigs
+		log.Printf("draining: rejecting new work, waiting up to %v for in-flight requests", o.drainTimeout)
+		srv.Drain()
+		ctx, cancel := context.WithTimeout(context.Background(), o.drainTimeout)
+		defer cancel()
+		done <- httpSrv.Shutdown(ctx)
+	}()
+
+	log.Printf("serving %s (%s) on %s", q.Dataset().Name, cfg.Spec, o.addr)
 	select {
 	case err := <-serveErr:
-		coord.Close()
 		return err
-	case <-sigs:
+	case err := <-done:
+		if err != nil {
+			return fmt.Errorf("shutdown: %w", err)
+		}
 	}
-	log.Printf("draining: readiness down, waiting up to %v for in-flight requests", drainTimeout)
-	cs.Drain()
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	err = httpSrv.Shutdown(ctx)
-	coord.Close()
-	if err != nil {
-		return fmt.Errorf("shutdown: %w", err)
+	// A routed engine's learned cost model is state worth keeping: persist
+	// it on a clean drain so the next start routes warm.
+	if m, ok := q.(*router.Multi); ok && o.indexPath != "" {
+		if err := m.Save(o.indexPath); err != nil {
+			log.Printf("saving routing state: %v", err)
+		} else {
+			log.Printf("routing state saved under %s", o.indexPath)
+		}
 	}
 	log.Printf("drained cleanly")
 	return nil
 }
 
-func run(dataPath, methodStr, indexPath string, shards, verifyW int, addr string,
-	cacheEntries int, cacheBytes int64, cacheTTL time.Duration,
-	concurrency, queue int, reqTimeout, buildTimeout, drainTimeout, slowQuery, slo time.Duration,
-	enablePprof bool) error {
-	if dataPath == "" {
-		return fmt.Errorf("-data is required")
-	}
-	httpSrv, swap, serveErr := listenEarly(addr)
-	fail := func(err error) error {
-		httpSrv.Close()
-		return err
-	}
-	ds, err := graph.LoadDatasetFile(dataPath)
+// openCoordinator connects to the manifest's nodes.
+func openCoordinator(o options) (*cluster.Coordinator, error) {
+	man, err := cluster.LoadManifest(o.manifest)
 	if err != nil {
-		return fail(fmt.Errorf("loading dataset: %w", err))
+		return nil, err
 	}
-	d, p, err := engine.ParseSpec(methodStr)
+	coord, err := cluster.NewCoordinator(context.Background(), man, cluster.CoordConfig{
+		NodeTimeout:   o.nodeTimeout,
+		HedgeDelay:    o.hedgeDelay,
+		ProbeInterval: o.probeInterval,
+	})
 	if err != nil {
-		return fail(err)
+		return nil, err
 	}
-	spec := p.Spec()
+	log.Printf("coordinator ready: %s, method %s", man, coord.Name())
+	return coord, nil
+}
 
-	buildCtx, cancel := context.WithTimeout(context.Background(), buildTimeout)
-	defer cancel()
-	opts := []engine.Option{engine.WithSpec(methodStr)}
-	if indexPath != "" {
-		opts = append(opts, engine.WithIndexPath(indexPath))
+// openLocal builds or restores the local index, returning it with its
+// canonical spec and the shard count /stats reports (0 = unsharded).
+func openLocal(o options) (engine.Querier, string, int, error) {
+	if o.dataPath == "" {
+		return nil, "", 0, fmt.Errorf("-data is required")
 	}
-	if verifyW > 0 {
-		opts = append(opts, engine.WithVerifyWorkers(verifyW))
+	ds, err := graph.LoadDatasetFile(o.dataPath)
+	if err != nil {
+		return nil, "", 0, fmt.Errorf("loading dataset: %w", err)
+	}
+	d, p, err := engine.ParseSpec(o.methodStr)
+	if err != nil {
+		return nil, "", 0, err
+	}
+	buildCtx, cancel := context.WithTimeout(context.Background(), o.buildTimeout)
+	defer cancel()
+	opts := []engine.Option{engine.WithSpec(o.methodStr)}
+	if o.indexPath != "" {
+		opts = append(opts, engine.WithIndexPath(o.indexPath))
+	}
+	if o.verifyW > 0 {
+		opts = append(opts, engine.WithVerifyWorkers(o.verifyW))
 	}
 	t0 := time.Now()
-	q, err := engine.OpenAny(buildCtx, ds, shards, opts...)
+	q, err := engine.OpenAny(buildCtx, ds, o.shards, opts...)
 	if err != nil {
-		return fail(err)
+		return nil, "", 0, err
 	}
+	shards := o.shards
 	switch e := q.(type) {
 	case *engine.Sharded:
 		log.Printf("engine ready: %s over %d graphs, %d shards (%d restored) in %v, index %.2f MB",
@@ -268,55 +327,5 @@ func run(dataPath, methodStr, indexPath string, shards, verifyW int, addr string
 			shards = 0
 		}
 	}
-
-	srv := server.New(q, server.Config{
-		Spec:   spec,
-		Shards: shards,
-		Cache: server.CacheConfig{
-			Disabled:   cacheEntries == 0,
-			MaxEntries: cacheEntries,
-			MaxBytes:   cacheBytes,
-			TTL:        cacheTTL,
-		},
-		Workers:        concurrency,
-		MaxQueue:       queue,
-		RequestTimeout: reqTimeout,
-		SlowQuery:      slowQuery,
-		SLO:            slo,
-		EnablePprof:    enablePprof,
-	})
-	swap(srv.Handler())
-
-	sigs := make(chan os.Signal, 1)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() {
-		<-sigs
-		log.Printf("draining: rejecting new work, waiting up to %v for in-flight requests", drainTimeout)
-		srv.Drain()
-		ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		done <- httpSrv.Shutdown(ctx)
-	}()
-
-	log.Printf("serving %s (%s) on %s", ds.Name, spec, addr)
-	select {
-	case err := <-serveErr:
-		return err
-	case err := <-done:
-		if err != nil {
-			return fmt.Errorf("shutdown: %w", err)
-		}
-	}
-	// A routed engine's learned cost model is state worth keeping: persist
-	// it on a clean drain so the next start routes warm.
-	if m, ok := q.(*router.Multi); ok && indexPath != "" {
-		if err := m.Save(indexPath); err != nil {
-			log.Printf("saving routing state: %v", err)
-		} else {
-			log.Printf("routing state saved under %s", indexPath)
-		}
-	}
-	log.Printf("drained cleanly")
-	return nil
+	return q, p.Spec(), shards, nil
 }

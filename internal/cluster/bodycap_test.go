@@ -25,8 +25,7 @@ func TestBodyCapOneByteOver(t *testing.T) {
 	flat := httptest.NewServer(server.New(eng, server.Config{}).Handler())
 	defer flat.Close()
 	tc := startCluster(t, "grapes", 1, 1, 1, cluster.CoordConfig{})
-	coord := httptest.NewServer(cluster.NewCoordServer(tc.coord, cluster.CoordServerConfig{}).Handler())
-	defer coord.Close()
+	coord := tc.serve(t, server.Config{})
 
 	query, err := json.Marshal(toWire(testQueries(t, ds)[0], ds))
 	if err != nil {

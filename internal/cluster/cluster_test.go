@@ -1,8 +1,10 @@
 package cluster_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/engine"
 	_ "repro/internal/engine/std"
 	"repro/internal/gen"
@@ -43,6 +46,7 @@ type nodeHooks struct {
 	queryDelayMs   atomic.Int64 // sleep before serving /node/query (ctx-aware)
 	writeDelayMs   atomic.Int64 // sleep before each response write on /node/query
 	failMutate     atomic.Bool  // 500 every POST /node/graphs
+	mutateDelayMs  atomic.Int64 // sleep before serving POST /node/graphs (ctx-aware)
 	metricsDelayMs atomic.Int64 // sleep before serving /metrics (ctx-aware)
 }
 
@@ -83,6 +87,17 @@ func (h *nodeHooks) wrap(inner http.Handler) http.Handler {
 			}
 		}
 		if d := h.queryDelayMs.Load(); d > 0 && r.URL.Path == "/node/query" {
+			select {
+			case <-time.After(time.Duration(d) * time.Millisecond):
+			case <-r.Context().Done():
+				return
+			}
+		}
+		if d := h.mutateDelayMs.Load(); d > 0 && r.Method == http.MethodPost && r.URL.Path == "/node/graphs" {
+			// Read the body first: only then does net/http watch the
+			// connection, so a client that gives up cancels the stall.
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			select {
 			case <-time.After(time.Duration(d) * time.Millisecond):
 			case <-r.Context().Done():
@@ -190,6 +205,29 @@ func toWire(q *graph.Graph, ds *graph.Dataset) server.GraphJSON {
 	return server.GraphToJSON(q, &ds.Dict)
 }
 
+// inCluster re-expresses g, labelled in ds's dictionary, in the
+// coordinator's label space — what the serving layer's InternGraph does to
+// a wire graph before handing it to the coordinator.
+func (tc *testCluster) inCluster(t testing.TB, g *graph.Graph, ds *graph.Dataset) *graph.Graph {
+	t.Helper()
+	cg, err := server.InternGraph(toWire(g, ds), &tc.coord.Dataset().Dict)
+	if err != nil {
+		t.Fatalf("converting graph: %v", err)
+	}
+	return cg
+}
+
+// serve starts the coordinator's public face as sqserve -cluster does:
+// server.Server over the coordinator, on its registry, cache off, behind
+// Coordinator.Handler.
+func (tc *testCluster) serve(t testing.TB, cfg server.Config) *httptest.Server {
+	t.Helper()
+	cfg.Spec, cfg.Registry, cfg.Cache = tc.coord.Name(), tc.coord.Registry(), server.CacheConfig{Disabled: true}
+	ts := httptest.NewServer(tc.coord.Handler(server.New(tc.coord, cfg).Handler()))
+	t.Cleanup(ts.Close)
+	return ts
+}
+
 func idsEqual(a, b graph.IDSet) bool {
 	if len(a) != len(b) {
 		return false
@@ -238,11 +276,11 @@ func TestClusterParityEveryMethod(t *testing.T) {
 				if err != nil {
 					t.Fatalf("reference query %d: %v", i, err)
 				}
-				got, err := tc.coord.Query(ctx, toWire(q, ds))
+				got, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds))
 				if err != nil {
 					t.Fatalf("cluster query %d: %v", i, err)
 				}
-				if got.Partial {
+				if got.FailedShards != nil {
 					t.Fatalf("query %d: partial answer from a healthy cluster", i)
 				}
 				if !idsEqual(got.Answers, want.Answers) {
@@ -260,14 +298,14 @@ func TestClusterParityEveryMethod(t *testing.T) {
 					wantStream = append(wantStream, id)
 				}
 				var gotStream []graph.ID
-				st, err := tc.coord.Stream(ctx, toWire(q, ds), func(id graph.ID) bool {
+				var st core.PipelineStats
+				for id, err := range tc.coord.StreamStats(ctx, tc.inCluster(t, q, ds), &st) {
+					if err != nil {
+						t.Fatalf("cluster stream %d: %v", i, err)
+					}
 					gotStream = append(gotStream, id)
-					return true
-				})
-				if err != nil {
-					t.Fatalf("cluster stream %d: %v", i, err)
 				}
-				if st.Partial {
+				if st.FailedShards != nil {
 					t.Fatalf("stream %d: partial from a healthy cluster", i)
 				}
 				if !idsEqual(gotStream, wantStream) {
@@ -300,12 +338,8 @@ func TestClusterMutationParity(t *testing.T) {
 		if err := flat.RemoveGraph(ctx, id); err != nil {
 			t.Fatalf("flat remove %d: %v", id, err)
 		}
-		mr, err := tc.coord.Remove(ctx, id)
-		if err != nil {
+		if err := tc.coord.RemoveGraph(ctx, id); err != nil {
 			t.Fatalf("cluster remove %d: %v", id, err)
-		}
-		if mr.ID != id {
-			t.Errorf("remove ack id %d, want %d", mr.ID, id)
 		}
 	}
 	extra := gen.Synthetic(gen.SynthConfig{NumGraphs: 2, MeanNodes: 10, MeanDensity: 0.25, NumLabels: 4, Seed: 77})
@@ -319,12 +353,12 @@ func TestClusterMutationParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flat add %d: %v", i, err)
 		}
-		mr, err := tc.coord.Add(ctx, toWire(ig, ds))
+		gotID, err := tc.coord.AddGraph(ctx, tc.inCluster(t, ig, ds))
 		if err != nil {
 			t.Fatalf("cluster add %d: %v", i, err)
 		}
-		if mr.ID != wantID {
-			t.Errorf("add %d: cluster assigned id %d, single-process %d", i, mr.ID, wantID)
+		if gotID != wantID {
+			t.Errorf("add %d: cluster assigned id %d, single-process %d", i, gotID, wantID)
 		}
 		added = append(added, ig)
 	}
@@ -334,7 +368,7 @@ func TestClusterMutationParity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("flat query %d: %v", i, err)
 		}
-		got, err := tc.coord.Query(ctx, toWire(q, ds))
+		got, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds))
 		if err != nil {
 			t.Fatalf("cluster query %d: %v", i, err)
 		}
@@ -356,10 +390,10 @@ func TestClusterMutationParity(t *testing.T) {
 	// Mutations are idempotent at the node protocol (redelivery on retry
 	// must be safe): re-removing a tombstoned graph acks, while a genuinely
 	// unknown id surfaces as an error.
-	if _, err := tc.coord.Remove(ctx, 3); err != nil {
+	if err := tc.coord.RemoveGraph(ctx, 3); err != nil {
 		t.Errorf("re-remove of tombstoned graph: %v, want idempotent ack", err)
 	}
-	if _, err := tc.coord.Remove(ctx, 9999); err == nil {
+	if err := tc.coord.RemoveGraph(ctx, 9999); err == nil {
 		t.Errorf("remove of unknown graph succeeded, want error")
 	}
 }
@@ -384,11 +418,11 @@ func TestClusterPartialOnNodeLoss(t *testing.T) {
 	tc.kill(victim)
 
 	for i, q := range queries {
-		got, err := tc.coord.Query(ctx, toWire(q, ds))
+		got, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if !got.Partial {
+		if got.FailedShards == nil {
 			t.Fatalf("query %d: node %d dead but answer not flagged partial", i, victim)
 		}
 		if fmt.Sprint(got.FailedShards) != fmt.Sprint(lost) {
@@ -465,18 +499,18 @@ func TestClusterStreamFailover(t *testing.T) {
 
 	killed := false
 	var got []graph.ID
-	st, err := tc.coord.Stream(ctx, toWire(queries[best], ds), func(id graph.ID) bool {
+	var st core.PipelineStats
+	for id, err := range tc.coord.StreamStats(ctx, tc.inCluster(t, queries[best], ds), &st) {
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
 		got = append(got, id)
 		if !killed {
 			killed = true
 			tc.kill(victim)
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
 	}
-	if st.Partial {
+	if st.FailedShards != nil {
 		t.Fatalf("stream flagged partial (failed shards %v) despite replicas for every shard", st.FailedShards)
 	}
 	if !idsEqual(got, want[best]) {
@@ -513,18 +547,18 @@ func TestClusterStreamPartialOnUnreplicatedLoss(t *testing.T) {
 
 	killed := false
 	var got []graph.ID
-	st, err := tc.coord.Stream(ctx, toWire(queries[best], ds), func(id graph.ID) bool {
+	var st core.PipelineStats
+	for id, err := range tc.coord.StreamStats(ctx, tc.inCluster(t, queries[best], ds), &st) {
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
 		got = append(got, id)
 		if !killed {
 			killed = true
 			tc.kill(victim)
 		}
-		return true
-	})
-	if err != nil {
-		t.Fatalf("stream: %v", err)
 	}
-	if !st.Partial {
+	if st.FailedShards == nil {
 		t.Fatalf("unreplicated node died mid-stream but the stream was not flagged partial")
 	}
 	if len(st.FailedShards) == 0 {
@@ -568,11 +602,11 @@ func TestHedgedQueryCancelsLoser(t *testing.T) {
 
 	for i, q := range queries {
 		t0 := time.Now()
-		got, err := tc.coord.Query(ctx, toWire(q, ds))
+		got, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if got.Partial {
+		if got.FailedShards != nil {
 			t.Fatalf("query %d partial under hedging", i)
 		}
 		want, err := ref.Query(ctx, q)
@@ -614,7 +648,7 @@ func TestClusterRereplication(t *testing.T) {
 	if err := flat.RemoveGraph(ctx, 5); err != nil {
 		t.Fatalf("flat remove: %v", err)
 	}
-	if _, err := tc.coord.Remove(ctx, 5); err != nil {
+	if err := tc.coord.RemoveGraph(ctx, 5); err != nil {
 		t.Fatalf("cluster remove: %v", err)
 	}
 
@@ -626,11 +660,11 @@ func TestClusterRereplication(t *testing.T) {
 		t.Fatalf("no shards re-replicated after node loss (fanout %+v)", st.Fanout)
 	}
 	for i, q := range queries {
-		got, err := tc.coord.Query(ctx, toWire(q, ds))
+		got, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if got.Partial {
+		if got.FailedShards != nil {
 			t.Fatalf("query %d partial after re-replication (failed %v)", i, got.FailedShards)
 		}
 		want, err := flat.Query(ctx, q)
@@ -661,12 +695,13 @@ func TestClusterStaleReplicaRecovery(t *testing.T) {
 	// The replica rejects the routed add: it misses the mutation.
 	tc.hooks[replica].failMutate.Store(true)
 	add := gen.Synthetic(gen.SynthConfig{NumGraphs: 1, MeanNodes: 8, MeanDensity: 0.3, NumLabels: 4, Seed: 99})
-	mr, err := tc.coord.Add(ctx, toWire(add.Graphs[0], add))
+	addG := tc.inCluster(t, add.Graphs[0], add)
+	gotID, err := tc.coord.AddGraph(ctx, addG)
 	if err != nil {
 		t.Fatalf("add: %v", err)
 	}
-	if mr.ID != id {
-		t.Fatalf("add assigned id %d, want %d", mr.ID, id)
+	if gotID != id {
+		t.Fatalf("add assigned id %d, want %d", gotID, id)
 	}
 
 	stale := func() []int {
@@ -694,11 +729,11 @@ func TestClusterStaleReplicaRecovery(t *testing.T) {
 	// The repaired replica now answers the added graph: queries stay full
 	// even with the shard's other owner gone.
 	tc.kill(tc.man.Owners(s)[0])
-	got, err := tc.coord.Query(ctx, toWire(add.Graphs[0], add))
+	got, err := tc.coord.Query(ctx, addG)
 	if err != nil {
 		t.Fatalf("query after repair: %v", err)
 	}
-	if got.Partial {
+	if got.FailedShards != nil {
 		t.Fatalf("query partial after repair (failed %v)", got.FailedShards)
 	}
 	found := false

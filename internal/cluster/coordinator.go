@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"iter"
 	"log"
 	"net/http"
 	"sort"
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -32,9 +34,13 @@ type CoordConfig struct {
 	// Logf receives membership and re-replication events (default log.Printf).
 	Logf func(format string, args ...any)
 	// Registry hosts the coordinator's metrics families (request counts,
-	// fan-out mechanics); the coordinator's HTTP face serves it at
-	// GET /metrics. Nil creates a private registry.
+	// fan-out mechanics) and its membership health checks; pass it as
+	// server.Config.Registry so the serving face exposes them at
+	// GET /metrics and GET /health/score. Nil creates a private registry.
 	Registry *obs.Registry
+	// ScrapeTimeout bounds each per-node leg of a GET /metrics/cluster
+	// federation scrape (default 3s).
+	ScrapeTimeout time.Duration
 }
 
 // nodeState is the coordinator's view of one member.
@@ -52,10 +58,16 @@ type nodeState struct {
 
 // Coordinator owns the cluster: the manifest placement, the cluster epoch
 // and id allocator, membership health, and the fan-out/merge machinery that
-// makes N nodes answer exactly like one in-process sharded engine.
+// makes N nodes answer exactly like one in-process sharded engine. It is an
+// engine.Querier, so server.New serves it like any in-process shape; Handler
+// adds the two cluster-only views.
 type Coordinator struct {
 	cfg CoordConfig
 	man *Manifest
+	// ds holds no graphs: only a name and the label dictionary query graphs
+	// resolve against — the union of every node's labels plus the labels of
+	// graphs added through the coordinator.
+	ds *graph.Dataset
 
 	// mu guards nodes' up/stale state, shardEpoch, extras, clusterEpoch,
 	// nextID, and graphs.
@@ -80,7 +92,7 @@ type Coordinator struct {
 
 	// Counters live on cfg.Registry so /stats and /metrics read the same
 	// cells; the fields are the cells, fetched once at construction.
-	reqQuery, reqStream, reqBatch, reqMutate, reqErrors  *obs.Counter
+	reqQuery, reqStream, reqMutate, reqErrors            *obs.Counter
 	partials, failovers, hedgesFired, hedgesWon          *obs.Counter
 	rereplicated, staleRejected, rollbacks, staleRetries *obs.Counter
 
@@ -90,12 +102,19 @@ type Coordinator struct {
 	fedFailed                     *obs.Gauge
 }
 
-// ErrNoOwner means a shard had no reachable fresh owner.
-var ErrNoOwner = errors.New("cluster: shard has no reachable owner")
+// ErrNoOwner means a shard had no reachable fresh owner; a mutation that
+// fails with it applied nothing and is retryable.
+var ErrNoOwner = fmt.Errorf("cluster: shard has no reachable owner: %w", engine.ErrUnavailable)
 
-// NewCoordinator connects to the manifest's nodes, seeds the id allocator
-// and per-shard epochs from what they report, and starts the health prober.
-// Unreachable nodes are tolerated: they join when the prober sees them.
+var _ engine.Querier = (*Coordinator)(nil)
+
+// NewCoordinator connects to the manifest's nodes, seeds the id allocator,
+// the per-shard epochs and the label dictionary from what they report, and
+// starts the health prober. An unreachable node is tolerated as long as
+// some owner of each of its shards answers — it joins when the prober sees
+// it — but a shard no owner answers for is an error: the labels only its
+// graphs carry would be unknown, and a query using one would be answered
+// empty instead of flagged partial.
 func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coordinator, error) {
 	if err := man.Validate(); err != nil {
 		return nil, err
@@ -121,6 +140,7 @@ func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coord
 	c := &Coordinator{
 		cfg:        cfg,
 		man:        man,
+		ds:         graph.NewDataset("cluster"),
 		nodes:      make([]*nodeState, len(man.Nodes)),
 		shardEpoch: make([]uint64, man.Shards),
 		extras:     make([][]int, man.Shards),
@@ -131,7 +151,6 @@ func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coord
 	req := cfg.Registry.Counter("sq_cluster_requests_total", "Coordinator requests by kind.", "kind")
 	c.reqQuery = req.Counter("query")
 	c.reqStream = req.Counter("stream")
-	c.reqBatch = req.Counter("batch")
 	c.reqMutate = req.Counter("mutate")
 	c.reqErrors = req.Counter("errors")
 	c.partials = cfg.Registry.Counter("sq_cluster_partials_total",
@@ -159,6 +178,7 @@ func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coord
 	c.fedFailed = cfg.Registry.Gauge("sq_federate_failed_nodes",
 		"Nodes whose /metrics scrape failed in the last federation request.").Gauge()
 	cfg.Registry.OnCollect(c.refreshNodeGauges)
+	cfg.Registry.OnHealth(c.healthChecks)
 	for i, ni := range man.Nodes {
 		c.nodes[i] = &nodeState{
 			info:   ni,
@@ -169,7 +189,8 @@ func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coord
 	// Seed from whoever answers: the id allocator must clear every id any
 	// node has ever homed, and per-shard epochs start at the maximum any
 	// owner reports (a restarted cluster resumes its epoch history).
-	for i, ns := range c.nodes {
+	var infos []InfoResponse
+	for _, ns := range c.nodes {
 		ictx, cancel := context.WithTimeout(ctx, cfg.NodeTimeout)
 		info, err := ns.client.Info(ictx)
 		cancel()
@@ -177,7 +198,9 @@ func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coord
 			cfg.Logf("cluster: node %s (%s) unreachable at startup: %v", ns.info.Name, ns.info.Addr, err)
 			continue
 		}
+		c.learnLabels(info)
 		ns.up = true
+		infos = append(infos, info)
 		if c.spec == "" {
 			c.spec = info.Spec
 		} else if info.Spec != c.spec {
@@ -194,14 +217,33 @@ func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coord
 				c.shardEpoch[si.Shard] = si.Epoch
 			}
 		}
-		_ = i
+	}
+	var unanswered []int
+	for s := 0; s < man.Shards; s++ {
+		if len(c.eligible(s)) == 0 {
+			unanswered = append(unanswered, s)
+		}
+	}
+	if len(unanswered) > 0 {
+		return nil, fmt.Errorf("cluster: no owner of shards %v answered /node/info; start one before the coordinator", unanswered)
 	}
 	for _, e := range c.shardEpoch {
 		if e > c.clusterEpoch {
 			c.clusterEpoch = e
 		}
 	}
-	c.recountGraphs(ctx)
+	// The live-graph total counts each shard once, from a fresh owner.
+	counts := make(map[int]int, man.Shards)
+	for _, info := range infos {
+		for _, si := range info.Shards {
+			if si.Epoch == c.shardEpoch[si.Shard] {
+				counts[si.Shard] = si.Graphs
+			}
+		}
+	}
+	for _, n := range counts {
+		c.graphs += n
+	}
 	if cfg.ProbeInterval > 0 {
 		c.probeWG.Add(1)
 		go c.probeLoop()
@@ -221,38 +263,44 @@ func (c *Coordinator) Manifest() *Manifest { return c.man }
 // Registry returns the coordinator's metrics registry.
 func (c *Coordinator) Registry() *obs.Registry { return c.cfg.Registry }
 
-// Spec returns the canonical method spec the nodes run.
-func (c *Coordinator) Spec() string {
+// Name returns the canonical method spec the nodes run — the method name
+// the coordinator's answers carry.
+func (c *Coordinator) Name() string {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return c.spec
 }
 
-// recountGraphs refreshes the advisory live-graph total from one fresh
-// owner per shard.
-func (c *Coordinator) recountGraphs(ctx context.Context) {
-	counts := make(map[int]int, c.man.Shards)
-	for _, ns := range c.nodes {
-		if !ns.up {
-			continue
-		}
-		ictx, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-		info, err := ns.client.Info(ictx)
-		cancel()
-		if err != nil {
-			continue
-		}
-		for _, si := range info.Shards {
-			if si.Epoch == c.shardEpoch[si.Shard] {
-				counts[si.Shard] = si.Graphs
-			}
-		}
+// Dataset implements engine.Querier: a dataset with no graphs, carrying
+// the cluster's label dictionary.
+func (c *Coordinator) Dataset() *graph.Dataset { return c.ds }
+
+// Ready implements engine.Querier: the coordinator holds no index to warm;
+// a node that is still warming fails its own /readyz and is routed around.
+func (c *Coordinator) Ready() bool { return true }
+
+// Epoch implements engine.Mutable: the cluster epoch, bumped by every
+// committed mutation.
+func (c *Coordinator) Epoch() uint64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.clusterEpoch
+}
+
+// Counts implements engine.Mutable: the live graph total, and every other
+// id assigned so far as removed.
+func (c *Coordinator) Counts() (live, removed int) {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	return c.graphs, max(int(c.nextID)-c.graphs, 0)
+}
+
+// learnLabels interns the labels a node reports, so queries naming them
+// reach the fan-out instead of the unknown-label short-circuit.
+func (c *Coordinator) learnLabels(info InfoResponse) {
+	for _, l := range info.Labels {
+		c.ds.Dict.Intern(l)
 	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	c.graphs = total
 }
 
 // owners returns shard s's owner node indexes, manifest placement first,
@@ -322,50 +370,46 @@ type shardOutcome struct {
 	err   error
 }
 
-// QueryResult is a merged cluster answer.
-type QueryResult struct {
-	Candidates graph.IDSet
-	Answers    graph.IDSet
-	FilterUs   int64
-	VerifyUs   int64
-	// Produced/Verified sum the per-shard pipeline counters, so a merged
-	// cluster answer reports its pipeline work like a single-process one.
-	Produced     int
-	Verified     int
-	Partial      bool
-	FailedShards []int
-}
-
-// Query fans gj across the shard owners and merges the per-shard results.
-// Shards whose every owner is unreachable are reported in FailedShards with
-// Partial set — a degraded answer is flagged, never silent.
-func (c *Coordinator) Query(ctx context.Context, gj server.GraphJSON) (*QueryResult, error) {
+// Query implements engine.Querier: q fans across the shard owners as wire
+// labels and the per-shard results merge in global ids. Produced/Verified
+// sum the shards' pipeline counters; like Sharded.Query, FilterTime is the
+// slowest shard's filter and VerifyTime the rest of the wall time. Shards
+// whose every owner is unreachable are listed in FailedShards — a degraded
+// answer is flagged, never silent.
+func (c *Coordinator) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
 	c.reqQuery.Add(1)
-	resolved, failed, err := c.fanQuery(ctx, gj)
+	ctx, sp := obs.StartSpan(ctx, "cluster-query")
+	t0 := time.Now()
+	resolved, failed, err := c.fanQuery(ctx, server.GraphToJSON(q, &c.ds.Dict))
 	if err != nil {
+		sp.Cancel()
 		c.reqErrors.Add(1)
 		return nil, err
 	}
 	_, msp := obs.StartSpan(ctx, "merge")
-	out := &QueryResult{Candidates: graph.IDSet{}, Answers: graph.IDSet{}}
+	out := &core.QueryResult{Candidates: graph.IDSet{}, Answers: graph.IDSet{}, Method: c.Name()}
+	var filterUs int64
 	for _, r := range resolved {
 		out.Candidates = append(out.Candidates, r.Candidates...)
 		out.Answers = append(out.Answers, r.Answers...)
-		out.FilterUs += r.FilterUs
-		out.VerifyUs += r.VerifyUs
+		filterUs = max(filterUs, r.FilterUs)
 		out.Produced += r.Produced
 		out.Verified += r.Verified
 	}
 	sort.Slice(out.Candidates, func(i, j int) bool { return out.Candidates[i] < out.Candidates[j] })
 	sort.Slice(out.Answers, func(i, j int) bool { return out.Answers[i] < out.Answers[j] })
-	if len(failed) > 0 {
-		sort.Ints(failed)
-		out.Partial = true
-		out.FailedShards = failed
-		c.partials.Add(1)
-	}
 	msp.Attr("shards", len(resolved))
 	msp.End()
+	if len(failed) > 0 {
+		sort.Ints(failed)
+		out.FailedShards = failed
+		c.partials.Add(1)
+		sp.Attr("partial", true)
+	}
+	out.FilterTime = time.Duration(filterUs) * time.Microsecond
+	out.VerifyTime = max(time.Since(t0)-out.FilterTime, 0)
+	sp.Attr("answers", len(out.Answers))
+	sp.End()
 	return out, nil
 }
 
@@ -566,30 +610,43 @@ type streamLeg struct {
 	head   graph.ID
 }
 
-// StreamStats is the terminal state of a cluster stream. Produced and
-// Verified aggregate the node-side pipeline counters from the legs that
-// ran to completion (a leg cancelled mid-stream never reports its tail),
-// so they are best-effort observability: exact when the stream is
-// consumed fully, a lower bound when it stops early.
-type StreamStats struct {
-	Matches      int
-	Partial      bool
-	FailedShards []int
-	Produced     int64
-	Verified     int64
+// Stream implements engine.Querier: StreamStats without accounting.
+func (c *Coordinator) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
+	return c.StreamStats(ctx, q, nil)
 }
 
-// Stream fans gj out as one stream leg per first-owner node and k-way
-// merges the legs into a single ascending global-id sequence, calling emit
-// per answer. A leg that dies mid-stream is replaced per shard on the next
-// owner, resumed strictly after the shard's last emitted id — the
+// StreamStats implements engine.Querier: q fans out as one stream leg per
+// first-owner node, and the legs k-way merge into a single ascending
+// global-id sequence. A leg that dies mid-stream is replaced per shard on
+// the next owner, resumed strictly after the shard's last emitted id — the
 // replacement re-yields exactly the unemitted suffix, so nothing is lost,
-// duplicated, or reordered. Shards whose owners are exhausted end up in
-// FailedShards with Partial set. emit returning false stops the stream.
-func (c *Coordinator) Stream(ctx context.Context, gj server.GraphJSON, emit func(graph.ID) bool) (StreamStats, error) {
-	c.reqStream.Add(1)
-	st := StreamStats{}
+// duplicated, or reordered. Before the sequence ends, stats.FailedShards
+// lists the shards whose owners were exhausted. Produced and Verified sum
+// the node-side counters of the legs that ran to completion (a leg
+// cancelled mid-stream never reports its tail): exact when the stream is
+// consumed fully, a lower bound when it stops early.
+func (c *Coordinator) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
+	return func(yield func(graph.ID, error) bool) {
+		c.reqStream.Add(1)
+		st := stats
+		if st == nil {
+			st = new(core.PipelineStats)
+		}
+		ctx, sp := obs.StartSpan(ctx, "cluster-query")
+		err := c.stream(ctx, server.GraphToJSON(q, &c.ds.Dict), st, func(id graph.ID) bool { return yield(id, nil) })
+		if err != nil {
+			sp.Cancel()
+			c.reqErrors.Add(1)
+			yield(0, err)
+			return
+		}
+		sp.End()
+	}
+}
 
+// stream runs StreamStats' merge, calling emit per answer; emit returning
+// false stops it.
+func (c *Coordinator) stream(ctx context.Context, gj server.GraphJSON, stats *core.PipelineStats, emit func(graph.ID) bool) error {
 	c.mu.RLock()
 	nShards := c.man.Shards
 	ownerSeq := make([][]int, nShards)
@@ -605,6 +662,18 @@ func (c *Coordinator) Stream(ctx context.Context, gj server.GraphJSON, emit func
 		lastEmitted[s] = -1
 	}
 	failedSet := make(map[int]bool)
+	// A stream stopped early reports the shards known lost so far too: an
+	// answer they owe could precede the ids already emitted.
+	defer func() {
+		if len(failedSet) == 0 {
+			return
+		}
+		for s := range failedSet {
+			stats.FailedShards = append(stats.FailedShards, s)
+		}
+		sort.Ints(stats.FailedShards)
+		c.partials.Add(1)
+	}()
 
 	legCtx, cancelLegs := context.WithCancel(ctx)
 	var wg sync.WaitGroup
@@ -686,8 +755,8 @@ func (c *Coordinator) Stream(ctx context.Context, gj server.GraphJSON, emit func
 			case m := <-leg.ch:
 				if m.terminal {
 					leg.cancel()
-					st.Produced += m.tail.Produced
-					st.Verified += m.tail.Verified
+					stats.Produced.Add(m.tail.Produced)
+					stats.Verified.Add(m.tail.Verified)
 					if m.err != nil {
 						failover(leg, m.err)
 					}
@@ -722,7 +791,7 @@ func (c *Coordinator) Stream(ctx context.Context, gj server.GraphJSON, emit func
 	for i := 0; i < len(legs); i++ {
 		ok, err := advance(legs[i])
 		if err != nil {
-			return st, err
+			return err
 		}
 		if ok {
 			heads = append(heads, legs[i])
@@ -740,15 +809,14 @@ func (c *Coordinator) Stream(ctx context.Context, gj server.GraphJSON, emit func
 		leg := heads[min]
 		id := leg.head
 		if !emit(id) {
-			return st, nil
+			return nil
 		}
-		st.Matches++
 		frontier = id
 		lastEmitted[engine.ShardOf(id, nShards)] = id
 		before := len(legs)
 		ok, err := advance(leg)
 		if err != nil {
-			return st, err
+			return err
 		}
 		if !ok {
 			heads = append(heads[:min], heads[min+1:]...)
@@ -757,33 +825,30 @@ func (c *Coordinator) Stream(ctx context.Context, gj server.GraphJSON, emit func
 		for i := before; i < len(legs); i++ {
 			ok, err := advance(legs[i])
 			if err != nil {
-				return st, err
+				return err
 			}
 			if ok {
 				heads = append(heads, legs[i])
 			}
 		}
 	}
-	if len(failedSet) > 0 {
-		st.Partial = true
-		for s := range failedSet {
-			st.FailedShards = append(st.FailedShards, s)
-		}
-		sort.Ints(st.FailedShards)
-		c.partials.Add(1)
-	}
-	return st, nil
+	return nil
 }
 
 // ---------------------------------------------------------------------------
 // Mutations
 
-// Add routes a new graph to every owner of its shard. The coordinator
-// assigns the id and epoch under the mutation lock, so mutations are
-// totally ordered cluster-wide; the mutation commits when at least one
-// owner applies it, and owners that missed it are marked stale for
-// re-replication.
-func (c *Coordinator) Add(ctx context.Context, gj server.GraphJSON) (server.MutationResponse, error) {
+// AddGraph implements engine.Mutable: g travels to every owner of its shard
+// by label name. The coordinator assigns the id and epoch under the
+// mutation lock, so mutations are totally ordered cluster-wide; the
+// mutation commits when at least one owner applies it, and owners that
+// missed it are marked stale for re-replication. With no owner reachable
+// it fails with ErrNoOwner and applies nothing.
+func (c *Coordinator) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) {
+	if g == nil || g.NumVertices() == 0 {
+		return 0, errors.New("cluster: cannot add an empty graph")
+	}
+	gj := server.GraphToJSON(g, &c.ds.Dict)
 	c.reqMutate.Add(1)
 	c.mutateMu.Lock()
 	defer c.mutateMu.Unlock()
@@ -796,13 +861,13 @@ func (c *Coordinator) Add(ctx context.Context, gj server.GraphJSON) (server.Muta
 	prevEpoch := c.shardEpoch[s]
 	c.mu.RUnlock()
 
-	acked, failed := c.routeMutation(ctx, targets, func(nc *NodeClient) error {
+	acked, _, failed := c.routeMutation(ctx, targets, func(ctx context.Context, nc *NodeClient) error {
 		_, err := nc.Add(ctx, AddRequest{ID: id, Epoch: epoch, Graph: gj})
 		return err
 	})
 	if acked == 0 {
 		c.reqErrors.Add(1)
-		return server.MutationResponse{}, fmt.Errorf("%w: shard %d (graph %d not added)", ErrNoOwner, s, id)
+		return 0, fmt.Errorf("%w: shard %d (graph %d not added)", ErrNoOwner, s, id)
 	}
 	c.mu.Lock()
 	c.nextID = id + 1
@@ -812,14 +877,14 @@ func (c *Coordinator) Add(ctx context.Context, gj server.GraphJSON) (server.Muta
 	for _, o := range failed {
 		c.nodes[o].stale[s] = prevEpoch
 	}
-	graphs := c.graphs
 	c.mu.Unlock()
-	return server.MutationResponse{ID: id, Epoch: epoch, Graphs: graphs}, nil
+	return id, nil
 }
 
-// Remove tombstones a graph on every owner of its shard. All-fresh-owners
-// agreeing the id is unknown surfaces as engine.ErrNoSuchGraph.
-func (c *Coordinator) Remove(ctx context.Context, id graph.ID) (server.MutationResponse, error) {
+// RemoveGraph implements engine.Mutable: the graph is tombstoned on every
+// owner of its shard. All fresh owners agreeing the id is unknown surfaces
+// as engine.ErrNoSuchGraph.
+func (c *Coordinator) RemoveGraph(ctx context.Context, id graph.ID) error {
 	c.reqMutate.Add(1)
 	c.mutateMu.Lock()
 	defer c.mutateMu.Unlock()
@@ -831,21 +896,16 @@ func (c *Coordinator) Remove(ctx context.Context, id graph.ID) (server.MutationR
 	prevEpoch := c.shardEpoch[s]
 	c.mu.RUnlock()
 
-	unknown := 0
-	acked, failed := c.routeMutation(ctx, targets, func(nc *NodeClient) error {
+	acked, unknown, failed := c.routeMutation(ctx, targets, func(ctx context.Context, nc *NodeClient) error {
 		_, err := nc.Remove(ctx, id, epoch)
-		var ne *NodeError
-		if errors.As(err, &ne) && ne.Status == http.StatusNotFound {
-			unknown++
-		}
 		return err
 	})
 	if acked == 0 {
 		c.reqErrors.Add(1)
 		if unknown > 0 && unknown == len(targets) {
-			return server.MutationResponse{}, fmt.Errorf("%w: graph %d", engine.ErrNoSuchGraph, id)
+			return fmt.Errorf("%w: graph %d", engine.ErrNoSuchGraph, id)
 		}
-		return server.MutationResponse{}, fmt.Errorf("%w: shard %d (graph %d not removed)", ErrNoOwner, s, id)
+		return fmt.Errorf("%w: shard %d (graph %d not removed)", ErrNoOwner, s, id)
 	}
 	c.mu.Lock()
 	c.clusterEpoch = epoch
@@ -856,29 +916,27 @@ func (c *Coordinator) Remove(ctx context.Context, id graph.ID) (server.MutationR
 	for _, o := range failed {
 		c.nodes[o].stale[s] = prevEpoch
 	}
-	graphs := c.graphs
 	c.mu.Unlock()
-	return server.MutationResponse{ID: id, Epoch: epoch, Graphs: graphs}, nil
+	return nil
 }
 
 // routeMutation applies op to each target owner sequentially (the mutation
-// lock serializes writers anyway), returning the ack count and the node
-// indexes that failed with a non-404 error. A 404 (unknown graph) is
-// neither an ack nor a staleness signal.
-func (c *Coordinator) routeMutation(ctx context.Context, targets []int, op func(*NodeClient) error) (int, []int) {
-	acked := 0
-	var failed []int
+// lock serializes writers anyway), each under its own NodeTimeout budget so
+// a hung owner costs one leg, not the request. It returns the ack count,
+// the count of owners answering 404 (unknown graph: neither an ack nor a
+// staleness signal), and the node indexes that failed otherwise.
+func (c *Coordinator) routeMutation(ctx context.Context, targets []int, op func(context.Context, *NodeClient) error) (acked, unknown int, failed []int) {
 	for _, o := range targets {
 		octx, cancel := context.WithTimeout(ctx, c.cfg.NodeTimeout)
-		err := op(c.nodes[o].client)
+		err := op(octx, c.nodes[o].client)
 		cancel()
-		_ = octx
 		if err == nil {
 			acked++
 			continue
 		}
 		var ne *NodeError
 		if errors.As(err, &ne) && ne.Status == http.StatusNotFound {
+			unknown++
 			continue
 		}
 		if isTransport(err) {
@@ -886,7 +944,7 @@ func (c *Coordinator) routeMutation(ctx context.Context, targets []int, op func(
 		}
 		failed = append(failed, o)
 	}
-	return acked, failed
+	return acked, unknown, failed
 }
 
 // ---------------------------------------------------------------------------
@@ -939,6 +997,11 @@ func (c *Coordinator) ProbeOnce(ctx context.Context) {
 	}
 	wg.Wait()
 
+	// Labels first: a node's shards become eligible below, and a query
+	// reaching them must already resolve every label they hold.
+	for _, p := range results {
+		c.learnLabels(p.info)
+	}
 	c.mu.Lock()
 	for _, p := range results {
 		ns := c.nodes[p.i]
@@ -1126,7 +1189,7 @@ func (c *Coordinator) repair(ctx context.Context) {
 // ---------------------------------------------------------------------------
 // Introspection
 
-// Stats snapshots the cluster state for /stats and /cluster.
+// Stats snapshots the cluster state for GET /cluster.
 func (c *Coordinator) Stats() ClusterStats {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -1140,7 +1203,6 @@ func (c *Coordinator) Stats() ClusterStats {
 		Requests: ClusterRequests{
 			Query:  c.reqQuery.Value(),
 			Stream: c.reqStream.Value(),
-			Batch:  c.reqBatch.Value(),
 			Mutate: c.reqMutate.Value(),
 			Errors: c.reqErrors.Value(),
 		},

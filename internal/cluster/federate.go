@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -107,39 +108,54 @@ func (c *Coordinator) Federate(ctx context.Context, timeout time.Duration) (*obs
 	return combined, failed
 }
 
-// ClusterHealth is the membership view /health/score folds into its
-// verdict.
-type ClusterHealth struct {
-	Nodes       int
-	Down        []string // "name (addr)" per down member
-	StaleShards []int    // shards some owner serves at an old epoch
-	Ownerless   []int    // shards with no reachable fresh owner right now
-}
-
-// Health snapshots membership for the health scorer.
-func (c *Coordinator) Health() ClusterHealth {
+// healthChecks scores membership for /health/score (registered with
+// obs.Registry.OnHealth): down nodes, named in the reason, degrade; stale
+// shards — some owner serves an old epoch — degrade; ownerless shards, with
+// no reachable fresh owner right now, are critical.
+func (c *Coordinator) healthChecks() []obs.HealthCheck {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	h := ClusterHealth{Nodes: len(c.nodes)}
-	stale := make(map[int]bool)
+	var down []string
+	staleSet := make(map[int]bool)
 	for _, ns := range c.nodes {
 		if !ns.up {
-			h.Down = append(h.Down, fmt.Sprintf("%s (%s)", ns.info.Name, ns.info.Addr))
+			down = append(down, fmt.Sprintf("%s (%s)", ns.info.Name, ns.info.Addr))
 		}
 		for s := range ns.stale {
-			stale[s] = true
+			staleSet[s] = true
 		}
 	}
+	var stale, ownerless []int
 	for s := 0; s < c.man.Shards; s++ {
-		if stale[s] {
-			h.StaleShards = append(h.StaleShards, s)
+		if staleSet[s] {
+			stale = append(stale, s)
 		}
 		if len(c.eligible(s)) == 0 {
-			h.Ownerless = append(h.Ownerless, s)
+			ownerless = append(ownerless, s)
 		}
 	}
-	sort.Strings(h.Down)
-	return h
+	nodes := len(c.nodes)
+	c.mu.RUnlock()
+	sort.Strings(down)
+
+	member := obs.HealthCheck{Name: "membership", Status: obs.HealthOK,
+		Value: float64(len(down)), Reason: fmt.Sprintf("all %d nodes up", nodes)}
+	if len(down) > 0 {
+		member.Status = obs.HealthDegraded
+		member.Reason = fmt.Sprintf("%d of %d nodes down: %s", len(down), nodes, strings.Join(down, ", "))
+	}
+	staleCheck := obs.HealthCheck{Name: "stale_shards", Status: obs.HealthOK,
+		Value: float64(len(stale)), Reason: "no stale shards"}
+	if len(stale) > 0 {
+		staleCheck.Status = obs.HealthDegraded
+		staleCheck.Reason = fmt.Sprintf("%d shards serving old epochs: %v", len(stale), stale)
+	}
+	owner := obs.HealthCheck{Name: "ownerless_shards", Status: obs.HealthOK,
+		Value: float64(len(ownerless)), Reason: "every shard has a reachable owner"}
+	if len(ownerless) > 0 {
+		owner.Status = obs.HealthCritical
+		owner.Reason = fmt.Sprintf("%d shards with no reachable fresh owner: %v", len(ownerless), ownerless)
+	}
+	return []obs.HealthCheck{member, staleCheck, owner}
 }
 
 // refreshNodeGauges updates the per-node membership gauges; it runs as a

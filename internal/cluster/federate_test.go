@@ -3,13 +3,13 @@ package cluster_test
 import (
 	"context"
 	"encoding/json"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/server"
 	"repro/internal/testutil/leak"
 )
 
@@ -51,7 +51,7 @@ func TestFederateThreeNodesOneTimeout(t *testing.T) {
 	tc := startCluster(t, "Grapes:maxPathLen=3", 3, 4, 2, cluster.CoordConfig{})
 
 	for _, q := range queries {
-		if _, err := tc.coord.Query(ctx, toWire(q, ds)); err != nil {
+		if _, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds)); err != nil {
 			t.Fatalf("query: %v", err)
 		}
 	}
@@ -150,7 +150,8 @@ func TestFederateThreeNodesOneTimeout(t *testing.T) {
 }
 
 // TestHealthScoreFlipsOnNodeKill drives GET /health/score through the
-// coordinator's HTTP face: ok with every member up, then — after a node
+// coordinator's serving face (server.Server running the coordinator's
+// registered membership checks): ok with every member up, then — after a node
 // dies and a probe notices — degraded with a membership reason naming the
 // lost node, while /metrics/cluster keeps answering 200.
 func TestHealthScoreFlipsOnNodeKill(t *testing.T) {
@@ -158,16 +159,13 @@ func TestHealthScoreFlipsOnNodeKill(t *testing.T) {
 	ds := testDataset(t)
 	queries := testQueries(t, ds)
 	ctx := context.Background()
-	tc := startCluster(t, "Grapes:maxPathLen=3", 3, 4, 2, cluster.CoordConfig{})
-	cs := cluster.NewCoordServer(tc.coord, cluster.CoordServerConfig{
+	tc := startCluster(t, "Grapes:maxPathLen=3", 3, 4, 2, cluster.CoordConfig{
 		ScrapeTimeout: 300 * time.Millisecond,
-		SLO:           10 * time.Second,
 	})
-	srv := httptest.NewServer(cs.Handler())
-	defer srv.Close()
+	srv := tc.serve(t, server.Config{SLO: 10 * time.Second})
 
 	for _, q := range queries {
-		if _, err := tc.coord.Query(ctx, toWire(q, ds)); err != nil {
+		if _, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds)); err != nil {
 			t.Fatalf("query: %v", err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/cluster"
@@ -64,9 +63,7 @@ func TestClusterLimitEarlyTermination(t *testing.T) {
 	ctx := context.Background()
 	const shards = 4
 	tc := startClusterWith(t, mkDS, "noindex", 3, shards, 2, cluster.CoordConfig{})
-	cs := cluster.NewCoordServer(tc.coord, cluster.CoordServerConfig{})
-	ts := httptest.NewServer(cs.Handler())
-	t.Cleanup(ts.Close)
+	ts := tc.serve(t, server.Config{})
 	gj := toWire(q, ds)
 
 	full := clusterDecode[server.QueryResponse](t, clusterPostJSON(t, ts.URL+"/query", gj))

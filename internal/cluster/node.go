@@ -13,7 +13,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/server"
 )
 
 // ErrNotOwned is returned when a request addresses a shard the node does
@@ -194,23 +193,6 @@ func (n *Node) Ready() bool {
 // Spec returns the canonical method spec the node indexes with.
 func (n *Node) Spec() string { return n.spec }
 
-// ResolveQuery resolves a wire graph into a query against the node's label
-// space. unknown reports a label no graph on this node carries — the
-// query's answer over this node's shards is then empty with no engine work.
-func (n *Node) ResolveQuery(gj server.GraphJSON) (q *graph.Graph, unknown bool, err error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return server.ToGraph(gj, &n.src.Dict)
-}
-
-// InternGraph converts a wire graph for insertion, interning labels the
-// node has never seen — a routed add may grow the label universe.
-func (n *Node) InternGraph(gj server.GraphJSON) (*graph.Graph, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return server.InternGraph(gj, &n.src.Dict)
-}
-
 // Shards returns the logical shards the node currently serves, ascending.
 func (n *Node) Shards() []int {
 	n.mu.RLock()
@@ -232,6 +214,7 @@ func (n *Node) Info() InfoResponse {
 		Spec:        n.spec,
 		ShardCount:  n.cfg.ShardCount,
 		MaxGlobalID: -1,
+		Labels:      n.src.Dict.Names(),
 	}
 	keys := make([]int, 0, len(n.shards))
 	for k := range n.shards {
@@ -445,7 +428,7 @@ func (n *Node) Install(ctx context.Context, k int, epoch uint64, maxID int64, gr
 		return fmt.Errorf("cluster: shard %d outside [0, %d)", k, n.cfg.ShardCount)
 	}
 	sub := graph.NewDataset(fmt.Sprintf("%s/shard-%d", n.src.Name, k))
-	sub.Dict = n.src.Dict
+	sub.Dict.CopyFrom(&n.src.Dict)
 	global := make([]graph.ID, 0, len(graphs))
 	var prev graph.ID = -1
 	for _, dg := range graphs {

@@ -110,7 +110,10 @@ func (s *NodeServer) Node() *Node { return s.node }
 // in flight complete.
 func (s *NodeServer) Drain() { s.draining.Store(true) }
 
+// fail writes a JSON error body and counts it in
+// sq_node_requests_total{kind="errors"}: every non-2xx node answer is one.
 func (s *NodeServer) fail(w http.ResponseWriter, code int, err error) {
+	s.reqErrors.Inc()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(server.ErrorResponse{Error: err.Error()})
@@ -147,15 +150,18 @@ func (s *NodeServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // storage=mmap answers 503 here until their first-touch sections have
 // materialized.
 func (s *NodeServer) handleReadyz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		s.fail(w, http.StatusServiceUnavailable, errors.New("draining"))
-		return
+	status := "ready"
+	switch {
+	case s.draining.Load():
+		status = "draining"
+	case !s.node.Ready():
+		status = "warming"
 	}
-	if !s.node.Ready() {
-		s.fail(w, http.StatusServiceUnavailable, errors.New("warming"))
-		return
+	w.Header().Set("Content-Type", "application/json")
+	if status != "ready" {
+		w.WriteHeader(http.StatusServiceUnavailable)
 	}
-	s.writeJSON(w, map[string]string{"status": "ready"})
+	json.NewEncoder(w).Encode(map[string]string{"status": status})
 }
 
 func (s *NodeServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
@@ -188,13 +194,11 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	shards, err := parseShards(r.URL.Query().Get("shards"))
 	if err != nil {
-		s.reqErrors.Inc()
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
 	var gj server.GraphJSON
 	if err := server.DecodeJSON(r, w, &gj); err != nil {
-		s.reqErrors.Inc()
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -220,9 +224,8 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	root.Attr("node", s.node.Name())
 	root.Attr("shards", shards)
 	ctx = obs.ContextWithSpan(ctx, root)
-	q, unknown, err := s.node.ResolveQuery(gj)
+	q, unknown, err := server.ToGraph(gj, &s.node.src.Dict)
 	if err != nil {
-		s.reqErrors.Inc()
 		root.Cancel()
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -232,6 +235,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if a := r.URL.Query().Get("after"); a != "" {
 			v, err := strconv.ParseInt(a, 10, 32)
 			if err != nil {
+				root.Cancel()
 				s.fail(w, http.StatusBadRequest, fmt.Errorf("bad after %q", a))
 				return
 			}
@@ -253,7 +257,6 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, k := range shards {
 			if !owned[k] {
-				s.reqErrors.Inc()
 				root.Cancel()
 				s.fail(w, http.StatusNotFound, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, s.node.Name()))
 				return
@@ -276,7 +279,6 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.node.Query(ctx, shards, q)
 	if err != nil {
-		s.reqErrors.Inc()
 		root.Cancel()
 		s.fail(w, statusFor(err), err)
 		return
@@ -376,7 +378,7 @@ func (s *NodeServer) handleAdd(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	g, err := s.node.InternGraph(req.Graph)
+	g, err := server.InternGraph(req.Graph, &s.node.src.Dict)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -426,11 +428,8 @@ func (s *NodeServer) handleDump(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
-	dict := &s.node.src.Dict
-	s.node.mu.RLock()
-	defer s.node.mu.RUnlock()
 	for _, dg := range graphs {
-		gj := server.GraphToJSON(dg.Graph, dict)
+		gj := server.GraphToJSON(dg.Graph, &s.node.src.Dict)
 		if enc.Encode(DumpLine{ID: dg.ID, Graph: &gj}) != nil {
 			return
 		}
@@ -566,7 +565,7 @@ func (s *NodeServer) loadFrom(r *http.Request, req LoadRequest) error {
 		if line.Graph == nil {
 			return errors.New("dump line missing graph")
 		}
-		g, err := s.node.InternGraph(*line.Graph)
+		g, err := server.InternGraph(*line.Graph, &s.node.src.Dict)
 		if err != nil {
 			return err
 		}

@@ -24,6 +24,10 @@ type InfoResponse struct {
 	// it holds none. The coordinator allocates fresh ids above the cluster
 	// maximum.
 	MaxGlobalID int64 `json:"max_global_id"`
+	// Labels are the node's label dictionary names. The coordinator interns
+	// them before routing to the node, so a query naming one is fanned out
+	// rather than answered empty as an unknown label.
+	Labels []string `json:"labels,omitempty"`
 }
 
 // ShardInfo describes one shard a node serves.
@@ -109,7 +113,9 @@ type DumpLine struct {
 	MaxID int64             `json:"max_id,omitempty"`
 }
 
-// ClusterStats is GET /stats on the coordinator.
+// ClusterStats is GET /cluster on the coordinator: topology, per-node
+// health and fan-out counters. Its GET /stats is the serving layer's
+// server.StatsResponse, like any sqserve.
 type ClusterStats struct {
 	UptimeSeconds float64         `json:"uptime_seconds"`
 	Spec          string          `json:"method"`
@@ -122,7 +128,7 @@ type ClusterStats struct {
 	Fanout        FanoutStats     `json:"fanout"`
 }
 
-// NodeStatus is one node's health row in /stats and /cluster.
+// NodeStatus is one node's health row in /cluster.
 type NodeStatus struct {
 	Name   string `json:"name"`
 	Addr   string `json:"addr"`
@@ -135,11 +141,12 @@ type NodeStatus struct {
 	Stale []int `json:"stale,omitempty"`
 }
 
-// ClusterRequests counts coordinator requests by kind.
+// ClusterRequests counts coordinator calls by kind: one-shot queries
+// (each /batch item is one), streams (limit=N one-shots included), and
+// mutations, plus the ones that failed.
 type ClusterRequests struct {
 	Query  int64 `json:"query"`
 	Stream int64 `json:"stream"`
-	Batch  int64 `json:"batch"`
 	Mutate int64 `json:"mutate"`
 	Errors int64 `json:"errors"`
 }

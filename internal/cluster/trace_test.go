@@ -18,12 +18,10 @@ import (
 	"repro/internal/testutil/leak"
 )
 
-// traceQuery POSTs one query through a CoordServer with an X-SQ-Trace
-// header and returns the decoded response.
-func traceQuery(t *testing.T, cs *cluster.CoordServer, gj server.GraphJSON, traceID string) server.QueryResponse {
+// traceQuery POSTs one query through the coordinator's serving face with
+// an X-SQ-Trace header and returns the decoded response.
+func traceQuery(t *testing.T, srv *httptest.Server, gj server.GraphJSON, traceID string) server.QueryResponse {
 	t.Helper()
-	srv := httptest.NewServer(cs.Handler())
-	defer srv.Close()
 	body, err := json.Marshal(gj)
 	if err != nil {
 		t.Fatalf("marshal query: %v", err)
@@ -51,27 +49,35 @@ func traceQuery(t *testing.T, cs *cluster.CoordServer, gj server.GraphJSON, trac
 
 // TestClusterTracePropagation: a trace id supplied to the coordinator's
 // public face round-trips to every node and back — the echoed tree is one
-// cross-process span tree: the coordinator's root holds one leg span per
-// fan-out leg, each grafted with the node's own subtree (identified by the
-// node name it stamps), all under the same trace id.
+// cross-process span tree: the serving layer's "query" root holds the
+// coordinator's "cluster-query" span, which holds one leg span per fan-out
+// leg, each grafted with the node's own subtree (identified by the node
+// name it stamps), all under the same trace id.
 func TestClusterTracePropagation(t *testing.T) {
 	t.Cleanup(leak.Check(t)) // registered before startCluster: runs after tc.close
 	ds := testDataset(t)
 	queries := testQueries(t, ds)
 	const shards = 4
 	tc := startCluster(t, "Grapes:maxPathLen=3", 3, shards, 1, cluster.CoordConfig{})
-	cs := cluster.NewCoordServer(tc.coord, cluster.CoordServerConfig{})
+	srv := tc.serve(t, server.Config{})
 
 	const traceID = "0123abcd"
-	qr := traceQuery(t, cs, toWire(queries[0], ds), traceID)
+	qr := traceQuery(t, srv, toWire(queries[0], ds), traceID)
 	if qr.Trace == nil {
 		t.Fatalf("response carries no trace despite %s header", obs.TraceHeader)
 	}
 	if qr.Trace.TraceID != traceID {
 		t.Errorf("echoed trace id %q, want %q", qr.Trace.TraceID, traceID)
 	}
-	if qr.Trace.Name != "cluster-query" {
-		t.Errorf("root span %q, want cluster-query", qr.Trace.Name)
+	if qr.Trace.Name != "query" {
+		t.Errorf("root span %q, want query", qr.Trace.Name)
+	}
+	child := false
+	for _, c := range qr.Trace.Children {
+		child = child || c.Name == "cluster-query"
+	}
+	if !child {
+		t.Errorf("root span has no cluster-query child: %+v", qr.Trace.Children)
 	}
 
 	// With replication 1 on 3 nodes, wave-0 fans out to every node: the
@@ -107,14 +113,14 @@ func TestClusterTraceHedgedLoserCancelled(t *testing.T) {
 	tc := startCluster(t, "Grapes:maxPathLen=3", 3, shards, 2, cluster.CoordConfig{
 		HedgeDelay: 25 * time.Millisecond,
 	})
-	cs := cluster.NewCoordServer(tc.coord, cluster.CoordServerConfig{})
+	srv := tc.serve(t, server.Config{})
 
 	// Every leg through node 0 stalls well past the hedge delay, so its
 	// shards resolve through hedged replicas and the stalled legs are
 	// cancelled when the fan-out completes.
 	tc.hooks[0].queryDelayMs.Store(2000)
 
-	qr := traceQuery(t, cs, toWire(queries[0], ds), "feedbeef")
+	qr := traceQuery(t, srv, toWire(queries[0], ds), "feedbeef")
 	if qr.Trace == nil {
 		t.Fatalf("response carries no trace")
 	}
@@ -156,7 +162,7 @@ func TestClusterQueryReportsPipelineWork(t *testing.T) {
 	}
 	reported := false
 	for i, q := range queries {
-		got, err := tc.coord.Query(ctx, toWire(q, ds))
+		got, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds))
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}

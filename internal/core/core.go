@@ -271,6 +271,10 @@ type QueryResult struct {
 	// counters.
 	Produced int
 	Verified int
+	// FailedShards lists, ascending, the cluster shards that had no
+	// reachable owner: their graphs are absent from Candidates and Answers.
+	// Nil for every complete answer, which is every in-process answer.
+	FailedShards []int
 }
 
 // FalsePositiveRatio returns (|C| - |A|) / |C| for this query, the

@@ -69,6 +69,9 @@ type PipelineStats struct {
 	// Verified counts verifier invocations — the pipeline's unit of real
 	// work, and what early termination is measured by.
 	Verified atomic.Int64
+	// FailedShards is QueryResult.FailedShards for a stream: a cluster
+	// stream sets it before it ends; nil when the stream is complete.
+	FailedShards []int
 }
 
 // StreamOptions tunes a streamed query.

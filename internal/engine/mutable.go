@@ -13,13 +13,17 @@ import (
 // graph — out of range, or already removed.
 var ErrNoSuchGraph = errors.New("engine: no live graph with that id")
 
-// ErrNotMutable is returned by serving-layer wrappers whose inner engine
-// does not implement Mutable.
+// ErrNotMutable is returned by a Querier that cannot apply a mutation: a
+// composite whose sub-engine lacks index maintenance.
 var ErrNotMutable = errors.New("engine: engine does not support mutation")
 
+// ErrUnavailable marks a mutation that no replica could apply right now —
+// a cluster shard with no reachable owner. Nothing was applied, so the
+// client may retry; the serving layer answers it with 503.
+var ErrUnavailable = errors.New("engine: no replica available")
+
 // Mutable is the online-mutation capability of an engine: live datasets
-// grow and shrink without a full offline rebuild. Engine, Sharded, and the
-// adaptive router all implement it.
+// grow and shrink without a full offline rebuild. Every Querier embeds it.
 //
 // AddGraph appends a graph under a fresh dataset ID and folds it into the
 // index — incrementally when the method implements core.IncrementalIndexer,
@@ -29,7 +33,9 @@ var ErrNotMutable = errors.New("engine: engine does not support mutation")
 // candidate set, and incremental indexers additionally drop its postings.
 // Epoch returns the dataset's monotonically increasing version, bumped by
 // every mutation — the stamp the serving layer's result cache and the
-// persisted index files validate against.
+// persisted index files validate against. Counts returns the live and
+// removed graph counts; like Epoch it never waits on a running mutation,
+// so /stats stays responsive during a slow rebuild.
 //
 // Mutations are serialized against in-flight queries; answers observed
 // after a mutation returns reflect it exactly (no eventual consistency
@@ -38,6 +44,7 @@ type Mutable interface {
 	AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error)
 	RemoveGraph(ctx context.Context, id graph.ID) error
 	Epoch() uint64
+	Counts() (live, removed int)
 }
 
 // IndexMaintainer is the index-only half of Mutable: maintenance for a
@@ -51,14 +58,15 @@ type IndexMaintainer interface {
 }
 
 var (
-	_ Mutable         = (*Engine)(nil)
 	_ IndexMaintainer = (*Engine)(nil)
-	_ Mutable         = (*Sharded)(nil)
 	_ IndexMaintainer = (*Sharded)(nil)
 )
 
 // Epoch implements Mutable: the dataset's version counter.
 func (e *Engine) Epoch() uint64 { return e.ds.Epoch() }
+
+// Counts implements Mutable: the dataset's live and removed graph counts.
+func (e *Engine) Counts() (live, removed int) { return e.ds.Counts() }
 
 // AddGraph implements Mutable: g joins the dataset under a fresh ID and the
 // index is maintained — incrementally for core.IncrementalIndexer methods,
@@ -217,6 +225,9 @@ func (e *Engine) persist() error {
 
 // Epoch implements Mutable: the dataset's version counter.
 func (s *Sharded) Epoch() uint64 { return s.ds.Epoch() }
+
+// Counts implements Mutable: the parent dataset's live and removed counts.
+func (s *Sharded) Counts() (live, removed int) { return s.ds.Counts() }
 
 // AddGraph implements Mutable for the sharded engine: g joins the parent
 // dataset under a fresh ID, is re-homed into its ShardOf shard, and only

@@ -9,14 +9,17 @@ import (
 )
 
 // Querier is the one query surface every engine shape implements — Engine,
-// Sharded, router.Multi and server.CachedEngine: one-shot queries and
-// streamed answers over a single dataset, plus readiness. It is the
-// contract a serving layer (repro/internal/server) wraps — a result cache
-// or an RPC fan-out interposes on Querier without caring which shape is
-// behind it. A batch is not a method: core.QueryBatchFunc runs any Query
-// over a workload.
+// Sharded, router.Multi, server.CachedEngine and the cluster coordinator:
+// one-shot queries and streamed answers over a single dataset, readiness,
+// and online mutation. It is the contract a serving layer
+// (repro/internal/server) wraps — a result cache or an RPC fan-out
+// interposes on Querier without caring which shape is behind it. A batch is
+// not a method: core.QueryBatchFunc runs any Query over a workload.
 type Querier interface {
-	// Dataset returns the dataset queries are answered over.
+	// Dataset returns the dataset queries are answered over. Its Dict is
+	// the label space query graphs are resolved against; a shape that holds
+	// no graphs itself (the cluster coordinator) returns a dataset carrying
+	// only the name and the dictionary.
 	Dataset() *graph.Dataset
 	// Ready reports whether the index is fully materialized for serving:
 	// false only while a lazily-opened (storage=mmap) index is still
@@ -29,6 +32,7 @@ type Querier interface {
 	// StreamStats(ctx, q, nil).
 	Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error]
 	StatsStreamer
+	Mutable
 }
 
 // StatsStreamer is Stream with pipeline observability: limit-honoring

@@ -321,7 +321,7 @@ func (s *Sharded) Ready() bool {
 
 // partition assigns every graph of ds to its ShardOf shard, re-homing it
 // into the shard's sub-dataset as a shallow copy with a shard-local id. The
-// sub-datasets share the parent's label dictionary. Tombstones propagate:
+// sub-datasets carry a copy of the parent's label dictionary. Tombstones propagate:
 // a graph the parent has removed is re-homed (so the global mapping stays
 // positional) and immediately tombstoned in its sub-dataset, so opening a
 // sharded engine over an already-mutated dataset never resurrects it.
@@ -335,7 +335,7 @@ func partition(ds *graph.Dataset, n int) []*shard {
 }
 
 // PartitionShard extracts shard i of an n-way hash partition of ds: a
-// sub-dataset of shallow re-homed graphs (sharing the parent's label
+// sub-dataset of shallow re-homed graphs (with a copy of the parent's label
 // dictionary) plus the shard-local -> parent id mapping, ascending. A graph
 // the parent has tombstoned is re-homed and immediately tombstoned in the
 // sub-dataset, so the mapping stays positional and a removed graph can
@@ -345,7 +345,7 @@ func partition(ds *graph.Dataset, n int) []*shard {
 // single-process engine's shard i does.
 func PartitionShard(ds *graph.Dataset, n, i int) (*graph.Dataset, []graph.ID) {
 	sub := graph.NewDataset(fmt.Sprintf("%s/shard-%d", ds.Name, i))
-	sub.Dict = ds.Dict
+	sub.Dict.CopyFrom(&ds.Dict)
 	var global []graph.ID
 	for _, g := range ds.Graphs {
 		if ShardOf(g.ID(), n) != i {

@@ -4,24 +4,34 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 	"sync/atomic"
 )
 
 // Dictionary interns string vertex labels to dense Label values. It is used
 // when loading external data; synthetic generators produce Labels directly.
-// The zero value is ready for use.
+// The zero value is ready for use, and every method is safe for concurrent
+// use: a server resolves query labels while POST /graphs interns new ones.
+// Reads take the read lock only and never allocate. A Dictionary must not
+// be copied; CopyFrom takes a snapshot of another one.
 type Dictionary struct {
+	mu     sync.RWMutex
 	byName map[string]Label
 	names  []string
 }
 
 // Intern returns the Label for name, assigning the next dense id on first use.
 func (d *Dictionary) Intern(name string) Label {
-	if d.byName == nil {
-		d.byName = make(map[string]Label)
+	if l, ok := d.Lookup(name); ok {
+		return l
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if l, ok := d.byName[name]; ok {
 		return l
+	}
+	if d.byName == nil {
+		d.byName = make(map[string]Label)
 	}
 	l := Label(len(d.names))
 	d.byName[name] = l
@@ -31,12 +41,16 @@ func (d *Dictionary) Intern(name string) Label {
 
 // Lookup returns the Label for name if it has been interned.
 func (d *Dictionary) Lookup(name string) (Label, bool) {
+	d.mu.RLock()
 	l, ok := d.byName[name]
+	d.mu.RUnlock()
 	return l, ok
 }
 
 // Name returns the string for a Label; Labels never interned map to "".
 func (d *Dictionary) Name(l Label) string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
 	if int(l) < 0 || int(l) >= len(d.names) {
 		return ""
 	}
@@ -44,7 +58,31 @@ func (d *Dictionary) Name(l Label) string {
 }
 
 // Len returns the number of interned labels.
-func (d *Dictionary) Len() int { return len(d.names) }
+func (d *Dictionary) Len() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return len(d.names)
+}
+
+// Names returns the interned label names in Label order.
+func (d *Dictionary) Names() []string {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return append([]string(nil), d.names...)
+}
+
+// CopyFrom replaces d's contents with a snapshot of src: the two share no
+// state afterwards, so labels interned into either stay private to it.
+func (d *Dictionary) CopyFrom(src *Dictionary) {
+	names := src.Names()
+	byName := make(map[string]Label, len(names))
+	for i, n := range names {
+		byName[n] = Label(i)
+	}
+	d.mu.Lock()
+	d.byName, d.names = byName, names
+	d.mu.Unlock()
+}
 
 // Dataset is an ordered collection of graphs sharing one label space.
 //
@@ -56,7 +94,8 @@ func (d *Dictionary) Len() int { return len(d.names) }
 // stamp caches and persisted indexes validate against.
 //
 // Mutating a dataset concurrently with readers is not safe; the engine
-// layer serializes mutations against queries.
+// layer serializes mutations against queries. Dict, Epoch and Counts are
+// the exceptions: they are safe under concurrent mutation.
 type Dataset struct {
 	Name   string
 	Graphs []*Graph
@@ -64,6 +103,9 @@ type Dataset struct {
 
 	removed map[ID]struct{}
 	epoch   atomic.Uint64
+	// slots and dead mirror len(Graphs) and len(removed) for Counts, which
+	// readers call without the lock that serializes mutations.
+	slots, dead atomic.Int64
 }
 
 // NewDataset returns an empty dataset with the given name.
@@ -77,6 +119,7 @@ func (ds *Dataset) Add(g *Graph) ID {
 	id := ID(len(ds.Graphs))
 	g.SetID(id)
 	ds.Graphs = append(ds.Graphs, g)
+	ds.slots.Add(1)
 	ds.epoch.Add(1)
 	return id
 }
@@ -93,6 +136,7 @@ func (ds *Dataset) Remove(id ID) bool {
 		ds.removed = make(map[ID]struct{})
 	}
 	ds.removed[id] = struct{}{}
+	ds.dead.Add(1)
 	ds.epoch.Add(1)
 	return true
 }
@@ -149,6 +193,14 @@ func (ds *Dataset) VersionTag() uint64 {
 		}
 	}
 	return h
+}
+
+// Counts returns the live and tombstoned graph counts. Unlike NumAlive and
+// NumRemoved it is safe to call while another goroutine mutates the
+// dataset, so a server's /stats never waits on a running mutation.
+func (ds *Dataset) Counts() (live, removed int) {
+	dead := ds.dead.Load()
+	return int(ds.slots.Load() - dead), int(dead)
 }
 
 // NumRemoved returns the number of tombstoned graphs.

@@ -3,7 +3,9 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -385,5 +387,81 @@ func TestDictionary(t *testing.T) {
 	}
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d", d.Len())
+	}
+}
+
+// TestDictionaryConcurrent interns into and reads one Dictionary from many
+// goroutines at once (run it with -race): every name keeps one label, and
+// every reader sees either no label or the interned one. Dataset.Counts,
+// the other state read without the mutation lock, is checked the same way.
+func TestDictionaryConcurrent(t *testing.T) {
+	var d Dictionary
+	const writers, readers, names = 4, 4, 200
+	name := func(i int) string { return "L" + strconv.Itoa(i) }
+	labels := make([][]Label, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				labels[w] = append(labels[w], d.Intern(name((i+w*7)%names)))
+			}
+		}(w)
+	}
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < names; i++ {
+				if l, ok := d.Lookup(name(i)); ok && d.Name(l) != name(i) {
+					t.Errorf("Lookup(%q) = %d, which names %q", name(i), l, d.Name(l))
+				}
+				_ = d.Len()
+			}
+		}()
+	}
+	wg.Wait()
+	if d.Len() != names {
+		t.Fatalf("Len = %d after interning %d names", d.Len(), names)
+	}
+	for w := range labels {
+		for i, l := range labels[w] {
+			if want := name((i + w*7) % names); d.Name(l) != want {
+				t.Fatalf("writer %d got label %d for %q, which names %q", w, l, want, d.Name(l))
+			}
+		}
+	}
+
+	// Counts is readable while a mutation runs (the race detector checks
+	// the claim), and agrees with the locked counters once it is done.
+	ds := NewDataset("counts")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < names; i++ {
+			g := New(0)
+			g.AddVertex(0)
+			if id := ds.Add(g); i%3 == 0 {
+				ds.Remove(id)
+			}
+		}
+	}()
+	for live, removed := ds.Counts(); live+removed < names; live, removed = ds.Counts() {
+		if live < 0 || removed < 0 {
+			t.Fatalf("Counts = %d, %d mid-mutation", live, removed)
+		}
+	}
+	<-done
+	if live, removed := ds.Counts(); live != ds.NumAlive() || removed != ds.NumRemoved() {
+		t.Fatalf("Counts = %d, %d; NumAlive, NumRemoved = %d, %d", live, removed, ds.NumAlive(), ds.NumRemoved())
+	}
+
+	// A copy shares nothing: interning into it leaves the source alone.
+	var c Dictionary
+	c.CopyFrom(&d)
+	c.Intern("only-in-copy")
+	if _, ok := d.Lookup("only-in-copy"); ok || c.Len() != names+1 {
+		t.Fatalf("CopyFrom shares state: source has the copy's label, or copy Len = %d", c.Len())
 	}
 }

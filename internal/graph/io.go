@@ -61,21 +61,23 @@ func WriteDataset(w io.Writer, ds *Dataset) error {
 // already-loaded dataset (query files against their data file).
 func ReadDataset(r io.Reader, name string) (*Dataset, error) {
 	ds := NewDataset(name)
-	return ds, readDatasetInto(ds, r)
+	return ds, readDatasetInto(ds, r, &ds.Dict)
 }
 
 // ReadDatasetWithDict parses a GFD text stream, interning labels into dict
 // so that label IDs agree with every other dataset loaded through the same
-// dictionary. Labels first seen in this stream are appended to dict.
+// dictionary. Labels first seen in this stream are appended to dict, and
+// the returned dataset's Dict is a copy of dict afterwards.
 func ReadDatasetWithDict(r io.Reader, name string, dict *Dictionary) (*Dataset, error) {
 	ds := NewDataset(name)
-	ds.Dict = *dict
-	err := readDatasetInto(ds, r)
-	*dict = ds.Dict
+	err := readDatasetInto(ds, r, dict)
+	ds.Dict.CopyFrom(dict)
 	return ds, err
 }
 
-func readDatasetInto(ds *Dataset, r io.Reader) error {
+// readDatasetInto appends the stream's graphs to ds, interning labels into
+// dict.
+func readDatasetInto(ds *Dataset, r io.Reader, dict *Dictionary) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	line := 0
@@ -111,7 +113,7 @@ func readDatasetInto(ds *Dataset, r io.Reader) error {
 			if !ok {
 				return fmt.Errorf("graph: line %d: missing label %d/%d", line, i+1, n)
 			}
-			g.AddVertex(ds.Dict.Intern(ls))
+			g.AddVertex(dict.Intern(ls))
 		}
 		es, ok := next()
 		if !ok {

@@ -361,9 +361,10 @@ func (f *Family) Cells(fn func(labelValues []string, cell any)) {
 // Registry holds metric families by name. The zero value is not usable;
 // call NewRegistry.
 type Registry struct {
-	mu    sync.RWMutex
-	fams  map[string]*Family
-	hooks []func()
+	mu     sync.RWMutex
+	fams   map[string]*Family
+	hooks  []func()
+	health []func() []HealthCheck
 }
 
 // OnCollect registers fn to run at the start of every exposition
@@ -382,6 +383,29 @@ func (r *Registry) collectHooks() []func() {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.hooks[:len(r.hooks):len(r.hooks)]
+}
+
+// OnHealth registers fn as a source of extra health checks: a component
+// whose state lives outside the serving layer (cluster membership) adds its
+// checks to whichever /health/score serves this registry. Hooks must be
+// safe for concurrent use.
+func (r *Registry) OnHealth(fn func() []HealthCheck) {
+	r.mu.Lock()
+	r.health = append(r.health, fn)
+	r.mu.Unlock()
+}
+
+// HealthChecks runs every OnHealth hook and returns their checks in
+// registration order.
+func (r *Registry) HealthChecks() []HealthCheck {
+	r.mu.RLock()
+	hooks := r.health[:len(r.health):len(r.health)]
+	r.mu.RUnlock()
+	var out []HealthCheck
+	for _, fn := range hooks {
+		out = append(out, fn()...)
+	}
+	return out
 }
 
 // NewRegistry returns an empty registry.

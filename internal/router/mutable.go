@@ -9,10 +9,12 @@ import (
 	"repro/internal/graph"
 )
 
-var _ engine.Mutable = (*Multi)(nil)
-
 // Epoch implements engine.Mutable: the shared dataset's version counter.
 func (m *Multi) Epoch() uint64 { return m.ds.Epoch() }
+
+// Counts implements engine.Mutable: the shared dataset's live and removed
+// graph counts.
+func (m *Multi) Counts() (live, removed int) { return m.ds.Counts() }
 
 // AddGraph implements engine.Mutable for the router: g joins the shared
 // dataset once, then every sub-engine folds it into its own index (each

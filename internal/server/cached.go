@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"iter"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,9 +21,12 @@ import (
 // misses on the same key share one computation instead of racing the
 // pipeline. Cached answers are exactly the underlying engine's: a hit
 // returns the stored Candidates/Answers sets with Cached set and the
-// lookup latency as FilterTime.
+// lookup latency as FilterTime. Everything but Query passes straight
+// through to the embedded engine: streams (caching would materialize what
+// streaming exists to avoid), readiness, and mutations, whose epoch bump
+// invalidates earlier entries lazily on their next lookup.
 type CachedEngine struct {
-	inner engine.Querier
+	engine.Querier
 	cache *cache // nil when caching is disabled
 
 	mu      sync.Mutex
@@ -51,7 +53,7 @@ var _ engine.Querier = (*CachedEngine)(nil)
 // so a CachedEngine can stand in unconditionally.
 func NewCached(inner engine.Querier, cfg CacheConfig) *CachedEngine {
 	c := &CachedEngine{
-		inner: inner, flights: make(map[string]*flight),
+		Querier: inner, flights: make(map[string]*flight),
 		obsHits: new(obs.Counter), obsMisses: new(obs.Counter), obsDedups: new(obs.Counter),
 	}
 	if !cfg.Disabled {
@@ -68,14 +70,6 @@ func (c *CachedEngine) instrument(reg *obs.Registry) {
 	c.obsDedups = reg.Counter("sq_cache_dedups_total",
 		"Queries that joined an in-flight identical computation.").Counter()
 }
-
-// Dataset returns the dataset the wrapped engine serves queries over.
-func (c *CachedEngine) Dataset() *graph.Dataset { return c.inner.Dataset() }
-
-// Ready forwards the wrapped engine's readiness: false while a
-// lazily-opened (storage=mmap) index is still materializing its
-// first-touch sections.
-func (c *CachedEngine) Ready() bool { return c.inner.Ready() }
 
 // CacheStats snapshots cache and deduplication counters.
 func (c *CachedEngine) CacheStats() CacheStats {
@@ -95,12 +89,12 @@ func (c *CachedEngine) CacheStats() CacheStats {
 // leader's own context recomputes rather than inheriting the failure.
 func (c *CachedEngine) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
 	if c.cache == nil {
-		return c.inner.Query(ctx, q)
+		return c.Querier.Query(ctx, q)
 	}
 	t0 := time.Now()
 	key, ok := QueryKey(q)
 	if !ok {
-		return c.inner.Query(ctx, q)
+		return c.Querier.Query(ctx, q)
 	}
 	for {
 		// The epoch is read before the lookup and before the compute: a
@@ -124,10 +118,12 @@ func (c *CachedEngine) Query(ctx context.Context, q *graph.Graph) (*core.QueryRe
 			c.mu.Unlock()
 			c.cache.countMiss()
 			c.obsMisses.Inc()
-			res, err := c.inner.Query(ctx, q)
+			res, err := c.Querier.Query(ctx, q)
 			// Store before retiring the flight: a query arriving between
-			// the two would otherwise see neither and recompute in full.
-			if err == nil {
+			// the two would otherwise see neither and recompute in full. A
+			// partial answer is never stored: the shard it lacks may come
+			// back without the epoch moving.
+			if err == nil && res.FailedShards == nil {
 				c.cache.put(key, res, epoch)
 			}
 			f.res, f.err = res, err
@@ -167,26 +163,17 @@ func isContextErr(err error) bool {
 
 // cachedResult is a hit's surface: the stored answer and candidate sets
 // (shared, read-only by convention), Cached set, and the key+lookup latency
-// as FilterTime so TotalTime() stays the real served latency.
+// as FilterTime so TotalTime() stays the real served latency. A flight
+// follower may receive a partial answer, so FailedShards rides along.
 func cachedResult(res *core.QueryResult, lookup time.Duration) *core.QueryResult {
 	return &core.QueryResult{
-		Candidates: res.Candidates,
-		Answers:    res.Answers,
-		FilterTime: lookup,
-		Method:     res.Method,
-		Cached:     true,
+		Candidates:   res.Candidates,
+		Answers:      res.Answers,
+		FilterTime:   lookup,
+		Method:       res.Method,
+		Cached:       true,
+		FailedShards: res.FailedShards,
 	}
-}
-
-// Stream is StreamStats without accounting.
-func (c *CachedEngine) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
-	return c.StreamStats(ctx, q, nil)
-}
-
-// StreamStats passes through uncached: streaming exists to avoid
-// materializing answer sets, which is exactly what caching would require.
-func (c *CachedEngine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return c.inner.StreamStats(ctx, q, stats)
 }
 
 // QueryLimited serves one query capped at limit answers (limit <= 0 means
@@ -231,37 +218,11 @@ func (c *CachedEngine) QueryLimited(ctx context.Context, q *graph.Graph, limit i
 		}
 	}
 	return &core.QueryResult{
-		Answers:    answers,
-		VerifyTime: time.Since(t0),
-		Method:     engine.MethodName(c.inner),
-		Produced:   int(stats.Produced.Load()),
-		Verified:   int(stats.Verified.Load()),
+		Answers:      answers,
+		VerifyTime:   time.Since(t0),
+		Method:       engine.MethodName(c.Querier),
+		Produced:     int(stats.Produced.Load()),
+		Verified:     int(stats.Verified.Load()),
+		FailedShards: stats.FailedShards,
 	}, nil
 }
-
-// Epoch implements engine.Mutable: the wrapped engine's dataset epoch —
-// the version stamp every cache entry carries.
-func (c *CachedEngine) Epoch() uint64 { return c.inner.Dataset().Epoch() }
-
-// AddGraph implements engine.Mutable by delegating to the wrapped engine.
-// Entries cached at earlier epochs invalidate lazily: the epoch stamp
-// mismatches on their next lookup, so no flush pass is needed.
-func (c *CachedEngine) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) {
-	m, ok := c.inner.(engine.Mutable)
-	if !ok {
-		return 0, engine.ErrNotMutable
-	}
-	return m.AddGraph(ctx, g)
-}
-
-// RemoveGraph implements engine.Mutable by delegating to the wrapped
-// engine, with the same lazy epoch-based invalidation as AddGraph.
-func (c *CachedEngine) RemoveGraph(ctx context.Context, id graph.ID) error {
-	m, ok := c.inner.(engine.Mutable)
-	if !ok {
-		return engine.ErrNotMutable
-	}
-	return m.RemoveGraph(ctx, id)
-}
-
-var _ engine.Mutable = (*CachedEngine)(nil)

@@ -45,13 +45,26 @@ func testQueries(t testing.TB, ds *graph.Dataset) []*graph.Graph {
 	return out
 }
 
+// immutable is the Mutable half of the test Queriers: every mutation fails
+// with engine.ErrNotMutable, and the epoch and counts stay zero.
+type immutable struct{}
+
+func (immutable) AddGraph(context.Context, *graph.Graph) (graph.ID, error) {
+	return 0, engine.ErrNotMutable
+}
+func (immutable) RemoveGraph(context.Context, graph.ID) error { return engine.ErrNotMutable }
+func (immutable) Epoch() uint64                               { return 0 }
+func (immutable) Counts() (live, removed int)                 { return 0, 0 }
+
 // blockingQuerier is an engine.Querier whose Query blocks on gate (when
 // set) and counts its calls, for single-flight tests.
 type blockingQuerier struct {
+	immutable
 	ds      *graph.Dataset
 	calls   atomic.Int64
 	entered chan struct{} // receives one token per Query entry
 	gate    chan struct{} // Query blocks until closed (nil = no blocking)
+	failed  []int         // FailedShards of every result (a partial answer)
 }
 
 func (b *blockingQuerier) Dataset() *graph.Dataset { return b.ds }
@@ -68,7 +81,7 @@ func (b *blockingQuerier) Query(ctx context.Context, q *graph.Graph) (*core.Quer
 			return nil, ctx.Err()
 		}
 	}
-	return &core.QueryResult{Candidates: graph.NewIDSet(1, 2), Answers: graph.NewIDSet(2)}, nil
+	return &core.QueryResult{Candidates: graph.NewIDSet(1, 2), Answers: graph.NewIDSet(2), FailedShards: b.failed}, nil
 }
 
 func (b *blockingQuerier) Ready() bool { return true }
@@ -191,6 +204,31 @@ func TestSingleFlightLeaderCancellationDoesNotPoison(t *testing.T) {
 	}
 	if calls := fake.calls.Load(); calls != 2 {
 		t.Errorf("engine calls = %d, want 2 (canceled leader + retrying follower)", calls)
+	}
+}
+
+// TestCachedNeverStoresPartial: a result missing cluster shards is served
+// but never cached — the lost shard may come back without the epoch moving
+// — so an identical second query computes again and still says partial.
+func TestCachedNeverStoresPartial(t *testing.T) {
+	ds := testDataset(t)
+	q := testQueries(t, ds)[0]
+	fake := &blockingQuerier{ds: ds, failed: []int{1}}
+	ce := NewCached(fake, CacheConfig{})
+	for i := 0; i < 2; i++ {
+		res, err := ce.Query(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || len(res.FailedShards) != 1 {
+			t.Errorf("query %d: cached=%v failed shards %v, want a computed partial answer", i, res.Cached, res.FailedShards)
+		}
+	}
+	if calls := fake.calls.Load(); calls != 2 {
+		t.Errorf("engine ran %d times, want 2: the partial answer was cached", calls)
+	}
+	if st := ce.CacheStats(); st.Hits != 0 || st.Misses != 2 {
+		t.Errorf("cache hits %d misses %d, want 0 and 2", st.Hits, st.Misses)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 
 // GET /health/score: a derived verdict over the same cells /metrics
 // exposes — windowed error rate, windowed p99 against the configured SLO,
-// admission-queue pressure, and drain state — each check carrying a
+// admission-queue pressure, and drain state — plus every check registered
+// on the registry through obs.Registry.OnHealth (a cluster coordinator's
+// membership, stale-shard and ownerless-shard checks), each carrying a
 // human-readable reason. Always 200: the verdict is the body, not the
 // status code (that is /readyz's job).
 func (s *Server) handleHealthScore(w http.ResponseWriter, _ *http.Request) {
@@ -50,6 +52,9 @@ func (s *Server) healthReport(now time.Time) *obs.HealthReport {
 	} else {
 		rep.Add(obs.HealthCheck{Name: "draining", Status: obs.HealthOK,
 			Reason: "accepting requests"})
+	}
+	for _, c := range s.reg.HealthChecks() {
+		rep.Add(c)
 	}
 	return rep
 }

@@ -43,8 +43,8 @@ func GraphToJSON(g *graph.Graph, dict *graph.Dictionary) GraphJSON {
 // ToGraph converts a wire graph into a query against dict's label space.
 // unknown reports a vertex label absent from the dictionary: no dataset
 // graph can then contain the query, so the caller short-circuits to an
-// empty result instead of interning a new id (the dictionary is shared
-// across concurrent requests and must not be mutated).
+// empty result instead of growing the shared dictionary with a label no
+// graph carries.
 func ToGraph(gj GraphJSON, dict *graph.Dictionary) (q *graph.Graph, unknown bool, err error) {
 	if len(gj.Vertices) == 0 {
 		return nil, false, fmt.Errorf("query has no vertices")
@@ -72,8 +72,7 @@ func ToGraph(gj GraphJSON, dict *graph.Dictionary) (q *graph.Graph, unknown bool
 
 // InternGraph converts a wire graph for insertion: unlike ToGraph, a
 // label the dictionary has never seen is interned rather than reported —
-// an added graph is allowed to grow the label universe. The caller must
-// hold the server's dataset write lock.
+// an added graph is allowed to grow the label universe.
 func InternGraph(gj GraphJSON, dict *graph.Dictionary) (*graph.Graph, error) {
 	if len(gj.Vertices) == 0 {
 		return nil, fmt.Errorf("graph has no vertices")
@@ -140,15 +139,17 @@ type QueryResponse struct {
 
 func queryResponse(res *core.QueryResult) QueryResponse {
 	r := QueryResponse{
-		Candidates: res.Candidates,
-		Answers:    res.Answers,
-		Method:     res.Method,
-		Cached:     res.Cached,
-		FilterUs:   res.FilterTime.Microseconds(),
-		VerifyUs:   res.VerifyTime.Microseconds(),
-		TotalUs:    res.TotalTime().Microseconds(),
-		Produced:   res.Produced,
-		Verified:   res.Verified,
+		Candidates:   res.Candidates,
+		Answers:      res.Answers,
+		Method:       res.Method,
+		Cached:       res.Cached,
+		FilterUs:     res.FilterTime.Microseconds(),
+		VerifyUs:     res.VerifyTime.Microseconds(),
+		TotalUs:      res.TotalTime().Microseconds(),
+		Produced:     res.Produced,
+		Verified:     res.Verified,
+		Partial:      res.FailedShards != nil,
+		FailedShards: res.FailedShards,
 	}
 	// Encode empty sets as [] rather than null.
 	if r.Candidates == nil {

@@ -15,6 +15,7 @@ import (
 // readyFake is a Querier with a switchable readiness signal, standing in
 // for an engine whose lazily-opened (storage=mmap) index is still warming.
 type readyFake struct {
+	immutable
 	ds    *graph.Dataset
 	ready atomic.Bool
 }

@@ -10,7 +10,6 @@ import (
 	"net/http/pprof"
 	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -21,9 +20,10 @@ import (
 	"repro/internal/router"
 )
 
-// MaxBodyBytes bounds every request body any serving face (flat server,
-// coordinator, node) accepts, and every line of a streamed shard dump; a
-// query graph is tiny, a batch of a few thousand is comfortably under this.
+// MaxBodyBytes bounds every request body either serving face accepts (this
+// server, over a local engine or the cluster coordinator, and the node),
+// and every line of a streamed shard dump; a query graph is tiny, a batch
+// of a few thousand is comfortably under this.
 const MaxBodyBytes = 32 << 20
 
 // Config configures a Server around an opened engine.
@@ -79,29 +79,10 @@ type Server struct {
 	// /stats can expose win rates and the learned cost model.
 	routing *router.Multi
 
-	// dsMu guards the label dictionary every request resolves against:
-	// request decoding reads it (RLock) while POST /graphs interns new
-	// labels into it (Lock). It is held only around dictionary access —
-	// never across engine work, whose own locks serialize index
-	// maintenance against queries — so a slow rebuild-fallback mutation
-	// cannot stall request decoding or /stats.
-	dsMu sync.RWMutex
-
-	// mutateMu serializes the mutation handlers (engine call + mirror
-	// update): the engine serializes mutations internally anyway, so this
-	// adds no real contention, but it makes the epoch-delta bookkeeping
-	// below atomic with respect to other mutations. Queries never take it.
-	mutateMu sync.Mutex
 	// Counters and gauges live on the registry (reg) so /stats and
 	// /metrics read the same cells; the named fields below are the cells,
-	// fetched once at construction.
-
-	// gLive/gRemoved mirror the dataset's counts for /stats and mutation
-	// responses, maintained by the mutation handlers (under mutateMu) so
-	// reads never touch the dataset structures a mutation is moving.
-	gLive    *obs.Gauge
-	gRemoved *obs.Gauge
-
+	// fetched once at construction. The label dictionary and the graph
+	// counts guard themselves, so no server lock sits in front of them.
 	gAdmitted *obs.Gauge // in the system: waiting for a slot or executing
 	gInflight *obs.Gauge // executing
 	cRejected *obs.Counter
@@ -119,8 +100,8 @@ type Server struct {
 	slow *obs.SlowQueryLog
 }
 
-// New wraps an opened engine — *engine.Engine, *engine.Sharded, or any
-// other Querier — in the serving layer.
+// New wraps an opened engine — *engine.Engine, *engine.Sharded, the
+// cluster coordinator, or any other Querier — in the serving layer.
 func New(q engine.Querier, cfg Config) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -162,13 +143,14 @@ func New(q engine.Querier, cfg Config) *Server {
 	s.cTimedOut = reg.Counter("sq_admission_timeouts_total",
 		"Requests whose admission wait outlived their budget.").Counter()
 	graphs := reg.Gauge("sq_graphs", "Dataset graph counts by state.", "state")
-	s.gLive = graphs.Gauge("live")
-	s.gRemoved = graphs.Gauge("removed")
+	reg.OnCollect(func() {
+		live, removed := q.Counts()
+		graphs.Gauge("live").Set(int64(live))
+		graphs.Gauge("removed").Set(int64(removed))
+	})
 	s.queryDur = reg.Histogram("sq_query_duration_seconds",
 		"End-to-end query latency by served method.", nil, "method")
 	s.eng.instrument(reg)
-	s.gLive.Set(int64(q.Dataset().NumAlive()))
-	s.gRemoved.Set(int64(q.Dataset().NumRemoved()))
 	if m, ok := q.(*router.Multi); ok {
 		s.routing = m
 		m.Instrument(reg)
@@ -199,8 +181,8 @@ func New(q engine.Querier, cfg Config) *Server {
 }
 
 // RegisterPprof registers the net/http/pprof handlers on mux — shared by
-// every serving face (flat server, coordinator, node) behind their
-// respective -pprof flags.
+// both serving faces (this server and the node) behind their respective
+// -pprof flags.
 func RegisterPprof(mux *http.ServeMux) {
 	mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 	mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -384,9 +366,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	s.dsMu.RLock()
 	q, unknown, err := ToGraph(gj, &s.eng.Dataset().Dict)
-	s.dsMu.RUnlock()
 	psp.End()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -445,7 +425,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Candidates: len(res.Candidates), Produced: res.Produced, Verified: res.Verified,
 		Answers:  len(res.Answers),
 		FilterUs: res.FilterTime.Microseconds(), VerifyUs: res.VerifyTime.Microseconds(),
-		Spans: tr.Tree(),
+		Partial: resp.Partial, Spans: tr.Tree(),
 	})
 }
 
@@ -479,7 +459,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *grap
 		if err != nil {
 			s.cErrors.Inc()
 			root.Cancel()
-			enc.Encode(StreamLine{Error: err.Error()})
+			enc.Encode(StreamLine{Error: err.Error(), Stale: errors.Is(err, engine.ErrStreamStale)})
 			if fl != nil {
 				fl.Flush()
 			}
@@ -497,8 +477,9 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *grap
 			break // stops the lazy pipeline; the tail is never verified
 		}
 	}
+	partial := stats.FailedShards != nil
 	enc.Encode(StreamLine{
-		Done: true, Matches: n,
+		Done: true, Matches: n, Partial: partial, FailedShards: stats.FailedShards,
 		Produced: stats.Produced.Load(), Verified: stats.Verified.Load(),
 	})
 	if fl != nil {
@@ -511,7 +492,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *grap
 	s.slow.Record(wall, obs.SlowQueryRecord{
 		Kind: "stream", Trace: tr.ID(), Method: s.cfg.Spec,
 		Produced: int(stats.Produced.Load()), Verified: int(stats.Verified.Load()),
-		Answers: n, Spans: tr.Tree(),
+		Answers: n, Partial: partial, Spans: tr.Tree(),
 	})
 }
 
@@ -537,7 +518,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	items := make([]BatchItem, len(req.Queries))
 	var valid []*graph.Graph
 	var validIdx []int
-	s.dsMu.RLock()
 	for i, gj := range req.Queries {
 		q, unknown, err := ToGraph(gj, &s.eng.Dataset().Dict)
 		switch {
@@ -550,7 +530,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			validIdx = append(validIdx, i)
 		}
 	}
-	s.dsMu.RUnlock()
 	ctx, release, ok := s.admit(w, r)
 	if !ok {
 		return
@@ -582,15 +561,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, BatchResponse{Results: items})
 }
 
-// mutationStatusCode maps a mutation error to an HTTP status: engines
-// without the Mutable capability are 501, a remove of an unknown or
-// already-removed graph 404, context ends 504, anything else 500.
+// mutationStatusCode maps a mutation error to an HTTP status: an engine
+// that cannot apply mutations is 501, a remove of an unknown or
+// already-removed graph 404, a cluster shard without a reachable owner 503
+// (retryable: nothing was applied), context ends 504, anything else 500.
 func mutationStatusCode(err error) int {
 	switch {
 	case errors.Is(err, engine.ErrNotMutable):
 		return http.StatusNotImplemented
 	case errors.Is(err, engine.ErrNoSuchGraph):
 		return http.StatusNotFound
+	case errors.Is(err, engine.ErrUnavailable):
+		return http.StatusServiceUnavailable
 	default:
 		return queryStatusCode(err)
 	}
@@ -614,36 +596,24 @@ func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// Interning holds the dictionary write lock; the engine call runs
-	// outside it (the engine's own lock serializes index maintenance
-	// against queries), so a slow rebuild never blocks request decoding.
-	s.dsMu.Lock()
 	g, err := InternGraph(gj, &s.eng.Dataset().Dict)
-	s.dsMu.Unlock()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	s.mutateMu.Lock()
-	before := s.eng.Epoch()
 	id, err := s.eng.AddGraph(ctx, g)
 	if err != nil {
-		// A failed add may still have committed dataset operations: the
-		// engine rolls a half-applied add back by tombstoning the fresh id
-		// (epoch +2: one add, one remove). Keep the mirrors truthful —
-		// mutateMu makes the epoch delta attributable to this request.
-		if s.eng.Epoch() == before+2 {
-			s.gRemoved.Add(1)
-		}
-		s.mutateMu.Unlock()
 		s.fail(w, mutationStatusCode(err), err)
 		return
 	}
-	s.gLive.Add(1)
-	live := int(s.gLive.Value())
-	epoch := s.eng.Epoch()
-	s.mutateMu.Unlock()
-	writeJSON(w, MutationResponse{ID: id, Epoch: epoch, Graphs: live})
+	s.writeMutation(w, id)
+}
+
+// writeMutation answers a successful mutation with the epoch and live count
+// read after it (a concurrent mutation may already be folded in).
+func (s *Server) writeMutation(w http.ResponseWriter, id graph.ID) {
+	live, _ := s.eng.Counts()
+	writeJSON(w, MutationResponse{ID: id, Epoch: s.eng.Epoch(), Graphs: live})
 }
 
 // handleRemoveGraph serves DELETE /graphs/{id}: the graph is tombstoned —
@@ -662,28 +632,13 @@ func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	s.mutateMu.Lock()
-	before := s.eng.Epoch()
+	// A failed remove may still have committed its tombstone (a later
+	// re-persist failed): the error surfaces, and Counts tracks the dataset.
 	if err := s.eng.RemoveGraph(ctx, graph.ID(id64)); err != nil {
-		// The tombstone may have committed even when a later maintenance
-		// step (re-persist, rebuild) failed — under mutateMu the epoch
-		// moved iff this request's remove did. The error still surfaces
-		// (persistence needs operator attention), but the mirrors track
-		// the dataset, not the response code.
-		if s.eng.Epoch() != before {
-			s.gRemoved.Add(1)
-			s.gLive.Add(-1)
-		}
-		s.mutateMu.Unlock()
 		s.fail(w, mutationStatusCode(err), err)
 		return
 	}
-	s.gRemoved.Add(1)
-	s.gLive.Add(-1)
-	live := int(s.gLive.Value())
-	epoch := s.eng.Epoch()
-	s.mutateMu.Unlock()
-	writeJSON(w, MutationResponse{ID: graph.ID(id64), Epoch: epoch, Graphs: live})
+	s.writeMutation(w, graph.ID(id64))
 }
 
 // handleMethods serves GET /methods: the live registry listing.
@@ -709,7 +664,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		snap := s.routing.Stats()
 		routing = &snap
 	}
-	graphs, removed, epoch := int(s.gLive.Value()), int(s.gRemoved.Value()), s.eng.Epoch()
+	graphs, removed := s.eng.Counts()
+	epoch := s.eng.Epoch()
 	writeJSON(w, StatsResponse{
 		Routing:       routing,
 		UptimeSeconds: time.Since(s.started).Seconds(),

@@ -158,6 +158,7 @@ func TestServeQueryStream(t *testing.T) {
 // ends, recording whether cancellation reached it — the mid-stream
 // cancellation contract.
 type slowStreamer struct {
+	immutable
 	ds       *graph.Dataset
 	canceled chan struct{}
 }
@@ -256,6 +257,7 @@ func TestServeBatch(t *testing.T) {
 // blockingServerQuerier parks queries on a gate so admission-control tests
 // can fill the worker pool deterministically.
 type blockingServerQuerier struct {
+	immutable
 	ds      *graph.Dataset
 	entered chan struct{}
 	gate    chan struct{}

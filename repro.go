@@ -91,13 +91,13 @@ type (
 	ShardedEngine = engine.Sharded
 	// Querier is the one query surface every engine shape — Engine,
 	// ShardedEngine, RoutedEngine, CachedEngine — implements: Dataset,
-	// Ready, Query, Stream, and StreamStats over one dataset. Run a batch of
-	// queries through any of them with QueryBatchFunc.
+	// Ready, Query, Stream, and StreamStats over one dataset, plus Mutable.
+	// Run a batch of queries through any of them with QueryBatchFunc.
 	Querier = engine.Querier
-	// Mutable is the online-mutation capability every engine shape
-	// implements: AddGraph/RemoveGraph with online index maintenance
-	// (incremental for methods implementing IncrementalIndexer, rebuild
-	// otherwise) and a monotonically increasing dataset Epoch.
+	// Mutable is the online-mutation half of Querier: AddGraph/RemoveGraph
+	// with online index maintenance (incremental for methods implementing
+	// IncrementalIndexer, rebuild otherwise), a monotonically increasing
+	// dataset Epoch, and the live/removed graph Counts.
 	Mutable = engine.Mutable
 	// IncrementalIndexer is the per-method incremental maintenance
 	// contract: folding one graph into — or dropping one graph from — a
@@ -236,36 +236,16 @@ func OpenAny(ctx context.Context, ds *Dataset, shards int, opts ...Option) (Quer
 }
 
 // AddGraph adds g to a live engine's dataset under a fresh ID, maintaining
-// the index online (flat, sharded, routed, and cached engines all support
-// it). It fails with an error for engine shapes without the Mutable
-// capability.
+// the index online (every engine shape supports it). It is q.AddGraph.
 func AddGraph(ctx context.Context, q Querier, g *Graph) (ID, error) {
-	m, ok := q.(Mutable)
-	if !ok {
-		return 0, engine.ErrNotMutable
-	}
-	return m.AddGraph(ctx, g)
+	return q.AddGraph(ctx, g)
 }
 
 // RemoveGraph tombstones graph id in a live engine: the id is never
 // reused, and the graph can never again appear in any candidate or answer
-// set.
+// set. It is q.RemoveGraph.
 func RemoveGraph(ctx context.Context, q Querier, id ID) error {
-	m, ok := q.(Mutable)
-	if !ok {
-		return engine.ErrNotMutable
-	}
-	return m.RemoveGraph(ctx, id)
-}
-
-// EpochOf returns the engine's dataset epoch — bumped by every mutation —
-// and whether the engine exposes one.
-func EpochOf(q Querier) (uint64, bool) {
-	m, ok := q.(Mutable)
-	if !ok {
-		return 0, false
-	}
-	return m.Epoch(), true
+	return q.RemoveGraph(ctx, id)
 }
 
 // New constructs an unbuilt index from a method spec string: a registered
