@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"context"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/core"
@@ -63,5 +64,59 @@ func TestVerifyAllocsPerCandidate(t *testing.T) {
 	t.Logf("%d candidates: %.0f allocations per query, %.0f of them in the filter", cands, whole, filter)
 	if beyond := whole - filter; beyond > 16 {
 		t.Errorf("Engine.Query allocates %.0f objects beyond the filter stage for %d candidates, want a constant <= 16", beyond, cands)
+	}
+}
+
+// TestGrapesFilterAllocs is the tier-1 guard of the Grapes filter's
+// allocation contract under storage=mmap: a plan resolves each distinct
+// query path once, reads the mapped directory without a lock, and
+// intersects without a per-candidate allocation, so planning a 16-edge
+// query and draining its candidates costs a small constant of objects once
+// the postings it touches are decoded. The filter this replaced allocated
+// about 480: a key string per path visit, a map, and a mask per feature
+// per id of the rarest posting.
+func TestGrapesFilterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	cfg := gen.SynthConfig{NumGraphs: 120, MeanNodes: 40, MeanDensity: 0.06, NumLabels: 10, Seed: 13}
+	ds := gen.Synthetic(cfg)
+	queries, err := workload.Generate(ds, workload.Config{NumQueries: 4, QueryEdges: 16, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "grapes.idx")
+	opts := []engine.Option{engine.WithSpec("grapes:storage=mmap"), engine.WithIndexPath(path), engine.WithVerifyWorkers(1)}
+	if _, err := engine.Open(ctx, ds, opts...); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.Open(ctx, ds, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.Restored() {
+		t.Fatalf("the second open rebuilt instead of mapping the saved index")
+	}
+	m := eng.Method()
+	for i, q := range queries {
+		cands := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			plan, err := core.NewPlan(ctx, m, ds, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands = 0
+			for chunk := range core.PlanChunks(plan) {
+				cands += len(chunk)
+			}
+		})
+		t.Logf("query %d: %d candidates, %.0f allocations to plan and drain", i, cands, allocs)
+		if cands == 0 {
+			t.Fatalf("query %d has no candidate; it was extracted from the dataset", i)
+		}
+		if allocs > 40 {
+			t.Errorf("query %d: the Grapes filter allocates %.0f objects, want <= 40", i, allocs)
+		}
 	}
 }

@@ -103,7 +103,8 @@ func TestSaveIsDeterministicEveryMethod(t *testing.T) {
 // then either refuse the file or return an index that answers queries
 // without panicking (answers may be wrong — the CRC is what catches real
 // damage; the decoders only have to stay in bounds). Indexes load with
-// storage=heap: an mmap load defers decoding to the queries.
+// storage=heap, and Grapes also with storage=mmap, where the load defers
+// decoding to the queries.
 func FuzzLoadIndexEveryMethod(f *testing.F) {
 	ctx := context.Background()
 	ds := gen.Synthetic(gen.SynthConfig{
@@ -154,9 +155,16 @@ func FuzzLoadIndexEveryMethod(f *testing.F) {
 			}
 		}
 		targets = append(targets, tg)
+		if tc.def == "grapes" {
+			mapped := tg
+			mapped.spec += ",storage=mmap"
+			targets = append(targets, mapped)
+		}
+	}
+	for t, tg := range targets {
 		for s := range tg.ids {
 			for op := range uint8(3) {
-				f.Add(uint8(len(targets)-1), uint8(s), uint32(5), op, uint8(0x81))
+				f.Add(uint8(t), uint8(s), uint32(5), op, uint8(0x81))
 			}
 		}
 	}

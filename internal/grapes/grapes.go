@@ -13,9 +13,13 @@
 package grapes
 
 import (
+	"cmp"
 	"context"
+	"encoding/binary"
 	"iter"
+	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -79,42 +83,22 @@ type Index struct {
 	comps     [][]int32
 	compCount []int
 	// lazy, when non-nil, backs the index with a mapped v2 container
-	// (storage=mmap): features/comps/compCount above are nil and every
-	// access goes through the indirection helpers below.
+	// (storage=mmap): features/comps/compCount above are nil, and resolve
+	// and compsOf read through it.
 	lazy  *lazyStore
 	built bool
 }
 
-// postingCard returns a feature's posting cardinality (0 when absent)
-// without materializing the posting in lazy mode.
-func (ix *Index) postingCard(key canon.Key) int {
-	if ix.lazy != nil {
-		return ix.lazy.card(key)
-	}
-	if p := ix.features[key]; p != nil {
-		return len(p.ids)
-	}
-	return 0
-}
-
-// getPosting resolves a feature's posting, materializing it on first
-// touch in lazy mode. A nil posting with nil error means "absent".
-func (ix *Index) getPosting(key canon.Key) (*posting, error) {
-	if ix.lazy != nil {
-		return ix.lazy.posting(key)
-	}
-	return ix.features[key], nil
-}
-
 // compsOf returns graph id's vertex→component table and component count.
-func (ix *Index) compsOf(id graph.ID) ([]int32, int) {
+// Only a mapped table can fail to decode.
+func (ix *Index) compsOf(id graph.ID) ([]int32, int, error) {
 	if ix.lazy != nil {
 		return ix.lazy.compsOf(id)
 	}
 	if int(id) < 0 || int(id) >= len(ix.comps) {
-		return nil, 0
+		return nil, 0, nil
 	}
-	return ix.comps[id], ix.compCount[id]
+	return ix.comps[id], ix.compCount[id], nil
 }
 
 // New returns an unbuilt Grapes index.
@@ -252,36 +236,211 @@ func (ix *Index) indexGraph(shard *buildShard, g *graph.Graph) {
 	ix.compCount[id] = len(comps)
 }
 
-// queryFeature is one distinct path feature of the query.
-type queryFeature struct {
-	key   canon.Key
-	count int32
+// queryPaths is the query-only half of a Grapes plan: the distinct
+// canonical keys of the query's label paths of at most MaxPathLen edges
+// (canon.PathKey bytes) in ascending byte order, each with the number of
+// path visits that produce it — the same count the index keeps per
+// location. It depends on the query and MaxPathLen alone, never on an
+// index.
+type queryPaths struct {
+	keys   string  // the distinct keys, concatenated in ascending order
+	ends   []int32 // key i is keys[ends[i-1]:ends[i]], with ends[-1] = 0
+	counts []int32 // path visits of key i
 }
 
-// extractQueryFeatures enumerates the query's path features with counts.
-func (ix *Index) extractQueryFeatures(q *graph.Graph) []queryFeature {
-	acc := make(map[canon.Key]int32)
-	var labelBuf []graph.Label
-	features.VisitPaths(q, ix.opts.MaxPathLen, func(vs []int32) bool {
-		labelBuf = features.PathLabels(q, vs, labelBuf)
-		acc[canon.PathKey(labelBuf)]++
+func (qp *queryPaths) key(i int) string {
+	start := int32(0)
+	if i > 0 {
+		start = qp.ends[i-1]
+	}
+	return qp.keys[start:qp.ends[i]]
+}
+
+// pathScratch is extractQueryPaths' working memory, pooled across queries.
+type pathScratch struct {
+	labels []graph.Label // the query's distinct labels, in key byte order
+	rank   []uint64      // query vertex → 1 + position of its label in labels
+	recs   []uint64      // one fixed-width record per recorded path
+	order  []int32       // multi-word records only: record indexes, sorted
+	sorted []uint64      // multi-word records only: recs in sorted order
+	keys   []byte
+}
+
+var pathScratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
+
+// extractQueryPaths enumerates q's label paths into fixed-width records in
+// one reusable buffer, sorts the records and counts the runs of equal ones.
+//
+// A record is the path's canonical key as label ranks of b bits each, most
+// significant first, zero-padded to maxPathLen+1 ranks over w 64-bit words.
+// Ranks number the query's distinct labels from 1 in the byte order of
+// their 4-byte key encodings, so records compare exactly as their keys do,
+// and a key sorts before every longer key it prefixes. For the path lengths
+// and label counts of real queries a record is one word, sorted as an
+// integer.
+//
+// VisitPaths visits a path of one or more edges once from each end; only
+// the visit from the lower vertex id is recorded, and it counts twice.
+func extractQueryPaths(q *graph.Graph, maxPathLen int) queryPaths {
+	if q.NumVertices() == 0 {
+		return queryPaths{}
+	}
+	sc := pathScratchPool.Get().(*pathScratch)
+	defer pathScratchPool.Put(sc)
+	byKeyBytes := func(a, b graph.Label) int {
+		return cmp.Compare(bits.ReverseBytes32(uint32(a)), bits.ReverseBytes32(uint32(b)))
+	}
+	sc.labels = append(sc.labels[:0], q.Labels()...)
+	slices.SortFunc(sc.labels, byKeyBytes)
+	sc.labels = slices.Compact(sc.labels)
+	sc.rank = sc.rank[:0]
+	for _, l := range q.Labels() {
+		i, _ := slices.BinarySearchFunc(sc.labels, l, byKeyBytes)
+		sc.rank = append(sc.rank, uint64(i+1))
+	}
+	b := bits.Len(uint(len(sc.labels)))
+	perWord := 64 / b
+	w := (maxPathLen + perWord) / perWord // ⌈(maxPathLen+1) / perWord⌉
+
+	sc.recs = sc.recs[:0]
+	features.VisitPaths(q, maxPathLen, func(vs []int32) bool {
+		last := len(vs) - 1
+		if vs[0] > vs[last] {
+			return true
+		}
+		// canon.PathKey's rule: the label sequence or its reverse,
+		// whichever is smaller at the first position where they differ.
+		forward := true
+		for i, j := 0, last; i < j; i, j = i+1, j-1 {
+			if a, b := q.Label(vs[i]), q.Label(vs[j]); a != b {
+				forward = a < b
+				break
+			}
+		}
+		at := len(sc.recs)
+		sc.recs = append(sc.recs, make([]uint64, w)...)
+		word, shift := at, 64
+		for i := range vs {
+			v := vs[i]
+			if !forward {
+				v = vs[last-i]
+			}
+			if shift < b {
+				word, shift = word+1, 64
+			}
+			shift -= b
+			sc.recs[word] |= sc.rank[v] << shift
+		}
 		return true
 	})
-	out := make([]queryFeature, 0, len(acc))
-	for k, c := range acc {
-		out = append(out, queryFeature{key: k, count: c})
+	if w == 1 {
+		slices.Sort(sc.recs)
+	} else {
+		sc.sortRecords(w)
 	}
-	// Deterministic order, rarest feature first for cheap intersections.
-	// Cardinalities come from the posting directory, so in lazy mode this
-	// never materializes a posting.
-	sort.Slice(out, func(a, b int) bool {
-		la, lb := ix.postingCard(out[a].key), ix.postingCard(out[b].key)
-		if la != lb {
-			return la < lb
+
+	qp := queryPaths{ends: make([]int32, 0, len(sc.recs)/w), counts: make([]int32, 0, len(sc.recs)/w)}
+	sc.keys = sc.keys[:0]
+	visits := int32(0)
+	for at := 0; at < len(sc.recs); at += w {
+		rec := sc.recs[at : at+w]
+		if at > 0 && slices.Equal(sc.recs[at-w:at], rec) {
+			qp.counts[len(qp.counts)-1] += visits
+			continue
 		}
-		return out[a].key < out[b].key
-	})
-	return out
+		n, word, shift := 0, 0, 64
+		for ; n <= maxPathLen; n++ {
+			if shift < b {
+				word, shift = word+1, 64
+			}
+			shift -= b
+			r := rec[word] >> shift & (1<<b - 1)
+			if r == 0 {
+				break
+			}
+			sc.keys = binary.LittleEndian.AppendUint32(sc.keys, uint32(sc.labels[r-1]))
+		}
+		visits = 2
+		if n == 1 {
+			visits = 1
+		}
+		qp.ends = append(qp.ends, int32(len(sc.keys)))
+		qp.counts = append(qp.counts, visits)
+	}
+	qp.keys = string(sc.keys)
+	return qp
+}
+
+// sortRecords sorts records of w > 1 words through an index.
+func (sc *pathScratch) sortRecords(w int) {
+	rec := func(i int32) []uint64 { return sc.recs[int(i)*w : int(i+1)*w] }
+	sc.order = sc.order[:0]
+	for i := range int32(len(sc.recs) / w) {
+		sc.order = append(sc.order, i)
+	}
+	slices.SortFunc(sc.order, func(a, b int32) int { return slices.Compare(rec(a), rec(b)) })
+	sc.sorted = sc.sorted[:0]
+	for _, i := range sc.order {
+		sc.sorted = append(sc.sorted, rec(i)...)
+	}
+	sc.recs, sc.sorted = sc.sorted, sc.recs
+}
+
+// feature is one distinct query path resolved against one index.
+type feature struct {
+	post  *posting
+	count int32 // path visits in the query; a candidate needs as many
+	slot  int32 // key directory slot (storage=mmap)
+}
+
+// resolve looks every distinct query path up exactly once — one map probe
+// on the heap, one directory search under mmap — and returns the features
+// sorted on (posting cardinality, key), rarest first, with their postings.
+// It returns none when the query has no path or one of them is in no
+// indexed graph; no posting is decoded then.
+func (ix *Index) resolve(qp *queryPaths) ([]feature, error) {
+	lz := ix.lazy
+	if lz != nil {
+		if err := lz.fetch(); err != nil {
+			return nil, err
+		}
+	}
+	n := len(qp.counts)
+	byKey := make([]feature, n)
+	// card<<32 | key position: sorting these sorts on (card, key), because
+	// queryPaths holds its keys in ascending order.
+	rank := make([]uint64, n)
+	for i := range byKey {
+		f := &byKey[i]
+		f.count = qp.counts[i]
+		var card int
+		if lz != nil {
+			slot, ok := lz.findKey(qp.key(i))
+			if !ok {
+				return nil, nil
+			}
+			f.slot, card = int32(slot), lz.card(slot)
+		} else {
+			if f.post = ix.features[canon.Key(qp.key(i))]; f.post == nil {
+				return nil, nil
+			}
+			card = len(f.post.ids)
+		}
+		rank[i] = uint64(card)<<32 | uint64(i)
+	}
+	slices.Sort(rank)
+	feats := make([]feature, n)
+	for k, r := range rank {
+		feats[k] = byKey[uint32(r)]
+		if lz != nil {
+			p, err := lz.posting(int(feats[k].slot))
+			if err != nil {
+				return nil, err
+			}
+			feats[k].post = p
+		}
+	}
+	return feats, nil
 }
 
 // Candidates implements core.Method (used when the caller does not go
@@ -294,35 +453,21 @@ func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
 	return plan.Candidates(), nil
 }
 
-// PlanQuery implements core.Planner: query features are extracted and their
-// postings resolved eagerly; the count-dominance intersection itself runs
-// lazily, candidate-major, when the plan's candidates are pulled (the plan
+// PlanQuery implements core.Planner: the query's paths are extracted and
+// resolved eagerly; the count-dominance intersection itself runs lazily,
+// candidate-major, when the plan's candidates are pulled (the plan
 // implements core.ChunkedPlan), retaining per emitted candidate the
 // components touched by matched path locations.
 func (ix *Index) PlanQuery(q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	plan := &queryPlan{ix: ix, prep: subiso.Compile(q, subiso.Options{}), states: make(map[graph.ID][]bool)}
-	qf := ix.extractQueryFeatures(q)
-	if len(qf) == 0 {
-		plan.empty = true // no path features: Grapes filters everything out
-		return plan, nil
+	qp := extractQueryPaths(q, ix.opts.MaxPathLen)
+	feats, err := ix.resolve(&qp)
+	if err != nil {
+		return nil, err
 	}
-	plan.qf = qf
-	plan.postings = make([]*posting, len(qf))
-	for k, f := range qf {
-		p, err := ix.getPosting(f.key)
-		if err != nil {
-			return nil, err
-		}
-		if p == nil {
-			plan.empty = true // some feature absent everywhere: no candidates
-			return plan, nil
-		}
-		plan.postings[k] = p
-	}
-	return plan, nil
+	return &queryPlan{ix: ix, prep: subiso.Compile(q, subiso.Options{}), feats: feats}, nil
 }
 
 func markComponents(dst []bool, comp []int32, starts []int32) {
@@ -340,21 +485,55 @@ func anyTrue(bs []bool) bool {
 	return false
 }
 
+// cleared returns b resliced to n false values, reusing its array.
+func cleared(b []bool, n int) []bool {
+	if cap(b) < n {
+		return make([]bool, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// seekGE returns the first index j >= from with ids[j] >= id, or len(ids):
+// it gallops from from in doubling steps, then binary-searches the last
+// step, so a cursor that skips d ids pays O(log d).
+func seekGE(ids graph.IDSet, from int, id graph.ID) int {
+	if from >= len(ids) || ids[from] >= id {
+		return from
+	}
+	lo, step := from, 1 // ids[lo] < id throughout
+	for lo+step < len(ids) && ids[lo+step] < id {
+		lo += step
+		step <<= 1
+	}
+	hi := min(lo+step, len(ids))
+	for lo++; lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if ids[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // chunkSize is the lazy producer's emission granularity.
 const chunkSize = 256
 
-// queryPlan holds one query's resolved feature postings and, as candidates
-// are produced, their viable components. It implements core.ChunkedPlan:
-// the dominance intersection is evaluated candidate-major over the rarest
+// queryPlan holds one query's resolved features and, as candidates are
+// produced, their viable components. It implements core.ChunkedPlan: the
+// dominance intersection is evaluated candidate-major over the rarest
 // feature's posting list, so an early-terminated stream walks a prefix of
 // one posting instead of intersecting all of them up front.
 type queryPlan struct {
-	ix       *Index
-	prep     *subiso.Prepared // the query, compiled once for every candidate
-	qf       []queryFeature
-	postings []*posting // parallel to qf; qf[0] is the rarest (the driver)
-	empty    bool
+	ix    *Index
+	prep  *subiso.Prepared // the query, compiled once for every candidate
+	feats []feature        // rarest first, feats[0] walked; none: no candidates
 	// mu guards states: the producer inserts while verifier workers read.
+	// A candidate's entry is its viable components, or nil when its
+	// component table could not be read and Verify tests the whole graph.
 	mu     sync.Mutex
 	states map[graph.ID][]bool
 	// cands caches the materialized candidate set for one-shot consumers.
@@ -379,59 +558,64 @@ func (p *queryPlan) Candidates() graph.IDSet {
 }
 
 // Chunks implements core.ChunkedPlan: candidates stream out in ascending ID
-// order by walking the rarest feature's posting and checking the remaining
-// features through monotonic merge cursors, AND-ing viable components
-// feature by feature exactly as the eager intersection did. Each emitted
-// candidate's surviving components are recorded for Verify.
+// order by walking the rarest feature's posting and seeking every other
+// feature's posting to the same id, AND-ing viable components feature by
+// feature. The component masks are one scratch pair per iteration; only an
+// emitted candidate's mask is copied into the plan's states for Verify.
 func (p *queryPlan) Chunks() iter.Seq[graph.IDSet] {
 	return func(yield func(graph.IDSet) bool) {
-		if p.empty {
+		if len(p.feats) == 0 {
 			return
 		}
-		first := p.postings[0]
-		js := make([]int, len(p.qf))
+		rarest := p.feats[0].post
+		at := make([]int, len(p.feats)) // cursor per feature posting
+		var viable, touched []bool
 		var chunk graph.IDSet
-		for i, id := range first.ids {
-			if first.locs[i].count < p.qf[0].count {
+		for i, id := range rarest.ids {
+			if rarest.locs[i].count < p.feats[0].count {
 				continue
 			}
-			comp, compCount := p.ix.compsOf(id)
-			viable := make([]bool, compCount)
-			markComponents(viable, comp, first.locs[i].starts)
-			if !anyTrue(viable) {
-				continue
+			comp, cc, err := p.ix.compsOf(id)
+			// An unreadable component table keeps the candidate on its
+			// posting and count checks alone; Verify tests the whole graph.
+			whole := err != nil
+			if !whole {
+				viable = cleared(viable, cc)
+				markComponents(viable, comp, rarest.locs[i].starts)
+				if !anyTrue(viable) {
+					continue
+				}
 			}
 			ok := true
-			var touched []bool
-			for k := 1; k < len(p.qf); k++ {
-				pp := p.postings[k]
-				j := js[k]
-				for j < len(pp.ids) && pp.ids[j] < id {
-					j++
-				}
-				js[k] = j
-				if j >= len(pp.ids) || pp.ids[j] != id || pp.locs[j].count < p.qf[k].count {
+			for k := 1; ok && k < len(p.feats); k++ {
+				f := &p.feats[k]
+				j := seekGE(f.post.ids, at[k], id)
+				at[k] = j
+				switch {
+				case j == len(f.post.ids) || f.post.ids[j] != id || f.post.locs[j].count < f.count:
 					ok = false
-					break
-				}
-				touched = touched[:0]
-				touched = append(touched, make([]bool, compCount)...)
-				markComponents(touched, comp, pp.locs[j].starts)
-				still := false
-				for c := range viable {
-					viable[c] = viable[c] && touched[c]
-					still = still || viable[c]
-				}
-				if !still {
+				case !whole:
+					touched = cleared(touched, cc)
+					markComponents(touched, comp, f.post.locs[j].starts)
 					ok = false
-					break
+					for c := range viable {
+						viable[c] = viable[c] && touched[c]
+						ok = ok || viable[c]
+					}
 				}
 			}
 			if !ok {
 				continue
 			}
+			var state []bool
+			if !whole {
+				state = slices.Clone(viable)
+			}
 			p.mu.Lock()
-			p.states[id] = viable
+			if p.states == nil {
+				p.states = make(map[graph.ID][]bool)
+			}
+			p.states[id] = state
 			p.mu.Unlock()
 			chunk = append(chunk, id)
 			if len(chunk) >= chunkSize {
@@ -449,24 +633,30 @@ func (p *queryPlan) Chunks() iter.Seq[graph.IDSet] {
 
 // Verify implements core.QueryPlan: the query is tested against each viable
 // connected component of the candidate, in parallel when there are several,
-// first match wins.
+// first match wins — or against the whole graph when the candidate's
+// component table could not be read or does not fit it.
 func (p *queryPlan) Verify(id graph.ID) bool {
 	g := p.ix.ds.Graph(id)
 	if g == nil {
 		return false
 	}
 	p.mu.Lock()
-	viable := p.states[id]
+	viable, emitted := p.states[id]
 	p.mu.Unlock()
-	comp, _ := p.ix.compsOf(id)
+	if !emitted {
+		return false
+	}
+	comp, _, err := p.ix.compsOf(id)
+	if viable == nil || err != nil || len(comp) != g.NumVertices() {
+		// A mapped table is only validated against its own sections; one
+		// that does not fit the graph restricts nothing.
+		return p.prep.Exists(context.TODO(), g)
+	}
 	var targets []int
 	for c, ok := range viable {
 		if ok {
 			targets = append(targets, c)
 		}
-	}
-	if len(targets) == 0 {
-		return false
 	}
 	if len(targets) == 1 {
 		return p.verifyComponent(g, comp, targets[0])

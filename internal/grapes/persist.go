@@ -1,11 +1,11 @@
 package grapes
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/canon"
 	"repro/internal/core"
@@ -137,17 +137,12 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	ix.opts = opts
 	ix.opts.fill()
 
+	lz := &lazyStore{r: r, nFeat: nFeat, nGraphs: numGraphs}
 	if ix.StorageMode() == core.StorageMmap {
 		ix.features = nil
 		ix.comps = nil
 		ix.compCount = nil
-		ix.lazy = &lazyStore{
-			r:        r,
-			nFeat:    nFeat,
-			nGraphs:  numGraphs,
-			postings: make(map[canon.Key]*posting),
-			comps:    make(map[graph.ID][]int32),
-		}
+		ix.lazy = lz
 		ix.ds = ds
 		ix.built = true
 		return nil
@@ -158,7 +153,6 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	if err := r.VerifySections(secKeyDir, secKeyBlob, secPostings, secCompDir, secCompBlob); err != nil {
 		return fmt.Errorf("grapes: load: %w", err)
 	}
-	lz := &lazyStore{r: r, nFeat: nFeat, nGraphs: numGraphs}
 	features, comps, compCount, err := lz.decodeAll()
 	if err != nil {
 		return fmt.Errorf("grapes: load: %w", err)
@@ -181,14 +175,12 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	return nil
 }
 
-// WarmIndex implements core.Warmable: pre-fault the directory sections (a
-// small fraction of the file) so first queries resolve features without a
-// checksum pass. Postings stay lazy.
+// WarmIndex implements core.Warmable: fetch and validate the directory
+// sections (a small fraction of the file) so first queries resolve
+// features without a checksum pass. Postings stay lazy.
 func (ix *Index) WarmIndex() {
 	if lz := ix.lazy; lz != nil {
-		lz.mu.Lock()
-		lz.fetchSections()
-		lz.mu.Unlock()
+		lz.fetch()
 	}
 }
 
@@ -204,14 +196,12 @@ func (ix *Index) Close() error {
 // materializeAll converts a lazily-opened index into the fully resident
 // form and releases the mapping. Mutations and saves call it: incremental
 // maintenance splices heap structures in place, which mapped sections
-// cannot support.
+// cannot support. It never runs concurrently with queries.
 func (ix *Index) materializeAll() error {
 	lz := ix.lazy
 	if lz == nil {
 		return nil
 	}
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
 	features, comps, compCount, err := lz.decodeAll()
 	if err != nil {
 		return fmt.Errorf("grapes: materialize: %w", err)
@@ -225,300 +215,295 @@ func (ix *Index) materializeAll() error {
 }
 
 // lazyStore resolves Grapes index structures on demand from an open
-// container, caching what queries touch.
+// container, caching what queries touch. fetch runs once; after it every
+// read is lock-free: the directories are immutable bytes, and the caches
+// are slices of atomic pointers indexed by directory slot and graph id.
+// Two goroutines that touch one entry first may both decode it; the one
+// whose CompareAndSwap lands publishes it and is the only one counted.
 type lazyStore struct {
 	r       *diskfmt.Reader
 	nFeat   int
 	nGraphs int
 
-	mu       sync.RWMutex
-	fetched  bool
+	once     sync.Once
+	err      error // sticky: a section failed to fetch or validate
 	keyDir   []byte
 	keyBlob  []byte
 	postRaw  []byte
 	compDir  []byte
 	compBlob []byte
-	postings map[canon.Key]*posting // nil value caches "absent"
-	comps    map[graph.ID][]int32
-	resident int64
-	err      error // sticky first section/decode failure
+	postings []atomic.Pointer[posting] // by key directory slot
+	comps    []atomic.Pointer[[]int32] // by graph id
+	resident atomic.Int64
 }
 
-// fetchSections resolves the directory and payload sections. Callers hold
-// lz.mu.
-func (lz *lazyStore) fetchSections() error {
-	if lz.fetched {
-		return lz.err
-	}
-	fetch := func(id uint32, dst *[]byte, lazy bool) {
-		if lz.err != nil {
-			return
-		}
-		var b []byte
-		var err error
-		if lazy {
-			b, err = lz.r.SectionLazy(id)
-		} else {
-			b, err = lz.r.Section(id)
-		}
-		if err != nil {
-			lz.err = err
-			return
-		}
-		*dst = b
-	}
-	// Directories are small and CRC-checked up front; the posting and
-	// component payloads stay unverified so only the records a query
-	// touches ever fault in (every decode below is bounds-checked).
-	fetch(secKeyDir, &lz.keyDir, false)
-	fetch(secKeyBlob, &lz.keyBlob, false)
-	fetch(secPostings, &lz.postRaw, true)
-	fetch(secCompDir, &lz.compDir, false)
-	fetch(secCompBlob, &lz.compBlob, true)
-	if lz.err == nil {
-		if len(lz.keyDir) != lz.nFeat*keyDirEntrySize {
-			lz.err = fmt.Errorf("grapes: key directory of %d bytes for %d features", len(lz.keyDir), lz.nFeat)
-		} else if len(lz.compDir) != lz.nGraphs*compDirEntrySize {
-			lz.err = fmt.Errorf("grapes: component directory of %d bytes for %d graphs", len(lz.compDir), lz.nGraphs)
-		}
-	}
-	lz.fetched = lz.err == nil
+// fetch resolves the directory and payload sections and validates the
+// directories, once; the outcome is sticky.
+func (lz *lazyStore) fetch() error {
+	lz.once.Do(func() { lz.err = lz.fetchSections() })
 	return lz.err
 }
 
-// findKey binary-searches the sorted key directory. Callers hold lz.mu
-// (read or write) with sections fetched.
-func (lz *lazyStore) findKey(key canon.Key) (int, bool) {
-	want := []byte(string(key))
+func (lz *lazyStore) fetchSections() error {
+	// Directories are small and CRC-checked up front; the posting and
+	// component payloads stay unverified so only the records a query
+	// touches ever fault in (every decode below is bounds-checked).
+	var err error
+	for _, s := range []struct {
+		id   uint32
+		dst  *[]byte
+		lazy bool
+	}{
+		{secKeyDir, &lz.keyDir, false},
+		{secKeyBlob, &lz.keyBlob, false},
+		{secPostings, &lz.postRaw, true},
+		{secCompDir, &lz.compDir, false},
+		{secCompBlob, &lz.compBlob, true},
+	} {
+		if s.lazy {
+			*s.dst, err = lz.r.SectionLazy(s.id)
+		} else {
+			*s.dst, err = lz.r.Section(s.id)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if len(lz.keyDir) != lz.nFeat*keyDirEntrySize {
+		return fmt.Errorf("grapes: key directory of %d bytes for %d features", len(lz.keyDir), lz.nFeat)
+	}
+	if len(lz.compDir) != lz.nGraphs*compDirEntrySize {
+		return fmt.Errorf("grapes: component directory of %d bytes for %d graphs", len(lz.compDir), lz.nGraphs)
+	}
+	if err := lz.validate(); err != nil {
+		return err
+	}
+	lz.postings = make([]atomic.Pointer[posting], lz.nFeat)
+	lz.comps = make([]atomic.Pointer[[]int32], lz.nGraphs)
+	return nil
+}
+
+// validate checks every directory entry against the sections it points
+// into, in one pass over bytes that fetch has just read and CRC-checked:
+// keys in range and strictly ascending (findKey binary-searches them),
+// posting records in range, component tables in range with at most one
+// component per vertex. Nothing a query reads through the directories can
+// then go out of bounds. (It reads no dataset state: WarmIndex runs it off
+// the engine's lock.)
+func (lz *lazyStore) validate() error {
+	for i := 0; i < lz.nFeat; i++ {
+		e := lz.keyDir[i*keyDirEntrySize:]
+		keyOff := binary.LittleEndian.Uint32(e)
+		keyLen := binary.LittleEndian.Uint32(e[4:])
+		postOff := binary.LittleEndian.Uint32(e[12:])
+		postLen := binary.LittleEndian.Uint32(e[16:])
+		if uint64(keyOff)+uint64(keyLen) > uint64(len(lz.keyBlob)) ||
+			uint64(postOff)+uint64(postLen) > uint64(len(lz.postRaw)) {
+			return fmt.Errorf("grapes: directory entry %d out of bounds", i)
+		}
+		if i > 0 && string(lz.keyAt(i-1)) >= string(lz.keyAt(i)) {
+			return fmt.Errorf("grapes: key directory out of order at entry %d", i)
+		}
+	}
+	for id := range lz.nGraphs {
+		off, nVerts, cc := lz.compEntry(graph.ID(id))
+		if cc > nVerts || uint64(off)+4*uint64(nVerts) > uint64(len(lz.compBlob)) {
+			return fmt.Errorf("grapes: component table for graph %d out of bounds", id)
+		}
+	}
+	return nil
+}
+
+// keyAt returns the key bytes of directory slot i.
+func (lz *lazyStore) keyAt(i int) []byte {
+	e := lz.keyDir[i*keyDirEntrySize:]
+	off := int(binary.LittleEndian.Uint32(e))
+	return lz.keyBlob[off : off+int(binary.LittleEndian.Uint32(e[4:]))]
+}
+
+// compEntry reads graph id's component directory entry.
+func (lz *lazyStore) compEntry(id graph.ID) (off, nVerts, cc uint32) {
+	e := lz.compDir[int(id)*compDirEntrySize:]
+	return binary.LittleEndian.Uint32(e), binary.LittleEndian.Uint32(e[4:]), binary.LittleEndian.Uint32(e[8:])
+}
+
+// findKey binary-searches the sorted key directory for key and returns its
+// slot. Sections must be fetched; it takes no lock and allocates nothing.
+func (lz *lazyStore) findKey(key string) (int, bool) {
 	lo, hi := 0, lz.nFeat
 	for lo < hi {
-		mid := (lo + hi) / 2
-		e := lz.keyDir[mid*keyDirEntrySize:]
-		off := binary.LittleEndian.Uint32(e)
-		klen := binary.LittleEndian.Uint32(e[4:])
-		if bytes.Compare(lz.keyBlob[off:off+klen], want) < 0 {
+		mid := int(uint(lo+hi) >> 1)
+		if string(lz.keyAt(mid)) < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < lz.nFeat {
-		e := lz.keyDir[lo*keyDirEntrySize:]
-		off := binary.LittleEndian.Uint32(e)
-		klen := binary.LittleEndian.Uint32(e[4:])
-		if bytes.Equal(lz.keyBlob[off:off+klen], want) {
-			return lo, true
-		}
-	}
-	return 0, false
+	return lo, lo < lz.nFeat && string(lz.keyAt(lo)) == key
 }
 
-// card returns a feature's posting cardinality without materializing it.
-func (lz *lazyStore) card(key canon.Key) int {
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if lz.fetchSections() != nil {
-		return 0
-	}
-	i, ok := lz.findKey(key)
-	if !ok {
-		return 0
-	}
+// card returns the posting cardinality of directory slot i.
+func (lz *lazyStore) card(i int) int {
 	return int(binary.LittleEndian.Uint32(lz.keyDir[i*keyDirEntrySize+8:]))
 }
 
-// decodeEntry decodes directory entry i into its key and posting. Callers
-// hold lz.mu with sections fetched.
-func (lz *lazyStore) decodeEntry(i int) (canon.Key, *posting, error) {
+// decodeEntry decodes the posting of directory slot i. Sections must be
+// fetched.
+func (lz *lazyStore) decodeEntry(i int) (*posting, error) {
 	e := lz.keyDir[i*keyDirEntrySize:]
-	keyOff := binary.LittleEndian.Uint32(e)
-	keyLen := binary.LittleEndian.Uint32(e[4:])
-	card := binary.LittleEndian.Uint32(e[8:])
-	postOff := binary.LittleEndian.Uint32(e[12:])
-	postLen := binary.LittleEndian.Uint32(e[16:])
-	if uint64(keyOff)+uint64(keyLen) > uint64(len(lz.keyBlob)) ||
-		uint64(postOff)+uint64(postLen) > uint64(len(lz.postRaw)) {
-		return "", nil, fmt.Errorf("grapes: directory entry %d out of bounds", i)
-	}
-	key := canon.Key(lz.keyBlob[keyOff : keyOff+keyLen])
-	rec := lz.postRaw[postOff : postOff+postLen]
+	postOff := int(binary.LittleEndian.Uint32(e[12:]))
+	rec := lz.postRaw[postOff : postOff+int(binary.LittleEndian.Uint32(e[16:]))]
 	if len(rec) < 4 {
-		return "", nil, fmt.Errorf("grapes: posting record for %q truncated", string(key))
+		return nil, fmt.Errorf("grapes: posting record %d truncated", i)
 	}
 	pLen := binary.LittleEndian.Uint32(rec)
 	if uint64(4)+uint64(pLen) > uint64(len(rec)) {
-		return "", nil, fmt.Errorf("grapes: posting record for %q truncated", string(key))
+		return nil, fmt.Errorf("grapes: posting record %d truncated", i)
 	}
 	ps, err := diskfmt.MakePostings(rec[4 : 4+pLen])
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	ids, err := ps.DecodeIDs(lz.nGraphs)
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
-	if uint32(len(ids)) != card {
-		return "", nil, fmt.Errorf("grapes: posting for %q holds %d ids, directory says %d", string(key), len(ids), card)
+	if card := lz.card(i); card != len(ids) {
+		return nil, fmt.Errorf("grapes: posting %d holds %d ids, directory says %d", i, len(ids), card)
 	}
 	p := &posting{ids: ids, locs: make([]location, len(ids))}
 	pos := 4 + int(pLen)
 	for k, id := range ids {
 		// Starts index the graph's component table, so they are checked
 		// against its recorded vertex count.
-		nVerts := binary.LittleEndian.Uint32(lz.compDir[int(id)*compDirEntrySize+4:])
+		_, nVerts, _ := lz.compEntry(id)
 		if pos+8 > len(rec) {
-			return "", nil, fmt.Errorf("grapes: location payload for %q truncated", string(key))
+			return nil, fmt.Errorf("grapes: location payload of posting %d truncated", i)
 		}
 		count := int32(binary.LittleEndian.Uint32(rec[pos:]))
 		nStarts := int(binary.LittleEndian.Uint32(rec[pos+4:]))
 		pos += 8
-		if pos+4*nStarts > len(rec) {
-			return "", nil, fmt.Errorf("grapes: location payload for %q truncated", string(key))
+		if nStarts > (len(rec)-pos)/4 {
+			return nil, fmt.Errorf("grapes: location payload of posting %d truncated", i)
 		}
 		starts := make([]int32, nStarts)
 		for s := range starts {
 			v := binary.LittleEndian.Uint32(rec[pos+4*s:])
 			if v >= nVerts {
-				return "", nil, fmt.Errorf("grapes: location for %q starts at vertex %d of a %d-vertex graph", string(key), v, nVerts)
+				return nil, fmt.Errorf("grapes: location in posting %d starts at vertex %d of a %d-vertex graph", i, v, nVerts)
 			}
 			starts[s] = int32(v)
 		}
 		pos += 4 * nStarts
 		p.locs[k] = location{count: count, starts: starts}
 	}
-	return key, p, nil
+	return p, nil
 }
 
 // decodeAll decodes every feature posting and component table — the fully
-// resident form of the index. Callers hold lz.mu or run before the index
-// is shared.
+// resident form of the index.
 func (lz *lazyStore) decodeAll() (map[canon.Key]*posting, [][]int32, []int, error) {
-	if err := lz.fetchSections(); err != nil {
+	if err := lz.fetch(); err != nil {
 		return nil, nil, nil, err
 	}
 	features := make(map[canon.Key]*posting, lz.nFeat)
 	for i := 0; i < lz.nFeat; i++ {
-		key, p, err := lz.decodeEntry(i)
+		p, err := lz.decodeEntry(i)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		features[key] = p
+		features[canon.Key(lz.keyAt(i))] = p
 	}
 	comps := make([][]int32, lz.nGraphs)
 	compCount := make([]int, lz.nGraphs)
 	for i := range comps {
 		var err error
-		if comps[i], compCount[i], err = lz.decodeComp(graph.ID(i)); err != nil {
+		if comps[i], err = lz.decodeComp(graph.ID(i)); err != nil {
 			return nil, nil, nil, err
 		}
+		_, _, cc := lz.compEntry(graph.ID(i))
+		compCount[i] = int(cc)
 	}
 	return features, comps, compCount, nil
 }
 
-// posting materializes (and caches) one feature's posting; nil means the
-// feature is absent from the index.
-func (lz *lazyStore) posting(key canon.Key) (*posting, error) {
-	lz.mu.RLock()
-	p, cached := lz.postings[key]
-	lz.mu.RUnlock()
-	if cached {
+// posting returns the posting of directory slot i, decoding it on first
+// touch.
+func (lz *lazyStore) posting(i int) (*posting, error) {
+	if p := lz.postings[i].Load(); p != nil {
 		return p, nil
 	}
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if p, cached = lz.postings[key]; cached {
-		return p, nil
-	}
-	if err := lz.fetchSections(); err != nil {
-		return nil, err
-	}
-	i, ok := lz.findKey(key)
-	if !ok {
-		lz.postings[key] = nil
-		return nil, nil
-	}
-	_, p, err := lz.decodeEntry(i)
+	p, err := lz.decodeEntry(i)
 	if err != nil {
-		lz.err = err
 		return nil, err
 	}
-	lz.postings[key] = p
-	delta := int64(len(p.ids)) * 4
-	for _, loc := range p.locs {
-		delta += 28 + int64(len(loc.starts))*4
+	if !lz.postings[i].CompareAndSwap(nil, p) {
+		return lz.postings[i].Load(), nil
 	}
-	lz.resident += delta
-	obs.IndexLazyLoadInc("Grapes")
-	obs.IndexResidentAdd("Grapes", core.StorageMmap, delta)
+	lz.account(p.residentBytes())
 	return p, nil
 }
 
-// decodeComp decodes graph id's component table. Callers hold lz.mu with
-// sections fetched.
-func (lz *lazyStore) decodeComp(id graph.ID) ([]int32, int, error) {
-	e := lz.compDir[int(id)*compDirEntrySize:]
-	off := binary.LittleEndian.Uint32(e)
-	nVerts := binary.LittleEndian.Uint32(e[4:])
-	cc := int(binary.LittleEndian.Uint32(e[8:]))
-	if uint64(cc) > uint64(nVerts) || uint64(off)+4*uint64(nVerts) > uint64(len(lz.compBlob)) {
-		return nil, 0, fmt.Errorf("grapes: component table for graph %d out of bounds", id)
+// residentBytes estimates the heap bytes a decoded posting pins.
+func (p *posting) residentBytes() int64 {
+	n := int64(len(p.ids)) * 4
+	for _, loc := range p.locs {
+		n += 28 + int64(len(loc.starts))*4
 	}
+	return n
+}
+
+// account records one lazy materialization of n heap bytes.
+func (lz *lazyStore) account(n int64) {
+	lz.resident.Add(n)
+	obs.IndexLazyLoadInc("Grapes")
+	obs.IndexResidentAdd("Grapes", core.StorageMmap, n)
+}
+
+// decodeComp decodes graph id's component table. Sections must be fetched.
+func (lz *lazyStore) decodeComp(id graph.ID) ([]int32, error) {
+	off, nVerts, cc := lz.compEntry(id)
 	if nVerts == 0 {
-		return nil, 0, nil
+		return nil, nil
 	}
 	comp := make([]int32, nVerts)
 	for v := range comp {
-		c := binary.LittleEndian.Uint32(lz.compBlob[off+4*uint32(v):])
-		if c >= uint32(cc) {
-			return nil, 0, fmt.Errorf("grapes: graph %d vertex %d in component %d of %d", id, v, c, cc)
+		c := binary.LittleEndian.Uint32(lz.compBlob[int(off)+4*v:])
+		if c >= cc {
+			return nil, fmt.Errorf("grapes: graph %d vertex %d in component %d of %d", id, v, c, cc)
 		}
 		comp[v] = int32(c)
 	}
-	return comp, cc, nil
+	return comp, nil
 }
 
-// compsOf materializes (and caches) graph id's component table and count.
-func (lz *lazyStore) compsOf(id graph.ID) ([]int32, int) {
+// compsOf returns graph id's component table and count, decoding the table
+// on first touch.
+func (lz *lazyStore) compsOf(id graph.ID) ([]int32, int, error) {
+	if err := lz.fetch(); err != nil {
+		return nil, 0, err
+	}
 	if int(id) < 0 || int(id) >= lz.nGraphs {
-		return nil, 0
+		return nil, 0, nil
 	}
-	lz.mu.RLock()
-	comp, cached := lz.comps[id]
-	if cached && lz.fetched {
-		cc := int(binary.LittleEndian.Uint32(lz.compDir[int(id)*compDirEntrySize+8:]))
-		lz.mu.RUnlock()
-		return comp, cc
+	_, _, cc := lz.compEntry(id)
+	if c := lz.comps[id].Load(); c != nil {
+		return *c, int(cc), nil
 	}
-	lz.mu.RUnlock()
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if err := lz.fetchSections(); err != nil {
-		return nil, 0
-	}
-	cc := int(binary.LittleEndian.Uint32(lz.compDir[int(id)*compDirEntrySize+8:]))
-	if comp, cached = lz.comps[id]; cached {
-		return comp, cc
-	}
-	comp, cc, err := lz.decodeComp(id)
+	comp, err := lz.decodeComp(id)
 	if err != nil {
-		lz.err = err
-		return nil, 0
+		return nil, 0, err
 	}
-	lz.comps[id] = comp
-	delta := int64(len(comp)) * 4
-	lz.resident += delta
-	obs.IndexLazyLoadInc("Grapes")
-	obs.IndexResidentAdd("Grapes", core.StorageMmap, delta)
-	return comp, cc
+	if !lz.comps[id].CompareAndSwap(nil, &comp) {
+		return *lz.comps[id].Load(), int(cc), nil
+	}
+	lz.account(int64(len(comp)) * 4)
+	return comp, int(cc), nil
 }
 
-// numFeaturesLazy returns the feature count recorded in the directory.
+// numFeatures returns the feature count recorded in the directory.
 func (lz *lazyStore) numFeatures() int { return lz.nFeat }
 
 // residentBytes estimates the heap bytes pinned by materialized cache
 // entries.
-func (lz *lazyStore) residentBytes() int64 {
-	lz.mu.RLock()
-	defer lz.mu.RUnlock()
-	return lz.resident
-}
+func (lz *lazyStore) residentBytes() int64 { return lz.resident.Load() }
