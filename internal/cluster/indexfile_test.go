@@ -91,7 +91,7 @@ func testLoadFromShipsIndexFile(t *testing.T, spec string) {
 	if sh == nil {
 		t.Fatalf("shard 1 missing on b after load")
 	}
-	if !sh.eng.Restored() {
+	if !sh.Engine().Restored() {
 		t.Fatalf("installed shard rebuilt its index; the shipped file was not restored")
 	}
 

@@ -34,51 +34,46 @@ type NodeConfig struct {
 	// Shards are the logical shards this node initially serves.
 	Shards []int
 	// IndexPath is the persistence base ("" = none): shard k persists at
-	// "<IndexPath>.node-shard-<k>" with the engine's epoch+tag header, so a
-	// restart restores unmutated shards instead of rebuilding.
+	// "<IndexPath>.node-shard-<k>", stamped like a sharded engine's shard
+	// file, so a restart restores unmutated shards instead of rebuilding.
 	IndexPath string
 	// VerifyWorkers is the node's total verification budget, divided
 	// across its shards (0 = GOMAXPROCS).
 	VerifyWorkers int
 }
 
-// nodeShard is one logical shard a node serves: the engine over its
-// re-homed sub-dataset plus the local<->global id mappings. global is
-// ascending — the initial partition re-homes in parent order and the
-// coordinator assigns fresh ids monotonically and serializes mutations — so
-// a shard's local-order stream maps to an ascending global-id stream.
+// nodeShard is one logical shard a node serves: an engine.Shard plus the
+// shard's cluster state, all guarded by Node.mu. The shard's global ids
+// ascend: the initial partition re-homes in parent order, and the
+// coordinator assigns fresh ids monotonically and serializes mutations.
 type nodeShard struct {
-	eng    *engine.Engine
-	global []graph.ID
-	g2l    map[graph.ID]graph.ID
+	*engine.Shard
 	// epoch is the cluster epoch of the last mutation applied to the
-	// shard; 0 since build. Guarded by Node.mu.
+	// shard; 0 since build.
 	epoch uint64
-	// maxID is the largest global id ever homed to the shard, dead or
-	// alive; -1 when none. Fresh-id allocation state for the coordinator.
+	// maxID is the largest global id ever acked into the shard, dead or
+	// alive; -1 when none. Fresh-id allocation state for the coordinator,
+	// and the re-delivery test: an add of an id at or below it was acked
+	// before.
 	maxID int64
 }
 
-func (sh *nodeShard) toGlobal(local graph.IDSet) graph.IDSet {
-	out := make(graph.IDSet, len(local))
-	for i, id := range local {
-		out[i] = sh.global[id]
-	}
-	return out
-}
-
-// Node is one cluster member: a set of logical shards, each an independent
-// engine over the shard's re-homed sub-dataset (built by the same
-// engine.PartitionShard the in-process sharded engine partitions with), a
-// shared label dictionary, and the mutation/dump/load surface the
-// coordinator drives. All methods are safe for concurrent use: queries take
-// the read side, mutations and shard installs the write side.
+// Node is one cluster member: a set of logical shards, each an
+// engine.Shard — the shard type the in-process sharded engine is built
+// from, partitioned by the same engine.PartitionShard — a shared label
+// dictionary, and the mutation/dump/load surface the coordinator drives.
+// All methods are safe for concurrent use: queries take the read side,
+// mutations and shard installs the write side (a mutation releases it for
+// the shard file write).
 type Node struct {
 	mu     sync.RWMutex
 	cfg    NodeConfig
 	spec   string // canonical
 	src    *graph.Dataset
 	shards map[int]*nodeShard
+	// fanout and perShard split VerifyWorkers over the initial shards, as
+	// the in-process sharded engine does (engine.ShardWorkers).
+	fanout, perShard int
 }
 
 // NewNode builds (or restores) the node's initial shards from its local
@@ -104,6 +99,7 @@ func NewNode(ctx context.Context, src *graph.Dataset, cfg NodeConfig) (*Node, er
 		return nil, fmt.Errorf("cluster: node requires a concrete indexing method, not composite %q", d.Name)
 	}
 	n := &Node{cfg: cfg, spec: p.Spec(), src: src, shards: make(map[int]*nodeShard, len(cfg.Shards))}
+	n.fanout, n.perShard = engine.ShardWorkers(cfg.VerifyWorkers, len(cfg.Shards))
 	seen := make(map[int]bool, len(cfg.Shards))
 	for _, k := range cfg.Shards {
 		if k < 0 || k >= cfg.ShardCount {
@@ -127,48 +123,28 @@ func (n *Node) shardIndexPath(k int) string {
 	return fmt.Sprintf("%s.node-shard-%d", n.cfg.IndexPath, k)
 }
 
-// perShardWorkers divides the node's verification budget across the shards
-// it serves, mirroring the in-process sharded engine.
-func (n *Node) perShardWorkers() int {
-	shards := len(n.cfg.Shards)
-	if shards == 0 {
-		shards = 1
-	}
-	w := n.cfg.VerifyWorkers / shards
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
 // buildLocal partitions shard k out of the node's local dataset copy and
-// builds (or, with persistence, restores) its engine.
+// opens (with persistence, restores) it.
 func (n *Node) buildLocal(ctx context.Context, k int) (*nodeShard, error) {
 	sub, global := engine.PartitionShard(n.src, n.cfg.ShardCount, k)
-	return n.openShard(ctx, k, sub, global)
+	return n.open(ctx, k, sub, global)
 }
 
-// openShard opens the engine over an assembled sub-dataset.
-func (n *Node) openShard(ctx context.Context, k int, sub *graph.Dataset, global []graph.ID) (*nodeShard, error) {
-	opts := []engine.Option{
-		engine.WithSpec(n.cfg.Spec),
-		engine.WithVerifyWorkers(n.perShardWorkers()),
-	}
+// open opens shard k over an assembled sub-dataset.
+func (n *Node) open(ctx context.Context, k int, sub *graph.Dataset, global []graph.ID) (*nodeShard, error) {
+	opts := []engine.Option{engine.WithSpec(n.cfg.Spec), engine.WithVerifyWorkers(n.perShard)}
 	if n.cfg.IndexPath != "" {
 		opts = append(opts, engine.WithIndexPath(n.shardIndexPath(k)))
 	}
-	eng, err := engine.Open(ctx, sub, opts...)
+	sh, err := engine.OpenShard(ctx, sub, global, opts...)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening shard %d: %w", k, err)
 	}
-	sh := &nodeShard{eng: eng, global: global, g2l: make(map[graph.ID]graph.ID, len(global)), maxID: -1}
-	for local, gid := range global {
-		sh.g2l[gid] = graph.ID(local)
-		if int64(gid) > sh.maxID {
-			sh.maxID = int64(gid)
-		}
+	maxID := int64(-1)
+	if len(global) > 0 {
+		maxID = int64(global[len(global)-1])
 	}
-	return sh, nil
+	return &nodeShard{Shard: sh, maxID: maxID}, nil
 }
 
 // Name returns the node's identity.
@@ -183,7 +159,7 @@ func (n *Node) Ready() bool {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
 	for _, sh := range n.shards {
-		if !sh.eng.Ready() {
+		if !sh.Engine().Ready() {
 			return false
 		}
 	}
@@ -225,9 +201,9 @@ func (n *Node) Info() InfoResponse {
 		sh := n.shards[k]
 		info.Shards = append(info.Shards, ShardInfo{
 			Shard:      k,
-			Graphs:     sh.eng.Dataset().NumAlive(),
+			Graphs:     sh.Engine().Dataset().NumAlive(),
 			Epoch:      sh.epoch,
-			IndexBytes: sh.eng.Method().SizeBytes(),
+			IndexBytes: sh.Engine().Method().SizeBytes(),
 		})
 		if sh.maxID > info.MaxGlobalID {
 			info.MaxGlobalID = sh.maxID
@@ -236,10 +212,11 @@ func (n *Node) Info() InfoResponse {
 	return info
 }
 
-// Query fans one query across the requested shards (concurrently, bounded
-// by GOMAXPROCS) and returns per-shard results in global ids. A requested
-// shard the node does not serve fails the whole call with ErrNotOwned —
-// the coordinator's routing table was stale and it must fail over.
+// Query fans one query across the requested shards — concurrently, within
+// the node's VerifyWorkers budget — and returns per-shard results in global
+// ids. A requested shard the node does not serve fails the whole call with
+// ErrNotOwned — the coordinator's routing table was stale and it must fail
+// over.
 func (n *Node) Query(ctx context.Context, shards []int, q *graph.Graph) ([]ShardResult, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
@@ -249,10 +226,10 @@ func (n *Node) Query(ctx context.Context, shards []int, q *graph.Graph) ([]Shard
 		}
 	}
 	results := make([]ShardResult, len(shards))
-	err := engine.ForEachBounded(ctx, len(shards), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+	err := engine.ForEachBounded(ctx, len(shards), n.fanout, func(ctx context.Context, i int) error {
 		sh := n.shards[shards[i]]
 		sctx, ssp := obs.StartSpan(ctx, fmt.Sprintf("shard-%d", shards[i]))
-		r, err := sh.eng.Query(sctx, q)
+		r, err := sh.Query(sctx, q)
 		if err != nil {
 			ssp.Cancel()
 			return err
@@ -262,8 +239,8 @@ func (n *Node) Query(ctx context.Context, shards []int, q *graph.Graph) ([]Shard
 		results[i] = ShardResult{
 			Shard:      shards[i],
 			Epoch:      sh.epoch,
-			Candidates: sh.toGlobal(r.Candidates),
-			Answers:    sh.toGlobal(r.Answers),
+			Candidates: r.Candidates,
+			Answers:    r.Answers,
 			FilterUs:   r.FilterTime.Microseconds(),
 			VerifyUs:   r.VerifyTime.Microseconds(),
 			Produced:   r.Produced,
@@ -297,44 +274,34 @@ func (n *Node) Stream(ctx context.Context, shards []int, q *graph.Graph, after g
 // (nil = no accounting): candidates produced and live across the shard
 // cursors, plus verifier invocations.
 func (n *Node) StreamStats(ctx context.Context, shards []int, q *graph.Graph, after graph.ID, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return engine.MergeStream(ctx, &n.mu, stats, func() ([]engine.MergeLeg, func() error, error) {
-		legs := make([]engine.MergeLeg, len(shards))
+	return engine.MergeStream(ctx, &n.mu, stats, q, after, func() ([]*engine.Shard, func() error, error) {
 		// The shard instances and their dataset epochs pin the index
-		// generation the plans were built against; either moving is stale.
-		pinned := make([]*nodeShard, len(shards))
+		// generation the plans are built against; either moving is stale.
+		pinned := make([]*engine.Shard, len(shards))
 		epochs := make([]uint64, len(shards))
 		for i, k := range shards {
 			sh, ok := n.shards[k]
 			if !ok {
 				return nil, nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
 			}
-			plan, err := core.NewPlan(ctx, sh.eng.Method(), sh.eng.Dataset(), q)
-			if err != nil {
-				return nil, nil, err
-			}
-			// Resume strictly after the frontier before any verification:
-			// global ids ascend with local ids, so the cutoff is the first
-			// local id whose global id exceeds it.
-			skip := graph.ID(sort.Search(len(sh.global), func(i int) bool { return sh.global[i] > after }))
-			legs[i] = engine.MergeLeg{Plan: plan, DS: sh.eng.Dataset(), Global: sh.global, Skip: skip}
-			pinned[i], epochs[i] = sh, sh.eng.Dataset().Epoch()
+			pinned[i], epochs[i] = sh.Shard, sh.Engine().Dataset().Epoch()
 		}
 		stale := func() error {
 			for i, k := range shards {
-				if cur, ok := n.shards[k]; !ok || cur != pinned[i] || cur.eng.Dataset().Epoch() != epochs[i] {
+				if cur, ok := n.shards[k]; !ok || cur.Shard != pinned[i] || cur.Engine().Dataset().Epoch() != epochs[i] {
 					return fmt.Errorf("cluster: %w (shard %d)", engine.ErrStreamStale, k)
 				}
 			}
 			return nil
 		}
-		return legs, stale, nil
+		return pinned, stale, nil
 	})
 }
 
 // Add applies a coordinator-routed add: the graph joins shard
 // ShardOf(id, ShardCount) under the coordinator-assigned global id and the
-// shard index is maintained online. Re-delivery of an already-applied id
-// acks success without re-indexing, so coordinator retries are safe.
+// shard index is maintained online. Re-delivery of an already-acked id acks
+// success without re-indexing, so coordinator retries are safe.
 func (n *Node) Add(ctx context.Context, id graph.ID, epoch uint64, g *graph.Graph) (MutateAck, error) {
 	k := engine.ShardOf(id, n.cfg.ShardCount)
 	n.mu.Lock()
@@ -343,26 +310,21 @@ func (n *Node) Add(ctx context.Context, id graph.ID, epoch uint64, g *graph.Grap
 	if !ok {
 		return MutateAck{}, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
 	}
-	if _, applied := sh.g2l[id]; !applied {
-		local, err := sh.eng.AddGraph(ctx, g)
-		if err != nil {
+	if int64(id) > sh.maxID {
+		if err := sh.Add(ctx, id, g); err != nil {
 			return MutateAck{}, err
 		}
-		if int(local) != len(sh.global) {
-			// AddGraph assigns dense local ids, so this cannot drift; guard
-			// the mapping invariant the stream merge depends on anyway.
-			return MutateAck{}, fmt.Errorf("cluster: shard %d local id %d != mapping length %d", k, local, len(sh.global))
-		}
-		sh.global = append(sh.global, id)
-		sh.g2l[id] = local
-		if int64(id) > sh.maxID {
-			sh.maxID = int64(id)
+		prevMax := sh.maxID
+		sh.maxID = int64(id)
+		if err := n.persistUnlocked(sh); err != nil {
+			// Not acked, so the coordinator may assign id again: with maxID
+			// restored, that add applies.
+			sh.RollbackAdd(id)
+			sh.maxID = prevMax
+			return MutateAck{}, err
 		}
 	}
-	if epoch > sh.epoch {
-		sh.epoch = epoch
-	}
-	return MutateAck{Node: n.cfg.Name, Shard: k, Epoch: sh.epoch, Graphs: sh.eng.Dataset().NumAlive()}, nil
+	return n.ackLocked(k, sh, epoch), nil
 }
 
 // Remove applies a coordinator-routed removal: the graph is tombstoned in
@@ -377,19 +339,35 @@ func (n *Node) Remove(ctx context.Context, id graph.ID, epoch uint64) (MutateAck
 	if !ok {
 		return MutateAck{}, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
 	}
-	local, known := sh.g2l[id]
+	local, known := sh.LocalOf(id)
 	if !known {
 		return MutateAck{}, fmt.Errorf("cluster: removing graph %d: %w", id, engine.ErrNoSuchGraph)
 	}
-	if sh.eng.Dataset().Alive(local) {
-		if err := sh.eng.RemoveGraph(ctx, local); err != nil {
+	if sh.Engine().Dataset().Alive(local) {
+		if err := sh.Remove(ctx, id); err != nil {
+			return MutateAck{}, err
+		}
+		// The tombstone stays committed on a persist failure, as in the
+		// engine: the removal is already query-correct.
+		if err := n.persistUnlocked(sh); err != nil {
 			return MutateAck{}, err
 		}
 	}
-	if epoch > sh.epoch {
-		sh.epoch = epoch
-	}
-	return MutateAck{Node: n.cfg.Name, Shard: k, Epoch: sh.epoch, Graphs: sh.eng.Dataset().NumAlive()}, nil
+	return n.ackLocked(k, sh, epoch), nil
+}
+
+// persistUnlocked rewrites sh's index file with the node lock released, so
+// the node's queries and streams proceed during the file write.
+func (n *Node) persistUnlocked(sh *nodeShard) error {
+	n.mu.Unlock()
+	defer n.mu.Lock()
+	return sh.Persist()
+}
+
+// ackLocked moves shard k to the mutation's epoch and acknowledges it.
+func (n *Node) ackLocked(k int, sh *nodeShard, epoch uint64) MutateAck {
+	sh.epoch = max(sh.epoch, epoch)
+	return MutateAck{Node: n.cfg.Name, Shard: k, Epoch: sh.epoch, Graphs: sh.Engine().Dataset().NumAlive()}
 }
 
 // DumpGraph is one live graph of a shard dump, in ascending global-id order.
@@ -409,12 +387,9 @@ func (n *Node) Dump(k int) ([]DumpGraph, uint64, int64, error) {
 	if !ok {
 		return nil, 0, 0, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
 	}
-	sub := sh.eng.Dataset()
-	out := make([]DumpGraph, 0, sub.NumAlive())
-	for local, gid := range sh.global {
-		if g := sub.Graph(graph.ID(local)); g != nil {
-			out = append(out, DumpGraph{ID: gid, Graph: g})
-		}
+	out := make([]DumpGraph, 0, sh.Engine().Dataset().NumAlive())
+	for id, g := range sh.Graphs() {
+		out = append(out, DumpGraph{ID: id, Graph: g})
 	}
 	return out, sh.epoch, sh.maxID, nil
 }
@@ -442,14 +417,11 @@ func (n *Node) Install(ctx context.Context, k int, epoch uint64, maxID int64, gr
 		global = append(global, dg.ID)
 		sub.Add(dg.Graph.ShallowWithID(0))
 	}
-	sh, err := n.openShard(ctx, k, sub, global)
+	sh, err := n.open(ctx, k, sub, global)
 	if err != nil {
 		return err
 	}
-	sh.epoch = epoch
-	if maxID > sh.maxID {
-		sh.maxID = maxID
-	}
+	sh.epoch, sh.maxID = epoch, max(sh.maxID, maxID)
 	n.mu.Lock()
 	n.shards[k] = sh
 	n.mu.Unlock()

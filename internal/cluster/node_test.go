@@ -1,0 +1,196 @@
+package cluster
+
+import (
+	"context"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/gen"
+	"repro/internal/graph"
+	"repro/internal/obs"
+	"repro/internal/workload"
+)
+
+func nodeFixture(t *testing.T, graphs, queries int) (*graph.Dataset, []*graph.Graph) {
+	t.Helper()
+	ds := gen.Synthetic(gen.SynthConfig{
+		NumGraphs: graphs, MeanNodes: 14, MeanDensity: 0.2, NumLabels: 4, Seed: 41,
+	})
+	qs, err := workload.Generate(ds, workload.Config{NumQueries: queries, QueryEdges: 3, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ds, qs
+}
+
+// nodeAnswers is the node's answer set for q over shard k.
+func nodeAnswers(t *testing.T, n *Node, k int, q *graph.Graph) graph.IDSet {
+	t.Helper()
+	res, err := n.Query(context.Background(), []int{k}, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0].Answers
+}
+
+// TestNodeFanoutHonoursVerifyBudget: VerifyWorkers is the node's total
+// verification budget, so a node given 1 runs its shard legs one at a time
+// — their spans never overlap — however many cores it has.
+func TestNodeFanoutHonoursVerifyBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	ctx := context.Background()
+	src, queries := nodeFixture(t, 400, 12)
+	shards := []int{0, 1, 2}
+	n, err := NewNode(ctx, src, NodeConfig{
+		Name: "n", Spec: "noindex", ShardCount: len(shards), Shards: shards, VerifyWorkers: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		tr := obs.NewTrace()
+		root := tr.StartSpan(nil, "root")
+		if _, err := n.Query(obs.ContextWithSpan(ctx, root), shards, q); err != nil {
+			t.Fatal(err)
+		}
+		root.End()
+		var legs []*obs.SpanTree
+		tr.Tree().Walk(func(st *obs.SpanTree) {
+			if strings.HasPrefix(st.Name, "shard-") {
+				legs = append(legs, st)
+			}
+		})
+		if len(legs) != len(shards) {
+			t.Fatalf("query %d: %d shard spans, want %d", i, len(legs), len(shards))
+		}
+		slices.SortFunc(legs, func(a, b *obs.SpanTree) int { return int(a.StartUs - b.StartUs) })
+		for j := 1; j < len(legs); j++ {
+			if prev := legs[j-1]; legs[j].StartUs < prev.StartUs+prev.DurUs {
+				t.Fatalf("query %d: %s started at %dus, inside %s [%dus, +%dus): VerifyWorkers=1 ran legs concurrently",
+					i, legs[j].Name, legs[j].StartUs, prev.Name, prev.StartUs, prev.DurUs)
+			}
+		}
+	}
+}
+
+// TestNodeAddRedelivery: an add delivered twice acks twice and applies
+// once — the shard's length, its live count and its answers do not move.
+func TestNodeAddRedelivery(t *testing.T) {
+	ctx := context.Background()
+	src, queries := nodeFixture(t, 25, 4)
+	n, err := NewNode(ctx, src, NodeConfig{Name: "n", Spec: "grapes:maxPathLen=3", ShardCount: 2, Shards: []int{0, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := graph.ID(src.Len())
+	k := engine.ShardOf(id, 2)
+	g := src.Graphs[0]
+	first, err := n.Add(ctx, id, 1, g.ShallowWithID(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	length := n.shards[k].Engine().Dataset().Len()
+	live := n.Info().Shards[k].Graphs
+	answers := make([]graph.IDSet, len(queries))
+	for i, q := range queries {
+		answers[i] = nodeAnswers(t, n, k, q)
+	}
+	second, err := n.Add(ctx, id, 1, g.ShallowWithID(0))
+	if err != nil {
+		t.Fatalf("re-delivered add: %v, want an ack", err)
+	}
+	if second != first {
+		t.Errorf("re-delivered add acked %+v, first delivery %+v", second, first)
+	}
+	if got := n.shards[k].Engine().Dataset().Len(); got != length {
+		t.Errorf("re-delivery grew the shard from %d to %d slots", length, got)
+	}
+	if got := n.Info().Shards[k].Graphs; got != live {
+		t.Errorf("re-delivery moved the live count from %d to %d", live, got)
+	}
+	for i, q := range queries {
+		if got := nodeAnswers(t, n, k, q); !got.Equal(answers[i]) {
+			t.Errorf("query %d after re-delivery: %v, want %v", i, got, answers[i])
+		}
+	}
+}
+
+// TestNodeAddRollsBackFailedPersist: an add whose shard file cannot be
+// rewritten is not acked and leaves nothing live; the coordinator may then
+// assign the same id again, and that add applies.
+func TestNodeAddRollsBackFailedPersist(t *testing.T) {
+	ctx := context.Background()
+	src, _ := nodeFixture(t, 25, 4)
+	n, err := NewNode(ctx, src, NodeConfig{
+		Name: "n", Spec: "grapes:maxPathLen=3", ShardCount: 2, Shards: []int{0, 1},
+		IndexPath: filepath.Join(t.TempDir(), "n.idx"),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := graph.ID(src.Len())
+	k := engine.ShardOf(id, 2)
+	g := src.Graphs[0]
+	// The query is the added graph itself, so it is an answer once live.
+	q := g.ShallowWithID(0)
+	before := nodeAnswers(t, n, k, q)
+	info := n.Info()
+
+	// A non-empty directory where the shard's file goes fails the rename of
+	// the rewritten file.
+	path := n.shardIndexPath(k)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Add(ctx, id, 1, g.ShallowWithID(0)); err == nil {
+		t.Fatal("add acked although its shard file could not be written")
+	}
+	if got := nodeAnswers(t, n, k, q); !got.Equal(before) {
+		t.Fatalf("rolled-back add is live: answers %v, want %v", got, before)
+	}
+	if got := n.Info(); got.MaxGlobalID != info.MaxGlobalID || got.Shards[k] != info.Shards[k] {
+		t.Fatalf("rolled-back add moved the shard state from %+v (max id %d) to %+v (max id %d)",
+			info.Shards[k], info.MaxGlobalID, got.Shards[k], got.MaxGlobalID)
+	}
+
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Add(ctx, id, 1, g.ShallowWithID(0)); err != nil {
+		t.Fatalf("add of the same id once the file is writable: %v", err)
+	}
+	if got, want := nodeAnswers(t, n, k, q), before.Union(graph.IDSet{id}); !got.Equal(want) {
+		t.Fatalf("answers after the re-applied add: %v, want %v", got, want)
+	}
+	var streamed graph.IDSet
+	for gid, err := range n.Stream(ctx, []int{k}, q, -1) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed = append(streamed, gid)
+	}
+	if want := before.Union(graph.IDSet{id}); !streamed.Equal(want) {
+		t.Fatalf("streamed %v, want %v", streamed, want)
+	}
+	graphs, _, _, err := n.Dump(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copies := 0
+	for _, dg := range graphs {
+		if dg.ID == id {
+			copies++
+		}
+	}
+	if copies != 1 {
+		t.Fatalf("dump holds %d live copies of graph %d, want 1", copies, id)
+	}
+}

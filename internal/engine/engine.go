@@ -67,6 +67,9 @@ type Engine struct {
 	proc     *core.Processor
 	build    core.BuildStats
 	restored bool
+	// stampSpec is the spec an index file is stamped with: the method name
+	// for a flat engine, the canonical spec for a shard (see OpenShard).
+	stampSpec string
 	// fresh constructs a pristine unbuilt instance for rebuild fallbacks;
 	// nil when the engine was opened with WithMethod, whose mutations then
 	// fail cleanly when they need a rebuild (the live index is never
@@ -108,12 +111,27 @@ func stampOf(ds *graph.Dataset, spec string) stamp {
 // transparently restores a previously persisted one when WithIndexPath names
 // a loadable file — and returns an Engine serving queries over it.
 func Open(ctx context.Context, ds *graph.Dataset, opts ...Option) (*Engine, error) {
-	if ds == nil {
-		return nil, errors.New("engine: nil dataset")
-	}
+	cfg := newConfig(opts)
+	persisted := cfg.indexPath != ""
+	return openEngine(ctx, ds, cfg, "", persisted, persisted)
+}
+
+func newConfig(opts []Option) config {
 	cfg := config{spec: "grapes", verifyWorkers: runtime.GOMAXPROCS(0)}
 	for _, o := range opts {
 		o(&cfg)
+	}
+	return cfg
+}
+
+// openEngine constructs cfg's method into an engine over ds and makes it
+// servable: with restore, it loads the index from cfg's path when a file
+// stamped for ds and stampSpec ("": the method's name) is there; otherwise
+// it builds the index and, with save, persists it. A restored storage=mmap
+// index then warms in the background.
+func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec string, restore, save bool) (*Engine, error) {
+	if ds == nil {
+		return nil, errors.New("engine: nil dataset")
 	}
 	m := cfg.method
 	if m == nil {
@@ -122,58 +140,39 @@ func Open(ctx context.Context, ds *graph.Dataset, opts ...Option) (*Engine, erro
 			return nil, err
 		}
 	}
-	e := &Engine{method: m, ds: ds, indexPath: cfg.indexPath, verifyWorkers: cfg.verifyWorkers}
+	if _, ok := m.(core.Persistable); !ok && cfg.indexPath != "" {
+		// Fail fast, not after a build whose result could not be saved.
+		return nil, fmt.Errorf("engine: %s does not support index persistence", m.Name())
+	}
+	if stampSpec == "" {
+		stampSpec = m.Name()
+	}
+	e := &Engine{method: m, ds: ds, stampSpec: stampSpec, indexPath: cfg.indexPath, verifyWorkers: cfg.verifyWorkers}
 	if cfg.method == nil {
 		spec := cfg.spec
 		e.fresh = func() (core.Method, error) { return New(spec) }
 	}
-
-	if cfg.indexPath != "" {
-		openStart := time.Now()
-		want := stampOf(ds, m.Name())
-		touched, err := readIndexFile(cfg.indexPath, m, ds, &want)
-		switch {
-		case err == nil:
-			e.restored = true
-			storage := storageModeOf(m)
-			obs.IndexOpenObserve(m.Name(), storage, time.Since(openStart).Seconds())
-			obs.IndexResidentSet(m.Name(), storage, m.SizeBytes())
-		case touched:
-			// The load touched the instance before failing; rebuild from a
-			// pristine one so the corrupt file's parameters never leak into
-			// the build.
-			if cfg.method != nil {
-				return nil, fmt.Errorf("engine: loading %s index from %s: %w", m.Name(), cfg.indexPath, err)
-			}
-			if m, err = New(cfg.spec); err != nil {
-				return nil, err
-			}
-			e.method = m
-		case errors.Is(err, fs.ErrNotExist), errors.Is(err, errStaleIndex):
-			// Nothing restorable and the instance is untouched: build over
-			// the current dataset and overwrite whatever is there.
-		default:
-			// A present-but-unreadable index is an error, not a silent
-			// multi-hour rebuild; so is a method that cannot persist, before
-			// a build whose result could not be saved.
-			return nil, fmt.Errorf("engine: opening index at %s: %w", cfg.indexPath, err)
+	if restore {
+		if err := e.restore(); err != nil {
+			return nil, err
 		}
 	}
 	if !e.restored {
-		st, err := core.BuildTimed(ctx, m, ds)
+		st, err := core.BuildTimed(ctx, e.method, ds)
 		if err != nil {
-			return nil, fmt.Errorf("engine: building %s: %w", m.Name(), err)
+			return nil, fmt.Errorf("engine: building %s: %w", e.method.Name(), err)
 		}
 		e.build = st
-		if cfg.indexPath != "" {
-			if err := writeIndexFile(cfg.indexPath, m, stampOf(ds, m.Name())); err != nil {
+		if save {
+			if err := e.persist(); err != nil {
 				return nil, err
 			}
 		}
 	}
+	e.proc = &core.Processor{Method: e.method, DS: ds, VerifyWorkers: e.verifyWorkers}
 	e.ready.Store(true)
-	if e.restored && storageModeOf(m) == core.StorageMmap {
-		if warm, ok := m.(core.Warmable); ok {
+	if e.restored && storageModeOf(e.method) == core.StorageMmap {
+		if warm, ok := e.method.(core.Warmable); ok {
 			// Pre-fault the directory sections off the open path: queries
 			// are answerable immediately, /readyz flips once the warm lands.
 			e.ready.Store(false)
@@ -183,8 +182,41 @@ func Open(ctx context.Context, ds *graph.Dataset, opts ...Option) (*Engine, erro
 			}()
 		}
 	}
-	e.proc = &core.Processor{Method: m, DS: ds, VerifyWorkers: cfg.verifyWorkers}
 	return e, nil
+}
+
+// restore loads the index file at e.indexPath when its stamps match. A
+// file that is absent, stale or damaged before the load touched the method
+// leaves e unrestored, to be built over and overwritten; one that failed
+// mid-load swaps in a pristine instance first, so its parameters never leak
+// into the build.
+func (e *Engine) restore() error {
+	start := time.Now()
+	want := stampOf(e.ds, e.stampSpec)
+	touched, err := readIndexFile(e.indexPath, e.method, e.ds, &want)
+	switch {
+	case err == nil:
+		e.restored = true
+		storage := storageModeOf(e.method)
+		obs.IndexOpenObserve(e.method.Name(), storage, time.Since(start).Seconds())
+		obs.IndexResidentSet(e.method.Name(), storage, e.method.SizeBytes())
+	case touched:
+		if e.fresh == nil {
+			return fmt.Errorf("engine: loading %s index from %s: %w", e.method.Name(), e.indexPath, err)
+		}
+		m, err := e.fresh()
+		if err != nil {
+			return err
+		}
+		e.method = m
+	case errors.Is(err, fs.ErrNotExist), errors.Is(err, errStaleIndex):
+		// Nothing restorable and the instance is untouched.
+	default:
+		// A present-but-unreadable index is an error, not a silent
+		// multi-hour rebuild.
+		return fmt.Errorf("engine: opening index at %s: %w", e.indexPath, err)
+	}
+	return nil
 }
 
 // errStaleIndex marks a file that is not a restorable index for this
@@ -304,7 +336,7 @@ func (e *Engine) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID,
 func (e *Engine) Save(path string) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return writeIndexFile(path, e.method, stampOf(e.ds, e.method.Name()))
+	return writeIndexFile(path, e.method, stampOf(e.ds, e.stampSpec))
 }
 
 // SaveMethod persists a built method's index to path, atomically (see

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -18,66 +19,90 @@ import (
 func TestMutableConcurrentQueries(t *testing.T) {
 	ctx := context.Background()
 	ds := tinyDataset(t)
-	pool := gen.Synthetic(gen.SynthConfig{
-		NumGraphs: 8, MeanNodes: 10, MeanDensity: 0.2, NumLabels: 4, Seed: 43,
-	})
 	for _, spec := range []string{"grapes", "ctindex:fingerprintBits=512"} {
 		t.Run(spec, func(t *testing.T) {
 			eng, err := engine.Open(ctx, ds, engine.WithSpec(spec))
 			if err != nil {
 				t.Fatal(err)
 			}
-			queries := tinyQueries(t, ds)
-			var wg sync.WaitGroup
-			for w := 0; w < 4; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for i := 0; i < 20; i++ {
-						q := queries[(w+i)%len(queries)]
-						if w%2 == 0 {
-							if _, err := eng.Query(ctx, q); err != nil {
-								t.Errorf("query: %v", err)
-								return
-							}
-							continue
-						}
-						for _, err := range eng.Stream(ctx, q) {
-							if err != nil {
-								// A mutation landing mid-stream aborts it
-								// with ErrStreamStale by design (the lock is
-								// no longer held across yields); anything
-								// else is a real failure.
-								if errors.Is(err, engine.ErrStreamStale) {
-									break
-								}
-								t.Errorf("stream: %v", err)
-								return
-							}
-						}
-					}
-				}(w)
-			}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i, g := range pool.Graphs {
-					id, err := eng.AddGraph(ctx, g.ShallowWithID(0))
-					if err != nil {
-						t.Errorf("add %d: %v", i, err)
-						return
-					}
-					if i%2 == 0 {
-						if err := eng.RemoveGraph(ctx, id); err != nil {
-							t.Errorf("remove %d: %v", id, err)
-							return
-						}
-					}
-				}
-			}()
-			wg.Wait()
+			hammer(t, eng, tinyQueries(t, ds))
 		})
 	}
+}
+
+// TestShardedMutableConcurrentQueries is the sharded, persisted analogue:
+// the shard engines' locks nest under the sharded engine's, and each
+// mutation's shard file is rewritten while queries run.
+func TestShardedMutableConcurrentQueries(t *testing.T) {
+	ctx := context.Background()
+	ds := tinyDataset(t)
+	for _, spec := range []string{"grapes", "ctindex:fingerprintBits=512"} {
+		t.Run(spec, func(t *testing.T) {
+			s, err := engine.OpenSharded(ctx, ds, 3, engine.WithSpec(spec),
+				engine.WithIndexPath(filepath.Join(t.TempDir(), "idx")))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hammer(t, s, tinyQueries(t, ds))
+		})
+	}
+}
+
+// hammer runs two query workers, two stream workers and one mutator
+// (adds, every other one removed again) against eng at once.
+func hammer(t *testing.T, eng engine.Querier, queries []*graph.Graph) {
+	ctx := context.Background()
+	pool := gen.Synthetic(gen.SynthConfig{
+		NumGraphs: 8, MeanNodes: 10, MeanDensity: 0.2, NumLabels: 4, Seed: 43,
+	})
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				q := queries[(w+i)%len(queries)]
+				if w%2 == 0 {
+					if _, err := eng.Query(ctx, q); err != nil {
+						t.Errorf("query: %v", err)
+						return
+					}
+					continue
+				}
+				for _, err := range eng.Stream(ctx, q) {
+					if err != nil {
+						// A mutation landing mid-stream aborts it with
+						// ErrStreamStale by design (the lock is no longer
+						// held across yields); anything else is a real
+						// failure.
+						if errors.Is(err, engine.ErrStreamStale) {
+							break
+						}
+						t.Errorf("stream: %v", err)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i, g := range pool.Graphs {
+			id, err := eng.AddGraph(ctx, g.ShallowWithID(0))
+			if err != nil {
+				t.Errorf("add %d: %v", i, err)
+				return
+			}
+			if i%2 == 0 {
+				if err := eng.RemoveGraph(ctx, id); err != nil {
+					t.Errorf("remove %d: %v", id, err)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
 }
 
 // TestMutableErrors pins the mutation error surface.

@@ -1,0 +1,162 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"iter"
+	"runtime"
+	"sort"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+)
+
+// Shard is one horizontal partition of a sharded index: an Engine over the
+// shard's re-homed sub-dataset (see PartitionShard) plus the ascending map
+// from its local ids to parent ids. Sharded and cluster.Node are both built
+// from it, so restore or build, warm-up, maintenance, roll-back and
+// re-persist exist once, in Engine.
+//
+// The owner serializes a shard: Add, Remove and RollbackAdd run under its
+// write lock, Query, Graphs and MergeStream under its read lock, and it
+// takes that lock before the shard engine's. Persist needs no owner lock:
+// it holds the shard engine's read lock alone for the file write.
+type Shard struct {
+	eng    *Engine
+	global []graph.ID // local id -> parent id, ascending
+}
+
+// OpenShard opens the shard over sub, whose local id i is parent id
+// global[i], the way Open opens a flat engine: the WithSpec method is
+// restored from WithIndexPath when a loadable file is there, and built and
+// saved there otherwise. The file is stamped with the canonical spec rather
+// than the method name, so a file written under other build parameters
+// never restores into a shard.
+func OpenShard(ctx context.Context, sub *graph.Dataset, global []graph.ID, opts ...Option) (*Shard, error) {
+	cfg := newConfig(opts)
+	_, spec, err := shardSpec(cfg)
+	if err != nil {
+		return nil, err
+	}
+	persisted := cfg.indexPath != ""
+	e, err := openEngine(ctx, sub, cfg, spec, persisted, persisted)
+	if err != nil {
+		return nil, err
+	}
+	return &Shard{eng: e, global: global}, nil
+}
+
+// shardSpec resolves the method every shard of cfg is constructed from,
+// and its canonical spec. A single WithMethod instance cannot back several
+// shards, so shards take a spec.
+func shardSpec(cfg config) (*Descriptor, string, error) {
+	if cfg.method != nil {
+		return nil, "", errors.New("engine: shards construct one method each; select it with WithSpec, not WithMethod")
+	}
+	d, p, err := ParseSpec(cfg.spec)
+	if err != nil {
+		return nil, "", err
+	}
+	return d, p.canonicalSpec(), nil
+}
+
+// Engine returns the engine over the shard's sub-dataset; its ids are
+// shard-local.
+func (sh *Shard) Engine() *Engine { return sh.eng }
+
+func (sh *Shard) empty() bool { return len(sh.global) == 0 }
+
+// LocalOf maps a parent id to the local id of its re-homed copy. When an
+// add rolled back and the same id was re-added, the id is held twice and
+// the later copy is returned.
+func (sh *Shard) LocalOf(id graph.ID) (graph.ID, bool) {
+	i := sh.firstAfter(id) - 1
+	if i >= 0 && sh.global[i] == id {
+		return graph.ID(i), true
+	}
+	return 0, false
+}
+
+// firstAfter returns the first local id whose parent id exceeds id, by
+// binary search over the ascending map.
+func (sh *Shard) firstAfter(id graph.ID) int {
+	return sort.Search(len(sh.global), func(i int) bool { return sh.global[i] > id })
+}
+
+// toGlobal maps a sorted shard-local IDSet to parent ids; the map is
+// monotonic, so the result is sorted too.
+func (sh *Shard) toGlobal(local graph.IDSet) graph.IDSet {
+	out := make(graph.IDSet, len(local))
+	for i, id := range local {
+		out[i] = sh.global[id]
+	}
+	return out
+}
+
+// Query answers q over the shard, in parent ids.
+func (sh *Shard) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
+	if sh.empty() {
+		return &core.QueryResult{}, nil
+	}
+	r, err := sh.eng.Query(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	r.Candidates, r.Answers = sh.toGlobal(r.Candidates), sh.toGlobal(r.Answers)
+	return r, nil
+}
+
+// Graphs yields the shard's live graphs with their parent ids, ascending.
+func (sh *Shard) Graphs() iter.Seq2[graph.ID, *graph.Graph] {
+	return func(yield func(graph.ID, *graph.Graph) bool) {
+		for local, id := range sh.global {
+			if g := sh.eng.ds.Graph(graph.ID(local)); g != nil && !yield(id, g) {
+				return
+			}
+		}
+	}
+}
+
+// Add re-homes g into the shard as parent id id and maintains the shard's
+// index. Parent ids must arrive in ascending order. The local slot is taken
+// even when maintenance fails; the copy is then tombstoned again.
+func (sh *Shard) Add(ctx context.Context, id graph.ID, g *graph.Graph) error {
+	if n := len(sh.global); n > 0 && id < sh.global[n-1] {
+		return fmt.Errorf("engine: graph %d arrived after graph %d; shard ids must ascend", id, sh.global[n-1])
+	}
+	sh.global = append(sh.global, id)
+	_, err := sh.eng.applyAdd(ctx, g.ShallowWithID(0))
+	return err
+}
+
+// Remove tombstones the re-homed copy of parent id id and maintains the
+// shard's index.
+func (sh *Shard) Remove(ctx context.Context, id graph.ID) error {
+	local, ok := sh.LocalOf(id)
+	if !ok {
+		return fmt.Errorf("engine: removing graph %d: %w", id, ErrNoSuchGraph)
+	}
+	return sh.eng.applyRemove(ctx, local)
+}
+
+// RollbackAdd undoes Add(id) after its Persist failed.
+func (sh *Shard) RollbackAdd(id graph.ID) {
+	if local, ok := sh.LocalOf(id); ok {
+		sh.eng.rollbackAdd(local)
+	}
+}
+
+// Persist re-persists the shard's index file after a mutation; a shard
+// opened without an index path skips it.
+func (sh *Shard) Persist() error { return sh.eng.persist() }
+
+// ShardWorkers splits a verification budget over n shards: each shard
+// verifies with perShard workers, and at most fanout shards run at once, so
+// the total never exceeds the budget — a budget of 1 processes the shards
+// one at a time, the paper's serial measurement mode.
+func ShardWorkers(budget, n int) (fanout, perShard int) {
+	fanout = min(budget, runtime.GOMAXPROCS(0))
+	perShard = budget / max(n, 1)
+	return max(fanout, 1), max(perShard, 1)
+}

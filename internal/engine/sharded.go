@@ -11,7 +11,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -50,41 +49,12 @@ func ShardIndexPath(base string, i int) string {
 // and everything rebuilds once.
 const shardManifestMagic = "repro-shards v4"
 
-// shard is one horizontal partition of a sharded engine: a sub-dataset of
-// re-homed graphs, the method index built over it, and the mapping from
-// shard-local graph ids back to parent-dataset ids.
-type shard struct {
-	sub      *graph.Dataset
-	global   []graph.ID // local id -> parent dataset id, ascending
-	method   core.Method
-	restored bool
-	build    core.BuildStats
-	// Lazy first-touch loading (storage=mmap restores only): loaded flips
-	// once the shard's index is restored or rebuilt; until then every
-	// access goes through Sharded.ensureShard, serialized on loadMu.
-	loaded atomic.Bool
-	loadMu sync.Mutex
-}
-
-func (sh *shard) empty() bool { return sh.sub.Len() == 0 }
-
-// toGlobal maps a sorted shard-local IDSet to parent-dataset ids. The local
-// -> global mapping is monotonic (graphs are assigned to shards in parent
-// order), so the result is sorted too.
-func (sh *shard) toGlobal(local graph.IDSet) graph.IDSet {
-	out := make(graph.IDSet, len(local))
-	for i, id := range local {
-		out[i] = sh.global[id]
-	}
-	return out
-}
-
 // Sharded is a horizontally partitioned engine over one dataset: the graphs
-// are hash-partitioned into N sub-datasets, one method index is built per
-// shard (concurrently, on a pool bounded by GOMAXPROCS), and queries fan out
-// across the shards with their candidate and answer sets merged back —
-// order-preserved — into the same QueryResult / iter.Seq2 surface the
-// unsharded Engine serves. Construct with OpenSharded.
+// are hash-partitioned into N shards, each a Shard — an Engine over its
+// re-homed sub-dataset — opened concurrently on a pool bounded by
+// GOMAXPROCS, and queries fan out across the shards with their candidate and
+// answer sets merged back — order-preserved — into the same QueryResult /
+// iter.Seq2 surface the unsharded Engine serves. Construct with OpenSharded.
 //
 // Because filtering never produces false negatives and subgraph-isomorphism
 // answers depend on each dataset graph alone, a sharded engine returns
@@ -93,26 +63,25 @@ func (sh *shard) toGlobal(local graph.IDSet) graph.IDSet {
 // dataset-global).
 type Sharded struct {
 	// mu serializes mutations (write side) against queries (read side),
-	// mirroring Engine.
-	mu            sync.RWMutex
-	ds            *graph.Dataset
-	shards        []*shard
-	desc          *Descriptor
-	params        Params // resolved params fresh shard instances rebuild from
-	spec          string // canonical spec all shards were constructed from
-	indexPath     string // persistence base ("" = none); mutated shards rewrite their file + the manifest
-	build         core.BuildStats
-	restored      int  // non-empty shards restored from disk
-	allRestored   bool // every non-empty shard restored (nothing built)
-	verifyWorkers int
+	// mirroring Engine; it is taken before any shard engine's lock.
+	mu          sync.RWMutex
+	ds          *graph.Dataset
+	shards      []*Shard
+	name        string // method display name
+	spec        string // canonical spec all shards were constructed from
+	indexPath   string // persistence base ("" = none); mutated shards rewrite their file + the manifest
+	build       core.BuildStats
+	restored    int  // non-empty shards restored from disk
+	allRestored bool // every non-empty shard restored (nothing built)
+	fanout      int  // shards queried at once (see ShardWorkers)
 }
 
 // OpenSharded hash-partitions ds into the given number of shards, builds (or
 // restores) one index of the configured method per shard, and returns the
 // fan-out engine over them.
 //
-// Shard indexes build concurrently on a pool bounded by GOMAXPROCS; the
-// first failure (or ctx cancellation) stops the remaining builds. With
+// Shards open concurrently on a pool bounded by GOMAXPROCS; the first
+// failure (or ctx cancellation) stops the remaining opens. With
 // WithIndexPath(base), each shard persists independently and atomically at
 // ShardIndexPath(base, i) under a manifest at base, so a corrupt or missing
 // shard file rebuilds alone while the healthy shards restore. A manifest
@@ -128,210 +97,77 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 	if shards < 1 {
 		return nil, fmt.Errorf("engine: shard count %d < 1", shards)
 	}
-	cfg := config{spec: "grapes", verifyWorkers: runtime.GOMAXPROCS(0)}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.method != nil {
-		return nil, errors.New("engine: OpenSharded constructs one method per shard; select it with WithSpec, not WithMethod")
-	}
-	d, p, err := ParseSpec(cfg.spec)
+	cfg := newConfig(opts)
+	d, spec, err := shardSpec(cfg)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{
-		ds:            ds,
-		shards:        partition(ds, shards),
-		desc:          d,
-		params:        p,
-		spec:          p.canonicalSpec(),
-		indexPath:     cfg.indexPath,
-		verifyWorkers: cfg.verifyWorkers,
-	}
-	for _, sh := range s.shards {
-		if sh.method, err = d.New(p); err != nil {
-			return nil, err
-		}
-	}
-
+	s := &Sharded{ds: ds, shards: make([]*Shard, shards), name: d.Display, spec: spec, indexPath: cfg.indexPath}
+	shardCfg := cfg
+	s.fanout, shardCfg.verifyWorkers = ShardWorkers(cfg.verifyWorkers, shards)
 	manifestOK := false
 	if cfg.indexPath != "" {
-		// Fail fast before any build, as Open does — not at save time
-		// after the full parallel build has already been paid.
-		if _, ok := s.shards[0].method.(core.Persistable); !ok {
-			return nil, fmt.Errorf("engine: %s does not support index persistence",
-				s.shards[0].method.Name())
-		}
 		if manifestOK, err = s.manifestMatches(cfg.indexPath); err != nil {
 			return nil, err
-		}
-		if manifestOK {
-			for i, sh := range s.shards {
-				if sh.empty() {
-					continue // nothing to load, nothing to build
-				}
-				if storageModeOf(sh.method) == core.StorageMmap {
-					// Lazy first-touch load: the manifest endorses the file,
-					// so defer even the O(header) open until a query, a
-					// mutation, or the background warmer touches the shard.
-					sh.restored = true
-					continue
-				}
-				if s.loadShardIndex(cfg.indexPath, i) {
-					sh.restored = true
-					sh.loaded.Store(true)
-					continue
-				}
-				// A failed load may have half-mutated the instance; rebuild
-				// from a pristine one (same policy as Open).
-				if sh.method, err = d.New(p); err != nil {
-					return nil, err
-				}
-			}
 		}
 	}
 
 	t0 := time.Now()
-	err = ForEachBounded(ctx, len(s.shards), runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
-		sh := s.shards[i]
-		if sh.restored || sh.empty() {
-			return nil
+	err = ForEachBounded(ctx, shards, runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
+		sub, global := PartitionShard(ds, shards, i)
+		c := shardCfg
+		if c.indexPath != "" {
+			c.indexPath = ShardIndexPath(cfg.indexPath, i)
 		}
-		st, err := core.BuildTimed(ctx, sh.method, sh.sub)
+		// A shard file restores only under the manifest that endorses it;
+		// an empty shard has nothing to restore. Saves wait until the timed
+		// phase is over, so build stats compare like for like with Open's.
+		e, err := openEngine(ctx, sub, c, spec, manifestOK && len(global) > 0, false)
 		if err != nil {
-			return fmt.Errorf("engine: building %s shard %d/%d: %w", sh.method.Name(), i, len(s.shards), err)
+			return fmt.Errorf("engine: shard %d/%d: %w", i, shards, err)
 		}
-		sh.build = st
-		sh.loaded.Store(true)
+		s.shards[i] = &Shard{eng: e, global: global}
 		return nil
 	})
-	buildWall := time.Since(t0)
+	wall := time.Since(t0)
 	if err != nil {
 		return nil, err
 	}
-	built, nonEmpty := false, 0
-	for _, sh := range s.shards {
+	nonEmpty := 0
+	for i, sh := range s.shards {
+		s.build.Features += sh.eng.build.Features
 		if sh.empty() {
-			sh.loaded.Store(true) // nothing to load: always serviceable
-		} else {
-			nonEmpty++
-			if sh.restored {
-				s.restored++
-			} else {
-				built = true
-			}
+			continue
 		}
-		s.build.SizeBytes += sh.method.SizeBytes()
-		s.build.Features += sh.build.Features
+		nonEmpty++
+		if sh.eng.restored {
+			s.restored++
+			continue
+		}
+		s.build.Elapsed = wall
+		if err := sh.Persist(); err != nil {
+			return nil, fmt.Errorf("engine: shard %d/%d: %w", i, shards, err)
+		}
 	}
 	s.allRestored = nonEmpty > 0 && s.restored == nonEmpty
-	if built {
-		s.build.Elapsed = buildWall
-	}
-	// Persistence happens outside the timed build phase, as in Open, so
-	// build stats compare like for like between the two engines.
-	if cfg.indexPath != "" {
-		for i, sh := range s.shards {
-			if sh.restored || sh.empty() {
-				continue
-			}
-			if err := s.saveShardIndex(cfg.indexPath, i); err != nil {
-				return nil, err
-			}
-		}
-		if !manifestOK {
-			if err := s.writeManifest(cfg.indexPath); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, sh := range s.shards {
-		if !sh.loaded.Load() {
-			// Materialize deferred shards off the open path; Ready() (and
-			// /readyz) reports false until the warmer has touched them all.
-			go s.warmShards()
-			break
+	if cfg.indexPath != "" && !manifestOK {
+		if err := s.writeManifest(cfg.indexPath); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
 }
 
-// warmShards loads every still-deferred shard in the background so a node
-// becomes Ready without waiting for queries to touch each shard.
-func (s *Sharded) warmShards() {
-	for i := range s.shards {
-		_ = s.ensureShard(context.Background(), i)
-	}
-}
-
-// ensureShard makes shard i's index serviceable, loading it on first touch
-// when OpenSharded deferred it (storage=mmap restores). A load failure —
-// the file vanished or rotted since the manifest endorsed it — falls back
-// to rebuilding that one shard in place.
-func (s *Sharded) ensureShard(ctx context.Context, i int) error {
-	sh := s.shards[i]
-	if sh.loaded.Load() {
-		return nil
-	}
-	sh.loadMu.Lock()
-	defer sh.loadMu.Unlock()
-	if sh.loaded.Load() {
-		return nil
-	}
-	if s.loadShardIndex(s.indexPath, i) {
-		if warm, ok := sh.method.(core.Warmable); ok {
-			warm.WarmIndex()
-		}
-		sh.loaded.Store(true)
-		return nil
-	}
-	fresh, err := s.desc.New(s.params)
-	if err != nil {
-		return err
-	}
-	st, err := core.BuildTimed(ctx, fresh, sh.sub)
-	if err != nil {
-		return fmt.Errorf("engine: rebuilding %s shard %d/%d on first touch: %w",
-			fresh.Name(), i, len(s.shards), err)
-	}
-	sh.method = fresh
-	sh.build = st
-	sh.restored = false
-	if s.indexPath != "" {
-		if err := s.saveShardIndex(s.indexPath, i); err != nil {
-			return err
-		}
-	}
-	sh.loaded.Store(true)
-	return nil
-}
-
-// Ready reports whether every shard's index is serviceable without further
-// materialization — false only while lazily-deferred shards are still
-// loading (first touch or background warm). Queries are correct either
-// way: an unloaded shard loads inline when a query reaches it.
+// Ready reports whether every shard engine is ready: false only while a
+// restored storage=mmap shard still warms in the background. Queries are
+// correct either way.
 func (s *Sharded) Ready() bool {
 	for _, sh := range s.shards {
-		if !sh.loaded.Load() {
+		if !sh.eng.Ready() {
 			return false
 		}
 	}
 	return true
-}
-
-// partition assigns every graph of ds to its ShardOf shard, re-homing it
-// into the shard's sub-dataset as a shallow copy with a shard-local id. The
-// sub-datasets carry a copy of the parent's label dictionary. Tombstones propagate:
-// a graph the parent has removed is re-homed (so the global mapping stays
-// positional) and immediately tombstoned in its sub-dataset, so opening a
-// sharded engine over an already-mutated dataset never resurrects it.
-func partition(ds *graph.Dataset, n int) []*shard {
-	shards := make([]*shard, n)
-	for i := range shards {
-		sub, global := PartitionShard(ds, n, i)
-		shards[i] = &shard{sub: sub, global: global}
-	}
-	return shards
 }
 
 // PartitionShard extracts shard i of an n-way hash partition of ds: a
@@ -395,31 +231,6 @@ func (s *Sharded) writeManifest(base string) error {
 	})
 }
 
-// saveShardIndex atomically writes shard i's index file under base, stamped
-// with the sub-dataset's epoch/tag and the engine's canonical spec —
-// partitioning is deterministic, so another process partitioning the same
-// parent dataset computes the same stamps and can restore (or ship) the
-// file byte-for-byte.
-func (s *Sharded) saveShardIndex(base string, i int) error {
-	sh := s.shards[i]
-	if err := writeIndexFile(ShardIndexPath(base, i), sh.method, stampOf(sh.sub, s.spec)); err != nil {
-		return fmt.Errorf("engine: shard %d/%d: %w", i, len(s.shards), err)
-	}
-	return nil
-}
-
-// loadShardIndex tries to restore shard i's index from its file under base,
-// reporting success. Any failure — missing file, stamps for another spec or
-// sub-dataset version (a file overwritten by a save that crashed before
-// its manifest write), corrupt content — just means this one shard
-// rebuilds.
-func (s *Sharded) loadShardIndex(base string, i int) bool {
-	sh := s.shards[i]
-	want := stampOf(sh.sub, s.spec)
-	_, err := readIndexFile(ShardIndexPath(base, i), sh.method, sh.sub, &want)
-	return err == nil
-}
-
 // ForEachBounded runs f(i) for i in [0, n) on a pool of bounded parallelism.
 // The first error cancels the context passed to the remaining calls and is
 // returned; a parent-context cancellation surfaces as ctx.Err().
@@ -477,7 +288,7 @@ func (s *Sharded) Shards() int { return len(s.shards) }
 func (s *Sharded) Dataset() *graph.Dataset { return s.ds }
 
 // Name returns the method's display name.
-func (s *Sharded) Name() string { return s.desc.Display }
+func (s *Sharded) Name() string { return s.name }
 
 // Spec returns the canonical method spec every shard was constructed from.
 func (s *Sharded) Spec() string { return s.spec }
@@ -486,7 +297,11 @@ func (s *Sharded) Spec() string { return s.spec }
 func (s *Sharded) SizeBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.build.SizeBytes
+	var size int64
+	for _, sh := range s.shards {
+		size += sh.eng.Method().SizeBytes()
+	}
+	return size
 }
 
 // Restored reports whether every non-empty shard was restored from disk
@@ -499,54 +314,30 @@ func (s *Sharded) Restored() bool { return s.allRestored }
 func (s *Sharded) RestoredShards() int { return s.restored }
 
 // BuildStats reports aggregate index construction: Elapsed is the wall-clock
-// time of the parallel build phase (zero when every shard was restored),
-// SizeBytes the total size of all shard indexes, and Features the sum over
-// built shards. Per-shard figures are available from ShardStats.
+// time of the parallel open phase (zero when every shard was restored; the
+// saves are not in it), SizeBytes the current total size of all shard
+// indexes, and Features the sum over built shards. Per-shard figures are
+// available from ShardStats.
 func (s *Sharded) BuildStats() core.BuildStats {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.build
+	st := s.build
+	st.SizeBytes = s.SizeBytes()
+	return st
 }
 
-// ShardStats returns per-shard build stats, indexed by shard. Restored
-// shards report the zero value, mirroring Engine.BuildStats. Summing the
-// Elapsed fields gives the serial-equivalent build time; dividing that by
-// BuildStats().Elapsed gives the parallel build speedup.
+// ShardStats returns each shard engine's BuildStats, indexed by shard:
+// restored shards report the zero value. Summing the Elapsed fields gives
+// the serial-equivalent build time; dividing that by BuildStats().Elapsed
+// gives the parallel build speedup.
 func (s *Sharded) ShardStats() []core.BuildStats {
 	out := make([]core.BuildStats, len(s.shards))
 	for i, sh := range s.shards {
-		out[i] = sh.build
+		out[i] = sh.eng.BuildStats()
 	}
 	return out
 }
 
 // ShardLen returns the number of graphs in shard i.
-func (s *Sharded) ShardLen(i int) int { return s.shards[i].sub.Len() }
-
-// perShardWorkers divides the configured verification parallelism across
-// the shard fan-out so a query does not oversubscribe the scheduler.
-func (s *Sharded) perShardWorkers() int {
-	w := s.verifyWorkers / len(s.shards)
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// fanoutWorkers sizes the shard fan-out pool so that the total verification
-// concurrency (concurrent shards × perShardWorkers) never exceeds the
-// configured WithVerifyWorkers budget — WithVerifyWorkers(1) really is the
-// paper's serial measurement mode, shards processed one at a time.
-func (s *Sharded) fanoutWorkers() int {
-	w := s.verifyWorkers
-	if max := runtime.GOMAXPROCS(0); w > max {
-		w = max
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
+func (s *Sharded) ShardLen(i int) int { return s.shards[i].eng.ds.Len() }
 
 // Query processes one subgraph query by fanning it out across all shards
 // concurrently and merging the per-shard results: Candidates and Answers
@@ -560,26 +351,11 @@ func (s *Sharded) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult,
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	results := make([]*core.QueryResult, len(s.shards))
-	workers := s.perShardWorkers()
 	t0 := time.Now()
-	err := ForEachBounded(ctx, len(s.shards), s.fanoutWorkers(), func(ctx context.Context, i int) error {
-		sh := s.shards[i]
-		if sh.empty() {
-			results[i] = &core.QueryResult{}
-			return nil
-		}
-		if err := s.ensureShard(ctx, i); err != nil {
-			return err
-		}
-		proc := core.Processor{Method: sh.method, DS: sh.sub, VerifyWorkers: workers}
-		r, err := proc.QueryCtx(ctx, q)
-		if err != nil {
-			return err
-		}
-		r.Candidates = sh.toGlobal(r.Candidates)
-		r.Answers = sh.toGlobal(r.Answers)
+	err := ForEachBounded(ctx, len(s.shards), s.fanout, func(ctx context.Context, i int) error {
+		r, err := s.shards[i].Query(ctx, q)
 		results[i] = r
-		return nil
+		return err
 	})
 	wall := time.Since(t0)
 	if err != nil {
@@ -604,6 +380,17 @@ func (s *Sharded) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID
 	return s.StreamStats(ctx, q, nil)
 }
 
+// StreamStats implements StatsStreamer: the sharded counterpart of
+// Engine.StreamStats. MergeStream plans every shard under the read lock,
+// then pulls each shard's lazy candidate cursor and verifies in global ID
+// order; a mutation landing mid-stream moves the parent dataset epoch and
+// aborts the stream with an ErrStreamStale-wrapped error.
+func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
+	return MergeStream(ctx, &s.mu, stats, q, -1, func() ([]*Shard, func() error, error) {
+		return s.shards, epochStale(s.ds), nil
+	})
+}
+
 // Save persists every shard's index under base — ShardIndexPath(base, i) per
 // shard, each written atomically — and then the manifest at base, so a later
 // OpenSharded with WithIndexPath(base) restores instead of rebuilding.
@@ -614,12 +401,8 @@ func (s *Sharded) Save(base string) error {
 		if sh.empty() {
 			continue
 		}
-		// A still-deferred shard must materialize before it can serialize.
-		if err := s.ensureShard(context.Background(), i); err != nil {
-			return err
-		}
-		if err := s.saveShardIndex(base, i); err != nil {
-			return err
+		if err := sh.eng.Save(ShardIndexPath(base, i)); err != nil {
+			return fmt.Errorf("engine: shard %d/%d: %w", i, len(s.shards), err)
 		}
 	}
 	return s.writeManifest(base)
@@ -628,8 +411,100 @@ func (s *Sharded) Save(base string) error {
 // String summarizes the engine for logs.
 func (s *Sharded) String() string {
 	lens := make([]string, len(s.shards))
-	for i, sh := range s.shards {
-		lens[i] = fmt.Sprint(sh.sub.Len())
+	for i := range s.shards {
+		lens[i] = fmt.Sprint(s.ShardLen(i))
 	}
 	return fmt.Sprintf("sharded{%s x%d graphs [%s]}", s.spec, len(s.shards), strings.Join(lens, " "))
+}
+
+// Epoch implements Mutable: the dataset's version counter.
+func (s *Sharded) Epoch() uint64 { return s.ds.Epoch() }
+
+// Counts implements Mutable: the parent dataset's live and removed counts.
+func (s *Sharded) Counts() (live, removed int) { return s.ds.Counts() }
+
+// shardOf returns the shard graph id is routed to.
+func (s *Sharded) shardOf(id graph.ID) *Shard { return s.shards[ShardOf(id, len(s.shards))] }
+
+// AddGraph implements Mutable for the sharded engine: g joins the parent
+// dataset under a fresh ID and is added to its ShardOf shard, whose engine
+// maintains its index. With persistence configured, only that shard's file
+// and the manifest are rewritten, after the write lock is released.
+func (s *Sharded) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) {
+	if g == nil || g.NumVertices() == 0 {
+		return 0, errEmptyAdd
+	}
+	s.mu.Lock()
+	id := s.ds.Add(g)
+	sh := s.shardOf(id)
+	if err := sh.Add(ctx, id, g); err != nil {
+		s.ds.Remove(id)
+		s.mu.Unlock()
+		return 0, err
+	}
+	s.mu.Unlock()
+	if err := s.persist(sh); err != nil {
+		// Keep "error => no live mutation", like the flat engine.
+		s.mu.Lock()
+		s.ds.Remove(id)
+		sh.RollbackAdd(id)
+		s.mu.Unlock()
+		return 0, err
+	}
+	return id, nil
+}
+
+// RemoveGraph implements Mutable for the sharded engine: the graph is
+// tombstoned in the parent dataset and in its shard, whose engine maintains
+// its index, and only that shard's file (plus the manifest) is rewritten.
+// As in the flat engine, the tombstone stays committed on a persist
+// failure: the removal is already query-correct.
+func (s *Sharded) RemoveGraph(ctx context.Context, id graph.ID) error {
+	return s.mutate(id, func(sh *Shard) error {
+		if !s.ds.Remove(id) {
+			return fmt.Errorf("engine: removing graph %d: %w", id, ErrNoSuchGraph)
+		}
+		return sh.Remove(ctx, id)
+	})
+}
+
+// ApplyAdd implements IndexMaintainer: shard re-homing and index
+// maintenance for a graph already added to the parent dataset.
+func (s *Sharded) ApplyAdd(ctx context.Context, g *graph.Graph) error {
+	return s.mutate(g.ID(), func(sh *Shard) error { return sh.Add(ctx, g.ID(), g) })
+}
+
+// ApplyRemove implements IndexMaintainer: shard-local tombstone and index
+// maintenance for a graph the parent dataset has already tombstoned.
+func (s *Sharded) ApplyRemove(ctx context.Context, id graph.ID) error {
+	return s.mutate(id, func(sh *Shard) error { return sh.Remove(ctx, id) })
+}
+
+// mutate applies op to the shard owning id under the write lock, then
+// persists that shard.
+func (s *Sharded) mutate(id graph.ID, op func(*Shard) error) error {
+	s.mu.Lock()
+	sh := s.shardOf(id)
+	err := op(sh)
+	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return s.persist(sh)
+}
+
+// persist rewrites sh's index file, then the manifest (the epoch moved),
+// when persistence is configured — mutation IO proportional to one shard,
+// not the dataset. The file write holds only the shard engine's read lock;
+// the manifest is rendered under the parent's.
+func (s *Sharded) persist(sh *Shard) error {
+	if s.indexPath == "" {
+		return nil
+	}
+	if err := sh.Persist(); err != nil {
+		return err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.writeManifest(s.indexPath)
 }

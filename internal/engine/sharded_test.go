@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -331,6 +332,196 @@ func TestShardedPersistenceLifecycle(t *testing.T) {
 	if s5.RestoredShards() != 0 {
 		t.Fatalf("changed shard count restored %d shards, want 0", s5.RestoredShards())
 	}
+
+	// A non-default build parameter is another configuration: the manifest
+	// endorses none of the files, and each is rewritten under it.
+	other, err := engine.OpenSharded(ctx, ds, shards,
+		engine.WithSpec("grapes:maxPathLen=3,workers=2"), engine.WithIndexPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if other.RestoredShards() != 0 {
+		t.Fatalf("changed build parameter restored %d shards, want 0", other.RestoredShards())
+	}
+	foreign, err := os.ReadFile(engine.ShardIndexPath(base, victim))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A save that crashed before its manifest write leaves a shard file of
+	// another configuration under a manifest that endorses the old one. The
+	// file's own stamp must refuse it: only that shard rebuilds, and the
+	// engine never assembles from mixed-parameter shards.
+	open()
+	if err := engine.AtomicWriteFile(engine.ShardIndexPath(base, victim), func(w io.Writer) error {
+		_, err := w.Write(foreign)
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	mixed := open()
+	if got, want := mixed.RestoredShards(), nonEmpty-1; got != want {
+		t.Fatalf("foreign-parameter shard: restored %d shards, want %d", got, want)
+	}
+	for i, q := range queries {
+		want, err := core.BruteForceAnswers(ctx, ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := mixed.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Answers.Equal(want) {
+			t.Errorf("query %d after the foreign shard rebuilt: answers %v, want %v", i, got.Answers, want)
+		}
+	}
+}
+
+// TestShardedEmptyShardsServeMutations: a shard that holds no graph at open
+// is an ordinary engine over an empty sub-dataset. For every method it
+// takes the graphs routed to it, answers exactly, and — where the method
+// persists — writes its file, so a reopen restores every shard.
+func TestShardedEmptyShardsServeMutations(t *testing.T) {
+	ctx := context.Background()
+	pool := tinyDataset(t)
+	queries := tinyQueries(t, pool)
+	const shards = 4
+	for _, tc := range allSpecs {
+		spec := tc.override
+		if spec == "" {
+			spec = tc.def
+		}
+		if o, ok := shardParityOverrides[spec]; ok {
+			spec = o
+		}
+		if tc.def == "gIndex" {
+			// A shard of two or three graphs mines at an absolute support of
+			// one; bound the feature size to stay inside the budget.
+			spec = "gindex:maxFeatureSize=4,maxPatterns=20000,supportRatio=0.2"
+		}
+		t.Run(spec, func(t *testing.T) {
+			ds := graph.NewDataset("one")
+			ds.Dict.CopyFrom(&pool.Dict)
+			ds.Add(pool.Graphs[0].ShallowWithID(0))
+			probe, err := engine.New(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := []engine.Option{engine.WithSpec(spec)}
+			_, persisted := probe.(core.Persistable)
+			if persisted {
+				opts = append(opts, engine.WithIndexPath(filepath.Join(t.TempDir(), "idx")))
+			}
+			s, err := engine.OpenSharded(ctx, ds, shards, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wasEmpty []int
+			for i := range shards {
+				if s.ShardLen(i) == 0 {
+					wasEmpty = append(wasEmpty, i)
+				}
+			}
+			for _, g := range pool.Graphs[1:10] {
+				if _, err := s.AddGraph(ctx, g.ShallowWithID(0)); err != nil {
+					t.Fatalf("AddGraph: %v", err)
+				}
+			}
+			filled := 0
+			for _, i := range wasEmpty {
+				if s.ShardLen(i) > 0 {
+					filled++
+				}
+			}
+			if filled == 0 {
+				t.Fatalf("no shard empty at open (%v) received a graph", wasEmpty)
+			}
+			check := func(stage string, e *engine.Sharded) {
+				t.Helper()
+				for i, q := range queries {
+					want, err := core.BruteForceAnswers(ctx, ds, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := e.Query(ctx, q)
+					if err != nil {
+						t.Fatalf("%s: query %d: %v", stage, i, err)
+					}
+					if !got.Answers.Equal(want) {
+						t.Errorf("%s: query %d answers %v, want %v", stage, i, got.Answers, want)
+					}
+				}
+			}
+			check("mutated", s)
+			if !persisted {
+				return
+			}
+			reopened, err := engine.OpenSharded(ctx, ds, shards, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reopened.Restored() {
+				t.Fatalf("reopen restored %d shards, not all", reopened.RestoredShards())
+			}
+			check("reopened", reopened)
+		})
+	}
+}
+
+// TestShardedAddRollsBackFailedPersist: an add whose shard file cannot be
+// rewritten fails with no live mutation, and the engine keeps serving and
+// mutating once the file can be written again.
+func TestShardedAddRollsBackFailedPersist(t *testing.T) {
+	ctx := context.Background()
+	ds := tinyDataset(t)
+	queries := tinyQueries(t, ds)
+	base := filepath.Join(t.TempDir(), "idx")
+	const shards = 3
+	s, err := engine.OpenSharded(ctx, ds, shards, engine.WithSpec("grapes:maxPathLen=3"), engine.WithIndexPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A non-empty directory where the owning shard's file goes fails the
+	// rename of the rewritten file.
+	path := engine.ShardIndexPath(base, engine.ShardOf(graph.ID(ds.Len()), shards))
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	live, _ := s.Counts()
+	if _, err := s.AddGraph(ctx, ds.Graphs[0].ShallowWithID(0)); err == nil {
+		t.Fatal("AddGraph succeeded although its shard file could not be written")
+	}
+	if now, _ := s.Counts(); now != live {
+		t.Fatalf("failed add left %d live graphs, want %d", now, live)
+	}
+	check := func(stage string) {
+		t.Helper()
+		for i, q := range queries {
+			want, err := core.BruteForceAnswers(ctx, ds, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := s.Query(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Answers.Equal(want) {
+				t.Errorf("%s: query %d answers %v, want %v", stage, i, got.Answers, want)
+			}
+		}
+	}
+	check("rolled back")
+	if err := os.RemoveAll(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AddGraph(ctx, ds.Graphs[0].ShallowWithID(0)); err != nil {
+		t.Fatalf("AddGraph once the file is writable: %v", err)
+	}
+	check("added")
 }
 
 // TestShardedRejectsWithMethod: a single pre-built instance cannot back N

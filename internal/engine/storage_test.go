@@ -110,7 +110,8 @@ func TestMmapHeapParityEveryMethod(t *testing.T) {
 }
 
 // TestMmapHeapParitySharded: a sharded engine restored with storage=mmap —
-// every shard deferred to first touch — answers exactly like its heap twin.
+// every shard an O(header) mapped open warming in the background — answers
+// exactly like its heap twin.
 func TestMmapHeapParitySharded(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range storageSpecs {

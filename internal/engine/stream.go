@@ -137,21 +137,11 @@ func (e *Engine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.Pi
 	})
 }
 
-// MergeLeg is one shard's input to MergeStream: the plan built against the
-// shard's sub-dataset, that sub-dataset (its tombstones filter the
-// candidates), the ascending shard-local → global ID map, and the
-// shard-local resume point below which candidates are never verified.
-type MergeLeg struct {
-	Plan   core.QueryPlan
-	DS     *graph.Dataset
-	Global []graph.ID
-	Skip   graph.ID
-}
-
-// mergeHead is a leg's cursor and its current candidate, in shard-local
-// and global IDs.
+// mergeHead is one shard's cursor in MergeStream and its current
+// candidate, in shard-local and parent ids.
 type mergeHead struct {
-	MergeLeg
+	plan          core.QueryPlan
+	ids           []graph.ID // the shard's local -> parent map
 	cur           *core.Cursor
 	local, global graph.ID
 	done          bool
@@ -163,32 +153,50 @@ func (h *mergeHead) advance() {
 		h.done = true
 		return
 	}
-	h.local, h.global = id, h.Global[id]
+	h.local, h.global = id, h.ids[id]
 }
 
 // MergeStream is the k-way merge over shard cursors that Sharded and
-// cluster.Node stream through. open runs under mu's read lock: it plans
-// every leg (a leg with a nil Plan is an empty shard and is skipped) and
-// returns the stale check. Each round then verifies the globally smallest
-// candidate head, up to quantum times, with chunkedStream's locking; the
-// answers come out in ascending global ID order. stats (nil = none)
-// accumulates every leg's counters.
-func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats,
-	open func() ([]MergeLeg, func() error, error)) iter.Seq2[graph.ID, error] {
+// cluster.Node stream q through. open runs under mu's read lock and returns
+// the shards to merge and the stale check; every non-empty shard is then
+// planned, its cursor resuming strictly after parent id after (-1: from
+// the start). Each round verifies the globally smallest candidate head, up
+// to quantum times, with chunkedStream's locking; the answers come out in
+// ascending parent id order. stats (nil = none) accumulates every shard's
+// counters.
+func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats, q *graph.Graph, after graph.ID,
+	open func() ([]*Shard, func() error, error)) iter.Seq2[graph.ID, error] {
 	if stats == nil {
 		stats = new(core.PipelineStats)
 	}
 	return chunkedStream(mu, func() (round, func() error, func(), error) {
-		legs, stale, err := open()
+		shards, stale, err := open()
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		heads := make([]mergeHead, 0, len(legs))
-		for _, l := range legs {
-			if l.Plan == nil {
+		plans := make([]core.QueryPlan, len(shards))
+		// The plans outlive the fan-out pool, so they must capture the
+		// caller's ctx (cancellation still reaches the verifiers through
+		// it), not the pool's internally cancelled one.
+		err = ForEachBounded(ctx, len(shards), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
+			sh := shards[i]
+			if sh.empty() {
+				return nil
+			}
+			var err error
+			plans[i], err = core.NewPlan(ctx, sh.eng.Method(), sh.eng.ds, q)
+			return err
+		})
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		heads := make([]mergeHead, 0, len(shards))
+		for i, sh := range shards {
+			if plans[i] == nil {
 				continue
 			}
-			h := mergeHead{MergeLeg: l, cur: core.NewCursor(l.DS, l.Plan, core.StreamOptions{Stats: stats, SkipTo: l.Skip})}
+			skip := graph.ID(sh.firstAfter(after))
+			h := mergeHead{plan: plans[i], ids: sh.global, cur: core.NewCursor(sh.eng.ds, plans[i], core.StreamOptions{Stats: stats, SkipTo: skip})}
 			h.advance()
 			heads = append(heads, h)
 		}
@@ -216,7 +224,7 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 					return out, false, err
 				}
 				stats.Verified.Add(1)
-				matched, id := best.Plan.Verify(best.local), best.global
+				matched, id := best.plan.Verify(best.local), best.global
 				best.advance()
 				if matched {
 					out = append(out, id)
@@ -225,32 +233,5 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 			return out, false, nil
 		}
 		return step, stale, stop, nil
-	})
-}
-
-// StreamStats implements StatsStreamer: the sharded counterpart of
-// Engine.StreamStats. Shard plans are built under the read lock (fan-out),
-// then MergeStream pulls each shard's lazy candidate cursor and verifies in
-// global ID order; a mutation landing mid-stream moves the parent dataset
-// epoch and aborts the stream with an ErrStreamStale-wrapped error.
-func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return MergeStream(ctx, &s.mu, stats, func() ([]MergeLeg, func() error, error) {
-		legs := make([]MergeLeg, len(s.shards))
-		// The plans outlive the fan-out pool, so they must capture the
-		// caller's ctx (cancellation still reaches the verifiers through
-		// it), not the pool's internally cancelled one.
-		err := ForEachBounded(ctx, len(s.shards), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
-			sh := s.shards[i]
-			if sh.empty() {
-				return nil
-			}
-			if err := s.ensureShard(ctx, i); err != nil {
-				return err
-			}
-			p, err := core.NewPlan(ctx, sh.method, sh.sub, q)
-			legs[i] = MergeLeg{Plan: p, DS: sh.sub, Global: sh.global}
-			return err
-		})
-		return legs, epochStale(s.ds), err
 	})
 }
