@@ -281,7 +281,7 @@ func runMethodInstance(ctx context.Context, id MethodID, m core.Method, spec str
 	measureQueries(queryCtx, &mr, proc.QueryCtx, queries)
 	if !mr.DNF {
 		measureFirstAnswer(queryCtx, &mr, func(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
-			return core.StreamAnswersOpts(ctx, m, ds, q, core.StreamOptions{})
+			return core.StreamAnswers(ctx, m, ds, q)
 		}, queries)
 	}
 	if !mr.DNF {

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 
 	"repro/internal/graph"
@@ -52,7 +51,7 @@ func injectTrace(req *http.Request) {
 }
 
 // do runs a request and decodes a JSON body into out, converting non-2xx
-// responses into *NodeError.
+// responses into errors (see nodeError).
 func (c *NodeClient) do(req *http.Request, out any) error {
 	injectTrace(req)
 	resp, err := c.HTTP.Do(req)
@@ -61,18 +60,27 @@ func (c *NodeClient) do(req *http.Request, out any) error {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		var er server.ErrorResponse
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		if json.Unmarshal(body, &er) != nil || er.Error == "" {
-			er.Error = strings.TrimSpace(string(body))
-		}
-		return &NodeError{Status: resp.StatusCode, Msg: er.Error}
+		return nodeError(resp)
 	}
 	if out == nil {
 		io.Copy(io.Discard, resp.Body)
 		return nil
 	}
 	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// nodeError converts a non-2xx response into a *NodeError, or into the
+// *StaleShardError a stream leg's 409 carries.
+func nodeError(resp *http.Response) error {
+	b, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+	if stale := new(StaleShardError); resp.StatusCode == http.StatusConflict && json.Unmarshal(b, stale) == nil {
+		return stale
+	}
+	var er server.ErrorResponse
+	if json.Unmarshal(b, &er) != nil || er.Error == "" {
+		er.Error = strings.TrimSpace(string(b))
+	}
+	return &NodeError{Status: resp.StatusCode, Msg: er.Error}
 }
 
 func (c *NodeClient) getJSON(ctx context.Context, path string, out any) error {
@@ -127,10 +135,11 @@ func (c *NodeClient) Metrics(ctx context.Context) ([]byte, error) {
 	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 }
 
-func shardsParam(shards []int) string {
-	parts := make([]string, len(shards))
-	for i, k := range shards {
-		parts[i] = strconv.Itoa(k)
+// listParam renders a comma-separated query parameter value.
+func listParam[T int | uint64](xs []T) string {
+	parts := make([]string, len(xs))
+	for i, x := range xs {
+		parts[i] = fmt.Sprint(x)
 	}
 	return strings.Join(parts, ",")
 }
@@ -138,7 +147,7 @@ func shardsParam(shards []int) string {
 // Query runs a non-streaming fan-out leg over the given shards.
 func (c *NodeClient) Query(ctx context.Context, shards []int, gj server.GraphJSON) (ShardQueryResponse, error) {
 	var resp ShardQueryResponse
-	err := c.postJSON(ctx, "/node/query?shards="+shardsParam(shards), gj, &resp)
+	err := c.postJSON(ctx, "/node/query?shards="+listParam(shards), gj, &resp)
 	return resp, err
 }
 
@@ -158,16 +167,17 @@ type StreamTail struct {
 	Verified int64
 }
 
-// Stream opens a streaming leg over the given shards, yielding global
-// answer ids ascending, starting strictly after `after` (-1 = from the
-// start). The yield loop ends on the done line; a mid-stream error or
-// truncated body surfaces as the terminal error.
-func (c *NodeClient) Stream(ctx context.Context, shards []int, gj server.GraphJSON, after graph.ID, yield func(graph.ID) bool) (StreamTail, error) {
+// Stream opens a streaming leg over the given shards, shards[i] needed at
+// epochs[i], yielding global answer ids ascending, starting strictly after
+// `after` (-1 = from the start). The yield loop ends on the done line; a
+// mid-stream error, a truncated body or a *StaleShardError refusal
+// surfaces as the terminal error.
+func (c *NodeClient) Stream(ctx context.Context, shards []int, epochs []uint64, gj server.GraphJSON, after graph.ID, yield func(graph.ID) bool) (StreamTail, error) {
 	body, err := json.Marshal(gj)
 	if err != nil {
 		return StreamTail{}, err
 	}
-	url := fmt.Sprintf("%s&stream=1&after=%d", c.url("/node/query?shards="+shardsParam(shards)), after)
+	url := fmt.Sprintf("%s&stream=1&after=%d&epochs=%s", c.url("/node/query?shards="+listParam(shards)), after, listParam(epochs))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return StreamTail{}, err
@@ -180,12 +190,7 @@ func (c *NodeClient) Stream(ctx context.Context, shards []int, gj server.GraphJS
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		var er server.ErrorResponse
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		if json.Unmarshal(b, &er) != nil || er.Error == "" {
-			er.Error = strings.TrimSpace(string(b))
-		}
-		return StreamTail{}, &NodeError{Status: resp.StatusCode, Msg: er.Error}
+		return StreamTail{}, nodeError(resp)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)

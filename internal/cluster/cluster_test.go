@@ -747,6 +747,59 @@ func TestClusterStaleReplicaRecovery(t *testing.T) {
 	}
 }
 
+// TestClusterStreamRejectsStaleOwner: an owner reloaded from its dataset
+// file — what a restarted sqnode does — serves a mutated shard at epoch 0,
+// without the mutation. A stream never takes that owner's answers: the node
+// refuses the leg below the epoch the shard requires, and the coordinator
+// counts the rejection, marks the owner stale and fails the shard over, the
+// rule its one-shot fan-out applies.
+func TestClusterStreamRejectsStaleOwner(t *testing.T) {
+	t.Cleanup(leak.Check(t)) // registered before startCluster: runs after tc.close
+	ds := testDataset(t)
+	ctx := context.Background()
+	const shards = 4
+	tc := startCluster(t, "Grapes:maxPathLen=3", 3, shards, 2, cluster.CoordConfig{})
+
+	// The first add's id, hence its shard and that shard's primary, are
+	// known up front; both owners ack the add.
+	id := graph.ID(len(ds.Graphs))
+	s := engine.ShardOf(id, shards)
+	primary := tc.man.Owners(s)[0]
+	add := gen.Synthetic(gen.SynthConfig{NumGraphs: 1, MeanNodes: 8, MeanDensity: 0.3, NumLabels: 4, Seed: 99})
+	addG := tc.inCluster(t, add.Graphs[0], add)
+	if gotID, err := tc.coord.AddGraph(ctx, addG); err != nil || gotID != id {
+		t.Fatalf("add: id %d, err %v; want id %d", gotID, err, id)
+	}
+	if err := tc.nodes[primary].LoadLocal(ctx, s); err != nil {
+		t.Fatal(err)
+	}
+
+	var got graph.IDSet
+	for gid, err := range tc.coord.Stream(ctx, addG) {
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+		got = append(got, gid)
+	}
+	if !got.Contains(id) {
+		t.Fatalf("stream %v omits graph %d: the stale owner's leg was taken", got, id)
+	}
+	st := tc.coord.Stats()
+	if st.Fanout.StaleRejected != 1 {
+		t.Errorf("stale_rejected %d after one stale leg, want 1", st.Fanout.StaleRejected)
+	}
+	if stale := st.Nodes[primary].Stale; len(stale) != 1 || stale[0] != s {
+		t.Errorf("primary's stale shards %v, want [%d]", stale, s)
+	}
+	want, err := tc.coord.Query(ctx, addG)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !idsEqual(got, want.Answers) {
+		t.Errorf("stream %v, one-shot answers %v", got, want.Answers)
+	}
+}
+
 // TestNodeDumpInstallRoundTrip: a shard moved by dump/install answers
 // identically on the receiving node, epoch and id-allocation state intact.
 func TestNodeDumpInstallRoundTrip(t *testing.T) {

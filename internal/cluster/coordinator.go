@@ -343,9 +343,11 @@ func (c *Coordinator) markDown(i int, cause error) {
 	c.cfg.Logf("cluster: node %s down: %v", ns.info.Name, cause)
 }
 
-// markStale records that node i serves shard s at reportedEpoch, older than
-// required.
-func (c *Coordinator) markStale(i, s int, reportedEpoch uint64) {
+// rejectStale is the staleness rule of both kinds of leg: node i serves
+// shard s at reportedEpoch, older than required, so the leg is rejected
+// (counted) and the node marked stale; the caller fails the shard over.
+func (c *Coordinator) rejectStale(i, s int, reportedEpoch uint64) {
+	c.staleRejected.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nodes[i].stale[s] = reportedEpoch
@@ -355,7 +357,8 @@ func (c *Coordinator) markStale(i, s int, reportedEpoch uint64) {
 // refused/reset, timeout at transport level) rather than this one request.
 func isTransport(err error) bool {
 	var ne *NodeError
-	return !errors.As(err, &ne) && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrLegStale)
+	var se *StaleShardError
+	return !errors.As(err, &ne) && !errors.As(err, &se) && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrLegStale)
 }
 
 // ---------------------------------------------------------------------------
@@ -372,8 +375,8 @@ type shardOutcome struct {
 
 // Query implements engine.Querier: q fans across the shard owners as wire
 // labels and the per-shard results merge in global ids. Produced/Verified
-// sum the shards' pipeline counters; like Sharded.Query, FilterTime is the
-// slowest shard's filter and VerifyTime the rest of the wall time. Shards
+// sum the shards' pipeline counters; FilterTime is the slowest shard's
+// filter and VerifyTime the rest of the wall time. Shards
 // whose every owner is unreachable are listed in FailedShards — a degraded
 // answer is flagged, never silent.
 func (c *Coordinator) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
@@ -545,8 +548,7 @@ func (c *Coordinator) fanQuery(ctx context.Context, gj server.GraphJSON) (map[in
 			}
 			if o.err == nil {
 				if o.res.Epoch < required[o.shard] {
-					c.staleRejected.Add(1)
-					c.markStale(o.node, o.shard, o.res.Epoch)
+					c.rejectStale(o.node, o.shard, o.res.Epoch)
 					o.err = fmt.Errorf("node %s serves shard %d at epoch %d, need %d",
 						c.nodes[o.node].info.Name, o.shard, o.res.Epoch, required[o.shard])
 				} else {
@@ -649,6 +651,7 @@ func (c *Coordinator) StreamStats(ctx context.Context, q *graph.Graph, stats *co
 func (c *Coordinator) stream(ctx context.Context, gj server.GraphJSON, stats *core.PipelineStats, emit func(graph.ID) bool) error {
 	c.mu.RLock()
 	nShards := c.man.Shards
+	required := append([]uint64{}, c.shardEpoch...)
 	ownerSeq := make([][]int, nShards)
 	for s := 0; s < nShards; s++ {
 		ownerSeq[s] = c.eligible(s)
@@ -683,15 +686,17 @@ func (c *Coordinator) stream(ctx context.Context, gj server.GraphJSON, stats *co
 	}()
 
 	launch := func(nodeIdx int, shards []int, after graph.ID) *streamLeg {
-		for _, s := range shards {
+		need := make([]uint64, len(shards))
+		for i, s := range shards {
 			tried[s][nodeIdx] = true
+			need[i] = required[s]
 		}
 		lctx, cancel := context.WithCancel(legCtx)
 		leg := &streamLeg{node: nodeIdx, shards: shards, ch: make(chan streamMsg, 64), cancel: cancel}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tail, err := c.nodes[nodeIdx].client.Stream(lctx, shards, gj, after, func(id graph.ID) bool {
+			tail, err := c.nodes[nodeIdx].client.Stream(lctx, shards, need, gj, after, func(id graph.ID) bool {
 				select {
 				case leg.ch <- streamMsg{id: id}:
 					return true
@@ -714,15 +719,25 @@ func (c *Coordinator) stream(ctx context.Context, gj server.GraphJSON, stats *co
 	// mutation landed under its chunked-locking stream (ErrLegStale) is
 	// retried on the SAME node — the node is healthy and the resume
 	// frontier skips everything already emitted — bounded per shard so a
-	// mutation storm degrades to normal failover instead of livelock.
-	// Any other death restarts each shard on its next untried owner,
-	// resumed after that shard's last emitted id.
+	// mutation storm degrades to normal failover instead of livelock. A
+	// leg refused for a stale shard (*StaleShardError) fails that shard
+	// over and reopens its other shards on the same node. Any other death
+	// restarts each shard on its next untried owner, resumed after that
+	// shard's last emitted id.
 	const maxStaleRetries = 8
 	staleRetries := make([]int, nShards)
 	var legs []*streamLeg
 	failover := func(leg *streamLeg, cause error) {
 		stale := errors.Is(cause, ErrLegStale)
+		var refused *StaleShardError
+		if errors.As(cause, &refused) {
+			c.rejectStale(leg.node, refused.Shard, refused.Epoch)
+		}
 		for _, s := range leg.shards {
+			if refused != nil && s != refused.Shard {
+				legs = append(legs, launch(leg.node, []int{s}, lastEmitted[s]))
+				continue
+			}
 			if stale && staleRetries[s] < maxStaleRetries {
 				staleRetries[s]++
 				c.staleRetries.Add(1)

@@ -111,13 +111,13 @@ func TestClusterLimitEarlyTermination(t *testing.T) {
 	// must be a small fraction of a full drain of the same shards.
 	owned := tc.man.ShardsOf(0)
 	var fullStats core.PipelineStats
-	for _, err := range tc.nodes[0].StreamStats(ctx, owned, q, -1, &fullStats) {
+	for _, err := range tc.nodes[0].StreamStats(ctx, owned, nil, q, -1, &fullStats) {
 		if err != nil {
 			t.Fatalf("node full stream: %v", err)
 		}
 	}
 	var firstStats core.PipelineStats
-	for _, err := range tc.nodes[0].StreamStats(ctx, owned, q, -1, &firstStats) {
+	for _, err := range tc.nodes[0].StreamStats(ctx, owned, nil, q, -1, &firstStats) {
 		if err != nil {
 			t.Fatalf("node first-answer stream: %v", err)
 		}

@@ -214,22 +214,27 @@ func (n *Node) Info() InfoResponse {
 
 // Query fans one query across the requested shards — concurrently, within
 // the node's VerifyWorkers budget — and returns per-shard results in global
-// ids. A requested shard the node does not serve fails the whole call with
+// ids: each shard's leg is engine.Drain over that one shard. q nil (a label
+// no graph on the node carries) matches nothing, at each shard's epoch. A
+// requested shard the node does not serve fails the whole call with
 // ErrNotOwned — the coordinator's routing table was stale and it must fail
 // over.
 func (n *Node) Query(ctx context.Context, shards []int, q *graph.Graph) ([]ShardResult, error) {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	for _, k := range shards {
-		if _, ok := n.shards[k]; !ok {
-			return nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
-		}
+	legs, err := n.legLocked(shards, nil)
+	if err != nil {
+		return nil, err
 	}
 	results := make([]ShardResult, len(shards))
-	err := engine.ForEachBounded(ctx, len(shards), n.fanout, func(ctx context.Context, i int) error {
-		sh := n.shards[shards[i]]
+	err = engine.ForEachBounded(ctx, len(shards), n.fanout, func(ctx context.Context, i int) error {
+		sh := legs[i]
+		if q == nil {
+			results[i] = ShardResult{Shard: shards[i], Epoch: sh.epoch}
+			return nil
+		}
 		sctx, ssp := obs.StartSpan(ctx, fmt.Sprintf("shard-%d", shards[i]))
-		r, err := sh.Query(sctx, q)
+		r, err := engine.Drain(sctx, []*engine.Shard{sh.Shard}, q, 1, n.perShard, "")
 		if err != nil {
 			ssp.Cancel()
 			return err
@@ -254,36 +259,45 @@ func (n *Node) Query(ctx context.Context, shards []int, q *graph.Graph) ([]Shard
 	return results, nil
 }
 
-// Stream yields matching global graph ids across the requested shards in
-// ascending order, verifying lazily — the node-local half of the cluster's
-// streamed k-way merge. Ids <= after are skipped before verification, so a
-// coordinator resuming a failed-over stream pays no duplicate verify work.
-// A filtering failure or context cancellation is yielded once as a non-nil
-// error, then the sequence ends.
-//
-// The node streams through engine.MergeStream, so its read lock is NOT
-// held across yields and a slow downstream consumer never stalls mutations
-// or shard installs. A mutation (or shard replacement) landing mid-stream
-// aborts it with an engine.ErrStreamStale-wrapped error; the coordinator
-// retries the leg, resumed after its frontier.
-func (n *Node) Stream(ctx context.Context, shards []int, q *graph.Graph, after graph.ID) iter.Seq2[graph.ID, error] {
-	return n.StreamStats(ctx, shards, q, after, nil)
+// StaleShardError refuses a stream leg over a shard the node serves below
+// the cluster epoch the leg needs (it missed mutations, or was reloaded
+// from its dataset file); on the wire it is a 409 with this body.
+type StaleShardError struct {
+	Shard int    `json:"shard"`
+	Epoch uint64 `json:"epoch"`
 }
 
-// StreamStats is Stream with pipeline counters accumulated into stats
-// (nil = no accounting): candidates produced and live across the shard
-// cursors, plus verifier invocations.
-func (n *Node) StreamStats(ctx context.Context, shards []int, q *graph.Graph, after graph.ID, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return engine.MergeStream(ctx, &n.mu, stats, q, after, func() ([]*engine.Shard, func() error, error) {
+func (e *StaleShardError) Error() string {
+	return fmt.Sprintf("cluster: shard %d is at epoch %d, below the leg's need", e.Shard, e.Epoch)
+}
+
+// StreamStats yields matching global graph ids across the requested shards
+// in ascending order, verifying lazily — the node-local half of the
+// cluster's streamed k-way merge — and counting into stats (nil = none).
+// Ids <= after are skipped before verification, so a coordinator resuming a
+// failed-over stream pays no duplicate verify work. A shard below its
+// needed epoch need[i] (need nil: any) refuses the stream with a
+// *StaleShardError; q nil (a label no graph on the node carries) matches
+// nothing. A filtering failure or context cancellation is yielded once as
+// a non-nil error, then the sequence ends.
+//
+// The node streams through engine.MergeStream with its whole VerifyWorkers
+// budget, so its read lock is NOT held across yields and a slow consumer
+// never stalls mutations or shard installs. A mutation (or shard
+// replacement) landing mid-stream aborts it with an
+// engine.ErrStreamStale-wrapped error; the coordinator retries the leg,
+// resumed after its frontier.
+func (n *Node) StreamStats(ctx context.Context, shards []int, need []uint64, q *graph.Graph, after graph.ID, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
+	return engine.MergeStream(ctx, &n.mu, stats, q, after, n.fanout, n.cfg.VerifyWorkers, func() ([]*engine.Shard, func() error, error) {
+		legs, err := n.legLocked(shards, need)
+		if err != nil || q == nil {
+			return nil, nil, err
+		}
 		// The shard instances and their dataset epochs pin the index
 		// generation the plans are built against; either moving is stale.
-		pinned := make([]*engine.Shard, len(shards))
-		epochs := make([]uint64, len(shards))
-		for i, k := range shards {
-			sh, ok := n.shards[k]
-			if !ok {
-				return nil, nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
-			}
+		pinned := make([]*engine.Shard, len(legs))
+		epochs := make([]uint64, len(legs))
+		for i, sh := range legs {
 			pinned[i], epochs[i] = sh.Shard, sh.Engine().Dataset().Epoch()
 		}
 		stale := func() error {
@@ -296,6 +310,24 @@ func (n *Node) StreamStats(ctx context.Context, shards []int, q *graph.Graph, af
 		}
 		return pinned, stale, nil
 	})
+}
+
+// legLocked returns the requested shards, each needed at epoch need[i]
+// (need nil: any): ErrNotOwned for a shard the node does not serve, a
+// *StaleShardError for one it serves below its need. Callers hold n.mu.
+func (n *Node) legLocked(shards []int, need []uint64) ([]*nodeShard, error) {
+	legs := make([]*nodeShard, len(shards))
+	for i, k := range shards {
+		sh, ok := n.shards[k]
+		if !ok {
+			return nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
+		}
+		if need != nil && sh.epoch < need[i] {
+			return nil, &StaleShardError{Shard: k, Epoch: sh.epoch}
+		}
+		legs[i] = sh
+	}
+	return legs, nil
 }
 
 // Add applies a coordinator-routed add: the graph joins shard

@@ -13,6 +13,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/testutil/leak"
 	"repro/internal/workload"
 )
 
@@ -73,6 +74,57 @@ func TestNodeFanoutHonoursVerifyBudget(t *testing.T) {
 			if prev := legs[j-1]; legs[j].StartUs < prev.StartUs+prev.DurUs {
 				t.Fatalf("query %d: %s started at %dus, inside %s [%dus, +%dus): VerifyWorkers=1 ran legs concurrently",
 					i, legs[j].Name, legs[j].StartUs, prev.Name, prev.StartUs, prev.DurUs)
+			}
+		}
+	}
+}
+
+// TestNodeStreamHonoursVerifyBudget: the node's merged stream verifies with
+// its whole VerifyWorkers budget. At 4 workers it yields exactly the serial
+// sequence, strictly ascending, and a stream broken after k answers leaves
+// no verify worker behind.
+func TestNodeStreamHonoursVerifyBudget(t *testing.T) {
+	ctx := context.Background()
+	src, queries := nodeFixture(t, 60, 6)
+	shards := []int{0, 1, 2}
+	open := func(workers int) *Node {
+		n, err := NewNode(ctx, src, NodeConfig{
+			Name: "n", Spec: "noindex", ShardCount: len(shards), Shards: shards, VerifyWorkers: workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	serial, pooled := open(1), open(4)
+	defer leak.Check(t)()
+	stream := func(n *Node, q *graph.Graph, k int) graph.IDSet {
+		var out graph.IDSet
+		for id, err := range n.StreamStats(ctx, shards, nil, q, -1, nil) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) > 0 && id <= out[len(out)-1] {
+				t.Fatalf("%d after %d: not strictly ascending", id, out[len(out)-1])
+			}
+			if out = append(out, id); len(out) == k {
+				break
+			}
+		}
+		return out
+	}
+	for i, q := range queries {
+		want := stream(serial, q, -1)
+		if len(want) < 2 {
+			t.Fatalf("query %d has %d answers; the fixture needs more", i, len(want))
+		}
+		for _, k := range []int{-1, 1, len(want) / 2} {
+			got := stream(pooled, q, k)
+			if k < 0 {
+				k = len(want)
+			}
+			if !got.Equal(want[:k]) {
+				t.Fatalf("query %d: 4 workers streamed %v, want %v", i, got, want[:k])
 			}
 		}
 	}
@@ -171,7 +223,7 @@ func TestNodeAddRollsBackFailedPersist(t *testing.T) {
 		t.Fatalf("answers after the re-applied add: %v, want %v", got, want)
 	}
 	var streamed graph.IDSet
-	for gid, err := range n.Stream(ctx, []int{k}, q, -1) {
+	for gid, err := range n.StreamStats(ctx, []int{k}, nil, q, -1, nil) {
 		if err != nil {
 			t.Fatal(err)
 		}

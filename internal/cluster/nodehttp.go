@@ -173,14 +173,19 @@ func parseShards(v string) ([]int, error) {
 	if v == "" {
 		return nil, errors.New("missing shards parameter")
 	}
+	return parseList(v, "shard", strconv.Atoi)
+}
+
+// parseList parses a comma-separated list of name values.
+func parseList[T any](v, name string, parse func(string) (T, error)) ([]T, error) {
 	parts := strings.Split(v, ",")
-	out := make([]int, 0, len(parts))
+	out := make([]T, 0, len(parts))
 	for _, p := range parts {
-		k, err := strconv.Atoi(strings.TrimSpace(p))
+		x, err := parse(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("bad shard %q", p)
+			return nil, fmt.Errorf("bad %s %q", name, p)
 		}
-		out = append(out, k)
+		out = append(out, x)
 	}
 	return out, nil
 }
@@ -188,7 +193,7 @@ func parseShards(v string) ([]int, error) {
 // handleQuery serves POST /node/query?shards=...: body is one GraphJSON;
 // ?stream=1 switches to NDJSON global answer ids merged ascending across
 // the requested shards, with ?after=N resuming past a failed-over stream's
-// frontier.
+// frontier and ?epochs=... (one per shard) the epochs the leg needs.
 func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reqQuery.Inc()
 	t0 := time.Now()
@@ -231,51 +236,30 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.URL.Query().Get("stream") != "" {
-		var after graph.ID = -1
+		after, need := graph.ID(-1), []uint64(nil)
 		if a := r.URL.Query().Get("after"); a != "" {
-			v, err := strconv.ParseInt(a, 10, 32)
-			if err != nil {
-				root.Cancel()
-				s.fail(w, http.StatusBadRequest, fmt.Errorf("bad after %q", a))
-				return
+			v, perr := strconv.ParseInt(a, 10, 32)
+			if perr != nil {
+				err = fmt.Errorf("bad after %q", a)
 			}
 			after = graph.ID(v)
 		}
-		s.streamQuery(ctx, w, shards, q, unknown, after)
+		if e := r.URL.Query().Get("epochs"); e != "" && err == nil {
+			need, err = parseList(e, "epoch", func(p string) (uint64, error) { return strconv.ParseUint(p, 10, 64) })
+			if err == nil && len(need) != len(shards) {
+				err = fmt.Errorf("%d epochs for %d shards", len(need), len(shards))
+			}
+		}
+		if err != nil {
+			root.Cancel()
+			s.fail(w, http.StatusBadRequest, err)
+			return
+		}
+		s.streamQuery(ctx, w, shards, need, q, after)
 		return
 	}
 	if unknown {
-		// No graph on this node carries the label: every requested shard
-		// answers empty at its current epoch.
-		resp := ShardQueryResponse{Node: s.node.Name()}
-		info := s.node.Info()
-		epochs := make(map[int]uint64, len(info.Shards))
-		owned := make(map[int]bool, len(info.Shards))
-		for _, si := range info.Shards {
-			epochs[si.Shard] = si.Epoch
-			owned[si.Shard] = true
-		}
-		for _, k := range shards {
-			if !owned[k] {
-				root.Cancel()
-				s.fail(w, http.StatusNotFound, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, s.node.Name()))
-				return
-			}
-			resp.Results = append(resp.Results, ShardResult{
-				Shard: k, Epoch: epochs[k],
-				Candidates: graph.IDSet{}, Answers: graph.IDSet{},
-			})
-		}
 		root.Attr("unknown_label", true)
-		root.End()
-		if echo {
-			resp.Trace = tr.Tree()
-			if resp.Trace != nil {
-				resp.Trace.Node = s.node.Name()
-			}
-		}
-		s.writeJSON(w, resp)
-		return
 	}
 	results, err := s.node.Query(ctx, shards, q)
 	if err != nil {
@@ -326,40 +310,48 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 // An abort caused by a concurrent mutation is marked Stale on the error
 // line, so the coordinator retries the leg on this node instead of
 // failing it over. The done line carries the pipeline's produced/verified
-// counters for coordinator-side aggregation.
-func (s *NodeServer) streamQuery(ctx context.Context, w http.ResponseWriter, shards []int, q *graph.Graph, unknown bool, after graph.ID) {
+// counters for coordinator-side aggregation. A leg refused for a stale
+// shard (always the stream's first element) is answered 409 instead, with
+// the StaleShardError as the body.
+func (s *NodeServer) streamQuery(ctx context.Context, w http.ResponseWriter, shards []int, need []uint64, q *graph.Graph, after graph.ID) {
 	if s.cfg.RequestTimeout > 0 {
 		rc := http.NewResponseController(w)
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout))
 		defer rc.SetWriteDeadline(time.Time{})
 	}
+	// The status goes out with the first line: a refusal can still be a 409.
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	var stats core.PipelineStats
 	n := 0
-	if !unknown {
-		for id, err := range s.node.StreamStats(ctx, shards, q, after, &stats) {
-			if err != nil {
-				enc.Encode(server.StreamLine{
-					Error: err.Error(),
-					Stale: errors.Is(err, engine.ErrStreamStale),
-				})
-				if fl != nil {
-					fl.Flush()
-				}
-				return
-			}
-			id := id
-			if enc.Encode(server.StreamLine{ID: &id}) != nil {
-				return
-			}
+	for id, err := range s.node.StreamStats(ctx, shards, need, q, after, &stats) {
+		var refused *StaleShardError
+		if errors.As(err, &refused) {
+			s.reqErrors.Inc()
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusConflict)
+			enc.Encode(refused)
+			return
+		}
+		if err != nil {
+			enc.Encode(server.StreamLine{
+				Error: err.Error(),
+				Stale: errors.Is(err, engine.ErrStreamStale),
+			})
 			if fl != nil {
 				fl.Flush()
 			}
-			n++
+			return
 		}
+		id := id
+		if enc.Encode(server.StreamLine{ID: &id}) != nil {
+			return
+		}
+		if fl != nil {
+			fl.Flush()
+		}
+		n++
 	}
 	enc.Encode(server.StreamLine{
 		Done: true, Matches: n,

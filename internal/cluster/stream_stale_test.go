@@ -53,7 +53,7 @@ func TestNodeMutationCompletesWhileStreamStalled(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			next, stop := iter.Pull2(node.StreamStats(ctx, shards, q, -1, nil))
+			next, stop := iter.Pull2(node.StreamStats(ctx, shards, nil, q, -1, nil))
 			defer stop()
 			if _, err, ok := next(); !ok || err != nil {
 				t.Fatalf("first answer: ok=%v err=%v", ok, err)

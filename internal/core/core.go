@@ -87,8 +87,8 @@ type Planner interface {
 type QueryPlan interface {
 	// Candidates returns the sorted candidate set.
 	Candidates() graph.IDSet
-	// Verify tests the query against candidate id. The pipeline may call
-	// Verify concurrently for distinct ids when Processor.VerifyWorkers > 1;
+	// Verify tests the query against candidate id. VerifyCandidates calls
+	// Verify concurrently for distinct ids when given more than one worker;
 	// implementations must tolerate that (methods that mutate shared state
 	// serialize internally).
 	Verify(id graph.ID) bool
@@ -448,11 +448,28 @@ func appendAnswer(out, cands graph.IDSet, i int) graph.IDSet {
 // matching graph IDs as verification confirms them, in candidate (ascending
 // ID) order, without materializing the answer or candidate sets: candidates
 // are pulled through the lazy producer → liveness filter → verifier
-// composition (see pipeline.go), so the first answer is yielded after one
-// verification. A filtering failure or context cancellation is yielded once
-// as a non-nil error, then the sequence ends.
+// composition (see pipeline.go) and verified serially, so the first answer
+// is yielded after one verification. A filtering failure or context
+// cancellation is yielded once as a non-nil error, then the sequence ends.
 func StreamAnswers(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) iter.Seq2[graph.ID, error] {
-	return StreamAnswersOpts(ctx, m, ds, q, StreamOptions{})
+	return func(yield func(graph.ID, error) bool) {
+		plan, err := NewPlan(ctx, m, ds, q)
+		if err != nil {
+			yield(0, fmt.Errorf("core: filtering with %s: %w", m.Name(), err))
+			return
+		}
+		cur := NewCursor(ds, plan, nil, 0)
+		defer cur.Stop()
+		for id, ok := cur.Next(); ok; id, ok = cur.Next() {
+			if err := ctx.Err(); err != nil {
+				yield(0, err)
+				return
+			}
+			if plan.Verify(id) && !yield(id, nil) {
+				return
+			}
+		}
+	}
 }
 
 // BruteForceAnswers returns the exact answer set by running VF2 against

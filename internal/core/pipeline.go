@@ -1,10 +1,7 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"iter"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -19,10 +16,11 @@ import (
 // materializing the full candidate set (methods that implement
 // CandidateChunker stream their posting-list intersections; the rest fall
 // back to one chunk holding Candidates()). The liveness filter drops
-// tombstoned slots as IDs flow past. The verifier — serial or a bounded
-// worker pool — proves candidates and emits answers in candidate order as
-// each proof lands, so the first answer costs one verification, not a full
-// candidate scan, and a limit-N consumer does only the work it keeps.
+// tombstoned slots as IDs flow past; a Cursor pulls both stages one ID at a
+// time. The verifier proves what the consumer pulls, so the first answer
+// costs one verification, not a full candidate scan, and a limit-N consumer
+// does only the work it keeps: serially in StreamAnswers, in batches through
+// VerifyCandidates in the engines' streams.
 
 // CandidateChunker is implemented by methods that can emit their candidate
 // set lazily, as a sequence of sorted, non-overlapping, strictly ascending
@@ -74,20 +72,6 @@ type PipelineStats struct {
 	FailedShards []int
 }
 
-// StreamOptions tunes a streamed query.
-type StreamOptions struct {
-	// VerifyWorkers bounds the verifier stage's parallelism; <= 1 verifies
-	// serially. The stage emits in candidate order either way, with
-	// read-ahead bounded at ~2×workers, so a limit-1 stream never proves
-	// more than a small window past its answer.
-	VerifyWorkers int
-	// SkipTo makes the producer emit only IDs >= SkipTo — the resume
-	// primitive behind the cluster's per-shard frontiers. Zero emits all.
-	SkipTo graph.ID
-	// Stats, when non-nil, receives the pipeline counters for this query.
-	Stats *PipelineStats
-}
-
 // liveStage is the producer's resume-skip plus the liveness filter, one ID
 // at a time: the single definition of which produced IDs reach the verifier,
 // shared by the streamed Cursor and the one-shot Processor.QueryCtx.
@@ -124,16 +108,17 @@ type Cursor struct {
 	stopped bool
 }
 
-// NewCursor composes the producer and liveness stages over a plan. The
-// caller must Stop the cursor when done (Next reaching the end stops it
+// NewCursor composes the producer and liveness stages over a plan,
+// counting into stats (nil = none). The producer emits only IDs >= skipTo —
+// the resume primitive behind the cluster's per-shard frontiers. The caller
+// must Stop the cursor when done (Next reaching the end stops it
 // implicitly).
-func NewCursor(ds *graph.Dataset, plan QueryPlan, opts StreamOptions) *Cursor {
-	stats := opts.Stats
+func NewCursor(ds *graph.Dataset, plan QueryPlan, stats *PipelineStats, skipTo graph.ID) *Cursor {
 	if stats == nil {
 		stats = &PipelineStats{}
 	}
 	next, stop := iter.Pull(PlanChunks(plan))
-	return &Cursor{liveStage: liveStage{ds: ds, stats: stats, skipTo: opts.SkipTo}, next: next, stop: stop}
+	return &Cursor{liveStage: liveStage{ds: ds, stats: stats, skipTo: skipTo}, next: next, stop: stop}
 }
 
 // Next returns the next live candidate ID, or false when the producer is
@@ -172,151 +157,4 @@ func (c *Cursor) Stop() {
 	c.stopped = true
 	c.chunk = nil
 	c.stop()
-}
-
-// StreamPlan runs the verifier stage over a plan's lazy candidate stream and
-// yields answers in candidate (ascending ID) order as they are proven. A
-// context cancellation is yielded once as a non-nil error, then the sequence
-// ends. The caller owns any locking; every stage — chunk pulls, liveness
-// checks, verification — runs within the iteration.
-func StreamPlan(ctx context.Context, ds *graph.Dataset, plan QueryPlan, opts StreamOptions) iter.Seq2[graph.ID, error] {
-	stats := opts.Stats
-	if stats == nil {
-		stats = &PipelineStats{}
-	}
-	opts.Stats = stats
-	if opts.VerifyWorkers > 1 {
-		return streamParallel(ctx, ds, plan, opts)
-	}
-	return func(yield func(graph.ID, error) bool) {
-		cur := NewCursor(ds, plan, opts)
-		defer cur.Stop()
-		for {
-			id, ok := cur.Next()
-			if !ok {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				yield(0, err)
-				return
-			}
-			stats.Verified.Add(1)
-			if plan.Verify(id) && !yield(id, nil) {
-				return
-			}
-		}
-	}
-}
-
-// verifySlot carries one candidate through the parallel verifier. Slots
-// live in a fixed ring reused across candidates; res has capacity one, so a
-// worker never blocks posting its result.
-type verifySlot struct {
-	id  graph.ID
-	res chan bool
-}
-
-// streamParallel is the verifier stage as a bounded worker pool with ordered
-// emission. A feeder goroutine pulls the cursor and, per candidate, takes a
-// token from inflight (the read-ahead bound: 2×workers candidates fed but not
-// yet emitted), fills the next ring slot and hands it to the order channel
-// and then the jobs channel; workers verify and post to the slot's result
-// channel; the emitter walks the order channel, so answers surface in
-// candidate order no matter which worker finishes first, and returns the
-// token once it has drained a slot — tokens are returned in feed order, so
-// the slot a new token maps to is always free. Teardown closes stop, which
-// unblocks the feeder wherever it is parked, and waits for every goroutine
-// before returning — no leaks on early break or cancellation.
-func streamParallel(ctx context.Context, ds *graph.Dataset, plan QueryPlan, opts StreamOptions) iter.Seq2[graph.ID, error] {
-	return func(yield func(graph.ID, error) bool) {
-		workers := opts.VerifyWorkers
-		stats := opts.Stats
-		ring := make([]verifySlot, 2*workers)
-		for i := range ring {
-			ring[i].res = make(chan bool, 1)
-		}
-		stop := make(chan struct{})
-		jobs := make(chan *verifySlot)
-		// Both sized to the ring: every fed slot holds a token, so the
-		// order send never blocks.
-		inflight := make(chan struct{}, len(ring))
-		order := make(chan *verifySlot, len(ring))
-		var wg sync.WaitGroup
-
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for s := range jobs {
-					stats.Verified.Add(1)
-					s.res <- plan.Verify(s.id)
-				}
-			}()
-		}
-
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer close(jobs)
-			defer close(order)
-			cur := NewCursor(ds, plan, opts)
-			defer cur.Stop()
-			for n := 0; ; n++ {
-				id, ok := cur.Next()
-				if !ok {
-					return
-				}
-				select {
-				case inflight <- struct{}{}:
-				case <-stop:
-					return
-				}
-				s := &ring[n%len(ring)]
-				s.id = id
-				order <- s
-				select {
-				case jobs <- s:
-				case <-stop:
-					return
-				}
-			}
-		}()
-
-		defer wg.Wait()
-		defer close(stop)
-		for s := range order {
-			select {
-			case matched := <-s.res:
-				id := s.id
-				<-inflight
-				if matched && !yield(id, nil) {
-					return
-				}
-			case <-ctx.Done():
-				yield(0, ctx.Err())
-				return
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			yield(0, err)
-		}
-	}
-}
-
-// StreamAnswersOpts is StreamAnswers with explicit pipeline options: it
-// plans the query, then streams answers through the lazy producer →
-// liveness filter → verifier composition.
-func StreamAnswersOpts(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph, opts StreamOptions) iter.Seq2[graph.ID, error] {
-	return func(yield func(graph.ID, error) bool) {
-		plan, err := NewPlan(ctx, m, ds, q)
-		if err != nil {
-			yield(0, fmt.Errorf("core: filtering with %s: %w", m.Name(), err))
-			return
-		}
-		for id, err := range StreamPlan(ctx, ds, plan, opts) {
-			if !yield(id, err) {
-				return
-			}
-		}
-	}
 }

@@ -8,7 +8,6 @@ import (
 	"runtime"
 	"sort"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
@@ -18,13 +17,17 @@ import (
 // from it, so restore or build, warm-up, maintenance, roll-back and
 // re-persist exist once, in Engine.
 //
+// A Shard is also a leg of the merge behind every stream and sharded query
+// (Drain, MergeStream); a flat engine streams as one identity leg.
+//
 // The owner serializes a shard: Add, Remove and RollbackAdd run under its
-// write lock, Query, Graphs and MergeStream under its read lock, and it
+// write lock, Graphs, Drain and MergeStream under its read lock, and it
 // takes that lock before the shard engine's. Persist needs no owner lock:
 // it holds the shard engine's read lock alone for the file write.
 type Shard struct {
-	eng    *Engine
-	global []graph.ID // local id -> parent id, ascending
+	eng      *Engine
+	global   []graph.ID // local id -> parent id, ascending
+	identity bool       // a flat engine's leg: local ids are parent ids, global unused
 }
 
 // OpenShard opens the shard over sub, whose local id i is parent id
@@ -65,7 +68,7 @@ func shardSpec(cfg config) (*Descriptor, string, error) {
 // shard-local.
 func (sh *Shard) Engine() *Engine { return sh.eng }
 
-func (sh *Shard) empty() bool { return len(sh.global) == 0 }
+func (sh *Shard) empty() bool { return !sh.identity && len(sh.global) == 0 }
 
 // LocalOf maps a parent id to the local id of its re-homed copy. When an
 // add rolled back and the same id was re-added, the id is held twice and
@@ -81,30 +84,10 @@ func (sh *Shard) LocalOf(id graph.ID) (graph.ID, bool) {
 // firstAfter returns the first local id whose parent id exceeds id, by
 // binary search over the ascending map.
 func (sh *Shard) firstAfter(id graph.ID) int {
+	if sh.identity {
+		return int(id) + 1
+	}
 	return sort.Search(len(sh.global), func(i int) bool { return sh.global[i] > id })
-}
-
-// toGlobal maps a sorted shard-local IDSet to parent ids; the map is
-// monotonic, so the result is sorted too.
-func (sh *Shard) toGlobal(local graph.IDSet) graph.IDSet {
-	out := make(graph.IDSet, len(local))
-	for i, id := range local {
-		out[i] = sh.global[id]
-	}
-	return out
-}
-
-// Query answers q over the shard, in parent ids.
-func (sh *Shard) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
-	if sh.empty() {
-		return &core.QueryResult{}, nil
-	}
-	r, err := sh.eng.Query(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	r.Candidates, r.Answers = sh.toGlobal(r.Candidates), sh.toGlobal(r.Answers)
-	return r, nil
 }
 
 // Graphs yields the shard's live graphs with their parent ids, ascending.

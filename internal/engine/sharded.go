@@ -52,9 +52,9 @@ const shardManifestMagic = "repro-shards v4"
 // Sharded is a horizontally partitioned engine over one dataset: the graphs
 // are hash-partitioned into N shards, each a Shard — an Engine over its
 // re-homed sub-dataset — opened concurrently on a pool bounded by
-// GOMAXPROCS, and queries fan out across the shards with their candidate and
-// answer sets merged back — order-preserved — into the same QueryResult /
-// iter.Seq2 surface the unsharded Engine serves. Construct with OpenSharded.
+// GOMAXPROCS, and every query is one k-way merge over the shards' candidate
+// cursors (Drain, MergeStream), serving the same QueryResult / iter.Seq2
+// surface the unsharded Engine serves. Construct with OpenSharded.
 //
 // Because filtering never produces false negatives and subgraph-isomorphism
 // answers depend on each dataset graph alone, a sharded engine returns
@@ -73,7 +73,8 @@ type Sharded struct {
 	build       core.BuildStats
 	restored    int  // non-empty shards restored from disk
 	allRestored bool // every non-empty shard restored (nothing built)
-	fanout      int  // shards queried at once (see ShardWorkers)
+	fanout      int  // shards planned at once (see ShardWorkers)
+	workers     int  // the verify budget every query's merge verifies with
 }
 
 // OpenSharded hash-partitions ds into the given number of shards, builds (or
@@ -102,9 +103,8 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{ds: ds, shards: make([]*Shard, shards), name: d.Display, spec: spec, indexPath: cfg.indexPath}
-	shardCfg := cfg
-	s.fanout, shardCfg.verifyWorkers = ShardWorkers(cfg.verifyWorkers, shards)
+	s := &Sharded{ds: ds, shards: make([]*Shard, shards), name: d.Display, spec: spec, indexPath: cfg.indexPath, workers: cfg.verifyWorkers}
+	s.fanout, _ = ShardWorkers(cfg.verifyWorkers, shards)
 	manifestOK := false
 	if cfg.indexPath != "" {
 		if manifestOK, err = s.manifestMatches(cfg.indexPath); err != nil {
@@ -115,7 +115,7 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 	t0 := time.Now()
 	err = ForEachBounded(ctx, shards, runtime.GOMAXPROCS(0), func(ctx context.Context, i int) error {
 		sub, global := PartitionShard(ds, shards, i)
-		c := shardCfg
+		c := cfg
 		if c.indexPath != "" {
 			c.indexPath = ShardIndexPath(cfg.indexPath, i)
 		}
@@ -231,15 +231,21 @@ func (s *Sharded) writeManifest(base string) error {
 	})
 }
 
-// ForEachBounded runs f(i) for i in [0, n) on a pool of bounded parallelism.
-// The first error cancels the context passed to the remaining calls and is
-// returned; a parent-context cancellation surfaces as ctx.Err().
+// ForEachBounded runs f(i) for i in [0, n) on a pool of bounded parallelism,
+// or inline, in order, when that bound is 1. The first error cancels the
+// context passed to the remaining calls and is returned; a parent-context
+// cancellation surfaces as ctx.Err().
 func ForEachBounded(parent context.Context, n, workers int, f func(ctx context.Context, i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	if workers < 1 {
-		workers = 1
+	if workers <= 1 {
+		for i := 0; i < n && parent.Err() == nil; i++ {
+			if err := f(parent, i); err != nil {
+				return err
+			}
+		}
+		return parent.Err()
 	}
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
@@ -339,40 +345,15 @@ func (s *Sharded) ShardStats() []core.BuildStats {
 // ShardLen returns the number of graphs in shard i.
 func (s *Sharded) ShardLen(i int) int { return s.shards[i].eng.ds.Len() }
 
-// Query processes one subgraph query by fanning it out across all shards
-// concurrently and merging the per-shard results: Candidates and Answers
-// are the sorted unions of the shard sets (mapped back to parent-dataset
-// ids). Timings stay truthful even when shards outnumber the fan-out
-// pool's workers and run in waves: FilterTime is the slowest shard's
-// filter stage, and VerifyTime is the remainder of the fan-out's measured
-// wall time, so TotalTime() is the query's real wall-clock latency —
-// directly comparable to an unsharded engine's.
+// Query processes one subgraph query as the merge over every shard, drained
+// under the read lock (see Drain): the shards plan s.fanout at a time, the
+// candidates verify with the whole verify budget, and TotalTime() is the
+// query's wall-clock latency — directly comparable to an unsharded
+// engine's.
 func (s *Sharded) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	results := make([]*core.QueryResult, len(s.shards))
-	t0 := time.Now()
-	err := ForEachBounded(ctx, len(s.shards), s.fanout, func(ctx context.Context, i int) error {
-		r, err := s.shards[i].Query(ctx, q)
-		results[i] = r
-		return err
-	})
-	wall := time.Since(t0)
-	if err != nil {
-		return nil, err
-	}
-	merged := &core.QueryResult{Method: s.Name()}
-	for _, r := range results {
-		merged.Candidates = merged.Candidates.Union(r.Candidates)
-		merged.Answers = merged.Answers.Union(r.Answers)
-		merged.Produced += r.Produced
-		merged.Verified += r.Verified
-		merged.FilterTime = max(merged.FilterTime, r.FilterTime)
-	}
-	if merged.VerifyTime = wall - merged.FilterTime; merged.VerifyTime < 0 {
-		merged.VerifyTime = 0
-	}
-	return merged, nil
+	return Drain(ctx, s.shards, q, s.fanout, s.workers, s.name)
 }
 
 // Stream is StreamStats without accounting.
@@ -380,13 +361,12 @@ func (s *Sharded) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID
 	return s.StreamStats(ctx, q, nil)
 }
 
-// StreamStats implements StatsStreamer: the sharded counterpart of
-// Engine.StreamStats. MergeStream plans every shard under the read lock,
-// then pulls each shard's lazy candidate cursor and verifies in global ID
-// order; a mutation landing mid-stream moves the parent dataset epoch and
-// aborts the stream with an ErrStreamStale-wrapped error.
+// StreamStats implements StatsStreamer: the same merge as Query, streamed
+// by MergeStream with chunked locking; a mutation landing mid-stream moves
+// the parent dataset epoch and aborts the stream with an
+// ErrStreamStale-wrapped error.
 func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return MergeStream(ctx, &s.mu, stats, q, -1, func() ([]*Shard, func() error, error) {
+	return MergeStream(ctx, &s.mu, stats, q, -1, s.fanout, s.workers, func() ([]*Shard, func() error, error) {
 		return s.shards, epochStale(s.ds), nil
 	})
 }

@@ -13,6 +13,7 @@ import (
 	_ "repro/internal/engine/std"
 	"repro/internal/graph"
 	"repro/internal/testutil/leak"
+	"repro/internal/workload"
 )
 
 // TestShardOfDeterministicAndCovering: the hash partition is a pure function
@@ -137,6 +138,60 @@ func TestShardedStreamMatchesQuery(t *testing.T) {
 		}
 		if !streamed.Equal(res.Answers) {
 			t.Errorf("query %d: streamed %v != answers %v", i, streamed, res.Answers)
+		}
+	}
+}
+
+// TestShardedStreamHonoursVerifyBudget: every round of the merged stream
+// verifies through the verify pool with the whole budget. At 4 workers a
+// 3-shard stream yields exactly the serial sequence, strictly ascending,
+// and a stream broken after k answers leaves no verify worker behind.
+func TestShardedStreamHonoursVerifyBudget(t *testing.T) {
+	ctx := context.Background()
+	ds := tinyDataset(t)
+	// One-edge queries match most graphs: long streams, full rounds.
+	queries, err := workload.Generate(ds, workload.Config{NumQueries: 3, QueryEdges: 1, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries = append(queries, tinyQueries(t, ds)...)
+	open := func(workers int) *engine.Sharded {
+		s, err := engine.OpenSharded(ctx, ds, 3, engine.WithSpec("noindex"), engine.WithVerifyWorkers(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	serial, pooled := open(1), open(4)
+	defer leak.Check(t)()
+	stream := func(s *engine.Sharded, q *graph.Graph, k int) graph.IDSet {
+		var out graph.IDSet
+		for id, err := range s.Stream(ctx, q) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) > 0 && id <= out[len(out)-1] {
+				t.Fatalf("%d after %d: not strictly ascending", id, out[len(out)-1])
+			}
+			if out = append(out, id); len(out) == k {
+				break
+			}
+		}
+		return out
+	}
+	for i, q := range queries {
+		want := stream(serial, q, -1)
+		for _, k := range []int{-1, 1, len(want) / 2} {
+			if k == 0 {
+				continue
+			}
+			got := stream(pooled, q, k)
+			if k < 0 {
+				k = len(want)
+			}
+			if !got.Equal(want[:k]) {
+				t.Fatalf("query %d: 4 workers streamed %v, want %v", i, got, want[:k])
+			}
 		}
 	}
 }

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"iter"
-	"runtime"
+	"slices"
 	"sync"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 )
 
 // ErrStreamStale is wrapped into the terminal error of a stream whose
@@ -29,19 +31,173 @@ var ErrStreamStale = errors.New("dataset mutated during stream; restart the stre
 // wait bounded.
 const streamQuantum = 64
 
-// round is one lock hold of a chunked stream: verify up to quantum
-// candidates and return the matches, in ascending ID order, and whether the
-// candidates ran out. An error ends the stream once the matches are
-// yielded.
-type round func(quantum int) (graph.IDSet, bool, error)
+// merge is the one query runner behind every query but the flat one-shot
+// (Processor.QueryCtx): a k-way merge over its legs' candidate cursors,
+// smallest parent id first. A leg is a Shard; a flat engine is one leg
+// whose ids are parent ids. The pulled batch is a core.QueryPlan, so
+// core.VerifyCandidates proves it with the owner's whole verify budget.
+type merge struct {
+	heads   []mergeHead
+	stats   *core.PipelineStats
+	workers int
+	// cands is the pulled batch, ascending parent ids; from[i] is where
+	// cands[i] came from.
+	cands graph.IDSet
+	from  []pulled
+}
 
-// chunkedStream is the chunked-locking loop every stream runs. open is
-// called under mu's read lock: it plans the query and returns the round,
-// the stale check, and a cleanup. Every round runs under the lock; the lock
-// is released before the round's matches are yielded and re-acquired
-// after, and stale — called under the re-acquired lock — ends the stream
-// with its error when the index moved in between.
-func chunkedStream(mu *sync.RWMutex, open func() (round, func() error, func(), error)) iter.Seq2[graph.ID, error] {
+// mergeHead is one leg's cursor and its current candidate.
+type mergeHead struct {
+	plan          core.QueryPlan
+	leg           *Shard
+	cur           *core.Cursor
+	local, global graph.ID
+	done          bool
+}
+
+// pulled is a batch candidate's leg and local id.
+type pulled struct {
+	h     *mergeHead
+	local graph.ID
+}
+
+func (h *mergeHead) advance() {
+	id, ok := h.cur.Next()
+	if !ok {
+		h.done = true
+		return
+	}
+	h.local, h.global = id, id
+	if !h.leg.identity {
+		h.global = h.leg.global[id]
+	}
+}
+
+// openMerge plans q over every non-empty leg, fanout legs at a time, and
+// starts each cursor strictly after parent id after (-1: from the start).
+// The caller holds the owner's read lock, which serializes every leg's
+// mutations, so the legs' methods are read without their engines' locks: a
+// flat engine's lock is the owner's, and read-locking it again could
+// deadlock behind a waiting writer.
+func openMerge(ctx context.Context, legs []*Shard, q *graph.Graph, after graph.ID, stats *core.PipelineStats, fanout, workers int) (*merge, error) {
+	plans := make([]core.QueryPlan, len(legs))
+	// The plans outlive the fan-out pool, so they capture the caller's ctx
+	// (cancellation still reaches the verifiers through it), not the pool's
+	// internally cancelled one.
+	err := ForEachBounded(ctx, len(legs), fanout, func(_ context.Context, i int) error {
+		sh := legs[i]
+		if sh.empty() {
+			return nil
+		}
+		var err error
+		if plans[i], err = core.NewPlan(ctx, sh.eng.method, sh.eng.ds, q); err != nil {
+			return fmt.Errorf("core: filtering with %s: %w", sh.eng.method.Name(), err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// heads never grows past len(legs), so the batch's head pointers stay
+	// valid.
+	m := &merge{heads: make([]mergeHead, 0, len(legs)), stats: stats, workers: workers}
+	for i, sh := range legs {
+		if plans[i] == nil {
+			continue
+		}
+		m.heads = append(m.heads, mergeHead{plan: plans[i], leg: sh,
+			cur: core.NewCursor(sh.eng.ds, plans[i], stats, graph.ID(sh.firstAfter(after)))})
+		m.heads[len(m.heads)-1].advance()
+	}
+	return m, nil
+}
+
+// pull appends candidates to the batch until it holds n (n < 0: until the
+// legs run out) and reports whether the legs ran out.
+func (m *merge) pull(n int) bool {
+	for n < 0 || len(m.cands) < n {
+		var best *mergeHead
+		for i := range m.heads {
+			if h := &m.heads[i]; !h.done && (best == nil || h.global < best.global) {
+				best = h
+			}
+		}
+		if best == nil {
+			return true
+		}
+		m.cands = append(m.cands, best.global)
+		m.from = append(m.from, pulled{best, best.local})
+		best.advance()
+	}
+	return false
+}
+
+// verify proves the batch and returns its answers, ascending.
+func (m *merge) verify(ctx context.Context) (graph.IDSet, error) {
+	m.stats.Verified.Add(int64(len(m.cands)))
+	return core.VerifyCandidates(ctx, m, m.cands, m.workers)
+}
+
+// Candidates implements core.QueryPlan: the pulled batch.
+func (m *merge) Candidates() graph.IDSet { return m.cands }
+
+// Verify implements core.QueryPlan: batch candidate id, by its leg's plan.
+func (m *merge) Verify(id graph.ID) bool {
+	i, _ := slices.BinarySearch(m.cands, id)
+	p := m.from[i]
+	return p.h.plan.Verify(p.local)
+}
+
+// Drain is the one-shot query of Sharded and cluster.Node: the merge run to
+// completion under the owner's read lock, which the caller holds.
+// Candidates is every live candidate pulled, ascending parent ids, and
+// Answers the verified subset. FilterTime is planning plus the pull and
+// VerifyTime the rest, so TotalTime is the wall time; the stage spans are
+// Processor.QueryCtx's.
+func Drain(ctx context.Context, legs []*Shard, q *graph.Graph, fanout, workers int, method string) (*core.QueryResult, error) {
+	var stats core.PipelineStats
+	t0 := time.Now()
+	cctx, csp := obs.StartSpan(ctx, "candidate-chunk")
+	m, err := openMerge(cctx, legs, q, -1, &stats, fanout, workers)
+	csp.End()
+	if err != nil {
+		return nil, err
+	}
+	// Pulling every candidate runs each cursor to its end, which stops it.
+	_, fsp := obs.StartSpan(ctx, "tombstone-filter")
+	m.pull(-1)
+	res := &core.QueryResult{Method: method, Candidates: m.cands, Produced: int(stats.Produced.Load()),
+		Verified: len(m.cands), FilterTime: time.Since(t0)}
+	fsp.Attr("produced", res.Produced)
+	fsp.Attr("live", len(m.cands))
+	fsp.End()
+
+	t1 := time.Now()
+	vctx, vsp := obs.StartSpan(ctx, "verify")
+	if res.Answers, err = m.verify(vctx); err != nil {
+		vsp.Cancel()
+		return nil, err
+	}
+	res.VerifyTime = time.Since(t1)
+	vsp.Attr("verified", res.Verified)
+	vsp.Attr("answers", len(res.Answers))
+	vsp.End()
+	return res, nil
+}
+
+// MergeStream streams q's answers through the merge in ascending parent
+// ids, with chunked locking: open (under mu's read lock) returns the legs
+// and the stale check; each round pulls up to a quantum of candidates and
+// verifies them under the lock, which is released while the answers are
+// yielded. Re-locked, stale ends the stream with its error if the index
+// moved. Legs resume strictly after parent id after (-1: from the start),
+// and stats (nil = none) accumulates every leg's counters. A filtering
+// failure or context cancellation is yielded once as an error.
+func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats, q *graph.Graph, after graph.ID, fanout, workers int,
+	open func() ([]*Shard, func() error, error)) iter.Seq2[graph.ID, error] {
+	if stats == nil {
+		stats = new(core.PipelineStats)
+	}
 	return func(yield func(graph.ID, error) bool) {
 		mu.RLock()
 		locked := true
@@ -52,15 +208,25 @@ func chunkedStream(mu *sync.RWMutex, open func() (round, func() error, func(), e
 			}
 		}
 		defer unlock()
-		step, stale, stop, err := open()
+		legs, stale, err := open()
+		var m *merge
+		if err == nil {
+			m, err = openMerge(ctx, legs, q, after, stats, fanout, workers)
+		}
 		if err != nil {
 			unlock()
 			yield(0, err)
 			return
 		}
-		defer stop()
+		defer func() {
+			for i := range m.heads {
+				m.heads[i].cur.Stop()
+			}
+		}()
 		for quantum := 1; ; quantum = min(2*quantum, streamQuantum) {
-			out, done, err := step(quantum)
+			m.cands, m.from = m.cands[:0], m.from[:0]
+			done := m.pull(quantum)
+			out, err := m.verify(ctx)
 			unlock()
 			for _, id := range out {
 				if !yield(id, nil) {
@@ -97,141 +263,13 @@ func epochStale(ds *graph.Dataset) func() error {
 	}
 }
 
-// StreamStats implements StatsStreamer: one query's answers, yielded as
-// verification confirms them, in candidate (ascending ID) order, without
-// materializing the answer or candidate sets — candidates are pulled
-// lazily through the chunked producer, so the first answer is yielded after
-// one verification. Each round verifies its quantum through
-// core.VerifyCandidates with the engine's verify workers. A filtering
-// failure or context cancellation is yielded once as a non-nil error, then
-// the sequence ends. The read lock is never held across a yield, so a slow
-// consumer never stalls mutations; one landing mid-stream aborts it with
-// an ErrStreamStale-wrapped error.
+// StreamStats implements StatsStreamer: MergeStream over the engine as its
+// one leg, yielding answers in ascending ID order as verification confirms
+// them — the first after one verification — with no lock held across a
+// yield; a mutation landing mid-stream aborts it with an
+// ErrStreamStale-wrapped error.
 func (e *Engine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	if stats == nil {
-		stats = new(core.PipelineStats)
-	}
-	return chunkedStream(&e.mu, func() (round, func() error, func(), error) {
-		plan, err := core.NewPlan(ctx, e.method, e.ds, q)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("core: filtering with %s: %w", e.method.Name(), err)
-		}
-		cur := core.NewCursor(e.ds, plan, core.StreamOptions{Stats: stats})
-		batch := make(graph.IDSet, 0, streamQuantum)
-		step := func(quantum int) (graph.IDSet, bool, error) {
-			batch = batch[:0]
-			done := false
-			for len(batch) < quantum {
-				id, ok := cur.Next()
-				if !ok {
-					done = true
-					break
-				}
-				batch = append(batch, id)
-			}
-			matched, err := core.VerifyCandidates(ctx, plan, batch, e.verifyWorkers)
-			stats.Verified.Add(int64(len(batch)))
-			return matched, done, err
-		}
-		return step, epochStale(e.ds), cur.Stop, nil
-	})
-}
-
-// mergeHead is one shard's cursor in MergeStream and its current
-// candidate, in shard-local and parent ids.
-type mergeHead struct {
-	plan          core.QueryPlan
-	ids           []graph.ID // the shard's local -> parent map
-	cur           *core.Cursor
-	local, global graph.ID
-	done          bool
-}
-
-func (h *mergeHead) advance() {
-	id, ok := h.cur.Next()
-	if !ok {
-		h.done = true
-		return
-	}
-	h.local, h.global = id, h.ids[id]
-}
-
-// MergeStream is the k-way merge over shard cursors that Sharded and
-// cluster.Node stream q through. open runs under mu's read lock and returns
-// the shards to merge and the stale check; every non-empty shard is then
-// planned, its cursor resuming strictly after parent id after (-1: from
-// the start). Each round verifies the globally smallest candidate head, up
-// to quantum times, with chunkedStream's locking; the answers come out in
-// ascending parent id order. stats (nil = none) accumulates every shard's
-// counters.
-func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats, q *graph.Graph, after graph.ID,
-	open func() ([]*Shard, func() error, error)) iter.Seq2[graph.ID, error] {
-	if stats == nil {
-		stats = new(core.PipelineStats)
-	}
-	return chunkedStream(mu, func() (round, func() error, func(), error) {
-		shards, stale, err := open()
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		plans := make([]core.QueryPlan, len(shards))
-		// The plans outlive the fan-out pool, so they must capture the
-		// caller's ctx (cancellation still reaches the verifiers through
-		// it), not the pool's internally cancelled one.
-		err = ForEachBounded(ctx, len(shards), runtime.GOMAXPROCS(0), func(_ context.Context, i int) error {
-			sh := shards[i]
-			if sh.empty() {
-				return nil
-			}
-			var err error
-			plans[i], err = core.NewPlan(ctx, sh.eng.Method(), sh.eng.ds, q)
-			return err
-		})
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		heads := make([]mergeHead, 0, len(shards))
-		for i, sh := range shards {
-			if plans[i] == nil {
-				continue
-			}
-			skip := graph.ID(sh.firstAfter(after))
-			h := mergeHead{plan: plans[i], ids: sh.global, cur: core.NewCursor(sh.eng.ds, plans[i], core.StreamOptions{Stats: stats, SkipTo: skip})}
-			h.advance()
-			heads = append(heads, h)
-		}
-		stop := func() {
-			for i := range heads {
-				heads[i].cur.Stop()
-			}
-		}
-		out := make(graph.IDSet, 0, streamQuantum)
-		step := func(quantum int) (graph.IDSet, bool, error) {
-			out = out[:0]
-			// Count verifications, not matches: the hold must stay bounded
-			// even when nothing matches.
-			for range quantum {
-				var best *mergeHead
-				for i := range heads {
-					if h := &heads[i]; !h.done && (best == nil || h.global < best.global) {
-						best = h
-					}
-				}
-				if best == nil {
-					return out, true, nil
-				}
-				if err := ctx.Err(); err != nil {
-					return out, false, err
-				}
-				stats.Verified.Add(1)
-				matched, id := best.plan.Verify(best.local), best.global
-				best.advance()
-				if matched {
-					out = append(out, id)
-				}
-			}
-			return out, false, nil
-		}
-		return step, stale, stop, nil
+	return MergeStream(ctx, &e.mu, stats, q, -1, 1, e.verifyWorkers, func() ([]*Shard, func() error, error) {
+		return []*Shard{{eng: e, identity: true}}, epochStale(e.ds), nil
 	})
 }
