@@ -242,7 +242,10 @@ type StorageSelector interface {
 // goroutine and keeps /readyz at 503 until it returns, so load balancers
 // don't route to a cold mmap-backed node. WarmIndex must be safe to run
 // concurrently with queries and must be a no-op for heap-resident
-// indexes.
+// indexes. It never runs concurrently with a mutation: the engine holds its
+// read lock across WarmIndex, and every mutation (AddGraphToIndex,
+// RemoveGraphFromIndex, or a rebuild) runs under its write lock, so a
+// mutation may release or rewrite whatever WarmIndex reads.
 type Warmable interface {
 	WarmIndex()
 }

@@ -120,3 +120,46 @@ func TestGrapesFilterAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestGGSXFilterAllocs is the tier-1 guard of the GGSX filter's allocation
+// contract on the heap: the query trie is one arena, the index trie holds
+// label-sorted child slices, and the constraints live in one buffer, so
+// planning an 8-edge query and draining its candidates costs about 20
+// objects. The filter this replaced allocated 144-172 here, most of them a
+// map per query trie node.
+func TestGGSXFilterAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	ctx := context.Background()
+	ds := gen.Synthetic(gen.SynthConfig{NumGraphs: 300, MeanNodes: 40, MeanDensity: 0.06, NumLabels: 4, Seed: 15})
+	queries, err := workload.Generate(ds, workload.Config{NumQueries: 4, QueryEdges: 8, Seed: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.Open(ctx, ds, engine.WithSpec("ggsx"), engine.WithVerifyWorkers(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := eng.Method()
+	for i, q := range queries {
+		cands := 0
+		allocs := testing.AllocsPerRun(20, func() {
+			plan, err := core.NewPlan(ctx, m, ds, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands = 0
+			for chunk := range core.PlanChunks(plan) {
+				cands += len(chunk)
+			}
+		})
+		t.Logf("query %d: %d candidates, %.0f allocations to plan and drain", i, cands, allocs)
+		if cands == 0 {
+			t.Fatalf("query %d has no candidate; it was extracted from the dataset", i)
+		}
+		if allocs > 28 {
+			t.Errorf("query %d: the GGSX filter allocates %.0f objects, want <= 28", i, allocs)
+		}
+	}
+}

@@ -175,9 +175,13 @@ func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec st
 		if warm, ok := e.method.(core.Warmable); ok {
 			// Pre-fault the directory sections off the open path: queries
 			// are answerable immediately, /readyz flips once the warm lands.
+			// The read lock keeps a mutation from releasing the mapping
+			// while the warm-up still reads it.
 			e.ready.Store(false)
 			go func() {
+				e.mu.RLock()
 				warm.WarmIndex()
+				e.mu.RUnlock()
 				e.ready.Store(true)
 			}()
 		}

@@ -155,6 +155,49 @@ func TestMmapHeapParitySharded(t *testing.T) {
 	}
 }
 
+// TestMmapWarmRacesMutation: a mutation issued the moment a storage=mmap
+// engine opens materializes the index and releases its mapping while the
+// background warm-up may still be reading it. The warm-up holds the
+// engine's read lock, so the two are ordered; under -race, a warm-up
+// outside the lock is reported here.
+func TestMmapWarmRacesMutation(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range storageSpecs {
+		t.Run(spec, func(t *testing.T) {
+			ds := tinyDataset(t)
+			queries := tinyQueries(t, ds)
+			path := filepath.Join(t.TempDir(), "idx")
+			if _, err := engine.Open(ctx, ds, engine.WithSpec(spec), engine.WithIndexPath(path)); err != nil {
+				t.Fatalf("build open: %v", err)
+			}
+			mm, err := engine.Open(ctx, ds, engine.WithSpec(spec+",storage=mmap"), engine.WithIndexPath(path))
+			if err != nil {
+				t.Fatalf("mmap open: %v", err)
+			}
+			if !mm.Restored() {
+				t.Fatalf("mmap open rebuilt instead of restoring")
+			}
+			if _, err := mm.AddGraph(ctx, ds.Graphs[1].ShallowWithID(0)); err != nil {
+				t.Fatalf("AddGraph: %v", err)
+			}
+			waitReady(t, mm.Ready)
+			for i, q := range queries {
+				want, err := core.BruteForceAnswers(ctx, ds, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := mm.Query(ctx, q)
+				if err != nil {
+					t.Fatalf("query %d: %v", i, err)
+				}
+				if !r.Answers.Equal(want) {
+					t.Errorf("query %d answers %v, want %v", i, r.Answers, want)
+				}
+			}
+		})
+	}
+}
+
 func waitReady(t *testing.T, ready func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)

@@ -13,7 +13,8 @@ package ggsx
 import (
 	"context"
 	"iter"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/features"
@@ -39,28 +40,137 @@ func (o *Options) fill() {
 	}
 }
 
-// node is one trie node: the label path from the root to the node is the
-// feature; postings count its occurrences per graph.
-type node struct {
-	children map[graph.Label]*node
-	// During build: counts by graph id. Finalized into sorted parallel
-	// slices for query-time merging.
-	building map[graph.ID]int32
-	ids      graph.IDSet
-	counts   []int32
+// posting is one trie node's occurrences: ascending graph ids and the
+// count of each. A dense posting also carries a rank bitmap — words has bit
+// id set for every id, and rank[w] counts the ids below word w — so finding
+// a graph is a bit test plus a popcount instead of a merge step.
+type posting struct {
+	ids    graph.IDSet
+	counts []int32
+	words  []uint64
+	rank   []int32
 }
 
-func newNode() *node {
-	return &node{children: make(map[graph.Label]*node), building: make(map[graph.ID]int32)}
-}
-
-func (n *node) child(l graph.Label) *node {
-	c := n.children[l]
-	if c == nil {
-		c = newNode()
-		n.children[l] = c
+// index gives p its rank bitmap when the bitmap costs no more than the id
+// slice: 12 bytes per 64 ids of span against 4 bytes per id. ids must be
+// strictly ascending and non-negative.
+func (p *posting) index() {
+	n := len(p.ids)
+	if n == 0 {
+		return
 	}
-	return c
+	nw := int(p.ids[n-1])/64 + 1
+	if 3*nw > n {
+		return
+	}
+	p.words = make([]uint64, nw)
+	p.rank = make([]int32, nw)
+	for _, id := range p.ids {
+		p.words[id/64] |= 1 << (uint(id) % 64)
+	}
+	var r int32
+	for w, x := range p.words {
+		p.rank[w] = r
+		r += int32(bits.OnesCount64(x))
+	}
+}
+
+// rankOf is find for a dense posting.
+func (p *posting) rankOf(id graph.ID) (int, bool) {
+	w := int(id) / 64
+	if w >= len(p.words) {
+		return len(p.ids), false
+	}
+	x, bit := p.words[w], uint64(1)<<(uint(id)%64)
+	return int(p.rank[w]) + bits.OnesCount64(x&(bit-1)), x&bit != 0
+}
+
+// find returns id's index in p.ids, or where it would be inserted.
+func (p *posting) find(id graph.ID) (int, bool) {
+	if p.words != nil {
+		return p.rankOf(id)
+	}
+	return slices.BinarySearch(p.ids, id)
+}
+
+// add increments id's count, inserting id with a count of 1 when absent.
+// A dense posting keeps its bitmap in step: it grows when id lands past the
+// span, and every later word's rank counts the new id.
+func (p *posting) add(id graph.ID) {
+	i, ok := p.find(id)
+	if ok {
+		p.counts[i]++
+		return
+	}
+	p.ids = slices.Insert(p.ids, i, id)
+	p.counts = slices.Insert(p.counts, i, 1)
+	if p.words == nil {
+		return
+	}
+	w := int(id) / 64
+	for len(p.words) <= w {
+		// Every other id lies below a word past the old span.
+		p.words = append(p.words, 0)
+		p.rank = append(p.rank, int32(len(p.ids)-1))
+	}
+	p.words[w] |= 1 << (uint(id) % 64)
+	for k := w + 1; k < len(p.rank); k++ {
+		p.rank[k]++
+	}
+}
+
+// remove drops id from p, if present.
+func (p *posting) remove(id graph.ID) {
+	i, ok := p.find(id)
+	if !ok {
+		return
+	}
+	p.ids = slices.Delete(p.ids, i, i+1)
+	p.counts = slices.Delete(p.counts, i, i+1)
+	if p.words == nil {
+		return
+	}
+	w := int(id) / 64
+	p.words[w] &^= 1 << (uint(id) % 64)
+	for k := w + 1; k < len(p.rank); k++ {
+		p.rank[k]--
+	}
+}
+
+// size estimates p's heap bytes.
+func (p *posting) size() int64 {
+	return int64(len(p.ids))*4 + int64(len(p.counts))*4 + int64(len(p.words))*8 + int64(len(p.rank))*4
+}
+
+// node is one trie node: the label path from the root to the node is the
+// feature; its posting counts the path's occurrences per graph.
+type node struct {
+	// labels holds the child edge labels, ascending, and kids[i] is the
+	// child under labels[i].
+	labels []graph.Label
+	kids   []*node
+	// building counts occurrences by graph id during Build; finalize turns
+	// it into the posting.
+	building map[graph.ID]int32
+	posting
+}
+
+// child returns the child under label l, creating an empty one if absent.
+func (n *node) child(l graph.Label) *node {
+	i, ok := slices.BinarySearch(n.labels, l)
+	if !ok {
+		n.labels = slices.Insert(n.labels, i, l)
+		n.kids = slices.Insert(n.kids, i, &node{})
+	}
+	return n.kids[i]
+}
+
+// lookup returns the child under label l, or nil.
+func (n *node) lookup(l graph.Label) *node {
+	if i, ok := slices.BinarySearch(n.labels, l); ok {
+		return n.kids[i]
+	}
+	return nil
 }
 
 func (n *node) finalize() {
@@ -68,13 +178,14 @@ func (n *node) finalize() {
 	for id := range n.building {
 		n.ids = append(n.ids, id)
 	}
-	sort.Slice(n.ids, func(a, b int) bool { return n.ids[a] < n.ids[b] })
+	slices.Sort(n.ids)
 	n.counts = make([]int32, len(n.ids))
 	for i, id := range n.ids {
 		n.counts[i] = n.building[id]
 	}
 	n.building = nil
-	for _, c := range n.children {
+	n.index()
+	for _, c := range n.kids {
 		c.finalize()
 	}
 }
@@ -102,7 +213,7 @@ func (ix *Index) Name() string { return "GGSX" }
 // Build implements core.Method: DFS path enumeration per graph, inserted
 // into the shared trie with occurrence counting.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
-	ix.root = newNode()
+	ix.root = &node{}
 	ix.nGr = ds.Len()
 	for _, g := range ds.Graphs {
 		if err := ctx.Err(); err != nil {
@@ -111,110 +222,181 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		if !ds.Alive(g.ID()) {
 			continue // tombstoned slots index nothing
 		}
-		insertPaths(ix.root, g, ix.opts.MaxPathLen)
+		id := g.ID()
+		visitTrie(ix.root, g, ix.opts.MaxPathLen, func(n *node) {
+			if n.building == nil {
+				n.building = make(map[graph.ID]int32)
+			}
+			n.building[id]++
+		})
 	}
 	ix.root.finalize()
 	ix.built = true
 	return nil
 }
 
-// insertPaths walks the path enumeration of g keeping a trie cursor stack in
-// lockstep with the DFS, so each emitted path costs one child lookup.
-func insertPaths(root *node, g *graph.Graph, maxLen int) {
-	id := g.ID()
+// visitTrie walks the path enumeration of g keeping a trie cursor stack in
+// lockstep with the DFS, so each emitted path costs one child lookup, and
+// calls fn on the path's node, created if absent.
+func visitTrie(root *node, g *graph.Graph, maxLen int, fn func(*node)) {
 	stack := make([]*node, 1, maxLen+2)
 	stack[0] = root
 	features.VisitPaths(g, maxLen, func(vs []int32) bool {
 		depth := len(vs) // trie depth of this path (one level per vertex)
 		stack = stack[:depth]
-		parent := stack[depth-1]
-		cur := parent.child(g.Label(vs[depth-1]))
-		cur.building[id]++
+		cur := stack[depth-1].child(g.Label(vs[depth-1]))
+		fn(cur)
 		stack = append(stack, cur)
 		return true
 	})
 }
 
-// queryTrie accumulates the query's path counts in the same trie shape.
+// queryTrie holds the query's label paths in the index trie's shape, in one
+// arena: nodes[0] is the root, and a node's children form a sibling list.
+// labels holds every node's whole label path.
 type queryTrie struct {
-	children map[graph.Label]*queryTrie
-	count    int32
+	nodes  []qnode
+	labels []graph.Label
+	// canon counts the canonical nodes, the constraints a match gathers.
+	canon int
+}
+
+// qnode is one query path.
+type qnode struct {
+	label graph.Label
+	count int32 // occurrences of the path in the query
+	// first and next are the first child and the next sibling; 0 ends a list.
+	first, next int32
+	// The path's labels are labels[path : path+depth].
+	path, depth int32
+	// canon marks a path no greater than its reverse. VisitPaths visits
+	// every path from both ends, so a path and its reverse have equal
+	// counts in the query and in every indexed graph: one of the two
+	// constrains exactly what both do.
+	canon bool
 }
 
 func buildQueryTrie(q *graph.Graph, maxLen int) *queryTrie {
-	root := &queryTrie{children: make(map[graph.Label]*queryTrie)}
-	stack := make([]*queryTrie, 1, maxLen+2)
-	stack[0] = root
+	qt := &queryTrie{nodes: make([]qnode, 1, 64), labels: make([]graph.Label, 0, 256)}
+	stack := make([]int32, 1, maxLen+2)
 	features.VisitPaths(q, maxLen, func(vs []int32) bool {
 		depth := len(vs)
 		stack = stack[:depth]
 		parent := stack[depth-1]
 		l := q.Label(vs[depth-1])
-		cur := parent.children[l]
-		if cur == nil {
-			cur = &queryTrie{children: make(map[graph.Label]*queryTrie)}
-			parent.children[l] = cur
+		c := qt.nodes[parent].first
+		for c != 0 && qt.nodes[c].label != l {
+			c = qt.nodes[c].next
 		}
-		cur.count++
-		stack = append(stack, cur)
+		if c == 0 {
+			c = int32(len(qt.nodes))
+			at := len(qt.labels)
+			for _, v := range vs {
+				qt.labels = append(qt.labels, q.Label(v))
+			}
+			canon := isCanonical(qt.labels[at:])
+			if canon {
+				qt.canon++
+			}
+			qt.nodes = append(qt.nodes, qnode{label: l, next: qt.nodes[parent].first,
+				path: int32(at), depth: int32(depth), canon: canon})
+			qt.nodes[parent].first = c
+		}
+		qt.nodes[c].count++
+		stack = append(stack, c)
 		return true
 	})
-	return root
+	return qt
+}
+
+// isCanonical reports whether path is lexicographically no greater than its
+// reverse.
+func isCanonical(path []graph.Label) bool {
+	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
+		if path[i] != path[j] {
+			return path[i] < path[j]
+		}
+	}
+	return true
+}
+
+// pathConstraint is one canonical query path's dominance requirement: a
+// candidate must hold the path at least need times.
+type pathConstraint struct {
+	p    *posting
+	need int32
+	path []graph.Label
+}
+
+// byRarity orders constraints by ascending posting cardinality, then label
+// path, so the rarest drives and the likeliest to reject is probed first.
+func byRarity(a, b pathConstraint) int {
+	if la, lb := len(a.p.ids), len(b.p.ids); la != lb {
+		return la - lb
+	}
+	return slices.Compare(a.path, b.path)
+}
+
+// gather appends the constraint of every canonical query path below query
+// node qn, whose index counterpart is ixn, and reports false as soon as a
+// query path is missing from the index (no graph can contain the query).
+// In lazy mode this materializes exactly the index nodes the query reaches.
+func (qt *queryTrie) gather(qn int32, ixn trieRef, cons []pathConstraint) ([]pathConstraint, bool, error) {
+	for c := qt.nodes[qn].first; c != 0; c = qt.nodes[c].next {
+		n := &qt.nodes[c]
+		ic, ok, err := ixn.child(n.label)
+		if err != nil || !ok {
+			return cons, false, err
+		}
+		if n.canon {
+			cons = append(cons, pathConstraint{p: ic.posting(), need: n.count, path: qt.labels[n.path : n.path+n.depth]})
+		}
+		if cons, ok, err = qt.gather(c, ic, cons); err != nil || !ok {
+			return cons, false, err
+		}
+	}
+	return cons, true, nil
+}
+
+// dominates reports whether graph id holds every constraint's path at least
+// as often as the query does. js are the sparse postings' merge cursors,
+// which only move forward: ids are probed in ascending order.
+func dominates(cons []pathConstraint, js []int, id graph.ID) bool {
+	for k := range cons {
+		c := &cons[k]
+		p := c.p
+		if p.words != nil {
+			i, ok := p.rankOf(id)
+			if !ok || p.counts[i] < c.need {
+				return false
+			}
+			continue
+		}
+		j := js[k]
+		for j < len(p.ids) && p.ids[j] < id {
+			j++
+		}
+		js[k] = j
+		if j == len(p.ids) || p.ids[j] != id || p.counts[j] < c.need {
+			return false
+		}
+	}
+	return true
 }
 
 // Candidates implements core.Method: graphs whose counts dominate the
-// query's on every query trie node. A query path absent from the index
-// empties the candidate set.
+// query's on every query path, drained from CandidateChunks. A query path
+// absent from the index empties the candidate set.
 func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	if !ix.built {
-		return nil, core.ErrNotBuilt
-	}
-	qt := buildQueryTrie(q, ix.opts.MaxPathLen)
-	root, err := ix.rootRef()
+	chunks, err := ix.CandidateChunks(q)
 	if err != nil {
 		return nil, err
 	}
-	cands := graph.UniverseIDSet(ix.nGr)
-	ok, err := matchTries(qt, root, &cands)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return graph.IDSet{}, nil
+	cands := graph.IDSet{}
+	for chunk := range chunks {
+		cands = append(cands, chunk...)
 	}
 	return cands, nil
-}
-
-// pathConstraint is one query trie node's dominance requirement against
-// its matching index node's postings, gathered eagerly so the per-graph
-// evaluation can run lazily in candidate-major order.
-type pathConstraint struct {
-	ids    graph.IDSet
-	counts []int32
-	need   int32
-}
-
-// gatherConstraints collects every query trie node's (postings, count)
-// constraint, returning false as soon as a query path is missing from the
-// index (no graph can contain the query). In lazy mode this materializes
-// exactly the index nodes the query trie reaches.
-func gatherConstraints(qt *queryTrie, ixn trieRef, cons *[]pathConstraint) (bool, error) {
-	for l, qc := range qt.children {
-		ic, ok, err := ixn.child(l)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-		ids, counts := ic.postings()
-		*cons = append(*cons, pathConstraint{ids: ids, counts: counts, need: qc.count})
-		ok, err = gatherConstraints(qc, ic, cons)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
 }
 
 // chunkSize is the lazy producer's emission granularity.
@@ -223,12 +405,11 @@ const chunkSize = 256
 var _ core.CandidateChunker = (*Index)(nil)
 
 // CandidateChunks implements core.CandidateChunker: the query trie is built
-// and its constraints gathered eagerly, then candidates stream out in
-// ascending ID order by walking the rarest constraint's posting list and
-// checking the others through monotonic merge cursors — the same
-// intersection Candidates computes, evaluated candidate-major so an
-// early-terminated stream touches a prefix of the postings instead of all
-// of them.
+// and one constraint per path direction gathered eagerly, then candidates
+// stream out in ascending ID order by walking the rarest constraint's
+// posting and probing the others, rarest first, until one rejects — in
+// O(1) for a dense posting, by a forward merge cursor for a sparse one.
+// An early-terminated stream touches a prefix of the driving posting.
 func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
@@ -238,8 +419,7 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 	if err != nil {
 		return nil, err
 	}
-	var cons []pathConstraint
-	ok, err := gatherConstraints(qt, root, &cons)
+	cons, ok, err := qt.gather(0, root, make([]pathConstraint, 0, qt.canon))
 	if err != nil {
 		return nil, err
 	}
@@ -263,37 +443,17 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 			}
 		}, nil
 	}
-	drv := 0
-	for k := range cons {
-		if len(cons[k].ids) < len(cons[drv].ids) {
-			drv = k
-		}
-	}
-	driver := cons[drv]
-	others := append(append([]pathConstraint(nil), cons[:drv]...), cons[drv+1:]...)
+	slices.SortFunc(cons, byRarity)
+	driver, others := cons[0], cons[1:]
 	return func(yield func(graph.IDSet) bool) {
 		js := make([]int, len(others))
 		var chunk graph.IDSet
-		for i, id := range driver.ids {
-			if driver.counts[i] >= driver.need {
-				ok := true
-				for k := range others {
-					c := &others[k]
-					j := js[k]
-					for j < len(c.ids) && c.ids[j] < id {
-						j++
-					}
-					js[k] = j
-					if j >= len(c.ids) || c.ids[j] != id || c.counts[j] < c.need {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					chunk = append(chunk, id)
-				}
+		for i, id := range driver.p.ids {
+			if driver.p.counts[i] < driver.need || !dominates(others, js, id) {
+				continue
 			}
-			if len(chunk) >= chunkSize {
+			chunk = append(chunk, id)
+			if len(chunk) == chunkSize {
 				if !yield(chunk) {
 					return
 				}
@@ -306,47 +466,6 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 	}, nil
 }
 
-// matchTries intersects, into cands, the dominating-graph set of every query
-// trie node. It returns false as soon as a query path is missing from the
-// index (no graph can contain the query).
-func matchTries(qt *queryTrie, ixn trieRef, cands *graph.IDSet) (bool, error) {
-	for l, qc := range qt.children {
-		ic, ok, err := ixn.child(l)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-		ids, counts := ic.postings()
-		*cands = intersectDominating(*cands, ids, counts, qc.count)
-		if len(*cands) == 0 {
-			return false, nil
-		}
-		ok, err = matchTries(qc, ic, cands)
-		if err != nil || !ok {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// intersectDominating keeps the ids in cands whose count in the posting is
-// >= need.
-func intersectDominating(cands graph.IDSet, ids graph.IDSet, counts []int32, need int32) graph.IDSet {
-	out := cands[:0]
-	j := 0
-	for _, id := range cands {
-		for j < len(ids) && ids[j] < id {
-			j++
-		}
-		if j < len(ids) && ids[j] == id && counts[j] >= need {
-			out = append(out, id)
-		}
-	}
-	return out
-}
-
 // SizeBytes implements core.Method. A lazily-opened index reports only
 // the materialized nodes.
 func (ix *Index) SizeBytes() int64 {
@@ -355,9 +474,9 @@ func (ix *Index) SizeBytes() int64 {
 	}
 	var walk func(n *node) int64
 	walk = func(n *node) int64 {
-		sz := int64(len(n.ids))*4 + int64(len(n.counts))*4 + 64
-		for _, c := range n.children {
-			sz += 8 + walk(c)
+		sz := n.size() + 64
+		for _, c := range n.kids {
+			sz += 12 + walk(c)
 		}
 		return sz
 	}
@@ -375,7 +494,7 @@ func (ix *Index) NumNodes() int {
 	var walk func(n *node) int
 	walk = func(n *node) int {
 		total := 0
-		for _, c := range n.children {
+		for _, c := range n.kids {
 			total += 1 + walk(c)
 		}
 		return total

@@ -1,10 +1,7 @@
 package ggsx
 
 import (
-	"sort"
-
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/graph"
 )
 
@@ -13,7 +10,8 @@ var _ core.IncrementalIndexer = (*Index)(nil)
 // AddGraphToIndex implements core.IncrementalIndexer: the graph's label
 // paths are enumerated with the same DFS as Build and folded into the
 // finalized trie. Dataset IDs are append-only, so the sorted-postings
-// insert at each node is an append in practice.
+// insert at each node is an append in practice. A node created here starts
+// without a rank bitmap and keeps it that way until the next build or load.
 func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	if !ix.built {
 		return core.ErrNotBuilt
@@ -24,17 +22,7 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 		return err
 	}
 	id := g.ID()
-	stack := make([]*node, 1, ix.opts.MaxPathLen+2)
-	stack[0] = ix.root
-	features.VisitPaths(g, ix.opts.MaxPathLen, func(vs []int32) bool {
-		depth := len(vs)
-		stack = stack[:depth]
-		parent := stack[depth-1]
-		cur := parent.childFinalized(g.Label(vs[depth-1]))
-		cur.bump(id)
-		stack = append(stack, cur)
-		return true
-	})
+	visitTrie(ix.root, g, ix.opts.MaxPathLen, func(n *node) { n.add(id) })
 	if int(id) >= ix.nGr {
 		ix.nGr = int(id) + 1
 	}
@@ -56,47 +44,19 @@ func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 	return nil
 }
 
-// childFinalized returns (creating if needed) the child for label l in
-// finalized form — sorted id/count slices, no building map — unlike
-// build-time child, whose nodes accumulate in a map first.
-func (n *node) childFinalized(l graph.Label) *node {
-	c := n.children[l]
-	if c == nil {
-		c = &node{children: make(map[graph.Label]*node)}
-		n.children[l] = c
-	}
-	return c
-}
-
-// bump increments id's occurrence count in a finalized node, splicing a
-// new entry in id order when absent.
-func (n *node) bump(id graph.ID) {
-	i := sort.Search(len(n.ids), func(i int) bool { return n.ids[i] >= id })
-	if i < len(n.ids) && n.ids[i] == id {
-		n.counts[i]++
-		return
-	}
-	n.ids = append(n.ids, 0)
-	copy(n.ids[i+1:], n.ids[i:])
-	n.ids[i] = id
-	n.counts = append(n.counts, 0)
-	copy(n.counts[i+1:], n.counts[i:])
-	n.counts[i] = 1
-}
-
 // pruneID removes id from n's postings and recurses, deleting child
 // subtrees that end up empty. It reports whether n itself is now empty
 // (no postings, no children).
 func pruneID(n *node, id graph.ID) bool {
-	i := sort.Search(len(n.ids), func(i int) bool { return n.ids[i] >= id })
-	if i < len(n.ids) && n.ids[i] == id {
-		n.ids = append(n.ids[:i], n.ids[i+1:]...)
-		n.counts = append(n.counts[:i], n.counts[i+1:]...)
-	}
-	for l, c := range n.children {
-		if pruneID(c, id) {
-			delete(n.children, l)
+	n.remove(id)
+	keep := 0
+	for i, c := range n.kids {
+		if !pruneID(c, id) {
+			n.labels[keep], n.kids[keep] = n.labels[i], c
+			keep++
 		}
 	}
-	return len(n.ids) == 0 && len(n.children) == 0
+	clear(n.kids[keep:])
+	n.labels, n.kids = n.labels[:keep], n.kids[:keep]
+	return len(n.ids) == 0 && len(n.kids) == 0
 }

@@ -3,7 +3,6 @@ package ggsx
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -23,7 +22,7 @@ import (
 //	secTrieMeta  maxPathLen, numGraphs, nodeCount (excl. root), rootOff (4×u32)
 //	secNodes     per node: card u32, nChildren u32, pLen u32,
 //	             roaring ids [pLen], counts card×u32,
-//	             children nChildren × {label u32, off u32}
+//	             children nChildren × {label u32, off u32}, labels ascending
 const (
 	secTrieMeta = 1
 	secNodes    = 2
@@ -38,44 +37,45 @@ var (
 // StorageMode implements core.StorageSelector.
 func (ix *Index) StorageMode() string { return core.StorageMode(ix.opts.Storage) }
 
-// SaveIndex implements core.Persistable.
+// SaveIndex implements core.Persistable. A mapped index is written from a
+// decoded snapshot and stays mapped: the caller may hold only a read lock,
+// under which queries still read the mapping.
 func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("ggsx: save before Build")
 	}
-	if err := ix.materializeAll(); err != nil {
-		return err
+	root := ix.root
+	if lz := ix.lazy; lz != nil {
+		var err error
+		if root, err = lz.decodeSubtree(lz.rootOff); err != nil {
+			return fmt.Errorf("ggsx: save: %w", err)
+		}
 	}
 	var nodes []byte
 	nodeCount := 0
 	var emit func(n *node) uint32
 	emit = func(n *node) uint32 {
-		labels := make([]graph.Label, 0, len(n.children))
-		for l := range n.children {
-			labels = append(labels, l)
-		}
-		sort.Slice(labels, func(a, b int) bool { return labels[a] < labels[b] })
-		childOffs := make([]uint32, len(labels))
-		for i, l := range labels {
-			childOffs[i] = emit(n.children[l])
+		childOffs := make([]uint32, len(n.kids))
+		for i, c := range n.kids {
+			childOffs[i] = emit(c)
 			nodeCount++
 		}
 		off := uint32(len(nodes))
 		enc := diskfmt.EncodeIDs(n.ids)
 		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(n.ids)))
-		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(labels)))
+		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(n.kids)))
 		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(enc)))
 		nodes = append(nodes, enc...)
 		for _, c := range n.counts {
 			nodes = binary.LittleEndian.AppendUint32(nodes, uint32(c))
 		}
-		for i, l := range labels {
+		for i, l := range n.labels {
 			nodes = binary.LittleEndian.AppendUint32(nodes, uint32(l))
 			nodes = binary.LittleEndian.AppendUint32(nodes, childOffs[i])
 		}
 		return off
 	}
-	rootOff := emit(ix.root)
+	rootOff := emit(root)
 
 	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxPathLen))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.nGr))
@@ -155,7 +155,9 @@ func (ix *Index) Close() error {
 }
 
 // materializeAll decodes the whole trie into heap nodes and releases the
-// mapping; mutations splice heap structures and require it.
+// mapping; mutations splice heap structures and require it. The engine
+// mutates under its write lock, so no query or warm-up still reads the
+// mapping released here.
 func (ix *Index) materializeAll() error {
 	lz := ix.lazy
 	if lz == nil {
@@ -171,11 +173,30 @@ func (ix *Index) materializeAll() error {
 	return lz.r.Close()
 }
 
-// lnode is a materialized lazy trie node: postings plus child offsets.
+// lnode is a materialized lazy trie node: its posting, decoded to the
+// heap, and its child table, read in place from the mapping.
 type lnode struct {
-	ids      graph.IDSet
-	counts   []int32
-	children map[graph.Label]uint32
+	posting
+	// kids is the record's child table: {label u32, off u32} entries with
+	// labels strictly ascending and offsets below the record's own.
+	kids []byte
+}
+
+// child returns the record offset of the child under label l.
+func (ln *lnode) child(l graph.Label) (uint32, bool) {
+	lo, hi := 0, len(ln.kids)/8
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if graph.Label(binary.LittleEndian.Uint32(ln.kids[8*m:])) < l {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(ln.kids)/8 || graph.Label(binary.LittleEndian.Uint32(ln.kids[8*lo:])) != l {
+		return 0, false
+	}
+	return binary.LittleEndian.Uint32(ln.kids[8*lo+4:]), true
 }
 
 // lazyTrie resolves trie node records on demand from the mapped nodes
@@ -192,6 +213,7 @@ type lazyTrie struct {
 	resident int64
 }
 
+// section returns the nodes section. Callers hold lz.mu.
 func (lz *lazyTrie) section() ([]byte, error) {
 	if lz.raw != nil {
 		return lz.raw, nil
@@ -222,15 +244,14 @@ func (lz *lazyTrie) node(off uint32) (*lnode, error) {
 		return nil, err
 	}
 	lz.nodes[off] = n
-	delta := int64(len(n.ids))*8 + int64(len(n.children))*16 + 64
+	delta := n.size() + 64
 	lz.resident += delta
 	obs.IndexLazyLoadInc("GGSX")
 	obs.IndexResidentAdd("GGSX", core.StorageMmap, delta)
 	return n, nil
 }
 
-// decodeNode decodes the single record at off. Callers hold lz.mu or run
-// before the index is shared.
+// decodeNode decodes the single record at off. Callers hold lz.mu.
 func (lz *lazyTrie) decodeNode(off uint32) (*lnode, error) {
 	raw, err := lz.section()
 	if err != nil {
@@ -258,23 +279,22 @@ func (lz *lazyTrie) decodeNode(off uint32) (*lnode, error) {
 	if uint32(len(ids)) != card {
 		return nil, fmt.Errorf("ggsx: trie record at %d holds %d ids, header says %d", off, len(ids), card)
 	}
-	n := &lnode{
-		ids:      ids,
-		counts:   make([]int32, card),
-		children: make(map[graph.Label]uint32, nCh),
-	}
+	n := &lnode{posting: posting{ids: ids, counts: make([]int32, card)}}
 	countsAt := base + uint64(pLen)
 	for i := uint32(0); i < card; i++ {
 		n.counts[i] = int32(binary.LittleEndian.Uint32(raw[countsAt+4*uint64(i):]))
 	}
+	n.index()
 	chAt := countsAt + 4*uint64(card)
-	for i := uint32(0); i < nCh; i++ {
-		l := graph.Label(binary.LittleEndian.Uint32(raw[chAt+8*uint64(i):]))
-		cOff := binary.LittleEndian.Uint32(raw[chAt+8*uint64(i)+4:])
-		if cOff >= off {
+	n.kids = raw[chAt:end:end]
+	for i := 0; i < int(nCh); i++ {
+		l := binary.LittleEndian.Uint32(n.kids[8*i:])
+		if i > 0 && l <= binary.LittleEndian.Uint32(n.kids[8*i-8:]) {
+			return nil, fmt.Errorf("ggsx: trie record at %d has child labels out of order", off)
+		}
+		if cOff := binary.LittleEndian.Uint32(n.kids[8*i+4:]); cOff >= off {
 			return nil, fmt.Errorf("ggsx: trie record at %d has forward child offset %d", off, cOff)
 		}
-		n.children[l] = cOff
 	}
 	return n, nil
 }
@@ -284,6 +304,8 @@ func (lz *lazyTrie) decodeNode(off uint32) (*lnode, error) {
 // budget of nodeCount+1 records stops a damaged file whose records share
 // children from expanding exponentially.
 func (lz *lazyTrie) decodeSubtree(off uint32) (*node, error) {
+	lz.mu.Lock()
+	defer lz.mu.Unlock()
 	budget := lz.nodeCount + 1
 	var walk func(off uint32) (*node, error)
 	walk = func(off uint32) (*node, error) {
@@ -294,13 +316,11 @@ func (lz *lazyTrie) decodeSubtree(off uint32) (*node, error) {
 		if err != nil {
 			return nil, err
 		}
-		n := &node{
-			children: make(map[graph.Label]*node, len(ln.children)),
-			ids:      ln.ids,
-			counts:   ln.counts,
-		}
-		for l, cOff := range ln.children {
-			if n.children[l], err = walk(cOff); err != nil {
+		nCh := len(ln.kids) / 8
+		n := &node{posting: ln.posting, labels: make([]graph.Label, nCh), kids: make([]*node, nCh)}
+		for i := range nCh {
+			n.labels[i] = graph.Label(binary.LittleEndian.Uint32(ln.kids[8*i:]))
+			if n.kids[i], err = walk(binary.LittleEndian.Uint32(ln.kids[8*i+4:])); err != nil {
 				return nil, err
 			}
 		}
@@ -340,10 +360,10 @@ func (ix *Index) rootRef() (trieRef, error) {
 // child resolves the edge labeled l, materializing the child in lazy mode.
 func (t trieRef) child(l graph.Label) (trieRef, bool, error) {
 	if t.hn != nil {
-		c, ok := t.hn.children[l]
-		return trieRef{hn: c}, ok, nil
+		c := t.hn.lookup(l)
+		return trieRef{hn: c}, c != nil, nil
 	}
-	off, ok := t.ln.children[l]
+	off, ok := t.ln.child(l)
 	if !ok {
 		return trieRef{}, false, nil
 	}
@@ -354,10 +374,10 @@ func (t trieRef) child(l graph.Label) (trieRef, bool, error) {
 	return trieRef{lz: t.lz, ln: ln}, true, nil
 }
 
-// postings returns the node's sorted posting ids and parallel counts.
-func (t trieRef) postings() (graph.IDSet, []int32) {
+// posting returns the node's posting.
+func (t trieRef) posting() *posting {
 	if t.hn != nil {
-		return t.hn.ids, t.hn.counts
+		return &t.hn.posting
 	}
-	return t.ln.ids, t.ln.counts
+	return &t.ln.posting
 }

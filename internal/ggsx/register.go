@@ -14,8 +14,11 @@ func init() {
 		Notes: "Reproduces GraphGrepSX (Bonnici et al., PRIB 2010). Like Grapes it enumerates all " +
 			"label paths of up to `maxPathLen` edges (paper default 4), but stores only per-graph " +
 			"occurrence counts — no locations — so the index is smaller and the build is serial. " +
-			"Filtering keeps graphs whose counts dominate the query's on every path; verification is " +
-			"plain VF2 over whole graphs.",
+			"Filtering keeps graphs whose counts dominate the query's on every path. A path and its " +
+			"reverse always carry equal counts, so the filter checks one direction of each: the rarest " +
+			"such posting drives, and every other is probed in ascending cardinality until one rejects — " +
+			"in O(1) through a rank bitmap when the posting is dense enough that the bitmap costs no more " +
+			"than its id list, by a forward merge cursor otherwise. Verification is plain VF2 over whole graphs.",
 		Fields: []engine.Field{
 			{Name: "maxPathLen", Kind: engine.Int, Default: DefaultMaxPathLen, Help: "maximum path feature size in edges"},
 			{Name: "storage", Kind: engine.String, Default: core.StorageHeap, Runtime: true,
