@@ -6,10 +6,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/graph"
 	"repro/internal/workload"
 )
 
@@ -17,7 +20,9 @@ import (
 // owner's persisted shard index alongside the dump, so the receiving
 // node's engine restores it byte-for-byte instead of rebuilding — for a
 // method with a storage=mmap mode and for one without, since every method
-// persists the same container.
+// persists the same container. The shard has taken adds since it was
+// built, which an incremental method journaled: the owner compacts before
+// shipping, so the file carries them.
 func TestLoadFromShipsIndexFile(t *testing.T) {
 	for _, spec := range []string{"grapes", "ctindex"} {
 		t.Run(spec, func(t *testing.T) { testLoadFromShipsIndexFile(t, spec) })
@@ -44,6 +49,23 @@ func testLoadFromShipsIndexFile(t *testing.T, spec string) {
 	}
 	tsA := httptest.NewServer(NewNodeServer(a, NodeServerConfig{}).Handler())
 	defer tsA.Close()
+
+	// Two adds to shard 1, under fresh global ids as the coordinator would
+	// assign them.
+	id := graph.ID(src.Len())
+	for added := 0; added < 2; id++ {
+		if engine.ShardOf(id, 2) != 1 {
+			continue
+		}
+		if _, err := a.Add(ctx, id, uint64(added+1), src.Graphs[added].ShallowWithID(0)); err != nil {
+			t.Fatal(err)
+		}
+		added++
+	}
+	journal := engine.JournalPath(a.shardIndexPath(1))
+	if fi, err := os.Stat(journal); spec == "grapes" && (err != nil || fi.Size() == 0) {
+		t.Fatalf("the adds to shard 1 were not journaled: %v", err)
+	}
 
 	b, err := NewNode(ctx, src, NodeConfig{
 		Name: "b", Spec: spec, ShardCount: 2, Shards: []int{0},

@@ -35,7 +35,8 @@ type NodeConfig struct {
 	Shards []int
 	// IndexPath is the persistence base ("" = none): shard k persists at
 	// "<IndexPath>.node-shard-<k>", stamped like a sharded engine's shard
-	// file, so a restart restores unmutated shards instead of rebuilding.
+	// file and journaled beside it, so a restart restores unmutated shards
+	// instead of rebuilding.
 	IndexPath string
 	// VerifyWorkers is the node's total verification budget, divided
 	// across its shards (0 = GOMAXPROCS).
@@ -63,8 +64,8 @@ type nodeShard struct {
 // from, partitioned by the same engine.PartitionShard — a shared label
 // dictionary, and the mutation/dump/load surface the coordinator drives.
 // All methods are safe for concurrent use: queries take the read side,
-// mutations and shard installs the write side (a mutation releases it for
-// the shard file write).
+// mutations and shard installs the write side (a mutation releases it
+// before a compaction of the shard file).
 type Node struct {
 	mu     sync.RWMutex
 	cfg    NodeConfig
@@ -332,31 +333,22 @@ func (n *Node) legLocked(shards []int, need []uint64) ([]*nodeShard, error) {
 
 // Add applies a coordinator-routed add: the graph joins shard
 // ShardOf(id, ShardCount) under the coordinator-assigned global id and the
-// shard index is maintained online. Re-delivery of an already-acked id acks
-// success without re-indexing, so coordinator retries are safe.
+// shard index is maintained online and journaled. Re-delivery of an
+// already-acked id acks success without re-indexing, so coordinator retries
+// are safe.
 func (n *Node) Add(ctx context.Context, id graph.ID, epoch uint64, g *graph.Graph) (MutateAck, error) {
-	k := engine.ShardOf(id, n.cfg.ShardCount)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sh, ok := n.shards[k]
-	if !ok {
-		return MutateAck{}, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
-	}
-	if int64(id) > sh.maxID {
+	return n.mutate(id, epoch, func(sh *nodeShard) error {
+		if int64(id) <= sh.maxID {
+			return nil
+		}
+		// A failed add is undone and not acked, and maxID stays: the
+		// coordinator may assign id again, and that add applies.
 		if err := sh.Add(ctx, id, g); err != nil {
-			return MutateAck{}, err
+			return err
 		}
-		prevMax := sh.maxID
 		sh.maxID = int64(id)
-		if err := n.persistUnlocked(sh); err != nil {
-			// Not acked, so the coordinator may assign id again: with maxID
-			// restored, that add applies.
-			sh.RollbackAdd(id)
-			sh.maxID = prevMax
-			return MutateAck{}, err
-		}
-	}
-	return n.ackLocked(k, sh, epoch), nil
+		return nil
+	})
 }
 
 // Remove applies a coordinator-routed removal: the graph is tombstoned in
@@ -364,36 +356,40 @@ func (n *Node) Add(ctx context.Context, id graph.ID, epoch uint64, g *graph.Grap
 // node has already tombstoned acks success (idempotent retry); removing an
 // id never homed here returns engine.ErrNoSuchGraph.
 func (n *Node) Remove(ctx context.Context, id graph.ID, epoch uint64) (MutateAck, error) {
-	k := engine.ShardOf(id, n.cfg.ShardCount)
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	sh, ok := n.shards[k]
-	if !ok {
-		return MutateAck{}, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
-	}
-	local, known := sh.LocalOf(id)
-	if !known {
-		return MutateAck{}, fmt.Errorf("cluster: removing graph %d: %w", id, engine.ErrNoSuchGraph)
-	}
-	if sh.Engine().Dataset().Alive(local) {
-		if err := sh.Remove(ctx, id); err != nil {
-			return MutateAck{}, err
+	return n.mutate(id, epoch, func(sh *nodeShard) error {
+		local, known := sh.LocalOf(id)
+		if !known {
+			return fmt.Errorf("cluster: removing graph %d: %w", id, engine.ErrNoSuchGraph)
 		}
-		// The tombstone stays committed on a persist failure, as in the
-		// engine: the removal is already query-correct.
-		if err := n.persistUnlocked(sh); err != nil {
-			return MutateAck{}, err
+		if !sh.Engine().Dataset().Alive(local) {
+			return nil
 		}
-	}
-	return n.ackLocked(k, sh, epoch), nil
+		// On error the tombstone stays committed, as in the engine: the
+		// removal is already query-correct.
+		return sh.Remove(ctx, id)
+	})
 }
 
-// persistUnlocked rewrites sh's index file with the node lock released, so
-// the node's queries and streams proceed during the file write.
-func (n *Node) persistUnlocked(sh *nodeShard) error {
+// mutate applies op to the shard owning id under the node's write lock and
+// acks it at epoch, then lets the shard compact its index file with the
+// lock released, so the node's queries and streams proceed during that
+// file write.
+func (n *Node) mutate(id graph.ID, epoch uint64, op func(*nodeShard) error) (MutateAck, error) {
+	k := engine.ShardOf(id, n.cfg.ShardCount)
+	n.mu.Lock()
+	sh, ok := n.shards[k]
+	if !ok {
+		n.mu.Unlock()
+		return MutateAck{}, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
+	}
+	if err := op(sh); err != nil {
+		n.mu.Unlock()
+		return MutateAck{}, err
+	}
+	ack := n.ackLocked(k, sh, epoch)
 	n.mu.Unlock()
-	defer n.mu.Lock()
-	return sh.Persist()
+	sh.CompactIfDue()
+	return ack, nil
 }
 
 // ackLocked moves shard k to the mutation's epoch and acknowledges it.

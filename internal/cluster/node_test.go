@@ -172,8 +172,8 @@ func TestNodeAddRedelivery(t *testing.T) {
 	}
 }
 
-// TestNodeAddRollsBackFailedPersist: an add whose shard file cannot be
-// rewritten is not acked and leaves nothing live; the coordinator may then
+// TestNodeAddRollsBackFailedPersist: an add whose journal record cannot be
+// appended is not acked and leaves nothing live; the coordinator may then
 // assign the same id again, and that add applies.
 func TestNodeAddRollsBackFailedPersist(t *testing.T) {
 	ctx := context.Background()
@@ -193,17 +193,13 @@ func TestNodeAddRollsBackFailedPersist(t *testing.T) {
 	before := nodeAnswers(t, n, k, q)
 	info := n.Info()
 
-	// A non-empty directory where the shard's file goes fails the rename of
-	// the rewritten file.
-	path := n.shardIndexPath(k)
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
+	// A non-empty directory where the shard's journal goes fails the append.
+	path := engine.JournalPath(n.shardIndexPath(k))
 	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := n.Add(ctx, id, 1, g.ShallowWithID(0)); err == nil {
-		t.Fatal("add acked although its shard file could not be written")
+		t.Fatal("add acked although its journal could not be written")
 	}
 	if got := nodeAnswers(t, n, k, q); !got.Equal(before) {
 		t.Fatalf("rolled-back add is live: answers %v, want %v", got, before)
@@ -244,5 +240,66 @@ func TestNodeAddRollsBackFailedPersist(t *testing.T) {
 	}
 	if copies != 1 {
 		t.Fatalf("dump holds %d live copies of graph %d, want 1", copies, id)
+	}
+}
+
+// TestNodeJournalsMutations: a node's durable mutations append to its shard
+// journal and leave the shard file as it was. A restarted node reloads its
+// dataset copy at epoch 0, so it restores that file with no record replayed
+// and answers as the unmutated shard.
+func TestNodeJournalsMutations(t *testing.T) {
+	ctx := context.Background()
+	src, queries := nodeFixture(t, 25, 4)
+	cfg := NodeConfig{
+		Name: "n", Spec: "grapes:maxPathLen=3", ShardCount: 2, Shards: []int{0, 1},
+		IndexPath: filepath.Join(t.TempDir(), "n.idx"),
+	}
+	n, err := NewNode(ctx, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := graph.ID(src.Len())
+	k := engine.ShardOf(id, 2)
+	path := n.shardIndexPath(k)
+	base, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]graph.IDSet, len(queries))
+	for i, q := range queries {
+		want[i] = nodeAnswers(t, n, k, q)
+	}
+	victim := graph.ID(-1)
+	for _, g := range src.Graphs {
+		if engine.ShardOf(g.ID(), 2) == k {
+			victim = g.ID()
+			break
+		}
+	}
+	if _, err := n.Add(ctx, id, 1, src.Graphs[0].ShallowWithID(0)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Remove(ctx, victim, 2); err != nil {
+		t.Fatal(err)
+	}
+	if now, err := os.ReadFile(path); err != nil || !slices.Equal(now, base) {
+		t.Fatalf("a journaled mutation rewrote the shard file (%v)", err)
+	}
+	fi, err := os.Stat(engine.JournalPath(path))
+	if err != nil || fi.Size() < 2*25 {
+		t.Fatalf("shard journal after two mutations: %v, %v", fi, err)
+	}
+
+	restarted, err := NewNode(ctx, src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !restarted.shards[k].Engine().Restored() {
+		t.Fatal("restarted node rebuilt the shard instead of restoring its file")
+	}
+	for i, q := range queries {
+		if got := nodeAnswers(t, restarted, k, q); !got.Equal(want[i]) {
+			t.Errorf("query %d after restart: %v, want the unmutated %v", i, got, want[i])
+		}
 	}
 }

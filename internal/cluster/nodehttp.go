@@ -430,12 +430,14 @@ func (s *NodeServer) handleDump(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleIndexFile serves GET /node/indexfile?shard=k: the shard's persisted
-// index file, byte for byte, whatever the method. A peer installing the
-// shard fetches it alongside the dump so its engine restores the index
-// instead of rebuilding; the container's checksums and epoch+tag stamp make
-// the transfer self-validating — a receiver whose reassembled sub-dataset
-// mismatches falls back to a rebuild. 404 when the node does not persist,
-// does not serve the shard, or the file is absent.
+// index file, byte for byte, whatever the method, compacted first so that
+// it carries every acked mutation rather than lagging the journal beside
+// it. A peer installing the shard fetches it alongside the dump so its
+// engine restores the index instead of rebuilding; the container's
+// checksums and epoch+tag stamp make the transfer self-validating — a
+// receiver whose reassembled sub-dataset mismatches falls back to a
+// rebuild. 404 when the node does not persist, does not serve the shard, or
+// the file is absent.
 func (s *NodeServer) handleIndexFile(w http.ResponseWriter, r *http.Request) {
 	k, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
@@ -443,7 +445,7 @@ func (s *NodeServer) handleIndexFile(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.node.mu.RLock()
-	_, owned := s.node.shards[k]
+	sh, owned := s.node.shards[k]
 	s.node.mu.RUnlock()
 	if !owned {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, s.node.Name()))
@@ -451,6 +453,10 @@ func (s *NodeServer) handleIndexFile(w http.ResponseWriter, r *http.Request) {
 	}
 	if s.node.cfg.IndexPath == "" {
 		s.fail(w, http.StatusNotFound, fmt.Errorf("node %s does not persist indexes", s.node.Name()))
+		return
+	}
+	if err := sh.Engine().Save(s.node.shardIndexPath(k)); err != nil {
+		s.fail(w, http.StatusInternalServerError, fmt.Errorf("compacting shard %d: %w", k, err))
 		return
 	}
 	f, err := os.Open(s.node.shardIndexPath(k))
@@ -465,9 +471,10 @@ func (s *NodeServer) handleIndexFile(w http.ResponseWriter, r *http.Request) {
 
 // fetchIndexFile best-effort copies the dump owner's persisted shard index
 // file to this node's own shard index path, so the engine open inside the
-// following Install restores it instead of rebuilding. Reports whether the
-// full file landed; the atomic rename means any failure leaves no partial
-// file behind and the install just rebuilds as before.
+// following Install restores it instead of rebuilding, and removes the
+// journal of the file it replaced. Reports whether the full file landed;
+// the atomic rename means any failure leaves no partial file behind and
+// the install just rebuilds as before.
 func (s *NodeServer) fetchIndexFile(ctx context.Context, from string, k int) bool {
 	if s.node.cfg.IndexPath == "" {
 		return false
@@ -485,10 +492,15 @@ func (s *NodeServer) fetchIndexFile(ctx context.Context, from string, k int) boo
 	if resp.StatusCode != http.StatusOK {
 		return false
 	}
-	return engine.AtomicWriteFile(s.node.shardIndexPath(k), func(w io.Writer) error {
+	path := s.node.shardIndexPath(k)
+	if engine.AtomicWriteFile(path, func(w io.Writer) error {
 		_, err := io.Copy(w, resp.Body)
 		return err
-	}) == nil
+	}) != nil {
+		return false
+	}
+	os.Remove(engine.JournalPath(path))
+	return true
 }
 
 // handleLoad serves POST /node/load: install a shard, either rebuilt from

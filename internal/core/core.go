@@ -74,9 +74,10 @@ type Verifier interface {
 // Planner is implemented by methods whose verification depends on
 // query-scoped filtering state (Grapes uses the matched path locations to
 // verify against individual connected components). PlanQuery subsumes
-// Candidates for such methods.
+// Candidates for such methods; the plan verifies against the graphs of ds,
+// the dataset the query runs over, so the index itself holds no dataset.
 type Planner interface {
-	PlanQuery(q *graph.Graph) (QueryPlan, error)
+	PlanQuery(ds *graph.Dataset, q *graph.Graph) (QueryPlan, error)
 }
 
 // QueryPlan carries one query's filtering outcome plus the state needed to
@@ -142,7 +143,7 @@ func (p *genericPlan) Chunks() iter.Seq[graph.IDSet] {
 // The context bounds those runs.
 func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (QueryPlan, error) {
 	if planner, ok := m.(Planner); ok {
-		return planner.PlanQuery(q)
+		return planner.PlanQuery(ds, q)
 	}
 	var cands graph.IDSet
 	var chunks iter.Seq[graph.IDSet]

@@ -39,8 +39,11 @@ func WithSpec(spec string) Option { return func(c *config) { c.spec = spec } }
 func WithMethod(m core.Method) Option { return func(c *config) { c.method = m } }
 
 // WithIndexPath enables transparent index persistence: Open restores the
-// index from path when a loadable copy exists there, and otherwise builds it
-// and saves it to path atomically. Corrupt files are rebuilt from a fresh
+// index from path when a loadable copy exists there — replaying the
+// mutations journaled at JournalPath(path) since it was written — and
+// otherwise builds it and saves it to path atomically. A mutation then
+// appends to the journal, and the file is rewritten only when the journal
+// is compacted (see journal.go). Corrupt files are rebuilt from a fresh
 // instance and overwritten, never trusted (with WithMethod, where no fresh
 // instance can be constructed, a corrupt file is an error instead). A
 // successfully restored index carries the parameters it was persisted with;
@@ -74,8 +77,12 @@ type Engine struct {
 	// nil when the engine was opened with WithMethod, whose mutations then
 	// fail cleanly when they need a rebuild (the live index is never
 	// rebuilt in place — see rebuildLocked).
-	fresh         func() (core.Method, error)
-	indexPath     string
+	fresh     func() (core.Method, error)
+	indexPath string
+	// jr is the journal of the index file at indexPath (see journal.go);
+	// jmu serializes compactions, which run under the read lock.
+	jr            journal
+	jmu           sync.Mutex
 	verifyWorkers int
 	// ready is false only while a lazily-opened (storage=mmap) index is
 	// still warming its directory sections in the background; /readyz
@@ -96,8 +103,9 @@ func storageModeOf(m core.Method) string {
 // epoch and structural version tag it was built at, and the spec it was
 // built with. A file persisted before a mutation — or against a different
 // mutation history of the same length, or by another method — therefore
-// never restores silently. SaveMethod/LoadMethod files carry a zero
-// epoch+tag and are loaded without comparing stamps.
+// never restores silently, except as the base its journal continues (see
+// Engine.accept). SaveMethod/LoadMethod files carry a zero epoch+tag and
+// are loaded without comparing stamps.
 type stamp struct {
 	epoch, tag uint64
 	spec       string
@@ -126,9 +134,10 @@ func newConfig(opts []Option) config {
 
 // openEngine constructs cfg's method into an engine over ds and makes it
 // servable: with restore, it loads the index from cfg's path when a file
-// stamped for ds and stampSpec ("": the method's name) is there; otherwise
-// it builds the index and, with save, persists it. A restored storage=mmap
-// index then warms in the background.
+// (plus journal) restorable for ds and stampSpec ("": the method's name) is
+// there; otherwise it builds the index and, with save, persists it — without
+// save the first mutation does. A restored storage=mmap index then warms in
+// the background.
 func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec string, restore, save bool) (*Engine, error) {
 	if ds == nil {
 		return nil, errors.New("engine: nil dataset")
@@ -148,6 +157,9 @@ func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec st
 		stampSpec = m.Name()
 	}
 	e := &Engine{method: m, ds: ds, stampSpec: stampSpec, indexPath: cfg.indexPath, verifyWorkers: cfg.verifyWorkers}
+	if cfg.indexPath != "" {
+		e.jr.path = JournalPath(cfg.indexPath)
+	}
 	if cfg.method == nil {
 		spec := cfg.spec
 		e.fresh = func() (core.Method, error) { return New(spec) }
@@ -163,8 +175,11 @@ func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec st
 			return nil, fmt.Errorf("engine: building %s: %w", e.method.Name(), err)
 		}
 		e.build = st
+		// No file on disk holds this index yet: the first mutation compacts
+		// unless the save below writes one.
+		e.jr.due = true
 		if save {
-			if err := e.persist(); err != nil {
+			if err := e.Save(e.indexPath); err != nil {
 				return nil, err
 			}
 		}
@@ -189,18 +204,30 @@ func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec st
 	return e, nil
 }
 
-// restore loads the index file at e.indexPath when its stamps match. A
-// file that is absent, stale or damaged before the load touched the method
-// leaves e unrestored, to be built over and overwritten; one that failed
-// mid-load swaps in a pristine instance first, so its parameters never leak
-// into the build.
+// restore loads the index file at e.indexPath when its stamps match the
+// dataset or its journal carries it there (see accept), replaying the
+// journal. A file that is absent, stale or damaged before the load touched
+// the method leaves e unrestored, to be built over and overwritten; one
+// that failed mid-load or mid-replay swaps in a pristine instance first,
+// so its parameters never leak into the build.
 func (e *Engine) restore() error {
 	start := time.Now()
-	want := stampOf(e.ds, e.stampSpec)
-	touched, err := readIndexFile(e.indexPath, e.method, e.ds, &want)
+	var jf *journalFile
+	touched, err := readIndexFile(e.indexPath, e.method, func(got stamp) (*graph.Dataset, error) {
+		view, accepted, err := e.accept(got)
+		jf = accepted
+		return view, err
+	})
+	if err == nil {
+		err = e.replay(jf)
+	}
 	switch {
 	case err == nil:
 		e.restored = true
+		e.jr.base, e.jr.slots, e.jr.records = jf.base, jf.slots, len(jf.recs)
+		if len(jf.recs) > 0 {
+			e.jr.keep = jf.size()
+		}
 		storage := storageModeOf(e.method)
 		obs.IndexOpenObserve(e.method.Name(), storage, time.Since(start).Seconds())
 		obs.IndexResidentSet(e.method.Name(), storage, e.method.SizeBytes())
@@ -230,12 +257,14 @@ func (e *Engine) restore() error {
 var errStaleIndex = errors.New("engine: stale index file")
 
 // readIndexFile is the one read path of every index file: open the
-// container at path — mapped when m selects storage=mmap — compare its
-// stamps with want (nil: any stamps), and load it into m. On success in
-// mmap mode the method owns the reader; in heap mode (everything decoded)
-// the reader is closed here. touched reports that LoadIndex ran, so on
-// error the instance may be half-restored and must not be built over.
-func readIndexFile(path string, m core.Method, ds *graph.Dataset, want *stamp) (touched bool, err error) {
+// container at path — mapped when m selects storage=mmap — hand its stamps
+// to accept, which returns the dataset to load it against (or an error,
+// errStaleIndex for a file that does not restore here), and load it into
+// m. On success in mmap mode the method owns the reader; in heap mode
+// (everything decoded) the reader is closed here. touched reports that
+// LoadIndex ran, so on error the instance may be half-restored and must
+// not be built over.
+func readIndexFile(path string, m core.Method, accept func(stamp) (*graph.Dataset, error)) (touched bool, err error) {
 	p, ok := m.(core.Persistable)
 	if !ok {
 		return false, fmt.Errorf("engine: %s does not support index persistence", m.Name())
@@ -248,9 +277,10 @@ func readIndexFile(path string, m core.Method, ds *graph.Dataset, want *stamp) (
 		}
 		return false, err
 	}
-	if want != nil && (stamp{r.Epoch(), r.Tag(), r.Spec()}) != *want {
+	ds, err := accept(stamp{r.Epoch(), r.Tag(), r.Spec()})
+	if err != nil {
 		r.Close()
-		return false, errStaleIndex
+		return false, err
 	}
 	if err := p.LoadIndex(r, ds); err != nil {
 		r.Close()
@@ -300,8 +330,8 @@ func (e *Engine) BuildStats() core.BuildStats {
 }
 
 // Restored reports whether the engine's current index was loaded from a
-// persisted file rather than built; a mutation that fell back to a
-// rebuild resets it.
+// persisted file, its journal replayed or not, rather than built; a
+// mutation that fell back to a rebuild resets it.
 func (e *Engine) Restored() bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -336,11 +366,33 @@ func (e *Engine) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID,
 }
 
 // Save persists the engine's built index to path, atomically and stamped
-// with the dataset's current epoch, in the format Open restores from.
+// with the dataset's current epoch and tag, in the format Open restores
+// from. At the engine's own index path this is the journal's compaction:
+// the file then holds every mutation, and the journal starts afresh.
+// Elsewhere, a journal beside path belonged to the file Save replaced and
+// is removed.
 func (e *Engine) Save(path string) error {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return writeIndexFile(path, e.method, stampOf(e.ds, e.stampSpec))
+	e.jmu.Lock()
+	defer e.jmu.Unlock()
+	return e.saveLocked(path)
+}
+
+// saveLocked is Save under the read lock and jmu.
+func (e *Engine) saveLocked(path string) error {
+	st := stampOf(e.ds, e.stampSpec)
+	if err := writeIndexFile(path, e.method, st); err != nil {
+		return err
+	}
+	if e.indexPath != "" && filepath.Clean(path) == filepath.Clean(e.indexPath) {
+		e.jr.reset(st, e.ds.Len())
+	} else {
+		// Best effort: a journal that stays binds to the replaced file's
+		// stamp, so an open beside the new file ignores it.
+		os.Remove(JournalPath(path))
+	}
+	return nil
 }
 
 // SaveMethod persists a built method's index to path, atomically (see
@@ -377,9 +429,10 @@ func AtomicWriteFile(path string, write func(w io.Writer) error) error {
 
 // LoadMethod restores a method's persisted index from path. The method must
 // be unbuilt and constructed with the same parameters, and ds must be the
-// dataset the index was built over; the file's stamps are not compared.
+// dataset the index was built over; the file's stamps are not compared,
+// and no journal is read.
 func LoadMethod(path string, m core.Method, ds *graph.Dataset) error {
-	if _, err := readIndexFile(path, m, ds, nil); err != nil {
+	if _, err := readIndexFile(path, m, func(stamp) (*graph.Dataset, error) { return ds, nil }); err != nil {
 		return fmt.Errorf("engine: loading %s index: %w", m.Name(), err)
 	}
 	return nil

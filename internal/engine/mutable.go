@@ -73,9 +73,9 @@ var errEmptyAdd = errors.New("engine: cannot add an empty graph")
 
 // AddGraph implements Mutable: g joins the dataset under a fresh ID and the
 // index is maintained — incrementally for core.IncrementalIndexer methods,
-// by rebuild otherwise. If index maintenance or the re-persist fails, the
-// added graph is tombstoned again so a half-applied add can never surface
-// wrong answers.
+// by rebuild otherwise — and, with an index path, journaled. If
+// maintenance or the journal append fails, the add is undone before the
+// call returns, so an error never leaves a half-applied add live.
 func (e *Engine) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return 0, errEmptyAdd
@@ -84,12 +84,7 @@ func (e *Engine) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error)
 	if err != nil {
 		return 0, err
 	}
-	if err := e.persist(); err != nil {
-		// The stale on-disk file fails its epoch/tag check on the next open
-		// and rebuilds.
-		e.rollbackAdd(id)
-		return 0, err
-	}
+	e.compactIfDue()
 	return id, nil
 }
 
@@ -102,75 +97,96 @@ func (e *Engine) RemoveGraph(ctx context.Context, id graph.ID) error {
 	if err := e.applyRemove(ctx, id); err != nil {
 		return err
 	}
-	// A persist failure surfaces, but the tombstone stays committed: the
-	// removal is already query-correct, and un-removing would be the one
-	// thing worse than a stale file (which the epoch/tag check catches).
-	return e.persist()
+	e.compactIfDue()
+	return nil
 }
 
 // ApplyAdd implements IndexMaintainer: index-only maintenance for a graph
-// already added to the dataset by a composite engine.
+// already added to the dataset by a composite engine. On error the index no
+// longer holds g; the composite tombstones it.
 func (e *Engine) ApplyAdd(ctx context.Context, g *graph.Graph) error {
 	e.mu.Lock()
-	err := e.maintainAddLocked(ctx, g)
+	err := e.indexAddLocked(ctx, g)
 	e.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return e.persist()
+	e.compactIfDue()
+	return nil
 }
 
 // ApplyRemove implements IndexMaintainer: index-only maintenance for a
 // graph the dataset has already tombstoned.
 func (e *Engine) ApplyRemove(ctx context.Context, id graph.ID) error {
 	e.mu.Lock()
-	err := e.maintainRemoveLocked(ctx, id)
+	err := e.indexRemoveLocked(ctx, id)
 	e.mu.Unlock()
 	if err != nil {
 		return err
 	}
-	return e.persist()
+	e.compactIfDue()
+	return nil
 }
 
-// A mutation is three pieces, which Engine, Sharded and cluster.Node all
-// compose: the apply under the write lock (applyAdd, applyRemove), the
-// re-persist under the read lock (persist), and, when that fails after an
-// add, the roll-back (rollbackAdd). An owner holding its own lock takes it
-// before the engine's.
+// A mutation is one journaled apply under the write lock (applyAdd,
+// applyRemove): dataset change, index maintenance, journal append, and on
+// failure the undo, all in one lock hold. Engine, Sharded and cluster.Node
+// all compose it the same way, then call compactIfDue with their own lock
+// released. An owner holding its own lock takes it before the engine's.
 
-// applyAdd appends g to the dataset under a fresh ID and maintains the
-// index. The ID is consumed even on failure: the slot is tombstoned again.
+// applyAdd appends g to the dataset under a fresh ID and maintains and
+// journals the index. The ID is consumed even on failure: the slot is
+// tombstoned again.
 func (e *Engine) applyAdd(ctx context.Context, g *graph.Graph) (graph.ID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	id := e.ds.Add(g)
-	if err := e.maintainAddLocked(ctx, g); err != nil {
+	if err := e.indexAddLocked(ctx, g); err != nil {
 		e.ds.Remove(id)
 		return id, err
 	}
 	return id, nil
 }
 
-// applyRemove tombstones id and maintains the index.
+// applyRemove tombstones id and maintains and journals the index.
 func (e *Engine) applyRemove(ctx context.Context, id graph.ID) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.ds.Remove(id) {
 		return fmt.Errorf("engine: removing graph %d: %w", id, ErrNoSuchGraph)
 	}
-	return e.maintainRemoveLocked(ctx, id)
+	return e.indexRemoveLocked(ctx, id)
 }
 
-// rollbackAdd undoes a committed add of id whose persistence failed:
-// tombstone plus, for incremental indexers, the posting drop.
-func (e *Engine) rollbackAdd(id graph.ID) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ds.Remove(id) {
-		if inc, ok := e.method.(core.IncrementalIndexer); ok {
-			_ = inc.RemoveGraphFromIndex(id)
-		}
+// indexAddLocked folds g, already in the dataset, into the index and
+// journals it. A failed append drops g from the index again. Either failure
+// leaves the journal due: the caller tombstones g, and the dataset then
+// moved with no record, so the next mutation compacts.
+func (e *Engine) indexAddLocked(ctx context.Context, g *graph.Graph) error {
+	if err := e.maintainAddLocked(ctx, g); err != nil {
+		e.jr.due = true
+		return err
 	}
+	if err := e.journalLocked(recAdd, g.ID()); err != nil {
+		_ = e.method.(core.IncrementalIndexer).RemoveGraphFromIndex(g.ID())
+		return fmt.Errorf("engine: journaling the add of graph %d: %w", g.ID(), err)
+	}
+	return nil
+}
+
+// indexRemoveLocked drops id, already tombstoned, from the index and
+// journals the removal. On failure the tombstone stays committed — the
+// removal is already query-correct, and un-removing would be worse than a
+// stale file — and the next mutation compacts.
+func (e *Engine) indexRemoveLocked(ctx context.Context, id graph.ID) error {
+	if err := e.maintainRemoveLocked(ctx, id); err != nil {
+		e.jr.due = true
+		return err
+	}
+	if err := e.journalLocked(recRemove, id); err != nil {
+		return fmt.Errorf("engine: journaling the removal of graph %d: %w", id, err)
+	}
+	return nil
 }
 
 func (e *Engine) maintainAddLocked(ctx context.Context, g *graph.Graph) error {
@@ -223,27 +239,4 @@ func (e *Engine) rebuildLocked(ctx context.Context) error {
 	e.restored = false
 	e.proc = &core.Processor{Method: m, DS: e.ds, VerifyWorkers: e.verifyWorkers}
 	return nil
-}
-
-// persist re-persists the index at the configured path with the current
-// epoch+tag stamp, so a process that reopens the *same dataset state* (an
-// in-process reopen, or a data file that already reflects the mutations)
-// restores the mutated index instead of rebuilding. A restart that
-// reloads a pre-mutation data file will not match the stamp and rebuilds
-// — by design: restoring mutation-era postings against a dataset that
-// lacks the mutations would answer wrongly.
-//
-// The O(index) file write runs under the *read* lock: concurrent queries
-// proceed during it, and only other mutations wait. That is safe because
-// SaveIndex only reads a heap-resident index — the mutation that leads
-// here already materialized a storage=mmap one under the write lock —
-// and Tree+Δ, whose queries write to the index, locks itself. If another
-// mutation slipped in between the write-locked apply and this snapshot,
-// the file simply captures the newer — still consistent — state. Engines
-// opened without WithIndexPath skip it.
-func (e *Engine) persist() error {
-	if e.indexPath == "" {
-		return nil
-	}
-	return e.Save(e.indexPath)
 }

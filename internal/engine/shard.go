@@ -14,16 +14,16 @@ import (
 // Shard is one horizontal partition of a sharded index: an Engine over the
 // shard's re-homed sub-dataset (see PartitionShard) plus the ascending map
 // from its local ids to parent ids. Sharded and cluster.Node are both built
-// from it, so restore or build, warm-up, maintenance, roll-back and
-// re-persist exist once, in Engine.
+// from it, so restore or build, warm-up, maintenance, journaling and
+// compaction exist once, in Engine.
 //
 // A Shard is also a leg of the merge behind every stream and sharded query
 // (Drain, MergeStream); a flat engine streams as one identity leg.
 //
-// The owner serializes a shard: Add, Remove and RollbackAdd run under its
-// write lock, Graphs, Drain and MergeStream under its read lock, and it
-// takes that lock before the shard engine's. Persist needs no owner lock:
-// it holds the shard engine's read lock alone for the file write.
+// The owner serializes a shard: Add and Remove run under its write lock,
+// Graphs, Drain and MergeStream under its read lock, and it takes that lock
+// before the shard engine's. CompactIfDue needs no owner lock: it holds the
+// shard engine's read lock alone for the file write.
 type Shard struct {
 	eng      *Engine
 	global   []graph.ID // local id -> parent id, ascending
@@ -102,8 +102,9 @@ func (sh *Shard) Graphs() iter.Seq2[graph.ID, *graph.Graph] {
 }
 
 // Add re-homes g into the shard as parent id id and maintains the shard's
-// index. Parent ids must arrive in ascending order. The local slot is taken
-// even when maintenance fails; the copy is then tombstoned again.
+// index, journaling the add. Parent ids must arrive in ascending order. The
+// local slot is taken even when the apply fails; the copy is then
+// tombstoned again and dropped from the index.
 func (sh *Shard) Add(ctx context.Context, id graph.ID, g *graph.Graph) error {
 	if n := len(sh.global); n > 0 && id < sh.global[n-1] {
 		return fmt.Errorf("engine: graph %d arrived after graph %d; shard ids must ascend", id, sh.global[n-1])
@@ -123,16 +124,11 @@ func (sh *Shard) Remove(ctx context.Context, id graph.ID) error {
 	return sh.eng.applyRemove(ctx, local)
 }
 
-// RollbackAdd undoes Add(id) after its Persist failed.
-func (sh *Shard) RollbackAdd(id graph.ID) {
-	if local, ok := sh.LocalOf(id); ok {
-		sh.eng.rollbackAdd(local)
-	}
-}
-
-// Persist re-persists the shard's index file after a mutation; a shard
-// opened without an index path skips it.
-func (sh *Shard) Persist() error { return sh.eng.persist() }
+// CompactIfDue rewrites the shard's index file and starts its journal
+// afresh when the last mutation left it due (see Engine.compactIfDue). The
+// owner calls it after every mutation with its own lock released, so its
+// queries proceed during the file write.
+func (sh *Shard) CompactIfDue() { sh.eng.compactIfDue() }
 
 // ShardWorkers splits a verification budget over n shards: each shard
 // verifies with perShard workers, and at most fanout shards run at once, so

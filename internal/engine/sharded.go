@@ -42,12 +42,13 @@ func ShardIndexPath(base string, i int) string {
 }
 
 // shardManifestMagic heads the manifest file of a persisted sharded index;
-// bump the version when the layout changes. v2 added the dataset epoch, so
-// shard files persisted before a mutation can never restore silently
-// against the mutated dataset; v4 dropped v3's per-shard format list, which
-// one file format made constant. A manifest of another version mismatches
-// and everything rebuilds once.
-const shardManifestMagic = "repro-shards v4"
+// bump the version when the layout changes. v2 added the dataset epoch; v4
+// dropped v3's per-shard format list, which one file format made constant;
+// v5 dropped the dataset size, epoch and tag, because each shard file's own
+// stamps and journal decide whether it restores, so a mutation never
+// rewrites the manifest. A manifest of another version mismatches and
+// everything rebuilds once.
+const shardManifestMagic = "repro-shards v5"
 
 // Sharded is a horizontally partitioned engine over one dataset: the graphs
 // are hash-partitioned into N shards, each a Shard — an Engine over its
@@ -69,7 +70,6 @@ type Sharded struct {
 	shards      []*Shard
 	name        string // method display name
 	spec        string // canonical spec all shards were constructed from
-	indexPath   string // persistence base ("" = none); mutated shards rewrite their file + the manifest
 	build       core.BuildStats
 	restored    int  // non-empty shards restored from disk
 	allRestored bool // every non-empty shard restored (nothing built)
@@ -83,11 +83,11 @@ type Sharded struct {
 //
 // Shards open concurrently on a pool bounded by GOMAXPROCS; the first
 // failure (or ctx cancellation) stops the remaining opens. With
-// WithIndexPath(base), each shard persists independently and atomically at
-// ShardIndexPath(base, i) under a manifest at base, so a corrupt or missing
-// shard file rebuilds alone while the healthy shards restore. A manifest
-// that does not match the dataset, shard count, or method spec invalidates
-// all shard files and rebuilds everything.
+// WithIndexPath(base), each shard persists independently at
+// ShardIndexPath(base, i), with its own journal, under a manifest at base,
+// so a corrupt, missing or stale shard file rebuilds alone while the
+// healthy shards restore. A manifest that does not match the shard count or
+// method spec invalidates all shard files and rebuilds everything.
 //
 // The method must be selected with WithSpec: OpenSharded constructs one
 // instance per shard, so WithMethod's single pre-built instance is rejected.
@@ -103,7 +103,7 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{ds: ds, shards: make([]*Shard, shards), name: d.Display, spec: spec, indexPath: cfg.indexPath, workers: cfg.verifyWorkers}
+	s := &Sharded{ds: ds, shards: make([]*Shard, shards), name: d.Display, spec: spec, workers: cfg.verifyWorkers}
 	s.fanout, _ = ShardWorkers(cfg.verifyWorkers, shards)
 	manifestOK := false
 	if cfg.indexPath != "" {
@@ -145,7 +145,10 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 			continue
 		}
 		s.build.Elapsed = wall
-		if err := sh.Persist(); err != nil {
+		if cfg.indexPath == "" {
+			continue
+		}
+		if err := sh.eng.Save(sh.eng.indexPath); err != nil {
 			return nil, fmt.Errorf("engine: shard %d/%d: %w", i, shards, err)
 		}
 	}
@@ -197,12 +200,10 @@ func PartitionShard(ds *graph.Dataset, n, i int) (*graph.Dataset, []graph.ID) {
 }
 
 // manifest renders the sharded-index manifest: a short text file binding
-// the shard files to the shard count, dataset size, epoch and structural
-// version tag, and canonical method spec they were written for. Manifests
-// compare by string equality.
+// the shard files to the shard count and canonical method spec they were
+// written for. Manifests compare by string equality.
 func (s *Sharded) manifest() string {
-	return fmt.Sprintf("%s\nshards %d\ngraphs %d\nepoch %d\ntag %x\nspec %s\n",
-		shardManifestMagic, len(s.shards), s.ds.Len(), s.ds.Epoch(), s.ds.VersionTag(), s.spec)
+	return fmt.Sprintf("%s\nshards %d\nspec %s\n", shardManifestMagic, len(s.shards), s.spec)
 }
 
 // manifestMatches reports whether the manifest at base matches this engine's
@@ -219,11 +220,12 @@ func (s *Sharded) manifestMatches(base string) (bool, error) {
 	return string(data) == s.manifest(), nil
 }
 
-// writeManifest atomically writes the manifest at base. It is written after
-// every shard file, so a crash mid-save leaves either the old manifest
-// (whose shard files restore as usual, with any overwritten shard failing
-// its load and rebuilding alone) or no new manifest (full rebuild) — never a
-// manifest endorsing shard files that were not all written.
+// writeManifest atomically writes the manifest at base, at build and on
+// Save, never on a mutation. It is written after every shard file, so a
+// crash mid-save leaves either the old manifest (whose shard files restore
+// as usual, with any overwritten shard failing its stamps and rebuilding
+// alone) or no new manifest (full rebuild) — never a manifest endorsing
+// shard files that were not all written.
 func (s *Sharded) writeManifest(base string) error {
 	return AtomicWriteFile(base, func(w io.Writer) error {
 		_, err := io.WriteString(w, s.manifest())
@@ -408,8 +410,9 @@ func (s *Sharded) shardOf(id graph.ID) *Shard { return s.shards[ShardOf(id, len(
 
 // AddGraph implements Mutable for the sharded engine: g joins the parent
 // dataset under a fresh ID and is added to its ShardOf shard, whose engine
-// maintains its index. With persistence configured, only that shard's file
-// and the manifest are rewritten, after the write lock is released.
+// maintains its index and, with persistence configured, journals the add.
+// A failed apply is undone in the parent too, so an error means no live
+// mutation, as in the flat engine.
 func (s *Sharded) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return 0, errEmptyAdd
@@ -423,22 +426,15 @@ func (s *Sharded) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error
 		return 0, err
 	}
 	s.mu.Unlock()
-	if err := s.persist(sh); err != nil {
-		// Keep "error => no live mutation", like the flat engine.
-		s.mu.Lock()
-		s.ds.Remove(id)
-		sh.RollbackAdd(id)
-		s.mu.Unlock()
-		return 0, err
-	}
+	sh.CompactIfDue()
 	return id, nil
 }
 
 // RemoveGraph implements Mutable for the sharded engine: the graph is
 // tombstoned in the parent dataset and in its shard, whose engine maintains
-// its index, and only that shard's file (plus the manifest) is rewritten.
-// As in the flat engine, the tombstone stays committed on a persist
-// failure: the removal is already query-correct.
+// its index and journals the removal. As in the flat engine, the tombstone
+// stays committed when the shard fails: the removal is already
+// query-correct.
 func (s *Sharded) RemoveGraph(ctx context.Context, id graph.ID) error {
 	return s.mutate(id, func(sh *Shard) error {
 		if !s.ds.Remove(id) {
@@ -460,8 +456,8 @@ func (s *Sharded) ApplyRemove(ctx context.Context, id graph.ID) error {
 	return s.mutate(id, func(sh *Shard) error { return sh.Remove(ctx, id) })
 }
 
-// mutate applies op to the shard owning id under the write lock, then
-// persists that shard.
+// mutate applies op to the shard owning id under the write lock, then lets
+// that shard compact with the lock released.
 func (s *Sharded) mutate(id graph.ID, op func(*Shard) error) error {
 	s.mu.Lock()
 	sh := s.shardOf(id)
@@ -470,21 +466,6 @@ func (s *Sharded) mutate(id graph.ID, op func(*Shard) error) error {
 	if err != nil {
 		return err
 	}
-	return s.persist(sh)
-}
-
-// persist rewrites sh's index file, then the manifest (the epoch moved),
-// when persistence is configured — mutation IO proportional to one shard,
-// not the dataset. The file write holds only the shard engine's read lock;
-// the manifest is rendered under the parent's.
-func (s *Sharded) persist(sh *Shard) error {
-	if s.indexPath == "" {
-		return nil
-	}
-	if err := sh.Persist(); err != nil {
-		return err
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.writeManifest(s.indexPath)
+	sh.CompactIfDue()
+	return nil
 }

@@ -524,9 +524,10 @@ func TestShardedEmptyShardsServeMutations(t *testing.T) {
 	}
 }
 
-// TestShardedAddRollsBackFailedPersist: an add whose shard file cannot be
-// rewritten fails with no live mutation, and the engine keeps serving and
-// mutating once the file can be written again.
+// TestShardedAddRollsBackFailedPersist: an add whose journal record cannot
+// be appended fails with no live mutation, and the engine keeps serving and
+// mutating once the journal can be written again — the next mutation
+// compacts the shard file.
 func TestShardedAddRollsBackFailedPersist(t *testing.T) {
 	ctx := context.Background()
 	ds := tinyDataset(t)
@@ -537,18 +538,15 @@ func TestShardedAddRollsBackFailedPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A non-empty directory where the owning shard's file goes fails the
-	// rename of the rewritten file.
-	path := engine.ShardIndexPath(base, engine.ShardOf(graph.ID(ds.Len()), shards))
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
+	// A non-empty directory where the owning shard's journal goes fails the
+	// append.
+	path := engine.JournalPath(engine.ShardIndexPath(base, engine.ShardOf(graph.ID(ds.Len()), shards)))
 	if err := os.MkdirAll(filepath.Join(path, "blocker"), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	live, _ := s.Counts()
 	if _, err := s.AddGraph(ctx, ds.Graphs[0].ShallowWithID(0)); err == nil {
-		t.Fatal("AddGraph succeeded although its shard file could not be written")
+		t.Fatal("AddGraph succeeded although its journal could not be written")
 	}
 	if now, _ := s.Counts(); now != live {
 		t.Fatalf("failed add left %d live graphs, want %d", now, live)
@@ -577,6 +575,13 @@ func TestShardedAddRollsBackFailedPersist(t *testing.T) {
 		t.Fatalf("AddGraph once the file is writable: %v", err)
 	}
 	check("added")
+	// A reopen over the mutated dataset answers exactly: the failed add's
+	// shard restores once a later mutation compacted it, and rebuilds
+	// otherwise.
+	if s, err = engine.OpenSharded(ctx, ds, shards, engine.WithSpec("grapes:maxPathLen=3"), engine.WithIndexPath(base)); err != nil {
+		t.Fatal(err)
+	}
+	check("reopened")
 }
 
 // TestShardedRejectsWithMethod: a single pre-built instance cannot back N

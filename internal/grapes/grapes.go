@@ -75,7 +75,6 @@ type posting struct {
 // Index is a built Grapes index. Create with New, then Build.
 type Index struct {
 	opts Options
-	ds   *graph.Dataset
 	// features maps canonical path keys to postings.
 	features map[canon.Key]*posting
 	// comps[g] are the connected components of dataset graph g, as a
@@ -119,7 +118,6 @@ type buildShard struct {
 // of which builds a private feature map; shards are merged at the end,
 // mirroring the paper's synchronization-free parallel trie construction.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
-	ix.ds = ds
 	n := ds.Len()
 	ix.comps = make([][]int32, n)
 	ix.compCount = make([]int, n)
@@ -444,9 +442,9 @@ func (ix *Index) resolve(qp *queryPaths) ([]feature, error) {
 }
 
 // Candidates implements core.Method (used when the caller does not go
-// through PlanQuery).
+// through PlanQuery). Filtering reads no dataset graph.
 func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	plan, err := ix.PlanQuery(q)
+	plan, err := ix.PlanQuery(nil, q)
 	if err != nil {
 		return nil, err
 	}
@@ -457,8 +455,9 @@ func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
 // resolved eagerly; the count-dominance intersection itself runs lazily,
 // candidate-major, when the plan's candidates are pulled (the plan
 // implements core.ChunkedPlan), retaining per emitted candidate the
-// components touched by matched path locations.
-func (ix *Index) PlanQuery(q *graph.Graph) (core.QueryPlan, error) {
+// components touched by matched path locations. Verify tests the graphs of
+// ds.
+func (ix *Index) PlanQuery(ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
@@ -467,7 +466,7 @@ func (ix *Index) PlanQuery(q *graph.Graph) (core.QueryPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &queryPlan{ix: ix, prep: subiso.Compile(q, subiso.Options{}), feats: feats}, nil
+	return &queryPlan{ix: ix, ds: ds, prep: subiso.Compile(q, subiso.Options{}), feats: feats}, nil
 }
 
 func markComponents(dst []bool, comp []int32, starts []int32) {
@@ -529,6 +528,7 @@ const chunkSize = 256
 // one posting instead of intersecting all of them up front.
 type queryPlan struct {
 	ix    *Index
+	ds    *graph.Dataset   // the candidates' graphs
 	prep  *subiso.Prepared // the query, compiled once for every candidate
 	feats []feature        // rarest first, feats[0] walked; none: no candidates
 	// mu guards states: the producer inserts while verifier workers read.
@@ -636,7 +636,7 @@ func (p *queryPlan) Chunks() iter.Seq[graph.IDSet] {
 // first match wins — or against the whole graph when the candidate's
 // component table could not be read or does not fit it.
 func (p *queryPlan) Verify(id graph.ID) bool {
-	g := p.ix.ds.Graph(id)
+	g := p.ds.Graph(id)
 	if g == nil {
 		return false
 	}

@@ -109,7 +109,7 @@ func TestPlanVerifyOnComponents(t *testing.T) {
 	ds.Add(g)
 	ix := build(t, ds, Options{})
 
-	plan, err := ix.PlanQuery(pathGraph(1, 2, 3))
+	plan, err := ix.PlanQuery(ds, pathGraph(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	}
 	// A lazily-opened index materializes fully before its first mutation:
 	// the splice below mutates heap postings, which mapped sections cannot
-	// back. The engine re-persists after mutations, writing plain v2.
+	// back. The engine's next compaction writes the whole index afresh.
 	if err := ix.materializeAll(); err != nil {
 		return err
 	}

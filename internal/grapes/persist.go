@@ -143,7 +143,6 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 		ix.comps = nil
 		ix.compCount = nil
 		ix.lazy = lz
-		ix.ds = ds
 		ix.built = true
 		return nil
 	}
@@ -170,7 +169,6 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	ix.comps = comps
 	ix.compCount = compCount
 	ix.lazy = nil
-	ix.ds = ds
 	ix.built = true
 	return nil
 }

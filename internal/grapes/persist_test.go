@@ -156,7 +156,7 @@ func TestMmapMisfitComponentTableNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapped, _ := mapSections(t, w, ds)
-	plan, err := mapped.PlanQuery(pathGraph(3, 1))
+	plan, err := mapped.PlanQuery(ds, pathGraph(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

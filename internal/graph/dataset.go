@@ -96,6 +96,11 @@ func (d *Dictionary) CopyFrom(src *Dictionary) {
 // Mutating a dataset concurrently with readers is not safe; the engine
 // layer serializes mutations against queries. Dict, Epoch and Counts are
 // the exceptions: they are safe under concurrent mutation.
+//
+// A graph must be complete when it is added — every generator, the file
+// reader and the serving layer build the graph first — because Add folds
+// its content into VersionTag once; changing it afterwards leaves the tag
+// describing the graph as it was added.
 type Dataset struct {
 	Name   string
 	Graphs []*Graph
@@ -103,6 +108,8 @@ type Dataset struct {
 
 	removed map[ID]struct{}
 	epoch   atomic.Uint64
+	// tag is the wrapping sum of every slot's slotTerm (see VersionTag).
+	tag uint64
 	// slots and dead mirror len(Graphs) and len(removed) for Counts, which
 	// readers call without the lock that serializes mutations.
 	slots, dead atomic.Int64
@@ -119,6 +126,7 @@ func (ds *Dataset) Add(g *Graph) ID {
 	id := ID(len(ds.Graphs))
 	g.SetID(id)
 	ds.Graphs = append(ds.Graphs, g)
+	ds.tag += slotTerm(id, g)
 	ds.slots.Add(1)
 	ds.epoch.Add(1)
 	return id
@@ -136,9 +144,31 @@ func (ds *Dataset) Remove(id ID) bool {
 		ds.removed = make(map[ID]struct{})
 	}
 	ds.removed[id] = struct{}{}
+	ds.tag += slotTerm(id, nil) - slotTerm(id, ds.Graphs[id])
 	ds.dead.Add(1)
 	ds.epoch.Add(1)
 	return true
+}
+
+// Prefix returns a read-only view of ds's first n slots, sharing their
+// graphs, in which a slot is live when it is live in ds or listed in
+// revive. It reconstructs an earlier state of ds — the n slots it held
+// then, with the graphs removed since then live again — for validating an
+// index persisted at that state. The view's Epoch and VersionTag are not
+// that state's, and it must not be mutated.
+func (ds *Dataset) Prefix(n int, revive []ID) *Dataset {
+	v := &Dataset{Name: ds.Name, Graphs: ds.Graphs[:n:n], removed: make(map[ID]struct{})}
+	for id := range ds.removed {
+		if int(id) < n {
+			v.removed[id] = struct{}{}
+		}
+	}
+	for _, id := range revive {
+		delete(v.removed, id)
+	}
+	v.slots.Store(int64(n))
+	v.dead.Store(int64(len(v.removed)))
+	return v
 }
 
 // Alive reports whether id names a live (present and not removed) graph.
@@ -156,30 +186,37 @@ func (ds *Dataset) Alive(id ID) bool {
 // layer's result cache and the persisted index files key on.
 func (ds *Dataset) Epoch() uint64 { return ds.epoch.Load() }
 
-// VersionTag returns a content fingerprint of the dataset: an FNV-1a hash
-// over the slot count and, per live slot, the graph's vertex labels and
-// edge list (tombstoned slots hash a sentinel). Persisted indexes store
-// it next to the epoch: the epoch alone is an operation counter, so two
-// different mutation histories of equal length (remove 3 vs remove 5, or
-// adds of different graphs) would collide on it, and a stale index could
-// restore silently against the wrong content. The tag is O(vertices +
-// edges) of integer reads — negligible next to writing the index itself.
-func (ds *Dataset) VersionTag() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
+// VersionTag returns a content fingerprint of the dataset in O(1): the
+// wrapping sum, over every slot, of a hash of the slot's id and either the
+// live graph's vertex labels and edge list or, for a tombstoned slot, a
+// sentinel. Add adds its graph's term and Remove swaps that term for the
+// sentinel's, each in O(graph), so the tag is never recomputed. Persisted
+// indexes store it next to the epoch: the epoch alone is an operation
+// counter, so two different mutation histories of equal length (remove 3
+// vs remove 5, or adds of different graphs) would collide on it, and a
+// stale index could restore silently against the wrong content. The sum
+// is seeded so that no dataset's tag is the zero stamp of an unbound file.
+func (ds *Dataset) VersionTag() uint64 { return offset64 + ds.tag }
+
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+// slotTerm is slot id's summand of VersionTag: FNV-1a over the id and the
+// graph's vertex count, labels and edges (or, with g nil, a sentinel no
+// vertex count can equal), finished with splitmix64's mixer so that the
+// sum of terms depends on every bit of each.
+func slotTerm(id ID, g *Graph) uint64 {
 	h := uint64(offset64)
 	mix := func(v uint64) {
 		h ^= v
 		h *= prime64
 	}
-	mix(uint64(len(ds.Graphs)))
-	for i, g := range ds.Graphs {
-		if _, dead := ds.removed[ID(i)]; dead {
-			mix(^uint64(0))
-			continue
-		}
+	mix(uint64(uint32(id)))
+	if g == nil {
+		mix(^uint64(0))
+	} else {
 		mix(uint64(g.NumVertices()))
 		for _, l := range g.Labels() {
 			mix(uint64(uint32(l)))
@@ -192,7 +229,11 @@ func (ds *Dataset) VersionTag() uint64 {
 			}
 		}
 	}
-	return h
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // Counts returns the live and tombstoned graph counts. Unlike NumAlive and

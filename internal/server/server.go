@@ -632,8 +632,8 @@ func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer release()
-	// A failed remove may still have committed its tombstone (a later
-	// re-persist failed): the error surfaces, and Counts tracks the dataset.
+	// A failed remove may still have committed its tombstone (its journal
+	// append failed): the error surfaces, and Counts tracks the dataset.
 	if err := s.eng.RemoveGraph(ctx, graph.ID(id64)); err != nil {
 		s.fail(w, mutationStatusCode(err), err)
 		return

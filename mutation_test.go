@@ -282,8 +282,9 @@ func TestRemoveReAddRegression(t *testing.T) {
 }
 
 // TestMutablePersistenceEpoch pins the epoch stamp in persisted index
-// files: an index saved before a mutation must not restore after it, and
-// one saved after a mutation must.
+// files: an index file restores at the dataset state it was written at or,
+// through its journal, at a state its journaled mutations reach — never at
+// another state, nor after a different mutation history of equal length.
 func TestMutablePersistenceEpoch(t *testing.T) {
 	ctx := context.Background()
 	path := t.TempDir() + "/idx"
@@ -296,7 +297,7 @@ func TestMutablePersistenceEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same dataset state, no mutation: the file persisted by RemoveGraph
+	// Same dataset state, no mutation: the file plus the journaled removal
 	// restores.
 	ds2 := mutationBase(41)
 	ds2.Remove(3)
@@ -305,10 +306,14 @@ func TestMutablePersistenceEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !eng2.Restored() {
-		t.Error("index persisted at the mutated epoch should restore for the same state")
+		t.Error("index journaled at the mutated epoch should restore for the same state")
 	}
 
-	// A dataset at a different epoch must rebuild, not restore.
+	// Once compacted, the file is written at the mutated epoch: a dataset at
+	// the base epoch must rebuild, not restore.
+	if err := eng.Save(path); err != nil {
+		t.Fatal(err)
+	}
 	ds3 := mutationBase(41)
 	eng3, err := repro.Open(ctx, ds3, repro.WithSpec("grapes"), repro.WithIndexPath(path))
 	if err != nil {
@@ -320,8 +325,8 @@ func TestMutablePersistenceEpoch(t *testing.T) {
 
 	// A different mutation history of the same length lands on the same
 	// epoch; the structural version tag must still reject the restore.
-	// (eng3 just overwrote the file at the base epoch, so re-remove 3 to
-	// put the epoch-N+1 remove-3 index back on disk first.)
+	// (eng3 just overwrote the file at the base epoch; its removal of 3
+	// journals the epoch-N+1 remove-3 state.)
 	if err := eng3.RemoveGraph(ctx, 3); err != nil {
 		t.Fatal(err)
 	}
