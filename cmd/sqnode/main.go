@@ -44,7 +44,7 @@ func main() {
 		name         = flag.String("name", "", "this node's name in the manifest (required)")
 		methodStr    = flag.String("method", "grapes", "method spec: name[:key=value,...]; must agree across the cluster")
 		indexPath    = flag.String("ix", "", "persistence base: shard k persists at <ix>.node-shard-<k>")
-		verifyW      = flag.Int("workers", 0, "node-wide verification parallelism, divided across shards (0 = GOMAXPROCS)")
+		verifyW      = flag.Int("workers", 0, "node-wide verification parallelism: each query leg verifies with all of it (0 = GOMAXPROCS)")
 		addr         = flag.String("addr", ":7501", "listen address")
 		reqTimeout   = flag.Duration("req-timeout", 30*time.Second, "per-request execution budget")
 		buildTimeout = flag.Duration("build-timeout", 8*time.Hour, "shard index construction budget")

@@ -116,8 +116,8 @@ func main() {
 	flag.StringVar(&o.addr, "addr", ":7474", "listen address")
 
 	flag.StringVar(&o.manifest, "cluster", "", "cluster manifest JSON: serve as the coordinator over sqnode members instead of building a local index")
-	flag.DurationVar(&o.nodeTimeout, "node-timeout", 10*time.Second, "coordinator: per fan-out leg budget")
-	flag.DurationVar(&o.hedgeDelay, "hedge-delay", 2*time.Second, "coordinator: duplicate a slow leg to a replica after this long (<0 disables)")
+	flag.DurationVar(&o.nodeTimeout, "node-timeout", 10*time.Second, "coordinator: budget per mutation leg and probe, and for a query leg's first line")
+	flag.DurationVar(&o.hedgeDelay, "hedge-delay", 2*time.Second, "coordinator: duplicate a query leg that has sent no line after this long to a replica (<0 disables)")
 	flag.DurationVar(&o.probeInterval, "probe-interval", 2*time.Second, "coordinator: node health-check period")
 
 	flag.IntVar(&o.cacheEntries, "cache-entries", server.DefaultMaxEntries, "result cache capacity in entries (0 disables the cache)")

@@ -129,8 +129,7 @@ func (c *NodeClient) Metrics(ctx context.Context) ([]byte, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 4<<10))
-		return nil, &NodeError{Status: resp.StatusCode, Msg: strings.TrimSpace(string(body))}
+		return nil, nodeError(resp)
 	}
 	return io.ReadAll(io.LimitReader(resp.Body, 8<<20))
 }
@@ -144,13 +143,6 @@ func listParam[T int | uint64](xs []T) string {
 	return strings.Join(parts, ",")
 }
 
-// Query runs a non-streaming fan-out leg over the given shards.
-func (c *NodeClient) Query(ctx context.Context, shards []int, gj server.GraphJSON) (ShardQueryResponse, error) {
-	var resp ShardQueryResponse
-	err := c.postJSON(ctx, "/node/query?shards="+listParam(shards), gj, &resp)
-	return resp, err
-}
-
 // ErrLegStale is wrapped into a streaming leg's terminal error when the
 // node aborted the stream because a mutation landed under it (the node's
 // epoch-checked chunked locking). The leg is retryable on the same node,
@@ -158,64 +150,56 @@ func (c *NodeClient) Query(ctx context.Context, shards []int, gj server.GraphJSO
 // failure, the node is healthy.
 var ErrLegStale = errors.New("cluster: node stream aborted by concurrent mutation")
 
-// StreamTail is the terminal accounting of a streaming leg: the pipeline
-// counters the node reported on its done line. Zero when the leg ended
-// early (error, cancellation, or yield stop) — the counters are
-// observability, not an invariant.
-type StreamTail struct {
-	Produced int64
-	Verified int64
-}
-
-// Stream opens a streaming leg over the given shards, shards[i] needed at
-// epochs[i], yielding global answer ids ascending, starting strictly after
-// `after` (-1 = from the start). The yield loop ends on the done line; a
-// mid-stream error, a truncated body or a *StaleShardError refusal
-// surfaces as the terminal error.
-func (c *NodeClient) Stream(ctx context.Context, shards []int, epochs []uint64, gj server.GraphJSON, after graph.ID, yield func(graph.ID) bool) (StreamTail, error) {
+// Stream opens a leg over the given shards, shards[i] needed at epochs[i],
+// yielding global answer ids ascending, starting strictly after `after`
+// (-1 = from the start), and returns the done line. A mid-stream error, a
+// truncated body or a *StaleShardError refusal surfaces as the error; a
+// yield returning false ends the leg with neither.
+func (c *NodeClient) Stream(ctx context.Context, shards []int, epochs []uint64, gj server.GraphJSON, after graph.ID, yield func(graph.ID) bool) (LegLine, error) {
 	body, err := json.Marshal(gj)
 	if err != nil {
-		return StreamTail{}, err
+		return LegLine{}, err
 	}
-	url := fmt.Sprintf("%s&stream=1&after=%d&epochs=%s", c.url("/node/query?shards="+listParam(shards)), after, listParam(epochs))
+	url := fmt.Sprintf("%s&after=%d&epochs=%s", c.url("/node/query?shards="+listParam(shards)), after, listParam(epochs))
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return StreamTail{}, err
+		return LegLine{}, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	injectTrace(req)
 	resp, err := c.HTTP.Do(req)
 	if err != nil {
-		return StreamTail{}, err
+		return LegLine{}, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return StreamTail{}, nodeError(resp)
+		return LegLine{}, nodeError(resp)
 	}
+	// The done line carries the leg's candidate ids, so it may be long.
 	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	sc.Buffer(make([]byte, 0, 64<<10), server.MaxBodyBytes)
 	for sc.Scan() {
-		var line server.StreamLine
+		var line LegLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
-			return StreamTail{}, fmt.Errorf("decoding stream line: %w", err)
+			return LegLine{}, fmt.Errorf("decoding stream line: %w", err)
 		}
 		switch {
 		case line.Stale:
-			return StreamTail{}, fmt.Errorf("%w: %s", ErrLegStale, line.Error)
+			return LegLine{}, fmt.Errorf("%w: %s", ErrLegStale, line.Error)
 		case line.Error != "":
-			return StreamTail{}, fmt.Errorf("node stream: %s", line.Error)
+			return LegLine{}, fmt.Errorf("node stream: %s", line.Error)
 		case line.Done:
-			return StreamTail{Produced: line.Produced, Verified: line.Verified}, nil
+			return line, nil
 		case line.ID != nil:
 			if !yield(*line.ID) {
-				return StreamTail{}, nil
+				return LegLine{}, nil
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return StreamTail{}, fmt.Errorf("reading stream: %w", err)
+		return LegLine{}, fmt.Errorf("reading stream: %w", err)
 	}
-	return StreamTail{}, fmt.Errorf("stream ended without done marker — node died mid-stream")
+	return LegLine{}, fmt.Errorf("stream ended without done marker — node died mid-stream")
 }
 
 // Add routes an add to the node.
@@ -228,7 +212,7 @@ func (c *NodeClient) Add(ctx context.Context, req AddRequest) (MutateAck, error)
 // Remove routes a remove to the node.
 func (c *NodeClient) Remove(ctx context.Context, id graph.ID, epoch uint64) (MutateAck, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		fmt.Sprintf("%s/node/graphs/%d?epoch=%d", strings.TrimSuffix(c.Addr, "/"), id, epoch), nil)
+		c.url(fmt.Sprintf("/node/graphs/%d?epoch=%d", id, epoch)), nil)
 	if err != nil {
 		return MutateAck{}, err
 	}
@@ -243,14 +227,4 @@ func (c *NodeClient) Load(ctx context.Context, req LoadRequest) (MutateAck, erro
 	var ack MutateAck
 	err := c.postJSON(ctx, "/node/load", req, &ack)
 	return ack, err
-}
-
-// DropShard asks the node to forget a shard.
-func (c *NodeClient) DropShard(ctx context.Context, k int) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodDelete,
-		fmt.Sprintf("%s/node/shards/%d", strings.TrimSuffix(c.Addr, "/"), k), nil)
-	if err != nil {
-		return err
-	}
-	return c.do(req, nil)
 }

@@ -48,6 +48,9 @@ type nodeHooks struct {
 	failMutate     atomic.Bool  // 500 every POST /node/graphs
 	mutateDelayMs  atomic.Int64 // sleep before serving POST /node/graphs (ctx-aware)
 	metricsDelayMs atomic.Int64 // sleep before serving /metrics (ctx-aware)
+
+	// wrote is signalled, without blocking, after each delayed write.
+	wrote chan struct{}
 }
 
 // slowWriter delays each Write so a streamed response trickles out,
@@ -56,8 +59,9 @@ type nodeHooks struct {
 // http.NewResponseController working.
 type slowWriter struct {
 	http.ResponseWriter
-	d   time.Duration
-	ctx context.Context
+	d     time.Duration
+	ctx   context.Context
+	wrote chan struct{}
 }
 
 func (sw *slowWriter) Write(p []byte) (int, error) {
@@ -66,7 +70,12 @@ func (sw *slowWriter) Write(p []byte) (int, error) {
 	case <-sw.ctx.Done():
 		return 0, sw.ctx.Err()
 	}
-	return sw.ResponseWriter.Write(p)
+	n, err := sw.ResponseWriter.Write(p)
+	select {
+	case sw.wrote <- struct{}{}:
+	default:
+	}
+	return n, err
 }
 
 func (sw *slowWriter) Flush() {
@@ -87,6 +96,9 @@ func (h *nodeHooks) wrap(inner http.Handler) http.Handler {
 			}
 		}
 		if d := h.queryDelayMs.Load(); d > 0 && r.URL.Path == "/node/query" {
+			// Read the body first, so a cancelled leg cancels the stall.
+			body, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(body))
 			select {
 			case <-time.After(time.Duration(d) * time.Millisecond):
 			case <-r.Context().Done():
@@ -109,7 +121,7 @@ func (h *nodeHooks) wrap(inner http.Handler) http.Handler {
 			return
 		}
 		if d := h.writeDelayMs.Load(); d > 0 && r.URL.Path == "/node/query" {
-			w = &slowWriter{ResponseWriter: w, d: time.Duration(d) * time.Millisecond, ctx: r.Context()}
+			w = &slowWriter{ResponseWriter: w, d: time.Duration(d) * time.Millisecond, ctx: r.Context(), wrote: h.wrote}
 		}
 		inner.ServeHTTP(w, r)
 	})
@@ -118,11 +130,12 @@ func (h *nodeHooks) wrap(inner http.Handler) http.Handler {
 // testCluster is an in-process cluster: N sqnode-equivalents behind
 // httptest listeners plus a coordinator, faults injectable per node.
 type testCluster struct {
-	man     *cluster.Manifest
-	coord   *cluster.Coordinator
-	nodes   []*cluster.Node
-	servers []*httptest.Server
-	hooks   []*nodeHooks
+	man         *cluster.Manifest
+	coord       *cluster.Coordinator
+	nodes       []*cluster.Node
+	nodeServers []*cluster.NodeServer
+	servers     []*httptest.Server
+	hooks       []*nodeHooks
 }
 
 func startCluster(t testing.TB, spec string, nNodes, shards, replication int, cfg cluster.CoordConfig) *testCluster {
@@ -155,9 +168,10 @@ func startClusterWith(t testing.TB, mkDS func() *graph.Dataset, spec string, nNo
 			t.Fatalf("node %d: %v", i, err)
 		}
 		ns := cluster.NewNodeServer(node, cluster.NodeServerConfig{})
-		hooks := &nodeHooks{}
+		hooks := &nodeHooks{wrote: make(chan struct{}, 1)}
 		srv := httptest.NewServer(hooks.wrap(ns.Handler()))
 		tc.nodes = append(tc.nodes, node)
+		tc.nodeServers = append(tc.nodeServers, ns)
 		tc.servers = append(tc.servers, srv)
 		tc.hooks = append(tc.hooks, hooks)
 		man.Nodes = append(man.Nodes, cluster.NodeInfo{Name: fmt.Sprintf("n%d", i), Addr: srv.URL})
@@ -521,6 +535,73 @@ func TestClusterStreamFailover(t *testing.T) {
 	}
 }
 
+// TestClusterQueryFailoverKeepsCandidates: a node killed while a one-shot
+// query drains its leg is failed over to the replica, which restarts the
+// shards from the beginning, so the candidates as well as the answers equal
+// the sharded engine's and nothing is flagged partial.
+func TestClusterQueryFailoverKeepsCandidates(t *testing.T) {
+	t.Cleanup(leak.Check(t)) // registered before startCluster: runs after tc.close
+	ds := testDataset(t)
+	ctx := context.Background()
+	const shards = 4
+	const spec = "Grapes:maxPathLen=3"
+	tc := startCluster(t, spec, 3, shards, 2, cluster.CoordConfig{})
+	ref, err := engine.OpenSharded(ctx, ds, shards, engine.WithSpec(spec))
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+
+	// The victim must owe a line after its first: pick a query with an
+	// answer in a shard it leads in wave 0, so its first line is an id and
+	// its done line is still to come when it dies.
+	const victim = 0
+	var q *graph.Graph
+	var want *core.QueryResult
+	for _, cand := range testQueries(t, ds) {
+		res, err := ref.Query(ctx, cand)
+		if err != nil {
+			t.Fatalf("reference query: %v", err)
+		}
+		for _, id := range res.Answers {
+			if tc.man.Owners(engine.ShardOf(id, shards))[0] == victim {
+				q, want = cand, res
+			}
+		}
+	}
+	if q == nil {
+		t.Skip("no query has an answer on the victim's shards")
+	}
+	tc.hooks[victim].writeDelayMs.Store(100)
+
+	type result struct {
+		res *core.QueryResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := tc.coord.Query(ctx, tc.inCluster(t, q, ds))
+		done <- result{res, err}
+	}()
+	<-tc.hooks[victim].wrote
+	tc.kill(victim)
+	got := <-done
+	if got.err != nil {
+		t.Fatalf("query: %v", got.err)
+	}
+	if got.res.FailedShards != nil {
+		t.Fatalf("query flagged partial (failed shards %v) despite replicas for every shard", got.res.FailedShards)
+	}
+	if !idsEqual(got.res.Answers, want.Answers) {
+		t.Errorf("answers %v, want %v", got.res.Answers, want.Answers)
+	}
+	if !idsEqual(got.res.Candidates, want.Candidates) {
+		t.Errorf("candidates %v, want %v", got.res.Candidates, want.Candidates)
+	}
+	if f := tc.coord.Stats().Fanout.Failovers; f == 0 {
+		t.Errorf("failover counter is 0 after a node died mid-leg")
+	}
+}
+
 // TestClusterStreamPartialOnUnreplicatedLoss: without replicas, a node
 // dying mid-stream ends the stream with the partial flag and the lost
 // shards reported — the emitted prefix stays correct, the truncation loud.
@@ -626,6 +707,82 @@ func TestHedgedQueryCancelsLoser(t *testing.T) {
 	}
 	// The losers were canceled when their shards resolved; the leak check
 	// registered above verifies nothing lingers after teardown.
+}
+
+// TestClusterStreamHedges: a stream hedges like a one-shot query. With the
+// primary of two shards stalled far past HedgeDelay, its shards resolve
+// through a duplicate leg on their replica: the stream finishes promptly,
+// equals the sharded engine's sequence, and the stalled leg is cancelled
+// — no goroutine outlives the teardown.
+func TestClusterStreamHedges(t *testing.T) {
+	t.Cleanup(leak.Check(t)) // registered before startCluster: runs after tc.close
+	ds := testDataset(t)
+	queries := testQueries(t, ds)
+	ctx := context.Background()
+	const shards = 4
+	tc := startCluster(t, "Grapes:maxPathLen=3", 3, shards, 2, cluster.CoordConfig{
+		HedgeDelay: 25 * time.Millisecond,
+	})
+	ref, err := engine.OpenSharded(ctx, ds, shards, engine.WithSpec("Grapes:maxPathLen=3"))
+	if err != nil {
+		t.Fatalf("OpenSharded: %v", err)
+	}
+	tc.hooks[0].queryDelayMs.Store(2000)
+
+	for i, q := range queries {
+		var want []graph.ID
+		for id, err := range ref.Stream(ctx, q) {
+			if err != nil {
+				t.Fatalf("reference stream %d: %v", i, err)
+			}
+			want = append(want, id)
+		}
+		t0 := time.Now()
+		var got []graph.ID
+		var st core.PipelineStats
+		for id, err := range tc.coord.StreamStats(ctx, tc.inCluster(t, q, ds), &st) {
+			if err != nil {
+				t.Fatalf("stream %d: %v", i, err)
+			}
+			got = append(got, id)
+		}
+		if e := time.Since(t0); e > time.Second {
+			t.Errorf("stream %d took %v: no hedge shortcut the stalled primary", i, e)
+		}
+		if st.FailedShards != nil {
+			t.Fatalf("stream %d partial under hedging (failed shards %v)", i, st.FailedShards)
+		}
+		if !idsEqual(got, want) {
+			t.Errorf("stream %d: hedged %v, want %v", i, got, want)
+		}
+	}
+	if fo := tc.coord.Stats().Fanout; fo.HedgesWon == 0 {
+		t.Errorf("hedges fired=%d won=%d, want won > 0", fo.HedgesFired, fo.HedgesWon)
+	}
+}
+
+// TestClusterLegFirstLineTimeout: NodeTimeout bounds a query leg's wait for
+// its first line. With an unreplicated node stalled past it, a one-shot
+// query returns promptly, flagged partial with that node's shards.
+func TestClusterLegFirstLineTimeout(t *testing.T) {
+	t.Cleanup(leak.Check(t)) // registered before startCluster: runs after tc.close
+	ds := testDataset(t)
+	const victim = 1
+	tc := startCluster(t, "Grapes:maxPathLen=3", 3, 4, 1, cluster.CoordConfig{
+		NodeTimeout: 200 * time.Millisecond,
+	})
+	tc.hooks[victim].queryDelayMs.Store(5000)
+	t0 := time.Now()
+	got, err := tc.coord.Query(context.Background(), tc.inCluster(t, testQueries(t, ds)[0], ds))
+	if err != nil {
+		t.Fatalf("query: %v", err)
+	}
+	if e := time.Since(t0); e > 2*time.Second {
+		t.Errorf("query took %v with NodeTimeout 200ms", e)
+	}
+	if want := fmt.Sprint(tc.man.ShardsOf(victim)); fmt.Sprint(got.FailedShards) != want {
+		t.Errorf("failed shards %v, want %s", got.FailedShards, want)
+	}
 }
 
 // TestClusterRereplication: when a node dies, the prober re-replicates its
@@ -752,7 +909,7 @@ func TestClusterStaleReplicaRecovery(t *testing.T) {
 // without the mutation. A stream never takes that owner's answers: the node
 // refuses the leg below the epoch the shard requires, and the coordinator
 // counts the rejection, marks the owner stale and fails the shard over, the
-// rule its one-shot fan-out applies.
+// one staleness rule of every leg.
 func TestClusterStreamRejectsStaleOwner(t *testing.T) {
 	t.Cleanup(leak.Check(t)) // registered before startCluster: runs after tc.close
 	ds := testDataset(t)
@@ -826,16 +983,9 @@ func TestNodeDumpInstallRoundTrip(t *testing.T) {
 	}
 	ds := testDataset(t)
 	for i, q := range testQueries(t, ds) {
-		want, err := src.Query(ctx, []int{1}, q)
-		if err != nil {
-			t.Fatalf("src query: %v", err)
-		}
-		got, err := dst.Query(ctx, []int{1}, q)
-		if err != nil {
-			t.Fatalf("dst query: %v", err)
-		}
-		if !idsEqual(got[0].Answers, want[0].Answers) {
-			t.Errorf("query %d: installed shard answers %v, want %v", i, got[0].Answers, want[0].Answers)
+		want, got := cluster.NodeAnswers(t, src, 1, q), cluster.NodeAnswers(t, dst, 1, q)
+		if !idsEqual(got, want) {
+			t.Errorf("query %d: installed shard answers %v, want %v", i, got, want)
 		}
 	}
 	info := dst.Info()

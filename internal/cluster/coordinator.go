@@ -20,11 +20,13 @@ import (
 
 // CoordConfig tunes the coordinator's fan-out behaviour.
 type CoordConfig struct {
-	// NodeTimeout bounds each fan-out leg (default 10s).
+	// NodeTimeout bounds each mutation leg and probe, and each query leg's
+	// wait for its first line (default 10s).
 	NodeTimeout time.Duration
-	// HedgeDelay is how long a leg may run before a duplicate is fired at
-	// the shard's next replica, first result winning (default 2s; negative
-	// disables hedging; hedges only fire when a replica exists).
+	// HedgeDelay is how long a query leg may go without delivering a line
+	// before a duplicate is opened on its shards' next replicas, the first
+	// leg to deliver a line winning (default 2s; negative disables hedging;
+	// hedges only fire when a replica exists).
 	HedgeDelay time.Duration
 	// ProbeInterval is the membership health-check period (default 2s;
 	// negative disables the background prober — tests drive ProbeOnce).
@@ -343,9 +345,9 @@ func (c *Coordinator) markDown(i int, cause error) {
 	c.cfg.Logf("cluster: node %s down: %v", ns.info.Name, cause)
 }
 
-// rejectStale is the staleness rule of both kinds of leg: node i serves
-// shard s at reportedEpoch, older than required, so the leg is rejected
-// (counted) and the node marked stale; the caller fails the shard over.
+// rejectStale is the staleness rule of every leg: node i serves shard s at
+// reportedEpoch, older than required, so the leg is rejected (counted) and
+// the node marked stale; the caller fails the shard over.
 func (c *Coordinator) rejectStale(i, s int, reportedEpoch uint64) {
 	c.staleRejected.Add(1)
 	c.mu.Lock()
@@ -364,252 +366,39 @@ func isTransport(err error) bool {
 // ---------------------------------------------------------------------------
 // Query fan-out
 
-// shardOutcome is one attempt's result for one shard.
-type shardOutcome struct {
-	shard int
-	node  int
-	hedge bool
-	res   *ShardResult
-	err   error
-}
-
-// Query implements engine.Querier: q fans across the shard owners as wire
-// labels and the per-shard results merge in global ids. Produced/Verified
-// sum the shards' pipeline counters; FilterTime is the slowest shard's
-// filter and VerifyTime the rest of the wall time. Shards
-// whose every owner is unreachable are listed in FailedShards — a degraded
-// answer is flagged, never silent.
+// Query implements engine.Querier: a drain of the one fan-out, as
+// engine.Drain is a drain of the merge in-process. Answers arrive in
+// ascending global ids from the merged node streams; Candidates are the
+// live candidates each shard's completing leg reported on its done line;
+// Produced and Verified sum the completed legs' counters. FilterTime is
+// the time until every first-wave leg (or the leg that replaced it) has
+// delivered its first line — when the merge can emit its first answer —
+// and VerifyTime the rest of the wall time. Shards whose every owner is
+// unreachable are listed in FailedShards — a degraded answer is flagged,
+// never silent.
 func (c *Coordinator) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
 	c.reqQuery.Add(1)
-	ctx, sp := obs.StartSpan(ctx, "cluster-query")
+	cands := graph.IDSet{}
+	st := core.PipelineStats{Candidates: &cands}
+	out := &core.QueryResult{Answers: graph.IDSet{}, Method: c.Name()}
 	t0 := time.Now()
-	resolved, failed, err := c.fanQuery(ctx, server.GraphToJSON(q, &c.ds.Dict))
+	err := c.fan(ctx, q, &st, func(id graph.ID) bool {
+		if out.Answers = append(out.Answers, id); len(out.Answers) == 1 {
+			out.FilterTime = time.Since(t0)
+		}
+		return true
+	})
 	if err != nil {
-		sp.Cancel()
-		c.reqErrors.Add(1)
 		return nil, err
 	}
-	_, msp := obs.StartSpan(ctx, "merge")
-	out := &core.QueryResult{Candidates: graph.IDSet{}, Answers: graph.IDSet{}, Method: c.Name()}
-	var filterUs int64
-	for _, r := range resolved {
-		out.Candidates = append(out.Candidates, r.Candidates...)
-		out.Answers = append(out.Answers, r.Answers...)
-		filterUs = max(filterUs, r.FilterUs)
-		out.Produced += r.Produced
-		out.Verified += r.Verified
+	wall := time.Since(t0)
+	if len(out.Answers) == 0 {
+		out.FilterTime = wall
 	}
-	sort.Slice(out.Candidates, func(i, j int) bool { return out.Candidates[i] < out.Candidates[j] })
-	sort.Slice(out.Answers, func(i, j int) bool { return out.Answers[i] < out.Answers[j] })
-	msp.Attr("shards", len(resolved))
-	msp.End()
-	if len(failed) > 0 {
-		sort.Ints(failed)
-		out.FailedShards = failed
-		c.partials.Add(1)
-		sp.Attr("partial", true)
-	}
-	out.FilterTime = time.Duration(filterUs) * time.Microsecond
-	out.VerifyTime = max(time.Since(t0)-out.FilterTime, 0)
-	sp.Attr("answers", len(out.Answers))
-	sp.End()
+	out.VerifyTime = wall - out.FilterTime
+	out.Candidates, out.FailedShards = cands, st.FailedShards
+	out.Produced, out.Verified = int(st.Produced.Load()), int(st.Verified.Load())
 	return out, nil
-}
-
-// fanQuery runs the per-shard fan-out state machine: wave 0 groups shards
-// by their first eligible owner; a failed leg fails each of its shards over
-// to the next untried owner; after HedgeDelay, still-unresolved shards get
-// a duplicate attempt on their next replica, first result winning. Stale
-// results (epoch older than the shard requires) are rejected and failed
-// over. Returns resolved per-shard results and the shards that exhausted
-// every owner.
-func (c *Coordinator) fanQuery(ctx context.Context, gj server.GraphJSON) (map[int]*ShardResult, []int, error) {
-	c.mu.RLock()
-	nShards := c.man.Shards
-	required := append([]uint64{}, c.shardEpoch...)
-	ownerSeq := make([][]int, nShards)
-	for s := 0; s < nShards; s++ {
-		ownerSeq[s] = c.eligible(s)
-	}
-	c.mu.RUnlock()
-
-	resolved := make(map[int]*ShardResult, nShards)
-	failedSet := make(map[int]bool)
-	tried := make([]map[int]bool, nShards)
-	inflight := make([]int, nShards)
-	for s := range tried {
-		tried[s] = make(map[int]bool)
-	}
-	// Each (shard, owner) pair is attempted at most once, so this buffer
-	// bounds every send: attempt goroutines never block, and the final
-	// wait below cannot deadlock.
-	maxOutcomes := 0
-	for s := 0; s < nShards; s++ {
-		maxOutcomes += len(ownerSeq[s])
-	}
-	outcomes := make(chan shardOutcome, maxOutcomes)
-
-	attemptCtx, cancelAttempts := context.WithCancel(ctx)
-	var wg sync.WaitGroup
-	defer func() {
-		cancelAttempts()
-		wg.Wait()
-	}()
-
-	launch := func(nodeIdx int, shards []int, hedge bool) {
-		for _, s := range shards {
-			tried[s][nodeIdx] = true
-			inflight[s]++
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// The leg span lives under the request's root span (attemptCtx
-			// inherits ctx's values); the node's echoed subtree grafts under
-			// it, and a leg cancelled because the fan-out already finished —
-			// a hedged loser — is marked cancelled, not failed.
-			sctx, lsp := obs.StartSpan(attemptCtx, "node:"+c.nodes[nodeIdx].info.Name)
-			lsp.Attr("shards", shards)
-			if hedge {
-				lsp.Attr("hedge", true)
-			}
-			lctx, cancel := context.WithTimeout(sctx, c.cfg.NodeTimeout)
-			defer cancel()
-			resp, err := c.nodes[nodeIdx].client.Query(lctx, shards, gj)
-			if err != nil {
-				if attemptCtx.Err() != nil {
-					lsp.Cancel()
-				} else {
-					lsp.Attr("error", err.Error())
-					lsp.End()
-				}
-				if isTransport(err) && attemptCtx.Err() == nil {
-					c.markDown(nodeIdx, err)
-				}
-				for _, s := range shards {
-					outcomes <- shardOutcome{shard: s, node: nodeIdx, hedge: hedge, err: err}
-				}
-				return
-			}
-			lsp.Graft(resp.Trace)
-			lsp.End()
-			byShard := make(map[int]*ShardResult, len(resp.Results))
-			for i := range resp.Results {
-				byShard[resp.Results[i].Shard] = &resp.Results[i]
-			}
-			for _, s := range shards {
-				if r, ok := byShard[s]; ok {
-					outcomes <- shardOutcome{shard: s, node: nodeIdx, hedge: hedge, res: r}
-				} else {
-					outcomes <- shardOutcome{shard: s, node: nodeIdx, hedge: hedge,
-						err: fmt.Errorf("node %s omitted shard %d", c.nodes[nodeIdx].info.Name, s)}
-				}
-			}
-		}()
-	}
-
-	nextUntried := func(s int) int {
-		for _, o := range ownerSeq[s] {
-			if !tried[s][o] {
-				return o
-			}
-		}
-		return -1
-	}
-
-	// Wave 0: group shards by their first eligible owner so each node gets
-	// one request covering all its shards.
-	wave0 := make(map[int][]int)
-	for s := 0; s < nShards; s++ {
-		if len(ownerSeq[s]) == 0 {
-			failedSet[s] = true
-			continue
-		}
-		o := ownerSeq[s][0]
-		wave0[o] = append(wave0[o], s)
-	}
-	for o, shards := range wave0 {
-		launch(o, shards, false)
-	}
-
-	var hedgeCh <-chan time.Time
-	if c.cfg.HedgeDelay > 0 {
-		t := time.NewTimer(c.cfg.HedgeDelay)
-		defer t.Stop()
-		hedgeCh = t.C
-	}
-
-	for len(resolved)+len(failedSet) < nShards {
-		select {
-		case o := <-outcomes:
-			inflight[o.shard]--
-			if resolved[o.shard] != nil || failedSet[o.shard] {
-				continue
-			}
-			if o.err == nil {
-				if o.res.Epoch < required[o.shard] {
-					c.rejectStale(o.node, o.shard, o.res.Epoch)
-					o.err = fmt.Errorf("node %s serves shard %d at epoch %d, need %d",
-						c.nodes[o.node].info.Name, o.shard, o.res.Epoch, required[o.shard])
-				} else {
-					resolved[o.shard] = o.res
-					if o.hedge {
-						c.hedgesWon.Add(1)
-					}
-					continue
-				}
-			}
-			if next := nextUntried(o.shard); next >= 0 {
-				c.failovers.Add(1)
-				launch(next, []int{o.shard}, false)
-			} else if inflight[o.shard] == 0 {
-				failedSet[o.shard] = true
-			}
-		case <-hedgeCh:
-			hedgeCh = nil
-			hedges := make(map[int][]int)
-			for s := 0; s < nShards; s++ {
-				if resolved[s] != nil || failedSet[s] {
-					continue
-				}
-				if next := nextUntried(s); next >= 0 {
-					hedges[next] = append(hedges[next], s)
-				}
-			}
-			for o, shards := range hedges {
-				c.hedgesFired.Add(1)
-				launch(o, shards, true)
-			}
-		case <-ctx.Done():
-			return nil, nil, ctx.Err()
-		}
-	}
-	var failed []int
-	for s := range failedSet {
-		failed = append(failed, s)
-	}
-	return resolved, failed, nil
-}
-
-// ---------------------------------------------------------------------------
-// Streaming fan-out
-
-// streamMsg is one message from a stream leg: an answer id, or a terminal
-// (done or err) with the leg's pipeline accounting.
-type streamMsg struct {
-	id       graph.ID
-	terminal bool
-	err      error
-	tail     StreamTail
-}
-
-// streamLeg is one live node stream covering a set of shards.
-type streamLeg struct {
-	node   int
-	shards []int
-	ch     chan streamMsg
-	cancel context.CancelFunc
-	head   graph.ID
 }
 
 // Stream implements engine.Querier: StreamStats without accounting.
@@ -617,16 +406,13 @@ func (c *Coordinator) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[grap
 	return c.StreamStats(ctx, q, nil)
 }
 
-// StreamStats implements engine.Querier: q fans out as one stream leg per
-// first-owner node, and the legs k-way merge into a single ascending
-// global-id sequence. A leg that dies mid-stream is replaced per shard on
-// the next owner, resumed strictly after the shard's last emitted id — the
-// replacement re-yields exactly the unemitted suffix, so nothing is lost,
-// duplicated, or reordered. Before the sequence ends, stats.FailedShards
-// lists the shards whose owners were exhausted. Produced and Verified sum
-// the node-side counters of the legs that ran to completion (a leg
-// cancelled mid-stream never reports its tail): exact when the stream is
-// consumed fully, a lower bound when it stops early.
+// StreamStats implements engine.Querier: the fan-out's merged legs as one
+// ascending global-id sequence. A replacement leg resumes strictly after
+// its shard's last emitted id, so nothing is lost, duplicated, or
+// reordered. Before the sequence ends, stats.FailedShards lists the shards
+// whose owners were exhausted. Produced and Verified sum the done lines of
+// the legs that completed: exact when the stream is consumed fully, a lower
+// bound when it stops early.
 func (c *Coordinator) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
 		c.reqStream.Add(1)
@@ -634,220 +420,405 @@ func (c *Coordinator) StreamStats(ctx context.Context, q *graph.Graph, stats *co
 		if st == nil {
 			st = new(core.PipelineStats)
 		}
-		ctx, sp := obs.StartSpan(ctx, "cluster-query")
-		err := c.stream(ctx, server.GraphToJSON(q, &c.ds.Dict), st, func(id graph.ID) bool { return yield(id, nil) })
-		if err != nil {
-			sp.Cancel()
-			c.reqErrors.Add(1)
+		if err := c.fan(ctx, q, st, func(id graph.ID) bool { return yield(id, nil) }); err != nil {
 			yield(0, err)
-			return
 		}
-		sp.End()
 	}
 }
 
-// stream runs StreamStats' merge, calling emit per answer; emit returning
-// false stops it.
-func (c *Coordinator) stream(ctx context.Context, gj server.GraphJSON, stats *core.PipelineStats, emit func(graph.ID) bool) error {
+// errNoFirstLine ends a leg whose node sent no line within NodeTimeout.
+var errNoFirstLine = fmt.Errorf("cluster: node sent no line within the node timeout: %w", context.DeadlineExceeded)
+
+// streamMsg is one message of a leg: an answer id, or its terminal — the
+// done line (done.Done set), or the error that ended the leg.
+type streamMsg struct {
+	leg  *streamLeg
+	id   graph.ID
+	err  error
+	done LegLine
+}
+
+// streamLeg is one node stream covering a set of shards. Its fields belong
+// to the merge goroutine; the leg's own goroutine only sends messages.
+type streamLeg struct {
+	node   int
+	shards []int
+	// ch carries every message after the first, buffered 64 deep so the
+	// leg reads ahead while the merge emits other legs' heads. The first
+	// goes to the fan-out's shared channel: arrival decides a hedge race.
+	ch     chan streamMsg
+	cancel context.CancelFunc
+	head   graph.ID
+	// hasHead: head awaits emission. started: a line (an id or the done
+	// line) arrived. over: the leg ended or was cancelled.
+	hasHead, started, over bool
+}
+
+// shardFan is one shard's fan-out state.
+type shardFan struct {
+	owners       []int    // eligible owners, in order of preference
+	tried        int      // owners[:tried] have had a leg
+	need         uint64   // the epoch a leg must serve the shard at
+	last         graph.ID // the last id emitted, -1 before any
+	staleRetries int
+	// owner is the leg whose ids count for the shard; hedge is a duplicate
+	// racing it until either delivers a line.
+	owner, hedge *streamLeg
+	failed       bool
+}
+
+// fanout is one query's fan-out state, owned by the merge goroutine.
+type fanout struct {
+	c     *Coordinator
+	gj    server.GraphJSON
+	stats *core.PipelineStats
+	// drain: the caller collects candidates, so no id reaches it before the
+	// query completes. Replacement legs then restart from the beginning,
+	// and each shard's candidates come whole from the leg that completed it.
+	drain  bool
+	shards []shardFan
+	legs   []*streamLeg
+	first  chan streamMsg
+	legCtx context.Context
+	wg     sync.WaitGroup
+}
+
+// fan is the cluster's one query runner: wave 0 opens one leg per first
+// eligible owner, covering its shards, and the legs k-way merge, emit
+// called per answer in ascending global ids (false stops the run). A leg
+// that dies is failed over per shard; a leg that has delivered no line by
+// HedgeDelay gets a rival on the next owners, and the first to deliver a
+// line wins. The merge takes an id only above its frontier and from the
+// leg serving the id's shard, so replayed and duplicated ids never repeat.
+func (c *Coordinator) fan(ctx context.Context, q *graph.Graph, stats *core.PipelineStats, emit func(graph.ID) bool) (err error) {
+	ctx, sp := obs.StartSpan(ctx, "cluster-query")
+	defer func() {
+		if err != nil {
+			sp.Cancel()
+			c.reqErrors.Add(1)
+			return
+		}
+		sp.End()
+	}()
+	f := &fanout{c: c, gj: server.GraphToJSON(q, &c.ds.Dict), stats: stats, drain: stats.Candidates != nil,
+		shards: make([]shardFan, c.man.Shards), first: make(chan streamMsg)}
 	c.mu.RLock()
-	nShards := c.man.Shards
-	required := append([]uint64{}, c.shardEpoch...)
-	ownerSeq := make([][]int, nShards)
-	for s := 0; s < nShards; s++ {
-		ownerSeq[s] = c.eligible(s)
+	for s := range f.shards {
+		f.shards[s] = shardFan{owners: c.eligible(s), need: c.shardEpoch[s], last: -1}
 	}
 	c.mu.RUnlock()
 
-	tried := make([]map[int]bool, nShards)
-	lastEmitted := make([]graph.ID, nShards)
-	for s := range tried {
-		tried[s] = make(map[int]bool)
-		lastEmitted[s] = -1
-	}
-	failedSet := make(map[int]bool)
 	// A stream stopped early reports the shards known lost so far too: an
 	// answer they owe could precede the ids already emitted.
 	defer func() {
-		if len(failedSet) == 0 {
-			return
+		for s := range f.shards {
+			if f.shards[s].failed {
+				stats.FailedShards = append(stats.FailedShards, s)
+			}
 		}
-		for s := range failedSet {
-			stats.FailedShards = append(stats.FailedShards, s)
+		if stats.FailedShards != nil {
+			c.partials.Add(1)
+			sp.Attr("partial", true)
 		}
-		sort.Ints(stats.FailedShards)
-		c.partials.Add(1)
 	}()
 
-	legCtx, cancelLegs := context.WithCancel(ctx)
-	var wg sync.WaitGroup
+	var cancelLegs context.CancelFunc
+	f.legCtx, cancelLegs = context.WithCancel(ctx)
 	defer func() {
 		cancelLegs()
-		wg.Wait()
+		f.wg.Wait()
 	}()
-
-	launch := func(nodeIdx int, shards []int, after graph.ID) *streamLeg {
-		need := make([]uint64, len(shards))
-		for i, s := range shards {
-			tried[s][nodeIdx] = true
-			need[i] = required[s]
-		}
-		lctx, cancel := context.WithCancel(legCtx)
-		leg := &streamLeg{node: nodeIdx, shards: shards, ch: make(chan streamMsg, 64), cancel: cancel}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tail, err := c.nodes[nodeIdx].client.Stream(lctx, shards, need, gj, after, func(id graph.ID) bool {
-				select {
-				case leg.ch <- streamMsg{id: id}:
-					return true
-				case <-lctx.Done():
-					return false
-				}
-			})
-			if err != nil && isTransport(err) && legCtx.Err() == nil {
-				c.markDown(nodeIdx, err)
-			}
-			select {
-			case leg.ch <- streamMsg{terminal: true, err: err, tail: tail}:
-			case <-lctx.Done():
-			}
-		}()
-		return leg
-	}
-
-	// failover replaces a dead leg. A leg the node aborted because a
-	// mutation landed under its chunked-locking stream (ErrLegStale) is
-	// retried on the SAME node — the node is healthy and the resume
-	// frontier skips everything already emitted — bounded per shard so a
-	// mutation storm degrades to normal failover instead of livelock. A
-	// leg refused for a stale shard (*StaleShardError) fails that shard
-	// over and reopens its other shards on the same node. Any other death
-	// restarts each shard on its next untried owner, resumed after that
-	// shard's last emitted id.
-	const maxStaleRetries = 8
-	staleRetries := make([]int, nShards)
-	var legs []*streamLeg
-	failover := func(leg *streamLeg, cause error) {
-		stale := errors.Is(cause, ErrLegStale)
-		var refused *StaleShardError
-		if errors.As(cause, &refused) {
-			c.rejectStale(leg.node, refused.Shard, refused.Epoch)
-		}
-		for _, s := range leg.shards {
-			if refused != nil && s != refused.Shard {
-				legs = append(legs, launch(leg.node, []int{s}, lastEmitted[s]))
-				continue
-			}
-			if stale && staleRetries[s] < maxStaleRetries {
-				staleRetries[s]++
-				c.staleRetries.Add(1)
-				legs = append(legs, launch(leg.node, []int{s}, lastEmitted[s]))
-				continue
-			}
-			next := -1
-			for _, o := range ownerSeq[s] {
-				if !tried[s][o] {
-					next = o
-					break
-				}
-			}
-			if next < 0 {
-				failedSet[s] = true
-				continue
-			}
-			c.failovers.Add(1)
-			legs = append(legs, launch(next, []int{s}, lastEmitted[s]))
-		}
-	}
-
-	// advance pulls leg's next head, skipping ids at or below the merge
-	// frontier (a replacement leg may replay a prefix). Returns false when
-	// the leg terminated; a terminal error triggers failover.
-	frontier := graph.ID(-1)
-	advance := func(leg *streamLeg) (bool, error) {
-		for {
-			select {
-			case m := <-leg.ch:
-				if m.terminal {
-					leg.cancel()
-					stats.Produced.Add(m.tail.Produced)
-					stats.Verified.Add(m.tail.Verified)
-					if m.err != nil {
-						failover(leg, m.err)
-					}
-					return false, nil
-				}
-				if m.id <= frontier {
-					continue
-				}
-				leg.head = m.id
-				return true, nil
-			case <-ctx.Done():
-				return false, ctx.Err()
-			}
-		}
-	}
-
 	wave0 := make(map[int][]int)
-	for s := 0; s < nShards; s++ {
-		if len(ownerSeq[s]) == 0 {
-			failedSet[s] = true
-			continue
+	for s := range f.shards {
+		if o := f.nextOwner(s); o >= 0 {
+			wave0[o] = append(wave0[o], s)
+		} else {
+			f.shards[s].failed = true
 		}
-		wave0[ownerSeq[s][0]] = append(wave0[ownerSeq[s][0]], s)
 	}
 	for o, shards := range wave0 {
-		legs = append(legs, launch(o, shards, -1))
+		f.launch(o, shards, false)
+	}
+	var hedgeCh <-chan time.Time
+	if c.cfg.HedgeDelay > 0 {
+		t := time.NewTimer(c.cfg.HedgeDelay)
+		defer t.Stop()
+		hedgeCh = t.C
 	}
 
-	// Prime heads; legs that die here are failed over by advance itself
-	// (failover appends to legs, which this loop re-checks via the index).
-	heads := legs[:0:0]
-	for i := 0; i < len(legs); i++ {
-		ok, err := advance(legs[i])
-		if err != nil {
-			return err
-		}
-		if ok {
-			heads = append(heads, legs[i])
-		}
-	}
-
-	for len(heads) > 0 {
-		// Emit the minimum head; shards are disjoint so ids never tie.
-		min := 0
-		for i := 1; i < len(heads); i++ {
-			if heads[i].head < heads[min].head {
-				min = i
+	frontier := graph.ID(-1)
+	for {
+		// The minimum head is known once every live leg has one; until
+		// then, read a started leg's next message, or await first lines.
+		var min, read *streamLeg
+		waiting := false
+		for _, l := range f.legs {
+			switch {
+			case l.over:
+			case l.hasHead:
+				if min == nil || l.head < min.head {
+					min = l
+				}
+			case l.started:
+				read, waiting = l, true
+			default:
+				waiting = true
 			}
 		}
-		leg := heads[min]
-		id := leg.head
-		if !emit(id) {
+		if waiting {
+			var readCh chan streamMsg
+			if read != nil {
+				readCh = read.ch
+			}
+			select {
+			case m := <-readCh:
+				f.take(m, frontier)
+			case m := <-f.first:
+				f.take(m, frontier)
+			case <-hedgeCh:
+				hedgeCh = nil
+				f.hedgeSlow()
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+			continue
+		}
+		if min == nil {
+			break
+		}
+		if !emit(min.head) {
 			return nil
 		}
-		frontier = id
-		lastEmitted[engine.ShardOf(id, nShards)] = id
-		before := len(legs)
-		ok, err := advance(leg)
-		if err != nil {
-			return err
+		frontier, min.hasHead = min.head, false
+		f.shards[engine.ShardOf(frontier, len(f.shards))].last = frontier
+	}
+	return nil
+}
+
+// servedBy reports whether id's shard is served by leg l.
+func (f *fanout) servedBy(id graph.ID, l *streamLeg) bool {
+	return f.shards[engine.ShardOf(id, len(f.shards))].owner == l
+}
+
+// take applies one message of a leg: its first line settles the races it
+// is in, a terminal ends it, and an id above the frontier of a shard it
+// serves becomes its head.
+func (f *fanout) take(m streamMsg, frontier graph.ID) {
+	l := m.leg
+	if l.over {
+		return
+	}
+	if !l.started && m.err == nil {
+		f.start(l)
+	}
+	if m.err != nil || m.done.Done {
+		f.finish(l, m)
+	} else if m.id > frontier && f.servedBy(m.id, l) {
+		l.head, l.hasHead = m.id, true
+	}
+}
+
+// start settles the hedge races l's first line decides: l wins each shard
+// it races for, since its rival has delivered nothing yet — a rival's first
+// line would have settled the race. Each loser serves one shard fewer.
+func (f *fanout) start(l *streamLeg) {
+	l.started = true
+	for _, s := range l.shards {
+		sh := &f.shards[s]
+		loser := sh.hedge
+		if loser == nil {
+			continue
 		}
-		if !ok {
-			heads = append(heads[:min], heads[min+1:]...)
+		if loser == l {
+			loser, sh.owner = sh.owner, l
+			f.c.hedgesWon.Add(1)
 		}
-		// Prime any replacement legs failover just launched.
-		for i := before; i < len(legs); i++ {
-			ok, err := advance(legs[i])
-			if err != nil {
-				return err
+		sh.hedge = nil
+		f.release(loser)
+	}
+}
+
+// release cancels l once it neither serves nor races for any shard; its
+// goroutine marks its span cancelled.
+func (f *fanout) release(l *streamLeg) {
+	for _, s := range l.shards {
+		if f.shards[s].owner == l || f.shards[s].hedge == l {
+			return
+		}
+	}
+	l.over = true
+	l.cancel()
+}
+
+// finish ends l on its terminal: a done line adds its counters and the
+// candidates of the shards it served; an error fails it over.
+func (f *fanout) finish(l *streamLeg, m streamMsg) {
+	l.over = true
+	l.cancel()
+	if m.err != nil {
+		f.failover(l, m.err)
+		return
+	}
+	f.stats.Produced.Add(m.done.Produced)
+	f.stats.Verified.Add(m.done.Verified)
+	if f.drain {
+		var own graph.IDSet
+		for _, id := range m.done.Candidates {
+			if f.servedBy(id, l) {
+				own = append(own, id)
 			}
-			if ok {
-				heads = append(heads, legs[i])
+		}
+		*f.stats.Candidates = f.stats.Candidates.Union(own)
+	}
+}
+
+// failover replaces a leg that died, per shard it served. A hedge racing
+// for the shard takes it over. A leg the node aborted because a mutation
+// landed under its chunked-locking stream (ErrLegStale) is retried on the
+// SAME node — the node is healthy and the frontier skips everything
+// already emitted — bounded per shard so a mutation storm degrades to
+// normal failover instead of livelock. A leg refused for a stale shard
+// (*StaleShardError) fails that shard over and reopens its other shards on
+// the same node. Any other death restarts the shard on its next untried
+// owner; a shard with none left is failed.
+func (f *fanout) failover(l *streamLeg, cause error) {
+	const maxStaleRetries = 8
+	stale := errors.Is(cause, ErrLegStale)
+	var refused *StaleShardError
+	if errors.As(cause, &refused) {
+		f.c.rejectStale(l.node, refused.Shard, refused.Epoch)
+	}
+	for _, s := range l.shards {
+		sh := &f.shards[s]
+		switch {
+		case sh.hedge == l:
+			sh.hedge = nil
+		case sh.owner != l:
+		case sh.hedge != nil:
+			sh.owner, sh.hedge = sh.hedge, nil
+		case refused != nil && s != refused.Shard:
+			f.launch(l.node, []int{s}, false)
+		case stale && sh.staleRetries < maxStaleRetries:
+			sh.staleRetries++
+			f.c.staleRetries.Add(1)
+			f.launch(l.node, []int{s}, false)
+		default:
+			if o := f.nextOwner(s); o >= 0 {
+				f.c.failovers.Add(1)
+				f.launch(o, []int{s}, false)
+			} else {
+				sh.failed = true
 			}
 		}
 	}
-	return nil
+}
+
+// hedgeSlow gives every leg that has delivered no line a rival: each of
+// its shards with an untried owner is duplicated there, grouped per node.
+// It runs once, before any race, so each such leg serves all its shards.
+func (f *fanout) hedgeSlow() {
+	groups := make(map[int][]int)
+	for _, l := range f.legs {
+		if l.over || l.started {
+			continue
+		}
+		for _, s := range l.shards {
+			if o := f.nextOwner(s); o >= 0 {
+				groups[o] = append(groups[o], s)
+			}
+		}
+	}
+	for o, shards := range groups {
+		f.c.hedgesFired.Add(1)
+		f.launch(o, shards, true)
+	}
+}
+
+// nextOwner returns shard s's next untried owner, -1 when none is left.
+func (f *fanout) nextOwner(s int) int {
+	sh := &f.shards[s]
+	if sh.tried == len(sh.owners) {
+		return -1
+	}
+	sh.tried++
+	return sh.owners[sh.tried-1]
+}
+
+// launch opens a leg on node over shards, as their owner or, for a hedge,
+// their rival. A drain's leg starts from the beginning, a stream's after
+// the smallest of its shards' last emitted ids.
+func (f *fanout) launch(node int, shards []int, hedge bool) {
+	lctx, cancel := context.WithCancel(f.legCtx)
+	leg := &streamLeg{node: node, shards: shards, ch: make(chan streamMsg, 64), cancel: cancel}
+	need := make([]uint64, len(shards))
+	after := f.shards[shards[0]].last
+	for i, s := range shards {
+		sh := &f.shards[s]
+		need[i], after = sh.need, min(after, sh.last)
+		if hedge {
+			sh.hedge = leg
+		} else {
+			sh.owner = leg
+		}
+	}
+	if f.drain {
+		after = -1
+	}
+	f.legs = append(f.legs, leg)
+	f.wg.Add(1)
+	go f.serve(lctx, leg, need, after, hedge)
+}
+
+// serve runs leg's node stream, sending its first message on f.first and
+// the rest on leg.ch until lctx ends. NodeTimeout bounds the wait for the
+// first line; once the leg streams, only the request's context bounds it.
+// The leg's span, under the cluster-query span, takes the node's echoed
+// subtree; a leg the merge cancelled — a hedge loser, or one still open
+// when the run ended — is marked cancelled, not failed.
+func (f *fanout) serve(lctx context.Context, leg *streamLeg, need []uint64, after graph.ID, hedge bool) {
+	defer f.wg.Done()
+	sctx, sp := obs.StartSpan(lctx, "node:"+f.c.nodes[leg.node].info.Name)
+	sp.Attr("shards", leg.shards)
+	if hedge {
+		sp.Attr("hedge", true)
+	}
+	rctx, expire := context.WithCancelCause(sctx)
+	defer expire(nil)
+	timer := time.AfterFunc(f.c.cfg.NodeTimeout, func() { expire(errNoFirstLine) })
+	defer timer.Stop()
+	out := f.first
+	send := func(m streamMsg) bool {
+		m.leg = leg
+		select {
+		case out <- m:
+			if out == f.first {
+				timer.Stop()
+				out = leg.ch
+			}
+			return true
+		case <-lctx.Done():
+			return false
+		}
+	}
+	done, err := f.c.nodes[leg.node].client.Stream(rctx, leg.shards, need, f.gj, after, func(id graph.ID) bool {
+		return send(streamMsg{id: id})
+	})
+	if lctx.Err() != nil {
+		sp.Cancel()
+		return
+	}
+	if err != nil {
+		if context.Cause(rctx) == errNoFirstLine {
+			err = errNoFirstLine
+		}
+		if isTransport(err) {
+			f.c.markDown(leg.node, err)
+		}
+		sp.Attr("error", err.Error())
+	}
+	sp.Graft(done.Trace)
+	sp.End()
+	send(streamMsg{err: err, done: done})
 }
 
 // ---------------------------------------------------------------------------

@@ -73,7 +73,7 @@ func TestNodeErrorsCounted(t *testing.T) {
 	before := errs.Value()
 
 	ds := testDataset(t)
-	resp := clusterPostJSON(t, ts.URL+"/node/query?shards=0&stream=1&after=xyz", toWire(testQueries(t, ds)[0], ds))
+	resp := clusterPostJSON(t, ts.URL+"/node/query?shards=0&after=xyz", toWire(testQueries(t, ds)[0], ds))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad after: status %d, want 400", resp.StatusCode)
@@ -88,6 +88,32 @@ func TestNodeErrorsCounted(t *testing.T) {
 	}
 	if d := errs.Value() - before; d != 2 {
 		t.Errorf("errors counter moved by %d, want 2", d)
+	}
+}
+
+// TestNodeStreamObserved: a node accounts a streamed leg like any query —
+// a coordinator stream moves each involved node's per-method latency
+// histogram.
+func TestNodeStreamObserved(t *testing.T) {
+	ds := testDataset(t)
+	tc := startCluster(t, "Grapes:maxPathLen=3", 3, 4, 2, cluster.CoordConfig{})
+	count := func(i int) int64 {
+		return tc.nodeServers[i].Registry().Family("sq_query_duration_seconds").Histogram(tc.coord.Name()).Count()
+	}
+	before := make([]int64, len(tc.nodes))
+	for i := range before {
+		before[i] = count(i)
+	}
+	for _, err := range tc.coord.Stream(context.Background(), tc.inCluster(t, testQueries(t, ds)[0], ds)) {
+		if err != nil {
+			t.Fatalf("stream: %v", err)
+		}
+	}
+	// Replication 2 over 3 nodes: every node leads a shard in wave 0.
+	for i := range before {
+		if got := count(i); got <= before[i] {
+			t.Errorf("node %d: sq_query_duration_seconds count %d after a stream, was %d", i, got, before[i])
+		}
 	}
 }
 

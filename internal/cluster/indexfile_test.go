@@ -119,16 +119,8 @@ func testLoadFromShipsIndexFile(t *testing.T, spec string) {
 
 	// The restored replica answers exactly like the owner.
 	for i, q := range queries {
-		ra, err := a.Query(ctx, []int{1}, q)
-		if err != nil {
-			t.Fatalf("a query %d: %v", i, err)
-		}
-		rb, err := b.Query(ctx, []int{1}, q)
-		if err != nil {
-			t.Fatalf("b query %d: %v", i, err)
-		}
-		if !rb[0].Answers.Equal(ra[0].Answers) {
-			t.Errorf("query %d: replica answers %v != owner answers %v", i, rb[0].Answers, ra[0].Answers)
+		if want, got := nodeAnswers(t, a, 1, q), nodeAnswers(t, b, 1, q); !got.Equal(want) {
+			t.Errorf("query %d: replica answers %v != owner answers %v", i, got, want)
 		}
 	}
 }

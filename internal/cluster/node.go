@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/graph"
-	"repro/internal/obs"
 )
 
 // ErrNotOwned is returned when a request addresses a shard the node does
@@ -38,8 +37,8 @@ type NodeConfig struct {
 	// file and journaled beside it, so a restart restores unmutated shards
 	// instead of rebuilding.
 	IndexPath string
-	// VerifyWorkers is the node's total verification budget, divided
-	// across its shards (0 = GOMAXPROCS).
+	// VerifyWorkers is the node's total verification budget: a stream
+	// verifies with all of it (0 = GOMAXPROCS).
 	VerifyWorkers int
 }
 
@@ -72,9 +71,9 @@ type Node struct {
 	spec   string // canonical
 	src    *graph.Dataset
 	shards map[int]*nodeShard
-	// fanout and perShard split VerifyWorkers over the initial shards, as
-	// the in-process sharded engine does (engine.ShardWorkers).
-	fanout, perShard int
+	// fanout is how many shards a stream plans at once, as in the
+	// in-process sharded engine (engine.ShardFanout).
+	fanout int
 }
 
 // NewNode builds (or restores) the node's initial shards from its local
@@ -99,8 +98,8 @@ func NewNode(ctx context.Context, src *graph.Dataset, cfg NodeConfig) (*Node, er
 	if d.OpenQuerier != nil {
 		return nil, fmt.Errorf("cluster: node requires a concrete indexing method, not composite %q", d.Name)
 	}
-	n := &Node{cfg: cfg, spec: p.Spec(), src: src, shards: make(map[int]*nodeShard, len(cfg.Shards))}
-	n.fanout, n.perShard = engine.ShardWorkers(cfg.VerifyWorkers, len(cfg.Shards))
+	n := &Node{cfg: cfg, spec: p.Spec(), src: src, shards: make(map[int]*nodeShard, len(cfg.Shards)),
+		fanout: engine.ShardFanout(cfg.VerifyWorkers)}
 	seen := make(map[int]bool, len(cfg.Shards))
 	for _, k := range cfg.Shards {
 		if k < 0 || k >= cfg.ShardCount {
@@ -133,7 +132,7 @@ func (n *Node) buildLocal(ctx context.Context, k int) (*nodeShard, error) {
 
 // open opens shard k over an assembled sub-dataset.
 func (n *Node) open(ctx context.Context, k int, sub *graph.Dataset, global []graph.ID) (*nodeShard, error) {
-	opts := []engine.Option{engine.WithSpec(n.cfg.Spec), engine.WithVerifyWorkers(n.perShard)}
+	opts := []engine.Option{engine.WithSpec(n.cfg.Spec)}
 	if n.cfg.IndexPath != "" {
 		opts = append(opts, engine.WithIndexPath(n.shardIndexPath(k)))
 	}
@@ -170,18 +169,6 @@ func (n *Node) Ready() bool {
 // Spec returns the canonical method spec the node indexes with.
 func (n *Node) Spec() string { return n.spec }
 
-// Shards returns the logical shards the node currently serves, ascending.
-func (n *Node) Shards() []int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	out := make([]int, 0, len(n.shards))
-	for k := range n.shards {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Info reports the node's identity and per-shard serving state.
 func (n *Node) Info() InfoResponse {
 	n.mu.RLock()
@@ -211,53 +198,6 @@ func (n *Node) Info() InfoResponse {
 		}
 	}
 	return info
-}
-
-// Query fans one query across the requested shards — concurrently, within
-// the node's VerifyWorkers budget — and returns per-shard results in global
-// ids: each shard's leg is engine.Drain over that one shard. q nil (a label
-// no graph on the node carries) matches nothing, at each shard's epoch. A
-// requested shard the node does not serve fails the whole call with
-// ErrNotOwned — the coordinator's routing table was stale and it must fail
-// over.
-func (n *Node) Query(ctx context.Context, shards []int, q *graph.Graph) ([]ShardResult, error) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	legs, err := n.legLocked(shards, nil)
-	if err != nil {
-		return nil, err
-	}
-	results := make([]ShardResult, len(shards))
-	err = engine.ForEachBounded(ctx, len(shards), n.fanout, func(ctx context.Context, i int) error {
-		sh := legs[i]
-		if q == nil {
-			results[i] = ShardResult{Shard: shards[i], Epoch: sh.epoch}
-			return nil
-		}
-		sctx, ssp := obs.StartSpan(ctx, fmt.Sprintf("shard-%d", shards[i]))
-		r, err := engine.Drain(sctx, []*engine.Shard{sh.Shard}, q, 1, n.perShard, "")
-		if err != nil {
-			ssp.Cancel()
-			return err
-		}
-		ssp.Attr("answers", len(r.Answers))
-		ssp.End()
-		results[i] = ShardResult{
-			Shard:      shards[i],
-			Epoch:      sh.epoch,
-			Candidates: r.Candidates,
-			Answers:    r.Answers,
-			FilterUs:   r.FilterTime.Microseconds(),
-			VerifyUs:   r.VerifyTime.Microseconds(),
-			Produced:   r.Produced,
-			Verified:   r.Verified,
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // StaleShardError refuses a stream leg over a shard the node serves below
@@ -290,16 +230,22 @@ func (e *StaleShardError) Error() string {
 // resumed after its frontier.
 func (n *Node) StreamStats(ctx context.Context, shards []int, need []uint64, q *graph.Graph, after graph.ID, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return engine.MergeStream(ctx, &n.mu, stats, q, after, n.fanout, n.cfg.VerifyWorkers, func() ([]*engine.Shard, func() error, error) {
-		legs, err := n.legLocked(shards, need)
-		if err != nil || q == nil {
-			return nil, nil, err
-		}
 		// The shard instances and their dataset epochs pin the index
 		// generation the plans are built against; either moving is stale.
-		pinned := make([]*engine.Shard, len(legs))
-		epochs := make([]uint64, len(legs))
-		for i, sh := range legs {
+		pinned := make([]*engine.Shard, len(shards))
+		epochs := make([]uint64, len(shards))
+		for i, k := range shards {
+			sh, ok := n.shards[k]
+			if !ok {
+				return nil, nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
+			}
+			if need != nil && sh.epoch < need[i] {
+				return nil, nil, &StaleShardError{Shard: k, Epoch: sh.epoch}
+			}
 			pinned[i], epochs[i] = sh.Shard, sh.Engine().Dataset().Epoch()
+		}
+		if q == nil {
+			return nil, nil, nil
 		}
 		stale := func() error {
 			for i, k := range shards {
@@ -311,24 +257,6 @@ func (n *Node) StreamStats(ctx context.Context, shards []int, need []uint64, q *
 		}
 		return pinned, stale, nil
 	})
-}
-
-// legLocked returns the requested shards, each needed at epoch need[i]
-// (need nil: any): ErrNotOwned for a shard the node does not serve, a
-// *StaleShardError for one it serves below its need. Callers hold n.mu.
-func (n *Node) legLocked(shards []int, need []uint64) ([]*nodeShard, error) {
-	legs := make([]*nodeShard, len(shards))
-	for i, k := range shards {
-		sh, ok := n.shards[k]
-		if !ok {
-			return nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
-		}
-		if need != nil && sh.epoch < need[i] {
-			return nil, &StaleShardError{Shard: k, Epoch: sh.epoch}
-		}
-		legs[i] = sh
-	}
-	return legs, nil
 }
 
 // Add applies a coordinator-routed add: the graph joins shard
@@ -472,11 +400,4 @@ func (n *Node) LoadLocal(ctx context.Context, k int) error {
 	n.shards[k] = sh
 	n.mu.Unlock()
 	return nil
-}
-
-// Drop stops serving shard k, releasing its index.
-func (n *Node) Drop(k int) {
-	n.mu.Lock()
-	delete(n.shards, k)
-	n.mu.Unlock()
 }

@@ -4,15 +4,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/testutil/leak"
 	"repro/internal/workload"
 )
@@ -29,54 +26,18 @@ func nodeFixture(t *testing.T, graphs, queries int) (*graph.Dataset, []*graph.Gr
 	return ds, qs
 }
 
-// nodeAnswers is the node's answer set for q over shard k.
-func nodeAnswers(t *testing.T, n *Node, k int, q *graph.Graph) graph.IDSet {
+// nodeAnswers drains the node's stream of q over shard k: every answer,
+// ascending global ids.
+func nodeAnswers(t testing.TB, n *Node, k int, q *graph.Graph) graph.IDSet {
 	t.Helper()
-	res, err := n.Query(context.Background(), []int{k}, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res[0].Answers
-}
-
-// TestNodeFanoutHonoursVerifyBudget: VerifyWorkers is the node's total
-// verification budget, so a node given 1 runs its shard legs one at a time
-// — their spans never overlap — however many cores it has.
-func TestNodeFanoutHonoursVerifyBudget(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	ctx := context.Background()
-	src, queries := nodeFixture(t, 400, 12)
-	shards := []int{0, 1, 2}
-	n, err := NewNode(ctx, src, NodeConfig{
-		Name: "n", Spec: "noindex", ShardCount: len(shards), Shards: shards, VerifyWorkers: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		tr := obs.NewTrace()
-		root := tr.StartSpan(nil, "root")
-		if _, err := n.Query(obs.ContextWithSpan(ctx, root), shards, q); err != nil {
+	out := graph.IDSet{}
+	for id, err := range n.StreamStats(context.Background(), []int{k}, nil, q, -1, nil) {
+		if err != nil {
 			t.Fatal(err)
 		}
-		root.End()
-		var legs []*obs.SpanTree
-		tr.Tree().Walk(func(st *obs.SpanTree) {
-			if strings.HasPrefix(st.Name, "shard-") {
-				legs = append(legs, st)
-			}
-		})
-		if len(legs) != len(shards) {
-			t.Fatalf("query %d: %d shard spans, want %d", i, len(legs), len(shards))
-		}
-		slices.SortFunc(legs, func(a, b *obs.SpanTree) int { return int(a.StartUs - b.StartUs) })
-		for j := 1; j < len(legs); j++ {
-			if prev := legs[j-1]; legs[j].StartUs < prev.StartUs+prev.DurUs {
-				t.Fatalf("query %d: %s started at %dus, inside %s [%dus, +%dus): VerifyWorkers=1 ran legs concurrently",
-					i, legs[j].Name, legs[j].StartUs, prev.Name, prev.StartUs, prev.DurUs)
-			}
-		}
+		out = append(out, id)
 	}
+	return out
 }
 
 // TestNodeStreamHonoursVerifyBudget: the node's merged stream verifies with

@@ -88,7 +88,6 @@ func NewNodeServer(n *Node, cfg NodeServerConfig) *NodeServer {
 	mux.HandleFunc("GET /node/dump", s.handleDump)
 	mux.HandleFunc("GET /node/indexfile", s.handleIndexFile)
 	mux.HandleFunc("POST /node/load", s.handleLoad)
-	mux.HandleFunc("DELETE /node/shards/{shard}", s.handleDropShard)
 	mux.Handle("GET /metrics", cfg.Registry.Handler())
 	if cfg.EnablePprof {
 		server.RegisterPprof(mux)
@@ -102,9 +101,6 @@ func (s *NodeServer) Registry() *obs.Registry { return s.cfg.Registry }
 
 // Handler returns the node's HTTP handler.
 func (s *NodeServer) Handler() http.Handler { return s.mux }
-
-// Node returns the wrapped node, for in-process use and tests.
-func (s *NodeServer) Node() *Node { return s.node }
 
 // Drain flips readiness off so the coordinator routes away, while requests
 // in flight complete.
@@ -190,20 +186,44 @@ func parseList[T any](v, name string, parse func(string) (T, error)) ([]T, error
 	return out, nil
 }
 
-// handleQuery serves POST /node/query?shards=...: body is one GraphJSON;
-// ?stream=1 switches to NDJSON global answer ids merged ascending across
-// the requested shards, with ?after=N resuming past a failed-over stream's
-// frontier and ?epochs=... (one per shard) the epochs the leg needs.
+// handleQuery serves POST /node/query?shards=...: body is one GraphJSON,
+// answered as NDJSON LegLines — global answer ids merged ascending across
+// the requested shards, flushed per line, then the done line. ?after=N
+// resumes strictly after a failed-over leg's frontier, and ?epochs=... (one
+// per shard) are the epochs the leg needs. The node streams under
+// epoch-checked chunked locking (no lock held across writes), so a client
+// that stops reading never blocks mutations; the write deadline still
+// bounds how long such a client pins the connection. An abort caused by a
+// concurrent mutation is marked Stale on the error line, so the coordinator
+// retries the leg on this node instead of failing it over. A leg refused
+// for a stale shard (always the stream's first element) is answered 409
+// instead, with the StaleShardError as the body. The done line carries the
+// leg's candidates and pipeline counters, and is where the query is
+// accounted: the latency histogram, the slow log and the trace root.
 func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reqQuery.Inc()
 	t0 := time.Now()
-	shards, err := parseShards(r.URL.Query().Get("shards"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
+	params := r.URL.Query()
+	shards, err := parseShards(params.Get("shards"))
+	after, need := graph.ID(-1), []uint64(nil)
+	if a := params.Get("after"); a != "" && err == nil {
+		v, perr := strconv.ParseInt(a, 10, 32)
+		if perr != nil {
+			err = fmt.Errorf("bad after %q", a)
+		}
+		after = graph.ID(v)
+	}
+	if e := params.Get("epochs"); e != "" && err == nil {
+		need, err = parseList(e, "epoch", func(p string) (uint64, error) { return strconv.ParseUint(p, 10, 64) })
+		if err == nil && len(need) != len(shards) {
+			err = fmt.Errorf("%d epochs for %d shards", len(need), len(shards))
+		}
 	}
 	var gj server.GraphJSON
-	if err := server.DecodeJSON(r, w, &gj); err != nil {
+	if err == nil {
+		err = server.DecodeJSON(r, w, &gj)
+	}
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -212,16 +232,23 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
+		rc := http.NewResponseController(w)
+		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout))
+		defer rc.SetWriteDeadline(time.Time{})
+	}
+	q, unknown, err := server.ToGraph(gj, &s.node.src.Dict)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
+		return
 	}
 	// A trace id on the request links this node's spans into the
 	// coordinator's tree: the node runs its own trace under the same id and
-	// echoes the subtree in the response. Without a header, a trace is still
-	// run when the slow log needs one.
+	// echoes the subtree on the done line. Without a header, a trace is
+	// still run when the slow log needs one.
 	var tr *obs.Trace
-	echo := false
-	if id := obs.TraceIDFromHeader(r.Header.Get(obs.TraceHeader)); id != "" {
-		tr = obs.NewTraceWithID(id)
-		echo = true
+	traceID := obs.TraceIDFromHeader(r.Header.Get(obs.TraceHeader))
+	if traceID != "" {
+		tr = obs.NewTraceWithID(traceID)
 	} else if s.slow.Enabled() {
 		tr = obs.NewTrace()
 	}
@@ -229,105 +256,26 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	root.Attr("node", s.node.Name())
 	root.Attr("shards", shards)
 	ctx = obs.ContextWithSpan(ctx, root)
-	q, unknown, err := server.ToGraph(gj, &s.node.src.Dict)
-	if err != nil {
-		root.Cancel()
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	if r.URL.Query().Get("stream") != "" {
-		after, need := graph.ID(-1), []uint64(nil)
-		if a := r.URL.Query().Get("after"); a != "" {
-			v, perr := strconv.ParseInt(a, 10, 32)
-			if perr != nil {
-				err = fmt.Errorf("bad after %q", a)
-			}
-			after = graph.ID(v)
-		}
-		if e := r.URL.Query().Get("epochs"); e != "" && err == nil {
-			need, err = parseList(e, "epoch", func(p string) (uint64, error) { return strconv.ParseUint(p, 10, 64) })
-			if err == nil && len(need) != len(shards) {
-				err = fmt.Errorf("%d epochs for %d shards", len(need), len(shards))
-			}
-		}
-		if err != nil {
-			root.Cancel()
-			s.fail(w, http.StatusBadRequest, err)
-			return
-		}
-		s.streamQuery(ctx, w, shards, need, q, after)
-		return
-	}
 	if unknown {
 		root.Attr("unknown_label", true)
 	}
-	results, err := s.node.Query(ctx, shards, q)
-	if err != nil {
-		root.Cancel()
-		s.fail(w, statusFor(err), err)
-		return
-	}
-	var candidates, produced, verified, answers int
-	var filterUs, verifyUs int64
-	for i := range results {
-		if results[i].Candidates == nil {
-			results[i].Candidates = graph.IDSet{}
-		}
-		if results[i].Answers == nil {
-			results[i].Answers = graph.IDSet{}
-		}
-		candidates += len(results[i].Candidates)
-		answers += len(results[i].Answers)
-		produced += results[i].Produced
-		verified += results[i].Verified
-		filterUs += results[i].FilterUs
-		verifyUs += results[i].VerifyUs
-	}
-	wall := time.Since(t0)
-	s.queryDur.Histogram(s.node.Spec()).Observe(wall.Seconds())
-	root.Attr("answers", answers)
-	root.End()
-	resp := ShardQueryResponse{Node: s.node.Name(), Results: results}
-	if echo {
-		resp.Trace = tr.Tree()
-		if resp.Trace != nil {
-			resp.Trace.Node = s.node.Name()
-		}
-	}
-	s.slow.Record(wall, obs.SlowQueryRecord{
-		Kind: "node-query", Trace: tr.ID(), Method: s.node.Spec(),
-		Candidates: candidates, Produced: produced, Verified: verified,
-		Answers: answers, FilterUs: filterUs, VerifyUs: verifyUs,
-		Extra: map[string]any{"shards": shards}, Spans: tr.Tree(),
-	})
-	s.writeJSON(w, resp)
-}
 
-// streamQuery writes NDJSON answer lines, flushing per line. The node
-// streams under epoch-checked chunked locking (no lock held across
-// writes), so a client that stops reading no longer blocks mutations; the
-// write deadline still bounds how long such a client pins the connection.
-// An abort caused by a concurrent mutation is marked Stale on the error
-// line, so the coordinator retries the leg on this node instead of
-// failing it over. The done line carries the pipeline's produced/verified
-// counters for coordinator-side aggregation. A leg refused for a stale
-// shard (always the stream's first element) is answered 409 instead, with
-// the StaleShardError as the body.
-func (s *NodeServer) streamQuery(ctx context.Context, w http.ResponseWriter, shards []int, need []uint64, q *graph.Graph, after graph.ID) {
-	if s.cfg.RequestTimeout > 0 {
-		rc := http.NewResponseController(w)
-		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout))
-		defer rc.SetWriteDeadline(time.Time{})
-	}
 	// The status goes out with the first line: a refusal can still be a 409.
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	var stats core.PipelineStats
+	flush := func() {
+		if fl != nil {
+			fl.Flush()
+		}
+	}
+	cands := graph.IDSet{}
+	stats := core.PipelineStats{Candidates: &cands}
 	n := 0
 	for id, err := range s.node.StreamStats(ctx, shards, need, q, after, &stats) {
 		var refused *StaleShardError
 		if errors.As(err, &refused) {
+			root.Cancel()
 			s.reqErrors.Inc()
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusConflict)
@@ -335,31 +283,39 @@ func (s *NodeServer) streamQuery(ctx context.Context, w http.ResponseWriter, sha
 			return
 		}
 		if err != nil {
-			enc.Encode(server.StreamLine{
-				Error: err.Error(),
-				Stale: errors.Is(err, engine.ErrStreamStale),
-			})
-			if fl != nil {
-				fl.Flush()
-			}
+			root.Cancel()
+			enc.Encode(server.StreamLine{Error: err.Error(), Stale: errors.Is(err, engine.ErrStreamStale)})
+			flush()
 			return
 		}
-		id := id
 		if enc.Encode(server.StreamLine{ID: &id}) != nil {
+			root.Cancel()
 			return
 		}
-		if fl != nil {
-			fl.Flush()
-		}
+		flush()
 		n++
 	}
-	enc.Encode(server.StreamLine{
-		Done: true, Matches: n,
-		Produced: stats.Produced.Load(), Verified: stats.Verified.Load(),
-	})
-	if fl != nil {
-		fl.Flush()
+
+	wall := time.Since(t0)
+	s.queryDur.Histogram(s.node.Spec()).Observe(wall.Seconds())
+	root.Attr("answers", n)
+	root.End()
+	done := LegLine{
+		StreamLine: server.StreamLine{Done: true, Matches: n, Produced: stats.Produced.Load(), Verified: stats.Verified.Load()},
+		Candidates: cands,
 	}
+	if traceID != "" {
+		if done.Trace = tr.Tree(); done.Trace != nil {
+			done.Trace.Node = s.node.Name()
+		}
+	}
+	s.slow.Record(wall, obs.SlowQueryRecord{
+		Kind: "node-query", Trace: tr.ID(), Method: s.node.Spec(),
+		Candidates: len(cands), Produced: int(done.Produced), Verified: int(done.Verified),
+		Answers: n, Extra: map[string]any{"shards": shards}, Spans: tr.Tree(),
+	})
+	enc.Encode(done)
+	flush()
 }
 
 // handleAdd serves POST /node/graphs: a coordinator-routed add.
@@ -589,15 +545,4 @@ func (s *NodeServer) loadFrom(r *http.Request, req LoadRequest) error {
 	// exactly what would have happened without the fetch).
 	s.fetchIndexFile(r.Context(), req.From, req.Shard)
 	return s.node.Install(r.Context(), req.Shard, epoch, maxID, graphs)
-}
-
-// handleDropShard serves DELETE /node/shards/{shard}.
-func (s *NodeServer) handleDropShard(w http.ResponseWriter, r *http.Request) {
-	k, err := strconv.Atoi(r.PathValue("shard"))
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("bad shard %q", r.PathValue("shard")))
-		return
-	}
-	s.node.Drop(k)
-	s.writeJSON(w, map[string]string{"status": "dropped"})
 }

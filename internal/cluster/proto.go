@@ -9,8 +9,11 @@ import (
 // Node-protocol wire types. The node side of the cluster speaks an
 // extension of the public serving protocol: graphs travel as
 // server.GraphJSON (label strings, resolved against each node's own
-// dictionary) and streams as server.StreamLine NDJSON, so the node endpoints
-// are the existing protocol plus shard addressing and epoch propagation.
+// dictionary), and POST /node/query?shards=...&epochs=...&after=N answers
+// only as an NDJSON stream of LegLines — every coordinator query, one-shot
+// or streamed, is a set of such legs — so the node endpoints are the
+// existing protocol plus shard addressing, resume frontiers and epoch
+// propagation.
 
 // InfoResponse is GET /node/info: the node's identity and what it serves.
 // The coordinator uses it at startup to seed its id allocator and per-shard
@@ -42,33 +45,17 @@ type ShardInfo struct {
 	IndexBytes int64 `json:"index_bytes"`
 }
 
-// ShardQueryResponse is POST /node/query?shards=...: per-shard results in
-// parent-dataset (global) ids.
-type ShardQueryResponse struct {
-	Node    string        `json:"node"`
-	Results []ShardResult `json:"results"`
-	// Trace is the node-side span tree, echoed when the request carried an
-	// X-SQ-Trace header; the coordinator grafts it under its leg span so
-	// one tree covers both processes.
-	Trace *obs.SpanTree `json:"trace,omitempty"`
-}
-
-// ShardResult is one shard's answer to a fan-out query. Epoch lets the
-// coordinator reject a stale replica: a node that missed a mutation to the
-// shard reports an older epoch than the coordinator requires and the
-// coordinator fails the leg over to a fresh owner.
-type ShardResult struct {
-	Shard      int         `json:"shard"`
-	Epoch      uint64      `json:"epoch"`
-	Candidates graph.IDSet `json:"candidates"`
-	Answers    graph.IDSet `json:"answers"`
-	FilterUs   int64       `json:"filter_us"`
-	VerifyUs   int64       `json:"verify_us"`
-	// Produced/Verified are the shard pipeline's candidate counters, summed
-	// by the coordinator so a merged cluster response reports its pipeline
-	// work like a single-process one.
-	Produced int `json:"produced,omitempty"`
-	Verified int `json:"verified,omitempty"`
+// LegLine is one NDJSON line of POST /node/query: a server.StreamLine
+// carrying a global answer id, an error, or the done line. The done line
+// adds the leg's pipeline counters, its live candidates (ascending global
+// ids, whole when the leg started from the beginning) for the one-shot
+// response's candidate set, and — when the request carried an X-SQ-Trace
+// header — the node's span subtree, which the coordinator grafts under its
+// leg span so one tree covers both processes.
+type LegLine struct {
+	server.StreamLine
+	Candidates graph.IDSet   `json:"candidates,omitempty"`
+	Trace      *obs.SpanTree `json:"trace,omitempty"`
 }
 
 // AddRequest is POST /node/graphs: an add routed by the coordinator, which

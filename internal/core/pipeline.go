@@ -62,14 +62,17 @@ type PipelineStats struct {
 	// Produced counts candidate IDs emitted by the producer stage (after
 	// any resume-skip, before the liveness filter).
 	Produced atomic.Int64
-	// Live counts candidates that survived the tombstone/liveness filter.
-	Live atomic.Int64
 	// Verified counts verifier invocations — the pipeline's unit of real
 	// work, and what early termination is measured by.
 	Verified atomic.Int64
 	// FailedShards is QueryResult.FailedShards for a stream: a cluster
 	// stream sets it before it ends; nil when the stream is complete.
 	FailedShards []int
+	// Candidates, when non-nil, collects the live candidates the stream
+	// pulls, ascending: a merged stream appends each pulled batch, and a
+	// cluster stream gathers its legs' candidates — the one-shot
+	// response's candidate set, for callers that drain the stream.
+	Candidates *graph.IDSet
 }
 
 // liveStage is the producer's resume-skip plus the liveness filter, one ID
@@ -86,11 +89,7 @@ func (l *liveStage) admit(id graph.ID) bool {
 		return false
 	}
 	l.stats.Produced.Add(1)
-	if !l.ds.Alive(id) {
-		return false
-	}
-	l.stats.Live.Add(1)
-	return true
+	return l.ds.Alive(id)
 }
 
 // Cursor is a pull-side view of the producer and liveness-filter stages:

@@ -130,12 +130,9 @@ func (sh *Shard) Remove(ctx context.Context, id graph.ID) error {
 // queries proceed during the file write.
 func (sh *Shard) CompactIfDue() { sh.eng.compactIfDue() }
 
-// ShardWorkers splits a verification budget over n shards: each shard
-// verifies with perShard workers, and at most fanout shards run at once, so
-// the total never exceeds the budget — a budget of 1 processes the shards
-// one at a time, the paper's serial measurement mode.
-func ShardWorkers(budget, n int) (fanout, perShard int) {
-	fanout = min(budget, runtime.GOMAXPROCS(0))
-	perShard = budget / max(n, 1)
-	return max(fanout, 1), max(perShard, 1)
+// ShardFanout is how many shards a merge plans at once under a
+// verification budget — a budget of 1 plans them one at a time, the
+// paper's serial measurement mode.
+func ShardFanout(budget int) int {
+	return max(min(budget, runtime.GOMAXPROCS(0)), 1)
 }

@@ -73,7 +73,7 @@ type Sharded struct {
 	build       core.BuildStats
 	restored    int  // non-empty shards restored from disk
 	allRestored bool // every non-empty shard restored (nothing built)
-	fanout      int  // shards planned at once (see ShardWorkers)
+	fanout      int  // shards planned at once (see ShardFanout)
 	workers     int  // the verify budget every query's merge verifies with
 }
 
@@ -104,7 +104,7 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 		return nil, err
 	}
 	s := &Sharded{ds: ds, shards: make([]*Shard, shards), name: d.Display, spec: spec, workers: cfg.verifyWorkers}
-	s.fanout, _ = ShardWorkers(cfg.verifyWorkers, shards)
+	s.fanout = ShardFanout(cfg.verifyWorkers)
 	manifestOK := false
 	if cfg.indexPath != "" {
 		if manifestOK, err = s.manifestMatches(cfg.indexPath); err != nil {

@@ -110,7 +110,8 @@ func TestShardedParityEveryMethod(t *testing.T) {
 }
 
 // TestShardedStreamMatchesQuery: the merged stream yields exactly the
-// fan-out Query's answers, in ascending global id order.
+// fan-out Query's answers, in ascending global id order, and its candidate
+// collector gathers exactly Query's candidates.
 func TestShardedStreamMatchesQuery(t *testing.T) {
 	ds := tinyDataset(t)
 	queries := tinyQueries(t, ds)
@@ -124,9 +125,9 @@ func TestShardedStreamMatchesQuery(t *testing.T) {
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		var streamed graph.IDSet
+		var streamed, cands graph.IDSet
 		prev := graph.ID(-1)
-		for id, err := range s.Stream(ctx, q) {
+		for id, err := range s.StreamStats(ctx, q, &core.PipelineStats{Candidates: &cands}) {
 			if err != nil {
 				t.Fatalf("stream %d: %v", i, err)
 			}
@@ -138,6 +139,9 @@ func TestShardedStreamMatchesQuery(t *testing.T) {
 		}
 		if !streamed.Equal(res.Answers) {
 			t.Errorf("query %d: streamed %v != answers %v", i, streamed, res.Answers)
+		}
+		if !cands.Equal(res.Candidates) {
+			t.Errorf("query %d: stream collected candidates %v != query candidates %v", i, cands, res.Candidates)
 		}
 	}
 }

@@ -191,7 +191,8 @@ func Drain(ctx context.Context, legs []*Shard, q *graph.Graph, fanout, workers i
 // verifies them under the lock, which is released while the answers are
 // yielded. Re-locked, stale ends the stream with its error if the index
 // moved. Legs resume strictly after parent id after (-1: from the start),
-// and stats (nil = none) accumulates every leg's counters. A filtering
+// and stats (nil = none) accumulates every leg's counters and, when
+// stats.Candidates is set, the pulled candidates. A filtering
 // failure or context cancellation is yielded once as an error.
 func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats, q *graph.Graph, after graph.ID, fanout, workers int,
 	open func() ([]*Shard, func() error, error)) iter.Seq2[graph.ID, error] {
@@ -226,6 +227,9 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 		for quantum := 1; ; quantum = min(2*quantum, streamQuantum) {
 			m.cands, m.from = m.cands[:0], m.from[:0]
 			done := m.pull(quantum)
+			if stats.Candidates != nil {
+				*stats.Candidates = append(*stats.Candidates, m.cands...)
+			}
 			out, err := m.verify(ctx)
 			unlock()
 			for _, id := range out {
