@@ -120,6 +120,13 @@ func TestPostingsKinds(t *testing.T) {
 	for name, ids := range cases {
 		t.Run(name, func(t *testing.T) {
 			enc := EncodePostings(ids)
+			if n := postingsLen(ids); n != len(enc) {
+				t.Fatalf("postingsLen %d, encoding has %d bytes", n, len(enc))
+			}
+			dst := make([]byte, 3, 3+len(enc))
+			if got := appendPostings(dst, ids); !bytes.Equal(got[3:], enc) || &got[0] != &dst[0] {
+				t.Fatalf("appendPostings behind a prefix differs from EncodePostings or regrew its buffer")
+			}
 			p, err := MakePostings(enc)
 			if err != nil {
 				t.Fatal(err)

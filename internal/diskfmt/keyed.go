@@ -11,12 +11,16 @@ import (
 // EncodeIDs encodes a sorted, duplicate-free graph-id set (EncodePostings
 // over graph ids).
 func EncodeIDs(ids graph.IDSet) []byte {
-	raw := make([]uint32, len(ids))
-	for i, id := range ids {
-		raw[i] = uint32(id)
-	}
-	return EncodePostings(raw)
+	return appendPostings(make([]byte, 0, postingsLen(ids)), ids)
 }
+
+// EncodedIDsLen returns len(EncodeIDs(ids)) without encoding, so a writer
+// can size a section before filling it.
+func EncodedIDsLen(ids graph.IDSet) int { return postingsLen(ids) }
+
+// AppendIDs appends EncodeIDs(ids) to dst; with EncodedIDsLen(ids) bytes
+// of spare capacity, dst does not grow.
+func AppendIDs(dst []byte, ids graph.IDSet) []byte { return appendPostings(dst, ids) }
 
 // DecodeIDs materializes the posting as graph ids of a dataset with n
 // slots, rejecting what no index over that dataset can hold: an id >= n,

@@ -49,77 +49,104 @@ type Postings struct {
 // EncodePostings encodes a sorted, duplicate-free slice of ids. Passing
 // an unsorted slice is a programming error; results would be garbage.
 func EncodePostings(ids []uint32) []byte {
-	var ctrl, payload []byte
-	nContainers := uint32(0)
+	return appendPostings(make([]byte, 0, postingsLen(ids)), ids)
+}
+
+// idSet is the element type of an encodable id set.
+type idSet interface{ ~uint32 | ~int32 }
+
+// nextContainer sizes the container that starts at ids[i], the ids that
+// share its high 16 bits: it returns the index past them, the container's
+// kind, its run count, and its payload bytes.
+func nextContainer[T idSet](ids []T, i int) (end, kind, runs, size int) {
+	key := uint32(ids[i]) >> 16
+	end, runs = i+1, 1
+	for end < len(ids) && uint32(ids[end])>>16 == key {
+		if uint32(ids[end]) != uint32(ids[end-1])+1 {
+			runs++
+		}
+		end++
+	}
+	card := end - i
+	arrayCost := 1 << 30
+	if card <= arrayMaxCard {
+		arrayCost = 2 * card
+	}
+	runCost := 4 + 4*runs
+	switch {
+	case runCost < arrayCost && runCost < bitmapBytes:
+		return end, kindRun, runs, runCost
+	case arrayCost <= bitmapBytes:
+		return end, kindArray, runs, arrayCost
+	default:
+		return end, kindBitmap, runs, bitmapBytes
+	}
+}
+
+// postingsLen returns the encoded length of ids without encoding them.
+func postingsLen[T idSet](ids []T) int {
+	n := postingsHdrSize
 	for i := 0; i < len(ids); {
-		key := ids[i] >> 16
-		j := i
-		for j < len(ids) && ids[j]>>16 == key {
-			j++
+		end, _, _, size := nextContainer(ids, i)
+		n += ctrlEntrySize + size
+		i = end
+	}
+	return n
+}
+
+// appendPostings appends the encoding of ids to dst: the container table
+// is reserved first and filled as each payload is written, so dst sized by
+// postingsLen never grows.
+func appendPostings[T idSet](dst []byte, ids []T) []byte {
+	nContainers := 0
+	for i := range ids {
+		if i == 0 || uint32(ids[i])>>16 != uint32(ids[i-1])>>16 {
+			nContainers++
 		}
-		block := ids[i:j]
-		card := len(block)
-		runs := 1
-		for k := i + 1; k < j; k++ {
-			if ids[k] != ids[k-1]+1 {
-				runs++
-			}
-		}
-		arrayCost := 1 << 30
-		if card <= arrayMaxCard {
-			arrayCost = 2 * card
-		}
-		runCost := 4 + 4*runs
-		kind := kindArray
-		switch {
-		case runCost < arrayCost && runCost < bitmapBytes:
-			kind = kindRun
-		case arrayCost <= bitmapBytes:
-			kind = kindArray
-		default:
-			kind = kindBitmap
-		}
-		off := uint32(len(payload))
+	}
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(nContainers))
+	ctrl := len(dst)
+	dst = append(dst, make([]byte, nContainers*ctrlEntrySize)...)
+	base := len(dst)
+	for i := 0; i < len(ids); {
+		end, kind, runs, _ := nextContainer(ids, i)
+		block := ids[i:end]
+		c := dst[ctrl : ctrl+ctrlEntrySize]
+		binary.LittleEndian.PutUint16(c, uint16(uint32(block[0])>>16))
+		binary.LittleEndian.PutUint16(c[2:], uint16(kind))
+		binary.LittleEndian.PutUint32(c[4:], uint32(len(block)))
+		binary.LittleEndian.PutUint32(c[8:], uint32(len(dst)-base))
+		ctrl += ctrlEntrySize
 		switch kind {
 		case kindArray:
 			for _, v := range block {
-				payload = binary.LittleEndian.AppendUint16(payload, uint16(v))
+				dst = binary.LittleEndian.AppendUint16(dst, uint16(v))
 			}
 		case kindBitmap:
-			start := len(payload)
-			payload = append(payload, make([]byte, bitmapBytes)...)
-			bm := payload[start:]
+			start := len(dst)
+			dst = append(dst, make([]byte, bitmapBytes)...)
+			bm := dst[start:]
 			for _, v := range block {
 				low := uint16(v)
 				bm[low>>3] |= 1 << (low & 7)
 			}
 		case kindRun:
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(runs))
-			runStart := uint16(block[0])
-			prev := block[0]
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(runs))
+			runStart, prev := uint32(block[0]), uint32(block[0])
 			for _, v := range block[1:] {
-				if v != prev+1 {
-					payload = binary.LittleEndian.AppendUint16(payload, runStart)
-					payload = binary.LittleEndian.AppendUint16(payload, uint16(prev))
-					runStart = uint16(v)
+				if uint32(v) != prev+1 {
+					dst = binary.LittleEndian.AppendUint16(dst, uint16(runStart))
+					dst = binary.LittleEndian.AppendUint16(dst, uint16(prev))
+					runStart = uint32(v)
 				}
-				prev = v
+				prev = uint32(v)
 			}
-			payload = binary.LittleEndian.AppendUint16(payload, runStart)
-			payload = binary.LittleEndian.AppendUint16(payload, uint16(prev))
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(runStart))
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(prev))
 		}
-		ctrl = binary.LittleEndian.AppendUint16(ctrl, uint16(key))
-		ctrl = binary.LittleEndian.AppendUint16(ctrl, uint16(kind))
-		ctrl = binary.LittleEndian.AppendUint32(ctrl, uint32(card))
-		ctrl = binary.LittleEndian.AppendUint32(ctrl, off)
-		nContainers++
-		i = j
+		i = end
 	}
-	out := make([]byte, 0, postingsHdrSize+len(ctrl)+len(payload))
-	out = binary.LittleEndian.AppendUint32(out, nContainers)
-	out = append(out, ctrl...)
-	out = append(out, payload...)
-	return out
+	return dst
 }
 
 // MakePostings validates the structure of an encoded posting list and

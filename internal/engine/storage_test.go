@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -193,6 +194,133 @@ func TestMmapWarmRacesMutation(t *testing.T) {
 				if !r.Answers.Equal(want) {
 					t.Errorf("query %d answers %v, want %v", i, r.Answers, want)
 				}
+			}
+		})
+	}
+}
+
+// TestMmapSaveWhileQueryingEveryMethod: Save holds only the engine's read
+// lock, so a mapped index is saved while queries read its mapping. The save
+// must not touch what they read — under -race, a save that materializes
+// the index or releases the mapping is reported here — must write the same
+// bytes as the heap save the index was restored from, and must leave the
+// index mapped: once every query has run, its resident bytes do not move.
+func TestMmapSaveWhileQueryingEveryMethod(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range storageSpecs {
+		t.Run(spec, func(t *testing.T) {
+			ds := tinyDataset(t)
+			queries := tinyQueries(t, ds)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "idx")
+			heap, err := engine.Open(ctx, ds, engine.WithSpec(spec), engine.WithIndexPath(path))
+			if err != nil {
+				t.Fatalf("build open: %v", err)
+			}
+			mm, err := engine.Open(ctx, ds, engine.WithSpec(spec+",storage=mmap"), engine.WithIndexPath(path))
+			if err != nil {
+				t.Fatalf("mmap open: %v", err)
+			}
+			if !mm.Restored() {
+				t.Fatalf("mmap open rebuilt instead of restoring")
+			}
+			want := make([]graph.IDSet, len(queries))
+			for i, q := range queries {
+				r, err := heap.Query(ctx, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want[i] = r.Answers
+			}
+			queryParity(t, "restored", queries, heap, mm)
+			resident := mm.Method().SizeBytes()
+
+			stop := make(chan struct{})
+			errs := make(chan error, 2)
+			for range 2 {
+				go func() {
+					for {
+						for i, q := range queries {
+							r, err := mm.Query(ctx, q)
+							if err == nil && !r.Answers.Equal(want[i]) {
+								err = fmt.Errorf("query %d answers %v, want %v", i, r.Answers, want[i])
+							}
+							if err != nil {
+								errs <- err
+								return
+							}
+						}
+						select {
+						case <-stop:
+							errs <- nil
+							return
+						default:
+						}
+					}
+				}()
+			}
+			saved := filepath.Join(dir, "saved")
+			for range 3 {
+				if err := mm.Save(saved); err != nil {
+					t.Errorf("Save: %v", err)
+				}
+			}
+			close(stop)
+			for range 2 {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			a, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(saved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(a, b) {
+				t.Errorf("the mapped save differs from the heap save it was restored from")
+			}
+			if got := mm.Method().SizeBytes(); got != resident {
+				t.Errorf("the save moved the resident bytes from %d to %d: it materialized the index", resident, got)
+			}
+		})
+	}
+}
+
+// TestMmapSaveRefusesDamagedPayload: a mapped open checks no bulk payload,
+// so a byte flipped in the last section goes unseen until a save writes
+// the section out. The save must refuse it rather than seal the damage
+// under a fresh checksum.
+func TestMmapSaveRefusesDamagedPayload(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range storageSpecs {
+		t.Run(spec, func(t *testing.T) {
+			ds := tinyDataset(t)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "idx")
+			if _, err := engine.Open(ctx, ds, engine.WithSpec(spec), engine.WithIndexPath(path)); err != nil {
+				t.Fatalf("build open: %v", err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b[len(b)-1] ^= 0x40
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			mm, err := engine.Open(ctx, ds, engine.WithSpec(spec+",storage=mmap"), engine.WithIndexPath(path))
+			if err != nil {
+				t.Fatalf("mmap open: %v", err)
+			}
+			if !mm.Restored() {
+				t.Fatalf("mmap open rebuilt: it read the damaged payload")
+			}
+			if err := mm.Save(filepath.Join(dir, "saved")); !diskfmt.IsCorrupt(err) {
+				t.Fatalf("Save of a damaged mapping: %v, want a corrupt-container error", err)
 			}
 		})
 	}

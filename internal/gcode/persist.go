@@ -43,13 +43,24 @@ func (ix *Index) StorageMode() string { return core.StorageMode(ix.opts.Storage)
 
 func (ix *Index) summaryStride() int { return summaryFixed + ix.opts.NumEigenvalues*8 }
 
-// SaveIndex implements core.Persistable.
+// SaveIndex implements core.Persistable. A mapped index is written from
+// its mapped sections once their checksums hold, and stays mapped: the
+// caller may hold only a read lock, under which queries still read the
+// mapping.
 func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("gcode: save before Build")
 	}
-	if err := ix.materializeAll(); err != nil {
-		return err
+	if lz := ix.lazy; lz != nil {
+		w.AddSection(secMeta, ix.meta(lz.nCodes))
+		for _, id := range []uint32{secSummaries, secSigs} {
+			b, err := lz.r.Section(id) // checks the CRC
+			if err != nil {
+				return fmt.Errorf("gcode: save: %w", err)
+			}
+			w.AddSection(id, b)
+		}
+		return nil
 	}
 	var summaries, sigBlob []byte
 	for i := range ix.codes {
@@ -77,15 +88,18 @@ func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 			summaries = binary.LittleEndian.AppendUint64(summaries, math.Float64bits(e))
 		}
 	}
-	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.PathLen))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.opts.NumEigenvalues))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(ix.codes)))
-	meta = binary.LittleEndian.AppendUint32(meta, 0)
-
-	w.AddSection(secMeta, meta)
+	w.AddSection(secMeta, ix.meta(len(ix.codes)))
 	w.AddSection(secSummaries, summaries)
 	w.AddSection(secSigs, sigBlob)
 	return nil
+}
+
+// meta encodes the meta section.
+func (ix *Index) meta(nCodes int) []byte {
+	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.PathLen))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.opts.NumEigenvalues))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(nCodes))
+	return binary.LittleEndian.AppendUint32(meta, 0)
 }
 
 // LoadIndex implements core.Persistable. Under storage=heap every section
@@ -169,9 +183,10 @@ func (ix *Index) Close() error {
 }
 
 // materializeAll converts a lazily-opened index into the fully resident
-// form and releases the mapping. Mutations and saves call it: incremental
+// form and releases the mapping. Only mutations call it: incremental
 // maintenance splices ix.codes in place, which a mapped table cannot
-// support.
+// support. The engine mutates under its write lock, so no query or warm-up
+// still reads the mapping released here; a save leaves the index mapped.
 func (ix *Index) materializeAll() error {
 	lz := ix.lazy
 	if lz == nil {

@@ -149,9 +149,6 @@ type node struct {
 	// child under labels[i].
 	labels []graph.Label
 	kids   []*node
-	// building counts occurrences by graph id during Build; finalize turns
-	// it into the posting.
-	building map[graph.ID]int32
 	posting
 }
 
@@ -173,17 +170,11 @@ func (n *node) lookup(l graph.Label) *node {
 	return nil
 }
 
+// finalize copies every posting of n's subtree to its exact length and
+// gives it its rank bitmap.
 func (n *node) finalize() {
-	n.ids = make(graph.IDSet, 0, len(n.building))
-	for id := range n.building {
-		n.ids = append(n.ids, id)
-	}
-	slices.Sort(n.ids)
-	n.counts = make([]int32, len(n.ids))
-	for i, id := range n.ids {
-		n.counts[i] = n.building[id]
-	}
-	n.building = nil
+	n.ids = append(make(graph.IDSet, 0, len(n.ids)), n.ids...)
+	n.counts = append(make([]int32, 0, len(n.counts)), n.counts...)
 	n.index()
 	for _, c := range n.kids {
 		c.finalize()
@@ -211,7 +202,9 @@ func New(opts Options) *Index {
 func (ix *Index) Name() string { return "GGSX" }
 
 // Build implements core.Method: DFS path enumeration per graph, inserted
-// into the shared trie with occurrence counting.
+// into the shared trie with occurrence counting. Graphs are visited in
+// ascending id order, so a path's occurrence in graph id either bumps the
+// last count of its node's posting or appends (id, 1) to it.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	ix.root = &node{}
 	ix.nGr = ds.Len()
@@ -224,10 +217,12 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		}
 		id := g.ID()
 		visitTrie(ix.root, g, ix.opts.MaxPathLen, func(n *node) {
-			if n.building == nil {
-				n.building = make(map[graph.ID]int32)
+			if last := len(n.ids) - 1; last >= 0 && n.ids[last] == id {
+				n.counts[last]++
+			} else {
+				n.ids = append(n.ids, id)
+				n.counts = append(n.counts, 1)
 			}
-			n.building[id]++
 		})
 	}
 	ix.root.finalize()

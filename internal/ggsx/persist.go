@@ -37,19 +37,22 @@ var (
 // StorageMode implements core.StorageSelector.
 func (ix *Index) StorageMode() string { return core.StorageMode(ix.opts.Storage) }
 
-// SaveIndex implements core.Persistable. A mapped index is written from a
-// decoded snapshot and stays mapped: the caller may hold only a read lock,
-// under which queries still read the mapping.
+// SaveIndex implements core.Persistable. A mapped index is written from
+// its mapped nodes section once its checksum holds, and stays mapped: the
+// caller may hold only a read lock, under which queries still read the
+// mapping.
 func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("ggsx: save before Build")
 	}
-	root := ix.root
 	if lz := ix.lazy; lz != nil {
-		var err error
-		if root, err = lz.decodeSubtree(lz.rootOff); err != nil {
+		nodes, err := lz.r.Section(secNodes) // checks the CRC
+		if err != nil {
 			return fmt.Errorf("ggsx: save: %w", err)
 		}
+		w.AddSection(secTrieMeta, ix.meta(lz.nodeCount, lz.rootOff))
+		w.AddSection(secNodes, nodes)
+		return nil
 	}
 	var nodes []byte
 	nodeCount := 0
@@ -61,11 +64,11 @@ func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 			nodeCount++
 		}
 		off := uint32(len(nodes))
-		enc := diskfmt.EncodeIDs(n.ids)
 		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(n.ids)))
 		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(n.kids)))
-		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(enc)))
-		nodes = append(nodes, enc...)
+		pLen := len(nodes)
+		nodes = diskfmt.AppendIDs(append(nodes, 0, 0, 0, 0), n.ids)
+		binary.LittleEndian.PutUint32(nodes[pLen:], uint32(len(nodes)-pLen-4))
 		for _, c := range n.counts {
 			nodes = binary.LittleEndian.AppendUint32(nodes, uint32(c))
 		}
@@ -75,15 +78,18 @@ func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 		}
 		return off
 	}
-	rootOff := emit(root)
+	rootOff := emit(ix.root)
+	w.AddSection(secTrieMeta, ix.meta(nodeCount, rootOff))
+	w.AddSection(secNodes, nodes)
+	return nil
+}
 
+// meta encodes the meta section.
+func (ix *Index) meta(nodeCount int, rootOff uint32) []byte {
 	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxPathLen))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.nGr))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(nodeCount))
-	meta = binary.LittleEndian.AppendUint32(meta, rootOff)
-	w.AddSection(secTrieMeta, meta)
-	w.AddSection(secNodes, nodes)
-	return nil
+	return binary.LittleEndian.AppendUint32(meta, rootOff)
 }
 
 // LoadIndex implements core.Persistable. storage=heap decodes the whole

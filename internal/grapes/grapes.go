@@ -13,14 +13,11 @@
 package grapes
 
 import (
-	"cmp"
 	"context"
-	"encoding/binary"
 	"iter"
-	"math/bits"
+	"maps"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/canon"
@@ -109,46 +106,63 @@ func New(opts Options) *Index {
 // Name implements core.Method.
 func (ix *Index) Name() string { return "Grapes" }
 
-// buildShard is the per-worker accumulation of postings.
-type buildShard struct {
-	features map[canon.Key]map[graph.ID]*location
-}
-
-// Build implements core.Method. Graphs are partitioned across workers, each
-// of which builds a private feature map; shards are merged at the end,
-// mirroring the paper's synchronization-free parallel trie construction.
+// Build implements core.Method by sorting rather than hashing. Workers
+// take contiguous graph-id ranges and append one fixed-width record per
+// path visit (packed key, graph id, start vertex) to slices of their own,
+// which one stable radix sort on the key puts in (key, id, start) order;
+// one pass over its runs then writes every posting once, at its final size.
+// Ranks are over the dataset's label alphabet, so records sort as their
+// canonical keys do.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	n := ds.Len()
 	ix.comps = make([][]int32, n)
 	ix.compCount = make([]int, n)
 
-	workers := ix.opts.Workers
-	if workers > n && n > 0 {
-		workers = n
+	// The label alphabet, and one allocation for every component table.
+	alphabet := make(map[graph.Label]struct{})
+	nVerts := 0
+	for i, g := range ds.Graphs {
+		if !ds.Alive(graph.ID(i)) {
+			continue // tombstoned slots index nothing
+		}
+		nVerts += g.NumVertices()
+		for _, l := range g.Labels() {
+			alphabet[l] = struct{}{}
+		}
 	}
-	if workers == 0 {
-		workers = 1
+	var pk packing
+	pk.reset(slices.Collect(maps.Keys(alphabet)), ix.opts.MaxPathLen)
+	compArena := make([]int32, nVerts)
+	for i, g := range ds.Graphs {
+		if ds.Alive(graph.ID(i)) {
+			nv := g.NumVertices()
+			ix.comps[g.ID()], compArena = compArena[:nv:nv], compArena[nv:]
+		}
 	}
-	shards := make([]*buildShard, workers)
+
+	workers := max(min(ix.opts.Workers, n), 1)
+	parts := make([][]uint64, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			shard := &buildShard{features: make(map[canon.Key]map[graph.ID]*location)}
-			shards[w] = shard
-			for i := w; i < n; i += workers {
+			rc := recorder{pk: &pk}
+			for i := w * n / workers; i < (w+1)*n/workers; i++ {
 				if err := ctx.Err(); err != nil {
 					errs[w] = err
 					return
 				}
 				if !ds.Alive(graph.ID(i)) {
-					continue // tombstoned slots index nothing
+					continue
 				}
-				ix.indexGraph(shard, ds.Graphs[i])
+				g := ds.Graphs[i]
+				rc.record(g)
+				ix.compCount[g.ID()] = componentTable(g, ix.comps[g.ID()])
 			}
-		}(w)
+			parts[w] = rc.recs
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -157,81 +171,25 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		}
 	}
 
-	// Merge shards into sorted postings.
-	ix.features = make(map[canon.Key]*posting)
-	for _, shard := range shards {
-		for key, byGraph := range shard.features {
-			p := ix.features[key]
-			if p == nil {
-				p = &posting{}
-				ix.features[key] = p
-			}
-			for id, loc := range byGraph {
-				p.ids = append(p.ids, id)
-				p.locs = append(p.locs, *loc)
-			}
-		}
-	}
-	for _, p := range ix.features {
-		sortPosting(p)
+	keys, posts := pk.postings(pk.sortRecords(parts))
+	ix.features = make(map[canon.Key]*posting, len(keys))
+	for i, key := range keys {
+		ix.features[key] = &posts[i]
 	}
 	ix.built = true
 	return nil
 }
 
-func sortPosting(p *posting) {
-	idx := make([]int, len(p.ids))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return p.ids[idx[a]] < p.ids[idx[b]] })
-	ids := make(graph.IDSet, len(idx))
-	locs := make([]location, len(idx))
-	for i, j := range idx {
-		ids[i] = p.ids[j]
-		locs[i] = p.locs[j]
-	}
-	p.ids, p.locs = ids, locs
-}
-
-// indexGraph extracts all path features of one graph into the shard, and
-// records the graph's connected components for verification.
-func (ix *Index) indexGraph(shard *buildShard, g *graph.Graph) {
-	id := g.ID()
-	var labelBuf []graph.Label
-	features.VisitPaths(g, ix.opts.MaxPathLen, func(vs []int32) bool {
-		labelBuf = features.PathLabels(g, vs, labelBuf)
-		key := canon.PathKey(labelBuf)
-		byGraph := shard.features[key]
-		if byGraph == nil {
-			byGraph = make(map[graph.ID]*location)
-			shard.features[key] = byGraph
-		}
-		loc := byGraph[id]
-		if loc == nil {
-			loc = &location{}
-			byGraph[id] = loc
-		}
-		loc.count++
-		start := vs[0]
-		i := sort.Search(len(loc.starts), func(i int) bool { return loc.starts[i] >= start })
-		if i == len(loc.starts) || loc.starts[i] != start {
-			loc.starts = append(loc.starts, 0)
-			copy(loc.starts[i+1:], loc.starts[i:])
-			loc.starts[i] = start
-		}
-		return true
-	})
-
-	comp := make([]int32, g.NumVertices())
+// componentTable writes each vertex's connected component into comp, which
+// holds one entry per vertex of g, and returns the number of components.
+func componentTable(g *graph.Graph, comp []int32) int {
 	comps := g.ConnectedComponents()
 	for ci, members := range comps {
 		for _, v := range members {
 			comp[v] = int32(ci)
 		}
 	}
-	ix.comps[id] = comp
-	ix.compCount[id] = len(comps)
+	return len(comps)
 }
 
 // queryPaths is the query-only half of a Grapes plan: the distinct
@@ -256,11 +214,11 @@ func (qp *queryPaths) key(i int) string {
 
 // pathScratch is extractQueryPaths' working memory, pooled across queries.
 type pathScratch struct {
-	labels []graph.Label // the query's distinct labels, in key byte order
-	rank   []uint64      // query vertex → 1 + position of its label in labels
-	recs   []uint64      // one fixed-width record per recorded path
-	order  []int32       // multi-word records only: record indexes, sorted
-	sorted []uint64      // multi-word records only: recs in sorted order
+	pk     packing  // over the query's own labels
+	rank   []uint64 // query vertex → rank
+	recs   []uint64 // one fixed-width record per recorded path
+	order  []int32  // multi-word records only: record indexes, sorted
+	sorted []uint64 // multi-word records only: recs in sorted order
 	keys   []byte
 }
 
@@ -268,14 +226,9 @@ var pathScratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
 
 // extractQueryPaths enumerates q's label paths into fixed-width records in
 // one reusable buffer, sorts the records and counts the runs of equal ones.
-//
-// A record is the path's canonical key as label ranks of b bits each, most
-// significant first, zero-padded to maxPathLen+1 ranks over w 64-bit words.
-// Ranks number the query's distinct labels from 1 in the byte order of
-// their 4-byte key encodings, so records compare exactly as their keys do,
-// and a key sorts before every longer key it prefixes. For the path lengths
-// and label counts of real queries a record is one word, sorted as an
-// integer.
+// A record is the path's packed key (see packing), with ranks over the
+// query's own labels; for the path lengths and label counts of real
+// queries it is one word, sorted as an integer.
 //
 // VisitPaths visits a path of one or more edges once from each end; only
 // the visit from the lower vertex id is recorded, and it counts twice.
@@ -285,49 +238,15 @@ func extractQueryPaths(q *graph.Graph, maxPathLen int) queryPaths {
 	}
 	sc := pathScratchPool.Get().(*pathScratch)
 	defer pathScratchPool.Put(sc)
-	byKeyBytes := func(a, b graph.Label) int {
-		return cmp.Compare(bits.ReverseBytes32(uint32(a)), bits.ReverseBytes32(uint32(b)))
-	}
-	sc.labels = append(sc.labels[:0], q.Labels()...)
-	slices.SortFunc(sc.labels, byKeyBytes)
-	sc.labels = slices.Compact(sc.labels)
-	sc.rank = sc.rank[:0]
-	for _, l := range q.Labels() {
-		i, _ := slices.BinarySearchFunc(sc.labels, l, byKeyBytes)
-		sc.rank = append(sc.rank, uint64(i+1))
-	}
-	b := bits.Len(uint(len(sc.labels)))
-	perWord := 64 / b
-	w := (maxPathLen + perWord) / perWord // ⌈(maxPathLen+1) / perWord⌉
+	pk := &sc.pk
+	pk.reset(q.Labels(), maxPathLen)
+	sc.rank = pk.ranks(q, sc.rank)
+	w := pk.w
 
 	sc.recs = sc.recs[:0]
 	features.VisitPaths(q, maxPathLen, func(vs []int32) bool {
-		last := len(vs) - 1
-		if vs[0] > vs[last] {
-			return true
-		}
-		// canon.PathKey's rule: the label sequence or its reverse,
-		// whichever is smaller at the first position where they differ.
-		forward := true
-		for i, j := 0, last; i < j; i, j = i+1, j-1 {
-			if a, b := q.Label(vs[i]), q.Label(vs[j]); a != b {
-				forward = a < b
-				break
-			}
-		}
-		at := len(sc.recs)
-		sc.recs = append(sc.recs, make([]uint64, w)...)
-		word, shift := at, 64
-		for i := range vs {
-			v := vs[i]
-			if !forward {
-				v = vs[last-i]
-			}
-			if shift < b {
-				word, shift = word+1, 64
-			}
-			shift -= b
-			sc.recs[word] |= sc.rank[v] << shift
+		if vs[0] <= vs[len(vs)-1] {
+			sc.recs = pk.appendKey(sc.recs, q, sc.rank, vs)
 		}
 		return true
 	})
@@ -346,20 +265,10 @@ func extractQueryPaths(q *graph.Graph, maxPathLen int) queryPaths {
 			qp.counts[len(qp.counts)-1] += visits
 			continue
 		}
-		n, word, shift := 0, 0, 64
-		for ; n <= maxPathLen; n++ {
-			if shift < b {
-				word, shift = word+1, 64
-			}
-			shift -= b
-			r := rec[word] >> shift & (1<<b - 1)
-			if r == 0 {
-				break
-			}
-			sc.keys = binary.LittleEndian.AppendUint32(sc.keys, uint32(sc.labels[r-1]))
-		}
+		from := len(sc.keys)
+		sc.keys = pk.appendKeyBytes(sc.keys, rec)
 		visits = 2
-		if n == 1 {
+		if len(sc.keys)-from == 4 {
 			visits = 1
 		}
 		qp.ends = append(qp.ends, int32(len(sc.keys)))

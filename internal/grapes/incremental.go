@@ -3,7 +3,6 @@ package grapes
 import (
 	"sort"
 
-	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -11,11 +10,12 @@ import (
 var _ core.IncrementalIndexer = (*Index)(nil)
 
 // AddGraphToIndex implements core.IncrementalIndexer: the graph's path
-// features are enumerated exactly as during Build and merged into the
-// existing postings. Dataset IDs are append-only, so a freshly added
-// graph's id sorts at (or past) the tail of every posting it joins and
-// the sorted-postings invariant is kept by a binary-search insert that is
-// an append in practice.
+// visits are recorded and sorted as Build does, with ranks over the
+// graph's own labels, and each of its postings is spliced into the
+// existing one. Dataset IDs are append-only, so a freshly added graph's id
+// sorts at (or past) the tail of every posting it joins and the
+// sorted-postings invariant is kept by a binary-search insert that is an
+// append in practice.
 func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	if !ix.built {
 		return core.ErrNotBuilt
@@ -31,18 +31,21 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 		ix.comps = append(ix.comps, nil)
 		ix.compCount = append(ix.compCount, 0)
 	}
-	shard := &buildShard{features: make(map[canon.Key]map[graph.ID]*location)}
-	ix.indexGraph(shard, g)
-	for key, byGraph := range shard.features {
-		p := ix.features[key]
-		if p == nil {
-			p = &posting{}
-			ix.features[key] = p
-		}
-		for gid, loc := range byGraph {
-			insertPosting(p, gid, *loc)
+	var pk packing
+	pk.reset(g.Labels(), ix.opts.MaxPathLen)
+	rc := recorder{pk: &pk}
+	rc.record(g)
+	keys, posts := pk.postings(pk.sortRecords([][]uint64{rc.recs}))
+	for i, key := range keys {
+		if p := ix.features[key]; p != nil {
+			insertPosting(p, id, posts[i].locs[0])
+		} else {
+			ix.features[key] = &posts[i]
 		}
 	}
+	comp := make([]int32, g.NumVertices())
+	ix.compCount[id] = componentTable(g, comp)
+	ix.comps[id] = comp
 	return nil
 }
 

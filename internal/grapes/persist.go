@@ -3,7 +3,8 @@ package grapes
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -48,44 +49,66 @@ var (
 // StorageMode implements core.StorageSelector.
 func (ix *Index) StorageMode() string { return core.StorageMode(ix.opts.Storage) }
 
-// SaveIndex implements core.Persistable.
+// SaveIndex implements core.Persistable. A counting pass sizes every
+// section before a filling pass writes it, so no section grows. A mapped
+// index is written from its mapped sections once their checksums hold, and
+// stays mapped: the caller may hold only a read lock, under which queries
+// still read the mapping.
 func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("grapes: save before Build")
 	}
-	if err := ix.materializeAll(); err != nil {
-		return err
+	if lz := ix.lazy; lz != nil {
+		w.AddSection(secMeta, ix.meta(lz.nGraphs, lz.nFeat))
+		for _, id := range payloadSections {
+			b, err := lz.r.Section(id) // checks the CRC
+			if err != nil {
+				return fmt.Errorf("grapes: save: %w", err)
+			}
+			w.AddSection(id, b)
+		}
+		return nil
 	}
-	keys := make([]string, 0, len(ix.features))
-	for k := range ix.features {
-		keys = append(keys, string(k))
-	}
-	sort.Strings(keys)
 
-	var keyDir, keyBlob, post []byte
+	keys := slices.Sorted(maps.Keys(ix.features))
+	keyLen, postLen := 0, 0
 	for _, k := range keys {
-		p := ix.features[canon.Key(k)]
-		rec := binary.LittleEndian.AppendUint32(nil, 0)
-		enc := diskfmt.EncodeIDs(p.ids)
-		binary.LittleEndian.PutUint32(rec, uint32(len(enc)))
-		rec = append(rec, enc...)
+		p := ix.features[k]
+		keyLen += len(k)
+		postLen += 4 + diskfmt.EncodedIDsLen(p.ids) + 8*len(p.ids)
+		for _, loc := range p.locs {
+			postLen += 4 * len(loc.starts)
+		}
+	}
+	keyDir := make([]byte, 0, len(keys)*keyDirEntrySize)
+	keyBlob := make([]byte, 0, keyLen)
+	post := make([]byte, 0, postLen)
+	for _, k := range keys {
+		p := ix.features[k]
+		off := len(post)
+		post = diskfmt.AppendIDs(append(post, 0, 0, 0, 0), p.ids)
+		binary.LittleEndian.PutUint32(post[off:], uint32(len(post)-off-4))
 		for i := range p.ids {
-			rec = binary.LittleEndian.AppendUint32(rec, uint32(p.locs[i].count))
-			rec = binary.LittleEndian.AppendUint32(rec, uint32(len(p.locs[i].starts)))
+			post = binary.LittleEndian.AppendUint32(post, uint32(p.locs[i].count))
+			post = binary.LittleEndian.AppendUint32(post, uint32(len(p.locs[i].starts)))
 			for _, s := range p.locs[i].starts {
-				rec = binary.LittleEndian.AppendUint32(rec, uint32(s))
+				post = binary.LittleEndian.AppendUint32(post, uint32(s))
 			}
 		}
 		keyDir = binary.LittleEndian.AppendUint32(keyDir, uint32(len(keyBlob)))
 		keyDir = binary.LittleEndian.AppendUint32(keyDir, uint32(len(k)))
 		keyDir = binary.LittleEndian.AppendUint32(keyDir, uint32(len(p.ids)))
-		keyDir = binary.LittleEndian.AppendUint32(keyDir, uint32(len(post)))
-		keyDir = binary.LittleEndian.AppendUint32(keyDir, uint32(len(rec)))
+		keyDir = binary.LittleEndian.AppendUint32(keyDir, uint32(off))
+		keyDir = binary.LittleEndian.AppendUint32(keyDir, uint32(len(post)-off))
 		keyBlob = append(keyBlob, k...)
-		post = append(post, rec...)
 	}
 
-	var compDir, compBlob []byte
+	nVerts := 0
+	for _, comp := range ix.comps {
+		nVerts += len(comp)
+	}
+	compDir := make([]byte, 0, len(ix.comps)*compDirEntrySize)
+	compBlob := make([]byte, 0, 4*nVerts)
 	for i, comp := range ix.comps {
 		compDir = binary.LittleEndian.AppendUint32(compDir, uint32(len(compBlob)))
 		compDir = binary.LittleEndian.AppendUint32(compDir, uint32(len(comp)))
@@ -95,18 +118,24 @@ func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 		}
 	}
 
-	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxPathLen))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.opts.Workers))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(ix.comps)))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(keys)))
-
-	w.AddSection(secMeta, meta)
+	w.AddSection(secMeta, ix.meta(len(ix.comps), len(keys)))
 	w.AddSection(secKeyDir, keyDir)
 	w.AddSection(secKeyBlob, keyBlob)
 	w.AddSection(secPostings, post)
 	w.AddSection(secCompDir, compDir)
 	w.AddSection(secCompBlob, compBlob)
 	return nil
+}
+
+// payloadSections are the sections after secMeta, in file order.
+var payloadSections = []uint32{secKeyDir, secKeyBlob, secPostings, secCompDir, secCompBlob}
+
+// meta encodes the meta section.
+func (ix *Index) meta(numGraphs, numFeatures int) []byte {
+	meta := binary.LittleEndian.AppendUint32(make([]byte, 0, 16), uint32(ix.opts.MaxPathLen))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.opts.Workers))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(numGraphs))
+	return binary.LittleEndian.AppendUint32(meta, uint32(numFeatures))
 }
 
 // LoadIndex implements core.Persistable. Under storage=heap every section
@@ -149,7 +178,7 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 
 	// Heap mode reads everything anyway, so verify every payload CRC up
 	// front — a bit-flipped file fails here and triggers a rebuild.
-	if err := r.VerifySections(secKeyDir, secKeyBlob, secPostings, secCompDir, secCompBlob); err != nil {
+	if err := r.VerifySections(payloadSections...); err != nil {
 		return fmt.Errorf("grapes: load: %w", err)
 	}
 	features, comps, compCount, err := lz.decodeAll()
@@ -192,9 +221,11 @@ func (ix *Index) Close() error {
 }
 
 // materializeAll converts a lazily-opened index into the fully resident
-// form and releases the mapping. Mutations and saves call it: incremental
+// form and releases the mapping. Only mutations call it: incremental
 // maintenance splices heap structures in place, which mapped sections
-// cannot support. It never runs concurrently with queries.
+// cannot support. The engine mutates under its write lock, so no query or
+// warm-up still reads the mapping released here; a save leaves the index
+// mapped.
 func (ix *Index) materializeAll() error {
 	lz := ix.lazy
 	if lz == nil {
