@@ -36,8 +36,8 @@
 //
 // With -add and/or -remove, gquery mutates the dataset before querying:
 // -remove tombstones graphs by id, -add appends every graph of a GFD file
-// (removals apply first). Locally the engine maintains its index online —
-// incrementally for methods that support it; against -remote the same
+// (removals apply first). Locally every method folds the mutations into
+// its index online; against -remote the same
 // mutations go through the server's POST /graphs and DELETE /graphs/{id}
 // endpoints. -queries may be omitted when only mutating:
 //

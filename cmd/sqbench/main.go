@@ -25,7 +25,7 @@
 // result-cache sweep over repeated isomorphic traffic, "router" compares
 // adaptive routing (static, learned, race) against every fixed method and
 // the per-query best-fixed-method oracle on a mixed-shape workload, and
-// "update" measures online index maintenance (incremental add/remove)
+// "update" measures online index maintenance (one graph folded in or out)
 // against a full rebuild per mutation under interleaved query/update
 // traffic (all also included in "ablation").
 // Scales: bench (seconds), default (minutes), paper (the full grid — days).
@@ -298,7 +298,7 @@ func run(expName, scaleName, methodsFlag, outPath, csvPath, jsonPath, comparePat
 			}
 		}
 		// The online-mutation comparison runs under both -exp ablation and
-		// -exp update: incremental index maintenance vs full rebuild under
+		// -exp update: online index maintenance vs full rebuild under
 		// interleaved query/update traffic.
 		if want("ablation") || want("update") {
 			results, err := bench.RunUpdateAblation(ctx, scale, log)

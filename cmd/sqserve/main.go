@@ -60,8 +60,8 @@
 // JSON line carrying the query's span tree, plan, and pipeline counters —
 // enough to diagnose it after the fact without re-running it.
 //
-// The dataset is live: mutations maintain every index online
-// (incrementally for methods that support it), bump the dataset epoch,
+// The dataset is live: every method folds mutations into its index
+// online, mutations bump the dataset epoch,
 // and invalidate cached results from earlier epochs lazily — a stale
 // answer is never replayed.
 //

@@ -8,35 +8,33 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
 // updateAblationSpecs are the methods the update ablation mutates under
-// interleaved query/update traffic: the three incremental indexers plus
-// CT-Index as the rebuild-fallback representative, so the report shows
-// both maintenance regimes side by side.
-var updateAblationSpecs = []string{"grapes", "ggsx", "gcode", "ctindex"}
+// interleaved query/update traffic: the six indexed methods, the two
+// mining ones with the capped budgets the mutation tests use, since a
+// rebuild per mutation re-mines.
+var updateAblationSpecs = []string{
+	"grapes", "ggsx", "gcode", "ctindex",
+	"gindex:maxPatterns=20000,supportRatio=0.2,maxFeatureSize=5",
+	"treedelta:maxPatterns=20000,maxFeatureSize=5,querySupportToAdd=0.5",
+}
 
 // UpdateResult is one (method, maintenance strategy) cell of the update
 // ablation.
 type UpdateResult struct {
-	// Variant labels the row: "online:<method>" (the engine's Mutable path
-	// — incremental when the method supports it, engine-side rebuild
-	// otherwise) or "rebuild:<method>" (full from-scratch reopen per
-	// mutation, the offline baseline).
-	Variant string `json:"variant"`
-	Spec    string `json:"spec"`
-	// Incremental reports whether the method implements
-	// core.IncrementalIndexer, i.e. whether the online path folds single
-	// graphs into the index instead of rebuilding it.
-	Incremental bool   `json:"incremental"`
-	DNF         bool   `json:"dnf,omitempty"`
-	Reason      string `json:"reason,omitempty"`
-	Mutations   int    `json:"mutations,omitempty"`
-	Queries     int    `json:"queries,omitempty"`
+	// Variant labels the row: "online:<method>" (the engine's Mutable path,
+	// which folds each mutation into the live index) or "rebuild:<method>"
+	// (full from-scratch reopen per mutation, the offline baseline).
+	Variant   string `json:"variant"`
+	Spec      string `json:"spec"`
+	DNF       bool   `json:"dnf,omitempty"`
+	Reason    string `json:"reason,omitempty"`
+	Mutations int    `json:"mutations,omitempty"`
+	Queries   int    `json:"queries,omitempty"`
 	// MaintainSeconds is the total wall-clock spent keeping the index
 	// consistent across the mutation stream; QuerySeconds the engine time
 	// of the interleaved queries.
@@ -91,8 +89,7 @@ func updateOps(ds *graph.Dataset, s Scale, count int) []updateOp {
 // mutations) runs twice —
 //
 //   - online: one engine stays open and applies every mutation through the
-//     Mutable capability (incremental index maintenance for methods that
-//     support it);
+//     Mutable capability, which folds it into the live index;
 //   - rebuild: the dataset is mutated directly and a fresh engine is
 //     opened — a full index build — after every mutation, the only option
 //     before online mutation existed.
@@ -131,15 +128,10 @@ func RunUpdateAblation(ctx context.Context, s Scale, log io.Writer) ([]UpdateRes
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
-		m, err := engine.New(spec)
-		if err != nil {
-			return out, fmt.Errorf("bench: update ablation: %w", err)
-		}
-		_, incremental := m.(core.IncrementalIndexer)
-
-		online := UpdateResult{Variant: "online:" + spec, Spec: spec, Incremental: incremental}
+		name, _, _ := strings.Cut(spec, ":")
+		online := UpdateResult{Variant: "online:" + name, Spec: spec}
 		runUpdateOnline(ctx, s, spec, mutations, perSlice, queries, &online)
-		rebuild := UpdateResult{Variant: "rebuild:" + spec, Spec: spec, Incremental: incremental}
+		rebuild := UpdateResult{Variant: "rebuild:" + name, Spec: spec}
 		runUpdateRebuild(ctx, s, spec, mutations, perSlice, queries, &rebuild)
 		if !online.DNF && !rebuild.DNF && online.MaintainSeconds > 0 {
 			online.SpeedupVsRebuild = rebuild.MaintainSeconds / online.MaintainSeconds
@@ -248,24 +240,18 @@ func updateDNFNote(r UpdateResult) string {
 // query cost alongside.
 func WriteUpdateReport(w io.Writer, results []UpdateResult) {
 	fmt.Fprintf(w, "\n# Ablation: online mutation vs full rebuild (interleaved query/update traffic)\n")
-	fmt.Fprintf(w, "%-18s %12s %10s %8s %14s %14s %9s\n",
-		"variant", "incremental", "mutations", "queries", "maintain(s)", "query(s)", "speedup")
+	fmt.Fprintf(w, "%-18s %10s %8s %14s %14s %9s\n",
+		"variant", "mutations", "queries", "maintain(s)", "query(s)", "speedup")
 	for _, r := range results {
 		if r.DNF {
-			fmt.Fprintf(w, "%-18s %12s  DNF: %s\n", r.Variant, "-", r.Reason)
+			fmt.Fprintf(w, "%-18s  DNF: %s\n", r.Variant, r.Reason)
 			continue
-		}
-		inc := "rebuild"
-		if r.Incremental && strings.HasPrefix(r.Variant, "online:") {
-			inc = "yes"
-		} else if strings.HasPrefix(r.Variant, "rebuild:") {
-			inc = "-"
 		}
 		speedup := "-"
 		if r.SpeedupVsRebuild > 0 {
 			speedup = fmt.Sprintf("%.2fx", r.SpeedupVsRebuild)
 		}
-		fmt.Fprintf(w, "%-18s %12s %10d %8d %14.4f %14.4f %9s\n",
-			r.Variant, inc, r.Mutations, r.Queries, r.MaintainSeconds, r.QuerySeconds, speedup)
+		fmt.Fprintf(w, "%-18s %10d %8d %14.4f %14.4f %9s\n",
+			r.Variant, r.Mutations, r.Queries, r.MaintainSeconds, r.QuerySeconds, speedup)
 	}
 }

@@ -10,8 +10,8 @@ import (
 // TestRunUpdateAblation smoke-runs the update ablation at tiny scale and
 // pins its structure: every method appears under both maintenance
 // strategies, nothing DNFs, mutation and query counts match across
-// strategies (the streams are identical), and the incremental methods'
-// online maintenance beats the full-rebuild baseline.
+// strategies (the streams are identical), and every method's online
+// maintenance beats the full-rebuild baseline.
 func TestRunUpdateAblation(t *testing.T) {
 	s := tinyScale()
 	var log bytes.Buffer
@@ -26,14 +26,17 @@ func TestRunUpdateAblation(t *testing.T) {
 		}
 		byVariant[r.Variant] = r
 	}
+	var names []string
 	for _, spec := range updateAblationSpecs {
-		online, ok := byVariant["online:"+spec]
+		name, _, _ := strings.Cut(spec, ":")
+		names = append(names, name)
+		online, ok := byVariant["online:"+name]
 		if !ok {
-			t.Fatalf("no online:%s row", spec)
+			t.Fatalf("no online:%s row", name)
 		}
-		rebuild, ok := byVariant["rebuild:"+spec]
+		rebuild, ok := byVariant["rebuild:"+name]
 		if !ok {
-			t.Fatalf("no rebuild:%s row", spec)
+			t.Fatalf("no rebuild:%s row", name)
 		}
 		if online.Mutations != rebuild.Mutations || online.Queries != rebuild.Queries {
 			t.Errorf("%s: strategies ran different streams: %+v vs %+v", spec, online, rebuild)
@@ -45,12 +48,9 @@ func TestRunUpdateAblation(t *testing.T) {
 			t.Errorf("%s: zero maintenance time", spec)
 		}
 	}
-	// The tentpole claim: incremental maintenance beats full rebuild.
-	for _, spec := range []string{"grapes", "ggsx", "gcode"} {
+	// The tentpole claim: online maintenance beats full rebuild.
+	for _, spec := range names {
 		online, rebuild := byVariant["online:"+spec], byVariant["rebuild:"+spec]
-		if !online.Incremental {
-			t.Errorf("%s should be incremental", spec)
-		}
 		if online.MaintainSeconds >= rebuild.MaintainSeconds {
 			t.Errorf("%s: online %.4fs not faster than rebuild %.4fs",
 				spec, online.MaintainSeconds, rebuild.MaintainSeconds)

@@ -48,6 +48,11 @@ type BuildStats struct {
 // safe for concurrent queries after Build unless documented otherwise
 // (Tree+Δ mutates its index during query processing and serializes
 // internally).
+//
+// Every method maintains its built index under dataset mutation: the two
+// maintenance calls run under the owning engine's write lock, never
+// concurrently with queries, so implementations need no synchronization
+// beyond what their query path already has.
 type Method interface {
 	// Name returns the method's display name as used in the paper's figures.
 	Name() string
@@ -61,6 +66,15 @@ type Method interface {
 	Candidates(q *graph.Graph) (graph.IDSet, error)
 	// SizeBytes estimates the in-memory size of the built index.
 	SizeBytes() int64
+	// AddGraphToIndex folds g — already added to the dataset the index
+	// serves, carrying its assigned ID — into the index. On error the index
+	// is unchanged.
+	AddGraphToIndex(g *graph.Graph) error
+	// RemoveGraphFromIndex drops graph id from the index. The query
+	// pipeline filters every candidate set against the dataset's
+	// tombstones, so a removal the index missed costs space and filtering
+	// power, never an answer.
+	RemoveGraphFromIndex(id graph.ID) error
 }
 
 // Verifier is implemented by methods that verify with their own variant of
@@ -177,27 +191,6 @@ func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (
 	return &genericPlan{cands: cands, chunks: chunks, ctx: ctx, ds: ds, prep: prep}, nil
 }
 
-// IncrementalIndexer is implemented by methods that can maintain a built
-// index under dataset mutation without a full rebuild: AddGraphToIndex
-// folds one graph's features in, RemoveGraphFromIndex drops one graph's
-// postings. Methods that do not implement it fall back to a rebuild of the
-// whole index when the engine applies a mutation; removal additionally
-// never *requires* index maintenance at all, because the query pipeline
-// filters every candidate set against the dataset's tombstones.
-//
-// Both calls run under the owning engine's write lock, never concurrently
-// with queries, so implementations need no internal synchronization beyond
-// what their query path already has.
-type IncrementalIndexer interface {
-	// AddGraphToIndex folds g — already added to the dataset the index was
-	// built over, carrying its assigned ID — into the index.
-	AddGraphToIndex(g *graph.Graph) error
-	// RemoveGraphFromIndex drops graph id's postings from the index. It is
-	// an optimization over tombstone filtering (smaller candidate sets,
-	// reclaimed memory), not a correctness requirement.
-	RemoveGraphFromIndex(id graph.ID) error
-}
-
 // Persistable is implemented by methods whose built index round-trips
 // through the repro-index container (package diskfmt), so an expensive
 // build can be paid once: SaveIndex lays the index out as checksummed
@@ -244,9 +237,9 @@ type StorageSelector interface {
 // don't route to a cold mmap-backed node. WarmIndex must be safe to run
 // concurrently with queries and must be a no-op for heap-resident
 // indexes. It never runs concurrently with a mutation: the engine holds its
-// read lock across WarmIndex, and every mutation (AddGraphToIndex,
-// RemoveGraphFromIndex, or a rebuild) runs under its write lock, so a
-// mutation may release or rewrite whatever WarmIndex reads.
+// read lock across WarmIndex, and every mutation (AddGraphToIndex or
+// RemoveGraphFromIndex) runs under its write lock, so a mutation may
+// release or rewrite whatever WarmIndex reads.
 type Warmable interface {
 	WarmIndex()
 }
@@ -332,11 +325,11 @@ func (p *Processor) QueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult,
 		return nil, fmt.Errorf("core: filtering with %s: %w", p.Method.Name(), err)
 	}
 	csp.End()
-	// Tombstoned graphs never surface: stale postings left behind by a
-	// remove-without-rebuild are dropped here, before verification. The
-	// one-shot path ranges over the producer's chunks and applies the same
-	// liveness step (liveStage.admit) the streamed path's Cursor applies
-	// lazily, so the two can never disagree on what reaches the verifier.
+	// Tombstoned graphs never surface: any posting a removal left behind is
+	// dropped here, before verification. The one-shot path ranges over the
+	// producer's chunks and applies the same liveness step
+	// (liveStage.admit) the streamed path's Cursor applies lazily, so the
+	// two can never disagree on what reaches the verifier.
 	_, fsp := obs.StartSpan(ctx, "tombstone-filter")
 	var stats PipelineStats
 	live := liveStage{ds: p.DS, stats: &stats}

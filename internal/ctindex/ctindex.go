@@ -89,6 +89,33 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	return nil
 }
 
+// AddGraphToIndex implements core.Method: g's fingerprint fills its slot,
+// and its labels join the frequencies the matcher orders by.
+func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	if n := int(g.ID()) + 1; n > len(ix.fps) {
+		ix.fps = append(ix.fps, make([]*bitset.Bitset, n-len(ix.fps))...)
+	}
+	ix.fps[g.ID()] = ix.fingerprint(g)
+	ix.labelFreq = subiso.LabelFreq(ix.labelFreq, g)
+	return nil
+}
+
+// RemoveGraphFromIndex implements core.Method: the slot drops its
+// fingerprint, as a tombstoned slot holds none. The label frequencies keep
+// the graph's labels: they order the matcher and never decide an answer.
+func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	if int(id) < len(ix.fps) {
+		ix.fps[id] = nil
+	}
+	return nil
+}
+
 // fingerprint enumerates the tree and cycle features of g and hashes their
 // canonical labels into a fresh fingerprint. The subtree canonization runs
 // on canon's allocation-free fast path: this loop visits millions of edge

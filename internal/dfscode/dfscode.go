@@ -163,6 +163,54 @@ func (c Code) Key() string {
 	return string(buf)
 }
 
+// entryLen is the byte length of one entry in a Key.
+const entryLen = 12
+
+// ParseKey is the inverse of Key. ok is false for bytes that are no
+// well-formed code's key: one that starts at (0,1), discovers each new
+// vertex by a forward entry from a vertex already discovered, closes
+// backward entries between discovered vertices, keeps each vertex's label
+// and repeats no edge. A well-formed code need not be minimal.
+func ParseKey(key string) (c Code, ok bool) {
+	if len(key) == 0 || len(key)%entryLen != 0 {
+		return nil, false
+	}
+	le := binary.LittleEndian
+	b := []byte(key)
+	labels := []graph.Label{}
+	edges := make(map[[2]int32]bool, len(b)/entryLen)
+	for off := 0; off < len(b); off += entryLen {
+		s := b[off:]
+		e := Entry{
+			I: int32(le.Uint16(s)), J: int32(le.Uint16(s[2:])),
+			LI: graph.Label(le.Uint32(s[4:])), LJ: graph.Label(le.Uint32(s[8:])),
+		}
+		if off == 0 {
+			if e.I != 0 || e.J != 1 {
+				return nil, false
+			}
+			labels = append(labels, e.LI)
+		}
+		n := int32(len(labels))
+		if e.I >= n || e.LI != labels[e.I] {
+			return nil, false
+		}
+		switch {
+		case e.J == n:
+			labels = append(labels, e.LJ)
+		case e.J >= e.I || e.LJ != labels[e.J]:
+			return nil, false
+		}
+		edge := [2]int32{min(e.I, e.J), max(e.I, e.J)}
+		if edges[edge] {
+			return nil, false
+		}
+		edges[edge] = true
+		c = append(c, e)
+	}
+	return c, true
+}
+
 // Clone returns a copy of the code.
 func (c Code) Clone() Code { return append(Code(nil), c...) }
 

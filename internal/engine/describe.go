@@ -10,24 +10,6 @@ import (
 	"repro/internal/core"
 )
 
-// maintenanceOf classifies a descriptor's mutation maintenance: methods
-// implementing core.IncrementalIndexer fold added/removed graphs into the
-// live index; composites route mutations to every sub-index; the rest
-// rebuild the affected structures.
-func maintenanceOf(d *Descriptor) string {
-	if d.OpenQuerier != nil {
-		return "routes to sub-indexes"
-	}
-	m, err := d.Factory(d.Params())
-	if err != nil {
-		return "rebuild"
-	}
-	if _, ok := m.(core.IncrementalIndexer); ok {
-		return "incremental"
-	}
-	return "rebuild"
-}
-
 // storageOf classifies how a descriptor's persisted index can be held
 // once restored. Every method persists the same container; methods
 // implementing core.StorageSelector also honor `storage=mmap`, the rest
@@ -67,13 +49,13 @@ func WriteMethodsMarkdown(w io.Writer) error {
 	bw.printf("overrides (`grapes:maxPathLen=3,workers=8`). Names and keys match\n")
 	bw.printf("case-insensitively, ignoring `+`, `-`, `_`, and spaces.\n\n")
 
-	bw.printf("Engines are mutable: `AddGraph`/`RemoveGraph` maintain a live index\n")
-	bw.printf("under dataset mutation. The **Updates** column shows each method's\n")
-	bw.printf("maintenance regime — *incremental* methods fold a single graph's\n")
-	bw.printf("features into (or out of) the built index; *rebuild* methods fall back\n")
-	bw.printf("to rebuilding the affected structures (one shard under a sharded\n")
-	bw.printf("engine). Removals are tombstone-based either way, so they are cheap\n")
-	bw.printf("for every method.\n\n")
+	bw.printf("Engines are mutable: `AddGraph`/`RemoveGraph` have every method fold\n")
+	bw.printf("the one graph into (or out of) its built index; no method rebuilds on\n")
+	bw.printf("a mutation. Removals are also tombstoned, so a removed graph never\n")
+	bw.printf("surfaces. The mined methods (gIndex, Tree+Δ) keep the features chosen\n")
+	bw.printf("at build and maintain only their postings: filtering power may drift\n")
+	bw.printf("as the dataset moves, answers cannot. Features are re-mined only when\n")
+	bw.printf("an open finds the index file stale and builds afresh.\n\n")
 
 	bw.printf("Every method serves the same lazy query pipeline: candidates are\n")
 	bw.printf("produced in chunks, filtered for liveness, and verified on demand, so\n")
@@ -91,10 +73,10 @@ func WriteMethodsMarkdown(w io.Writer) error {
 	bw.printf("regardless of index size. *heap* methods always decode eagerly. See\n")
 	bw.printf("ARCHITECTURE.md's Storage section for the format and tradeoffs.\n\n")
 
-	bw.printf("| Method | Spec name | Parameters | Updates | Storage | Summary |\n")
-	bw.printf("|---|---|---|---|---|---|\n")
+	bw.printf("| Method | Spec name | Parameters | Storage | Summary |\n")
+	bw.printf("|---|---|---|---|---|\n")
 	for _, d := range Descriptors() {
-		bw.printf("| %s | `%s` | %d | %s | %s | %s |\n", d.Display, d.Name, len(d.Fields), maintenanceOf(d), storageOf(d), d.Help)
+		bw.printf("| %s | `%s` | %d | %s | %s |\n", d.Display, d.Name, len(d.Fields), storageOf(d), d.Help)
 	}
 	bw.printf("\n")
 
@@ -111,7 +93,6 @@ func WriteMethodsMarkdown(w io.Writer) error {
 			quoted[i] = "`" + n + "`"
 		}
 		bw.printf("**Accepted names:** %s (case- and separator-insensitive).\n\n", strings.Join(quoted, ", "))
-		bw.printf("**Mutation maintenance:** %s.\n\n", maintenanceOf(d))
 		bw.printf("**Storage:** %s.\n\n", storageOf(d))
 		if len(d.Fields) == 0 {
 			bw.printf("No parameters.\n\n")

@@ -57,10 +57,9 @@ func WithVerifyWorkers(n int) Option { return func(c *config) { c.verifyWorkers 
 // Engine is a built (or restored) index over one dataset, serving subgraph
 // queries through the plan-based filter-and-verify pipeline. It is safe for
 // concurrent queries (Tree+Δ serializes its index mutations internally),
-// and implements Mutable: AddGraph/RemoveGraph mutate the dataset and
-// maintain the index — incrementally when the method implements
-// core.IncrementalIndexer, by rebuild otherwise — serialized against
-// in-flight queries by an internal reader/writer lock.
+// and implements Mutable: AddGraph/RemoveGraph mutate the dataset and have
+// the method fold the change into its index, serialized against in-flight
+// queries by an internal reader/writer lock.
 type Engine struct {
 	// mu serializes dataset/index mutations (write side) against queries
 	// (read side).
@@ -73,10 +72,9 @@ type Engine struct {
 	// stampSpec is the spec an index file is stamped with: the method name
 	// for a flat engine, the canonical spec for a shard (see OpenShard).
 	stampSpec string
-	// fresh constructs a pristine unbuilt instance for rebuild fallbacks;
-	// nil when the engine was opened with WithMethod, whose mutations then
-	// fail cleanly when they need a rebuild (the live index is never
-	// rebuilt in place — see rebuildLocked).
+	// fresh constructs a pristine unbuilt instance to build over when an
+	// open finds the index file stale or damaged mid-load; nil when the
+	// engine was opened with WithMethod, where such a file is an error.
 	fresh     func() (core.Method, error)
 	indexPath string
 	// jr is the journal of the index file at indexPath (see journal.go);
@@ -310,8 +308,7 @@ func writeIndexFile(path string, m core.Method, st stamp) error {
 	})
 }
 
-// Method returns the engine's built method. After a mutation that fell
-// back to a rebuild this is a different instance than before.
+// Method returns the engine's built method.
 func (e *Engine) Method() core.Method {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -330,8 +327,7 @@ func (e *Engine) BuildStats() core.BuildStats {
 }
 
 // Restored reports whether the engine's current index was loaded from a
-// persisted file, its journal replayed or not, rather than built; a
-// mutation that fell back to a rebuild resets it.
+// persisted file, its journal replayed or not, rather than built.
 func (e *Engine) Restored() bool {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

@@ -6,17 +6,16 @@ import (
 	"os"
 	"slices"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // A persisted index is a base file plus a journal. The base is the
 // container writeIndexFile writes, stamped with the dataset state it
 // indexes; the journal, at JournalPath(base), holds one fixed-size record
-// per mutation applied since. A durable mutation of an incremental method
-// appends its record — O(1) bytes — instead of rewriting the base, and an
-// open restores the base and replays the records through
-// core.IncrementalIndexer.
+// per mutation applied since. A durable mutation appends its record — O(1)
+// bytes — instead of rewriting the base, and an open restores the base and
+// replays the records through the method's AddGraphToIndex and
+// RemoveGraphFromIndex.
 //
 // Journal layout, little-endian:
 //
@@ -143,10 +142,9 @@ type journal struct {
 	keep    int64
 	records int // records since base
 	// due makes the mutation under way, or else the next one, end in a
-	// compaction, and stops appends until then: the method has no
-	// incremental maintenance, the journal outgrew its bound, an append
-	// failed, the dataset moved without a record, or no base file holds
-	// the index yet. A compaction that fails leaves it set.
+	// compaction, and stops appends until then: the journal outgrew its
+	// bound, an append failed, the dataset moved without a record, or no
+	// base file holds the index yet. A compaction that fails leaves it set.
 	due bool
 	buf [recordLen]byte
 }
@@ -215,8 +213,8 @@ func (j *journal) reset(base stamp, slots int) {
 //   - got is the dataset's own stamp: the file is the index, replay
 //     nothing, and the journal on disk — whatever it holds — is started
 //     afresh at the first append;
-//   - the method maintains its index incrementally, the journal binds to
-//     this very file, and one of its records carries the dataset's stamp:
+//   - the journal binds to this very file, and one of its records carries
+//     the dataset's stamp:
 //     load against the dataset as it stood at the file (Dataset.Prefix)
 //     and replay the records up to that one, which the journal keeps;
 //   - otherwise the file is stale.
@@ -225,7 +223,7 @@ func (e *Engine) accept(got stamp) (*graph.Dataset, *journalFile, error) {
 	if got == want {
 		return e.ds, &journalFile{base: got, slots: e.ds.Len()}, nil
 	}
-	if _, ok := e.method.(core.IncrementalIndexer); !ok || got.spec != want.spec {
+	if got.spec != want.spec {
 		return nil, nil, errStaleIndex
 	}
 	jf := readJournal(JournalPath(e.indexPath))
@@ -264,15 +262,14 @@ func (e *Engine) replay(jf *journalFile) error {
 	if len(jf.recs) == 0 {
 		return nil
 	}
-	inc := e.method.(core.IncrementalIndexer)
 	last := graph.ID(e.ds.Len() - 1)
 	for _, r := range jf.recs {
 		var err error
 		switch {
 		case r.kind == recAdd && (e.ds.Alive(r.id) || r.id == last):
-			err = inc.AddGraphToIndex(e.ds.Graphs[r.id])
+			err = e.method.AddGraphToIndex(e.ds.Graphs[r.id])
 		case r.kind == recRemove && (int(r.id) < jf.slots || r.id == last):
-			err = inc.RemoveGraphFromIndex(r.id)
+			err = e.method.RemoveGraphFromIndex(r.id)
 		}
 		if err != nil {
 			return err
@@ -283,17 +280,12 @@ func (e *Engine) replay(jf *journalFile) error {
 
 // journalLocked makes the mutation just applied durable by appending its
 // record, under the write lock, so records land in apply order. When the
-// journal cannot take it — the method rebuilds instead of maintaining
-// incrementally, so replaying would be a rebuild, or the journal is
-// already behind the dataset — it leaves the journal due and the
+// journal is already behind the dataset (due), it appends nothing, and the
 // compaction after the apply captures the index whole. A failed append
-// also leaves it due and is returned, for the caller to undo the apply.
+// leaves the journal due and is returned, for the caller to undo the
+// apply.
 func (e *Engine) journalLocked(kind byte, id graph.ID) error {
-	if e.indexPath == "" {
-		return nil
-	}
-	if _, ok := e.method.(core.IncrementalIndexer); !ok || e.jr.due {
-		e.jr.due = true
+	if e.indexPath == "" || e.jr.due {
 		return nil
 	}
 	if err := e.jr.append(kind, id, e.ds.Epoch(), e.ds.VersionTag()); err != nil {

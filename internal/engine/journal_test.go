@@ -196,8 +196,9 @@ func writeFiles(t testing.TB, dir string, files map[string][]byte) {
 }
 
 // TestJournalCrashConsistency is the crash slice of the persistence
-// contract. For GGSX and Grapes, heap and mmap, flat and 4-shard, a
-// mutation history is journaled; then one journal is cut at every byte
+// contract. For every indexed method — GGSX, Grapes and gCode heap and
+// mmap, CT-Index, gIndex and Tree+Δ heap — flat and 4-shard, a mutation
+// history is journaled; then one journal is cut at every byte
 // offset — the states a crash mid-append can leave — and, separately, each
 // byte of its last record is flipped. Every damaged copy is reopened over
 // the dataset at the longest prefix of the history its surviving records
@@ -207,15 +208,19 @@ func writeFiles(t testing.TB, dir string, files map[string][]byte) {
 // dataset's state (or the dataset is at the base state), rebuilding
 // otherwise; a damaged journal is never an error.
 func TestJournalCrashConsistency(t *testing.T) {
-	for _, method := range []string{"ggsx", "grapes"} {
+	var specs []string
+	for _, method := range []string{"ggsx", "grapes", "gcode"} {
 		for _, storage := range []string{"heap", "mmap"} {
-			for _, shards := range []int{0, 4} {
-				spec := fmt.Sprintf("%s:storage=%s", method, storage)
-				t.Run(fmt.Sprintf("%s/shards=%d", spec, shards), func(t *testing.T) {
-					t.Parallel()
-					testJournalCrash(t, spec, shards)
-				})
-			}
+			specs = append(specs, fmt.Sprintf("%s:storage=%s", method, storage))
+		}
+	}
+	specs = append(specs, "ctindex", gindexSpec, treedeltaSpec)
+	for _, spec := range specs {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", spec, shards), func(t *testing.T) {
+				t.Parallel()
+				testJournalCrash(t, spec, shards)
+			})
 		}
 	}
 }
@@ -493,7 +498,7 @@ func BenchmarkOpenWithJournal(b *testing.B) {
 // open rather than fail its load and rebuild. The history ends with an add
 // removed again, so the dataset's last slot is dead.
 func TestJournalReplayCoversEverySlot(t *testing.T) {
-	for _, spec := range []string{"ggsx:storage=heap", "grapes:storage=heap", "gcode:storage=mmap"} {
+	for _, spec := range []string{"ggsx:storage=heap", "grapes:storage=heap", "gcode:storage=mmap", "ctindex", gindexSpec, treedeltaSpec} {
 		t.Run(spec, func(t *testing.T) {
 			h := newJournalHistory(t, 30)
 			h.ops = []journalOp{{add: 0}, {add: 1}, {add: -1, remove: 31}, {add: -1, remove: 4}}
@@ -516,6 +521,56 @@ func TestJournalReplayCoversEverySlot(t *testing.T) {
 				t.Fatal("the compacted replay did not restore: its index misses a slot")
 			}
 			h.checkAnswers(t, "compacted", compacted, n)
+		})
+	}
+}
+
+// TestJournalReplayFeedsDeltaAdmission: Tree+Δ computes an admitted Δ
+// feature's posting over the graphs it indexes. An open that replays a
+// journal loads the base against the dataset as it stood at the base;
+// the graphs the journal then adds must still reach Δ admission, as must
+// those added after the open. Triangle queries, admitted on first sight,
+// must answer as brute force does, flat and 4-shard.
+func TestJournalReplayFeedsDeltaAdmission(t *testing.T) {
+	ctx := context.Background()
+	cfg := gen.SynthConfig{NumGraphs: 40, MeanNodes: 10, MeanDensity: 0.3, NumLabels: 3, Seed: 61}
+	pool := gen.Synthetic(gen.SynthConfig{NumGraphs: 9, MeanNodes: 10, MeanDensity: 0.4, NumLabels: 3, Seed: 65}).Graphs
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "idx")
+			live := openJournaled(t, treedeltaSpec, shards, gen.Synthetic(cfg), path)
+			ds := gen.Synthetic(cfg)
+			for _, g := range pool[:8] {
+				if _, err := live.AddGraph(ctx, g.ShallowWithID(0)); err != nil {
+					t.Fatal(err)
+				}
+				ds.Add(g.ShallowWithID(0))
+			}
+			e := openJournaled(t, treedeltaSpec, shards, ds, path)
+			if !e.Restored() {
+				t.Fatal("the open rebuilt instead of replaying the journal")
+			}
+			check := func(stage string) {
+				t.Helper()
+				for i, q := range triangles(3) {
+					want, err := core.BruteForceAnswers(ctx, ds, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := e.Query(ctx, q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Answers.Equal(want) {
+						t.Fatalf("%s: triangle %d answers %v, want %v", stage, i, got.Answers, want)
+					}
+				}
+			}
+			check("replayed")
+			if _, err := e.AddGraph(ctx, pool[8].ShallowWithID(0)); err != nil {
+				t.Fatal(err)
+			}
+			check("added after the open")
 		})
 	}
 }

@@ -5,17 +5,12 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/graph"
 )
 
 // ErrNoSuchGraph is returned by RemoveGraph when the id names no live
 // graph — out of range, or already removed.
 var ErrNoSuchGraph = errors.New("engine: no live graph with that id")
-
-// ErrNotMutable is returned by a Querier that cannot apply a mutation: a
-// composite whose sub-engine lacks index maintenance.
-var ErrNotMutable = errors.New("engine: engine does not support mutation")
 
 // ErrUnavailable marks a mutation that no replica could apply right now —
 // a cluster shard with no reachable owner. Nothing was applied, so the
@@ -26,16 +21,14 @@ var ErrUnavailable = errors.New("engine: no replica available")
 // grow and shrink without a full offline rebuild. Every Querier embeds it.
 //
 // AddGraph appends a graph under a fresh dataset ID and folds it into the
-// index — incrementally when the method implements core.IncrementalIndexer,
-// by rebuilding the affected structures otherwise (a sharded engine
-// rebuilds only the owning shard). RemoveGraph tombstones the graph: the
-// dataset slot is retained, the query pipeline filters the id out of every
-// candidate set, and incremental indexers additionally drop its postings.
-// Epoch returns the dataset's monotonically increasing version, bumped by
-// every mutation — the stamp the serving layer's result cache and the
-// persisted index files validate against. Counts returns the live and
-// removed graph counts; like Epoch it never waits on a running mutation,
-// so /stats stays responsive during a slow rebuild.
+// index (a sharded engine's owning shard); no method rebuilds on a
+// mutation. RemoveGraph tombstones the graph: the dataset slot is
+// retained, the query pipeline filters the id out of every candidate set,
+// and the index drops it. Epoch returns the dataset's monotonically
+// increasing version, bumped by every mutation — the stamp the serving
+// layer's result cache and the persisted index files validate against.
+// Counts returns the live and removed graph counts; like Epoch it never
+// waits on a running mutation, so /stats stays responsive during one.
 //
 // Mutations are serialized against in-flight queries; answers observed
 // after a mutation returns reflect it exactly (no eventual consistency
@@ -71,11 +64,11 @@ func (e *Engine) Counts() (live, removed int) { return e.ds.Counts() }
 // errEmptyAdd refuses a graph with no vertices.
 var errEmptyAdd = errors.New("engine: cannot add an empty graph")
 
-// AddGraph implements Mutable: g joins the dataset under a fresh ID and the
-// index is maintained — incrementally for core.IncrementalIndexer methods,
-// by rebuild otherwise — and, with an index path, journaled. If
-// maintenance or the journal append fails, the add is undone before the
-// call returns, so an error never leaves a half-applied add live.
+// AddGraph implements Mutable: g joins the dataset under a fresh ID, the
+// method folds it into the index and, with an index path, the add is
+// journaled. If maintenance or the journal append fails, the add is undone
+// before the call returns, so an error never leaves a half-applied add
+// live.
 func (e *Engine) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) {
 	if g == nil || g.NumVertices() == 0 {
 		return 0, errEmptyAdd
@@ -89,10 +82,9 @@ func (e *Engine) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error)
 }
 
 // RemoveGraph implements Mutable: the graph is tombstoned (its ID is never
-// reused) and, for incremental indexers, its postings dropped from the
-// index. Removal is correct even without index maintenance — the pipeline
-// filters candidates against the tombstones — so a failed maintenance step
-// falls back to a rebuild only to reclaim index space.
+// reused) and dropped from the index. Removal is correct even without
+// index maintenance — the pipeline filters candidates against the
+// tombstones — so a failed maintenance step costs index space only.
 func (e *Engine) RemoveGraph(ctx context.Context, id graph.ID) error {
 	if err := e.applyRemove(ctx, id); err != nil {
 		return err
@@ -106,7 +98,7 @@ func (e *Engine) RemoveGraph(ctx context.Context, id graph.ID) error {
 // longer holds g; the composite tombstones it.
 func (e *Engine) ApplyAdd(ctx context.Context, g *graph.Graph) error {
 	e.mu.Lock()
-	err := e.indexAddLocked(ctx, g)
+	err := e.indexAddLocked(g)
 	e.mu.Unlock()
 	if err != nil {
 		return err
@@ -119,7 +111,7 @@ func (e *Engine) ApplyAdd(ctx context.Context, g *graph.Graph) error {
 // graph the dataset has already tombstoned.
 func (e *Engine) ApplyRemove(ctx context.Context, id graph.ID) error {
 	e.mu.Lock()
-	err := e.indexRemoveLocked(ctx, id)
+	err := e.indexRemoveLocked(id)
 	e.mu.Unlock()
 	if err != nil {
 		return err
@@ -141,7 +133,7 @@ func (e *Engine) applyAdd(ctx context.Context, g *graph.Graph) (graph.ID, error)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	id := e.ds.Add(g)
-	if err := e.indexAddLocked(ctx, g); err != nil {
+	if err := e.indexAddLocked(g); err != nil {
 		e.ds.Remove(id)
 		return id, err
 	}
@@ -155,20 +147,22 @@ func (e *Engine) applyRemove(ctx context.Context, id graph.ID) error {
 	if !e.ds.Remove(id) {
 		return fmt.Errorf("engine: removing graph %d: %w", id, ErrNoSuchGraph)
 	}
-	return e.indexRemoveLocked(ctx, id)
+	return e.indexRemoveLocked(id)
 }
 
 // indexAddLocked folds g, already in the dataset, into the index and
-// journals it. A failed append drops g from the index again. Either failure
-// leaves the journal due: the caller tombstones g, and the dataset then
-// moved with no record, so the next mutation compacts.
-func (e *Engine) indexAddLocked(ctx context.Context, g *graph.Graph) error {
-	if err := e.maintainAddLocked(ctx, g); err != nil {
+// journals it. A failed fold leaves the index unchanged (the
+// core.Method contract); a failed append drops g from the index again.
+// Either failure leaves the journal due: the caller tombstones g, and the
+// dataset then moved with no record, so the next mutation compacts.
+func (e *Engine) indexAddLocked(g *graph.Graph) error {
+	if err := e.method.AddGraphToIndex(g); err != nil {
 		e.jr.due = true
 		return err
 	}
+	e.build.SizeBytes = e.method.SizeBytes()
 	if err := e.journalLocked(recAdd, g.ID()); err != nil {
-		_ = e.method.(core.IncrementalIndexer).RemoveGraphFromIndex(g.ID())
+		_ = e.method.RemoveGraphFromIndex(g.ID())
 		return fmt.Errorf("engine: journaling the add of graph %d: %w", g.ID(), err)
 	}
 	return nil
@@ -178,65 +172,14 @@ func (e *Engine) indexAddLocked(ctx context.Context, g *graph.Graph) error {
 // journals the removal. On failure the tombstone stays committed — the
 // removal is already query-correct, and un-removing would be worse than a
 // stale file — and the next mutation compacts.
-func (e *Engine) indexRemoveLocked(ctx context.Context, id graph.ID) error {
-	if err := e.maintainRemoveLocked(ctx, id); err != nil {
+func (e *Engine) indexRemoveLocked(id graph.ID) error {
+	if err := e.method.RemoveGraphFromIndex(id); err != nil {
 		e.jr.due = true
 		return err
 	}
+	e.build.SizeBytes = e.method.SizeBytes()
 	if err := e.journalLocked(recRemove, id); err != nil {
 		return fmt.Errorf("engine: journaling the removal of graph %d: %w", id, err)
 	}
-	return nil
-}
-
-func (e *Engine) maintainAddLocked(ctx context.Context, g *graph.Graph) error {
-	if inc, ok := e.method.(core.IncrementalIndexer); ok {
-		if err := inc.AddGraphToIndex(g); err == nil {
-			e.build.SizeBytes = e.method.SizeBytes()
-			return nil
-		}
-		// An incremental failure falls through to the rebuild: the index
-		// may be half-mutated and cannot be trusted.
-	}
-	return e.rebuildLocked(ctx)
-}
-
-func (e *Engine) maintainRemoveLocked(ctx context.Context, id graph.ID) error {
-	if inc, ok := e.method.(core.IncrementalIndexer); ok {
-		if err := inc.RemoveGraphFromIndex(id); err != nil {
-			return e.rebuildLocked(ctx)
-		}
-	}
-	// Non-incremental methods need no index work: the tombstone filter
-	// already guarantees the removed graph never surfaces.
-	e.build.SizeBytes = e.method.SizeBytes()
-	return nil
-}
-
-// rebuildLocked rebuilds the whole index over the current dataset — the
-// fallback for methods without incremental maintenance. The rebuild always
-// happens on a pristine instance, installed only after its Build succeeds:
-// rebuilding the held instance in place would wipe the live index first,
-// and a mid-rebuild failure (context cancellation) would then leave a
-// silently empty index serving empty answers. Engines opened with
-// WithMethod have no way to construct a pristine instance, so their
-// rebuild path errors out with the live index untouched; the caller rolls
-// the dataset mutation back.
-func (e *Engine) rebuildLocked(ctx context.Context) error {
-	if e.fresh == nil {
-		return fmt.Errorf("engine: %s needs a rebuild to apply this mutation, but the engine was opened with WithMethod and cannot construct a pristine instance; open by spec, or use a method with incremental maintenance", e.method.Name())
-	}
-	m, err := e.fresh()
-	if err != nil {
-		return err
-	}
-	st, err := core.BuildTimed(ctx, m, e.ds)
-	if err != nil {
-		return fmt.Errorf("engine: rebuilding %s after mutation: %w", e.method.Name(), err)
-	}
-	e.method = m
-	e.build = st
-	e.restored = false
-	e.proc = &core.Processor{Method: m, DS: e.ds, VerifyWorkers: e.verifyWorkers}
 	return nil
 }

@@ -7,8 +7,6 @@ import (
 	"repro/internal/graph"
 )
 
-var _ core.IncrementalIndexer = (*Index)(nil)
-
 // codeLess is the index's sort order: (labelBits, id).
 func codeLess(a, b *graphCode) bool {
 	if a.labelBits != b.labelBits {
@@ -17,7 +15,7 @@ func codeLess(a, b *graphCode) bool {
 	return a.id < b.id
 }
 
-// AddGraphToIndex implements core.IncrementalIndexer: the graph is encoded
+// AddGraphToIndex implements core.Method: the graph is encoded
 // exactly as during Build and its code spliced into the sorted structure.
 func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	if !ix.built {
@@ -36,7 +34,7 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	return nil
 }
 
-// RemoveGraphFromIndex implements core.IncrementalIndexer: graph id's code
+// RemoveGraphFromIndex implements core.Method: graph id's code
 // is cut out of the structure. The scan is linear in the number of graphs
 // — the sort key leads with labelBits, not id — but touches only the
 // fixed-size codes, not the graphs.

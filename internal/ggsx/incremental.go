@@ -5,9 +5,7 @@ import (
 	"repro/internal/graph"
 )
 
-var _ core.IncrementalIndexer = (*Index)(nil)
-
-// AddGraphToIndex implements core.IncrementalIndexer: the graph's label
+// AddGraphToIndex implements core.Method: the graph's label
 // paths are enumerated with the same DFS as Build and folded into the
 // finalized trie. Dataset IDs are append-only, so the sorted-postings
 // insert at each node is an append in practice. A node created here starts
@@ -29,7 +27,7 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	return nil
 }
 
-// RemoveGraphFromIndex implements core.IncrementalIndexer: graph id's
+// RemoveGraphFromIndex implements core.Method: graph id's
 // postings are cut from every trie node, and subtrees left without any
 // postings are pruned. One trie walk is O(index), far below a rebuild's
 // path re-enumeration over every graph.

@@ -71,7 +71,8 @@ func (o *Options) fill() {
 type Index struct {
 	opts     Options
 	nGraphs  int
-	postings map[canon.Key]graph.IDSet
+	postings canon.Postings
+	match    canon.Matcher
 	built    bool
 }
 
@@ -92,7 +93,7 @@ func (ix *Index) Name() string { return "gIndex" }
 // the candidate estimate). Size-1 features are always selected.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	ix.nGraphs = ds.Len()
-	ix.postings = make(map[canon.Key]graph.IDSet)
+	ix.postings = make(canon.Postings)
 
 	universe := graph.UniverseIDSet(ds.Len())
 	chain := map[*mining.Pattern]graph.IDSet{}
@@ -131,6 +132,30 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		return err
 	}
 	ix.built = true
+	return nil
+}
+
+// AddGraphToIndex implements core.Method: g joins the posting of every
+// indexed feature it contains. The features stay those mined at build, so
+// filtering power may drift from what a fresh mining would choose, but a
+// posting never misses a graph and answers stay exact.
+func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	if err := ix.match.Add(g, ix.postings); err != nil {
+		return err
+	}
+	ix.nGraphs = max(ix.nGraphs, int(g.ID())+1)
+	return nil
+}
+
+// RemoveGraphFromIndex implements core.Method: id leaves every posting.
+func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	canon.Remove(id, ix.postings)
 	return nil
 }
 

@@ -7,9 +7,7 @@ import (
 	"repro/internal/graph"
 )
 
-var _ core.IncrementalIndexer = (*Index)(nil)
-
-// AddGraphToIndex implements core.IncrementalIndexer: the graph's path
+// AddGraphToIndex implements core.Method: the graph's path
 // visits are recorded and sorted as Build does, with ranks over the
 // graph's own labels, and each of its postings is spliced into the
 // existing one. Dataset IDs are append-only, so a freshly added graph's id
@@ -49,7 +47,7 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	return nil
 }
 
-// RemoveGraphFromIndex implements core.IncrementalIndexer: graph id's
+// RemoveGraphFromIndex implements core.Method: graph id's
 // entries are cut from every posting (features left with no graphs are
 // dropped) and its component table released. A full posting sweep is
 // O(index), far below a rebuild's feature re-enumeration over every graph.

@@ -90,6 +90,7 @@ type Multi struct {
 	names    []string // canonical registry names
 	displays []string // figure-legend names, parallel to names
 	subs     []engine.Querier
+	maints   []engine.IndexMaintainer // subs' index maintenance, parallel to subs
 	ext      *Extractor
 	pol      policy
 	mdl      *model
@@ -153,6 +154,12 @@ func New(ds *graph.Dataset, subs []Sub, opts Options) (*Multi, error) {
 		if sub.Engine == nil {
 			return nil, fmt.Errorf("router: method %q has no engine", d.Name)
 		}
+		// A mutation adds to the shared dataset once, then has every sub
+		// fold the graph into its own index.
+		mt, ok := sub.Engine.(engine.IndexMaintainer)
+		if !ok {
+			return nil, fmt.Errorf("router: method %q: engine %T cannot maintain its index over a shared dataset", d.Name, sub.Engine)
+		}
 		// Stats attribution uses the spelling the engine's results carry,
 		// so it matches response attribution exactly.
 		display := engine.MethodName(sub.Engine)
@@ -162,6 +169,7 @@ func New(ds *graph.Dataset, subs []Sub, opts Options) (*Multi, error) {
 		m.names = append(m.names, d.Name)
 		m.displays = append(m.displays, display)
 		m.subs = append(m.subs, sub.Engine)
+		m.maints = append(m.maints, mt)
 	}
 	return m, nil
 }

@@ -17,9 +17,9 @@ func (m *Multi) Epoch() uint64 { return m.ds.Epoch() }
 func (m *Multi) Counts() (live, removed int) { return m.ds.Counts() }
 
 // AddGraph implements engine.Mutable for the router: g joins the shared
-// dataset once, then every sub-engine folds it into its own index (each
-// through its incremental or rebuild path). The label-frequency extractor
-// is refreshed so routing features track the mutated label distribution.
+// dataset once, then every sub-engine folds it into its own index. The
+// label-frequency extractor is refreshed so routing features track the
+// mutated label distribution.
 // If any sub-index fails its maintenance, the added graph is tombstoned
 // again: a dataset the sub-indexes disagree on could otherwise answer
 // differently depending on where a query routes.
@@ -29,12 +29,8 @@ func (m *Multi) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) 
 	}
 	m.mutMu.Lock()
 	defer m.mutMu.Unlock()
-	maints, err := m.maintainers()
-	if err != nil {
-		return 0, err
-	}
 	id := m.ds.Add(g)
-	for i, mt := range maints {
+	for i, mt := range m.maints {
 		if err := mt.ApplyAdd(ctx, g); err != nil {
 			m.ds.Remove(id)
 			// Roll the sub-indexes back too: a sharded sub that already
@@ -44,7 +40,7 @@ func (m *Multi) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) 
 			// tombstones the shard copy / drops postings; best-effort,
 			// since the parent tombstone already covers flat engines.
 			for j := 0; j <= i; j++ {
-				_ = maints[j].ApplyRemove(ctx, id)
+				_ = m.maints[j].ApplyRemove(ctx, id)
 			}
 			return 0, fmt.Errorf("router: adding graph to %s: %w", m.names[i], err)
 		}
@@ -55,22 +51,18 @@ func (m *Multi) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) 
 }
 
 // RemoveGraph implements engine.Mutable for the router: the shared dataset
-// tombstones the graph once, then every sub-engine drops (or
-// tombstone-filters) it from its own index.
+// tombstones the graph once, then every sub-engine drops it from its own
+// index.
 func (m *Multi) RemoveGraph(ctx context.Context, id graph.ID) error {
 	m.mutMu.Lock()
 	defer m.mutMu.Unlock()
-	maints, err := m.maintainers()
-	if err != nil {
-		return err
-	}
 	if !m.ds.Remove(id) {
 		return fmt.Errorf("router: removing graph %d: %w", id, engine.ErrNoSuchGraph)
 	}
 	// The tombstoned slot retains the graph, so its labels can be
 	// subtracted from the routing statistics without a dataset rescan.
 	m.ext.observeRemove(m.ds.Graphs[id])
-	for i, mt := range maints {
+	for i, mt := range m.maints {
 		if err := mt.ApplyRemove(ctx, id); err != nil {
 			// The tombstone already guarantees the graph never surfaces
 			// from any sub-index; the failed maintenance only cost this
@@ -80,21 +72,6 @@ func (m *Multi) RemoveGraph(ctx context.Context, id graph.ID) error {
 	}
 	m.writeManifestLocked()
 	return nil
-}
-
-// maintainers asserts every sub-engine supports index maintenance before
-// the dataset is touched, so an unsupported configuration fails cleanly
-// instead of half-applying.
-func (m *Multi) maintainers() ([]engine.IndexMaintainer, error) {
-	out := make([]engine.IndexMaintainer, len(m.subs))
-	for i, sub := range m.subs {
-		mt, ok := sub.(engine.IndexMaintainer)
-		if !ok {
-			return nil, fmt.Errorf("router: sub-engine %s: %w", m.names[i], engine.ErrNotMutable)
-		}
-		out[i] = mt
-	}
-	return out, nil
 }
 
 // writeManifestLocked refreshes the persisted manifest, whose graph

@@ -313,6 +313,10 @@ func TestRouterOpenPersistenceLifecycle(t *testing.T) {
 	}
 }
 
+// queryOnly hides every method of an engine but the Querier contract's,
+// so it cannot maintain its index over a dataset the router mutates.
+type queryOnly struct{ engine.Querier }
+
 // TestRouterNewValidation pins New's configuration errors.
 func TestRouterNewValidation(t *testing.T) {
 	ds := tinyDataset(t)
@@ -327,6 +331,7 @@ func TestRouterNewValidation(t *testing.T) {
 		{"duplicate method", []router.Sub{subs[0], subs[0]}, router.Options{}},
 		{"nil engine", []router.Sub{subs[0], {Name: "gcode"}}, router.Options{}},
 		{"nested composite", []router.Sub{subs[0], {Name: "router", Engine: subs[1].Engine}}, router.Options{}},
+		{"no index maintenance", []router.Sub{subs[0], {Name: subs[1].Name, Engine: queryOnly{subs[1].Engine}}}, router.Options{}},
 		{"bad policy", subs, router.Options{Policy: "bogus"}},
 		{"bad epsilon", subs, router.Options{Policy: router.PolicyLearned, Epsilon: 2}},
 	}

@@ -46,6 +46,25 @@ func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
 	return graph.UniverseIDSet(ix.n), nil
 }
 
+// AddGraphToIndex implements core.Method: the scan covers every slot up to
+// the added graph's.
+func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	ix.n = max(ix.n, int(g.ID())+1)
+	return nil
+}
+
+// RemoveGraphFromIndex implements core.Method: the tombstone filter drops
+// the slot, and the scan holds nothing else.
+func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	return nil
+}
+
 // SizeBytes implements core.Method: the baseline stores nothing.
 func (ix *Index) SizeBytes() int64 { return 0 }
 

@@ -46,13 +46,15 @@ func testQueries(t testing.TB, ds *graph.Dataset) []*graph.Graph {
 }
 
 // immutable is the Mutable half of the test Queriers: every mutation fails
-// with engine.ErrNotMutable, and the epoch and counts stay zero.
+// with errReadOnly, and the epoch and counts stay zero.
 type immutable struct{}
 
+var errReadOnly = errors.New("test querier holds no index to mutate")
+
 func (immutable) AddGraph(context.Context, *graph.Graph) (graph.ID, error) {
-	return 0, engine.ErrNotMutable
+	return 0, errReadOnly
 }
-func (immutable) RemoveGraph(context.Context, graph.ID) error { return engine.ErrNotMutable }
+func (immutable) RemoveGraph(context.Context, graph.ID) error { return errReadOnly }
 func (immutable) Epoch() uint64                               { return 0 }
 func (immutable) Counts() (live, removed int)                 { return 0, 0 }
 

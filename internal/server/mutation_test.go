@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"repro/internal/engine"
 	_ "repro/internal/engine/std"
-	"repro/internal/graph"
 )
 
 // TestCacheStalenessAcrossMutation is the cache-staleness regression: a
@@ -192,21 +190,5 @@ func TestMutationEndpoints(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad id delete status = %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestMutationNotImplemented: a serving layer over a non-mutable engine
-// rejects mutations with 501 instead of panicking or half-applying.
-func TestMutationNotImplemented(t *testing.T) {
-	ds := testDataset(t)
-	srv := New(&blockingQuerier{ds: ds}, Config{})
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	g := graph.New(0)
-	g.AddVertex(0)
-	resp := postJSON(t, ts.URL+"/graphs", GraphToJSON(g, &ds.Dict))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotImplemented {
-		t.Errorf("add on immutable engine status = %d, want 501", resp.StatusCode)
 	}
 }

@@ -561,14 +561,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, BatchResponse{Results: items})
 }
 
-// mutationStatusCode maps a mutation error to an HTTP status: an engine
-// that cannot apply mutations is 501, a remove of an unknown or
-// already-removed graph 404, a cluster shard without a reachable owner 503
-// (retryable: nothing was applied), context ends 504, anything else 500.
+// mutationStatusCode maps a mutation error to an HTTP status: a remove of
+// an unknown or already-removed graph is 404, a cluster shard without a
+// reachable owner 503 (retryable: nothing was applied), context ends 504,
+// anything else 500.
 func mutationStatusCode(err error) int {
 	switch {
-	case errors.Is(err, engine.ErrNotMutable):
-		return http.StatusNotImplemented
 	case errors.Is(err, engine.ErrNoSuchGraph):
 		return http.StatusNotFound
 	case errors.Is(err, engine.ErrUnavailable):
@@ -617,8 +615,8 @@ func (s *Server) writeMutation(w http.ResponseWriter, id graph.ID) {
 }
 
 // handleRemoveGraph serves DELETE /graphs/{id}: the graph is tombstoned —
-// it can never again appear in any candidate or answer set — and
-// incremental indexes drop its postings. The id is never reused.
+// it can never again appear in any candidate or answer set — and the
+// index drops it. The id is never reused.
 func (s *Server) handleRemoveGraph(w http.ResponseWriter, r *http.Request) {
 	s.cMutate.Inc()
 	idStr := r.PathValue("id")

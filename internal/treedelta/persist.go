@@ -38,7 +38,7 @@ func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	defer ix.mu.Unlock()
 	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxFeatureSize))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.opts.MaxCycleLen))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.ds.Len()))
+	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(ix.graphs)))
 	meta = binary.LittleEndian.AppendUint32(meta, 0)
 	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.opts.SupportRatio))
 	meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(ix.opts.DiscriminativeRatio))
@@ -71,7 +71,7 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	if err := diskfmt.CheckSizeParams(opts.MaxFeatureSize, opts.MaxCycleLen); err != nil {
 		return fmt.Errorf("treedelta: load: %w", err)
 	}
-	var tables [2]map[canon.Key]graph.IDSet
+	var tables [2]canon.Postings
 	for i, sec := range []uint32{secTrees, secDeltas} {
 		raw, err := r.Section(sec)
 		if err != nil {
@@ -85,7 +85,7 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	defer ix.mu.Unlock()
 	ix.opts = opts
 	ix.opts.fill()
-	ix.ds = ds
+	ix.graphs = liveGraphs(ds)
 	ix.trees, ix.deltas = tables[0], tables[1]
 	ix.seen = make(map[canon.Key]int)
 	ix.protos = make(map[canon.Key]*graph.Graph)

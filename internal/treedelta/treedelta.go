@@ -82,14 +82,19 @@ func (o *Options) fill() {
 // processing mutates the Δ part of the index and is serialized internally.
 type Index struct {
 	opts Options
-	ds   *graph.Dataset
+	// graphs holds the graph in each slot the index covers, nil for a
+	// tombstoned one. Build and LoadIndex take them from their dataset, and
+	// maintenance keeps them in step with the live one, so Δ admission
+	// always sweeps the live graphs — never a dataset view frozen at load.
+	graphs []*graph.Graph
 
-	trees map[canon.Key]graph.IDSet // frequent tree features
+	trees canon.Postings // frequent tree features
+	match canon.Matcher
 
 	mu      sync.Mutex
-	deltas  map[canon.Key]graph.IDSet // admitted Δ features (full postings)
-	seen    map[canon.Key]int         // Δ candidates: queries containing them
-	queries int                       // queries processed
+	deltas  canon.Postings    // admitted Δ features (full postings)
+	seen    map[canon.Key]int // Δ candidates: queries containing them
+	queries int               // queries processed
 	protos  map[canon.Key]*graph.Graph
 
 	built bool
@@ -108,9 +113,9 @@ func (ix *Index) Name() string { return "Tree+Delta" }
 // is indexed (Tree+Δ has no build-time discriminative pruning — the Δ
 // mechanism plays that role at query time).
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
-	ix.ds = ds
-	ix.trees = make(map[canon.Key]graph.IDSet)
-	ix.deltas = make(map[canon.Key]graph.IDSet)
+	ix.graphs = liveGraphs(ds)
+	ix.trees = make(canon.Postings)
+	ix.deltas = make(canon.Postings)
 	ix.seen = make(map[canon.Key]int)
 	ix.protos = make(map[canon.Key]*graph.Graph)
 	cfg := mining.Config{
@@ -130,6 +135,50 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		return err
 	}
 	ix.built = true
+	return nil
+}
+
+// liveGraphs returns the graph in each slot of ds, nil for a tombstoned one.
+func liveGraphs(ds *graph.Dataset) []*graph.Graph {
+	gs := make([]*graph.Graph, ds.Len())
+	for i := range gs {
+		gs[i] = ds.Graph(graph.ID(i))
+	}
+	return gs
+}
+
+// AddGraphToIndex implements core.Method: g joins the posting of every
+// tree and admitted Δ feature it contains, and the graphs later Δ
+// admissions sweep. The Δ admission statistics are workload state and
+// stay as they are.
+func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	if err := ix.match.Add(g, ix.trees, ix.deltas); err != nil {
+		return err
+	}
+	if n := int(g.ID()) + 1; n > len(ix.graphs) {
+		ix.graphs = append(ix.graphs, make([]*graph.Graph, n-len(ix.graphs))...)
+	}
+	ix.graphs[g.ID()] = g
+	return nil
+}
+
+// RemoveGraphFromIndex implements core.Method: id leaves every posting and
+// the graphs Δ admission sweeps.
+func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
+	if !ix.built {
+		return core.ErrNotBuilt
+	}
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	canon.Remove(id, ix.trees, ix.deltas)
+	if int(id) < len(ix.graphs) {
+		ix.graphs[id] = nil
+	}
 	return nil
 }
 
@@ -181,7 +230,7 @@ func (ix *Index) treeCandidates(q *graph.Graph) graph.IDSet {
 		posting graph.IDSet
 	}
 	frontier := map[string]*frag{}
-	cands := graph.UniverseIDSet(ix.ds.Len())
+	cands := graph.UniverseIDSet(len(ix.graphs))
 	for e := 0; e < es.NumEdges(); e++ {
 		ids := []int{e}
 		sub, _ := es.Subgraph(ids)
@@ -353,8 +402,8 @@ func (ix *Index) deltaStructures(q *graph.Graph) map[canon.Key]*graph.Graph {
 func (ix *Index) fullPosting(proto *graph.Graph) graph.IDSet {
 	var out graph.IDSet
 	prep := subiso.Compile(proto, subiso.Options{})
-	for _, g := range ix.ds.Graphs {
-		if !ix.ds.Alive(g.ID()) {
+	for _, g := range ix.graphs {
+		if g == nil {
 			continue // tombstoned graphs never join a Δ posting
 		}
 		if prep.Exists(context.Background(), g) {

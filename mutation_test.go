@@ -211,7 +211,10 @@ func TestMutationParityEveryMethod(t *testing.T) {
 // TestRemoveReAddRegression pins the tombstone contract end to end for
 // every method: removing a known answer makes it disappear from
 // Candidates and Answers immediately; re-adding an identical graph makes
-// it reappear under its new id (ids are never reused).
+// it reappear under its new id (ids are never reused), and the answers
+// are brute force's. It runs each method opened by spec and, under
+// WithMethod/, opened with an instance the engine cannot construct afresh:
+// no method needs a rebuild to apply a mutation.
 func TestRemoveReAddRegression(t *testing.T) {
 	const seed = 31
 	ctx := context.Background()
@@ -219,65 +222,86 @@ func TestRemoveReAddRegression(t *testing.T) {
 		if d.OpenQuerier != nil {
 			continue
 		}
-		t.Run(d.Name, func(t *testing.T) {
-			ds := mutationBase(seed)
-			eng, err := repro.Open(ctx, ds, repro.WithSpec(mutationSpec(d.Name)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries, err := repro.GenerateQueries(ds, repro.WorkloadConfig{
-				NumQueries: 1, QueryEdges: 4, Seed: seed,
+		for _, name := range []string{d.Name, "WithMethod/" + d.Name} {
+			t.Run(name, func(t *testing.T) {
+				testRemoveReAdd(t, ctx, seed, mutationSpec(d.Name), name != d.Name)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			q := queries[0]
-			res, err := eng.Query(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Answers) == 0 {
-				t.Fatal("walk-extracted query must have at least one answer")
-			}
-			victim := res.Answers[0]
-			victimGraph := ds.Graph(victim).Clone()
+		}
+	}
+}
 
-			if err := eng.RemoveGraph(ctx, victim); err != nil {
-				t.Fatal(err)
-			}
-			res, err = eng.Query(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Answers.Contains(victim) || res.Candidates.Contains(victim) {
-				t.Fatalf("removed graph %d still surfaces (candidates %v, answers %v)",
-					victim, res.Candidates, res.Answers)
-			}
-			if streamed := streamedAnswers(t, ctx, eng, q); streamed.Contains(victim) {
-				t.Fatalf("removed graph %d still streams", victim)
-			}
-			if err := eng.RemoveGraph(ctx, victim); err == nil {
-				t.Error("double remove must fail")
-			}
+func testRemoveReAdd(t *testing.T, ctx context.Context, seed int64, spec string, byMethod bool) {
+	ds := mutationBase(seed)
+	opt := repro.WithSpec(spec)
+	if byMethod {
+		m, err := repro.New(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt = repro.WithMethod(m)
+	}
+	eng, err := repro.Open(ctx, ds, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := repro.GenerateQueries(ds, repro.WorkloadConfig{
+		NumQueries: 1, QueryEdges: 4, Seed: seed,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := queries[0]
+	res, err := eng.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Answers) == 0 {
+		t.Fatal("walk-extracted query must have at least one answer")
+	}
+	victim := res.Answers[0]
+	victimGraph := ds.Graph(victim).Clone()
 
-			newID, err := eng.AddGraph(ctx, victimGraph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if newID == victim {
-				t.Fatalf("re-add reused id %d", victim)
-			}
-			res, err = eng.Query(ctx, q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Answers.Contains(newID) {
-				t.Fatalf("re-added graph %d absent from answers %v", newID, res.Answers)
-			}
-			if res.Answers.Contains(victim) {
-				t.Fatalf("tombstoned id %d resurfaced after re-add", victim)
-			}
-		})
+	if err := eng.RemoveGraph(ctx, victim); err != nil {
+		t.Fatal(err)
+	}
+	res, err = eng.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Answers.Contains(victim) || res.Candidates.Contains(victim) {
+		t.Fatalf("removed graph %d still surfaces (candidates %v, answers %v)",
+			victim, res.Candidates, res.Answers)
+	}
+	if streamed := streamedAnswers(t, ctx, eng, q); streamed.Contains(victim) {
+		t.Fatalf("removed graph %d still streams", victim)
+	}
+	if err := eng.RemoveGraph(ctx, victim); err == nil {
+		t.Error("double remove must fail")
+	}
+
+	newID, err := eng.AddGraph(ctx, victimGraph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if newID == victim {
+		t.Fatalf("re-add reused id %d", victim)
+	}
+	res, err = eng.Query(ctx, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Answers.Contains(newID) {
+		t.Fatalf("re-added graph %d absent from answers %v", newID, res.Answers)
+	}
+	if res.Answers.Contains(victim) {
+		t.Fatalf("tombstoned id %d resurfaced after re-add", victim)
+	}
+	want, err := repro.BruteForceAnswers(ctx, ds, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Answers.Equal(want) {
+		t.Fatalf("answers %v after re-add, brute force %v", res.Answers, want)
 	}
 }
 

@@ -94,15 +94,11 @@ type (
 	// Ready, Query, Stream, and StreamStats over one dataset, plus Mutable.
 	// Run a batch of queries through any of them with QueryBatchFunc.
 	Querier = engine.Querier
-	// Mutable is the online-mutation half of Querier: AddGraph/RemoveGraph
-	// with online index maintenance (incremental for methods implementing
-	// IncrementalIndexer, rebuild otherwise), a monotonically increasing
+	// Mutable is the online-mutation half of Querier: AddGraph/RemoveGraph,
+	// which every method folds into its own index (Method's
+	// AddGraphToIndex/RemoveGraphFromIndex), a monotonically increasing
 	// dataset Epoch, and the live/removed graph Counts.
 	Mutable = engine.Mutable
-	// IncrementalIndexer is the per-method incremental maintenance
-	// contract: folding one graph into — or dropping one graph from — a
-	// built index without a full rebuild.
-	IncrementalIndexer = core.IncrementalIndexer
 	// Option configures Open.
 	Option = engine.Option
 	// MethodInfo describes one registered method: naming, typed parameters,
