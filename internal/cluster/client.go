@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -143,18 +142,12 @@ func listParam[T int | uint64](xs []T) string {
 	return strings.Join(parts, ",")
 }
 
-// ErrLegStale is wrapped into a streaming leg's terminal error when the
-// node aborted the stream because a mutation landed under it (the node's
-// epoch-checked chunked locking). The leg is retryable on the same node,
-// resumed after the coordinator's merge frontier — unlike a transport
-// failure, the node is healthy.
-var ErrLegStale = errors.New("cluster: node stream aborted by concurrent mutation")
-
 // Stream opens a leg over the given shards, shards[i] needed at epochs[i],
 // yielding global answer ids ascending, starting strictly after `after`
 // (-1 = from the start), and returns the done line. A mid-stream error, a
-// truncated body or a *StaleShardError refusal surfaces as the error; a
-// yield returning false ends the leg with neither.
+// truncated body, a *StaleShardError refusal, or ids or done-line
+// candidates that are not strictly ascending surface as the error; a yield
+// returning false ends the leg with neither.
 func (c *NodeClient) Stream(ctx context.Context, shards []int, epochs []uint64, gj server.GraphJSON, after graph.ID, yield func(graph.ID) bool) (LegLine, error) {
 	body, err := json.Marshal(gj)
 	if err != nil {
@@ -178,20 +171,30 @@ func (c *NodeClient) Stream(ctx context.Context, shards []int, epochs []uint64, 
 	// The done line carries the leg's candidate ids, so it may be long.
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), server.MaxBodyBytes)
+	prev := after
 	for sc.Scan() {
 		var line LegLine
 		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
 			return LegLine{}, fmt.Errorf("decoding stream line: %w", err)
 		}
 		switch {
-		case line.Stale:
-			return LegLine{}, fmt.Errorf("%w: %s", ErrLegStale, line.Error)
 		case line.Error != "":
 			return LegLine{}, fmt.Errorf("node stream: %s", line.Error)
 		case line.Done:
+			// The coordinator merges candidates with IDSet.Union, which
+			// needs them sorted.
+			for i := 1; i < len(line.Candidates); i++ {
+				if line.Candidates[i] <= line.Candidates[i-1] {
+					return LegLine{}, fmt.Errorf("node stream: candidate %d after %d", line.Candidates[i], line.Candidates[i-1])
+				}
+			}
 			return line, nil
 		case line.ID != nil:
-			if !yield(*line.ID) {
+			if *line.ID <= prev {
+				return LegLine{}, fmt.Errorf("node stream: id %d after %d", *line.ID, prev)
+			}
+			prev = *line.ID
+			if !yield(prev) {
 				return LegLine{}, nil
 			}
 		}

@@ -94,9 +94,9 @@ type Coordinator struct {
 
 	// Counters live on cfg.Registry so /stats and /metrics read the same
 	// cells; the fields are the cells, fetched once at construction.
-	reqQuery, reqStream, reqMutate, reqErrors            *obs.Counter
-	partials, failovers, hedgesFired, hedgesWon          *obs.Counter
-	rereplicated, staleRejected, rollbacks, staleRetries *obs.Counter
+	reqQuery, reqStream, reqMutate, reqErrors   *obs.Counter
+	partials, failovers, hedgesFired, hedgesWon *obs.Counter
+	rereplicated, staleRejected, rollbacks      *obs.Counter
 
 	// Per-node membership gauges, refreshed at scrape time by a collect
 	// hook (see refreshNodeGauges), plus the federation failure gauge.
@@ -169,8 +169,6 @@ func NewCoordinator(ctx context.Context, man *Manifest, cfg CoordConfig) (*Coord
 		"Shard results rejected for reporting an old epoch.").Counter()
 	c.rollbacks = cfg.Registry.Counter("sq_cluster_rollbacks_total",
 		"Shards adopted at an older epoch because no fresh owner survived.").Counter()
-	c.staleRetries = cfg.Registry.Counter("sq_cluster_stale_retries_total",
-		"Streaming legs retried on the same node after a mutation aborted them.").Counter()
 	c.nodeUp = cfg.Registry.Gauge("sq_cluster_node_up",
 		"Whether the coordinator considers the node up (1) per its probes.", "node", "name")
 	c.nodeStale = cfg.Registry.Gauge("sq_cluster_node_stale_shards",
@@ -360,7 +358,7 @@ func (c *Coordinator) rejectStale(i, s int, reportedEpoch uint64) {
 func isTransport(err error) bool {
 	var ne *NodeError
 	var se *StaleShardError
-	return !errors.As(err, &ne) && !errors.As(err, &se) && !errors.Is(err, context.Canceled) && !errors.Is(err, ErrLegStale)
+	return !errors.As(err, &ne) && !errors.As(err, &se) && !errors.Is(err, context.Canceled)
 }
 
 // ---------------------------------------------------------------------------
@@ -456,11 +454,10 @@ type streamLeg struct {
 
 // shardFan is one shard's fan-out state.
 type shardFan struct {
-	owners       []int    // eligible owners, in order of preference
-	tried        int      // owners[:tried] have had a leg
-	need         uint64   // the epoch a leg must serve the shard at
-	last         graph.ID // the last id emitted, -1 before any
-	staleRetries int
+	owners []int    // eligible owners, in order of preference
+	tried  int      // owners[:tried] have had a leg
+	need   uint64   // the epoch a leg must serve the shard at
+	last   graph.ID // the last id emitted, -1 before any
 	// owner is the leg whose ids count for the shard; hedge is a duplicate
 	// racing it until either delivers a line.
 	owner, hedge *streamLeg
@@ -673,17 +670,11 @@ func (f *fanout) finish(l *streamLeg, m streamMsg) {
 }
 
 // failover replaces a leg that died, per shard it served. A hedge racing
-// for the shard takes it over. A leg the node aborted because a mutation
-// landed under its chunked-locking stream (ErrLegStale) is retried on the
-// SAME node — the node is healthy and the frontier skips everything
-// already emitted — bounded per shard so a mutation storm degrades to
-// normal failover instead of livelock. A leg refused for a stale shard
+// for the shard takes it over. A leg refused for a stale shard
 // (*StaleShardError) fails that shard over and reopens its other shards on
 // the same node. Any other death restarts the shard on its next untried
 // owner; a shard with none left is failed.
 func (f *fanout) failover(l *streamLeg, cause error) {
-	const maxStaleRetries = 8
-	stale := errors.Is(cause, ErrLegStale)
 	var refused *StaleShardError
 	if errors.As(cause, &refused) {
 		f.c.rejectStale(l.node, refused.Shard, refused.Epoch)
@@ -697,10 +688,6 @@ func (f *fanout) failover(l *streamLeg, cause error) {
 		case sh.hedge != nil:
 			sh.owner, sh.hedge = sh.hedge, nil
 		case refused != nil && s != refused.Shard:
-			f.launch(l.node, []int{s}, false)
-		case stale && sh.staleRetries < maxStaleRetries:
-			sh.staleRetries++
-			f.c.staleRetries.Add(1)
 			f.launch(l.node, []int{s}, false)
 		default:
 			if o := f.nextOwner(s); o >= 0 {
@@ -1199,7 +1186,6 @@ func (c *Coordinator) Stats() ClusterStats {
 			HedgesWon:     c.hedgesWon.Value(),
 			Rereplicated:  c.rereplicated.Value(),
 			StaleRejected: c.staleRejected.Value(),
-			StaleRetries:  c.staleRetries.Value(),
 			Rollbacks:     c.rollbacks.Value(),
 		},
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -57,8 +58,8 @@ func TestMutationLegHonoursNodeTimeout(t *testing.T) {
 }
 
 // TestNodeErrorsCounted: every failed node request counts in
-// sq_node_requests_total{kind="errors"} — a bad ?after= on a stream and a
-// malformed add body included.
+// sq_node_requests_total{kind="errors"} — a bad ?after= and a repeated
+// shard on a stream and a malformed add body included.
 func TestNodeErrorsCounted(t *testing.T) {
 	node, err := cluster.NewNode(context.Background(), testDataset(t), cluster.NodeConfig{
 		Name: "n", Spec: "noindex", ShardCount: 2, Shards: []int{0, 1},
@@ -73,12 +74,21 @@ func TestNodeErrorsCounted(t *testing.T) {
 	before := errs.Value()
 
 	ds := testDataset(t)
-	resp := clusterPostJSON(t, ts.URL+"/node/query?shards=0&after=xyz", toWire(testQueries(t, ds)[0], ds))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bad after: status %d, want 400", resp.StatusCode)
+	// A repeated shard would stream as two legs, each answer twice. The
+	// long list of distinct ids is refused at its first id out of range,
+	// before any repeat check could grow with the list.
+	long := make([]string, 100000)
+	for i := range long {
+		long[i] = strconv.Itoa(i)
 	}
-	resp, err = http.Post(ts.URL+"/node/graphs", "application/json", strings.NewReader("{nope"))
+	for _, params := range []string{"shards=0&after=xyz", "shards=0,0", "shards=2", "shards=" + strings.Join(long, ",")} {
+		resp := clusterPostJSON(t, ts.URL+"/node/query?"+params, toWire(testQueries(t, ds)[0], ds))
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", params, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/node/graphs", "application/json", strings.NewReader("{nope"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +96,8 @@ func TestNodeErrorsCounted(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad add body: status %d, want 400", resp.StatusCode)
 	}
-	if d := errs.Value() - before; d != 2 {
-		t.Errorf("errors counter moved by %d, want 2", d)
+	if d := errs.Value() - before; d != 5 {
+		t.Errorf("errors counter moved by %d, want 5", d)
 	}
 }
 

@@ -224,38 +224,27 @@ func (e *StaleShardError) Error() string {
 //
 // The node streams through engine.MergeStream with its whole VerifyWorkers
 // budget, so its read lock is NOT held across yields and a slow consumer
-// never stalls mutations or shard installs. A mutation (or shard
-// replacement) landing mid-stream aborts it with an
-// engine.ErrStreamStale-wrapped error; the coordinator retries the leg,
-// resumed after its frontier.
+// never stalls mutations or shard installs. The shard instances are pinned
+// at open: a mutation landing mid-stream re-plans them after the stream's
+// frontier, and a shard replaced mid-stream (Install, LoadLocal) is still
+// read from its pinned instance, which nothing writes to after the swap.
 func (n *Node) StreamStats(ctx context.Context, shards []int, need []uint64, q *graph.Graph, after graph.ID, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return engine.MergeStream(ctx, &n.mu, stats, q, after, n.fanout, n.cfg.VerifyWorkers, func() ([]*engine.Shard, func() error, error) {
-		// The shard instances and their dataset epochs pin the index
-		// generation the plans are built against; either moving is stale.
+	return engine.MergeStream(ctx, &n.mu, stats, q, after, n.fanout, n.cfg.VerifyWorkers, func() ([]*engine.Shard, error) {
 		pinned := make([]*engine.Shard, len(shards))
-		epochs := make([]uint64, len(shards))
 		for i, k := range shards {
 			sh, ok := n.shards[k]
 			if !ok {
-				return nil, nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
+				return nil, fmt.Errorf("%w: shard %d on node %s", ErrNotOwned, k, n.cfg.Name)
 			}
 			if need != nil && sh.epoch < need[i] {
-				return nil, nil, &StaleShardError{Shard: k, Epoch: sh.epoch}
+				return nil, &StaleShardError{Shard: k, Epoch: sh.epoch}
 			}
-			pinned[i], epochs[i] = sh.Shard, sh.Engine().Dataset().Epoch()
+			pinned[i] = sh.Shard
 		}
 		if q == nil {
-			return nil, nil, nil
+			return nil, nil
 		}
-		stale := func() error {
-			for i, k := range shards {
-				if cur, ok := n.shards[k]; !ok || cur.Shard != pinned[i] || cur.Engine().Dataset().Epoch() != epochs[i] {
-					return fmt.Errorf("cluster: %w (shard %d)", engine.ErrStreamStale, k)
-				}
-			}
-			return nil
-		}
-		return pinned, stale, nil
+		return pinned, nil
 	})
 }
 

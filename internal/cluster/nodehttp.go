@@ -164,12 +164,28 @@ func (s *NodeServer) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, s.node.Info())
 }
 
-// parseShards parses the ?shards=1,2,5 selector.
-func parseShards(v string) ([]int, error) {
+// parseShards parses the ?shards=1,2,5 selector over shard ids [0, count).
+// A repeated shard would be streamed as two legs, each answer twice, so it
+// is refused; the range check first bounds the repeat check's bitmap.
+func parseShards(v string, count int) ([]int, error) {
 	if v == "" {
 		return nil, errors.New("missing shards parameter")
 	}
-	return parseList(v, "shard", strconv.Atoi)
+	shards, err := parseList(v, "shard", strconv.Atoi)
+	if err != nil {
+		return nil, err
+	}
+	seen := make([]bool, count)
+	for _, k := range shards {
+		switch {
+		case k < 0 || k >= count:
+			return nil, fmt.Errorf("shard %d outside [0, %d)", k, count)
+		case seen[k]:
+			return nil, fmt.Errorf("repeated shard %d", k)
+		}
+		seen[k] = true
+	}
+	return shards, nil
 }
 
 // parseList parses a comma-separated list of name values.
@@ -190,12 +206,11 @@ func parseList[T any](v, name string, parse func(string) (T, error)) ([]T, error
 // answered as NDJSON LegLines — global answer ids merged ascending across
 // the requested shards, flushed per line, then the done line. ?after=N
 // resumes strictly after a failed-over leg's frontier, and ?epochs=... (one
-// per shard) are the epochs the leg needs. The node streams under
-// epoch-checked chunked locking (no lock held across writes), so a client
-// that stops reading never blocks mutations; the write deadline still
-// bounds how long such a client pins the connection. An abort caused by a
-// concurrent mutation is marked Stale on the error line, so the coordinator
-// retries the leg on this node instead of failing it over. A leg refused
+// per shard) are the epochs the leg needs; a repeated shard is a 400. The
+// node streams under chunked locking (no lock held across writes), so a
+// client that stops reading never blocks mutations, and a mutation landing
+// mid-stream re-plans the leg after its frontier; the write deadline still
+// bounds how long such a client pins the connection. A leg refused
 // for a stale shard (always the stream's first element) is answered 409
 // instead, with the StaleShardError as the body. The done line carries the
 // leg's candidates and pipeline counters, and is where the query is
@@ -204,7 +219,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	s.reqQuery.Inc()
 	t0 := time.Now()
 	params := r.URL.Query()
-	shards, err := parseShards(params.Get("shards"))
+	shards, err := parseShards(params.Get("shards"), s.node.cfg.ShardCount)
 	after, need := graph.ID(-1), []uint64(nil)
 	if a := params.Get("after"); a != "" && err == nil {
 		v, perr := strconv.ParseInt(a, 10, 32)
@@ -284,7 +299,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		if err != nil {
 			root.Cancel()
-			enc.Encode(server.StreamLine{Error: err.Error(), Stale: errors.Is(err, engine.ErrStreamStale)})
+			enc.Encode(server.StreamLine{Error: err.Error()})
 			flush()
 			return
 		}

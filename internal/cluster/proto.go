@@ -147,9 +147,6 @@ type FanoutStats struct {
 	HedgesWon     int64 `json:"hedges_won"`
 	Rereplicated  int64 `json:"rereplicated"`
 	StaleRejected int64 `json:"stale_rejected"`
-	// StaleRetries counts streaming legs retried on the same node after a
-	// concurrent mutation aborted their chunked-locking stream.
-	StaleRetries int64 `json:"stale_retries,omitempty"`
 	// Rollbacks counts shards adopted at an older epoch because no fresh
 	// owner survived — the bounded data loss of an under-replicated
 	// cluster, counted rather than silent.

@@ -60,7 +60,10 @@ func PlanChunks(plan QueryPlan) iter.Seq[graph.IDSet] {
 // struct may also be shared across the per-shard legs of a merged stream.
 type PipelineStats struct {
 	// Produced counts candidate IDs emitted by the producer stage (after
-	// any resume-skip, before the liveness filter).
+	// any resume-skip, before the liveness filter). A stream re-planned
+	// after a mutation (engine.MergeStream) counts again the IDs a leg had
+	// read past the stream's frontier: its next candidate and the dead IDs
+	// before it.
 	Produced atomic.Int64
 	// Verified counts verifier invocations — the pipeline's unit of real
 	// work, and what early termination is measured by.

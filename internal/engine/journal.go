@@ -297,14 +297,14 @@ func (e *Engine) journalLocked(kind byte, id graph.ID) error {
 	return nil
 }
 
-// compactIfDue rewrites the index file and starts its journal afresh when
+// CompactIfDue rewrites the index file and starts its journal afresh when
 // the last mutation left the journal due (see journal.due). It holds only
 // the read lock, so queries proceed during the O(index) write, and an
 // owner calls it with its own lock released. A failed compaction fails no
 // mutation: an acked mutation is journaled or held by the dataset, and an
 // open over a file the dataset has moved past rebuilds. The journal stays
 // due, so the next mutation or Save tries again.
-func (e *Engine) compactIfDue() {
+func (e *Engine) CompactIfDue() {
 	if e.indexPath == "" {
 		return
 	}

@@ -40,14 +40,19 @@ type Mutable interface {
 	Counts() (live, removed int)
 }
 
-// IndexMaintainer is the index-only half of Mutable: maintenance for a
-// graph a composite engine (the adaptive router) already added to — or
-// removed from — the shared dataset itself. ApplyAdd must be given a graph
-// that is already in the engine's dataset under its assigned ID;
-// ApplyRemove a graph id the dataset has already tombstoned.
+// IndexMaintainer is the index-only half of Mutable, for a composite
+// engine (the adaptive router) whose sub-engines share its dataset. The
+// composite changes the dataset itself, inside Exclusive, which runs f with
+// the engine's write lock held: none of the engine's queries or streams
+// then sees the shared dataset moved before its index folded the change.
+// Inside f, ApplyAdd folds in a graph already in the dataset under its
+// assigned ID, and ApplyRemove drops a graph id the dataset has already
+// tombstoned. With every lock released, the composite calls CompactIfDue.
 type IndexMaintainer interface {
+	Exclusive(f func() error) error
 	ApplyAdd(ctx context.Context, g *graph.Graph) error
 	ApplyRemove(ctx context.Context, id graph.ID) error
+	CompactIfDue()
 }
 
 var (
@@ -77,7 +82,7 @@ func (e *Engine) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error)
 	if err != nil {
 		return 0, err
 	}
-	e.compactIfDue()
+	e.CompactIfDue()
 	return id, nil
 }
 
@@ -89,41 +94,35 @@ func (e *Engine) RemoveGraph(ctx context.Context, id graph.ID) error {
 	if err := e.applyRemove(ctx, id); err != nil {
 		return err
 	}
-	e.compactIfDue()
+	e.CompactIfDue()
 	return nil
 }
 
-// ApplyAdd implements IndexMaintainer: index-only maintenance for a graph
-// already added to the dataset by a composite engine. On error the index no
-// longer holds g; the composite tombstones it.
+// Exclusive implements IndexMaintainer: f under the engine's write lock.
+func (e *Engine) Exclusive(f func() error) error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return f()
+}
+
+// ApplyAdd implements IndexMaintainer: index-only maintenance, inside
+// Exclusive, for a graph already added to the dataset by a composite
+// engine. On error the index no longer holds g; the composite tombstones
+// it.
 func (e *Engine) ApplyAdd(ctx context.Context, g *graph.Graph) error {
-	e.mu.Lock()
-	err := e.indexAddLocked(g)
-	e.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	e.compactIfDue()
-	return nil
+	return e.indexAddLocked(g)
 }
 
-// ApplyRemove implements IndexMaintainer: index-only maintenance for a
-// graph the dataset has already tombstoned.
+// ApplyRemove implements IndexMaintainer: index-only maintenance, inside
+// Exclusive, for a graph the dataset has already tombstoned.
 func (e *Engine) ApplyRemove(ctx context.Context, id graph.ID) error {
-	e.mu.Lock()
-	err := e.indexRemoveLocked(id)
-	e.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	e.compactIfDue()
-	return nil
+	return e.indexRemoveLocked(id)
 }
 
 // A mutation is one journaled apply under the write lock (applyAdd,
 // applyRemove): dataset change, index maintenance, journal append, and on
 // failure the undo, all in one lock hold. Engine, Sharded and cluster.Node
-// all compose it the same way, then call compactIfDue with their own lock
+// all compose it the same way, then call CompactIfDue with their own lock
 // released. An owner holding its own lock takes it before the engine's.
 
 // applyAdd appends g to the dataset under a fresh ID and maintains and

@@ -71,13 +71,6 @@ func hammer(t *testing.T, eng engine.Querier, queries []*graph.Graph) {
 				}
 				for _, err := range eng.Stream(ctx, q) {
 					if err != nil {
-						// A mutation landing mid-stream aborts it with
-						// ErrStreamStale by design (the lock is no longer
-						// held across yields); anything else is a real
-						// failure.
-						if errors.Is(err, engine.ErrStreamStale) {
-							break
-						}
 						t.Errorf("stream: %v", err)
 						return
 					}

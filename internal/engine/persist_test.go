@@ -103,8 +103,8 @@ func TestSaveIsDeterministicEveryMethod(t *testing.T) {
 // then either refuse the file or return an index that answers queries
 // without panicking (answers may be wrong — the CRC is what catches real
 // damage; the decoders only have to stay in bounds). Indexes load with
-// storage=heap, and Grapes and GGSX also with storage=mmap, where the load
-// defers decoding to the queries.
+// storage=heap, and Grapes, GGSX and gCode also with storage=mmap, where
+// the load defers decoding to the queries.
 func FuzzLoadIndexEveryMethod(f *testing.F) {
 	ctx := context.Background()
 	ds := gen.Synthetic(gen.SynthConfig{
@@ -155,7 +155,7 @@ func FuzzLoadIndexEveryMethod(f *testing.F) {
 			}
 		}
 		targets = append(targets, tg)
-		if tc.def == "grapes" || tc.def == "GGSX" {
+		if tc.def == "grapes" || tc.def == "GGSX" || tc.def == "gCode" {
 			mapped := tg
 			mapped.spec += ",storage=mmap"
 			targets = append(targets, mapped)

@@ -125,10 +125,10 @@ func (sh *Shard) Remove(ctx context.Context, id graph.ID) error {
 }
 
 // CompactIfDue rewrites the shard's index file and starts its journal
-// afresh when the last mutation left it due (see Engine.compactIfDue). The
+// afresh when the last mutation left it due (see Engine.CompactIfDue). The
 // owner calls it after every mutation with its own lock released, so its
 // queries proceed during the file write.
-func (sh *Shard) CompactIfDue() { sh.eng.compactIfDue() }
+func (sh *Shard) CompactIfDue() { sh.eng.CompactIfDue() }
 
 // ShardFanout is how many shards a merge plans at once under a
 // verification budget — a budget of 1 plans them one at a time, the

@@ -364,12 +364,11 @@ func (s *Sharded) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID
 }
 
 // StreamStats implements StatsStreamer: the same merge as Query, streamed
-// by MergeStream with chunked locking; a mutation landing mid-stream moves
-// the parent dataset epoch and aborts the stream with an
-// ErrStreamStale-wrapped error.
+// by MergeStream with chunked locking; a mutation landing mid-stream
+// re-plans the merge after its frontier.
 func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return MergeStream(ctx, &s.mu, stats, q, -1, s.fanout, s.workers, func() ([]*Shard, func() error, error) {
-		return s.shards, epochStale(s.ds), nil
+	return MergeStream(ctx, &s.mu, stats, q, -1, s.fanout, s.workers, func() ([]*Shard, error) {
+		return s.shards, nil
 	})
 }
 
@@ -444,16 +443,32 @@ func (s *Sharded) RemoveGraph(ctx context.Context, id graph.ID) error {
 	})
 }
 
+// Exclusive implements IndexMaintainer: f under the write lock.
+func (s *Sharded) Exclusive(f func() error) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return f()
+}
+
 // ApplyAdd implements IndexMaintainer: shard re-homing and index
-// maintenance for a graph already added to the parent dataset.
+// maintenance, inside Exclusive, for a graph already added to the parent
+// dataset.
 func (s *Sharded) ApplyAdd(ctx context.Context, g *graph.Graph) error {
-	return s.mutate(g.ID(), func(sh *Shard) error { return sh.Add(ctx, g.ID(), g) })
+	return s.shardOf(g.ID()).Add(ctx, g.ID(), g)
 }
 
 // ApplyRemove implements IndexMaintainer: shard-local tombstone and index
-// maintenance for a graph the parent dataset has already tombstoned.
+// maintenance, inside Exclusive, for a graph the parent dataset has
+// already tombstoned.
 func (s *Sharded) ApplyRemove(ctx context.Context, id graph.ID) error {
-	return s.mutate(id, func(sh *Shard) error { return sh.Remove(ctx, id) })
+	return s.shardOf(id).Remove(ctx, id)
+}
+
+// CompactIfDue implements IndexMaintainer: every shard compacts if due.
+func (s *Sharded) CompactIfDue() {
+	for _, sh := range s.shards {
+		sh.CompactIfDue()
+	}
 }
 
 // mutate applies op to the shard owning id under the write lock, then lets

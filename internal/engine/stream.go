@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -13,16 +12,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
-
-// ErrStreamStale is wrapped into the terminal error of a stream whose
-// index moved mid-iteration. Streams use chunked locking: the owner's read
-// lock is released before every yield and re-acquired after, so a slow
-// streaming consumer never blocks mutations — the price is that a mutation
-// landing inside that window invalidates the plan's view of the index, and
-// the stream aborts with this error instead of silently mixing two index
-// generations. The consumer restarts the stream (the cluster resumes after
-// the frontier it already holds).
-var ErrStreamStale = errors.New("dataset mutated during stream; restart the stream")
 
 // streamQuantum is the maximum verifications per lock hold in a
 // chunked-locking stream. The quantum starts at 1 — the first answer is
@@ -46,13 +35,16 @@ type merge struct {
 	from  []pulled
 }
 
-// mergeHead is one leg's cursor and its current candidate.
+// mergeHead is one leg's cursor, nil once the leg ran out (a cursor run to
+// its end stops itself), and its current candidate. epoch is the leg's
+// dataset epoch when the plan was built: a plan reads its method's index
+// lazily, so it is valid only while that epoch holds.
 type mergeHead struct {
 	plan          core.QueryPlan
 	leg           *Shard
 	cur           *core.Cursor
+	epoch         uint64
 	local, global graph.ID
-	done          bool
 }
 
 // pulled is a batch candidate's leg and local id.
@@ -64,7 +56,7 @@ type pulled struct {
 func (h *mergeHead) advance() {
 	id, ok := h.cur.Next()
 	if !ok {
-		h.done = true
+		h.cur = nil
 		return
 	}
 	h.local, h.global = id, id
@@ -105,11 +97,31 @@ func openMerge(ctx context.Context, legs []*Shard, q *graph.Graph, after graph.I
 		if plans[i] == nil {
 			continue
 		}
-		m.heads = append(m.heads, mergeHead{plan: plans[i], leg: sh,
+		m.heads = append(m.heads, mergeHead{plan: plans[i], leg: sh, epoch: sh.eng.ds.Epoch(),
 			cur: core.NewCursor(sh.eng.ds, plans[i], stats, graph.ID(sh.firstAfter(after)))})
 		m.heads[len(m.heads)-1].advance()
 	}
 	return m, nil
+}
+
+// moved reports whether a mutation landed on a leg with cursor left since
+// its plan was built. Call it under the owner's read lock.
+func (m *merge) moved() bool {
+	for i := range m.heads {
+		if h := &m.heads[i]; h.cur != nil && h.leg.eng.ds.Epoch() != h.epoch {
+			return true
+		}
+	}
+	return false
+}
+
+// stop stops every leg's cursor.
+func (m *merge) stop() {
+	for i := range m.heads {
+		if h := &m.heads[i]; h.cur != nil {
+			h.cur.Stop()
+		}
+	}
 }
 
 // pull appends candidates to the batch until it holds n (n < 0: until the
@@ -118,7 +130,7 @@ func (m *merge) pull(n int) bool {
 	for n < 0 || len(m.cands) < n {
 		var best *mergeHead
 		for i := range m.heads {
-			if h := &m.heads[i]; !h.done && (best == nil || h.global < best.global) {
+			if h := &m.heads[i]; h.cur != nil && (best == nil || h.global < best.global) {
 				best = h
 			}
 		}
@@ -186,16 +198,20 @@ func Drain(ctx context.Context, legs []*Shard, q *graph.Graph, fanout, workers i
 }
 
 // MergeStream streams q's answers through the merge in ascending parent
-// ids, with chunked locking: open (under mu's read lock) returns the legs
-// and the stale check; each round pulls up to a quantum of candidates and
-// verifies them under the lock, which is released while the answers are
-// yielded. Re-locked, stale ends the stream with its error if the index
-// moved. Legs resume strictly after parent id after (-1: from the start),
-// and stats (nil = none) accumulates every leg's counters and, when
-// stats.Candidates is set, the pulled candidates. A filtering
-// failure or context cancellation is yielded once as an error.
+// ids, with chunked locking: open (under mu's read lock) returns the legs;
+// each round pulls up to a quantum of candidates and verifies them under
+// the lock, which is released while the answers are yielded. Re-locked, a
+// stream whose legs moved (a mutation landed on one) stops its cursors and
+// re-plans the same legs strictly after its frontier, the last parent id
+// it pulled and verified. Graphs are immutable and ids never reused, so
+// the stream yields ids strictly ascending, each once; every graph live for
+// the stream's whole life that contains q; and only graphs that contain q
+// and were live at some moment of it. Legs start strictly after parent id
+// after (-1: from the start), and stats (nil = none) accumulates every
+// leg's counters and, when stats.Candidates is set, the pulled candidates.
+// A filtering failure or context cancellation is yielded once as an error.
 func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats, q *graph.Graph, after graph.ID, fanout, workers int,
-	open func() ([]*Shard, func() error, error)) iter.Seq2[graph.ID, error] {
+	open func() ([]*Shard, error)) iter.Seq2[graph.ID, error] {
 	if stats == nil {
 		stats = new(core.PipelineStats)
 	}
@@ -209,24 +225,31 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 			}
 		}
 		defer unlock()
-		legs, stale, err := open()
-		var m *merge
-		if err == nil {
-			m, err = openMerge(ctx, legs, q, after, stats, fanout, workers)
-		}
-		if err != nil {
-			unlock()
-			yield(0, err)
-			return
-		}
+		legs, err := open()
+		frontier := after
+		var m *merge // nil until planned
 		defer func() {
-			for i := range m.heads {
-				m.heads[i].cur.Stop()
+			if m != nil {
+				m.stop()
 			}
 		}()
 		for quantum := 1; ; quantum = min(2*quantum, streamQuantum) {
+			if err == nil && (m == nil || m.moved()) {
+				if m != nil {
+					m.stop()
+				}
+				m, err = openMerge(ctx, legs, q, frontier, stats, fanout, workers)
+			}
+			if err != nil {
+				unlock()
+				yield(0, err)
+				return
+			}
 			m.cands, m.from = m.cands[:0], m.from[:0]
 			done := m.pull(quantum)
+			if n := len(m.cands); n > 0 {
+				frontier = m.cands[n-1]
+			}
 			if stats.Candidates != nil {
 				*stats.Candidates = append(*stats.Candidates, m.cands...)
 			}
@@ -246,34 +269,16 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 			}
 			mu.RLock()
 			locked = true
-			if err := stale(); err != nil {
-				unlock()
-				yield(0, err)
-				return
-			}
 		}
-	}
-}
-
-// epochStale is the stale check of a stream planned over ds now: it fails
-// once the dataset epoch has moved. Call it under the owner's read lock.
-func epochStale(ds *graph.Dataset) func() error {
-	epoch := ds.Epoch()
-	return func() error {
-		if now := ds.Epoch(); now != epoch {
-			return fmt.Errorf("engine: %w (epoch %d -> %d)", ErrStreamStale, epoch, now)
-		}
-		return nil
 	}
 }
 
 // StreamStats implements StatsStreamer: MergeStream over the engine as its
 // one leg, yielding answers in ascending ID order as verification confirms
 // them — the first after one verification — with no lock held across a
-// yield; a mutation landing mid-stream aborts it with an
-// ErrStreamStale-wrapped error.
+// yield; a mutation landing mid-stream re-plans it after its frontier.
 func (e *Engine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return MergeStream(ctx, &e.mu, stats, q, -1, 1, e.verifyWorkers, func() ([]*Shard, func() error, error) {
-		return []*Shard{{eng: e, identity: true}}, epochStale(e.ds), nil
+	return MergeStream(ctx, &e.mu, stats, q, -1, 1, e.verifyWorkers, func() ([]*Shard, error) {
+		return []*Shard{{eng: e, identity: true}}, nil
 	})
 }

@@ -2,159 +2,117 @@ package engine_test
 
 import (
 	"context"
-	"errors"
 	"iter"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/testutil/leak"
+	"repro/internal/testutil/promise"
+	"repro/internal/workload"
 )
 
 // pullFirstAnswer starts a pull-based consumer over the stream and returns
 // after the first answer: the stream goroutine is then parked in its yield
 // with the engine's read lock released (chunked locking), which is exactly
 // the stalled-consumer state these tests exercise.
-func pullFirstAnswer(t *testing.T, seq iter.Seq2[graph.ID, error]) (next func() (graph.ID, error, bool), stop func()) {
+func pullFirstAnswer(t *testing.T, seq iter.Seq2[graph.ID, error]) (first graph.ID, next func() (graph.ID, error, bool), stop func()) {
 	t.Helper()
 	next, stop = iter.Pull2(seq)
-	id, err, ok := next()
+	first, err, ok := next()
 	if !ok {
 		t.Fatal("stream ended before its first answer")
 	}
 	if err != nil {
 		t.Fatalf("stream: %v", err)
 	}
-	_ = id
-	return next, stop
+	return first, next, stop
 }
 
-// TestMutationCompletesWhileStreamStalled is the regression test for the
-// chunked-locking rewrite: under the previous whole-iteration read lock, a
-// stream stalled mid-consumption blocked AddGraph forever. Now the lock is
-// released around every yield, the mutation completes promptly, and the
-// stalled stream — whose plan is now a generation behind — aborts with
-// ErrStreamStale when resumed.
-func TestMutationCompletesWhileStreamStalled(t *testing.T) {
+// stalledStreamSurvivesWrites parks a stream of eng after its first answer,
+// then adds a copy of an answer and removes the last answer while it is
+// parked. Both mutations must complete promptly, and the resumed stream
+// must end without error within the stream promise: ids strictly
+// ascending, every answer live throughout (all but the removed one)
+// yielded, and nothing outside the answers live at some moment (the
+// originals plus the added copy).
+func stalledStreamSurvivesWrites(t *testing.T, eng engine.Querier) {
 	defer leak.Check(t)()
 	ctx := context.Background()
-	ds := tinyDataset(t)
-	eng, err := engine.Open(ctx, ds, engine.WithSpec("noindex"))
+	// A one-edge query matches most graphs: after the first answer is
+	// pulled there is stream left, and the removed last answer lies beyond
+	// the frontier.
+	qs, err := workload.Generate(eng.Dataset(), workload.Config{NumQueries: 1, QueryEdges: 1, Seed: 43})
+	if err != nil {
+		t.Fatalf("workload: %v", err)
+	}
+	q := qs[0]
+	res, err := eng.Query(ctx, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := tinyQueries(t, ds)
-	var q *graph.Graph
-	for _, cand := range queries {
-		res, err := eng.Query(ctx, cand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// At least two answers: after the first is pulled there is provably
-		// more stream left, so the resumed stream must hit the epoch check.
-		if len(res.Answers) >= 2 {
-			q = cand
-			break
-		}
-	}
-	if q == nil {
-		t.Fatal("no workload query with >= 2 answers; pick a different seed")
+	truth := res.Answers
+	if len(truth) < 3 {
+		t.Fatalf("fixture query has %d answers, want >= 3", len(truth))
 	}
 
-	next, stop := pullFirstAnswer(t, eng.Stream(ctx, q))
+	first, next, stop := pullFirstAnswer(t, eng.Stream(ctx, q))
 	defer stop()
 
-	// The stream is stalled between chunks; the mutation must not block.
-	pool := gen.Synthetic(gen.SynthConfig{
-		NumGraphs: 1, MeanNodes: 8, MeanDensity: 0.3, NumLabels: 4, Seed: 77,
-	})
+	// The stream is stalled between rounds; the mutations must not block.
+	removed := truth[len(truth)-1]
+	var added graph.ID
 	done := make(chan error, 1)
 	go func() {
-		_, err := eng.AddGraph(ctx, pool.Graphs[0].ShallowWithID(0))
+		var err error
+		if added, err = eng.AddGraph(ctx, eng.Dataset().Graphs[truth[0]].ShallowWithID(0)); err == nil {
+			err = eng.RemoveGraph(ctx, removed)
+		}
 		done <- err
 	}()
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("AddGraph: %v", err)
+			t.Fatalf("mutation: %v", err)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("mutation blocked behind a stalled stream")
 	}
 
-	// Resuming the stale stream must surface ErrStreamStale, not silently
-	// mix two index generations.
+	got := graph.IDSet{first}
 	for {
-		_, err, ok := next()
+		id, err, ok := next()
 		if !ok {
-			t.Fatal("stale stream ended without an error")
-		}
-		if err != nil {
-			if !errors.Is(err, engine.ErrStreamStale) {
-				t.Fatalf("stream err = %v, want ErrStreamStale", err)
-			}
 			break
 		}
+		if err != nil {
+			t.Fatalf("resumed stream: %v", err)
+		}
+		got = append(got, id)
 	}
+	always := slices.DeleteFunc(slices.Clone(truth), func(id graph.ID) bool { return id == removed })
+	promise.Check(t, got, always, append(slices.Clone(truth), added))
+}
+
+// TestMutationCompletesWhileStreamStalled is the regression test for
+// chunked locking: a stream stalled mid-consumption holds no lock, so a
+// mutation completes promptly, and the resumed stream re-plans after its
+// frontier and ends within the stream promise instead of failing.
+func TestMutationCompletesWhileStreamStalled(t *testing.T) {
+	eng, err := engine.Open(context.Background(), tinyDataset(t), engine.WithSpec("noindex"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stalledStreamSurvivesWrites(t, eng)
 }
 
 // TestShardedMutationCompletesWhileStreamStalled is the sharded analogue.
 func TestShardedMutationCompletesWhileStreamStalled(t *testing.T) {
-	defer leak.Check(t)()
-	ctx := context.Background()
-	ds := tinyDataset(t)
-	s, err := engine.OpenSharded(ctx, ds, 3, engine.WithSpec("noindex"))
+	s, err := engine.OpenSharded(context.Background(), tinyDataset(t), 3, engine.WithSpec("noindex"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := tinyQueries(t, ds)
-	var q *graph.Graph
-	for _, cand := range queries {
-		res, err := s.Query(ctx, cand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Answers) >= 2 {
-			q = cand
-			break
-		}
-	}
-	if q == nil {
-		t.Fatal("no workload query with >= 2 answers; pick a different seed")
-	}
-
-	next, stop := pullFirstAnswer(t, s.Stream(ctx, q))
-	defer stop()
-
-	pool := gen.Synthetic(gen.SynthConfig{
-		NumGraphs: 1, MeanNodes: 8, MeanDensity: 0.3, NumLabels: 4, Seed: 78,
-	})
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.AddGraph(ctx, pool.Graphs[0].ShallowWithID(0))
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("AddGraph: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("mutation blocked behind a stalled sharded stream")
-	}
-
-	for {
-		_, err, ok := next()
-		if !ok {
-			t.Fatal("stale sharded stream ended without an error")
-		}
-		if err != nil {
-			if !errors.Is(err, engine.ErrStreamStale) {
-				t.Fatalf("stream err = %v, want ErrStreamStale", err)
-			}
-			break
-		}
-	}
+	stalledStreamSurvivesWrites(t, s)
 }

@@ -492,9 +492,9 @@ func (m *Multi) race(ctx context.Context, q *graph.Graph, f Features, a, b int, 
 //
 // The router's mutation lock is held only for the routing decision, not
 // across the yielded stream: the sub-engines stream under their own
-// epoch-checked chunked locking, so a slow consumer never stalls mutations
-// and a mutation landing mid-stream surfaces as the sub-engine's
-// engine.ErrStreamStale-wrapped abort.
+// chunked locking, so a slow consumer never stalls mutations, and a
+// mutation landing mid-stream re-plans the sub-engine's stream after its
+// frontier (engine.MergeStream).
 func (m *Multi) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
 	return m.StreamStats(ctx, q, nil)
 }

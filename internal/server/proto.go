@@ -185,9 +185,10 @@ type BatchResponse struct {
 // id, a terminal error, or the terminal done marker with the match count
 // and the pipeline's produced/verified candidate counters (how much work
 // the stream did — a limit=N stream that stopped early reports the small
-// numbers that prove it). On a cluster coordinator the done line may be
-// marked Partial with the shards that lost every owner mid-stream; their
-// answers beyond the merge frontier are missing.
+// numbers that prove it; produced may recount a few candidates per
+// re-plan, see core.PipelineStats). On a cluster coordinator the done line
+// may be marked Partial with the shards that lost every owner mid-stream;
+// their answers beyond the merge frontier are missing.
 type StreamLine struct {
 	ID           *graph.ID `json:"id,omitempty"`
 	Error        string    `json:"error,omitempty"`
@@ -197,10 +198,6 @@ type StreamLine struct {
 	FailedShards []int     `json:"failed_shards,omitempty"`
 	Produced     int64     `json:"produced,omitempty"`
 	Verified     int64     `json:"verified,omitempty"`
-	// Stale marks an error line caused by a mutation landing under the
-	// stream (the epoch-checked chunked locking abort): the stream is
-	// retryable on the same server, resumed after the last received id.
-	Stale bool `json:"stale,omitempty"`
 }
 
 // MethodJSON is one registry entry in the /methods listing.

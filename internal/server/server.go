@@ -435,9 +435,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // candidate scan. With limit > 0 the stream stops after that many answers
 // and the pipeline's tail is never executed; the done line reports the
 // produced/verified counters that prove it. The engine streams under
-// epoch-checked chunked locking (no lock held across writes), so a client
-// that stops reading can no longer block mutations; the write deadline
-// still bounds how long such a client pins a worker slot and connection.
+// chunked locking (no lock held across writes), so a client that stops
+// reading never blocks mutations, and a mutation landing mid-stream
+// re-plans the stream after its frontier instead of ending it; the write
+// deadline still bounds how long such a client pins a worker slot and
+// connection.
 func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *graph.Graph, limit int,
 	tr *obs.Trace, root *obs.Span, t0 time.Time) {
 	if s.cfg.RequestTimeout > 0 {
@@ -459,7 +461,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *grap
 		if err != nil {
 			s.cErrors.Inc()
 			root.Cancel()
-			enc.Encode(StreamLine{Error: err.Error(), Stale: errors.Is(err, engine.ErrStreamStale)})
+			enc.Encode(StreamLine{Error: err.Error()})
 			if fl != nil {
 				fl.Flush()
 			}
