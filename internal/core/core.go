@@ -42,12 +42,12 @@ type BuildStats struct {
 }
 
 // Method is one indexed subgraph query processing method. Implementations
-// are Grapes, GraphGrepSX, CT-Index, gIndex, Tree+Δ, and gCode.
+// are Grapes, GraphGrepSX, CT-Index, gIndex, Tree+Δ, gCode, and the
+// no-index scan.
 //
-// Build must be called exactly once before Candidates/Verify. Methods are
-// safe for concurrent queries after Build unless documented otherwise
-// (Tree+Δ mutates its index during query processing and serializes
-// internally).
+// Build must be called exactly once before Plan. Methods are safe for
+// concurrent queries after Build unless documented otherwise (Tree+Δ
+// mutates its index during query processing and serializes internally).
 //
 // Every method maintains its built index under dataset mutation: the two
 // maintenance calls run under the owning engine's write lock, never
@@ -61,9 +61,14 @@ type Method interface {
 	// returns ctx.Err() as soon as practical after cancellation, mirroring
 	// the paper's 8-hour experiment kill switch.
 	Build(ctx context.Context, ds *graph.Dataset) error
-	// Candidates returns the candidate set for query q: the IDs of all
-	// dataset graphs that pass the filtering stage. The result is sorted.
-	Candidates(q *graph.Graph) (graph.IDSet, error)
+	// Plan is the method's one query-side entry: it runs the query-level
+	// filtering work (feature extraction, posting lookups) for q and
+	// returns the plan that produces q's candidates and verifies them
+	// against the graphs of ds, the dataset the query runs over, under
+	// ctx. A method whose verification reuses filtering state (Grapes's
+	// matched components) keeps that state in its plan; the rest verify
+	// against whole graphs through WholeGraphPlan.
+	Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (QueryPlan, error)
 	// SizeBytes estimates the in-memory size of the built index.
 	SizeBytes() int64
 	// AddGraphToIndex folds g — already added to the dataset the index
@@ -77,118 +82,93 @@ type Method interface {
 	RemoveGraphFromIndex(id graph.ID) error
 }
 
-// Verifier is implemented by methods that verify with their own variant of
-// the matcher (CT-Index's tuned ordering and pruning). CompileQuery runs
-// once per query plan; the pipeline then tests each candidate graph against
-// the compiled query, so nothing query-dependent is redone per candidate.
-type Verifier interface {
-	CompileQuery(q *graph.Graph) *subiso.Prepared
-}
-
-// Planner is implemented by methods whose verification depends on
-// query-scoped filtering state (Grapes uses the matched path locations to
-// verify against individual connected components). PlanQuery subsumes
-// Candidates for such methods; the plan verifies against the graphs of ds,
-// the dataset the query runs over, so the index itself holds no dataset.
-type Planner interface {
-	PlanQuery(ds *graph.Dataset, q *graph.Graph) (QueryPlan, error)
-}
-
-// QueryPlan carries one query's filtering outcome plus the state needed to
-// verify its candidates. It is the pipeline's uniform execution unit: every
-// method — whether it implements Planner, Verifier, or only the base Method
-// contract — is adapted into a QueryPlan by NewPlan, and the Processor only
-// ever executes plans.
+// QueryPlan is one query's filter and verify steps, the pipeline's one
+// execution unit: the Processor, StreamAnswers and the engines' merged
+// streams only ever execute plans.
 type QueryPlan interface {
-	// Candidates returns the sorted candidate set.
-	Candidates() graph.IDSet
-	// Verify tests the query against candidate id. VerifyCandidates calls
-	// Verify concurrently for distinct ids when given more than one worker;
-	// implementations must tolerate that (methods that mutate shared state
-	// serialize internally).
+	// Chunks is the producer stage: the candidate set as a sequence of
+	// chunks, each strictly ascending and starting above the last ID of
+	// the one before, so chunks are disjoint and their concatenation is
+	// the sorted candidate set. It may hold tombstoned or out-of-range
+	// IDs: the liveness filter drops them. The per-graph scan or
+	// intersection runs inside the sequence, so an early-terminated
+	// consumer pays for the prefix it pulled. The sequence is
+	// re-iterable, yielding the same IDs each time, and does no index
+	// reads after its yield returns false, so a stopped stream is torn
+	// down without synchronization.
+	Chunks() iter.Seq[graph.IDSet]
+	// Verify tests the query against candidate id, false for an id no
+	// live graph holds. VerifyCandidates calls Verify concurrently for
+	// distinct ids when given more than one worker; implementations must
+	// tolerate that (methods that mutate shared state serialize
+	// internally). Verify honors the plan's context: a cancelled search
+	// returns false, so a false that overlapped a cancellation is no
+	// answer, and every caller reports the context's error instead.
 	Verify(id graph.ID) bool
 }
 
-// genericPlan adapts a method without its own Planner into a QueryPlan: a
-// candidate set — materialized, or produced lazily in chunks when the
-// method implements CandidateChunker — plus the query compiled once, run
-// against each candidate's whole graph under the plan's context.
-type genericPlan struct {
-	cands  graph.IDSet
+// wholeGraphPlan is WholeGraphPlan's plan.
+type wholeGraphPlan struct {
 	chunks iter.Seq[graph.IDSet]
 	ctx    context.Context
 	ds     *graph.Dataset
 	prep   *subiso.Prepared
 }
 
-func (p *genericPlan) Candidates() graph.IDSet {
-	if p.cands == nil && p.chunks != nil {
-		// Materialize once for one-shot consumers; streamed consumers pull
-		// Chunks() and never pay this.
-		p.cands = graph.IDSet{}
-		for chunk := range p.chunks {
-			p.cands = append(p.cands, chunk...)
-		}
-	}
-	return p.cands
+// WholeGraphPlan is the plan of a method that verifies against whole
+// dataset graphs: its producer's chunks, plus the query compiled once
+// (prep) and run under ctx against each candidate's graph in ds.
+func WholeGraphPlan(ctx context.Context, ds *graph.Dataset, prep *subiso.Prepared, chunks iter.Seq[graph.IDSet]) QueryPlan {
+	return &wholeGraphPlan{chunks: chunks, ctx: ctx, ds: ds, prep: prep}
 }
 
-func (p *genericPlan) Verify(id graph.ID) bool {
+func (p *wholeGraphPlan) Chunks() iter.Seq[graph.IDSet] { return p.chunks }
+
+func (p *wholeGraphPlan) Verify(id graph.ID) bool {
 	g := p.ds.Graph(id)
 	return g != nil && p.prep.Exists(p.ctx, g)
 }
 
-func (p *genericPlan) Chunks() iter.Seq[graph.IDSet] {
-	if p.chunks != nil {
-		return p.chunks
-	}
+// slotChunk is AllSlots' emission granularity: large enough to amortize
+// the per-chunk overhead, small enough that an early-terminated stream
+// materializes a sliver of the slot range.
+const slotChunk = 1024
+
+// AllSlots is the producer of a filter that rules nothing out: every slot
+// ID in [0, n), ascending, in chunks, materializing nothing up front.
+func AllSlots(n int) iter.Seq[graph.IDSet] {
 	return func(yield func(graph.IDSet) bool) {
-		if len(p.cands) > 0 {
-			yield(p.cands)
+		for lo := 0; lo < n; lo += slotChunk {
+			hi := min(lo+slotChunk, n)
+			chunk := make(graph.IDSet, 0, hi-lo)
+			for id := lo; id < hi; id++ {
+				chunk = append(chunk, graph.ID(id))
+			}
+			if !yield(chunk) {
+				return
+			}
 		}
 	}
 }
 
-// NewPlan adapts any method into a QueryPlan for one query, regardless of
-// which optional interfaces it implements: a Planner supplies its own plan
-// (filtering state reused during verification); everything else pairs its
-// candidate set with the query compiled once — by the method when it is a
-// Verifier, as plain VF2 otherwise — and run against whole dataset graphs.
-// The context bounds those runs.
-func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (QueryPlan, error) {
-	if planner, ok := m.(Planner); ok {
-		return planner.PlanQuery(ds, q)
+// DrainedPlan is a method's plan with its candidate set drained on demand,
+// for tests and measurement harnesses that want the filter's output as one
+// set. The query pipeline never drains a plan: it pulls Chunks.
+type DrainedPlan struct{ QueryPlan }
+
+// Candidates drains Chunks into the sorted candidate set.
+func (p DrainedPlan) Candidates() graph.IDSet {
+	cands := graph.IDSet{}
+	for chunk := range p.Chunks() {
+		cands = append(cands, chunk...)
 	}
-	var cands graph.IDSet
-	var chunks iter.Seq[graph.IDSet]
-	if chunker, ok := m.(CandidateChunker); ok {
-		var err error
-		if chunks, err = chunker.CandidateChunks(q); err != nil {
-			return nil, err
-		}
-	} else {
-		var err error
-		if cands, err = m.Candidates(q); err != nil {
-			return nil, err
-		}
-	}
-	for _, id := range cands {
-		// Tombstoned candidates are legal (a stale posting the liveness
-		// filter drops before verification); an ID past the dataset's
-		// slots means the index was built over a different dataset. Chunked
-		// producers are validated lazily instead: the liveness filter drops
-		// out-of-range IDs and Verify treats them as non-matches.
-		if int(id) < 0 || int(id) >= ds.Len() {
-			return nil, fmt.Errorf("core: candidate %d not in dataset", id)
-		}
-	}
-	var prep *subiso.Prepared
-	if verifier, ok := m.(Verifier); ok {
-		prep = verifier.CompileQuery(q)
-	} else {
-		prep = subiso.Compile(q, subiso.Options{})
-	}
-	return &genericPlan{cands: cands, chunks: chunks, ctx: ctx, ds: ds, prep: prep}, nil
+	return cands
+}
+
+// NewPlan is m.Plan with the plan's candidate set drainable.
+func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (DrainedPlan, error) {
+	plan, err := m.Plan(ctx, ds, q)
+	return DrainedPlan{plan}, err
 }
 
 // Persistable is implemented by methods whose built index round-trips
@@ -288,10 +268,10 @@ func (r *QueryResult) FalsePositiveRatio() float64 {
 func (r *QueryResult) TotalTime() time.Duration { return r.FilterTime + r.VerifyTime }
 
 // Processor runs the filter-and-verify pipeline of a built Method over a
-// dataset. Every query follows the same plan-based path: NewPlan adapts the
-// method into a QueryPlan, then the plan's candidates are verified — either
-// serially or, when VerifyWorkers > 1, by a context-aware worker pool that
-// preserves the sorted answer order.
+// dataset. Every query follows the same plan-based path: the method plans
+// it, then the plan's live candidates are verified — either serially or,
+// when VerifyWorkers > 1, by a context-aware worker pool that preserves the
+// sorted answer order.
 type Processor struct {
 	Method Method
 	DS     *graph.Dataset
@@ -319,7 +299,7 @@ func (p *Processor) QueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult,
 	res := &QueryResult{Method: p.Method.Name()}
 	t0 := time.Now()
 	cctx, csp := obs.StartSpan(ctx, "candidate-chunk")
-	plan, err := NewPlan(cctx, p.Method, p.DS, q)
+	plan, err := p.Method.Plan(cctx, p.DS, q)
 	if err != nil {
 		csp.End()
 		return nil, fmt.Errorf("core: filtering with %s: %w", p.Method.Name(), err)
@@ -334,7 +314,7 @@ func (p *Processor) QueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult,
 	var stats PipelineStats
 	live := liveStage{ds: p.DS, stats: &stats}
 	var cands graph.IDSet
-	for chunk := range PlanChunks(plan) {
+	for chunk := range plan.Chunks() {
 		cands = slices.Grow(cands, len(chunk))
 		for _, id := range chunk {
 			if live.admit(id) {
@@ -365,19 +345,22 @@ func (p *Processor) QueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult,
 	return res, nil
 }
 
-// VerifyPlan runs a plan's verification stage over its own candidate set
-// and returns the sorted answer set. Callers that filtered the candidates
-// first (the pipeline's tombstone drop) use VerifyCandidates directly.
+// VerifyPlan runs a plan's verification stage over its whole drained
+// candidate set and returns the sorted answer set. Callers that filtered
+// the candidates first (the pipeline's tombstone drop) use VerifyCandidates
+// directly.
 func VerifyPlan(ctx context.Context, plan QueryPlan, workers int) (graph.IDSet, error) {
-	return VerifyCandidates(ctx, plan, plan.Candidates(), workers)
+	return VerifyCandidates(ctx, plan, DrainedPlan{plan}.Candidates(), workers)
 }
 
-// VerifyCandidates verifies cands (a subset of the plan's candidates)
+// VerifyCandidates verifies cands (IDs the verifier can test, ascending)
 // and returns the sorted answer set. With workers <= 1 candidates are
-// verified in order with a cancellation check between candidates;
-// otherwise they are fanned out across a worker pool and the answers
-// reassembled in candidate order.
-func VerifyCandidates(ctx context.Context, plan QueryPlan, cands graph.IDSet, workers int) (graph.IDSet, error) {
+// verified in order with a cancellation check between candidates and after
+// the last; otherwise they are fanned out across a worker pool and the
+// answers reassembled in candidate order. Either way a cancellation that
+// overlapped any verification returns the context's error, never a
+// partial or falsely empty answer set.
+func VerifyCandidates(ctx context.Context, plan interface{ Verify(graph.ID) bool }, cands graph.IDSet, workers int) (graph.IDSet, error) {
 	if workers > len(cands) {
 		workers = len(cands)
 	}
@@ -390,6 +373,9 @@ func VerifyCandidates(ctx context.Context, plan QueryPlan, cands graph.IDSet, wo
 			if plan.Verify(id) {
 				out = appendAnswer(out, cands, i)
 			}
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
 		return out, nil
 	}
@@ -416,10 +402,10 @@ feed:
 	}
 	close(next)
 	wg.Wait()
-	// Any cancellation voids the parallel result, even one arriving after
-	// the last candidate was handed out: ctx-aware verifiers (the VF2
-	// fallback) abort early with a false negative when cancelled, so a
-	// result that overlapped a cancellation cannot be trusted.
+	// Any cancellation voids the result, even one arriving after the last
+	// candidate was handed out: a cancelled verifier aborts with a false
+	// negative, so a result that overlapped a cancellation cannot be
+	// trusted.
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -447,10 +433,11 @@ func appendAnswer(out, cands graph.IDSet, i int) graph.IDSet {
 // are pulled through the lazy producer → liveness filter → verifier
 // composition (see pipeline.go) and verified serially, so the first answer
 // is yielded after one verification. A filtering failure or context
-// cancellation is yielded once as a non-nil error, then the sequence ends.
+// cancellation is yielded once as a non-nil error, then the sequence ends;
+// a cancellation that overlapped the last verification is still reported.
 func StreamAnswers(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
-		plan, err := NewPlan(ctx, m, ds, q)
+		plan, err := m.Plan(ctx, ds, q)
 		if err != nil {
 			yield(0, fmt.Errorf("core: filtering with %s: %w", m.Name(), err))
 			return
@@ -466,13 +453,17 @@ func StreamAnswers(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Gr
 				return
 			}
 		}
+		if err := ctx.Err(); err != nil {
+			yield(0, err)
+		}
 	}
 }
 
 // BruteForceAnswers returns the exact answer set by running VF2 against
 // every graph in the dataset — the "naive method" of the paper's
 // introduction, used as ground truth in tests and as the no-index baseline
-// in benchmarks.
+// in benchmarks. A cancellation that overlapped any test returns the
+// context's error.
 func BruteForceAnswers(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (graph.IDSet, error) {
 	var out graph.IDSet
 	prep := subiso.Compile(q, subiso.Options{})
@@ -486,6 +477,9 @@ func BruteForceAnswers(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (
 		if prep.Exists(ctx, g) {
 			out = append(out, g.ID())
 		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

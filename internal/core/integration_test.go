@@ -12,6 +12,7 @@ import (
 	"repro/internal/gindex"
 	"repro/internal/grapes"
 	"repro/internal/graph"
+	"repro/internal/testutil/plans"
 	"repro/internal/treedelta"
 	"repro/internal/workload"
 )
@@ -127,8 +128,8 @@ func TestUnbuiltIndexErrors(t *testing.T) {
 	q := graph.New(0)
 	q.AddVertex(0)
 	for _, m := range allMethods() {
-		if _, err := m.Candidates(q); err == nil {
-			t.Errorf("%s: Candidates before Build should error", m.Name())
+		if _, err := plans.Candidates(m, nil, q); err == nil {
+			t.Errorf("%s: Plan before Build should error", m.Name())
 		}
 	}
 }

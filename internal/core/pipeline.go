@@ -12,48 +12,14 @@ import (
 //
 //	candidate producer → liveness filter → verifier → consumer
 //
-// The producer emits candidate IDs in ascending order, in chunks, without
-// materializing the full candidate set (methods that implement
-// CandidateChunker stream their posting-list intersections; the rest fall
-// back to one chunk holding Candidates()). The liveness filter drops
-// tombstoned slots as IDs flow past; a Cursor pulls both stages one ID at a
-// time. The verifier proves what the consumer pulls, so the first answer
-// costs one verification, not a full candidate scan, and a limit-N consumer
-// does only the work it keeps: serially in StreamAnswers, in batches through
-// VerifyCandidates in the engines' streams.
-
-// CandidateChunker is implemented by methods that can emit their candidate
-// set lazily, as a sequence of sorted, non-overlapping, strictly ascending
-// chunks whose concatenation equals Candidates(q). Query-level work (feature
-// extraction, posting lookups) runs eagerly in CandidateChunks; the per-graph
-// scan or intersection is deferred into the sequence. The returned sequence
-// must be re-iterable and must do no index reads after its yield returns
-// false, so an early-terminated stream can be torn down without
-// synchronization.
-type CandidateChunker interface {
-	CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error)
-}
-
-// ChunkedPlan is implemented by query plans that expose their candidate set
-// as a lazy chunk sequence under the same contract as CandidateChunker.
-type ChunkedPlan interface {
-	QueryPlan
-	Chunks() iter.Seq[graph.IDSet]
-}
-
-// PlanChunks adapts any plan into the producer stage's chunk sequence: a
-// ChunkedPlan streams its chunks, everything else degrades to a single
-// materialized chunk.
-func PlanChunks(plan QueryPlan) iter.Seq[graph.IDSet] {
-	if cp, ok := plan.(ChunkedPlan); ok {
-		return cp.Chunks()
-	}
-	return func(yield func(graph.IDSet) bool) {
-		if c := plan.Candidates(); len(c) > 0 {
-			yield(c)
-		}
-	}
-}
+// The producer is the plan's Chunks: candidate IDs in ascending order, in
+// chunks, without materializing the full candidate set (posting-list
+// intersections and table scans run inside the sequence). The liveness
+// filter drops tombstoned slots as IDs flow past; a Cursor pulls both
+// stages one ID at a time. The verifier proves what the consumer pulls, so
+// the first answer costs one verification, not a full candidate scan, and a
+// limit-N consumer does only the work it keeps: serially in StreamAnswers,
+// in batches through VerifyCandidates in the engines' streams.
 
 // PipelineStats counts one query's flow through the pipeline stages. Fields
 // are atomics because the verifier stage may run in a worker pool; a stats
@@ -119,7 +85,7 @@ func NewCursor(ds *graph.Dataset, plan QueryPlan, stats *PipelineStats, skipTo g
 	if stats == nil {
 		stats = &PipelineStats{}
 	}
-	next, stop := iter.Pull(PlanChunks(plan))
+	next, stop := iter.Pull(plan.Chunks())
 	return &Cursor{liveStage: liveStage{ds: ds, stats: stats, skipTo: skipTo}, next: next, stop: stop}
 }
 

@@ -14,7 +14,6 @@ package ctindex
 import (
 	"context"
 	"hash/fnv"
-	"iter"
 
 	"repro/internal/bitset"
 	"repro/internal/canon"
@@ -59,7 +58,7 @@ func (o *Options) fill() {
 type Index struct {
 	opts      Options
 	fps       []*bitset.Bitset // fingerprint per graph
-	labelFreq []int            // label occurrences in ds, for CompileQuery
+	labelFreq []int            // label occurrences in ds, for Plan's matcher
 	built     bool
 }
 
@@ -161,43 +160,24 @@ func (ix *Index) setBits(fp *bitset.Bitset, key string) {
 	}
 }
 
-// Candidates implements core.Method: graphs whose fingerprint covers the
-// query's.
-func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	if !ix.built {
-		return nil, core.ErrNotBuilt
-	}
-	qfp := ix.fingerprint(q)
-	var out graph.IDSet
-	for i, fp := range ix.fps {
-		if fp == nil {
-			continue // tombstoned slot
-		}
-		if qfp.IsSubsetOf(fp) {
-			out = append(out, graph.ID(i))
-		}
-	}
-	return out, nil
-}
-
 // scanChunk is the number of fingerprint slots the lazy producer tests per
 // emitted chunk: the subset tests stay cache-friendly while a limit-1
 // stream touches a sliver of the table.
 const scanChunk = 2048
 
-var _ core.CandidateChunker = (*Index)(nil)
-
-// CandidateChunks implements core.CandidateChunker: the query fingerprint
-// is computed eagerly, then the per-graph subset tests run lazily, a window
-// of fingerprint slots per chunk, so an early-terminated stream never scans
-// the whole table.
-func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) {
+// Plan implements core.Method: graphs whose fingerprint covers the
+// query's, verified by the matcher's tuned variant, its rarity ordering
+// driven by the dataset's label frequencies. The query fingerprint is
+// computed eagerly, then the per-graph subset tests run lazily, a window
+// of fingerprint slots per chunk, so an early-terminated stream never
+// scans the whole table.
+func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
 	qfp := ix.fingerprint(q)
 	fps := ix.fps
-	return func(yield func(graph.IDSet) bool) {
+	chunks := func(yield func(graph.IDSet) bool) {
 		for lo := 0; lo < len(fps); lo += scanChunk {
 			hi := min(lo+scanChunk, len(fps))
 			var chunk graph.IDSet
@@ -213,13 +193,8 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 				return
 			}
 		}
-	}, nil
-}
-
-// CompileQuery implements core.Verifier: the matcher's tuned variant, its
-// rarity ordering driven by the dataset's label frequencies.
-func (ix *Index) CompileQuery(q *graph.Graph) *subiso.Prepared {
-	return subiso.Compile(q, subiso.Options{LabelFreq: ix.labelFreq})
+	}
+	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{LabelFreq: ix.labelFreq}), chunks), nil
 }
 
 // countLabels tallies label occurrences over the live graphs of ds.

@@ -8,6 +8,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/subiso"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -70,7 +71,7 @@ func TestCycleFeaturesDistinguish(t *testing.T) {
 	ds.Add(cycleGraph(1, 1, 1)) // triangle
 	ds.Add(pathGraph(1, 1, 1))  // path
 	ix := build(t, ds, Options{})
-	cands, err := ix.Candidates(cycleGraph(1, 1, 1))
+	cands, err := plans.Candidates(ix, ds, cycleGraph(1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +87,8 @@ func TestVerifyCandidate(t *testing.T) {
 	ds := graph.NewDataset("t")
 	ds.Add(pathGraph(1, 2, 3))
 	ix := build(t, ds, Options{})
-	// The pipeline's view of core.Verifier: the query compiled by the
-	// method, run against candidates by the plan.
+	// The pipeline's view of CT-Index's verifier: the query compiled by
+	// Plan with the tuned matcher, run against candidates by the plan.
 	verify := func(q *graph.Graph, id graph.ID) bool {
 		plan, err := core.NewPlan(context.Background(), ix, ds, q)
 		if err != nil {
@@ -130,7 +131,7 @@ func TestFingerprintBitsOption(t *testing.T) {
 
 func TestUnbuilt(t *testing.T) {
 	ix := New(Options{})
-	if _, err := ix.Candidates(pathGraph(1)); err == nil {
+	if _, err := plans.Candidates(ix, nil, pathGraph(1)); err == nil {
 		t.Errorf("want error before Build")
 	}
 }

@@ -53,7 +53,7 @@ func TestVerifyAllocsPerCandidate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for range core.PlanChunks(plan) {
+		for range plan.Chunks() {
 		}
 	})
 	whole := testing.AllocsPerRun(20, func() {
@@ -107,7 +107,7 @@ func TestGrapesFilterAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			cands = 0
-			for chunk := range core.PlanChunks(plan) {
+			for chunk := range plan.Chunks() {
 				cands += len(chunk)
 			}
 		})
@@ -150,7 +150,7 @@ func TestGGSXFilterAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			cands = 0
-			for chunk := range core.PlanChunks(plan) {
+			for chunk := range plan.Chunks() {
 				cands += len(chunk)
 			}
 		})

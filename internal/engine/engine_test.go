@@ -16,6 +16,7 @@ import (
 	_ "repro/internal/engine/std"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -174,13 +175,13 @@ func TestSaveLoadRoundTripEveryMethod(t *testing.T) {
 				t.Fatalf("LoadMethod: %v", err)
 			}
 			for i, q := range queries {
-				want, err := built.Candidates(q)
+				want, err := plans.Candidates(built, ds, q)
 				if err != nil {
-					t.Fatalf("built.Candidates(%d): %v", i, err)
+					t.Fatalf("built: query %d: %v", i, err)
 				}
-				got, err := loaded.Candidates(q)
+				got, err := plans.Candidates(loaded, ds, q)
 				if err != nil {
-					t.Fatalf("loaded.Candidates(%d): %v", i, err)
+					t.Fatalf("loaded: query %d: %v", i, err)
 				}
 				if !got.Equal(want) {
 					t.Errorf("query %d: candidates diverge after reload: built %v, loaded %v", i, want, got)

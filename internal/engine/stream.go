@@ -23,8 +23,9 @@ const streamQuantum = 64
 // merge is the one query runner behind every query but the flat one-shot
 // (Processor.QueryCtx): a k-way merge over its legs' candidate cursors,
 // smallest parent id first. A leg is a Shard; a flat engine is one leg
-// whose ids are parent ids. The pulled batch is a core.QueryPlan, so
-// core.VerifyCandidates proves it with the owner's whole verify budget.
+// whose ids are parent ids. The merge verifies a pulled batch candidate by
+// its leg's plan, so core.VerifyCandidates proves the batch with the
+// owner's whole verify budget.
 type merge struct {
 	heads   []mergeHead
 	stats   *core.PipelineStats
@@ -82,7 +83,7 @@ func openMerge(ctx context.Context, legs []*Shard, q *graph.Graph, after graph.I
 			return nil
 		}
 		var err error
-		if plans[i], err = core.NewPlan(ctx, sh.eng.method, sh.eng.ds, q); err != nil {
+		if plans[i], err = sh.eng.method.Plan(ctx, sh.eng.ds, q); err != nil {
 			return fmt.Errorf("core: filtering with %s: %w", sh.eng.method.Name(), err)
 		}
 		return nil
@@ -150,10 +151,7 @@ func (m *merge) verify(ctx context.Context) (graph.IDSet, error) {
 	return core.VerifyCandidates(ctx, m, m.cands, m.workers)
 }
 
-// Candidates implements core.QueryPlan: the pulled batch.
-func (m *merge) Candidates() graph.IDSet { return m.cands }
-
-// Verify implements core.QueryPlan: batch candidate id, by its leg's plan.
+// Verify tests batch candidate id by its leg's plan.
 func (m *merge) Verify(id graph.ID) bool {
 	i, _ := slices.BinarySearch(m.cands, id)
 	p := m.from[i]

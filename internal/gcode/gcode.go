@@ -16,13 +16,13 @@ package gcode
 import (
 	"context"
 	"encoding/binary"
-	"iter"
 	"math"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/spectral"
+	"repro/internal/subiso"
 )
 
 // Defaults from §4.1 of the paper: paths of up to size 2 for the signatures,
@@ -315,48 +315,17 @@ func (ix *Index) vertexSig(g *graph.Graph, v int32) vertexSignature {
 	return sig
 }
 
-// Candidates implements core.Method: phase 1 graph-code dominance, phase 2
-// vertex-signature bipartite matching.
-func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	if !ix.built {
-		return nil, core.ErrNotBuilt
-	}
-	qc := ix.encode(q)
-	v, err := ix.view()
-	if err != nil {
-		return nil, err
-	}
-	var out graph.IDSet
-	for i, n := 0, v.n(); i < n; i++ {
-		s := v.summary(i)
-		if !s.dominatesQ(&qc) {
-			continue
-		}
-		sigs, err := v.sigs(i)
-		if err != nil {
-			return nil, err
-		}
-		if !signatureMatch(qc.sigs, sigs) {
-			continue
-		}
-		out = append(out, s.id)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out, nil
-}
-
 // scanChunk is the number of graph codes the lazy producer tests per
 // emitted chunk.
 const scanChunk = 512
 
-var _ core.CandidateChunker = (*Index)(nil)
-
-// CandidateChunks implements core.CandidateChunker: the query is encoded
-// eagerly and an ID-ordered view of the code table is built (the table is
-// sorted by (labelBits, id), not id — a cheap position sort next to the
-// dominance tests), then the two-phase filter runs lazily over windows of
-// that view so candidates stream out in ascending ID order.
-func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) {
+// Plan implements core.Method: phase 1 graph-code dominance, phase 2
+// vertex-signature bipartite matching, verified against whole graphs. The
+// query is encoded eagerly and an ID-ordered view of the code table is
+// built (the table is sorted by (labelBits, id), not id — a cheap position
+// sort next to the dominance tests), then the two-phase filter runs lazily
+// over windows of that view so candidates stream out in ascending ID order.
+func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
@@ -372,7 +341,7 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 		byID[i] = int32(i)
 	}
 	sort.Slice(byID, func(a, b int) bool { return ids[byID[a]] < ids[byID[b]] })
-	return func(yield func(graph.IDSet) bool) {
+	chunks := func(yield func(graph.IDSet) bool) {
 		for lo := 0; lo < len(byID); lo += scanChunk {
 			hi := min(lo+scanChunk, len(byID))
 			var chunk graph.IDSet
@@ -393,7 +362,8 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 				return
 			}
 		}
-	}, nil
+	}
+	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
 }
 
 // signatureMatch reports whether every query vertex signature can be

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/subiso"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -61,7 +62,7 @@ func TestCandidatesBasic(t *testing.T) {
 	ds.Add(pathGraph(1, 2, 3))
 	ds.Add(pathGraph(4, 5))
 	ix := build(t, ds, Options{})
-	cands, err := ix.Candidates(pathGraph(1, 2))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPhase2DistinctnessFiltering(t *testing.T) {
 	ds := graph.NewDataset("t")
 	ds.Add(g)
 	ix := build(t, ds, Options{})
-	cands, err := ix.Candidates(q)
+	cands, err := plans.Candidates(ix, ds, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestNoFalseNegativesRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		cands, err := ix.Candidates(q)
+		cands, err := plans.Candidates(ix, ds, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +133,7 @@ func TestLargerPathLen(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		cands, err := ix.Candidates(q)
+		cands, err := plans.Candidates(ix, ds, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -146,7 +147,7 @@ func TestLargerPathLen(t *testing.T) {
 
 func TestUnbuiltAndSize(t *testing.T) {
 	ix := New(Options{})
-	if _, err := ix.Candidates(pathGraph(1)); err == nil {
+	if _, err := plans.Candidates(ix, nil, pathGraph(1)); err == nil {
 		t.Errorf("want error before Build")
 	}
 	ds := graph.NewDataset("t")

@@ -19,6 +19,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/features"
 	"repro/internal/graph"
+	"repro/internal/subiso"
 )
 
 // DefaultMaxPathLen is the paper's §4.1 setting for GGSX.
@@ -379,33 +380,18 @@ func dominates(cons []pathConstraint, js []int, id graph.ID) bool {
 	return true
 }
 
-// Candidates implements core.Method: graphs whose counts dominate the
-// query's on every query path, drained from CandidateChunks. A query path
-// absent from the index empties the candidate set.
-func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	chunks, err := ix.CandidateChunks(q)
-	if err != nil {
-		return nil, err
-	}
-	cands := graph.IDSet{}
-	for chunk := range chunks {
-		cands = append(cands, chunk...)
-	}
-	return cands, nil
-}
-
 // chunkSize is the lazy producer's emission granularity.
 const chunkSize = 256
 
-var _ core.CandidateChunker = (*Index)(nil)
-
-// CandidateChunks implements core.CandidateChunker: the query trie is built
+// Plan implements core.Method: graphs whose counts dominate the query's on
+// every query path, verified against whole graphs. The query trie is built
 // and one constraint per path direction gathered eagerly, then candidates
 // stream out in ascending ID order by walking the rarest constraint's
 // posting and probing the others, rarest first, until one rejects — in
 // O(1) for a dense posting, by a forward merge cursor for a sparse one.
-// An early-terminated stream touches a prefix of the driving posting.
-func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) {
+// An early-terminated stream touches a prefix of the driving posting. A
+// query path absent from the index empties the candidate set.
+func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
@@ -418,26 +404,22 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 	if err != nil {
 		return nil, err
 	}
-	if !ok {
-		return func(yield func(graph.IDSet) bool) {}, nil
+	var chunks iter.Seq[graph.IDSet]
+	switch {
+	case !ok:
+		chunks = func(yield func(graph.IDSet) bool) {}
+	case len(cons) == 0:
+		// A query with no enumerable paths constrains nothing.
+		chunks = core.AllSlots(ix.nGr)
+	default:
+		chunks = probe(cons)
 	}
-	if len(cons) == 0 {
-		// A query with no enumerable paths constrains nothing: every graph
-		// slot is a candidate, emitted in ranges.
-		n := ix.nGr
-		return func(yield func(graph.IDSet) bool) {
-			for lo := 0; lo < n; lo += chunkSize {
-				hi := min(lo+chunkSize, n)
-				chunk := make(graph.IDSet, 0, hi-lo)
-				for id := lo; id < hi; id++ {
-					chunk = append(chunk, graph.ID(id))
-				}
-				if !yield(chunk) {
-					return
-				}
-			}
-		}, nil
-	}
+	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
+}
+
+// probe streams the graphs that meet every constraint: the rarest drives,
+// the others are probed rarest first until one rejects.
+func probe(cons []pathConstraint) iter.Seq[graph.IDSet] {
 	slices.SortFunc(cons, byRarity)
 	driver, others := cons[0], cons[1:]
 	return func(yield func(graph.IDSet) bool) {
@@ -458,7 +440,7 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 		if len(chunk) > 0 {
 			yield(chunk)
 		}
-	}, nil
+	}
 }
 
 // SizeBytes implements core.Method. A lazily-opened index reports only

@@ -19,6 +19,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/subiso"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -63,7 +64,7 @@ func TestCandidatesBasic(t *testing.T) {
 	ds.Add(pathGraph(3, 2, 1))
 	ds.Add(pathGraph(4, 5))
 	ix := build(t, ds)
-	cands, err := ix.Candidates(pathGraph(1, 2))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestCandidatesBasic(t *testing.T) {
 	if !cands.Equal(graph.IDSet{0, 1}) {
 		t.Errorf("candidates = %v, want [0 1]", cands)
 	}
-	cands, _ = ix.Candidates(pathGraph(9))
+	cands, _ = plans.Candidates(ix, ds, pathGraph(9))
 	if len(cands) != 0 {
 		t.Errorf("unknown label produced candidates: %v", cands)
 	}
@@ -82,7 +83,7 @@ func TestOccurrenceCountFiltering(t *testing.T) {
 	ds.Add(pathGraph(1, 1))    // one 1-1 edge
 	ds.Add(pathGraph(1, 1, 1)) // two 1-1 edges
 	ix := build(t, ds)
-	cands, err := ix.Candidates(pathGraph(1, 1, 1))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestOccurrenceCountFiltering(t *testing.T) {
 	ds.Add(pathGraph(2, 1, 2))
 	ds.Add(pathGraph(1))
 	ix = build(t, ds)
-	if cands, err = ix.Candidates(twice(pathGraph(1, 2))); err != nil {
+	if cands, err = plans.Candidates(ix, ds, twice(pathGraph(1, 2))); err != nil {
 		t.Fatal(err)
 	}
 	if len(cands) != 0 {
@@ -112,7 +113,7 @@ func TestNoFalseNegativesRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		cands, err := ix.Candidates(q)
+		cands, err := plans.Candidates(ix, ds, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,12 +140,12 @@ func TestTrieShape(t *testing.T) {
 
 func TestUnbuiltAndEmpty(t *testing.T) {
 	ix := New(Options{})
-	if _, err := ix.Candidates(pathGraph(1)); err == nil {
+	if _, err := plans.Candidates(ix, nil, pathGraph(1)); err == nil {
 		t.Errorf("want error before Build")
 	}
 	empty := graph.NewDataset("e")
 	built := build(t, empty)
-	cands, err := built.Candidates(pathGraph(1))
+	cands, err := plans.Candidates(built, empty, pathGraph(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 				check := func(stage string) bitmapStats {
 					t.Helper()
 					for i, q := range queries {
-						got, err := ix.Candidates(q)
+						got, err := plans.Candidates(ix, ds, q)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -528,7 +529,7 @@ func TestLazyConcurrentQueries(t *testing.T) {
 	mapped := reload(t, heap, ds, core.StorageMmap)
 	want := make([]graph.IDSet, len(queries))
 	for i, q := range queries {
-		if want[i], err = heap.Candidates(q); err != nil {
+		if want[i], err = plans.Candidates(heap, ds, q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -539,7 +540,7 @@ func TestLazyConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for k := range queries {
 				i := (k + 4*w) % len(queries)
-				got, err := mapped.Candidates(queries[i])
+				got, err := plans.Candidates(mapped, ds, queries[i])
 				if err != nil {
 					t.Error(err)
 					return

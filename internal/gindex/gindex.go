@@ -24,6 +24,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/graph"
 	"repro/internal/mining"
+	"repro/internal/subiso"
 )
 
 // Defaults from §4.1 of the paper.
@@ -174,52 +175,32 @@ func edgeSetKey(ids []int) string {
 	return string(buf)
 }
 
-// Candidates implements core.Method: the intersection of the maximal
-// indexed fragments' postings.
-func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	if !ix.built {
-		return nil, core.ErrNotBuilt
-	}
-	cands := graph.UniverseIDSet(ix.nGraphs)
-	for _, post := range ix.maximalPostings(q) {
-		cands = cands.Intersect(post)
-		if len(cands) == 0 {
-			break
-		}
-	}
-	return cands, nil
-}
-
 // chunkSize is the lazy producer's emission granularity.
 const chunkSize = 512
 
-var _ core.CandidateChunker = (*Index)(nil)
-
-// CandidateChunks implements core.CandidateChunker. Fragment mining is
+// Plan implements core.Method: the intersection of the maximal indexed
+// fragments' postings, verified against whole graphs. Fragment mining is
 // inherently eager — which fragments are maximal is only known once
 // expansion finishes — so the mining runs up front, but the posting
 // intersection itself streams candidate-major over the smallest maximal
-// posting, emitting ascending ID chunks.
-func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) {
+// posting, emitting ascending ID chunks. A query with no indexed fragment
+// rules nothing out.
+func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	posts := ix.maximalPostings(q)
-	if len(posts) == 0 {
-		n := ix.nGraphs
-		return func(yield func(graph.IDSet) bool) {
-			for lo := 0; lo < n; lo += chunkSize {
-				hi := min(lo+chunkSize, n)
-				chunk := make(graph.IDSet, 0, hi-lo)
-				for id := lo; id < hi; id++ {
-					chunk = append(chunk, graph.ID(id))
-				}
-				if !yield(chunk) {
-					return
-				}
-			}
-		}, nil
+	var chunks iter.Seq[graph.IDSet]
+	if posts := ix.maximalPostings(q); len(posts) > 0 {
+		chunks = intersect(posts)
+	} else {
+		chunks = core.AllSlots(ix.nGraphs)
 	}
+	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
+}
+
+// intersect streams the intersection of posts: the smallest posting
+// drives, every other is probed by a forward merge cursor.
+func intersect(posts []graph.IDSet) iter.Seq[graph.IDSet] {
 	drv := 0
 	for k := range posts {
 		if len(posts[k]) < len(posts[drv]) {
@@ -257,7 +238,7 @@ func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) 
 		if len(chunk) > 0 {
 			yield(chunk)
 		}
-	}, nil
+	}
 }
 
 // maximalPostings mines the query's indexed fragments and returns the

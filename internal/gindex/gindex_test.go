@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/subiso"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -39,7 +40,7 @@ func TestSingleEdgeFeaturesIndexed(t *testing.T) {
 	if ix.NumFeatures() == 0 {
 		t.Fatalf("no features indexed")
 	}
-	cands, err := ix.Candidates(pathGraph(1, 2))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestFiltersByFrequentFeature(t *testing.T) {
 		ds.Add(pathGraph(3, 4))
 	}
 	ix := build(t, ds, Options{MaxFeatureSize: 2})
-	cands, err := ix.Candidates(pathGraph(1, 2))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestInfrequentEdgeCannotFilter(t *testing.T) {
 		ds.Add(pathGraph(1, 2))
 	}
 	ix := build(t, ds, Options{MaxFeatureSize: 2})
-	cands, err := ix.Candidates(pathGraph(7, 8))
+	cands, err := plans.Candidates(ix, ds, pathGraph(7, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func TestNoFalseNegativesRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		cands, err := ix.Candidates(q)
+		cands, err := plans.Candidates(ix, ds, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +126,7 @@ func TestFragmentBudgetStillSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		cands, err := ix.Candidates(q)
+		cands, err := plans.Candidates(ix, ds, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +140,7 @@ func TestFragmentBudgetStillSound(t *testing.T) {
 
 func TestUnbuiltAndSize(t *testing.T) {
 	ix := New(Options{})
-	if _, err := ix.Candidates(pathGraph(1)); err == nil {
+	if _, err := plans.Candidates(ix, nil, pathGraph(1)); err == nil {
 		t.Errorf("want error before Build")
 	}
 	ds := graph.NewDataset("t")

@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/canon"
 	"repro/internal/core"
@@ -350,23 +351,12 @@ func (ix *Index) resolve(qp *queryPaths) ([]feature, error) {
 	return feats, nil
 }
 
-// Candidates implements core.Method (used when the caller does not go
-// through PlanQuery). Filtering reads no dataset graph.
-func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	plan, err := ix.PlanQuery(nil, q)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Candidates(), nil
-}
-
-// PlanQuery implements core.Planner: the query's paths are extracted and
+// Plan implements core.Method: the query's paths are extracted and
 // resolved eagerly; the count-dominance intersection itself runs lazily,
-// candidate-major, when the plan's candidates are pulled (the plan
-// implements core.ChunkedPlan), retaining per emitted candidate the
-// components touched by matched path locations. Verify tests the graphs of
-// ds.
-func (ix *Index) PlanQuery(ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+// candidate-major, when the plan's chunks are pulled, retaining per
+// emitted candidate the components touched by matched path locations.
+// Verify tests the graphs of ds under ctx.
+func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
@@ -375,7 +365,7 @@ func (ix *Index) PlanQuery(ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, e
 	if err != nil {
 		return nil, err
 	}
-	return &queryPlan{ix: ix, ds: ds, prep: subiso.Compile(q, subiso.Options{}), feats: feats}, nil
+	return &queryPlan{ix: ix, ctx: ctx, ds: ds, prep: subiso.Compile(q, subiso.Options{}), feats: feats}, nil
 }
 
 func markComponents(dst []bool, comp []int32, starts []int32) {
@@ -431,12 +421,13 @@ func seekGE(ids graph.IDSet, from int, id graph.ID) int {
 const chunkSize = 256
 
 // queryPlan holds one query's resolved features and, as candidates are
-// produced, their viable components. It implements core.ChunkedPlan: the
-// dominance intersection is evaluated candidate-major over the rarest
-// feature's posting list, so an early-terminated stream walks a prefix of
-// one posting instead of intersecting all of them up front.
+// produced, their viable components. The dominance intersection is
+// evaluated candidate-major over the rarest feature's posting list, so an
+// early-terminated stream walks a prefix of one posting instead of
+// intersecting all of them up front.
 type queryPlan struct {
 	ix    *Index
+	ctx   context.Context  // bounds every verification
 	ds    *graph.Dataset   // the candidates' graphs
 	prep  *subiso.Prepared // the query, compiled once for every candidate
 	feats []feature        // rarest first, feats[0] walked; none: no candidates
@@ -445,28 +436,9 @@ type queryPlan struct {
 	// component table could not be read and Verify tests the whole graph.
 	mu     sync.Mutex
 	states map[graph.ID][]bool
-	// cands caches the materialized candidate set for one-shot consumers.
-	cands        graph.IDSet
-	materialized bool
 }
 
-var _ core.ChunkedPlan = (*queryPlan)(nil)
-
-// Candidates implements core.QueryPlan, materializing the chunk sequence
-// once for one-shot consumers.
-func (p *queryPlan) Candidates() graph.IDSet {
-	if !p.materialized {
-		var cands graph.IDSet
-		for chunk := range p.Chunks() {
-			cands = append(cands, chunk...)
-		}
-		p.cands = cands
-		p.materialized = true
-	}
-	return p.cands
-}
-
-// Chunks implements core.ChunkedPlan: candidates stream out in ascending ID
+// Chunks implements core.QueryPlan: candidates stream out in ascending ID
 // order by walking the rarest feature's posting and seeking every other
 // feature's posting to the same id, AND-ing viable components feature by
 // feature. The component masks are one scratch pair per iteration; only an
@@ -559,7 +531,7 @@ func (p *queryPlan) Verify(id graph.ID) bool {
 	if viable == nil || err != nil || len(comp) != g.NumVertices() {
 		// A mapped table is only validated against its own sections; one
 		// that does not fit the graph restricts nothing.
-		return p.prep.Exists(context.TODO(), g)
+		return p.prep.Exists(p.ctx, g)
 	}
 	var targets []int
 	for c, ok := range viable {
@@ -568,37 +540,33 @@ func (p *queryPlan) Verify(id graph.ID) bool {
 		}
 	}
 	if len(targets) == 1 {
-		return p.verifyComponent(g, comp, targets[0])
+		return p.prep.ExistsRestricted(p.ctx, g, comp, int32(targets[0]))
 	}
-	// Parallel per-component verification, first match wins.
-	workers := p.ix.opts.Workers
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	found := make(chan bool, len(targets))
-	sem := make(chan struct{}, workers)
+	// Parallel per-component verification: the first match cancels the
+	// searches still running and those still waiting for a worker.
+	ctx, cancel := context.WithCancel(p.ctx)
+	defer cancel()
+	sem := make(chan struct{}, min(p.ix.opts.Workers, len(targets)))
+	var found atomic.Bool
 	var wg sync.WaitGroup
 	for _, c := range targets {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			sem <- struct{}{}
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				return
+			}
 			defer func() { <-sem }()
-			found <- p.verifyComponent(g, comp, c)
+			if p.prep.ExistsRestricted(ctx, g, comp, int32(c)) {
+				found.Store(true)
+				cancel()
+			}
 		}(c)
 	}
 	wg.Wait()
-	close(found)
-	for ok := range found {
-		if ok {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *queryPlan) verifyComponent(g *graph.Graph, comp []int32, c int) bool {
-	return p.prep.ExistsRestricted(context.TODO(), g, comp, int32(c))
+	return found.Load()
 }
 
 // SizeBytes implements core.Method. A lazily-opened index reports only

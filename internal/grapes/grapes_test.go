@@ -2,10 +2,15 @@ package grapes
 
 import (
 	"context"
+	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/testutil/plans"
+	"repro/internal/testutil/trap"
 	"repro/internal/workload"
 )
 
@@ -36,18 +41,18 @@ func TestCandidatesBasic(t *testing.T) {
 	ds.Add(pathGraph(5, 6))
 	ix := build(t, ds, Options{})
 
-	cands, err := ix.Candidates(pathGraph(1, 2))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !cands.Equal(graph.IDSet{0, 1}) {
 		t.Errorf("candidates = %v, want [0 1]", cands)
 	}
-	cands, _ = ix.Candidates(pathGraph(2, 3))
+	cands, _ = plans.Candidates(ix, ds, pathGraph(2, 3))
 	if !cands.Equal(graph.IDSet{0}) {
 		t.Errorf("candidates = %v, want [0]", cands)
 	}
-	cands, _ = ix.Candidates(pathGraph(9, 9))
+	cands, _ = plans.Candidates(ix, ds, pathGraph(9, 9))
 	if len(cands) != 0 {
 		t.Errorf("candidates for absent labels = %v", cands)
 	}
@@ -61,7 +66,7 @@ func TestCountDominance(t *testing.T) {
 	ix := build(t, ds, Options{})
 	// Query needs two 1-1 edges.
 	q := pathGraph(1, 1, 1)
-	cands, err := ix.Candidates(q)
+	cands, err := plans.Candidates(ix, ds, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +92,7 @@ func TestComponentFiltering(t *testing.T) {
 
 	// Query 2-1-3 requires features 2-1 and 1-3 in the SAME component.
 	q := pathGraph(2, 1, 3)
-	cands, err := ix.Candidates(q)
+	cands, err := plans.Candidates(ix, ds, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +114,7 @@ func TestPlanVerifyOnComponents(t *testing.T) {
 	ds.Add(g)
 	ix := build(t, ds, Options{})
 
-	plan, err := ix.PlanQuery(ds, pathGraph(1, 2, 3))
+	plan, err := core.NewPlan(context.Background(), ix, ds, pathGraph(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +138,8 @@ func TestWorkerCountsAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, q := range qs {
-		a, err1 := seq.Candidates(q)
-		b, err2 := par.Candidates(q)
+		a, err1 := plans.Candidates(seq, ds, q)
+		b, err2 := plans.Candidates(par, ds, q)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -159,7 +164,7 @@ func TestSizeAndFeatures(t *testing.T) {
 
 func TestUnbuiltErrors(t *testing.T) {
 	ix := New(Options{})
-	if _, err := ix.Candidates(pathGraph(1)); err == nil {
+	if _, err := plans.Candidates(ix, nil, pathGraph(1)); err == nil {
 		t.Errorf("want error before Build")
 	}
 }
@@ -167,11 +172,64 @@ func TestUnbuiltErrors(t *testing.T) {
 func TestEmptyDataset(t *testing.T) {
 	ds := graph.NewDataset("empty")
 	ix := build(t, ds, Options{})
-	cands, err := ix.Candidates(pathGraph(1, 2))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cands) != 0 {
 		t.Errorf("empty dataset produced candidates")
+	}
+}
+
+// TestVerifyStopsAtFirstComponentMatch: on the trap, whose graph holds the
+// query's cycle in one component and a bipartite part the matcher cannot
+// finish in a test's lifetime in the other, verification is bounded by the
+// first match and by the plan's context. Without a deadline the cycle's
+// component answers and cancels the bipartite search; under a 50 ms
+// deadline the trap query and a 13-cycle, which only the bipartite search
+// could refute, both return promptly — the latter with the deadline's
+// error.
+func TestVerifyStopsAtFirstComponentMatch(t *testing.T) {
+	ds, q := trap.Dataset()
+	ix := build(t, ds, Options{})
+	p := core.NewProcessor(ix, ds)
+	within := func(limit time.Duration, run func() error) error {
+		t.Helper()
+		done := make(chan error, 1)
+		go func() { done <- run() }()
+		select {
+		case err := <-done:
+			return err
+		case <-time.After(limit):
+			t.Fatalf("query still running after %v", limit)
+			return nil
+		}
+	}
+	err := within(20*time.Second, func() error {
+		res, err := p.QueryCtx(context.Background(), q)
+		if err == nil && !res.Answers.Equal(graph.IDSet{0}) {
+			t.Errorf("answers %v, want [0]", res.Answers)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, query := range []*graph.Graph{q, trap.Cycle(13)} {
+		err := within(5*time.Second, func() error {
+			ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+			defer cancel()
+			res, err := p.QueryCtx(ctx, query)
+			if err == nil && !res.Answers.Equal(graph.IDSet{0}) {
+				t.Errorf("%d-cycle: answers %v, want [0] or the deadline's error", query.NumVertices(), res.Answers)
+			}
+			return err
+		})
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%d-cycle: err = %v, want nil or the deadline's error", query.NumVertices(), err)
+		}
+		if query != q && err == nil {
+			t.Errorf("%d-cycle: no error, want the deadline's: the graph does not contain it", query.NumVertices())
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/diskfmt"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -59,11 +60,11 @@ func TestMmapNeverReadsBulkSections(t *testing.T) {
 			r.Accessed(secPostings), r.Accessed(secCompBlob))
 	}
 	for i, q := range queries {
-		want, err := built.Candidates(q)
+		want, err := plans.Candidates(built, ds, q)
 		if err != nil {
 			t.Fatalf("heap candidates %d: %v", i, err)
 		}
-		got, err := ix.Candidates(q)
+		got, err := plans.Candidates(ix, ds, q)
 		if err != nil {
 			t.Fatalf("mmap candidates %d: %v", i, err)
 		}
@@ -156,7 +157,7 @@ func TestMmapMisfitComponentTableNeverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	mapped, _ := mapSections(t, w, ds)
-	plan, err := mapped.PlanQuery(ds, pathGraph(3, 1))
+	plan, err := core.NewPlan(context.Background(), mapped, ds, pathGraph(3, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

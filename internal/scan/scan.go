@@ -9,10 +9,10 @@ package scan
 
 import (
 	"context"
-	"iter"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/subiso"
 )
 
 // Index is the no-op "index" of the sequential-scan baseline.
@@ -37,13 +37,13 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	return nil
 }
 
-// Candidates implements core.Method: every graph is a candidate, so the
-// verification stage performs the full scan.
-func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
+// Plan implements core.Method: every graph slot is a candidate, emitted by
+// the all-slots producer, so the verification stage performs the full scan.
+func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	return graph.UniverseIDSet(ix.n), nil
+	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), core.AllSlots(ix.n)), nil
 }
 
 // AddGraphToIndex implements core.Method: the scan covers every slot up to
@@ -67,31 +67,3 @@ func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 
 // SizeBytes implements core.Method: the baseline stores nothing.
 func (ix *Index) SizeBytes() int64 { return 0 }
-
-// chunkSize is the lazy producer's emission granularity: large enough to
-// amortize per-chunk overhead, small enough that an early-terminated stream
-// scans a sliver of the universe.
-const chunkSize = 1024
-
-var _ core.CandidateChunker = (*Index)(nil)
-
-// CandidateChunks implements core.CandidateChunker: the candidate universe
-// emitted as fixed-size ID ranges, materializing nothing up front.
-func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) {
-	if !ix.built {
-		return nil, core.ErrNotBuilt
-	}
-	n := ix.n
-	return func(yield func(graph.IDSet) bool) {
-		for lo := 0; lo < n; lo += chunkSize {
-			hi := min(lo+chunkSize, n)
-			chunk := make(graph.IDSet, 0, hi-lo)
-			for id := lo; id < hi; id++ {
-				chunk = append(chunk, graph.ID(id))
-			}
-			if !yield(chunk) {
-				return
-			}
-		}
-	}, nil
-}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func TestScanUnbuiltAndCancel(t *testing.T) {
 	ix := New()
 	q := graph.New(0)
 	q.AddVertex(1)
-	if _, err := ix.Candidates(q); err == nil {
+	if _, err := plans.Candidates(ix, nil, q); err == nil {
 		t.Errorf("want error before Build")
 	}
 	ctx, cancel := context.WithCancel(context.Background())

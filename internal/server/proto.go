@@ -1,7 +1,9 @@
 package server
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/core"
@@ -44,15 +46,13 @@ func GraphToJSON(g *graph.Graph, dict *graph.Dictionary) GraphJSON {
 // unknown reports a vertex label absent from the dictionary: no dataset
 // graph can then contain the query, so the caller short-circuits to an
 // empty result instead of growing the shared dictionary with a label no
-// graph carries.
+// graph carries. gj's edges are normalized and sorted in place.
 func ToGraph(gj GraphJSON, dict *graph.Dictionary) (q *graph.Graph, unknown bool, err error) {
 	if len(gj.Vertices) == 0 {
 		return nil, false, fmt.Errorf("query has no vertices")
 	}
-	for _, e := range gj.Edges {
-		if e[0] < 0 || int(e[0]) >= len(gj.Vertices) || e[1] < 0 || int(e[1]) >= len(gj.Vertices) {
-			return nil, false, fmt.Errorf("edge (%d,%d) out of range [0,%d)", e[0], e[1], len(gj.Vertices))
-		}
+	if err := sortEdges(gj); err != nil {
+		return nil, false, err
 	}
 	g := graph.NewWithCapacity(0, len(gj.Vertices))
 	for _, name := range gj.Vertices {
@@ -63,35 +63,60 @@ func ToGraph(gj GraphJSON, dict *graph.Dictionary) (q *graph.Graph, unknown bool
 		g.AddVertex(l)
 	}
 	for _, e := range gj.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, false, err
-		}
+		g.MustAddEdge(e[0], e[1])
 	}
 	return g, false, nil
 }
 
 // InternGraph converts a wire graph for insertion: unlike ToGraph, a
 // label the dictionary has never seen is interned rather than reported —
-// an added graph is allowed to grow the label universe.
+// an added graph is allowed to grow the label universe. Labels are
+// interned only once the edges are valid, so a rejected graph leaves dict
+// as it was. gj's edges are normalized and sorted in place.
 func InternGraph(gj GraphJSON, dict *graph.Dictionary) (*graph.Graph, error) {
 	if len(gj.Vertices) == 0 {
 		return nil, fmt.Errorf("graph has no vertices")
 	}
-	for _, e := range gj.Edges {
-		if e[0] < 0 || int(e[0]) >= len(gj.Vertices) || e[1] < 0 || int(e[1]) >= len(gj.Vertices) {
-			return nil, fmt.Errorf("edge (%d,%d) out of range [0,%d)", e[0], e[1], len(gj.Vertices))
-		}
+	if err := sortEdges(gj); err != nil {
+		return nil, err
 	}
 	g := graph.NewWithCapacity(0, len(gj.Vertices))
 	for _, name := range gj.Vertices {
 		g.AddVertex(dict.Intern(name))
 	}
 	for _, e := range gj.Edges {
-		if err := g.AddEdge(e[0], e[1]); err != nil {
-			return nil, err
-		}
+		g.MustAddEdge(e[0], e[1])
 	}
 	return g, nil
+}
+
+// sortEdges validates gj's edges and puts each lower endpoint first, then
+// sorts them, all in place: an out-of-range endpoint, a self-loop or a
+// repeated edge is an error, so adding the sorted edges cannot fail. Added
+// in this order, every edge appends to both adjacency lists, so decoding
+// costs O(E log E) however the client ordered the edges, not a shift of a
+// vertex's list per edge.
+func sortEdges(gj GraphJSON) error {
+	n := len(gj.Vertices)
+	for i, e := range gj.Edges {
+		switch {
+		case e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n:
+			return fmt.Errorf("edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
+		case e[0] == e[1]:
+			return fmt.Errorf("self-loop on vertex %d", e[0])
+		case e[0] > e[1]:
+			gj.Edges[i] = [2]int32{e[1], e[0]}
+		}
+	}
+	slices.SortFunc(gj.Edges, func(a, b [2]int32) int {
+		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
+	})
+	for i := 1; i < len(gj.Edges); i++ {
+		if e := gj.Edges[i]; e == gj.Edges[i-1] {
+			return fmt.Errorf("duplicate edge (%d,%d)", e[0], e[1])
+		}
+	}
+	return nil
 }
 
 // MutationResponse is the body of a successful POST /graphs or

@@ -16,7 +16,6 @@ package treedelta
 
 import (
 	"context"
-	"iter"
 	"sort"
 	"sync"
 
@@ -182,42 +181,32 @@ func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 	return nil
 }
 
-// Candidates implements core.Method: tree-based filtering, then Δ-based
-// refinement and learning.
-func (ix *Index) Candidates(q *graph.Graph) (graph.IDSet, error) {
-	if !ix.built {
-		return nil, core.ErrNotBuilt
-	}
-	cands := ix.treeCandidates(q)
-	cands = ix.applyDeltas(q, cands)
-	return cands, nil
-}
-
 // chunkSize is the producer's emission granularity.
 const chunkSize = 512
 
-var _ core.CandidateChunker = (*Index)(nil)
-
-// CandidateChunks implements core.CandidateChunker. Tree+Δ cannot defer its
-// filtering: Δ admission learns from the *complete* tree-based candidate
-// set of every processed query (a lazily truncated set would corrupt the
-// admission statistics and the discriminative test), so the candidate set
-// is computed eagerly — once, not per iteration, since Candidates mutates
-// the Δ state — and emitted in chunks. The verifier stage downstream is
-// still lazy, which is where Tree+Δ's streaming win lives.
-func (ix *Index) CandidateChunks(q *graph.Graph) (iter.Seq[graph.IDSet], error) {
-	cands, err := ix.Candidates(q)
-	if err != nil {
-		return nil, err
+// Plan implements core.Method: tree-based filtering, then Δ-based
+// refinement and learning, verified against whole graphs. Tree+Δ cannot
+// defer its filtering: Δ admission learns from the *complete* tree-based
+// candidate set of every processed query (a lazily truncated set would
+// corrupt the admission statistics and the discriminative test), so the
+// candidate set is computed eagerly — once per plan, not per iteration,
+// since filtering mutates the Δ state — and emitted in chunks. The
+// verifier stage downstream is still lazy, which is where Tree+Δ's
+// streaming win lives.
+func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+	if !ix.built {
+		return nil, core.ErrNotBuilt
 	}
-	return func(yield func(graph.IDSet) bool) {
+	cands := ix.applyDeltas(q, ix.treeCandidates(q))
+	chunks := func(yield func(graph.IDSet) bool) {
 		for lo := 0; lo < len(cands); lo += chunkSize {
 			hi := min(lo+chunkSize, len(cands))
 			if !yield(cands[lo:hi]) {
 				return
 			}
 		}
-	}, nil
+	}
+	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
 }
 
 // treeCandidates grows the query's subtrees level by level, expanding only

@@ -7,6 +7,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/subiso"
+	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
 
@@ -48,7 +49,7 @@ func TestTreeFeaturesFilter(t *testing.T) {
 	if ix.NumTreeFeatures() == 0 {
 		t.Fatalf("no tree features mined")
 	}
-	cands, err := ix.Candidates(pathGraph(1, 2, 3))
+	cands, err := plans.Candidates(ix, ds, pathGraph(1, 2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestDeltaAdmission(t *testing.T) {
 	var last graph.IDSet
 	var err error
 	for i := 0; i < 5; i++ {
-		last, err = ix.Candidates(q)
+		last, err = plans.Candidates(ix, ds, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +106,7 @@ func TestDeltaSoundnessAfterAdmission(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for i, q := range qs {
-			cands, err := ix.Candidates(q)
+			cands, err := plans.Candidates(ix, ds, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -126,7 +127,7 @@ func TestAcyclicQueriesSkipDelta(t *testing.T) {
 	}
 	ix := build(t, ds, Options{MaxFeatureSize: 3})
 	for i := 0; i < 10; i++ {
-		if _, err := ix.Candidates(pathGraph(1, 2, 3)); err != nil {
+		if _, err := plans.Candidates(ix, ds, pathGraph(1, 2, 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +138,7 @@ func TestAcyclicQueriesSkipDelta(t *testing.T) {
 
 func TestUnbuiltAndSize(t *testing.T) {
 	ix := New(Options{})
-	if _, err := ix.Candidates(pathGraph(1, 2)); err == nil {
+	if _, err := plans.Candidates(ix, nil, pathGraph(1, 2)); err == nil {
 		t.Errorf("want error before Build")
 	}
 	ds := graph.NewDataset("t")
