@@ -98,9 +98,10 @@ func (d *Dictionary) CopyFrom(src *Dictionary) {
 // the exceptions: they are safe under concurrent mutation.
 //
 // A graph must be complete when it is added — every generator, the file
-// reader and the serving layer build the graph first — because Add folds
-// its content into VersionTag once; changing it afterwards leaves the tag
-// describing the graph as it was added.
+// reader and the serving layer build the graph first — because Add seals it
+// (see Graph) and folds its content into VersionTag once; changing it
+// afterwards unseals it and leaves the tag describing the graph as it was
+// added.
 type Dataset struct {
 	Name   string
 	Graphs []*Graph
@@ -120,11 +121,14 @@ func NewDataset(name string) *Dataset {
 	return &Dataset{Name: name}
 }
 
-// Add appends g to the dataset, assigning it the next dataset-local ID and
-// bumping the epoch.
+// Add seals g and appends it to the dataset, assigning it the next
+// dataset-local ID and bumping the epoch. A graph that is already sealed
+// (a shard's re-homed copy of a graph its global dataset holds) is not
+// sealed again.
 func (ds *Dataset) Add(g *Graph) ID {
 	id := ID(len(ds.Graphs))
 	g.SetID(id)
+	g.Seal()
 	ds.Graphs = append(ds.Graphs, g)
 	ds.tag += slotTerm(id, g)
 	ds.slots.Add(1)

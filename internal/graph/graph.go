@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 )
 
 // Label is a vertex label identifier, interned via Dictionary.
@@ -23,12 +24,40 @@ type ID int32
 
 // Graph is a labelled undirected graph. The zero value is an empty graph
 // ready for use via AddVertex / AddEdge.
+//
+// A graph lives in two phases. While it is built it holds one sorted
+// adjacency slice per vertex, so AddEdge inserts in place. Seal (which
+// Dataset.Add calls) freezes it: the adjacency lists move into one CSR
+// array (off, nbr) and, for a graph of at most 64 vertices, one adjacency
+// word per vertex plus one vertex mask per distinct label are added, which
+// the subgraph matcher tests candidates against by AND and popcount. Every
+// accessor answers the same in both phases; mutating a sealed graph
+// unseals it first.
 type Graph struct {
 	id     ID
 	labels []Label
-	adj    [][]int32
+	adj    [][]int32 // build phase; nil once sealed
 	edges  int
+	// sealed is the read-only layout, nil in the build phase. It sits
+	// behind a pointer so a graph that is never sealed (a decoded query)
+	// stays as small as the build phase needs.
+	sealed *sealedLayout
 }
+
+// sealedLayout is a sealed graph's adjacency.
+type sealedLayout struct {
+	// The neighbours of v are nbr[off[v]:off[v+1]].
+	off, nbr []int32
+	// words, for a graph of n <= maxWordVertices vertices: words[v] (v < n)
+	// has bit w set iff {v,w} is an edge, and words[n:] holds (label, mask)
+	// pairs sorted by label, mask having bit v set iff v carries the label.
+	// nil for larger graphs.
+	words []uint64
+}
+
+// maxWordVertices is the largest vertex count a sealed graph carries
+// adjacency words for.
+const maxWordVertices = 64
 
 // New returns an empty graph with the given dataset-local id.
 func New(id ID) *Graph {
@@ -64,14 +93,26 @@ func (g *Graph) Label(v int32) Label { return g.labels[v] }
 func (g *Graph) Labels() []Label { return g.labels }
 
 // Degree returns the number of edges incident to vertex v.
-func (g *Graph) Degree(v int32) int { return len(g.adj[v]) }
+func (g *Graph) Degree(v int32) int {
+	if s := g.sealed; s != nil {
+		return int(s.off[v+1] - s.off[v])
+	}
+	return len(g.adj[v])
+}
 
 // Neighbors returns the adjacency list of vertex v, sorted ascending.
 // The caller must not modify the returned slice.
-func (g *Graph) Neighbors(v int32) []int32 { return g.adj[v] }
+func (g *Graph) Neighbors(v int32) []int32 {
+	if s := g.sealed; s != nil {
+		lo, hi := s.off[v], s.off[v+1]
+		return s.nbr[lo:hi:hi]
+	}
+	return g.adj[v]
+}
 
 // AddVertex appends a vertex with the given label and returns its id.
 func (g *Graph) AddVertex(l Label) int32 {
+	g.unseal()
 	g.labels = append(g.labels, l)
 	g.adj = append(g.adj, nil)
 	return int32(len(g.labels) - 1)
@@ -79,14 +120,18 @@ func (g *Graph) AddVertex(l Label) int32 {
 
 // HasEdge reports whether the undirected edge {u, v} exists.
 func (g *Graph) HasEdge(u, v int32) bool {
-	if u < 0 || v < 0 || int(u) >= len(g.adj) || int(v) >= len(g.adj) {
+	n := int32(len(g.labels))
+	if u < 0 || v < 0 || u >= n || v >= n {
 		return false
 	}
+	if words := g.AdjWords(); words != nil {
+		return words[u]>>uint(v)&1 != 0
+	}
 	// Search the shorter adjacency list.
-	if len(g.adj[v]) < len(g.adj[u]) {
+	if g.Degree(v) < g.Degree(u) {
 		u, v = v, u
 	}
-	return SortedContains(g.adj[u], v)
+	return SortedContains(g.Neighbors(u), v)
 }
 
 // SortedContains reports whether the ascending slice a (an adjacency list)
@@ -124,6 +169,7 @@ func (g *Graph) AddEdge(u, v int32) error {
 	case g.HasEdge(u, v):
 		return fmt.Errorf("graph: duplicate edge {%d,%d}", u, v)
 	}
+	g.unseal()
 	g.adj[u] = insertSorted(g.adj[u], v)
 	g.adj[v] = insertSorted(g.adj[v], u)
 	g.edges++
@@ -136,6 +182,100 @@ func (g *Graph) MustAddEdge(u, v int32) {
 	if err := g.AddEdge(u, v); err != nil {
 		panic(err)
 	}
+}
+
+// Seal freezes the graph into its read-only layout (see Graph): CSR
+// adjacency and, for at most maxWordVertices vertices, adjacency words and
+// label masks. Sealing a sealed graph does nothing. Dataset.Add seals every
+// graph it publishes.
+func (g *Graph) Seal() {
+	if g.sealed != nil {
+		return
+	}
+	n := len(g.labels)
+	buf := make([]int32, n+1+2*g.edges)
+	s := &sealedLayout{off: buf[: n+1 : n+1], nbr: buf[n+1:]}
+	for v, a := range g.adj {
+		s.off[v+1] = s.off[v] + int32(copy(s.nbr[s.off[v]:], a))
+	}
+	g.sealed, g.adj = s, nil
+	if n <= maxWordVertices {
+		s.words = sealWords(g)
+	}
+}
+
+// sealWords builds the words of a sealed graph of at most 64 vertices:
+// one adjacency word per vertex, then the (label, mask) pairs.
+func sealWords(g *Graph) []uint64 {
+	n := len(g.labels)
+	// At most one pair per vertex; build them on the stack, sorted by
+	// label, then size the one allocation exactly.
+	var pairs [2 * maxWordVertices]uint64
+	k := 0
+	for v, l := range g.labels {
+		i := 0
+		for i < k && Label(pairs[2*i]) < l {
+			i++
+		}
+		if i == k || Label(pairs[2*i]) != l {
+			copy(pairs[2*i+2:2*k+2], pairs[2*i:2*k])
+			pairs[2*i], pairs[2*i+1] = uint64(uint32(l)), 0
+			k++
+		}
+		pairs[2*i+1] |= 1 << uint(v)
+	}
+	words := make([]uint64, n+2*k)
+	for v := range n {
+		for _, w := range g.Neighbors(int32(v)) {
+			words[v] |= 1 << uint(w)
+		}
+	}
+	copy(words[n:], pairs[:2*k])
+	return words
+}
+
+// unseal returns a sealed graph to the build phase before a mutation.
+func (g *Graph) unseal() {
+	if g.sealed == nil {
+		return
+	}
+	adj := make([][]int32, len(g.labels))
+	for v := range adj {
+		adj[v] = append([]int32(nil), g.Neighbors(int32(v))...)
+	}
+	g.adj, g.sealed = adj, nil
+}
+
+// Sealed reports whether the graph is in its sealed, read-only layout.
+func (g *Graph) Sealed() bool { return g.sealed != nil }
+
+// AdjWords returns, for a sealed graph of at most maxWordVertices
+// vertices, one adjacency word per vertex: bit w of AdjWords()[v] is set
+// iff {v, w} is an edge. It returns nil for any other graph. The caller
+// must not modify the returned slice.
+func (g *Graph) AdjWords() []uint64 {
+	if g.sealed == nil || g.sealed.words == nil {
+		return nil
+	}
+	return g.sealed.words[:len(g.labels)]
+}
+
+// LabelMask returns, for a graph with adjacency words (see AdjWords), the
+// vertices labelled l as a word: bit v is set iff Label(v) == l.
+func (g *Graph) LabelMask(l Label) uint64 {
+	if g.sealed == nil {
+		return 0
+	}
+	words := g.sealed.words
+	for i := len(g.labels); i < len(words); i += 2 {
+		if pl := Label(words[i]); pl >= l {
+			if pl == l {
+				return words[i+1]
+			}
+			break
+		}
+	}
+	return 0
 }
 
 func insertSorted(a []int32, v int32) []int32 {
@@ -183,8 +323,8 @@ func (g *Graph) DistinctLabels() []Label {
 // deterministic order.
 func (g *Graph) Edges() [][2]int32 {
 	out := make([][2]int32, 0, g.edges)
-	for u := int32(0); int(u) < len(g.adj); u++ {
-		for _, v := range g.adj[u] {
+	for u := int32(0); int(u) < len(g.labels); u++ {
+		for _, v := range g.Neighbors(u) {
 			if u < v {
 				out = append(out, [2]int32{u, v})
 			}
@@ -194,25 +334,27 @@ func (g *Graph) Edges() [][2]int32 {
 }
 
 // ShallowWithID returns a copy of the graph that shares the label and
-// adjacency storage (immutable once construction is done) but carries a
-// different dataset-local id. Sharding uses it to re-home graphs into
-// per-shard sub-datasets without duplicating or mutating the originals.
+// adjacency storage (immutable once construction is done), sealed or not,
+// but carries a different dataset-local id. Sharding uses it to re-home
+// graphs into per-shard sub-datasets without duplicating or mutating the
+// originals.
 func (g *Graph) ShallowWithID(id ID) *Graph {
 	c := *g
 	c.id = id
 	return &c
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph in the build phase, ready to be
+// mutated, whether g is sealed or not.
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		id:     g.id,
 		labels: append([]Label(nil), g.labels...),
-		adj:    make([][]int32, len(g.adj)),
+		adj:    make([][]int32, len(g.labels)),
 		edges:  g.edges,
 	}
-	for i, a := range g.adj {
-		c.adj[i] = append([]int32(nil), a...)
+	for i := range c.adj {
+		c.adj[i] = append([]int32(nil), g.Neighbors(int32(i))...)
 	}
 	return c
 }
@@ -239,7 +381,7 @@ func (g *Graph) ConnectedComponents() [][]int32 {
 			v := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			members = append(members, v)
-			for _, w := range g.adj[v] {
+			for _, w := range g.Neighbors(v) {
 				if comp[w] < 0 {
 					comp[w] = c
 					stack = append(stack, w)
@@ -279,7 +421,7 @@ func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32, error) {
 		new2old = append(new2old, v)
 	}
 	for _, v := range vertices {
-		for _, w := range g.adj[v] {
+		for _, w := range g.Neighbors(v) {
 			nw, ok := old2new[w]
 			if !ok {
 				continue
@@ -294,16 +436,22 @@ func (g *Graph) InducedSubgraph(vertices []int32) (*Graph, []int32, error) {
 }
 
 // Validate checks internal consistency (sorted symmetric adjacency, edge
-// count, no self-loops) and returns a descriptive error on the first
-// violation. It is intended for tests and for data loaded from disk.
+// count, no self-loops, and a sealed graph's layout against its adjacency)
+// and returns a descriptive error on the first violation. It is intended
+// for tests and for data loaded from disk.
 func (g *Graph) Validate() error {
-	if len(g.labels) != len(g.adj) {
+	n := len(g.labels)
+	if g.sealed != nil {
+		if err := g.validateSealed(); err != nil {
+			return err
+		}
+	} else if n != len(g.adj) {
 		return errors.New("graph: label/adjacency length mismatch")
 	}
 	count := 0
-	for u := int32(0); int(u) < len(g.adj); u++ {
+	for u := int32(0); int(u) < n; u++ {
 		prev := int32(-1)
-		for _, v := range g.adj[u] {
+		for _, v := range g.Neighbors(u) {
 			if v < 0 || int(v) >= len(g.labels) {
 				return fmt.Errorf("graph: neighbor %d of %d out of range", v, u)
 			}
@@ -314,7 +462,7 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("graph: adjacency of %d not strictly sorted", u)
 			}
 			prev = v
-			if !SortedContains(g.adj[v], u) {
+			if !SortedContains(g.Neighbors(v), u) {
 				return fmt.Errorf("graph: edge {%d,%d} not symmetric", u, v)
 			}
 			count++
@@ -326,16 +474,70 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
+// validateSealed checks the sealed layout's shape: CSR offsets, and the
+// adjacency words and label masks against the CSR lists and the labels.
+func (g *Graph) validateSealed() error {
+	n, s := len(g.labels), g.sealed
+	if len(s.off) != n+1 || s.off[0] != 0 || int(s.off[n]) != len(s.nbr) || g.adj != nil {
+		return errors.New("graph: sealed layout has inconsistent offsets")
+	}
+	for v := range n {
+		if s.off[v] > s.off[v+1] {
+			return fmt.Errorf("graph: sealed offsets decrease at vertex %d", v)
+		}
+	}
+	words := s.words
+	if (n <= maxWordVertices) != (words != nil) {
+		return errors.New("graph: adjacency words present on the wrong vertex count")
+	}
+	if words == nil {
+		return nil
+	}
+	for v := range n {
+		var row uint64
+		for _, w := range g.Neighbors(int32(v)) {
+			if w >= 0 && int(w) < n {
+				row |= 1 << uint(w)
+			}
+		}
+		if words[v] != row {
+			return fmt.Errorf("graph: adjacency word of %d disagrees with its list", v)
+		}
+	}
+	var seen uint64
+	for i := n; i < len(words); i += 2 {
+		l, mask := Label(words[i]), words[i+1]
+		if i > n && Label(words[i-2]) >= l {
+			return errors.New("graph: label masks not strictly sorted")
+		}
+		for v := range n {
+			if (mask>>uint(v)&1 != 0) != (g.labels[v] == l) {
+				return fmt.Errorf("graph: mask of label %d disagrees at vertex %d", l, v)
+			}
+		}
+		seen |= mask
+	}
+	if n > 0 && seen != ^uint64(0)>>uint(maxWordVertices-n) {
+		return errors.New("graph: label masks do not cover every vertex")
+	}
+	return nil
+}
+
 // String returns a compact human-readable rendering, mainly for tests.
 func (g *Graph) String() string {
 	return fmt.Sprintf("graph %d: %d vertices, %d edges", g.id, len(g.labels), g.edges)
 }
 
-// SizeBytes estimates the in-memory footprint of the graph structure.
+// SizeBytes estimates the in-memory footprint of the graph structure: the
+// labels, then either one slice header plus list per vertex (build phase)
+// or the CSR arrays and the words actually held (sealed), plus the struct.
 func (g *Graph) SizeBytes() int64 {
 	sz := int64(len(g.labels)) * 4
+	if s := g.sealed; s != nil {
+		sz += int64(len(s.off)+len(s.nbr))*4 + int64(len(s.words))*8 + int64(unsafe.Sizeof(*s))
+	}
 	for _, a := range g.adj {
 		sz += int64(len(a))*4 + 24
 	}
-	return sz + 48
+	return sz + int64(unsafe.Sizeof(Graph{}))
 }

@@ -358,6 +358,8 @@ func TestReadDatasetErrors(t *testing.T) {
 		{"bad edge line", "#g\n2\nA\nB\n1\n0\n"},
 		{"edge out of range", "#g\n2\nA\nB\n1\n0 5\n"},
 		{"self loop", "#g\n2\nA\nB\n1\n1 1\n"},
+		{"forged vertex count", "#g\n50000000000000\nA\n0\n"},
+		{"vertex count past int32", "#g\n3000000000\nA\n"},
 	}
 	for _, c := range cases {
 		if _, err := ReadDataset(strings.NewReader(c.in), c.name); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -104,10 +105,12 @@ func readDatasetInto(ds *Dataset, r io.Reader, dict *Dictionary) error {
 			return fmt.Errorf("graph: line %d: missing vertex count", line)
 		}
 		n, err := strconv.Atoi(ns)
-		if err != nil || n < 0 {
+		if err != nil || n < 0 || n > math.MaxInt32 {
 			return fmt.Errorf("graph: line %d: bad vertex count %q", line, ns)
 		}
-		g := NewWithCapacity(ID(ds.Len()), n)
+		// The count is input: reserve at most 64k vertices up front, so a
+		// forged count fails on its missing labels, not on the allocation.
+		g := NewWithCapacity(ID(ds.Len()), min(n, 1<<16))
 		for i := 0; i < n; i++ {
 			ls, ok := next()
 			if !ok {

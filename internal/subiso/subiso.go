@@ -9,13 +9,24 @@
 // the match order and, per depth, exactly which edges a candidate pair has
 // to be probed for — so a filter-and-verify pipeline pays for it once per
 // query, not once per candidate. The search borrows its working arrays from
-// a pool and allocates nothing. CT-Index's "modified VF2 with additional
+// a pool and allocates nothing.
+//
+// The search has two kernels over one compiled plan. On a sealed data
+// graph of at most 64 vertices (graph.AdjWords) it works bit-parallel: the
+// candidates at a depth are one word, the step label's vertex mask ANDed
+// with the adjacency words of the anchor's and every back edge's image,
+// minus the mapped vertices, and each candidate's degree, neighbour-label
+// and lookahead tests are popcounts. On any other graph it walks adjacency
+// lists. Both visit the candidates in ascending vertex order and apply the
+// same rules, so they explore the same search tree and yield the same
+// embeddings in the same order. CT-Index's "modified VF2 with additional
 // heuristics" (rarity-driven ordering, neighbour-label dominance) is a
 // compile option of the same matcher.
 package subiso
 
 import (
 	"context"
+	"math/bits"
 	"sync"
 
 	"repro/internal/graph"
@@ -167,6 +178,15 @@ type scratch struct {
 	done   <-chan struct{}
 	ticks  int
 	found  bool
+
+	// The bit kernel's state (see the package comment): rows are the data
+	// graph's adjacency words, cands[d] the vertices that may take depth
+	// d's query vertex by label (and comp), needs[i] the vertices carrying
+	// the label of the compiled need i, and used the mapped data vertices.
+	rows  []uint64
+	cands []uint64
+	needs []uint64
+	used  uint64
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -220,15 +240,108 @@ func (s *scratch) search(ctx context.Context, p *Prepared, g *graph.Graph, comp 
 	if len(p.steps) > g.NumVertices() || p.edges > g.NumEdges() {
 		return false
 	}
-	s.grow(len(p.steps), g.NumVertices())
 	s.p, s.g, s.labels, s.comp, s.c, s.yield = p, g, g.Labels(), comp, c, yield
 	s.done, s.ticks, s.found = ctx.Done(), 0, false
-	s.match(0)
-	found := s.found
+	if rows := g.AdjWords(); rows != nil {
+		s.prepareBits(rows)
+		s.matchBits(0)
+	} else {
+		s.grow(len(p.steps), g.NumVertices())
+		s.match(0)
+	}
 	// Keep the arrays, drop what the run borrowed: a pooled scratch pins
-	// no graph.
-	*s = scratch{coreQ: s.coreQ, coreG: s.coreG}
-	return found
+	// no graph. (used is back at 0: matchBits clears every bit it sets.)
+	s.p, s.g, s.labels, s.comp, s.yield, s.done, s.rows = nil, nil, nil, nil, nil, nil, nil
+	return s.found
+}
+
+// prepareBits sets up the bit kernel for the graph whose adjacency words
+// are rows: the per-depth label candidates and the per-need label masks.
+func (s *scratch) prepareBits(rows []uint64) {
+	p, g := s.p, s.g
+	if len(s.coreQ) < len(p.steps) {
+		s.coreQ = make([]int32, len(p.steps))
+	}
+	if cap(s.cands) < len(p.steps) {
+		s.cands = make([]uint64, len(p.steps))
+	}
+	if cap(s.needs) < len(p.needs) {
+		s.needs = make([]uint64, len(p.needs))
+	}
+	s.rows, s.cands, s.needs, s.used = rows, s.cands[:len(p.steps)], s.needs[:len(p.needs)], 0
+	allowed := ^uint64(0)
+	if s.comp != nil {
+		allowed = 0
+		for v := range rows {
+			if s.comp[v] == s.c {
+				allowed |= 1 << uint(v)
+			}
+		}
+	}
+	for d := range p.steps {
+		s.cands[d] = g.LabelMask(p.steps[d].label) & allowed
+	}
+	for i, need := range p.needs {
+		s.needs[i] = g.LabelMask(need.label)
+	}
+}
+
+// matchBits is match on the bit kernel: it extends the partial mapping at
+// depth and returns false to abort the whole search.
+func (s *scratch) matchBits(depth int) bool {
+	if depth == len(s.p.steps) {
+		s.found = true
+		return s.yield != nil && s.yield(s.coreQ[:len(s.p.steps)])
+	}
+	if s.done != nil {
+		if s.ticks++; s.ticks&1023 == 0 {
+			select {
+			case <-s.done:
+				return false
+			default:
+			}
+		}
+	}
+	st := &s.p.steps[depth]
+	cand := s.cands[depth] &^ s.used
+	// A step without an anchor starts a query component and has no back
+	// edges; otherwise every already-mapped neighbour bounds the set.
+	if st.anchor >= 0 {
+		cand &= s.rows[s.coreQ[st.anchor]]
+	}
+	for _, qw := range s.p.backs[st.backLo:st.backHi] {
+		cand &= s.rows[s.coreQ[qw]]
+	}
+	for ; cand != 0; cand &= cand - 1 {
+		gv := int32(bits.TrailingZeros64(cand))
+		row := s.rows[gv]
+		if bits.OnesCount64(row) < int(st.degree) || bits.OnesCount64(row&^s.used) < int(st.fwd) {
+			continue
+		}
+		if !s.needsMet(st, row) {
+			continue
+		}
+		s.coreQ[st.qv] = gv
+		s.used |= 1 << uint(gv)
+		ok := s.matchBits(depth + 1)
+		s.used &^= 1 << uint(gv)
+		if !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// needsMet is the tuned neighbour-label test on the bit kernel: row, a
+// candidate's adjacency word, has at least need.count neighbours of every
+// label qv's neighbours carry.
+func (s *scratch) needsMet(st *step, row uint64) bool {
+	for i := st.needLo; i < st.needHi; i++ {
+		if bits.OnesCount64(row&s.needs[i]) < int(s.p.needs[i].count) {
+			return false
+		}
+	}
+	return true
 }
 
 // match extends the partial mapping at depth. It returns false to abort
