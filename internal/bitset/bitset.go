@@ -13,7 +13,13 @@ type Bitset struct {
 
 // New returns a Bitset with n bits, all zero.
 func New(n int) *Bitset {
-	return &Bitset{words: make([]uint64, (n+63)/64), n: n}
+	b := Make(n)
+	return &b
+}
+
+// Make is New for a Bitset held by value, inside another struct.
+func Make(n int) Bitset {
+	return Bitset{words: make([]uint64, (n+63)/64), n: n}
 }
 
 // Len returns the number of bits.

@@ -34,6 +34,22 @@ import (
 // ErrNotBuilt is returned when querying a method before Build.
 var ErrNotBuilt = errors.New("core: index not built")
 
+// ErrForeignAnalysis is returned by Method.Probe given an analysis that a
+// method of another kind made.
+var ErrForeignAnalysis = errors.New("core: analysis made by another method")
+
+// Analysis is one query's analysis by a method (Method.Analyze), opaque to
+// all but the methods of the spec that made it. Each method's analysis is
+// a pointer to what its planning allocated anyway, so splitting a plan in
+// two costs no allocation.
+type Analysis any
+
+// Plan is q's plan by m over ds: m's analysis of q, probed against m's
+// index — the flat query's one planning call.
+func Plan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (QueryPlan, error) {
+	return m.Probe(ctx, ds, m.Analyze(q))
+}
+
 // BuildStats reports on an index construction run.
 type BuildStats struct {
 	Elapsed   time.Duration
@@ -45,7 +61,7 @@ type BuildStats struct {
 // are Grapes, GraphGrepSX, CT-Index, gIndex, Tree+Δ, gCode, and the
 // no-index scan.
 //
-// Build must be called exactly once before Plan. Methods are safe for
+// Build must be called exactly once before Probe. Methods are safe for
 // concurrent queries after Build unless documented otherwise (Tree+Δ
 // mutates its index during query processing and serializes internally).
 //
@@ -61,14 +77,23 @@ type Method interface {
 	// returns ctx.Err() as soon as practical after cancellation, mirroring
 	// the paper's 8-hour experiment kill switch.
 	Build(ctx context.Context, ds *graph.Dataset) error
-	// Plan is the method's one query-side entry: it runs the query-level
-	// filtering work (feature extraction, posting lookups) for q and
-	// returns the plan that produces q's candidates and verifies them
-	// against the graphs of ds, the dataset the query runs over, under
-	// ctx. A method whose verification reuses filtering state (Grapes's
-	// matched components) keeps that state in its plan; the rest verify
-	// against whole graphs through WholeGraphPlan.
-	Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (QueryPlan, error)
+	// Analyze is the query-only half of planning: everything a plan of q
+	// needs that depends on q and the method's options alone, such as the
+	// query's features and its compiled matcher. It reads no index, so one
+	// analysis serves every index of the same spec (the legs of a sharded
+	// query probe one analysis, concurrently); an analysis is read-only
+	// once made. CT-Index is the one method whose analysis reads its
+	// index's state: label frequencies that order its matcher, which
+	// change a search's speed, never its answer.
+	Analyze(q *graph.Graph) Analysis
+	// Probe is the index half of planning: it runs the posting lookups for
+	// analysis a against this index and returns the plan that produces the
+	// query's candidates and verifies them against the graphs of ds, the
+	// dataset the query runs over, under ctx. A method whose verification
+	// reuses filtering state (Grapes's matched components) keeps that
+	// state in its plan; the rest verify against whole graphs through
+	// WholeGraphPlan. An analysis another method made is ErrForeignAnalysis.
+	Probe(ctx context.Context, ds *graph.Dataset, a Analysis) (QueryPlan, error)
 	// SizeBytes estimates the in-memory size of the built index.
 	SizeBytes() int64
 	// AddGraphToIndex folds g — already added to the dataset the index
@@ -95,7 +120,9 @@ type QueryPlan interface {
 	// consumer pays for the prefix it pulled. The sequence is
 	// re-iterable, yielding the same IDs each time, and does no index
 	// reads after its yield returns false, so a stopped stream is torn
-	// down without synchronization.
+	// down without synchronization. A yielded chunk is read-only and stays
+	// valid: neither producer nor consumer writes it afterwards, so a
+	// consumer may hold it while the sequence goes on (DrainCursor).
 	Chunks() iter.Seq[graph.IDSet]
 	// Verify tests the query against candidate id, false for an id no
 	// live graph holds. VerifyCandidates calls Verify concurrently for
@@ -165,9 +192,9 @@ func (p DrainedPlan) Candidates() graph.IDSet {
 	return cands
 }
 
-// NewPlan is m.Plan with the plan's candidate set drainable.
+// NewPlan is Plan with the plan's candidate set drainable.
 func NewPlan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (DrainedPlan, error) {
-	plan, err := m.Plan(ctx, ds, q)
+	plan, err := Plan(ctx, m, ds, q)
 	return DrainedPlan{plan}, err
 }
 
@@ -299,7 +326,7 @@ func (p *Processor) QueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult,
 	res := &QueryResult{Method: p.Method.Name()}
 	t0 := time.Now()
 	cctx, csp := obs.StartSpan(ctx, "candidate-chunk")
-	plan, err := p.Method.Plan(cctx, p.DS, q)
+	plan, err := Plan(cctx, p.Method, p.DS, q)
 	if err != nil {
 		csp.End()
 		return nil, fmt.Errorf("core: filtering with %s: %w", p.Method.Name(), err)
@@ -307,9 +334,11 @@ func (p *Processor) QueryCtx(ctx context.Context, q *graph.Graph) (*QueryResult,
 	csp.End()
 	// Tombstoned graphs never surface: any posting a removal left behind is
 	// dropped here, before verification. The one-shot path ranges over the
-	// producer's chunks and applies the same liveness step
-	// (liveStage.admit) the streamed path's Cursor applies lazily, so the
-	// two can never disagree on what reaches the verifier.
+	// producer's chunks by push, as DrainCursor does, and applies the same
+	// liveness step (liveStage.admit) every Cursor applies as it serves, so
+	// the two can never disagree on what reaches the verifier. It admits as
+	// it copies into one candidate set; a DrainCursor, which holds the
+	// producer's first chunk uncopied, would cost this path a second copy.
 	_, fsp := obs.StartSpan(ctx, "tombstone-filter")
 	var stats PipelineStats
 	live := liveStage{ds: p.DS, stats: &stats}
@@ -437,7 +466,7 @@ func appendAnswer(out, cands graph.IDSet, i int) graph.IDSet {
 // a cancellation that overlapped the last verification is still reported.
 func StreamAnswers(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
-		plan, err := m.Plan(ctx, ds, q)
+		plan, err := Plan(ctx, m, ds, q)
 		if err != nil {
 			yield(0, fmt.Errorf("core: filtering with %s: %w", m.Name(), err))
 			return

@@ -2,6 +2,7 @@ package core
 
 import (
 	"iter"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -62,31 +63,61 @@ func (l *liveStage) admit(id graph.ID) bool {
 }
 
 // Cursor is a pull-side view of the producer and liveness-filter stages:
-// Next returns live candidate IDs one at a time, in ascending order,
-// pulling chunks from the plan only as they are consumed. Callers that
-// interleave locking with consumption (the engines' chunked-locking
-// streams) drive a Cursor directly; Stop releases the underlying chunk
-// sequence and is idempotent. A Cursor is not safe for concurrent use.
+// Next returns live candidate IDs one at a time, in ascending order.
+// Callers that interleave locking with consumption (the engines' chunked-
+// locking streams) drive a Cursor directly; Stop releases the underlying
+// chunk sequence and is idempotent. A Cursor is not safe for concurrent
+// use.
 type Cursor struct {
 	liveStage
-	next    func() (graph.IDSet, bool)
+	next    func() (graph.IDSet, bool) // nil: the chunks were drained up front
 	stop    func()
 	chunk   graph.IDSet
 	pos     int
 	stopped bool
+	owned   bool // chunk is the cursor's own copy (DrainCursor past one chunk)
 }
 
 // NewCursor composes the producer and liveness stages over a plan,
-// counting into stats (nil = none). The producer emits only IDs >= skipTo —
-// the resume primitive behind the cluster's per-shard frontiers. The caller
-// must Stop the cursor when done (Next reaching the end stops it
-// implicitly).
+// counting into stats (nil = none), pulling chunks from the plan only as
+// they are consumed. The producer emits only IDs >= skipTo — the resume
+// primitive behind the cluster's per-shard frontiers. The caller must Stop
+// the cursor when done (Next reaching the end stops it implicitly).
 func NewCursor(ds *graph.Dataset, plan QueryPlan, stats *PipelineStats, skipTo graph.ID) *Cursor {
 	if stats == nil {
 		stats = &PipelineStats{}
 	}
 	next, stop := iter.Pull(plan.Chunks())
 	return &Cursor{liveStage: liveStage{ds: ds, stats: stats, skipTo: skipTo}, next: next, stop: stop}
+}
+
+// DrainCursor is NewCursor with the producer run to its end up front, by
+// push: the plan's chunks are ranged once, without the coroutine a pull
+// needs, and Next serves their IDs through the liveness filter. It is the
+// cursor of a consumer that pulls every candidate anyway (the sharded
+// one-shot query); a stream that may stop early keeps NewCursor. The first
+// chunk is held as yielded (producers never write a chunk after yielding
+// it) and later ones are copied behind it.
+func DrainCursor(ds *graph.Dataset, plan QueryPlan, stats *PipelineStats, skipTo graph.ID) *Cursor {
+	if stats == nil {
+		stats = &PipelineStats{}
+	}
+	// The loop body is a closure: state it keeps lives in c, allocated
+	// anyway, rather than in locals it would move to the heap.
+	c := &Cursor{liveStage: liveStage{ds: ds, stats: stats, skipTo: skipTo}}
+	for chunk := range plan.Chunks() {
+		switch n := len(chunk); {
+		case n == 0 || chunk[n-1] < skipTo: // wholly below the resume frontier
+		case c.chunk == nil:
+			c.chunk = chunk
+		default:
+			if !c.owned {
+				c.chunk, c.owned = slices.Clip(c.chunk), true
+			}
+			c.chunk = append(c.chunk, chunk...)
+		}
+	}
+	return c
 }
 
 // Next returns the next live candidate ID, or false when the producer is
@@ -103,6 +134,10 @@ func (c *Cursor) Next() (graph.ID, bool) {
 				return id, true
 			}
 		}
+		if c.next == nil {
+			c.Stop()
+			return 0, false
+		}
 		chunk, ok := c.next()
 		if !ok {
 			c.Stop()
@@ -117,6 +152,10 @@ func (c *Cursor) Next() (graph.ID, bool) {
 	}
 }
 
+// Buffered returns how many produced IDs the cursor holds and has not
+// served yet, dead ones included: for a DrainCursor, every ID it has left.
+func (c *Cursor) Buffered() int { return len(c.chunk) - c.pos }
+
 // Stop releases the chunk sequence. Safe to call more than once.
 func (c *Cursor) Stop() {
 	if c.stopped {
@@ -124,5 +163,7 @@ func (c *Cursor) Stop() {
 	}
 	c.stopped = true
 	c.chunk = nil
-	c.stop()
+	if c.stop != nil {
+		c.stop()
+	}
 }

@@ -58,7 +58,7 @@ func (o *Options) fill() {
 type Index struct {
 	opts      Options
 	fps       []*bitset.Bitset // fingerprint per graph
-	labelFreq []int            // label occurrences in ds, for Plan's matcher
+	labelFreq []int            // label occurrences in ds, for Analyze's matcher
 	built     bool
 }
 
@@ -121,6 +121,12 @@ func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 // sets on dense graphs and dominates CT-Index's build time.
 func (ix *Index) fingerprint(g *graph.Graph) *bitset.Bitset {
 	fp := bitset.New(ix.opts.FingerprintBits)
+	ix.setFeatures(fp, g)
+	return fp
+}
+
+// setFeatures sets the bits of g's features in fp.
+func (ix *Index) setFeatures(fp *bitset.Bitset, g *graph.Graph) {
 	es := features.NewEdgeSet(g)
 	scratch := canon.NewTreeScratch(ix.opts.MaxTreeSize)
 	edgeBuf := make([][2]int32, 0, ix.opts.MaxTreeSize)
@@ -142,7 +148,6 @@ func (ix *Index) fingerprint(g *graph.Graph) *bitset.Bitset {
 		ix.setBits(fp, string(canon.CycleKey(labelBuf)))
 		return true
 	})
-	return fp
 }
 
 // setBits hashes the canonical key into hashFunctions bit positions.
@@ -165,18 +170,40 @@ func (ix *Index) setBits(fp *bitset.Bitset, key string) {
 // stream touches a sliver of the table.
 const scanChunk = 2048
 
-// Plan implements core.Method: graphs whose fingerprint covers the
-// query's, verified by the matcher's tuned variant, its rarity ordering
-// driven by the dataset's label frequencies. The query fingerprint is
-// computed eagerly, then the per-graph subset tests run lazily, a window
-// of fingerprint slots per chunk, so an early-terminated stream never
-// scans the whole table.
-func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+// analysis is CT-Index's analysis of a query (Analyze): its fingerprint
+// and its matcher. The matcher is the tuned variant, its rarity order
+// driven by the analysing index's label frequencies — the one analysis
+// that reads an index. Another index of the spec probing it matches in
+// that order: a search's speed changes, never its answer.
+type analysis struct {
+	fp   bitset.Bitset
+	prep *subiso.Prepared
+}
+
+// Analyze implements core.Method: the query fingerprint and the tuned
+// matcher.
+func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
+	a := &analysis{
+		fp:   bitset.Make(ix.opts.FingerprintBits),
+		prep: subiso.Compile(q, subiso.Options{LabelFreq: ix.labelFreq}),
+	}
+	ix.setFeatures(&a.fp, q)
+	return a
+}
+
+// Probe implements core.Method: graphs whose fingerprint covers the
+// query's, verified by the analysis's matcher. The per-graph subset tests
+// run lazily, a window of fingerprint slots per chunk, so an
+// early-terminated stream never scans the whole table.
+func (ix *Index) Probe(ctx context.Context, ds *graph.Dataset, a core.Analysis) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	qfp := ix.fingerprint(q)
-	fps := ix.fps
+	an, ok := a.(*analysis)
+	if !ok {
+		return nil, core.ErrForeignAnalysis
+	}
+	qfp, fps := &an.fp, ix.fps
 	chunks := func(yield func(graph.IDSet) bool) {
 		for lo := 0; lo < len(fps); lo += scanChunk {
 			hi := min(lo+scanChunk, len(fps))
@@ -194,7 +221,7 @@ func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (c
 			}
 		}
 	}
-	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{LabelFreq: ix.labelFreq}), chunks), nil
+	return core.WholeGraphPlan(ctx, ds, an.prep, chunks), nil
 }
 
 // countLabels tallies label occurrences over the live graphs of ds.

@@ -163,3 +163,51 @@ func TestGGSXFilterAllocs(t *testing.T) {
 		}
 	}
 }
+
+// shardedLegAllocs is what a sharded one-shot query may allocate per leg
+// beyond the flat query over the same graphs: the leg's probe (its
+// constraints, producer and plan), its drain cursor, and the merge's
+// per-leg share. The query's analysis is made once, whatever the shard
+// count, and no leg starts a coroutine.
+const shardedLegAllocs = 8
+
+// TestShardedQueryAllocs is the tier-1 guard of plan-once sharding, on the
+// mutate_mix shape (GGSX, 40-vertex graphs, 4 labels, 8-edge queries, 4
+// shards): a sharded one-shot allocates at most the flat query's count
+// plus shardedLegAllocs per shard. Planning every leg from scratch and
+// pulling each through a coroutine cost about 14 per leg more.
+func TestShardedQueryAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const shards = 4
+	ctx := context.Background()
+	ds := gen.Synthetic(gen.SynthConfig{NumGraphs: 400, MeanNodes: 40, MeanDensity: 0.06, NumLabels: 4, Seed: 17})
+	queries, err := workload.Generate(ds, workload.Config{NumQueries: 8, QueryEdges: 8, Seed: 18})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []engine.Option{engine.WithSpec("ggsx"), engine.WithVerifyWorkers(1)}
+	flat, err := engine.Open(ctx, ds, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := engine.OpenSharded(ctx, ds, shards, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perQuery := func(e engine.Querier) float64 {
+		return testing.AllocsPerRun(10, func() {
+			for _, q := range queries {
+				if _, err := e.Query(ctx, q); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}) / float64(len(queries))
+	}
+	f, s := perQuery(flat), perQuery(sharded)
+	t.Logf("allocations per query: flat %.1f, %d shards %.1f", f, shards, s)
+	if limit := f + shards*shardedLegAllocs; s > limit {
+		t.Errorf("a %d-shard query allocates %.1f objects, want <= %.1f (flat %.1f + %d per shard)", shards, s, limit, f, shardedLegAllocs)
+	}
+}

@@ -26,7 +26,11 @@ var contractSpecs = map[string]string{
 // and removes. Every plan's Chunks is strictly ascending across chunks
 // (so chunks are sorted and disjoint), yields the same ids when iterated
 // again, survives an iteration broken off after its first chunk, and
-// holds every brute-force answer.
+// holds every brute-force answer. And an analysis travels: probing the
+// index with the analysis another instance of the spec made, built over
+// another dataset, yields exactly the chunks and verdicts of the index's
+// own plan — what a sharded query relies on when its legs probe one
+// analysis.
 func TestFilterContractEveryMethod(t *testing.T) {
 	ctx := context.Background()
 	for _, d := range engine.Descriptors() {
@@ -64,7 +68,12 @@ func TestFilterContractEveryMethod(t *testing.T) {
 				if storage == core.StorageMmap && !eng.Restored() {
 					t.Fatal("the mmap open rebuilt instead of restoring")
 				}
-				checkPlans(t, "opened", eng, queries)
+				other, err := engine.Open(ctx, gen.Synthetic(gen.SynthConfig{NumGraphs: 12, MeanNodes: 10, MeanDensity: 0.25, NumLabels: 4, Seed: 44}),
+					engine.WithSpec(spec))
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkPlans(t, "opened", eng, other.Method(), queries)
 				pool := gen.Synthetic(gen.SynthConfig{NumGraphs: 4, MeanNodes: 14, MeanDensity: 0.2, NumLabels: 4, Seed: 43}).Graphs
 				for i, g := range pool {
 					if _, err := eng.AddGraph(ctx, g.ShallowWithID(0)); err != nil {
@@ -74,19 +83,20 @@ func TestFilterContractEveryMethod(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				checkPlans(t, "mutated", eng, queries)
+				checkPlans(t, "mutated", eng, other.Method(), queries)
 			})
 		}
 	}
 }
 
-// checkPlans checks the filter contract of eng's method on every query.
-func checkPlans(t *testing.T, stage string, eng *engine.Engine, queries []*graph.Graph) {
+// checkPlans checks the filter contract of eng's method on every query,
+// and that its index probes the analysis other made as its own.
+func checkPlans(t *testing.T, stage string, eng *engine.Engine, other core.Method, queries []*graph.Graph) {
 	t.Helper()
 	ctx := context.Background()
 	ds := eng.Dataset()
 	for i, q := range queries {
-		plan, err := eng.Method().Plan(ctx, ds, q)
+		plan, err := core.Plan(ctx, eng.Method(), ds, q)
 		if err != nil {
 			t.Fatalf("%s: query %d: %v", stage, i, err)
 		}
@@ -122,6 +132,18 @@ func checkPlans(t *testing.T, stage string, eng *engine.Engine, queries []*graph
 		for _, id := range want {
 			if !ids.Contains(id) {
 				t.Errorf("%s: query %d: answer %d is no candidate", stage, i, id)
+			}
+		}
+		shared, err := eng.Method().Probe(ctx, ds, other.Analyze(q))
+		if err != nil {
+			t.Fatalf("%s: query %d: probing another instance's analysis: %v", stage, i, err)
+		}
+		if got, want := slices.Collect(shared.Chunks()), slices.Collect(plan.Chunks()); !slices.EqualFunc(got, want, graph.IDSet.Equal) {
+			t.Errorf("%s: query %d: the shared analysis yields chunks %v, the own plan %v", stage, i, got, want)
+		}
+		for _, id := range ids {
+			if shared.Verify(id) != plan.Verify(id) {
+				t.Errorf("%s: query %d: the shared analysis verifies candidate %d otherwise", stage, i, id)
 			}
 		}
 	}

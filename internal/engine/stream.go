@@ -66,13 +66,29 @@ func (h *mergeHead) advance() {
 	}
 }
 
-// openMerge plans q over every non-empty leg, fanout legs at a time, and
-// starts each cursor strictly after parent id after (-1: from the start).
-// The caller holds the owner's read lock, which serializes every leg's
-// mutations, so the legs' methods are read without their engines' locks: a
-// flat engine's lock is the owner's, and read-locking it again could
-// deadlock behind a waiting writer.
-func openMerge(ctx context.Context, legs []*Shard, q *graph.Graph, after graph.ID, stats *core.PipelineStats, fanout, workers int) (*merge, error) {
+// analyze is q's analysis for every leg, made once by the first non-empty
+// leg's method: the legs are instances of one spec, so each probes it, and
+// the query-only work (feature extraction, the matcher's compilation) runs
+// once per query, not once per leg. CT-Index's analysis orders its matcher
+// by that leg's label frequencies, so that shard's statistics order the
+// search on every leg: a search's speed changes, never its answer. Nil when
+// every leg is empty.
+func analyze(legs []*Shard, q *graph.Graph) core.Analysis {
+	for _, sh := range legs {
+		if !sh.empty() {
+			return sh.eng.method.Analyze(q)
+		}
+	}
+	return nil
+}
+
+// openMerge probes analysis a over every non-empty leg, fanout legs at a
+// time; start then opens the legs' cursors. The caller holds the owner's
+// read lock, which serializes every leg's mutations, so the legs' methods
+// are read without their engines' locks: a flat engine's lock is the
+// owner's, and read-locking it again could deadlock behind a waiting
+// writer.
+func openMerge(ctx context.Context, legs []*Shard, a core.Analysis, stats *core.PipelineStats, fanout, workers int) (*merge, error) {
 	plans := make([]core.QueryPlan, len(legs))
 	// The plans outlive the fan-out pool, so they capture the caller's ctx
 	// (cancellation still reaches the verifiers through it), not the pool's
@@ -83,7 +99,7 @@ func openMerge(ctx context.Context, legs []*Shard, q *graph.Graph, after graph.I
 			return nil
 		}
 		var err error
-		if plans[i], err = sh.eng.method.Plan(ctx, sh.eng.ds, q); err != nil {
+		if plans[i], err = sh.eng.method.Probe(ctx, sh.eng.ds, a); err != nil {
 			return fmt.Errorf("core: filtering with %s: %w", sh.eng.method.Name(), err)
 		}
 		return nil
@@ -95,14 +111,36 @@ func openMerge(ctx context.Context, legs []*Shard, q *graph.Graph, after graph.I
 	// valid.
 	m := &merge{heads: make([]mergeHead, 0, len(legs)), stats: stats, workers: workers}
 	for i, sh := range legs {
-		if plans[i] == nil {
-			continue
+		if plans[i] != nil {
+			m.heads = append(m.heads, mergeHead{plan: plans[i], leg: sh, epoch: sh.eng.ds.Epoch()})
 		}
-		m.heads = append(m.heads, mergeHead{plan: plans[i], leg: sh, epoch: sh.eng.ds.Epoch(),
-			cur: core.NewCursor(sh.eng.ds, plans[i], stats, graph.ID(sh.firstAfter(after)))})
-		m.heads[len(m.heads)-1].advance()
 	}
 	return m, nil
+}
+
+// start opens every leg's cursor strictly after parent id after (-1: from
+// the start) with open: core.NewCursor pulls a leg's chunks as the merge
+// consumes them, core.DrainCursor produces them all at once.
+func (m *merge) start(after graph.ID, open func(*graph.Dataset, core.QueryPlan, *core.PipelineStats, graph.ID) *core.Cursor) {
+	for i := range m.heads {
+		h := &m.heads[i]
+		h.cur = open(h.leg.eng.ds, h.plan, m.stats, graph.ID(h.leg.firstAfter(after)))
+		h.advance()
+	}
+}
+
+// reserve sizes the batch for every id the legs' cursors still hold, so a
+// drain pulls without growing it.
+func (m *merge) reserve() {
+	n := 0
+	for i := range m.heads {
+		if h := &m.heads[i]; h.cur != nil {
+			n += 1 + h.cur.Buffered()
+		}
+	}
+	if n > 0 {
+		m.cands, m.from = make(graph.IDSet, 0, n), make([]pulled, 0, n)
+	}
 }
 
 // moved reports whether a mutation landed on a leg with cursor left since
@@ -159,22 +197,26 @@ func (m *merge) Verify(id graph.ID) bool {
 }
 
 // Drain is the one-shot query of Sharded and cluster.Node: the merge run to
-// completion under the owner's read lock, which the caller holds.
-// Candidates is every live candidate pulled, ascending parent ids, and
-// Answers the verified subset. FilterTime is planning plus the pull and
-// VerifyTime the rest, so TotalTime is the wall time; the stage spans are
-// Processor.QueryCtx's.
+// completion under the owner's read lock, which the caller holds. q is
+// analysed once and every leg probes that analysis; each leg's chunks are
+// produced by push (core.DrainCursor), with no coroutine, since every
+// candidate is pulled anyway. Candidates is every live candidate pulled,
+// ascending parent ids, and Answers the verified subset. FilterTime is
+// planning plus chunk production and the pull, VerifyTime the rest, so
+// TotalTime is the wall time; the stage spans are Processor.QueryCtx's.
 func Drain(ctx context.Context, legs []*Shard, q *graph.Graph, fanout, workers int, method string) (*core.QueryResult, error) {
 	var stats core.PipelineStats
 	t0 := time.Now()
 	cctx, csp := obs.StartSpan(ctx, "candidate-chunk")
-	m, err := openMerge(cctx, legs, q, -1, &stats, fanout, workers)
+	m, err := openMerge(cctx, legs, analyze(legs, q), &stats, fanout, workers)
 	csp.End()
 	if err != nil {
 		return nil, err
 	}
 	// Pulling every candidate runs each cursor to its end, which stops it.
 	_, fsp := obs.StartSpan(ctx, "tombstone-filter")
+	m.start(-1, core.DrainCursor)
+	m.reserve()
 	m.pull(-1)
 	res := &core.QueryResult{Method: method, Candidates: m.cands, Produced: int(stats.Produced.Load()),
 		Verified: len(m.cands), FilterTime: time.Since(t0)}
@@ -201,13 +243,15 @@ func Drain(ctx context.Context, legs []*Shard, q *graph.Graph, fanout, workers i
 // the lock, which is released while the answers are yielded. Re-locked, a
 // stream whose legs moved (a mutation landed on one) stops its cursors and
 // re-plans the same legs strictly after its frontier, the last parent id
-// it pulled and verified. Graphs are immutable and ids never reused, so
-// the stream yields ids strictly ascending, each once; every graph live for
-// the stream's whole life that contains q; and only graphs that contain q
-// and were live at some moment of it. Legs start strictly after parent id
-// after (-1: from the start), and stats (nil = none) accumulates every
-// leg's counters and, when stats.Candidates is set, the pulled candidates.
-// A filtering failure or context cancellation is yielded once as an error.
+// it pulled and verified; the re-plan probes the legs again with the
+// analysis the stream made when it opened. Graphs are immutable and ids
+// never reused, so the stream yields ids strictly ascending, each once;
+// every graph live for the stream's whole life that contains q; and only
+// graphs that contain q and were live at some moment of it. Legs start
+// strictly after parent id after (-1: from the start), and stats (nil =
+// none) accumulates every leg's counters and, when stats.Candidates is
+// set, the pulled candidates. A filtering failure or context cancellation
+// is yielded once as an error.
 func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStats, q *graph.Graph, after graph.ID, fanout, workers int,
 	open func() ([]*Shard, error)) iter.Seq2[graph.ID, error] {
 	if stats == nil {
@@ -225,6 +269,7 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 		defer unlock()
 		legs, err := open()
 		frontier := after
+		a := analyze(legs, q)
 		var m *merge // nil until planned
 		defer func() {
 			if m != nil {
@@ -236,7 +281,9 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 				if m != nil {
 					m.stop()
 				}
-				m, err = openMerge(ctx, legs, q, frontier, stats, fanout, workers)
+				if m, err = openMerge(ctx, legs, a, stats, fanout, workers); err == nil {
+					m.start(frontier, core.NewCursor)
+				}
 			}
 			if err != nil {
 				unlock()

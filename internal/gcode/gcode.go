@@ -14,9 +14,10 @@
 package gcode
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -130,10 +131,38 @@ func (d *codeSummary) dominatesQ(q *graphCode) bool {
 type Index struct {
 	opts  Options
 	codes []graphCode // sorted by (labelBits, id): the "balanced search tree"
+	// byID holds the positions in codes in ascending graph id order, the
+	// order candidates stream in. It depends on the index alone, so it is
+	// kept with codes (setCodes, maintenance), not sorted per query.
+	byID []int32
 	// lazy, when non-nil, backs the code table with a mapped v2 container
 	// (storage=mmap): codes is nil and the table resolves through view.
 	lazy  *lazyCodes
 	built bool
+}
+
+// setCodes installs a code table sorted in the index's order, and its id
+// order.
+func (ix *Index) setCodes(codes []graphCode) {
+	ix.codes = codes
+	ix.byID = idOrder(len(codes), func(i int) graph.ID { return codes[i].id })
+}
+
+// idOrder returns the positions of n codes, whose graph ids id gives,
+// sorted by graph id.
+func idOrder(n int, id func(int) graph.ID) []int32 {
+	byID := make([]int32, n)
+	for i := range byID {
+		byID[i] = int32(i)
+	}
+	slices.SortFunc(byID, func(a, b int32) int { return cmp.Compare(id(int(a)), id(int(b))) })
+	return byID
+}
+
+// idRank returns the first position in id order whose graph id is at
+// least id.
+func (ix *Index) idRank(id graph.ID) int {
+	return sort.Search(len(ix.byID), func(k int) bool { return ix.codes[ix.byID[k]].id >= id })
 }
 
 // codeView is a single-query read view over the code table, uniform
@@ -143,6 +172,7 @@ type codeView struct {
 	codes []graphCode // heap form
 	lz    *lazyCodes  // lazy form
 	eig   []float64   // lazy summary decode scratch
+	byID  []int32     // code positions in ascending graph id order
 }
 
 // view captures the current storage form. For a lazy index this fetches
@@ -156,24 +186,9 @@ func (ix *Index) view() (codeView, error) {
 		if err != nil {
 			return codeView{}, err
 		}
-		return codeView{lz: lz, eig: make([]float64, lz.numEig)}, nil
+		return codeView{lz: lz, eig: make([]float64, lz.numEig), byID: lz.byID}, nil
 	}
-	return codeView{codes: ix.codes}, nil
-}
-
-func (v *codeView) n() int {
-	if v.lz != nil {
-		return v.lz.nCodes
-	}
-	return len(v.codes)
-}
-
-// id returns code i's graph id without decoding the rest of the summary.
-func (v *codeView) id(i int) graph.ID {
-	if v.lz != nil {
-		return graph.ID(binary.LittleEndian.Uint32(v.lz.summaries[i*v.lz.summaryStride():]))
-	}
-	return v.codes[i].id
+	return codeView{codes: ix.codes, byID: ix.byID}, nil
 }
 
 // summary returns code i's phase-1 fields. The lazy form decodes into the
@@ -209,7 +224,7 @@ func (ix *Index) Name() string { return "gCode" }
 
 // Build implements core.Method.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
-	ix.codes = make([]graphCode, 0, ds.NumAlive())
+	codes := make([]graphCode, 0, ds.NumAlive())
 	for _, g := range ds.Graphs {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -217,14 +232,10 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		if !ds.Alive(g.ID()) {
 			continue // tombstoned slots index nothing
 		}
-		ix.codes = append(ix.codes, ix.encode(g))
+		codes = append(codes, ix.encode(g))
 	}
-	sort.Slice(ix.codes, func(a, b int) bool {
-		if ix.codes[a].labelBits != ix.codes[b].labelBits {
-			return ix.codes[a].labelBits < ix.codes[b].labelBits
-		}
-		return ix.codes[a].id < ix.codes[b].id
-	})
+	sort.Slice(codes, func(a, b int) bool { return codeLess(&codes[a], &codes[b]) })
+	ix.setCodes(codes)
 	ix.built = true
 	return nil
 }
@@ -319,35 +330,44 @@ func (ix *Index) vertexSig(g *graph.Graph, v int32) vertexSignature {
 // emitted chunk.
 const scanChunk = 512
 
-// Plan implements core.Method: phase 1 graph-code dominance, phase 2
+// analysis is gCode's analysis of a query (Analyze): its graph code and
+// its compiled matcher.
+type analysis struct {
+	code graphCode
+	prep *subiso.Prepared
+}
+
+// Analyze implements core.Method: the query's graph code and the compiled
+// query.
+func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
+	return &analysis{code: ix.encode(q), prep: subiso.Compile(q, subiso.Options{})}
+}
+
+// Probe implements core.Method: phase 1 graph-code dominance, phase 2
 // vertex-signature bipartite matching, verified against whole graphs. The
-// query is encoded eagerly and an ID-ordered view of the code table is
-// built (the table is sorted by (labelBits, id), not id — a cheap position
-// sort next to the dominance tests), then the two-phase filter runs lazily
-// over windows of that view so candidates stream out in ascending ID order.
-func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+// two-phase filter runs lazily over windows of the code table in its id
+// order (the table itself is sorted by (labelBits, id)), so candidates
+// stream out in ascending ID order.
+func (ix *Index) Probe(ctx context.Context, ds *graph.Dataset, a core.Analysis) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	qc := ix.encode(q)
+	an, ok := a.(*analysis)
+	if !ok {
+		return nil, core.ErrForeignAnalysis
+	}
 	v, err := ix.view()
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]graph.ID, v.n())
-	byID := make([]int32, len(ids))
-	for i := range byID {
-		ids[i] = v.id(i)
-		byID[i] = int32(i)
-	}
-	sort.Slice(byID, func(a, b int) bool { return ids[byID[a]] < ids[byID[b]] })
+	qc := &an.code
 	chunks := func(yield func(graph.IDSet) bool) {
-		for lo := 0; lo < len(byID); lo += scanChunk {
-			hi := min(lo+scanChunk, len(byID))
+		for lo := 0; lo < len(v.byID); lo += scanChunk {
+			hi := min(lo+scanChunk, len(v.byID))
 			var chunk graph.IDSet
-			for _, pos := range byID[lo:hi] {
+			for _, pos := range v.byID[lo:hi] {
 				s := v.summary(int(pos))
-				if !s.dominatesQ(&qc) {
+				if !s.dominatesQ(qc) {
 					continue
 				}
 				// A signature decode failure mid-stream conservatively keeps
@@ -363,7 +383,7 @@ func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (c
 			}
 		}
 	}
-	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
+	return core.WholeGraphPlan(ctx, ds, an.prep, chunks), nil
 }
 
 // signatureMatch reports whether every query vertex signature can be

@@ -2,8 +2,10 @@ package gcode
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/subiso"
@@ -156,4 +158,37 @@ func TestUnbuiltAndSize(t *testing.T) {
 	if built.SizeBytes() <= 0 {
 		t.Errorf("SizeBytes = %d", built.SizeBytes())
 	}
+}
+
+// TestPlanBytesIndependentOfSize: planning a query allocates the same
+// bytes over 1000 graphs as over 4000. The id order candidates stream in
+// depends on the index alone, so it is kept with the index, not sorted
+// into two table-sized slices per query.
+func TestPlanBytesIndependentOfSize(t *testing.T) {
+	q := pathGraph(0, 1, 2)
+	var bytes [2]uint64
+	for i, n := range []int{1000, 4000} {
+		ds := gen.Synthetic(gen.SynthConfig{NumGraphs: n, MeanNodes: 6, MeanDensity: 0.3, NumLabels: 4, Seed: 26})
+		ix := build(t, ds, Options{})
+		bytes[i] = planBytes(t, ix, ds, q)
+	}
+	t.Logf("bytes per plan: %d over 1000 graphs, %d over 4000", bytes[0], bytes[1])
+	if bytes[0] != bytes[1] {
+		t.Errorf("planning allocates %d bytes over 1000 graphs and %d over 4000, want the same", bytes[0], bytes[1])
+	}
+}
+
+// planBytes returns the bytes one core.Plan of q allocates, on average.
+func planBytes(t *testing.T, ix *Index, ds *graph.Dataset, q *graph.Graph) uint64 {
+	const runs = 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if _, err := core.Plan(context.Background(), ix, ds, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / runs
 }

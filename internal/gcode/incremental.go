@@ -1,6 +1,7 @@
 package gcode
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -16,7 +17,8 @@ func codeLess(a, b *graphCode) bool {
 }
 
 // AddGraphToIndex implements core.Method: the graph is encoded
-// exactly as during Build and its code spliced into the sorted structure.
+// exactly as during Build and its code spliced into the sorted structure
+// and into its id order.
 func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	if !ix.built {
 		return core.ErrNotBuilt
@@ -28,16 +30,20 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	}
 	gc := ix.encode(g)
 	i := sort.Search(len(ix.codes), func(i int) bool { return !codeLess(&ix.codes[i], &gc) })
-	ix.codes = append(ix.codes, graphCode{})
-	copy(ix.codes[i+1:], ix.codes[i:])
-	ix.codes[i] = gc
+	ix.codes = slices.Insert(ix.codes, i, gc)
+	for k, pos := range ix.byID {
+		if pos >= int32(i) {
+			ix.byID[k] = pos + 1
+		}
+	}
+	ix.byID = slices.Insert(ix.byID, ix.idRank(gc.id), int32(i))
 	return nil
 }
 
-// RemoveGraphFromIndex implements core.Method: graph id's code
-// is cut out of the structure. The scan is linear in the number of graphs
-// — the sort key leads with labelBits, not id — but touches only the
-// fixed-size codes, not the graphs.
+// RemoveGraphFromIndex implements core.Method: graph id's code is found
+// through the id order and cut out of the structure and the id order. The
+// shifts are linear in the number of graphs but touch only the fixed-size
+// codes and positions, not the graphs.
 func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 	if !ix.built {
 		return core.ErrNotBuilt
@@ -45,11 +51,17 @@ func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 	if err := ix.materializeAll(); err != nil {
 		return err
 	}
-	for i := range ix.codes {
-		if ix.codes[i].id == id {
-			ix.codes = append(ix.codes[:i], ix.codes[i+1:]...)
-			return nil
+	k := ix.idRank(id)
+	if k == len(ix.byID) || ix.codes[ix.byID[k]].id != id {
+		return nil // already absent: removal is idempotent
+	}
+	i := ix.byID[k]
+	ix.codes = slices.Delete(ix.codes, int(i), int(i)+1)
+	ix.byID = slices.Delete(ix.byID, k, k+1)
+	for k, pos := range ix.byID {
+		if pos > i {
+			ix.byID[k] = pos - 1
 		}
 	}
-	return nil // already absent: removal is idempotent
+	return nil
 }

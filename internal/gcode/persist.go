@@ -135,7 +135,7 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	}
 
 	if ix.StorageMode() == core.StorageMmap {
-		ix.codes = nil
+		ix.codes, ix.byID = nil, nil
 		ix.lazy = &lazyCodes{r: r, nCodes: nCodes, numEig: ix.opts.NumEigenvalues, sigs: make(map[int][]vertexSignature)}
 		ix.built = true
 		return nil
@@ -156,7 +156,7 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 			return fmt.Errorf("gcode: load: graph id %d out of range", id)
 		}
 	}
-	ix.codes = codes
+	ix.setCodes(codes)
 	ix.lazy = nil
 	ix.built = true
 	return nil
@@ -198,7 +198,7 @@ func (ix *Index) materializeAll() error {
 	if err != nil {
 		return fmt.Errorf("gcode: materialize: %w", err)
 	}
-	ix.codes = codes
+	ix.setCodes(codes)
 	ix.lazy = nil
 	obs.IndexResidentSet("gCode", core.StorageMmap, 0)
 	return lz.r.Close()
@@ -216,6 +216,7 @@ type lazyCodes struct {
 	summaries []byte
 	sigBlob   []byte
 	sigs      map[int][]vertexSignature // by summary position
+	byID      []int32                   // summary positions in graph id order, once fetched
 	resident  int64
 	err       error // sticky first section/decode failure
 }
@@ -223,7 +224,8 @@ type lazyCodes struct {
 // fetchSections slices the payload sections out of the mapping. Neither is
 // CRC-verified here — summaries decode by fixed stride (length checked at
 // load) and signature decodes are bounds-checked — so only the pages a
-// query touches ever fault in. Callers hold lz.mu.
+// query touches ever fault in, besides the summaries' id fields: they are
+// read once here for the table's id order. Callers hold lz.mu.
 func (lz *lazyCodes) fetchSections() error {
 	if lz.fetched {
 		return lz.err
@@ -235,6 +237,12 @@ func (lz *lazyCodes) fetchSections() error {
 		lz.sigBlob, lz.err = lz.r.SectionLazy(secSigs)
 	}
 	lz.fetched = lz.err == nil
+	if lz.fetched {
+		stride := lz.summaryStride()
+		lz.byID = idOrder(lz.nCodes, func(i int) graph.ID {
+			return graph.ID(binary.LittleEndian.Uint32(lz.summaries[i*stride:]))
+		})
+	}
 	return lz.err
 }
 

@@ -247,14 +247,16 @@ func visitTrie(root *node, g *graph.Graph, maxLen int, fn func(*node)) {
 	})
 }
 
-// queryTrie holds the query's label paths in the index trie's shape, in one
-// arena: nodes[0] is the root, and a node's children form a sibling list.
-// labels holds every node's whole label path.
+// queryTrie is GGSX's analysis of a query (Analyze): the query's label
+// paths in the index trie's shape, in one arena, plus its compiled matcher.
+// nodes[0] is the root, and a node's children form a sibling list. labels
+// holds every node's whole label path.
 type queryTrie struct {
 	nodes  []qnode
 	labels []graph.Label
 	// canon counts the canonical nodes, the constraints a match gathers.
 	canon int
+	prep  *subiso.Prepared
 }
 
 // qnode is one query path.
@@ -383,19 +385,30 @@ func dominates(cons []pathConstraint, js []int, id graph.ID) bool {
 // chunkSize is the lazy producer's emission granularity.
 const chunkSize = 256
 
-// Plan implements core.Method: graphs whose counts dominate the query's on
-// every query path, verified against whole graphs. The query trie is built
-// and one constraint per path direction gathered eagerly, then candidates
-// stream out in ascending ID order by walking the rarest constraint's
-// posting and probing the others, rarest first, until one rejects — in
-// O(1) for a dense posting, by a forward merge cursor for a sparse one.
-// An early-terminated stream touches a prefix of the driving posting. A
-// query path absent from the index empties the candidate set.
-func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+// Analyze implements core.Method: the query trie and the compiled query.
+func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
+	qt := buildQueryTrie(q, ix.opts.MaxPathLen)
+	qt.prep = subiso.Compile(q, subiso.Options{})
+	return qt
+}
+
+// Probe implements core.Method: graphs whose counts dominate the query's
+// on every query path, verified against whole graphs. One constraint per
+// path direction is gathered from the index eagerly and sorted by this
+// index's posting cardinalities, then candidates stream out in ascending
+// ID order by walking the rarest constraint's posting and probing the
+// others, rarest first, until one rejects — in O(1) for a dense posting,
+// by a forward merge cursor for a sparse one. An early-terminated stream
+// touches a prefix of the driving posting. A query path absent from the
+// index empties the candidate set.
+func (ix *Index) Probe(ctx context.Context, ds *graph.Dataset, a core.Analysis) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	qt := buildQueryTrie(q, ix.opts.MaxPathLen)
+	qt, ok := a.(*queryTrie)
+	if !ok {
+		return nil, core.ErrForeignAnalysis
+	}
 	root, err := ix.rootRef()
 	if err != nil {
 		return nil, err
@@ -414,7 +427,7 @@ func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (c
 	default:
 		chunks = probe(cons)
 	}
-	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
+	return core.WholeGraphPlan(ctx, ds, qt.prep, chunks), nil
 }
 
 // probe streams the graphs that meet every constraint: the rarest drives,

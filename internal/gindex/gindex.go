@@ -178,24 +178,35 @@ func edgeSetKey(ids []int) string {
 // chunkSize is the lazy producer's emission granularity.
 const chunkSize = 512
 
-// Plan implements core.Method: the intersection of the maximal indexed
+// Analyze implements core.Method: the compiled query. gIndex grows the
+// query's fragments only as far as this index's features reach, so
+// everything else of its planning reads the index and runs in Probe.
+func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
+	return subiso.Compile(q, subiso.Options{})
+}
+
+// Probe implements core.Method: the intersection of the maximal indexed
 // fragments' postings, verified against whole graphs. Fragment mining is
 // inherently eager — which fragments are maximal is only known once
 // expansion finishes — so the mining runs up front, but the posting
 // intersection itself streams candidate-major over the smallest maximal
 // posting, emitting ascending ID chunks. A query with no indexed fragment
 // rules nothing out.
-func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+func (ix *Index) Probe(ctx context.Context, ds *graph.Dataset, a core.Analysis) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
+	prep, ok := a.(*subiso.Prepared)
+	if !ok {
+		return nil, core.ErrForeignAnalysis
+	}
 	var chunks iter.Seq[graph.IDSet]
-	if posts := ix.maximalPostings(q); len(posts) > 0 {
+	if posts := ix.maximalPostings(prep.Query()); len(posts) > 0 {
 		chunks = intersect(posts)
 	} else {
 		chunks = core.AllSlots(ix.nGraphs)
 	}
-	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
+	return core.WholeGraphPlan(ctx, ds, prep, chunks), nil
 }
 
 // intersect streams the intersection of posts: the smallest posting

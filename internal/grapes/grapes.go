@@ -193,16 +193,17 @@ func componentTable(g *graph.Graph, comp []int32) int {
 	return len(comps)
 }
 
-// queryPaths is the query-only half of a Grapes plan: the distinct
-// canonical keys of the query's label paths of at most MaxPathLen edges
-// (canon.PathKey bytes) in ascending byte order, each with the number of
-// path visits that produce it — the same count the index keeps per
-// location. It depends on the query and MaxPathLen alone, never on an
-// index.
+// queryPaths is Grapes's analysis of a query (Analyze), the query-only
+// half of a plan: the distinct canonical keys of the query's label paths of
+// at most MaxPathLen edges (canon.PathKey bytes) in ascending byte order,
+// each with the number of path visits that produce it — the same count the
+// index keeps per location — and the compiled query. It depends on the
+// query and MaxPathLen alone, never on an index.
 type queryPaths struct {
 	keys   string  // the distinct keys, concatenated in ascending order
 	ends   []int32 // key i is keys[ends[i-1]:ends[i]], with ends[-1] = 0
 	counts []int32 // path visits of key i
+	prep   *subiso.Prepared
 }
 
 func (qp *queryPaths) key(i int) string {
@@ -221,6 +222,8 @@ type pathScratch struct {
 	order  []int32  // multi-word records only: record indexes, sorted
 	sorted []uint64 // multi-word records only: recs in sorted order
 	keys   []byte
+	ends   []int32
+	counts []int32
 }
 
 var pathScratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
@@ -233,9 +236,9 @@ var pathScratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
 //
 // VisitPaths visits a path of one or more edges once from each end; only
 // the visit from the lower vertex id is recorded, and it counts twice.
-func extractQueryPaths(q *graph.Graph, maxPathLen int) queryPaths {
+func extractQueryPaths(q *graph.Graph, maxPathLen int) *queryPaths {
 	if q.NumVertices() == 0 {
-		return queryPaths{}
+		return &queryPaths{}
 	}
 	sc := pathScratchPool.Get().(*pathScratch)
 	defer pathScratchPool.Put(sc)
@@ -257,13 +260,12 @@ func extractQueryPaths(q *graph.Graph, maxPathLen int) queryPaths {
 		sc.sortRecords(w)
 	}
 
-	qp := queryPaths{ends: make([]int32, 0, len(sc.recs)/w), counts: make([]int32, 0, len(sc.recs)/w)}
-	sc.keys = sc.keys[:0]
+	sc.keys, sc.ends, sc.counts = sc.keys[:0], sc.ends[:0], sc.counts[:0]
 	visits := int32(0)
 	for at := 0; at < len(sc.recs); at += w {
 		rec := sc.recs[at : at+w]
 		if at > 0 && slices.Equal(sc.recs[at-w:at], rec) {
-			qp.counts[len(qp.counts)-1] += visits
+			sc.counts[len(sc.counts)-1] += visits
 			continue
 		}
 		from := len(sc.keys)
@@ -272,11 +274,16 @@ func extractQueryPaths(q *graph.Graph, maxPathLen int) queryPaths {
 		if len(sc.keys)-from == 4 {
 			visits = 1
 		}
-		qp.ends = append(qp.ends, int32(len(sc.keys)))
-		qp.counts = append(qp.counts, visits)
+		sc.ends = append(sc.ends, int32(len(sc.keys)))
+		sc.counts = append(sc.counts, visits)
 	}
-	qp.keys = string(sc.keys)
-	return qp
+	// The ends and counts share one array sized to the distinct keys, so
+	// the analysis's own header costs no allocation beyond the unsplit plan.
+	n := len(sc.ends)
+	buf := make([]int32, 2*n)
+	copy(buf, sc.ends)
+	copy(buf[n:], sc.counts)
+	return &queryPaths{keys: string(sc.keys), ends: buf[:n:n], counts: buf[n:]}
 }
 
 // sortRecords sorts records of w > 1 words through an index.
@@ -351,21 +358,32 @@ func (ix *Index) resolve(qp *queryPaths) ([]feature, error) {
 	return feats, nil
 }
 
-// Plan implements core.Method: the query's paths are extracted and
-// resolved eagerly; the count-dominance intersection itself runs lazily,
+// Analyze implements core.Method: the query's paths and the compiled
+// query.
+func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
+	qp := extractQueryPaths(q, ix.opts.MaxPathLen)
+	qp.prep = subiso.Compile(q, subiso.Options{})
+	return qp
+}
+
+// Probe implements core.Method: the analysis's paths are resolved against
+// this index eagerly; the count-dominance intersection itself runs lazily,
 // candidate-major, when the plan's chunks are pulled, retaining per
 // emitted candidate the components touched by matched path locations.
 // Verify tests the graphs of ds under ctx.
-func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+func (ix *Index) Probe(ctx context.Context, ds *graph.Dataset, a core.Analysis) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	qp := extractQueryPaths(q, ix.opts.MaxPathLen)
-	feats, err := ix.resolve(&qp)
+	qp, ok := a.(*queryPaths)
+	if !ok {
+		return nil, core.ErrForeignAnalysis
+	}
+	feats, err := ix.resolve(qp)
 	if err != nil {
 		return nil, err
 	}
-	return &queryPlan{ix: ix, ctx: ctx, ds: ds, prep: subiso.Compile(q, subiso.Options{}), feats: feats}, nil
+	return &queryPlan{ix: ix, ctx: ctx, ds: ds, prep: qp.prep, feats: feats}, nil
 }
 
 func markComponents(dst []bool, comp []int32, starts []int32) {

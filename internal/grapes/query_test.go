@@ -175,11 +175,11 @@ func TestResolvedOrderHeapMmap(t *testing.T) {
 	}
 	for i, q := range queries {
 		qp := extractQueryPaths(q, heap.opts.MaxPathLen)
-		hf, err := heap.resolve(&qp)
+		hf, err := heap.resolve(qp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mf, err := mapped.resolve(&qp)
+		mf, err := mapped.resolve(qp)
 		if err != nil {
 			t.Fatal(err)
 		}

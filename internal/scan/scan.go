@@ -37,13 +37,22 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	return nil
 }
 
-// Plan implements core.Method: every graph slot is a candidate, emitted by
+// Analyze implements core.Method: the compiled query.
+func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
+	return subiso.Compile(q, subiso.Options{})
+}
+
+// Probe implements core.Method: every graph slot is a candidate, emitted by
 // the all-slots producer, so the verification stage performs the full scan.
-func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+func (ix *Index) Probe(ctx context.Context, ds *graph.Dataset, a core.Analysis) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
-	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), core.AllSlots(ix.n)), nil
+	prep, ok := a.(*subiso.Prepared)
+	if !ok {
+		return nil, core.ErrForeignAnalysis
+	}
+	return core.WholeGraphPlan(ctx, ds, prep, core.AllSlots(ix.n)), nil
 }
 
 // AddGraphToIndex implements core.Method: the scan covers every slot up to

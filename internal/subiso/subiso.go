@@ -77,8 +77,11 @@ type Prepared struct {
 	steps []step
 	backs []int32
 	needs []labelNeed
-	edges int
+	q     *graph.Graph
 }
+
+// Query returns the query the search was compiled from.
+func (p *Prepared) Query() *graph.Graph { return p.q }
 
 // Compile plans the search for q. The order is decided once, greedily,
 // without looking at any data graph: each next vertex is the one with the
@@ -87,7 +90,7 @@ type Prepared struct {
 // vertex after the first of its component has an anchor.
 func Compile(q *graph.Graph, opts Options) *Prepared {
 	n := q.NumVertices()
-	p := &Prepared{steps: make([]step, n), edges: q.NumEdges()}
+	p := &Prepared{steps: make([]step, n), q: q}
 	// One backing array: ordered-neighbour counts, then the back lists
 	// (every edge lands in at most one of them).
 	buf := make([]int32, n+q.NumEdges())
@@ -237,7 +240,7 @@ func (s *scratch) search(ctx context.Context, p *Prepared, g *graph.Graph, comp 
 		}
 		return true
 	}
-	if len(p.steps) > g.NumVertices() || p.edges > g.NumEdges() {
+	if len(p.steps) > g.NumVertices() || p.q.NumEdges() > g.NumEdges() {
 		return false
 	}
 	s.p, s.g, s.labels, s.comp, s.c, s.yield = p, g, g.Labels(), comp, c, yield

@@ -184,7 +184,15 @@ func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 // chunkSize is the producer's emission granularity.
 const chunkSize = 512
 
-// Plan implements core.Method: tree-based filtering, then Δ-based
+// Analyze implements core.Method: the compiled query. Tree+Δ grows the
+// query's subtrees only as far as this index's features reach, and its Δ
+// state learns per index, so everything else of its planning runs in
+// Probe.
+func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
+	return subiso.Compile(q, subiso.Options{})
+}
+
+// Probe implements core.Method: tree-based filtering, then Δ-based
 // refinement and learning, verified against whole graphs. Tree+Δ cannot
 // defer its filtering: Δ admission learns from the *complete* tree-based
 // candidate set of every processed query (a lazily truncated set would
@@ -193,10 +201,15 @@ const chunkSize = 512
 // since filtering mutates the Δ state — and emitted in chunks. The
 // verifier stage downstream is still lazy, which is where Tree+Δ's
 // streaming win lives.
-func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (core.QueryPlan, error) {
+func (ix *Index) Probe(ctx context.Context, ds *graph.Dataset, a core.Analysis) (core.QueryPlan, error) {
 	if !ix.built {
 		return nil, core.ErrNotBuilt
 	}
+	prep, ok := a.(*subiso.Prepared)
+	if !ok {
+		return nil, core.ErrForeignAnalysis
+	}
+	q := prep.Query()
 	cands := ix.applyDeltas(q, ix.treeCandidates(q))
 	chunks := func(yield func(graph.IDSet) bool) {
 		for lo := 0; lo < len(cands); lo += chunkSize {
@@ -206,7 +219,7 @@ func (ix *Index) Plan(ctx context.Context, ds *graph.Dataset, q *graph.Graph) (c
 			}
 		}
 	}
-	return core.WholeGraphPlan(ctx, ds, subiso.Compile(q, subiso.Options{}), chunks), nil
+	return core.WholeGraphPlan(ctx, ds, prep, chunks), nil
 }
 
 // treeCandidates grows the query's subtrees level by level, expanding only
