@@ -65,6 +65,11 @@ type nodeShard struct {
 // All methods are safe for concurrent use: queries take the read side,
 // mutations and shard installs the write side (a mutation releases it
 // before a compaction of the shard file).
+//
+// A node is not an engine.Store: the coordinator assigns its graph ids and
+// per-shard cluster epochs, and a Store assigns ids by appending to its
+// dataset. Each shard is opened alone (engine.OpenShard) with a Store of
+// its own, and a mutation takes the node's write lock, then that Store's.
 type Node struct {
 	mu     sync.RWMutex
 	cfg    NodeConfig
@@ -305,7 +310,7 @@ func (n *Node) mutate(id graph.ID, epoch uint64, op func(*nodeShard) error) (Mut
 	}
 	ack := n.ackLocked(k, sh, epoch)
 	n.mu.Unlock()
-	sh.CompactIfDue()
+	sh.Compact()
 	return ack, nil
 }
 

@@ -57,13 +57,16 @@ func WithVerifyWorkers(n int) Option { return func(c *config) { c.verifyWorkers 
 // Engine is a built (or restored) index over one dataset, serving subgraph
 // queries through the plan-based filter-and-verify pipeline. It is safe for
 // concurrent queries (Tree+Δ serializes its index mutations internally),
-// and implements Mutable: AddGraph/RemoveGraph mutate the dataset and have
-// the method fold the change into its index, serialized against in-flight
-// queries by an internal reader/writer lock.
+// and implements Mutable through its Store: AddGraph/RemoveGraph change the
+// dataset and have the method fold the change into its index, serialized
+// against in-flight queries by the Store's lock.
 type Engine struct {
-	// mu serializes dataset/index mutations (write side) against queries
-	// (read side).
-	mu       sync.RWMutex
+	// Store owns the dataset and the lock that serializes its mutations
+	// (write side) against queries (read side): the engine's own Store for
+	// a flat engine, the owner's for a Sharded engine's shard. Its
+	// maintainer of the engine's index is a Shard: a flat engine's is the
+	// identity leg.
+	*Store
 	method   core.Method
 	ds       *graph.Dataset
 	proc     *core.Processor
@@ -78,7 +81,7 @@ type Engine struct {
 	fresh     func() (core.Method, error)
 	indexPath string
 	// jr is the journal of the index file at indexPath (see journal.go);
-	// jmu serializes compactions, which run under the read lock.
+	// jmu serializes compactions, which run under the Store's read lock.
 	jr            journal
 	jmu           sync.Mutex
 	verifyWorkers int
@@ -119,7 +122,13 @@ func stampOf(ds *graph.Dataset, spec string) stamp {
 func Open(ctx context.Context, ds *graph.Dataset, opts ...Option) (*Engine, error) {
 	cfg := newConfig(opts)
 	persisted := cfg.indexPath != ""
-	return openEngine(ctx, ds, cfg, "", persisted, persisted)
+	st := &Store{ds: ds}
+	e, err := openEngine(ctx, st, ds, cfg, "", persisted, persisted)
+	if err != nil {
+		return nil, err
+	}
+	st.maints = []Maintainer{&Shard{eng: e, identity: true}}
+	return e, nil
 }
 
 func newConfig(opts []Option) config {
@@ -130,13 +139,13 @@ func newConfig(opts []Option) config {
 	return cfg
 }
 
-// openEngine constructs cfg's method into an engine over ds and makes it
-// servable: with restore, it loads the index from cfg's path when a file
-// (plus journal) restorable for ds and stampSpec ("": the method's name) is
-// there; otherwise it builds the index and, with save, persists it — without
-// save the first mutation does. A restored storage=mmap index then warms in
-// the background.
-func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec string, restore, save bool) (*Engine, error) {
+// openEngine constructs cfg's method into an engine over ds, guarded by
+// st's lock, and makes it servable: with restore, it loads the index from
+// cfg's path when a file (plus journal) restorable for ds and stampSpec
+// ("": the method's name) is there; otherwise it builds the index and, with
+// save, persists it — without save the first mutation does. A restored
+// storage=mmap index then warms in the background.
+func openEngine(ctx context.Context, st *Store, ds *graph.Dataset, cfg config, stampSpec string, restore, save bool) (*Engine, error) {
 	if ds == nil {
 		return nil, errors.New("engine: nil dataset")
 	}
@@ -154,7 +163,7 @@ func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec st
 	if stampSpec == "" {
 		stampSpec = m.Name()
 	}
-	e := &Engine{method: m, ds: ds, stampSpec: stampSpec, indexPath: cfg.indexPath, verifyWorkers: cfg.verifyWorkers}
+	e := &Engine{Store: st, method: m, ds: ds, stampSpec: stampSpec, indexPath: cfg.indexPath, verifyWorkers: cfg.verifyWorkers}
 	if cfg.indexPath != "" {
 		e.jr.path = JournalPath(cfg.indexPath)
 	}
@@ -188,13 +197,14 @@ func openEngine(ctx context.Context, ds *graph.Dataset, cfg config, stampSpec st
 		if warm, ok := e.method.(core.Warmable); ok {
 			// Pre-fault the directory sections off the open path: queries
 			// are answerable immediately, /readyz flips once the warm lands.
-			// The read lock keeps a mutation from releasing the mapping
-			// while the warm-up still reads it.
+			// The Store's read lock keeps a mutation from releasing the
+			// mapping while the warm-up still reads it. It is taken before
+			// the open returns, so a Join of the Store waits for it too.
 			e.ready.Store(false)
+			st.mu.RLock()
 			go func() {
-				e.mu.RLock()
 				warm.WarmIndex()
-				e.mu.RUnlock()
+				st.mu.RUnlock()
 				e.ready.Store(true)
 			}()
 		}
@@ -310,8 +320,9 @@ func writeIndexFile(path string, m core.Method, st stamp) error {
 
 // Method returns the engine's built method.
 func (e *Engine) Method() core.Method {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st := e.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return e.method
 }
 
@@ -321,16 +332,18 @@ func (e *Engine) Dataset() *graph.Dataset { return e.ds }
 // BuildStats reports on index construction; its zero value means the index
 // was restored from disk rather than built.
 func (e *Engine) BuildStats() core.BuildStats {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st := e.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return e.build
 }
 
 // Restored reports whether the engine's current index was loaded from a
 // persisted file, its journal replayed or not, rather than built.
 func (e *Engine) Restored() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st := e.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return e.restored
 }
 
@@ -344,15 +357,17 @@ func (e *Engine) Ready() bool { return e.ready.Load() }
 // Processor exposes the engine's underlying pipeline for callers that need
 // per-stage control. The snapshot is not updated by later mutations.
 func (e *Engine) Processor() *core.Processor {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st := e.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return e.proc
 }
 
 // Query processes one subgraph query end to end.
 func (e *Engine) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st := e.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return e.proc.QueryCtx(ctx, q)
 }
 
@@ -368,14 +383,20 @@ func (e *Engine) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID,
 // Elsewhere, a journal beside path belonged to the file Save replaced and
 // is removed.
 func (e *Engine) Save(path string) error {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st := e.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return e.saveRLocked(path)
+}
+
+// saveRLocked is Save under the Store's read lock.
+func (e *Engine) saveRLocked(path string) error {
 	e.jmu.Lock()
 	defer e.jmu.Unlock()
 	return e.saveLocked(path)
 }
 
-// saveLocked is Save under the read lock and jmu.
+// saveLocked is Save under the Store's read lock and jmu.
 func (e *Engine) saveLocked(path string) error {
 	st := stampOf(e.ds, e.stampSpec)
 	if err := writeIndexFile(path, e.method, st); err != nil {

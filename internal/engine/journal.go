@@ -129,8 +129,8 @@ func readJournal(path string) *journalFile {
 }
 
 // journal is an engine's handle on the journal of its index file. Appends
-// run under the engine's write lock; compaction (saveLocked) resets it
-// under the read lock plus the engine's jmu.
+// run under the Store's write lock; compaction (saveLocked) resets it
+// under the Store's read lock plus the engine's jmu.
 type journal struct {
 	path  string
 	base  stamp // the stamp of the base file the journal continues
@@ -279,11 +279,11 @@ func (e *Engine) replay(jf *journalFile) error {
 }
 
 // journalLocked makes the mutation just applied durable by appending its
-// record, under the write lock, so records land in apply order. When the
-// journal is already behind the dataset (due), it appends nothing, and the
-// compaction after the apply captures the index whole. A failed append
-// leaves the journal due and is returned, for the caller to undo the
-// apply.
+// record, under the Store's write lock, so records land in apply order.
+// When the journal is already behind the dataset (due), it appends
+// nothing, and the compaction after the apply captures the index whole. A
+// failed append leaves the journal due and is returned, for the caller to
+// undo the apply.
 func (e *Engine) journalLocked(kind byte, id graph.ID) error {
 	if e.indexPath == "" || e.jr.due {
 		return nil
@@ -297,19 +297,21 @@ func (e *Engine) journalLocked(kind byte, id graph.ID) error {
 	return nil
 }
 
-// CompactIfDue rewrites the index file and starts its journal afresh when
-// the last mutation left the journal due (see journal.due). It holds only
-// the read lock, so queries proceed during the O(index) write, and an
-// owner calls it with its own lock released. A failed compaction fails no
-// mutation: an acked mutation is journaled or held by the dataset, and an
-// open over a file the dataset has moved past rebuilds. The journal stays
-// due, so the next mutation or Save tries again.
-func (e *Engine) CompactIfDue() {
+// compact rewrites the index file and starts its journal afresh when the
+// last mutation left the journal due (see journal.due). It holds only the
+// Store's read lock, so queries proceed during the O(index) write while
+// the Store's writers wait; the Store calls it after every mutation with
+// its write lock released. A failed compaction fails no mutation: an acked
+// mutation is journaled or held by the dataset, and an open over a file
+// the dataset has moved past rebuilds. The journal stays due, so the next
+// mutation or Save tries again.
+func (e *Engine) compact() {
 	if e.indexPath == "" {
 		return
 	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+	st := e.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	e.jmu.Lock()
 	defer e.jmu.Unlock()
 	if e.jr.due {

@@ -18,16 +18,24 @@ import (
 // compaction exist once, in Engine.
 //
 // A Shard is also a leg of the merge behind every stream and sharded query
-// (Drain, MergeStream); a flat engine streams as one identity leg.
+// (Drain, MergeStream), and the Maintainer of its engine's index: a flat
+// engine streams as, and is maintained through, one identity leg.
 //
-// The owner serializes a shard: Add and Remove run under its write lock,
-// Graphs, Drain and MergeStream under its read lock, and it takes that lock
-// before the shard engine's. CompactIfDue needs no owner lock: it holds the
-// shard engine's read lock alone for the file write.
+// The sub-dataset keeps its own tombstones: the pipeline filters each leg
+// against its own dataset, and the shard's index file is stamped with the
+// sub-dataset's epoch and tag. They are derived from the owner's:
+// PartitionShard copies them at open, and afterwards only the shard's own
+// add and remove write them, under the lock of the Store its engine
+// belongs to — a Sharded engine's Store, which calls Added and Removed, or,
+// for a shard opened alone (OpenShard), its own, which Add and Remove take.
 type Shard struct {
 	eng      *Engine
 	global   []graph.ID // local id -> parent id, ascending
 	identity bool       // a flat engine's leg: local ids are parent ids, global unused
+	// part and of place the shard in a partition of `of` shards: as a
+	// Maintainer it takes the graphs ShardOf(id, of) == part. With of 0 it
+	// takes every graph it is given.
+	part, of int
 }
 
 // OpenShard opens the shard over sub, whose local id i is parent id
@@ -43,7 +51,7 @@ func OpenShard(ctx context.Context, sub *graph.Dataset, global []graph.ID, opts 
 		return nil, err
 	}
 	persisted := cfg.indexPath != ""
-	e, err := openEngine(ctx, sub, cfg, spec, persisted, persisted)
+	e, err := openEngine(ctx, &Store{ds: sub}, sub, cfg, spec, persisted, persisted)
 	if err != nil {
 		return nil, err
 	}
@@ -101,34 +109,85 @@ func (sh *Shard) Graphs() iter.Seq2[graph.ID, *graph.Graph] {
 	}
 }
 
-// Add re-homes g into the shard as parent id id and maintains the shard's
-// index, journaling the add. Parent ids must arrive in ascending order. The
-// local slot is taken even when the apply fails; the copy is then
-// tombstoned again and dropped from the index.
+// Add re-homes g into a shard opened alone (OpenShard) as parent id id and
+// maintains and journals the shard's index, under the lock of the shard's
+// Store. Parent ids must arrive in ascending order. The local slot is
+// taken even when the add fails; the copy is then tombstoned again.
 func (sh *Shard) Add(ctx context.Context, id graph.ID, g *graph.Graph) error {
+	st := sh.eng.root()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return sh.add(id, g)
+}
+
+// Remove tombstones the re-homed copy of parent id id in a shard opened
+// alone and maintains and journals the shard's index, under the lock of
+// the shard's Store.
+func (sh *Shard) Remove(ctx context.Context, id graph.ID) error {
+	st := sh.eng.root()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return sh.remove(id)
+}
+
+// Added implements Maintainer: the graph joins the shard if the shard's
+// partition places it here.
+func (sh *Shard) Added(g *graph.Graph) error {
+	if !sh.places(g.ID()) {
+		return nil
+	}
+	return sh.add(g.ID(), g)
+}
+
+// Removed implements Maintainer: the graph leaves the shard if the shard's
+// partition places it here.
+func (sh *Shard) Removed(g *graph.Graph) error {
+	if !sh.places(g.ID()) {
+		return nil
+	}
+	return sh.remove(g.ID())
+}
+
+// Compact implements Maintainer: the shard's index file is rewritten and
+// its journal started afresh when the last mutation left it due (see
+// Engine.compact).
+func (sh *Shard) Compact() { sh.eng.compact() }
+
+func (sh *Shard) places(id graph.ID) bool {
+	return sh.of == 0 || ShardOf(id, sh.of) == sh.part
+}
+
+// add folds parent id id into the shard: an identity leg's dataset already
+// holds g, a partition shard re-homes it first.
+func (sh *Shard) add(id graph.ID, g *graph.Graph) error {
+	if sh.identity {
+		return sh.eng.indexAddLocked(g)
+	}
 	if n := len(sh.global); n > 0 && id < sh.global[n-1] {
 		return fmt.Errorf("engine: graph %d arrived after graph %d; shard ids must ascend", id, sh.global[n-1])
 	}
 	sh.global = append(sh.global, id)
-	_, err := sh.eng.applyAdd(ctx, g.ShallowWithID(0))
-	return err
+	local := g.ShallowWithID(0)
+	sh.eng.ds.Add(local)
+	if err := sh.eng.indexAddLocked(local); err != nil {
+		sh.eng.ds.Remove(local.ID())
+		return err
+	}
+	return nil
 }
 
-// Remove tombstones the re-homed copy of parent id id and maintains the
-// shard's index.
-func (sh *Shard) Remove(ctx context.Context, id graph.ID) error {
+// remove drops parent id id from the shard: an identity leg's dataset has
+// already tombstoned it, a partition shard tombstones its copy first.
+func (sh *Shard) remove(id graph.ID) error {
+	if sh.identity {
+		return sh.eng.indexRemoveLocked(id)
+	}
 	local, ok := sh.LocalOf(id)
-	if !ok {
+	if !ok || !sh.eng.ds.Remove(local) {
 		return fmt.Errorf("engine: removing graph %d: %w", id, ErrNoSuchGraph)
 	}
-	return sh.eng.applyRemove(ctx, local)
+	return sh.eng.indexRemoveLocked(local)
 }
-
-// CompactIfDue rewrites the shard's index file and starts its journal
-// afresh when the last mutation left it due (see Engine.CompactIfDue). The
-// owner calls it after every mutation with its own lock released, so its
-// queries proceed during the file write.
-func (sh *Shard) CompactIfDue() { sh.eng.CompactIfDue() }
 
 // ShardFanout is how many shards a merge plans at once under a
 // verification budget — a budget of 1 plans them one at a time, the

@@ -57,16 +57,17 @@ const shardManifestMagic = "repro-shards v5"
 // cursors (Drain, MergeStream), serving the same QueryResult / iter.Seq2
 // surface the unsharded Engine serves. Construct with OpenSharded.
 //
+// The engine's Store owns the parent dataset and its one lock, which every
+// shard engine shares; the shards are its maintainers, in shard order, each
+// taking the graphs ShardOf places in it.
+//
 // Because filtering never produces false negatives and subgraph-isomorphism
 // answers depend on each dataset graph alone, a sharded engine returns
 // exactly the unsharded engine's answer set for every method (candidate sets
 // may differ for the frequent-mining methods, whose feature selection is
 // dataset-global).
 type Sharded struct {
-	// mu serializes mutations (write side) against queries (read side),
-	// mirroring Engine; it is taken before any shard engine's lock.
-	mu          sync.RWMutex
-	ds          *graph.Dataset
+	*Store      // the unpartitioned dataset's
 	shards      []*Shard
 	name        string // method display name
 	spec        string // canonical spec all shards were constructed from
@@ -103,7 +104,8 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 	if err != nil {
 		return nil, err
 	}
-	s := &Sharded{ds: ds, shards: make([]*Shard, shards), name: d.Display, spec: spec, workers: cfg.verifyWorkers}
+	st := &Store{ds: ds}
+	s := &Sharded{Store: st, shards: make([]*Shard, shards), name: d.Display, spec: spec, workers: cfg.verifyWorkers}
 	s.fanout = ShardFanout(cfg.verifyWorkers)
 	manifestOK := false
 	if cfg.indexPath != "" {
@@ -122,11 +124,11 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 		// A shard file restores only under the manifest that endorses it;
 		// an empty shard has nothing to restore. Saves wait until the timed
 		// phase is over, so build stats compare like for like with Open's.
-		e, err := openEngine(ctx, sub, c, spec, manifestOK && len(global) > 0, false)
+		e, err := openEngine(ctx, st, sub, c, spec, manifestOK && len(global) > 0, false)
 		if err != nil {
 			return fmt.Errorf("engine: shard %d/%d: %w", i, shards, err)
 		}
-		s.shards[i] = &Shard{eng: e, global: global}
+		s.shards[i] = &Shard{eng: e, global: global, part: i, of: shards}
 		return nil
 	})
 	wall := time.Since(t0)
@@ -135,6 +137,7 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 	}
 	nonEmpty := 0
 	for i, sh := range s.shards {
+		st.maints = append(st.maints, sh)
 		s.build.Features += sh.eng.build.Features
 		if sh.empty() {
 			continue
@@ -292,9 +295,6 @@ feed:
 // Shards returns the number of shards.
 func (s *Sharded) Shards() int { return len(s.shards) }
 
-// Dataset returns the (unpartitioned) dataset the engine serves queries over.
-func (s *Sharded) Dataset() *graph.Dataset { return s.ds }
-
 // Name returns the method's display name.
 func (s *Sharded) Name() string { return s.name }
 
@@ -303,11 +303,11 @@ func (s *Sharded) Spec() string { return s.spec }
 
 // SizeBytes returns the total in-memory size of all shard indexes.
 func (s *Sharded) SizeBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.RLock()
+	defer s.RUnlock()
 	var size int64
 	for _, sh := range s.shards {
-		size += sh.eng.Method().SizeBytes()
+		size += sh.eng.method.SizeBytes()
 	}
 	return size
 }
@@ -353,8 +353,9 @@ func (s *Sharded) ShardLen(i int) int { return s.shards[i].eng.ds.Len() }
 // query's wall-clock latency — directly comparable to an unsharded
 // engine's.
 func (s *Sharded) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	st := s.root()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	return Drain(ctx, s.shards, q, s.fanout, s.workers, s.name)
 }
 
@@ -367,7 +368,7 @@ func (s *Sharded) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID
 // by MergeStream with chunked locking; a mutation landing mid-stream
 // re-plans the merge after its frontier.
 func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return MergeStream(ctx, &s.mu, stats, q, -1, s.fanout, s.workers, func() ([]*Shard, error) {
+	return MergeStream(ctx, &s.root().mu, stats, q, -1, s.fanout, s.workers, func() ([]*Shard, error) {
 		return s.shards, nil
 	})
 }
@@ -376,13 +377,13 @@ func (s *Sharded) StreamStats(ctx context.Context, q *graph.Graph, stats *core.P
 // shard, each written atomically — and then the manifest at base, so a later
 // OpenSharded with WithIndexPath(base) restores instead of rebuilding.
 func (s *Sharded) Save(base string) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.RLock()
+	defer s.RUnlock()
 	for i, sh := range s.shards {
 		if sh.empty() {
 			continue
 		}
-		if err := sh.eng.Save(ShardIndexPath(base, i)); err != nil {
+		if err := sh.eng.saveRLocked(ShardIndexPath(base, i)); err != nil {
 			return fmt.Errorf("engine: shard %d/%d: %w", i, len(s.shards), err)
 		}
 	}
@@ -396,91 +397,4 @@ func (s *Sharded) String() string {
 		lens[i] = fmt.Sprint(s.ShardLen(i))
 	}
 	return fmt.Sprintf("sharded{%s x%d graphs [%s]}", s.spec, len(s.shards), strings.Join(lens, " "))
-}
-
-// Epoch implements Mutable: the dataset's version counter.
-func (s *Sharded) Epoch() uint64 { return s.ds.Epoch() }
-
-// Counts implements Mutable: the parent dataset's live and removed counts.
-func (s *Sharded) Counts() (live, removed int) { return s.ds.Counts() }
-
-// shardOf returns the shard graph id is routed to.
-func (s *Sharded) shardOf(id graph.ID) *Shard { return s.shards[ShardOf(id, len(s.shards))] }
-
-// AddGraph implements Mutable for the sharded engine: g joins the parent
-// dataset under a fresh ID and is added to its ShardOf shard, whose engine
-// maintains its index and, with persistence configured, journals the add.
-// A failed apply is undone in the parent too, so an error means no live
-// mutation, as in the flat engine.
-func (s *Sharded) AddGraph(ctx context.Context, g *graph.Graph) (graph.ID, error) {
-	if g == nil || g.NumVertices() == 0 {
-		return 0, errEmptyAdd
-	}
-	s.mu.Lock()
-	id := s.ds.Add(g)
-	sh := s.shardOf(id)
-	if err := sh.Add(ctx, id, g); err != nil {
-		s.ds.Remove(id)
-		s.mu.Unlock()
-		return 0, err
-	}
-	s.mu.Unlock()
-	sh.CompactIfDue()
-	return id, nil
-}
-
-// RemoveGraph implements Mutable for the sharded engine: the graph is
-// tombstoned in the parent dataset and in its shard, whose engine maintains
-// its index and journals the removal. As in the flat engine, the tombstone
-// stays committed when the shard fails: the removal is already
-// query-correct.
-func (s *Sharded) RemoveGraph(ctx context.Context, id graph.ID) error {
-	return s.mutate(id, func(sh *Shard) error {
-		if !s.ds.Remove(id) {
-			return fmt.Errorf("engine: removing graph %d: %w", id, ErrNoSuchGraph)
-		}
-		return sh.Remove(ctx, id)
-	})
-}
-
-// Exclusive implements IndexMaintainer: f under the write lock.
-func (s *Sharded) Exclusive(f func() error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return f()
-}
-
-// ApplyAdd implements IndexMaintainer: shard re-homing and index
-// maintenance, inside Exclusive, for a graph already added to the parent
-// dataset.
-func (s *Sharded) ApplyAdd(ctx context.Context, g *graph.Graph) error {
-	return s.shardOf(g.ID()).Add(ctx, g.ID(), g)
-}
-
-// ApplyRemove implements IndexMaintainer: shard-local tombstone and index
-// maintenance, inside Exclusive, for a graph the parent dataset has
-// already tombstoned.
-func (s *Sharded) ApplyRemove(ctx context.Context, id graph.ID) error {
-	return s.shardOf(id).Remove(ctx, id)
-}
-
-// CompactIfDue implements IndexMaintainer: every shard compacts if due.
-func (s *Sharded) CompactIfDue() {
-	for _, sh := range s.shards {
-		sh.CompactIfDue()
-	}
-}
-
-// mutate applies op to the shard owning id under the write lock, then lets
-// that shard compact with the lock released.
-func (s *Sharded) mutate(id graph.ID, op func(*Shard) error) error {
-	s.mu.Lock()
-	sh := s.shardOf(id)
-	err := op(sh)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	sh.CompactIfDue()
-	return nil
 }

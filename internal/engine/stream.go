@@ -85,9 +85,8 @@ func analyze(legs []*Shard, q *graph.Graph) core.Analysis {
 // openMerge probes analysis a over every non-empty leg, fanout legs at a
 // time; start then opens the legs' cursors. The caller holds the owner's
 // read lock, which serializes every leg's mutations, so the legs' methods
-// are read without their engines' locks: a flat engine's lock is the
-// owner's, and read-locking it again could deadlock behind a waiting
-// writer.
+// are read without their engines' locks: a Sharded engine's legs share its
+// Store, and read-locking it again could deadlock behind a waiting writer.
 func openMerge(ctx context.Context, legs []*Shard, a core.Analysis, stats *core.PipelineStats, fanout, workers int) (*merge, error) {
 	plans := make([]core.QueryPlan, len(legs))
 	// The plans outlive the fan-out pool, so they capture the caller's ctx
@@ -323,7 +322,7 @@ func MergeStream(ctx context.Context, mu *sync.RWMutex, stats *core.PipelineStat
 // them — the first after one verification — with no lock held across a
 // yield; a mutation landing mid-stream re-plans it after its frontier.
 func (e *Engine) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
-	return MergeStream(ctx, &e.mu, stats, q, -1, 1, e.verifyWorkers, func() ([]*Shard, error) {
+	return MergeStream(ctx, &e.root().mu, stats, q, -1, 1, e.verifyWorkers, func() ([]*Shard, error) {
 		return []*Shard{{eng: e, identity: true}}, nil
 	})
 }

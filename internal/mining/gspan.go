@@ -13,6 +13,7 @@ package mining
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
 
@@ -29,11 +30,15 @@ type Config struct {
 	MaxEdges int
 	// TreesOnly restricts mining to acyclic patterns (Tree+Δ).
 	TreesOnly bool
-	// MaxPatterns aborts the run after emitting this many patterns
-	// (0 = unlimited). It is a safety valve for stress tests; the paper's
-	// analogue is the 8-hour experiment timeout.
+	// MaxPatterns aborts the run with ErrPatternBudget after emitting this
+	// many patterns (0 = unlimited). It is a safety valve for stress tests;
+	// the paper's analogue is the 8-hour experiment timeout.
 	MaxPatterns int
 }
+
+// ErrPatternBudget is returned by Mine when Config.MaxPatterns runs out:
+// the run stopped on its pattern budget, not on a deadline.
+var ErrPatternBudget = errors.New("mining: pattern budget exhausted")
 
 // Pattern is one frequent pattern discovered by Mine.
 type Pattern struct {
@@ -165,7 +170,7 @@ func (m *miner) grow(p *Pattern, embs []embedding) error {
 	}
 	m.emitted++
 	if m.cfg.MaxPatterns > 0 && m.emitted > m.cfg.MaxPatterns {
-		return context.DeadlineExceeded
+		return ErrPatternBudget
 	}
 	if !m.fn(p) || len(p.Code) >= m.cfg.MaxEdges {
 		return nil

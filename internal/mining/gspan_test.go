@@ -2,6 +2,7 @@ package mining
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/dfscode"
@@ -197,6 +198,9 @@ func TestMineMaxPatternsBudget(t *testing.T) {
 		func(p *Pattern) bool { count++; return true })
 	if err == nil {
 		t.Fatalf("budget exhaustion should surface as an error")
+	}
+	if !errors.Is(err, ErrPatternBudget) || errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("budget exhaustion returned %v, want ErrPatternBudget and no deadline", err)
 	}
 	if count > 2 {
 		t.Fatalf("emitted %d patterns past the budget", count)

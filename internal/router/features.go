@@ -71,9 +71,9 @@ type Features struct {
 }
 
 // Extractor computes query features against one dataset's label
-// statistics. It is safe for concurrent readers; the mutation hooks
-// (observeAdd/observeRemove) must be serialized against readers by the
-// owner — the router calls them under its mutation write lock.
+// statistics. It is safe for concurrent readers; the mutation hooks make
+// it an engine.Maintainer of the router's Store, which calls them under
+// its write lock, while the router extracts under its read lock.
 type Extractor struct {
 	freq   []float64 // label -> fraction of live dataset graphs containing it
 	counts []int     // label -> live graphs containing it
@@ -83,7 +83,7 @@ type Extractor struct {
 // NewExtractor scans ds once and returns an extractor bound to its label
 // distribution. Only live graphs count: a label whose last carrier was
 // tombstoned classifies as rare again, and frequencies are fractions of
-// the live population (the router refreshes its extractor after every
+// the live population (the router's Store refreshes its extractor on every
 // mutation so this snapshot tracks the dataset).
 func NewExtractor(ds *graph.Dataset) *Extractor {
 	e := &Extractor{graphs: ds.NumAlive()}
@@ -104,9 +104,9 @@ func NewExtractor(ds *graph.Dataset) *Extractor {
 	return e
 }
 
-// observeAdd folds one added graph into the label statistics — O(graph),
-// so a router mutation never rescans the dataset.
-func (e *Extractor) observeAdd(g *graph.Graph) {
+// Added implements engine.Maintainer: one added graph joins the label
+// statistics — O(graph), so a router mutation never rescans the dataset.
+func (e *Extractor) Added(g *graph.Graph) error {
 	for _, l := range g.DistinctLabels() {
 		for int(l) >= len(e.counts) {
 			e.counts = append(e.counts, 0)
@@ -115,11 +115,13 @@ func (e *Extractor) observeAdd(g *graph.Graph) {
 	}
 	e.graphs++
 	e.recompute()
+	return nil
 }
 
-// observeRemove drops one removed graph from the label statistics; a
-// label whose last carrier leaves classifies as rarest again.
-func (e *Extractor) observeRemove(g *graph.Graph) {
+// Removed implements engine.Maintainer: one removed graph leaves the label
+// statistics; a label whose last carrier leaves classifies as rarest
+// again.
+func (e *Extractor) Removed(g *graph.Graph) error {
 	for _, l := range g.DistinctLabels() {
 		if int(l) < len(e.counts) && e.counts[l] > 0 {
 			e.counts[l]--
@@ -129,7 +131,11 @@ func (e *Extractor) observeRemove(g *graph.Graph) {
 		e.graphs--
 	}
 	e.recompute()
+	return nil
 }
+
+// Compact implements engine.Maintainer: the statistics hold no file.
+func (e *Extractor) Compact() {}
 
 // recompute rebuilds the derived frequency table from the counts —
 // O(labels), far below any scan of the graphs.

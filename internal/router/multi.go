@@ -80,17 +80,15 @@ type Sub struct {
 // method returns the exact answer set, Multi's answers are identical to
 // any single-method engine's — routing only moves latency.
 //
-// Multi is safe for concurrent queries.
+// Multi is safe for concurrent queries. Its sub-engines share one
+// engine.Store (engine.Join): a mutation changes the dataset once and
+// every sub-index and the routing label statistics follow it under the
+// Store's one lock, which every sub-engine's queries take too.
 type Multi struct {
-	// mutMu serializes dataset mutations (write side) against routed
-	// queries (read side): a mutation must not move the shared dataset or
-	// the sub-indexes under an in-flight query.
-	mutMu    sync.RWMutex
-	ds       *graph.Dataset
+	*engine.Store
 	names    []string // canonical registry names
 	displays []string // figure-legend names, parallel to names
 	subs     []engine.Querier
-	maints   []engine.IndexMaintainer // subs' index maintenance, parallel to subs
 	ext      *Extractor
 	pol      policy
 	mdl      *model
@@ -116,7 +114,10 @@ var _ engine.Querier = (*Multi)(nil)
 // New composes a Multi from already-opened engines. Names resolve through
 // the registry (aliases and case-insensitive spellings accepted) and must
 // be distinct; at least two subs are required — routing over one method is
-// just that method.
+// just that method. The subs join one Store (engine.Join), so New must run
+// while none of them serves a call; a sub that cannot join — not an
+// engine.Engine or engine.Sharded over ds — is refused. Engines may be
+// composed into several routers: they then share that one Store.
 func New(ds *graph.Dataset, subs []Sub, opts Options) (*Multi, error) {
 	if ds == nil {
 		return nil, errors.New("router: nil dataset")
@@ -130,7 +131,6 @@ func New(ds *graph.Dataset, subs []Sub, opts Options) (*Multi, error) {
 		return nil, err
 	}
 	m := &Multi{
-		ds:     ds,
 		ext:    NewExtractor(ds),
 		pol:    pol,
 		mdl:    newModel(opts.Registry),
@@ -154,12 +154,6 @@ func New(ds *graph.Dataset, subs []Sub, opts Options) (*Multi, error) {
 		if sub.Engine == nil {
 			return nil, fmt.Errorf("router: method %q has no engine", d.Name)
 		}
-		// A mutation adds to the shared dataset once, then has every sub
-		// fold the graph into its own index.
-		mt, ok := sub.Engine.(engine.IndexMaintainer)
-		if !ok {
-			return nil, fmt.Errorf("router: method %q: engine %T cannot maintain its index over a shared dataset", d.Name, sub.Engine)
-		}
 		// Stats attribution uses the spelling the engine's results carry,
 		// so it matches response attribution exactly.
 		display := engine.MethodName(sub.Engine)
@@ -169,8 +163,13 @@ func New(ds *graph.Dataset, subs []Sub, opts Options) (*Multi, error) {
 		m.names = append(m.names, d.Name)
 		m.displays = append(m.displays, display)
 		m.subs = append(m.subs, sub.Engine)
-		m.maints = append(m.maints, mt)
 	}
+	// A mutation adds to the shared dataset once, then has every sub fold
+	// the graph into its own index and the extractor into its statistics.
+	if m.Store, err = engine.Join(ds, m.subs...); err != nil {
+		return nil, fmt.Errorf("router: %w", err)
+	}
+	m.Maintain(m.ext)
 	return m, nil
 }
 
@@ -197,8 +196,9 @@ func indexSize(q engine.Querier) int64 {
 // engine over them. With cfg.IndexPath, each method persists independently
 // at MethodIndexPath(base, name) under a manifest at base (the multi-index
 // analogue of the sharded layout), and the learned cost model restores from
-// ModelPath(base) so routing starts warm; a manifest that does not match
-// the dataset, method set, or shard count invalidates everything.
+// ModelPath(base) so routing starts warm. A manifest that does not match
+// the method set or shard count invalidates everything; a per-method file
+// whose stamps and journal do not reach the dataset rebuilds alone.
 func Open(ctx context.Context, ds *graph.Dataset, cfg Config) (*Multi, error) {
 	if ds == nil {
 		return nil, errors.New("router: nil dataset")
@@ -209,13 +209,13 @@ func Open(ctx context.Context, ds *graph.Dataset, cfg Config) (*Multi, error) {
 	}
 	manifestOK := false
 	if cfg.IndexPath != "" {
-		if manifestOK, err = manifestMatches(cfg.IndexPath, names, ds, cfg.Shards); err != nil {
+		if manifestOK, err = manifestMatches(cfg.IndexPath, names, cfg.Shards); err != nil {
 			return nil, err
 		}
 		if !manifestOK {
 			// Same policy as the sharded manifest: a mismatch invalidates
-			// every per-method file, so an index persisted for a different
-			// dataset or method set can never restore silently.
+			// every per-method file, so an index persisted for another
+			// method set or shard count can never restore silently.
 			removeStale(cfg.IndexPath, names)
 		}
 	}
@@ -273,7 +273,7 @@ func Open(ctx context.Context, ds *graph.Dataset, cfg Config) (*Multi, error) {
 	}
 	if cfg.IndexPath != "" {
 		if !manifestOK {
-			if err := writeManifest(cfg.IndexPath, names, ds, cfg.Shards); err != nil {
+			if err := writeManifest(cfg.IndexPath, names, cfg.Shards); err != nil {
 				return nil, err
 			}
 		}
@@ -320,9 +320,6 @@ func methodsHint() string {
 	return strings.Join(names, ", ")
 }
 
-// Dataset returns the dataset queries are routed over.
-func (m *Multi) Dataset() *graph.Dataset { return m.ds }
-
 // Ready reports whether every routed sub-engine is ready to serve: false
 // while any sub-engine's lazily-opened (storage=mmap) index is still
 // materializing its first-touch sections. The serving layer's /readyz
@@ -363,8 +360,8 @@ func (m *Multi) RestoredMethods() int { return m.restored }
 // router keys on. Mutations refresh those statistics, so the vector always
 // reflects the live dataset.
 func (m *Multi) Extract(q *graph.Graph) Features {
-	m.mutMu.RLock()
-	defer m.mutMu.RUnlock()
+	m.RLock()
+	defer m.RUnlock()
 	return m.ext.Extract(q)
 }
 
@@ -379,12 +376,11 @@ func (m *Multi) choose(f Features) ([]int, bool) {
 // Query routes one query to the policy's predicted-cheapest method (or
 // races the top two) and returns that engine's result, observing the served
 // latency into the cost model. The result's Method field names the method
-// that actually served it.
+// that actually served it. The Store's read lock is held for the routing
+// decision; the chosen sub-engine takes it again for its query.
 func (m *Multi) Query(ctx context.Context, q *graph.Graph) (*core.QueryResult, error) {
-	m.mutMu.RLock()
-	defer m.mutMu.RUnlock()
 	_, rsp := obs.StartSpan(ctx, "route")
-	f := m.ext.Extract(q)
+	f := m.Extract(q)
 	picks, explored := m.choose(f)
 	rsp.Attr("bucket", f.Bucket().String())
 	rsp.Attr("method", m.names[picks[0]])
@@ -455,11 +451,10 @@ func (m *Multi) race(ctx context.Context, q *graph.Graph, f Features, a, b int, 
 			cancel() // stop the loser; the next loop round reaps it
 		}
 	}
-	// Both goroutines have been joined before returning: the caller holds
-	// the router's mutation read-lock for exactly the duration of the
-	// race, so a dataset mutation can never overlap a straggling loser.
-	// The loser aborts at its next cancellation check, so the join costs
-	// little beyond the winner's latency.
+	// Both goroutines have been joined before returning, so no straggling
+	// loser outlives the query (each holds the Store's read lock while it
+	// runs). The loser aborts at its next cancellation check, so the join
+	// costs little beyond the winner's latency.
 	if won == nil {
 		return nil, firstErr
 	}
@@ -490,11 +485,11 @@ func (m *Multi) race(ctx context.Context, q *graph.Graph, f Features, a, b int, 
 // routing counters but not the cost model: a client may abandon the stream
 // mid-way, so its wall time is not a comparable latency observation.
 //
-// The router's mutation lock is held only for the routing decision, not
-// across the yielded stream: the sub-engines stream under their own
-// chunked locking, so a slow consumer never stalls mutations, and a
-// mutation landing mid-stream re-plans the sub-engine's stream after its
-// frontier (engine.MergeStream).
+// The Store's lock is held only for the routing decision, not across the
+// yielded stream: the sub-engine streams under the same lock with chunked
+// locking, so a slow consumer never stalls mutations, and a mutation
+// landing mid-stream re-plans the sub-engine's stream after its frontier
+// (engine.MergeStream).
 func (m *Multi) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, error] {
 	return m.StreamStats(ctx, q, nil)
 }
@@ -503,11 +498,8 @@ func (m *Multi) Stream(ctx context.Context, q *graph.Graph) iter.Seq2[graph.ID, 
 // counters accumulated into stats (nil = no accounting).
 func (m *Multi) StreamStats(ctx context.Context, q *graph.Graph, stats *core.PipelineStats) iter.Seq2[graph.ID, error] {
 	return func(yield func(graph.ID, error) bool) {
-		m.mutMu.RLock()
-		f := m.ext.Extract(q)
-		picks, _ := m.choose(f)
+		picks, _ := m.choose(m.Extract(q))
 		i := picks[0]
-		m.mutMu.RUnlock()
 		m.statsMu.Lock()
 		m.streams++
 		m.routed[i]++

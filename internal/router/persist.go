@@ -10,14 +10,14 @@ import (
 	"strings"
 
 	"repro/internal/engine"
-	"repro/internal/graph"
 )
 
 // manifestMagic heads the router manifest file; bump the version when the
-// layout changes. v2 added the dataset epoch, so per-method files
-// persisted before a mutation can never restore silently against the
-// mutated dataset.
-const manifestMagic = "repro-router v2"
+// layout changes. v2 added the dataset epoch; v3 dropped the dataset size,
+// epoch and tag, because each per-method file's own stamps and journal
+// decide whether it restores, so a mutation never rewrites the manifest
+// (as the sharded manifest v5 did).
+const manifestMagic = "repro-router v3"
 
 // modelMagic identifies the persisted cost-model document.
 const modelMagic = "repro-router-model v1"
@@ -35,21 +35,20 @@ func MethodIndexPath(base, name string) string {
 func ModelPath(base string) string { return base + ".model" }
 
 // manifest renders the router manifest: a short text file binding the
-// per-method index files to the method set, dataset size, epoch and
-// structural version tag, and shard count they were written for.
-func manifest(names []string, ds *graph.Dataset, shards int) string {
+// per-method index files to the method set and shard count they were
+// written for.
+func manifest(names []string, shards int) string {
 	if shards < 2 {
 		shards = 0 // 0 and 1 both mean unsharded sub-engines
 	}
-	return fmt.Sprintf("%s\nmethods %s\ngraphs %d\nepoch %d\ntag %x\nshards %d\n",
-		manifestMagic, strings.Join(names, "+"), ds.Len(), ds.Epoch(), ds.VersionTag(), shards)
+	return fmt.Sprintf("%s\nmethods %s\nshards %d\n", manifestMagic, strings.Join(names, "+"), shards)
 }
 
 // manifestMatches reports whether the manifest at base matches this
 // router's configuration. A missing manifest is a mismatch (rebuild
 // everything); a present-but-unreadable one is an error, mirroring the
 // engine's persistence policy.
-func manifestMatches(base string, names []string, ds *graph.Dataset, shards int) (bool, error) {
+func manifestMatches(base string, names []string, shards int) (bool, error) {
 	data, err := os.ReadFile(base)
 	if errors.Is(err, fs.ErrNotExist) {
 		return false, nil
@@ -57,25 +56,25 @@ func manifestMatches(base string, names []string, ds *graph.Dataset, shards int)
 	if err != nil {
 		return false, fmt.Errorf("router: opening manifest at %s: %w", base, err)
 	}
-	return string(data) == manifest(names, ds, shards), nil
+	return string(data) == manifest(names, shards), nil
 }
 
-// writeManifest atomically writes the manifest at base, after every
-// per-method index has been persisted — a crash mid-save leaves either the
-// old manifest (stale per-method files fail their own loads and rebuild) or
-// none (full rebuild), never a manifest endorsing files that were not all
-// written.
-func writeManifest(base string, names []string, ds *graph.Dataset, shards int) error {
+// writeManifest atomically writes the manifest at base, at open and on
+// Save, never on a mutation, after every per-method index has been
+// persisted — a crash mid-save leaves either the old manifest (stale
+// per-method files fail their own stamps and rebuild alone) or none (full
+// rebuild), never a manifest endorsing files that were not all written.
+func writeManifest(base string, names []string, shards int) error {
 	return engine.AtomicWriteFile(base, func(w io.Writer) error {
-		_, err := io.WriteString(w, manifest(names, ds, shards))
+		_, err := io.WriteString(w, manifest(names, shards))
 		return err
 	})
 }
 
 // removeStale deletes the per-method index files and the model file under
 // base. It runs when the manifest does not endorse them: a per-method file
-// persisted for a different dataset could otherwise restore loadably but
-// wrongly. Removal errors are ignored — a file that cannot be removed will
+// persisted for another method set or shard count could otherwise restore
+// loadably but wrongly. Removal errors are ignored — a file that cannot be removed will
 // fail its load or be overwritten by the rebuild's atomic save.
 func removeStale(base string, names []string) {
 	for _, name := range names {
@@ -107,7 +106,7 @@ func (m *Multi) SaveModel(base string) error {
 // at open time) and the learned cost model. Use it on graceful shutdown so
 // the next Open restores both the indexes and the warm routing estimates.
 func (m *Multi) Save(base string) error {
-	if err := writeManifest(base, m.names, m.ds, m.shardsHint()); err != nil {
+	if err := writeManifest(base, m.names, m.shardsHint()); err != nil {
 		return err
 	}
 	return m.SaveModel(base)

@@ -313,6 +313,53 @@ func TestRouterOpenPersistenceLifecycle(t *testing.T) {
 	}
 }
 
+// TestRouterManifestSurvivesMutation: a mutation never rewrites the
+// manifest, so the manifest as it stood before a write (a crash between a
+// sub-engine's journal append and any manifest write) still endorses every
+// per-method file. A reopen over the mutated dataset restores every method
+// from its file and journal and answers exactly.
+func TestRouterManifestSurvivesMutation(t *testing.T) {
+	ds := tinyDataset(t)
+	queries := mixedQueries(t, ds)
+	ctx := context.Background()
+	base := t.TempDir() + "/router.idx"
+	cfg := router.Config{Methods: []string{"grapes", "ggsx", "gcode"}, IndexPath: base}
+	m, err := router.Open(ctx, ds, cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	before, err := os.ReadFile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.AddGraph(ctx, ds.Graphs[0].ShallowWithID(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(base, before, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := router.Open(ctx, ds, cfg)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	if got := reopened.RestoredMethods(); got != len(cfg.Methods) {
+		t.Errorf("reopen over the mutated dataset restored %d methods, want %d", got, len(cfg.Methods))
+	}
+	for i, q := range queries {
+		want, err := core.BruteForceAnswers(ctx, ds, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := reopened.Query(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Answers.Equal(want) {
+			t.Errorf("query %d: answers %v, want %v", i, res.Answers, want)
+		}
+	}
+}
+
 // queryOnly hides every method of an engine but the Querier contract's,
 // so it cannot maintain its index over a dataset the router mutates.
 type queryOnly struct{ engine.Querier }
