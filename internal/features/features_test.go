@@ -124,33 +124,6 @@ func TestVisitPathsAbort(t *testing.T) {
 	}
 }
 
-func TestMaximalPaths(t *testing.T) {
-	// P3: maximal paths of maxEdges=4 are the two orientations of the whole
-	// path (shorter than max but inextensible).
-	g := path(1, 2, 3)
-	var lens []int
-	MaximalPaths(g, 4, func(vs []int32) bool {
-		lens = append(lens, len(vs)-1)
-		return true
-	})
-	if len(lens) != 2 || lens[0] != 2 || lens[1] != 2 {
-		t.Fatalf("maximal paths of P3 = %v", lens)
-	}
-	// In a larger graph, paths at exactly maxEdges are emitted even if
-	// extensible.
-	g2 := path(1, 1, 1, 1, 1, 1)
-	count3 := 0
-	MaximalPaths(g2, 3, func(vs []int32) bool {
-		if len(vs)-1 == 3 {
-			count3++
-		}
-		return true
-	})
-	if count3 == 0 {
-		t.Fatalf("no length-3 maximal paths in P6")
-	}
-}
-
 func TestVisitCyclesTriangle(t *testing.T) {
 	g := cycle(1, 2, 3)
 	var got [][]int32

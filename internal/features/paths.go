@@ -58,53 +58,3 @@ func PathLabels(g *graph.Graph, vertices []int32, dst []graph.Label) []graph.Lab
 	}
 	return dst
 }
-
-// MaximalPaths enumerates the simple paths of g with exactly maxEdges edges,
-// plus those shorter simple paths that cannot be extended at either end
-// (maximal paths). GraphGrepSX builds its suffix tree from these. The vertex
-// slice passed to fn is reused — copy to retain.
-func MaximalPaths(g *graph.Graph, maxEdges int, fn func(vertices []int32) bool) bool {
-	n := g.NumVertices()
-	onPath := make([]bool, n)
-	path := make([]int32, 0, maxEdges+1)
-	var dfs func(v int32) bool
-	dfs = func(v int32) bool {
-		path = append(path, v)
-		onPath[v] = true
-		defer func() {
-			onPath[v] = false
-			path = path[:len(path)-1]
-		}()
-		if len(path) == maxEdges+1 {
-			return fn(path)
-		}
-		extended := false
-		for _, w := range g.Neighbors(v) {
-			if onPath[w] {
-				continue
-			}
-			extended = true
-			if !dfs(w) {
-				return false
-			}
-		}
-		if !extended {
-			// Inextensible at the far end; only maximal if the start end is
-			// inextensible too (otherwise the longer path is found from the
-			// other enumeration root).
-			for _, w := range g.Neighbors(path[0]) {
-				if !onPath[w] {
-					return true
-				}
-			}
-			return fn(path)
-		}
-		return true
-	}
-	for v := int32(0); int(v) < n; v++ {
-		if !dfs(v) {
-			return false
-		}
-	}
-	return true
-}

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/diskfmt"
 	"repro/internal/features"
@@ -125,13 +126,13 @@ func TestNoFalseNegativesRandom(t *testing.T) {
 	}
 }
 
-func TestTrieShape(t *testing.T) {
+func TestDirectoryShape(t *testing.T) {
 	ds := graph.NewDataset("t")
 	ds.Add(pathGraph(1, 2))
 	ix := build(t, ds)
-	// Paths: [1],[2],[1 2],[2 1] -> trie nodes: 1, 2, 1->2, 2->1 = 4 nodes.
-	if got := ix.NumNodes(); got != 4 {
-		t.Errorf("NumNodes = %d, want 4", got)
+	// Paths: [1], [2], and [1 2] with its reverse [2 1] under one key.
+	if got := ix.NumFeatures(); got != 3 {
+		t.Errorf("NumFeatures = %d, want 3", got)
 	}
 	if ix.SizeBytes() <= 0 {
 		t.Errorf("SizeBytes = %d", ix.SizeBytes())
@@ -210,66 +211,70 @@ func (r *reference) candidates(ds *graph.Dataset, q *graph.Graph) graph.IDSet {
 	return out
 }
 
-// walkIndex calls fn with every index node's label path and posting, on the
-// heap trie or through a mapped one.
-func walkIndex(t *testing.T, ix *Index, fn func(path []graph.Label, p *posting)) {
+// eachPosting calls fn with every indexed key and its posting, on the heap
+// or decoded from the mapped directory.
+func eachPosting(t *testing.T, ix *Index, fn func(key canon.Key, p *posting)) {
 	t.Helper()
-	root, err := ix.rootRef()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var walk func(r trieRef, path []graph.Label)
-	walk = func(r trieRef, path []graph.Label) {
-		if len(path) > 0 {
-			fn(path, r.posting())
-		}
-		var labels []graph.Label
-		if r.hn != nil {
-			labels = r.hn.labels
-		} else {
-			for i := 0; i+8 <= len(r.ln.kids); i += 8 {
-				labels = append(labels, graph.Label(binary.LittleEndian.Uint32(r.ln.kids[i:])))
-			}
-		}
-		for _, l := range labels {
-			c, ok, err := r.child(l)
-			if err != nil || !ok {
-				t.Fatalf("child %d of %v: ok=%v err=%v", l, path, ok, err)
-			}
-			walk(c, append(slices.Clip(path), l))
+	all := ix.features
+	if ix.lazy != nil {
+		var err error
+		if all, err = ix.lazy.All(); err != nil {
+			t.Fatal(err)
 		}
 	}
-	walk(root, nil)
+	for key, p := range all {
+		fn(key, p)
+	}
 }
 
-// checkIndex compares every index node's posting with the reference counts
-// of the live graphs, checks that a path and its reverse carry equal
-// postings, and checks each rank bitmap against its ids.
-func checkIndex(t *testing.T, stage string, ix *Index, ds *graph.Dataset, ref *reference) (st bitmapStats) {
+// canonPaths is refPaths of g summed per canonical key: a path and its
+// reverse, by canon.PathKey.
+func canonPaths(g *graph.Graph, maxLen int) map[canon.Key]int32 {
+	m := make(map[canon.Key]int32)
+	var buf []graph.Label
+	features.VisitPaths(g, maxLen, func(vs []int32) bool {
+		buf = features.PathLabels(g, vs, buf)
+		m[canon.PathKey(buf)]++
+		return true
+	})
+	return m
+}
+
+// checkIndex compares every indexed posting with the reference counts of
+// the live graphs, checks that the directory holds one key per path and
+// its reverse — the canonical one — and checks each rank bitmap against
+// its ids.
+func checkIndex(t *testing.T, stage string, ix *Index, ds *graph.Dataset) (st bitmapStats) {
 	t.Helper()
-	want := make(map[string]map[graph.ID]int32)
+	want := make(map[canon.Key]map[graph.ID]int32)
 	for _, g := range ds.Graphs {
 		if !ds.Alive(g.ID()) {
 			continue
 		}
-		for k, c := range ref.of(g) {
+		for k, c := range canonPaths(g, ix.opts.MaxPathLen) {
 			if want[k] == nil {
 				want[k] = make(map[graph.ID]int32)
 			}
 			want[k][g.ID()] = c
 		}
 	}
-	got := make(map[string]*posting)
-	walkIndex(t, ix, func(path []graph.Label, p *posting) {
-		k := pathKey(path)
-		got[k] = p
+	n := 0
+	eachPosting(t, ix, func(k canon.Key, p *posting) {
+		n++
+		labels := make([]graph.Label, len(k)/4)
+		for i := range labels {
+			labels[i] = graph.Label(binary.LittleEndian.Uint32([]byte(k[4*i:])))
+		}
+		if canon.PathKey(labels) != k {
+			t.Errorf("%s: the directory holds the non-canonical key %v", stage, labels)
+		}
 		if len(p.ids) != len(want[k]) {
-			t.Errorf("%s: path %s holds %d graphs, want %d", stage, k, len(p.ids), len(want[k]))
+			t.Errorf("%s: path %v holds %d graphs, want %d", stage, labels, len(p.ids), len(want[k]))
 			return
 		}
 		for i, id := range p.ids {
 			if c := want[k][id]; p.counts[i] != c {
-				t.Errorf("%s: path %s graph %d count %d, want %d", stage, k, id, p.counts[i], c)
+				t.Errorf("%s: path %v graph %d count %d, want %d", stage, labels, id, p.counts[i], c)
 			}
 		}
 		if p.words == nil {
@@ -280,16 +285,10 @@ func checkIndex(t *testing.T, stage string, ix *Index, ds *graph.Dataset, ref *r
 		}
 		st.dense++
 		st.maxWords = max(st.maxWords, len(p.words))
-		checkBitmap(t, stage+": path "+k, p)
+		checkBitmap(t, fmt.Sprintf("%s: path %v", stage, labels), p)
 	})
-	if len(got) != len(want) {
-		t.Errorf("%s: index holds %d paths, reference %d", stage, len(got), len(want))
-	}
-	for k, p := range got {
-		rev := got[reverseKey(k)]
-		if rev == nil || !slices.Equal(p.ids, rev.ids) || !slices.Equal(p.counts, rev.counts) {
-			t.Errorf("%s: path %s and its reverse hold different postings", stage, k)
-		}
+	if n != len(want) {
+		t.Errorf("%s: index holds %d paths, reference %d", stage, n, len(want))
 	}
 	return st
 }
@@ -336,8 +335,8 @@ func TestPostingBitmapMaintenance(t *testing.T) {
 			p.remove(id)
 			delete(want, id)
 		} else {
-			p.add(id)
 			want[id]++
+			p.add(id, want[id])
 		}
 		if len(p.ids) != len(want) || !slices.IsSorted(p.ids) {
 			t.Fatalf("step %d: posting holds %d sorted=%v ids, want %d", step, len(p.ids), slices.IsSorted(p.ids), len(want))
@@ -436,8 +435,8 @@ func TestCandidatesMatchReference(t *testing.T) {
 					for k := range refPaths(q, DefaultMaxPathLen) {
 						classes[min(k, reverseKey(k))] = true
 					}
-					if got := buildQueryTrie(q, DefaultMaxPathLen).canon; got != len(classes) {
-						t.Errorf("query %d gathers %d constraints, want one per path direction pair, %d", i, got, len(classes))
+					if got := New(Options{}).Analyze(q).(*queryPaths).Len(); got != len(classes) {
+						t.Errorf("query %d resolves %d keys, want one per path direction pair, %d", i, got, len(classes))
 					}
 				}
 				ix := reload(t, build(t, ds), ds, storage)
@@ -454,7 +453,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 							t.Errorf("%s: query %d candidates %v, want %v", stage, i, got, want)
 						}
 					}
-					return checkIndex(t, stage, ix, ds, ref)
+					return checkIndex(t, stage, ix, ds)
 				}
 				built := check("restored")
 				if tc.name == "dense" && built.dense == 0 {
@@ -462,7 +461,7 @@ func TestCandidatesMatchReference(t *testing.T) {
 				}
 				// A graph holding a path whose posting has no bitmap.
 				holder := graph.ID(-1)
-				walkIndex(t, ix, func(_ []graph.Label, p *posting) {
+				eachPosting(t, ix, func(_ canon.Key, p *posting) {
 					if holder < 0 && p.words == nil && len(p.ids) > 0 {
 						holder = p.ids[0]
 					}
@@ -511,14 +510,14 @@ func TestMaxPathLenOption(t *testing.T) {
 	if err := long.Build(context.Background(), ds); err != nil {
 		t.Fatal(err)
 	}
-	if short.NumNodes() >= long.NumNodes() {
-		t.Errorf("longer path limit should index more nodes: %d vs %d", short.NumNodes(), long.NumNodes())
+	if short.NumFeatures() >= long.NumFeatures() {
+		t.Errorf("longer path limit should index more paths: %d vs %d", short.NumFeatures(), long.NumFeatures())
 	}
 }
 
 // TestLazyConcurrentQueries: goroutines querying one mapped index at once
-// materialize its nodes concurrently, read their child tables off the
-// mapping without a lock, and must all agree with the heap index.
+// decode its postings concurrently, search the mapped directory without a
+// lock, and must all agree with the heap index.
 func TestLazyConcurrentQueries(t *testing.T) {
 	ds := gen.Synthetic(gen.SynthConfig{NumGraphs: 120, MeanNodes: 14, MeanDensity: 0.18, NumLabels: 5, Seed: 51})
 	queries, err := workload.Generate(ds, workload.Config{NumQueries: 16, QueryEdges: 4, Seed: 52})

@@ -2,31 +2,23 @@ package ggsx
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/diskfmt"
 	"repro/internal/graph"
-	"repro/internal/obs"
+	"repro/internal/pathkey"
 )
 
-// Container layout for GGSX. The trie is flattened post-order into
-// one record stream: each node stores its roaring-compressed posting ids,
-// parallel counts, and a label-sorted child table pointing at child record
-// offsets. Children are written before parents, so every offset in a
-// child table refers backwards and the root record — whose offset the
-// meta section records — comes last. A query materializes exactly the
-// nodes its query trie visits.
+// Container layout for GGSX: a meta section and pathkey's key directory,
+// sorted by key bytes so a single path resolves by binary search against
+// the mapping. A query decodes exactly the postings of its paths.
 //
-//	secTrieMeta  maxPathLen, numGraphs, nodeCount (excl. root), rootOff (4×u32)
-//	secNodes     per node: card u32, nChildren u32, pLen u32,
-//	             roaring ids [pLen], counts card×u32,
-//	             children nChildren × {label u32, off u32}, labels ascending
-const (
-	secTrieMeta = 1
-	secNodes    = 2
-)
+//	secMeta  maxPathLen, numGraphs, numFeatures (3×u32)
+//	pathkey.SecKeyDir, pathkey.SecKeyBlob: the key directory (2, 3)
+//	pathkey.SecPostings (4) per feature: roaring ids, then counts card×u32
+const secMeta = 1
 
 var (
 	_ core.Persistable     = (*Index)(nil)
@@ -38,69 +30,48 @@ var (
 func (ix *Index) StorageMode() string { return core.StorageMode(ix.opts.Storage) }
 
 // SaveIndex implements core.Persistable. A mapped index is written from
-// its mapped nodes section once its checksum holds, and stays mapped: the
+// its mapped sections once their checksums hold, and stays mapped: the
 // caller may hold only a read lock, under which queries still read the
 // mapping.
 func (ix *Index) SaveIndex(w *diskfmt.Writer) error {
 	if !ix.built {
 		return fmt.Errorf("ggsx: save before Build")
 	}
-	if lz := ix.lazy; lz != nil {
-		nodes, err := lz.r.Section(secNodes) // checks the CRC
-		if err != nil {
+	w.AddSection(secMeta, ix.meta())
+	if ix.lazy != nil {
+		if err := ix.lazy.CopyTo(w); err != nil {
 			return fmt.Errorf("ggsx: save: %w", err)
 		}
-		w.AddSection(secTrieMeta, ix.meta(lz.nodeCount, lz.rootOff))
-		w.AddSection(secNodes, nodes)
 		return nil
 	}
-	var nodes []byte
-	nodeCount := 0
-	var emit func(n *node) uint32
-	emit = func(n *node) uint32 {
-		childOffs := make([]uint32, len(n.kids))
-		for i, c := range n.kids {
-			childOffs[i] = emit(c)
-			nodeCount++
+	pathkey.WriteDir(w, ix.features, cardinality, func(p *posting) int {
+		return diskfmt.EncodedIDsLen(p.ids) + 4*len(p.ids)
+	}, func(dst []byte, p *posting) []byte {
+		dst = diskfmt.AppendIDs(dst, p.ids)
+		for _, c := range p.counts {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(c))
 		}
-		off := uint32(len(nodes))
-		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(n.ids)))
-		nodes = binary.LittleEndian.AppendUint32(nodes, uint32(len(n.kids)))
-		pLen := len(nodes)
-		nodes = diskfmt.AppendIDs(append(nodes, 0, 0, 0, 0), n.ids)
-		binary.LittleEndian.PutUint32(nodes[pLen:], uint32(len(nodes)-pLen-4))
-		for _, c := range n.counts {
-			nodes = binary.LittleEndian.AppendUint32(nodes, uint32(c))
-		}
-		for i, l := range n.labels {
-			nodes = binary.LittleEndian.AppendUint32(nodes, uint32(l))
-			nodes = binary.LittleEndian.AppendUint32(nodes, childOffs[i])
-		}
-		return off
-	}
-	rootOff := emit(ix.root)
-	w.AddSection(secTrieMeta, ix.meta(nodeCount, rootOff))
-	w.AddSection(secNodes, nodes)
+		return dst
+	})
 	return nil
 }
 
 // meta encodes the meta section.
-func (ix *Index) meta(nodeCount int, rootOff uint32) []byte {
-	meta := binary.LittleEndian.AppendUint32(nil, uint32(ix.opts.MaxPathLen))
+func (ix *Index) meta() []byte {
+	meta := binary.LittleEndian.AppendUint32(make([]byte, 0, 12), uint32(ix.opts.MaxPathLen))
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(ix.nGr))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(nodeCount))
-	return binary.LittleEndian.AppendUint32(meta, rootOff)
+	return binary.LittleEndian.AppendUint32(meta, uint32(ix.NumFeatures()))
 }
 
-// LoadIndex implements core.Persistable. storage=heap decodes the whole
-// trie eagerly; storage=mmap touches only the meta section and resolves
-// trie nodes on demand, taking ownership of the reader.
+// LoadIndex implements core.Persistable. storage=heap decodes every
+// posting eagerly; storage=mmap touches only the meta section and decodes
+// postings on first touch, taking ownership of the reader.
 func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
-	meta, err := r.Section(secTrieMeta)
+	meta, err := r.Section(secMeta)
 	if err != nil {
 		return fmt.Errorf("ggsx: load: %w", err)
 	}
-	if len(meta) != 16 {
+	if len(meta) != 12 {
 		return fmt.Errorf("ggsx: load: meta section of %d bytes", len(meta))
 	}
 	numGraphs := int(binary.LittleEndian.Uint32(meta[4:]))
@@ -113,41 +84,58 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	}
 	ix.opts = opts
 	ix.opts.fill()
-	lz := &lazyTrie{
-		r:         r,
-		nGraphs:   numGraphs,
-		nodeCount: int(binary.LittleEndian.Uint32(meta[8:])),
-		rootOff:   binary.LittleEndian.Uint32(meta[12:]),
-		nodes:     make(map[uint32]*lnode),
-	}
-
+	m := pathkey.NewMapped(r, int(binary.LittleEndian.Uint32(meta[8:])), "GGSX", func(rec []byte, card int) (*posting, error) {
+		return decode(rec, card, numGraphs)
+	}, (*posting).size)
+	ix.nGr, ix.features, ix.lazy = numGraphs, nil, nil
 	if ix.StorageMode() == core.StorageMmap {
-		ix.root = nil
-		ix.lazy = lz
-		ix.nGr = numGraphs
-		ix.built = true
-		return nil
+		ix.lazy = m
+	} else {
+		// Heap mode reads everything anyway, so verify every payload CRC
+		// up front: a bit-flipped file fails here and triggers a rebuild.
+		if err := r.VerifySections(pathkey.Sections...); err != nil {
+			return fmt.Errorf("ggsx: load: %w", err)
+		}
+		if ix.features, err = m.All(); err != nil {
+			return fmt.Errorf("ggsx: load: %w", err)
+		}
 	}
-
-	if err := r.VerifySection(secNodes); err != nil {
-		return fmt.Errorf("ggsx: load: %w", err)
-	}
-	root, err := lz.decodeSubtree(lz.rootOff)
-	if err != nil {
-		return fmt.Errorf("ggsx: load: %w", err)
-	}
-	ix.root = root
-	ix.lazy = nil
-	ix.nGr = numGraphs
 	ix.built = true
 	return nil
 }
 
-// WarmIndex implements core.Warmable: resolve the root record so the
-// first query starts from a warm trie top. Child subtrees stay lazy.
+// decode decodes a posting record of card ids over numGraphs slots and
+// gives the posting its rank bitmap.
+func decode(rec []byte, card, numGraphs int) (*posting, error) {
+	if 4*uint64(card) > uint64(len(rec)) {
+		return nil, errors.New("ggsx: posting record truncated")
+	}
+	countsAt := len(rec) - 4*card
+	ps, err := diskfmt.MakePostings(rec[:countsAt])
+	if err != nil {
+		return nil, err
+	}
+	ids, err := ps.DecodeIDs(numGraphs)
+	if err != nil {
+		return nil, err
+	}
+	if len(ids) != card {
+		return nil, fmt.Errorf("ggsx: posting holds %d ids, directory says %d", len(ids), card)
+	}
+	p := &posting{ids: ids, counts: make([]int32, card)}
+	for k := range p.counts {
+		p.counts[k] = int32(binary.LittleEndian.Uint32(rec[countsAt+4*k:]))
+	}
+	p.index()
+	return p, nil
+}
+
+// WarmIndex implements core.Warmable: fetch and validate the key
+// directory, so first queries resolve paths without a checksum pass.
+// Postings stay lazy.
 func (ix *Index) WarmIndex() {
-	if lz := ix.lazy; lz != nil {
-		lz.node(lz.rootOff)
+	if ix.lazy != nil {
+		ix.lazy.Fetch()
 	}
 }
 
@@ -157,233 +145,19 @@ func (ix *Index) Close() error {
 	if ix.lazy == nil {
 		return nil
 	}
-	return ix.lazy.r.Close()
+	return ix.lazy.R.Close()
 }
 
-// materializeAll decodes the whole trie into heap nodes and releases the
-// mapping; mutations splice heap structures and require it. The engine
-// mutates under its write lock, so no query or warm-up still reads the
-// mapping released here.
+// materializeAll decodes every posting to the heap and releases the
+// mapping; mutations splice heap postings and require it.
 func (ix *Index) materializeAll() error {
-	lz := ix.lazy
-	if lz == nil {
+	if ix.lazy == nil {
 		return nil
 	}
-	root, err := lz.decodeSubtree(lz.rootOff)
+	features, err := ix.lazy.Materialize()
 	if err != nil {
 		return fmt.Errorf("ggsx: materialize: %w", err)
 	}
-	ix.root = root
-	ix.lazy = nil
-	obs.IndexResidentSet("GGSX", core.StorageMmap, 0)
-	return lz.r.Close()
-}
-
-// lnode is a materialized lazy trie node: its posting, decoded to the
-// heap, and its child table, read in place from the mapping.
-type lnode struct {
-	posting
-	// kids is the record's child table: {label u32, off u32} entries with
-	// labels strictly ascending and offsets below the record's own.
-	kids []byte
-}
-
-// child returns the record offset of the child under label l.
-func (ln *lnode) child(l graph.Label) (uint32, bool) {
-	lo, hi := 0, len(ln.kids)/8
-	for lo < hi {
-		m := int(uint(lo+hi) >> 1)
-		if graph.Label(binary.LittleEndian.Uint32(ln.kids[8*m:])) < l {
-			lo = m + 1
-		} else {
-			hi = m
-		}
-	}
-	if lo == len(ln.kids)/8 || graph.Label(binary.LittleEndian.Uint32(ln.kids[8*lo:])) != l {
-		return 0, false
-	}
-	return binary.LittleEndian.Uint32(ln.kids[8*lo+4:]), true
-}
-
-// lazyTrie resolves trie node records on demand from the mapped nodes
-// section, caching materialized nodes by offset.
-type lazyTrie struct {
-	r         *diskfmt.Reader
-	rootOff   uint32
-	nGraphs   int
-	nodeCount int
-
-	mu       sync.RWMutex
-	raw      []byte // secNodes, fetched lazily (unverified: decode bounds-checks)
-	nodes    map[uint32]*lnode
-	resident int64
-}
-
-// section returns the nodes section. Callers hold lz.mu.
-func (lz *lazyTrie) section() ([]byte, error) {
-	if lz.raw != nil {
-		return lz.raw, nil
-	}
-	b, err := lz.r.SectionLazy(secNodes)
-	if err != nil {
-		return nil, err
-	}
-	lz.raw = b
-	return b, nil
-}
-
-// node materializes (and caches) the record at off.
-func (lz *lazyTrie) node(off uint32) (*lnode, error) {
-	lz.mu.RLock()
-	n, ok := lz.nodes[off]
-	lz.mu.RUnlock()
-	if ok {
-		return n, nil
-	}
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	if n, ok = lz.nodes[off]; ok {
-		return n, nil
-	}
-	n, err := lz.decodeNode(off)
-	if err != nil {
-		return nil, err
-	}
-	lz.nodes[off] = n
-	delta := n.size() + 64
-	lz.resident += delta
-	obs.IndexLazyLoadInc("GGSX")
-	obs.IndexResidentAdd("GGSX", core.StorageMmap, delta)
-	return n, nil
-}
-
-// decodeNode decodes the single record at off. Callers hold lz.mu.
-func (lz *lazyTrie) decodeNode(off uint32) (*lnode, error) {
-	raw, err := lz.section()
-	if err != nil {
-		return nil, err
-	}
-	if uint64(off)+12 > uint64(len(raw)) {
-		return nil, fmt.Errorf("ggsx: trie record at %d out of bounds", off)
-	}
-	card := binary.LittleEndian.Uint32(raw[off:])
-	nCh := binary.LittleEndian.Uint32(raw[off+4:])
-	pLen := binary.LittleEndian.Uint32(raw[off+8:])
-	base := uint64(off) + 12
-	end := base + uint64(pLen) + 4*uint64(card) + 8*uint64(nCh)
-	if end > uint64(len(raw)) {
-		return nil, fmt.Errorf("ggsx: trie record at %d overruns section", off)
-	}
-	ps, err := diskfmt.MakePostings(raw[base : base+uint64(pLen)])
-	if err != nil {
-		return nil, err
-	}
-	ids, err := ps.DecodeIDs(lz.nGraphs)
-	if err != nil {
-		return nil, err
-	}
-	if uint32(len(ids)) != card {
-		return nil, fmt.Errorf("ggsx: trie record at %d holds %d ids, header says %d", off, len(ids), card)
-	}
-	n := &lnode{posting: posting{ids: ids, counts: make([]int32, card)}}
-	countsAt := base + uint64(pLen)
-	for i := uint32(0); i < card; i++ {
-		n.counts[i] = int32(binary.LittleEndian.Uint32(raw[countsAt+4*uint64(i):]))
-	}
-	n.index()
-	chAt := countsAt + 4*uint64(card)
-	n.kids = raw[chAt:end:end]
-	for i := 0; i < int(nCh); i++ {
-		l := binary.LittleEndian.Uint32(n.kids[8*i:])
-		if i > 0 && l <= binary.LittleEndian.Uint32(n.kids[8*i-8:]) {
-			return nil, fmt.Errorf("ggsx: trie record at %d has child labels out of order", off)
-		}
-		if cOff := binary.LittleEndian.Uint32(n.kids[8*i+4:]); cOff >= off {
-			return nil, fmt.Errorf("ggsx: trie record at %d has forward child offset %d", off, cOff)
-		}
-	}
-	return n, nil
-}
-
-// decodeSubtree materializes the record at off and its whole subtree into
-// heap nodes. Child offsets strictly decrease, so the walk terminates; the
-// budget of nodeCount+1 records stops a damaged file whose records share
-// children from expanding exponentially.
-func (lz *lazyTrie) decodeSubtree(off uint32) (*node, error) {
-	lz.mu.Lock()
-	defer lz.mu.Unlock()
-	budget := lz.nodeCount + 1
-	var walk func(off uint32) (*node, error)
-	walk = func(off uint32) (*node, error) {
-		if budget--; budget < 0 {
-			return nil, fmt.Errorf("ggsx: trie holds more than its %d recorded nodes", lz.nodeCount)
-		}
-		ln, err := lz.decodeNode(off)
-		if err != nil {
-			return nil, err
-		}
-		nCh := len(ln.kids) / 8
-		n := &node{posting: ln.posting, labels: make([]graph.Label, nCh), kids: make([]*node, nCh)}
-		for i := range nCh {
-			n.labels[i] = graph.Label(binary.LittleEndian.Uint32(ln.kids[8*i:]))
-			if n.kids[i], err = walk(binary.LittleEndian.Uint32(ln.kids[8*i+4:])); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	}
-	return walk(off)
-}
-
-// residentBytes estimates heap bytes pinned by materialized nodes.
-func (lz *lazyTrie) residentBytes() int64 {
-	lz.mu.RLock()
-	defer lz.mu.RUnlock()
-	return lz.resident
-}
-
-// trieRef is a resolved reference to one index trie node — a heap *node,
-// or a materialized lazy record. The query path walks trieRefs so the
-// same matching code serves both storage modes.
-type trieRef struct {
-	hn *node
-	lz *lazyTrie
-	ln *lnode
-}
-
-// rootRef resolves the trie root.
-func (ix *Index) rootRef() (trieRef, error) {
-	if ix.lazy != nil {
-		ln, err := ix.lazy.node(ix.lazy.rootOff)
-		if err != nil {
-			return trieRef{}, err
-		}
-		return trieRef{lz: ix.lazy, ln: ln}, nil
-	}
-	return trieRef{hn: ix.root}, nil
-}
-
-// child resolves the edge labeled l, materializing the child in lazy mode.
-func (t trieRef) child(l graph.Label) (trieRef, bool, error) {
-	if t.hn != nil {
-		c := t.hn.lookup(l)
-		return trieRef{hn: c}, c != nil, nil
-	}
-	off, ok := t.ln.child(l)
-	if !ok {
-		return trieRef{}, false, nil
-	}
-	ln, err := t.lz.node(off)
-	if err != nil {
-		return trieRef{}, false, err
-	}
-	return trieRef{lz: t.lz, ln: ln}, true, nil
-}
-
-// posting returns the node's posting.
-func (t trieRef) posting() *posting {
-	if t.hn != nil {
-		return &t.hn.posting
-	}
-	return &t.ln.posting
+	ix.features, ix.lazy = features, nil
+	return nil
 }

@@ -10,13 +10,15 @@ func init() {
 		Name:    "ggsx",
 		Display: "GGSX",
 		Aliases: []string{"GraphGrepSX"},
-		Help:    "exhaustive label-path suffix trie with per-graph occurrence counts",
+		Help:    "exhaustive label paths with per-graph occurrence counts, one posting per path and its reverse",
 		Notes: "Reproduces GraphGrepSX (Bonnici et al., PRIB 2010). Like Grapes it enumerates all " +
 			"label paths of up to `maxPathLen` edges (paper default 4), but stores only per-graph " +
 			"occurrence counts — no locations — so the index is smaller and the build is serial. " +
-			"Filtering keeps graphs whose counts dominate the query's on every path. A path and its " +
-			"reverse always carry equal counts, so the filter checks one direction of each: the rarest " +
-			"such posting drives, and every other is probed in ascending cardinality until one rejects — " +
+			"Filtering keeps graphs whose counts dominate the query's on every path. The original keeps " +
+			"the paths in a suffix trie with a node per path direction; here a path and its reverse, which " +
+			"always carry equal counts, share one canonical key and one posting in the key directory Grapes " +
+			"uses too, with the same candidates from about half the postings. The rarest of the query's " +
+			"postings drives, and every other is probed in ascending cardinality until one rejects — " +
 			"in O(1) through a rank bitmap when the posting is dense enough that the bitmap costs no more " +
 			"than its id list, by a forward merge cursor otherwise. Verification is plain VF2 over whole graphs.",
 		Fields: []engine.Field{

@@ -3,10 +3,12 @@ package grapes
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/canon"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/pathkey"
 )
 
 // referenceBuild is the definition Build must agree with, and the builder
@@ -175,9 +178,9 @@ func TestBuildMatchesReference(t *testing.T) {
 			}
 		}
 		for maxLen := 1; maxLen <= 6; maxLen++ {
-			var pk packing
-			pk.reset(alphabet, maxLen)
-			multiWord = multiWord || pk.w > 1
+			var pk pathkey.Packing
+			pk.Reset(alphabet, maxLen)
+			multiWord = multiWord || pk.Words() > 1
 			for _, workers := range []int{1, 3, 8} {
 				opts := Options{MaxPathLen: maxLen, Workers: workers}
 				what := fmt.Sprintf("%s, MaxPathLen %d, %d workers", name, maxLen, workers)
@@ -252,4 +255,34 @@ func TestBuildAllocsFollowOutput(t *testing.T) {
 			allocs, ix.NumFeatures(), ds.Len(), bound)
 	}
 	t.Logf("%.0f allocations for %d features and %d graphs", allocs, ix.NumFeatures(), ds.Len())
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled after n
+// calls.
+type cancelAfter struct {
+	context.Context
+	n atomic.Int64
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestBuildCancelledInSort: Build looks at its context once per dataset
+// slot while recording, and again inside the record sort and the posting
+// pass, so a budget that runs out after the recording phase still stops
+// the build.
+func TestBuildCancelledInSort(t *testing.T) {
+	ds := gen.Synthetic(gen.SynthConfig{NumGraphs: 40, MeanNodes: 12, MeanDensity: 0.2, NumLabels: 4, Seed: 3})
+	for _, workers := range []int{1, 3} {
+		ctx := &cancelAfter{Context: context.Background()}
+		ctx.n.Store(int64(ds.Len()))
+		err := New(Options{Workers: workers}).Build(ctx, ds)
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%d workers: Build returned %v after its context was cancelled, want context.Canceled", workers, err)
+		}
+	}
 }

@@ -15,7 +15,6 @@ package grapes
 import (
 	"context"
 	"iter"
-	"maps"
 	"runtime"
 	"slices"
 	"sync"
@@ -23,8 +22,8 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/graph"
+	"repro/internal/pathkey"
 	"repro/internal/subiso"
 )
 
@@ -119,20 +118,15 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	ix.comps = make([][]int32, n)
 	ix.compCount = make([]int, n)
 
-	// The label alphabet, and one allocation for every component table.
-	alphabet := make(map[graph.Label]struct{})
+	// One allocation for every component table.
 	nVerts := 0
 	for i, g := range ds.Graphs {
-		if !ds.Alive(graph.ID(i)) {
-			continue // tombstoned slots index nothing
-		}
-		nVerts += g.NumVertices()
-		for _, l := range g.Labels() {
-			alphabet[l] = struct{}{}
+		if ds.Alive(graph.ID(i)) {
+			nVerts += g.NumVertices()
 		}
 	}
-	var pk packing
-	pk.reset(slices.Collect(maps.Keys(alphabet)), ix.opts.MaxPathLen)
+	var pk pathkey.Packing
+	pk.Reset(pathkey.Alphabet(ds), ix.opts.MaxPathLen)
 	compArena := make([]int32, nVerts)
 	for i, g := range ds.Graphs {
 		if ds.Alive(graph.ID(i)) {
@@ -149,7 +143,7 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			rc := recorder{pk: &pk}
+			rc := pathkey.Recorder{Pk: &pk}
 			for i := w * n / workers; i < (w+1)*n/workers; i++ {
 				if err := ctx.Err(); err != nil {
 					errs[w] = err
@@ -159,10 +153,10 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 					continue
 				}
 				g := ds.Graphs[i]
-				rc.record(g)
+				rc.Record(g)
 				ix.compCount[g.ID()] = componentTable(g, ix.comps[g.ID()])
 			}
-			parts[w] = rc.recs
+			parts[w] = rc.Recs
 		}()
 	}
 	wg.Wait()
@@ -172,7 +166,14 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		}
 	}
 
-	keys, posts := pk.postings(pk.sortRecords(parts))
+	recs, err := pk.SortRecords(ctx, parts)
+	if err != nil {
+		return err
+	}
+	keys, posts, err := postings(ctx, &pk, recs)
+	if err != nil {
+		return err
+	}
 	ix.features = make(map[canon.Key]*posting, len(keys))
 	for i, key := range keys {
 		ix.features[key] = &posts[i]
@@ -193,177 +194,40 @@ func componentTable(g *graph.Graph, comp []int32) int {
 	return len(comps)
 }
 
-// queryPaths is Grapes's analysis of a query (Analyze), the query-only
-// half of a plan: the distinct canonical keys of the query's label paths of
-// at most MaxPathLen edges (canon.PathKey bytes) in ascending byte order,
-// each with the number of path visits that produce it — the same count the
-// index keeps per location — and the compiled query. It depends on the
-// query and MaxPathLen alone, never on an index.
+// queryPaths is Grapes's analysis of a query (Analyze): its distinct
+// canonical path keys with their visit counts, and the compiled query.
 type queryPaths struct {
-	keys   string  // the distinct keys, concatenated in ascending order
-	ends   []int32 // key i is keys[ends[i-1]:ends[i]], with ends[-1] = 0
-	counts []int32 // path visits of key i
-	prep   *subiso.Prepared
-}
-
-func (qp *queryPaths) key(i int) string {
-	start := int32(0)
-	if i > 0 {
-		start = qp.ends[i-1]
-	}
-	return qp.keys[start:qp.ends[i]]
-}
-
-// pathScratch is extractQueryPaths' working memory, pooled across queries.
-type pathScratch struct {
-	pk     packing  // over the query's own labels
-	rank   []uint64 // query vertex → rank
-	recs   []uint64 // one fixed-width record per recorded path
-	order  []int32  // multi-word records only: record indexes, sorted
-	sorted []uint64 // multi-word records only: recs in sorted order
-	keys   []byte
-	ends   []int32
-	counts []int32
-}
-
-var pathScratchPool = sync.Pool{New: func() any { return new(pathScratch) }}
-
-// extractQueryPaths enumerates q's label paths into fixed-width records in
-// one reusable buffer, sorts the records and counts the runs of equal ones.
-// A record is the path's packed key (see packing), with ranks over the
-// query's own labels; for the path lengths and label counts of real
-// queries it is one word, sorted as an integer.
-//
-// VisitPaths visits a path of one or more edges once from each end; only
-// the visit from the lower vertex id is recorded, and it counts twice.
-func extractQueryPaths(q *graph.Graph, maxPathLen int) *queryPaths {
-	if q.NumVertices() == 0 {
-		return &queryPaths{}
-	}
-	sc := pathScratchPool.Get().(*pathScratch)
-	defer pathScratchPool.Put(sc)
-	pk := &sc.pk
-	pk.reset(q.Labels(), maxPathLen)
-	sc.rank = pk.ranks(q, sc.rank)
-	w := pk.w
-
-	sc.recs = sc.recs[:0]
-	features.VisitPaths(q, maxPathLen, func(vs []int32) bool {
-		if vs[0] <= vs[len(vs)-1] {
-			sc.recs = pk.appendKey(sc.recs, q, sc.rank, vs)
-		}
-		return true
-	})
-	if w == 1 {
-		slices.Sort(sc.recs)
-	} else {
-		sc.sortRecords(w)
-	}
-
-	sc.keys, sc.ends, sc.counts = sc.keys[:0], sc.ends[:0], sc.counts[:0]
-	visits := int32(0)
-	for at := 0; at < len(sc.recs); at += w {
-		rec := sc.recs[at : at+w]
-		if at > 0 && slices.Equal(sc.recs[at-w:at], rec) {
-			sc.counts[len(sc.counts)-1] += visits
-			continue
-		}
-		from := len(sc.keys)
-		sc.keys = pk.appendKeyBytes(sc.keys, rec)
-		visits = 2
-		if len(sc.keys)-from == 4 {
-			visits = 1
-		}
-		sc.ends = append(sc.ends, int32(len(sc.keys)))
-		sc.counts = append(sc.counts, visits)
-	}
-	// The ends and counts share one array sized to the distinct keys, so
-	// the analysis's own header costs no allocation beyond the unsplit plan.
-	n := len(sc.ends)
-	buf := make([]int32, 2*n)
-	copy(buf, sc.ends)
-	copy(buf[n:], sc.counts)
-	return &queryPaths{keys: string(sc.keys), ends: buf[:n:n], counts: buf[n:]}
-}
-
-// sortRecords sorts records of w > 1 words through an index.
-func (sc *pathScratch) sortRecords(w int) {
-	rec := func(i int32) []uint64 { return sc.recs[int(i)*w : int(i+1)*w] }
-	sc.order = sc.order[:0]
-	for i := range int32(len(sc.recs) / w) {
-		sc.order = append(sc.order, i)
-	}
-	slices.SortFunc(sc.order, func(a, b int32) int { return slices.Compare(rec(a), rec(b)) })
-	sc.sorted = sc.sorted[:0]
-	for _, i := range sc.order {
-		sc.sorted = append(sc.sorted, rec(i)...)
-	}
-	sc.recs, sc.sorted = sc.sorted, sc.recs
+	pathkey.Query
+	prep *subiso.Prepared
 }
 
 // feature is one distinct query path resolved against one index.
-type feature struct {
-	post  *posting
-	count int32 // path visits in the query; a candidate needs as many
-	slot  int32 // key directory slot (storage=mmap)
-}
+type feature = pathkey.Feature[posting]
 
 // resolve looks every distinct query path up exactly once — one map probe
 // on the heap, one directory search under mmap — and returns the features
-// sorted on (posting cardinality, key), rarest first, with their postings.
-// It returns none when the query has no path or one of them is in no
-// indexed graph; no posting is decoded then.
+// rarest first (see pathkey.Resolve). It returns none when the query has
+// no path or one of them is in no indexed graph.
 func (ix *Index) resolve(qp *queryPaths) ([]feature, error) {
-	lz := ix.lazy
-	if lz != nil {
+	var keys *pathkey.Mapped[posting]
+	if lz := ix.lazy; lz != nil {
+		// Decoding a posting checks its starts against the component
+		// directory.
 		if err := lz.fetch(); err != nil {
 			return nil, err
 		}
+		keys = lz.keys
 	}
-	n := len(qp.counts)
-	byKey := make([]feature, n)
-	// card<<32 | key position: sorting these sorts on (card, key), because
-	// queryPaths holds its keys in ascending order.
-	rank := make([]uint64, n)
-	for i := range byKey {
-		f := &byKey[i]
-		f.count = qp.counts[i]
-		var card int
-		if lz != nil {
-			slot, ok := lz.findKey(qp.key(i))
-			if !ok {
-				return nil, nil
-			}
-			f.slot, card = int32(slot), lz.card(slot)
-		} else {
-			if f.post = ix.features[canon.Key(qp.key(i))]; f.post == nil {
-				return nil, nil
-			}
-			card = len(f.post.ids)
-		}
-		rank[i] = uint64(card)<<32 | uint64(i)
-	}
-	slices.Sort(rank)
-	feats := make([]feature, n)
-	for k, r := range rank {
-		feats[k] = byKey[uint32(r)]
-		if lz != nil {
-			p, err := lz.posting(int(feats[k].slot))
-			if err != nil {
-				return nil, err
-			}
-			feats[k].post = p
-		}
-	}
-	return feats, nil
+	feats, _, err := pathkey.Resolve(&qp.Query, ix.features, cardinality, keys)
+	return feats, err
 }
+
+func cardinality(p *posting) int { return len(p.ids) }
 
 // Analyze implements core.Method: the query's paths and the compiled
 // query.
 func (ix *Index) Analyze(q *graph.Graph) core.Analysis {
-	qp := extractQueryPaths(q, ix.opts.MaxPathLen)
-	qp.prep = subiso.Compile(q, subiso.Options{})
-	return qp
+	return &queryPaths{Query: pathkey.Extract(q, ix.opts.MaxPathLen), prep: subiso.Compile(q, subiso.Options{})}
 }
 
 // Probe implements core.Method: the analysis's paths are resolved against
@@ -466,12 +330,12 @@ func (p *queryPlan) Chunks() iter.Seq[graph.IDSet] {
 		if len(p.feats) == 0 {
 			return
 		}
-		rarest := p.feats[0].post
+		rarest := p.feats[0].Post
 		at := make([]int, len(p.feats)) // cursor per feature posting
 		var viable, touched []bool
 		var chunk graph.IDSet
 		for i, id := range rarest.ids {
-			if rarest.locs[i].count < p.feats[0].count {
+			if rarest.locs[i].count < p.feats[0].Count {
 				continue
 			}
 			comp, cc, err := p.ix.compsOf(id)
@@ -488,14 +352,14 @@ func (p *queryPlan) Chunks() iter.Seq[graph.IDSet] {
 			ok := true
 			for k := 1; ok && k < len(p.feats); k++ {
 				f := &p.feats[k]
-				j := seekGE(f.post.ids, at[k], id)
+				j := seekGE(f.Post.ids, at[k], id)
 				at[k] = j
 				switch {
-				case j == len(f.post.ids) || f.post.ids[j] != id || f.post.locs[j].count < f.count:
+				case j == len(f.Post.ids) || f.Post.ids[j] != id || f.Post.locs[j].count < f.Count:
 					ok = false
 				case !whole:
 					touched = cleared(touched, cc)
-					markComponents(touched, comp, f.post.locs[j].starts)
+					markComponents(touched, comp, f.Post.locs[j].starts)
 					ok = false
 					for c := range viable {
 						viable[c] = viable[c] && touched[c]
@@ -592,7 +456,7 @@ func (p *queryPlan) Verify(id graph.ID) bool {
 // storage=mmap: the mapped file is the OS page cache's problem.
 func (ix *Index) SizeBytes() int64 {
 	if ix.lazy != nil {
-		return ix.lazy.residentBytes()
+		return ix.lazy.keys.Resident()
 	}
 	var sz int64
 	for key, p := range ix.features {
@@ -611,7 +475,7 @@ func (ix *Index) SizeBytes() int64 {
 // NumFeatures returns the number of distinct indexed path features.
 func (ix *Index) NumFeatures() int {
 	if ix.lazy != nil {
-		return ix.lazy.numFeatures()
+		return ix.lazy.keys.Len()
 	}
 	return len(ix.features)
 }

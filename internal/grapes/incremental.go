@@ -1,10 +1,12 @@
 package grapes
 
 import (
+	"context"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/pathkey"
 )
 
 // AddGraphToIndex implements core.Method: the graph's path
@@ -29,11 +31,19 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 		ix.comps = append(ix.comps, nil)
 		ix.compCount = append(ix.compCount, 0)
 	}
-	var pk packing
-	pk.reset(g.Labels(), ix.opts.MaxPathLen)
-	rc := recorder{pk: &pk}
-	rc.record(g)
-	keys, posts := pk.postings(pk.sortRecords([][]uint64{rc.recs}))
+	var pk pathkey.Packing
+	pk.Reset(g.Labels(), ix.opts.MaxPathLen)
+	rc := pathkey.Recorder{Pk: &pk}
+	rc.Record(g)
+	ctx := context.Background()
+	recs, err := pk.SortRecords(ctx, [][]uint64{rc.Recs})
+	if err != nil {
+		return err
+	}
+	keys, posts, err := postings(ctx, &pk, recs)
+	if err != nil {
+		return err
+	}
 	for i, key := range keys {
 		if p := ix.features[key]; p != nil {
 			insertPosting(p, id, posts[i].locs[0])

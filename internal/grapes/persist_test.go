@@ -12,6 +12,7 @@ import (
 	"repro/internal/diskfmt"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/pathkey"
 	"repro/internal/testutil/plans"
 	"repro/internal/workload"
 )
@@ -55,9 +56,9 @@ func TestMmapNeverReadsBulkSections(t *testing.T) {
 	if err := ix.LoadIndex(r, ds); err != nil {
 		t.Fatal(err)
 	}
-	if r.Accessed(secPostings) || r.Accessed(secCompBlob) {
+	if r.Accessed(pathkey.SecPostings) || r.Accessed(secCompBlob) {
 		t.Fatalf("mmap load read a bulk section in full (postings=%v, compBlob=%v)",
-			r.Accessed(secPostings), r.Accessed(secCompBlob))
+			r.Accessed(pathkey.SecPostings), r.Accessed(secCompBlob))
 	}
 	for i, q := range queries {
 		want, err := plans.Candidates(built, ds, q)
@@ -74,7 +75,7 @@ func TestMmapNeverReadsBulkSections(t *testing.T) {
 	}
 	// Queries materialized individual postings off the mapping, but the
 	// bulk sections still were never read end to end.
-	if r.Accessed(secPostings) || r.Accessed(secCompBlob) {
+	if r.Accessed(pathkey.SecPostings) || r.Accessed(secCompBlob) {
 		t.Fatalf("querying read a bulk section in full")
 	}
 	if ix.SizeBytes() <= 0 {
