@@ -54,7 +54,6 @@ func Plan(ctx context.Context, m Method, ds *graph.Dataset, q *graph.Graph) (Que
 type BuildStats struct {
 	Elapsed   time.Duration
 	SizeBytes int64 // estimated in-memory size of the index structure
-	Features  int   // number of distinct features indexed (0 if n/a)
 }
 
 // Method is one indexed subgraph query processing method. Implementations

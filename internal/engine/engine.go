@@ -67,11 +67,13 @@ type Engine struct {
 	// maintainer of the engine's index is a Shard: a flat engine's is the
 	// identity leg.
 	*Store
-	method   core.Method
-	ds       *graph.Dataset
-	proc     *core.Processor
-	build    core.BuildStats
-	restored bool
+	method core.Method
+	ds     *graph.Dataset
+	proc   *core.Processor
+	// buildTime is the build's wall time, zero when the index was
+	// restored rather than built.
+	buildTime time.Duration
+	restored  bool
 	// stampSpec is the spec an index file is stamped with: the method name
 	// for a flat engine, the canonical spec for a shard (see OpenShard).
 	stampSpec string
@@ -181,7 +183,7 @@ func openEngine(ctx context.Context, st *Store, ds *graph.Dataset, cfg config, s
 		if err != nil {
 			return nil, fmt.Errorf("engine: building %s: %w", e.method.Name(), err)
 		}
-		e.build = st
+		e.buildTime = st.Elapsed
 		// No file on disk holds this index yet: the first mutation compacts
 		// unless the save below writes one.
 		e.jr.due = true
@@ -329,13 +331,14 @@ func (e *Engine) Method() core.Method {
 // Dataset returns the dataset the engine serves queries over.
 func (e *Engine) Dataset() *graph.Dataset { return e.ds }
 
-// BuildStats reports on index construction; its zero value means the index
-// was restored from disk rather than built.
+// BuildStats reports on index construction: Elapsed is the build's wall
+// time, zero when the index was restored from disk rather than built, and
+// SizeBytes the index's current size, read from the method on each call.
 func (e *Engine) BuildStats() core.BuildStats {
 	st := e.root()
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	return e.build
+	return core.BuildStats{Elapsed: e.buildTime, SizeBytes: e.method.SizeBytes()}
 }
 
 // Restored reports whether the engine's current index was loaded from a

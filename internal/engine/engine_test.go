@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -67,6 +68,23 @@ func TestRegistryCoversAllMethods(t *testing.T) {
 		if _, ok := engine.Lookup(d.Display); !ok {
 			t.Errorf("Lookup(%q) (display) failed", d.Display)
 		}
+	}
+}
+
+// TestDescriptorsSortedByName: the registry lists methods by canonical
+// name, not in the order their packages happened to initialize, so every
+// listing built from it (docs/METHODS.md, -list, /methods) is stable.
+func TestDescriptorsSortedByName(t *testing.T) {
+	ds := engine.Descriptors()
+	if !slices.IsSortedFunc(ds, func(a, b *engine.Descriptor) int { return strings.Compare(a.Name, b.Name) }) {
+		names := make([]string, len(ds))
+		for i, d := range ds {
+			names[i] = d.Name
+		}
+		t.Fatalf("Descriptors() in order %v, want sorted by Name", names)
+	}
+	if names := engine.Names(); !slices.IsSorted(names) {
+		t.Fatalf("Names() = %v, want sorted", names)
 	}
 }
 

@@ -525,6 +525,63 @@ func TestJournalReplayCoversEverySlot(t *testing.T) {
 	}
 }
 
+// TestJournalReplayRemovesByGraph: Grapes removes a graph by re-walking
+// the paths of the graph it holds, so a removal replayed at open must find
+// the graph in the dataset view the base file loads against, where graphs
+// removed since the base are live again. A journaled history of adds and
+// removes, one of them of a graph the history added, is reopened from base
+// plus journal on storage=heap and mmap, flat and 4-shard; the reopened
+// index must save the files a fresh build over the same dataset saves.
+func TestJournalReplayRemovesByGraph(t *testing.T) {
+	for _, storage := range []string{"heap", "mmap"} {
+		for _, shards := range []int{0, 4} {
+			t.Run(fmt.Sprintf("%s/shards=%d", storage, shards), func(t *testing.T) {
+				t.Parallel()
+				spec := "grapes:workers=2,storage=" + storage
+				// Slots enough per shard that the history stays under the
+				// compaction bound of a quarter of the slots.
+				h := newJournalHistory(t, 30+30*shards)
+				h.ops = append(h.ops, journalOp{add: -1, remove: 0}, journalOp{add: -1, remove: graph.ID(h.cfg.NumGraphs + 1)})
+				newJournalHistoryOps(t, h)
+				n := len(h.ops)
+				root := t.TempDir()
+				for _, dir := range []string{"live", "fresh", "replayed"} {
+					if err := os.MkdirAll(filepath.Join(root, dir), 0o755); err != nil {
+						t.Fatal(err)
+					}
+				}
+				live := openJournaled(t, spec, shards, h.at(0), filepath.Join(root, "live", "idx"))
+				h.apply(t, live, 0, n)
+
+				reopened := openJournaled(t, spec, shards, h.at(n), filepath.Join(root, "live", "idx"))
+				if !reopened.Restored() {
+					t.Fatal("open over the journaled state rebuilt instead of replaying")
+				}
+				h.checkAnswers(t, "replayed", reopened, n)
+				waitReady(t, reopened.Ready)
+				fresh := openJournaled(t, spec, shards, h.at(n), filepath.Join(root, "fresh", "idx"))
+				if fresh.Restored() {
+					t.Fatal("the fresh open restored")
+				}
+				for name, e := range map[string]journaled{"replayed": reopened, "fresh": fresh} {
+					if err := e.(interface{ Save(string) error }).Save(filepath.Join(root, name, "idx")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				replayed, built := readFiles(t, filepath.Join(root, "replayed")), readFiles(t, filepath.Join(root, "fresh"))
+				if len(replayed) != len(built) {
+					t.Fatalf("the replayed index saves %d files, a fresh build %d", len(replayed), len(built))
+				}
+				for name, b := range built {
+					if !bytes.Equal(replayed[name], b) {
+						t.Errorf("%s: the replayed index saves other bytes than a fresh build", name)
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestJournalReplayFeedsDeltaAdmission: Tree+Δ computes an admitted Δ
 // feature's posting over the graphs it indexes. An open that replays a
 // journal loads the base against the dataset as it stood at the base;

@@ -50,7 +50,6 @@ func (e *Engine) indexAddLocked(g *graph.Graph) error {
 		e.jr.due = true
 		return err
 	}
-	e.build.SizeBytes = e.method.SizeBytes()
 	if err := e.journalLocked(recAdd, g.ID()); err != nil {
 		_ = e.method.RemoveGraphFromIndex(g.ID())
 		return fmt.Errorf("engine: journaling the add of graph %d: %w", g.ID(), err)
@@ -67,7 +66,6 @@ func (e *Engine) indexRemoveLocked(id graph.ID) error {
 		e.jr.due = true
 		return err
 	}
-	e.build.SizeBytes = e.method.SizeBytes()
 	if err := e.journalLocked(recRemove, id); err != nil {
 		return fmt.Errorf("engine: journaling the removal of graph %d: %w", id, err)
 	}

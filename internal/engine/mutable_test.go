@@ -3,12 +3,16 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/gen"
+	"repro/internal/grapes"
 	"repro/internal/graph"
 )
 
@@ -159,5 +163,76 @@ func TestShardedMutationRoutesToOwningShard(t *testing.T) {
 	}
 	if s.Epoch() != e0+1 {
 		t.Errorf("epoch %d after remove, want %d", s.Epoch(), e0+1)
+	}
+}
+
+// sizeCounting is a method that counts its SizeBytes calls.
+type sizeCounting struct {
+	core.Method
+	calls atomic.Int64
+}
+
+func (m *sizeCounting) SizeBytes() int64 {
+	m.calls.Add(1)
+	return m.Method.SizeBytes()
+}
+
+// TestMutationDoesNotResizeIndex: a mutation costs the mutated graph, so
+// AddGraph and RemoveGraph never ask the method for its size, which a
+// path index can only tell by walking every posting — flat and 4-shard.
+// BuildStats reads the size when asked, so it still reports the index as
+// the mutations left it.
+func TestMutationDoesNotResizeIndex(t *testing.T) {
+	ctx := context.Background()
+	pool := gen.Synthetic(gen.SynthConfig{NumGraphs: 6, MeanNodes: 10, MeanDensity: 0.2, NumLabels: 4, Seed: 45}).Graphs
+	for _, shards := range []int{0, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var (
+				eng     engine.Querier
+				methods []*sizeCounting
+			)
+			wrap := func(m core.Method) core.Method {
+				c := &sizeCounting{Method: m}
+				methods = append(methods, c)
+				return c
+			}
+			if shards == 0 {
+				e, err := engine.Open(ctx, tinyDataset(t), engine.WithMethod(wrap(grapes.New(grapes.Options{Workers: 2}))))
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng = e
+			} else {
+				s, err := engine.OpenSharded(ctx, tinyDataset(t), shards, engine.WithSpec("grapes:workers=2"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				engine.WrapMethods(s, wrap)
+				eng = s
+			}
+			for _, m := range methods {
+				m.calls.Store(0)
+			}
+			for _, g := range pool {
+				id, err := eng.AddGraph(ctx, g.ShallowWithID(0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := eng.RemoveGraph(ctx, id-3); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var calls, want int64
+			for _, m := range methods {
+				calls += m.calls.Load()
+				want += m.Method.SizeBytes()
+			}
+			if calls != 0 {
+				t.Fatalf("%d mutations asked the index for its size %d times", 2*len(pool), calls)
+			}
+			if got := eng.(interface{ BuildStats() core.BuildStats }).BuildStats().SizeBytes; got != want {
+				t.Fatalf("BuildStats().SizeBytes = %d after the mutations, the index holds %d", got, want)
+			}
+		})
 	}
 }

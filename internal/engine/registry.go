@@ -24,7 +24,8 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/core"
@@ -82,7 +83,7 @@ func (d *Descriptor) New(p Params) (core.Method, error) {
 var registry = struct {
 	sync.RWMutex
 	byKey map[string]*Descriptor // normalized name/alias -> descriptor
-	order []*Descriptor          // registration order
+	order []*Descriptor          // sorted by Name
 }{byKey: map[string]*Descriptor{}}
 
 // Register adds a method descriptor to the registry. It is intended to be
@@ -116,7 +117,10 @@ func Register(d Descriptor) {
 		}
 		registry.byKey[nk] = desc
 	}
-	registry.order = append(registry.order, desc)
+	at, _ := slices.BinarySearchFunc(registry.order, d.Name, func(e *Descriptor, name string) int {
+		return strings.Compare(e.Name, name)
+	})
+	registry.order = slices.Insert(registry.order, at, desc)
 }
 
 // Lookup resolves a method name or alias (case- and separator-insensitive)
@@ -128,7 +132,9 @@ func Lookup(name string) (*Descriptor, bool) {
 	return d, ok
 }
 
-// Descriptors returns all registered methods in registration order.
+// Descriptors returns all registered methods sorted by canonical Name, so
+// every listing built from it reads the same whatever order the method
+// packages were initialized in.
 func Descriptors() []*Descriptor {
 	registry.RLock()
 	defer registry.RUnlock()
@@ -145,7 +151,6 @@ func Names() []string {
 	for _, d := range registry.order {
 		names = append(names, d.Name)
 	}
-	sort.Strings(names)
 	return names
 }
 

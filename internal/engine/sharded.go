@@ -69,13 +69,13 @@ const shardManifestMagic = "repro-shards v5"
 type Sharded struct {
 	*Store      // the unpartitioned dataset's
 	shards      []*Shard
-	name        string // method display name
-	spec        string // canonical spec all shards were constructed from
-	build       core.BuildStats
-	restored    int  // non-empty shards restored from disk
-	allRestored bool // every non-empty shard restored (nothing built)
-	fanout      int  // shards planned at once (see ShardFanout)
-	workers     int  // the verify budget every query's merge verifies with
+	name        string        // method display name
+	spec        string        // canonical spec all shards were constructed from
+	buildTime   time.Duration // the parallel open's wall time; zero when nothing was built
+	restored    int           // non-empty shards restored from disk
+	allRestored bool          // every non-empty shard restored (nothing built)
+	fanout      int           // shards planned at once (see ShardFanout)
+	workers     int           // the verify budget every query's merge verifies with
 }
 
 // OpenSharded hash-partitions ds into the given number of shards, builds (or
@@ -138,7 +138,6 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 	nonEmpty := 0
 	for i, sh := range s.shards {
 		st.maints = append(st.maints, sh)
-		s.build.Features += sh.eng.build.Features
 		if sh.empty() {
 			continue
 		}
@@ -147,7 +146,7 @@ func OpenSharded(ctx context.Context, ds *graph.Dataset, shards int, opts ...Opt
 			s.restored++
 			continue
 		}
-		s.build.Elapsed = wall
+		s.buildTime = wall
 		if cfg.indexPath == "" {
 			continue
 		}
@@ -323,17 +322,14 @@ func (s *Sharded) RestoredShards() int { return s.restored }
 
 // BuildStats reports aggregate index construction: Elapsed is the wall-clock
 // time of the parallel open phase (zero when every shard was restored; the
-// saves are not in it), SizeBytes the current total size of all shard
-// indexes, and Features the sum over built shards. Per-shard figures are
-// available from ShardStats.
+// saves are not in it) and SizeBytes the current total size of all shard
+// indexes. Per-shard figures are available from ShardStats.
 func (s *Sharded) BuildStats() core.BuildStats {
-	st := s.build
-	st.SizeBytes = s.SizeBytes()
-	return st
+	return core.BuildStats{Elapsed: s.buildTime, SizeBytes: s.SizeBytes()}
 }
 
 // ShardStats returns each shard engine's BuildStats, indexed by shard:
-// restored shards report the zero value. Summing the Elapsed fields gives
+// restored shards report a zero Elapsed. Summing the Elapsed fields gives
 // the serial-equivalent build time; dividing that by BuildStats().Elapsed
 // gives the parallel build speedup.
 func (s *Sharded) ShardStats() []core.BuildStats {

@@ -22,7 +22,6 @@ import (
 
 	"repro/internal/canon"
 	"repro/internal/core"
-	"repro/internal/features"
 	"repro/internal/graph"
 	"repro/internal/pathkey"
 	"repro/internal/subiso"
@@ -179,10 +178,10 @@ func (ix *Index) Name() string { return "GGSX" }
 
 // Build implements core.Method: every label path of every live graph is
 // counted by its canonical key, numbered over the dataset's alphabet in
-// one pathCounter. Graphs are visited in ascending id order, so each
+// one pathkey.Counter. Graphs are visited in ascending id order, so each
 // key's posting is built by appends.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
-	c := newPathCounter(pathkey.Alphabet(ds), ix.opts.MaxPathLen)
+	c := pathkey.NewCounter(pathkey.Alphabet(ds), ix.opts.MaxPathLen)
 	var posts []posting
 	for _, g := range ds.Graphs {
 		if err := ctx.Err(); err != nil {
@@ -191,80 +190,25 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 		if !ds.Alive(g.ID()) {
 			continue // tombstoned slots index nothing
 		}
-		c.count(g)
-		for _, k := range c.seen {
+		c.Count(g)
+		for _, k := range c.Seen {
 			if int(k) == len(posts) {
 				posts = append(posts, posting{})
 			}
 			p := &posts[k]
 			p.ids = append(p.ids, g.ID())
-			p.counts = append(p.counts, c.visits[k])
+			p.counts = append(p.counts, c.Visits[k])
 		}
 	}
 	ix.features = make(map[canon.Key]*posting, len(posts))
 	for k := range posts {
 		posts[k].finalize()
-		ix.features[canon.Key(c.keyBytes(k))] = &posts[k]
+		ix.features[canon.Key(c.KeyBytes(k))] = &posts[k]
 	}
 	ix.lazy = nil
 	ix.nGr = ds.Len()
 	ix.built = true
 	return nil
-}
-
-// pathCounter counts the label paths of one graph at a time by canonical
-// key, numbering the keys in a pathkey.Table as they are first seen.
-type pathCounter struct {
-	pk         pathkey.Packing
-	tab        *pathkey.Table
-	maxPathLen int
-	rank       []uint64
-	visits     []int32 // by key number, for the graph counted last
-	seen       []int32 // the key numbers of the graph counted last, in first-seen order
-	buf        []byte
-}
-
-// newPathCounter returns a counter of paths of at most maxPathLen edges
-// over the given label alphabet.
-func newPathCounter(alphabet []graph.Label, maxPathLen int) *pathCounter {
-	c := &pathCounter{maxPathLen: maxPathLen}
-	c.pk.Reset(alphabet, maxPathLen)
-	c.tab = pathkey.NewTable(c.pk.Words())
-	return c
-}
-
-// count sets seen and visits to g's paths: VisitPaths visits a path of one
-// or more edges once from each end, and only the visit from its lower
-// vertex is looked up, counting for both.
-func (c *pathCounter) count(g *graph.Graph) {
-	for _, k := range c.seen {
-		c.visits[k] = 0
-	}
-	c.seen = c.seen[:0]
-	c.rank = c.pk.Ranks(g, c.rank)
-	var key []uint64
-	features.VisitPaths(g, c.maxPathLen, func(vs []int32) bool {
-		if vs[0] > vs[len(vs)-1] {
-			return true
-		}
-		key = c.pk.AppendKey(key[:0], g, c.rank, vs)
-		k, added := c.tab.Find(key)
-		if added {
-			c.visits = append(c.visits, 0)
-		}
-		if c.visits[k] == 0 {
-			c.seen = append(c.seen, int32(k))
-		}
-		c.visits[k] += min(int32(len(vs)), 2)
-		return true
-	})
-}
-
-// keyBytes returns the canon.PathKey bytes of key number k, valid until
-// the next call.
-func (c *pathCounter) keyBytes(k int) []byte {
-	c.buf = c.pk.AppendKeyBytes(c.buf[:0], c.tab.Key(k))
-	return c.buf
 }
 
 // queryPaths is GGSX's analysis of a query (Analyze): its distinct

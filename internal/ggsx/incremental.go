@@ -4,6 +4,7 @@ import (
 	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/pathkey"
 )
 
 // AddGraphToIndex implements core.Method: the graph's label paths are
@@ -21,16 +22,16 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	if err := ix.materializeAll(); err != nil {
 		return err
 	}
-	c := newPathCounter(g.Labels(), ix.opts.MaxPathLen)
-	c.count(g)
-	for _, k := range c.seen {
-		key := c.keyBytes(int(k))
+	c := pathkey.NewCounter(g.Labels(), ix.opts.MaxPathLen)
+	c.Count(g)
+	for _, k := range c.Seen {
+		key := c.KeyBytes(int(k))
 		p := ix.features[canon.Key(key)]
 		if p == nil {
 			p = &posting{}
 			ix.features[canon.Key(key)] = p
 		}
-		p.add(g.ID(), c.visits[k])
+		p.add(g.ID(), c.Visits[k])
 	}
 	ix.nGr = max(ix.nGr, int(g.ID())+1)
 	return nil

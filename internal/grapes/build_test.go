@@ -204,34 +204,51 @@ func TestBuildMatchesReference(t *testing.T) {
 // TestMaintainedEqualsRebuilt: an index built once and then maintained
 // through random adds and removes — added graphs bring labels the build
 // never saw — saves to the same bytes as a fresh Build over the mutated
-// dataset.
+// dataset, at 4 labels and at the 10 of the filter-heavy shape, where a
+// graph's paths reach few of the index's postings. Removals re-walk the
+// removed graph's own paths; removing a slot the index never held is a
+// no-op.
 func TestMaintainedEqualsRebuilt(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	ds := gen.Synthetic(gen.SynthConfig{NumGraphs: 30, MeanNodes: 12, MeanDensity: 0.2, NumLabels: 4, Seed: 6})
-	opts := Options{MaxPathLen: 3, Workers: 3}
-	ix := build(t, ds, opts)
-	alphabet := []graph.Label{0, 1, 2, 3, 7, 256, -5}
-	for range 40 {
-		if rng.Intn(2) == 0 {
-			g := randomLabelled(rng, 2+rng.Intn(10), rng.Intn(5), alphabet)
-			ds.Add(g)
-			if err := ix.AddGraphToIndex(g); err != nil {
-				t.Fatal(err)
+	for _, tc := range []struct {
+		labels   int
+		alphabet []graph.Label
+	}{
+		{4, []graph.Label{0, 1, 2, 3, 7, 256, -5}},
+		{10, []graph.Label{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 256, -5}},
+	} {
+		t.Run(fmt.Sprintf("labels=%d", tc.labels), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(5))
+			ds := gen.Synthetic(gen.SynthConfig{NumGraphs: 30, MeanNodes: 12, MeanDensity: 0.2, NumLabels: tc.labels, Seed: 6})
+			opts := Options{MaxPathLen: 3, Workers: 3}
+			ix := build(t, ds, opts)
+			for range 40 {
+				if rng.Intn(2) == 0 {
+					g := randomLabelled(rng, 2+rng.Intn(10), rng.Intn(5), tc.alphabet)
+					ds.Add(g)
+					if err := ix.AddGraphToIndex(g); err != nil {
+						t.Fatal(err)
+					}
+					continue
+				}
+				id := graph.ID(rng.Intn(ds.Len()))
+				if !ds.Remove(id) {
+					continue
+				}
+				if err := ix.RemoveGraphFromIndex(id); err != nil {
+					t.Fatal(err)
+				}
 			}
-			continue
-		}
-		id := graph.ID(rng.Intn(ds.Len()))
-		if !ds.Remove(id) {
-			continue
-		}
-		if err := ix.RemoveGraphFromIndex(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fresh := build(t, ds, opts)
-	samePostings(t, "maintained", ix, fresh)
-	if !bytes.Equal(sections(t, ix), sections(t, fresh)) {
-		t.Fatalf("maintained index saves other bytes than a rebuild")
+			for _, id := range []graph.ID{-1, graph.ID(ds.Len()), graph.ID(ds.Len() + 100)} {
+				if err := ix.RemoveGraphFromIndex(id); err != nil {
+					t.Fatalf("removing slot %d the index never held: %v", id, err)
+				}
+			}
+			fresh := build(t, ds, opts)
+			samePostings(t, "maintained", ix, fresh)
+			if !bytes.Equal(sections(t, ix), sections(t, fresh)) {
+				t.Fatalf("maintained index saves other bytes than a rebuild")
+			}
+		})
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package grapes implements the GRAPES index (Giugno et al., PLoS One 2013):
-// exhaustive enumeration of label paths up to a maximum length, organized in
-// a trie whose postings carry location information — for every (path, graph)
-// pair, the set of start vertices and the occurrence count. Both indexing and
-// verification are parallelized across a configurable number of workers, and
-// verification runs VF2 against individual connected components selected via
-// the location information, rather than whole graphs.
+// exhaustive enumeration of label paths up to a maximum length, one posting
+// per canonical path in pathkey's key directory, and postings that carry
+// location information — for every (path, graph) pair, the set of start
+// vertices and the occurrence count. Both indexing and verification are
+// parallelized across a configurable number of workers, and verification
+// runs VF2 against individual connected components selected via the
+// location information, rather than whole graphs.
 //
 // Grapes is one of the six indexed subgraph query processing methods
 // compared in the reproduced paper (Katsarou, Ntarmos, Triantafillou,
@@ -78,6 +79,11 @@ type Index struct {
 	// vertex -> component id array, with compCount[g] components.
 	comps     [][]int32
 	compCount []int
+	// graphs[g] is the dataset's graph g while the index holds it, nil
+	// for a slot it holds nothing of: RemoveGraphFromIndex re-walks its
+	// paths. Build, LoadIndex and AddGraphToIndex fill it in every
+	// storage mode.
+	graphs []*graph.Graph
 	// lazy, when non-nil, backs the index with a mapped v2 container
 	// (storage=mmap): features/comps/compCount above are nil, and resolve
 	// and compsOf read through it.
@@ -115,23 +121,24 @@ func (ix *Index) Name() string { return "Grapes" }
 // canonical keys do.
 func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	n := ds.Len()
+	ix.graphs = liveGraphs(ds)
 	ix.comps = make([][]int32, n)
 	ix.compCount = make([]int, n)
 
 	// One allocation for every component table.
 	nVerts := 0
-	for i, g := range ds.Graphs {
-		if ds.Alive(graph.ID(i)) {
+	for _, g := range ix.graphs {
+		if g != nil {
 			nVerts += g.NumVertices()
 		}
 	}
 	var pk pathkey.Packing
 	pk.Reset(pathkey.Alphabet(ds), ix.opts.MaxPathLen)
 	compArena := make([]int32, nVerts)
-	for i, g := range ds.Graphs {
-		if ds.Alive(graph.ID(i)) {
+	for i, g := range ix.graphs {
+		if g != nil {
 			nv := g.NumVertices()
-			ix.comps[g.ID()], compArena = compArena[:nv:nv], compArena[nv:]
+			ix.comps[i], compArena = compArena[:nv:nv], compArena[nv:]
 		}
 	}
 
@@ -149,10 +156,10 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 					errs[w] = err
 					return
 				}
-				if !ds.Alive(graph.ID(i)) {
+				g := ix.graphs[i]
+				if g == nil {
 					continue
 				}
-				g := ds.Graphs[i]
 				rc.Record(g)
 				ix.compCount[g.ID()] = componentTable(g, ix.comps[g.ID()])
 			}
@@ -180,6 +187,18 @@ func (ix *Index) Build(ctx context.Context, ds *graph.Dataset) error {
 	}
 	ix.built = true
 	return nil
+}
+
+// liveGraphs returns ds's graphs by slot, nil at a tombstoned one: the
+// graphs an index built or loaded over ds holds.
+func liveGraphs(ds *graph.Dataset) []*graph.Graph {
+	gs := make([]*graph.Graph, ds.Len())
+	for i, g := range ds.Graphs {
+		if ds.Alive(graph.ID(i)) {
+			gs[i] = g
+		}
+	}
+	return gs
 }
 
 // componentTable writes each vertex's connected component into comp, which
@@ -453,7 +472,8 @@ func (p *queryPlan) Verify(id graph.ID) bool {
 
 // SizeBytes implements core.Method. A lazily-opened index reports only
 // what has been materialized into the heap, which is the point of
-// storage=mmap: the mapped file is the OS page cache's problem.
+// storage=mmap: the mapped file is the OS page cache's problem. The graph
+// slots point at the dataset's own graphs and are not counted.
 func (ix *Index) SizeBytes() int64 {
 	if ix.lazy != nil {
 		return ix.lazy.keys.Resident()

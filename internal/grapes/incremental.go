@@ -2,8 +2,9 @@ package grapes
 
 import (
 	"context"
-	"sort"
+	"slices"
 
+	"repro/internal/canon"
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/pathkey"
@@ -28,6 +29,7 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	}
 	id := g.ID()
 	for int(id) >= len(ix.comps) {
+		ix.graphs = append(ix.graphs, nil)
 		ix.comps = append(ix.comps, nil)
 		ix.compCount = append(ix.compCount, 0)
 	}
@@ -54,50 +56,59 @@ func (ix *Index) AddGraphToIndex(g *graph.Graph) error {
 	comp := make([]int32, g.NumVertices())
 	ix.compCount[id] = componentTable(g, comp)
 	ix.comps[id] = comp
+	ix.graphs[id] = g
 	return nil
 }
 
-// RemoveGraphFromIndex implements core.Method: graph id's
-// entries are cut from every posting (features left with no graphs are
-// dropped) and its component table released. A full posting sweep is
-// O(index), far below a rebuild's feature re-enumeration over every graph.
+// RemoveGraphFromIndex implements core.Method: the index re-walks the
+// label paths of the graph it holds in slot id, cuts id from the posting
+// of each distinct one (dropping a posting it empties) and releases the
+// graph's component table, so a removal costs the graph's paths, not the
+// index. A slot that holds no graph was never indexed: removing it is a
+// no-op.
 func (ix *Index) RemoveGraphFromIndex(id graph.ID) error {
 	if !ix.built {
 		return core.ErrNotBuilt
 	}
+	if int(id) < 0 || int(id) >= len(ix.graphs) || ix.graphs[id] == nil {
+		return nil
+	}
 	if err := ix.materializeAll(); err != nil {
 		return err
 	}
-	for key, p := range ix.features {
-		i := sort.Search(len(p.ids), func(i int) bool { return p.ids[i] >= id })
-		if i >= len(p.ids) || p.ids[i] != id {
+	g := ix.graphs[id]
+	c := pathkey.NewCounter(g.Labels(), ix.opts.MaxPathLen)
+	c.Count(g)
+	for _, k := range c.Seen {
+		key := c.KeyBytes(int(k))
+		p := ix.features[canon.Key(key)]
+		if p == nil {
 			continue
 		}
-		p.ids = append(p.ids[:i], p.ids[i+1:]...)
-		p.locs = append(p.locs[:i], p.locs[i+1:]...)
+		i, ok := slices.BinarySearch(p.ids, id)
+		if !ok {
+			continue
+		}
+		p.ids = slices.Delete(p.ids, i, i+1)
+		p.locs = slices.Delete(p.locs, i, i+1)
 		if len(p.ids) == 0 {
-			delete(ix.features, key)
+			delete(ix.features, canon.Key(key))
 		}
 	}
-	if int(id) < len(ix.comps) {
-		ix.comps[id] = nil
-		ix.compCount[id] = 0
-	}
+	ix.graphs[id] = nil
+	ix.comps[id] = nil
+	ix.compCount[id] = 0
 	return nil
 }
 
 // insertPosting splices (id, loc) into p keeping ids sorted; refreshing an
 // existing entry overwrites it.
 func insertPosting(p *posting, id graph.ID, loc location) {
-	i := sort.Search(len(p.ids), func(i int) bool { return p.ids[i] >= id })
-	if i < len(p.ids) && p.ids[i] == id {
+	i, found := slices.BinarySearch(p.ids, id)
+	if found {
 		p.locs[i] = loc
 		return
 	}
-	p.ids = append(p.ids, 0)
-	copy(p.ids[i+1:], p.ids[i:])
-	p.ids[i] = id
-	p.locs = append(p.locs, location{})
-	copy(p.locs[i+1:], p.locs[i:])
-	p.locs[i] = loc
+	p.ids = slices.Insert(p.ids, i, id)
+	p.locs = slices.Insert(p.locs, i, loc)
 }

@@ -141,6 +141,7 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 		ix.features = nil
 		ix.comps = nil
 		ix.compCount = nil
+		ix.graphs = liveGraphs(ds)
 		ix.lazy = lz
 		ix.built = true
 		return nil
@@ -171,6 +172,7 @@ func (ix *Index) LoadIndex(r *diskfmt.Reader, ds *graph.Dataset) error {
 	ix.features = features
 	ix.comps = comps
 	ix.compCount = compCount
+	ix.graphs = liveGraphs(ds)
 	ix.lazy = nil
 	ix.built = true
 	return nil

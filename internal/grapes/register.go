@@ -9,7 +9,7 @@ func init() {
 	engine.Register(engine.Descriptor{
 		Name:    "grapes",
 		Display: "Grapes",
-		Help:    "exhaustive label-path trie with location info, parallel build and component-wise verification",
+		Help:    "exhaustive label-path index with location info, parallel build and component-wise verification",
 		Notes: "Reproduces GRAPES (Giugno et al., PLoS One 2013), the fastest builder in the " +
 			"paper's comparison thanks to its multi-threaded construction. Indexing enumerates every " +
 			"label path of up to `maxPathLen` edges from every vertex, so build cost and index size " +

@@ -3,9 +3,10 @@
 // feature set — every label path of at most MaxPathLen edges — under one
 // canonical key per path and its reverse (canon.PathKey bytes). It holds
 // the packed fixed-width form of those keys (Packing), Grapes's record
-// sort over it (Recorder, SortRecords), GraphGrepSX's key numbering
-// (Table), a query's analysis into its distinct keys and their visit
-// counts (Extract), and the key directory: sorted keys with their
+// sort over it (Recorder, SortRecords), the key numbering (Table) and
+// per-graph path counts (Counter) that GraphGrepSX builds from and Grapes
+// removes a graph by, a query's analysis into its distinct keys and their
+// visit counts (Extract), and the key directory: sorted keys with their
 // postings' cardinalities, written by WriteDir and read in place from a
 // mapped container by Mapped. Resolve looks a query's keys up in a heap
 // map or a Mapped directory.

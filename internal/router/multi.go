@@ -179,18 +179,6 @@ type buildInfo interface {
 	Restored() bool
 }
 
-// indexSize reads a sub-engine's in-memory index size: an Engine's through
-// its method, a Sharded engine's directly.
-func indexSize(q engine.Querier) int64 {
-	switch e := q.(type) {
-	case interface{ Method() core.Method }:
-		return e.Method().SizeBytes()
-	case interface{ SizeBytes() int64 }:
-		return e.SizeBytes()
-	}
-	return 0
-}
-
 // Open co-builds (or restores) one index per configured method over ds —
 // concurrently, on a pool bounded by GOMAXPROCS — and returns the routing
 // engine over them. With cfg.IndexPath, each method persists independently
@@ -258,10 +246,8 @@ func Open(ctx context.Context, ds *graph.Dataset, cfg Config) (*Multi, error) {
 		if !ok {
 			continue
 		}
-		// Size comes from the live index, not the build stats, which are
-		// zero-valued for a restored engine.
-		m.build.SizeBytes += indexSize(sub)
-		m.build.Features += bi.BuildStats().Features
+		// A restored engine reports its live index size too.
+		m.build.SizeBytes += bi.BuildStats().SizeBytes
 		if bi.Restored() {
 			m.restored++
 		} else {
