@@ -193,15 +193,28 @@ func ahuEncode(g *graph.Graph, v, p int32) string {
 // edge, based on its minimum DFS code. Single-vertex graphs are encoded from
 // their label alone. ok is false for empty or disconnected graphs.
 func GraphKey(g *graph.Graph) (key Key, ok bool) {
-	switch {
-	case g.NumVertices() == 0:
-		return "", false
-	case g.NumVertices() == 1:
-		return Key("V" + string(EncodeLabels([]graph.Label{g.Label(0)}))), true
-	case !g.IsConnected():
-		return "", false
+	key, err := GraphKeyWithin(g, 0)
+	return key, err == nil
+}
+
+// GraphKeyWithin is GraphKey with the canonical search bounded to steps
+// (see dfscode.StepBudget; 0 for no bound). err is dfscode.ErrBudget when
+// the search ran out and dfscode.ErrDisconnected for an empty or
+// disconnected graph. The key is 'G' and the code's Key bytes, built in one
+// buffer: a key costs one allocation.
+func GraphKeyWithin(g *graph.Graph, steps int) (Key, error) {
+	switch g.NumVertices() {
+	case 0:
+		return "", dfscode.ErrDisconnected
+	case 1:
+		return Key("V" + string(EncodeLabels([]graph.Label{g.Label(0)}))), nil
 	}
-	return Key("G" + dfscode.Minimum(g).Key()), true
+	var buf [256]byte
+	key, err := dfscode.AppendMinimumKey(append(buf[:0], 'G'), g, steps)
+	if err != nil {
+		return "", err
+	}
+	return Key(key), nil
 }
 
 // FeatureKey returns the canonical key of any connected feature graph,

@@ -13,7 +13,11 @@ package dfscode
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -145,22 +149,23 @@ func (c Code) Graph() *graph.Graph {
 }
 
 // Key returns a compact byte-string encoding of the code, usable as a map
-// key or trie path.
+// key or trie path: per entry, I and J as little-endian uint16, then LI and
+// LJ as little-endian uint32.
 func (c Code) Key() string {
-	buf := make([]byte, 0, len(c)*10)
-	var tmp [10]byte
+	var buf [16 * entryLen]byte
+	return string(appendKey(buf[:0], c))
+}
+
+// appendKey appends c's Key bytes to dst.
+func appendKey(dst []byte, c Code) []byte {
+	le := binary.LittleEndian
 	for _, e := range c {
-		binary.LittleEndian.PutUint16(tmp[0:], uint16(e.I))
-		binary.LittleEndian.PutUint16(tmp[2:], uint16(e.J))
-		binary.LittleEndian.PutUint32(tmp[4:], uint32(e.LI))
-		// LJ packed in 2 bytes is unsafe for large label spaces; use 4+2
-		// split only if labels fit. Keep it simple and safe: 2 bytes is not
-		// enough, so spend the full 4.
-		buf = append(buf, tmp[:8]...)
-		binary.LittleEndian.PutUint32(tmp[0:], uint32(e.LJ))
-		buf = append(buf, tmp[:4]...)
+		dst = le.AppendUint16(dst, uint16(e.I))
+		dst = le.AppendUint16(dst, uint16(e.J))
+		dst = le.AppendUint32(dst, uint32(e.LI))
+		dst = le.AppendUint32(dst, uint32(e.LJ))
 	}
-	return string(buf)
+	return dst
 }
 
 // entryLen is the byte length of one entry in a Key.
@@ -214,49 +219,67 @@ func ParseKey(key string) (c Code, ok bool) {
 // Clone returns a copy of the code.
 func (c Code) Clone() Code { return append(Code(nil), c...) }
 
-// rightmostPath returns the discovery indices on the rightmost path of the
-// DFS tree of the code, from the rightmost vertex down to the root.
-func (c Code) rightmostPath() []int32 {
-	if len(c) == 0 {
-		return nil
-	}
-	// Walk forward edges backwards from the rightmost vertex.
-	rm := int32(0)
-	for _, e := range c {
-		if e.Forward() && e.J > rm {
-			rm = e.J
-		}
-	}
-	path := []int32{rm}
-	cur := rm
-	for cur != 0 {
-		// Find the forward edge that discovered cur.
-		parent := int32(-1)
-		for _, e := range c {
-			if e.Forward() && e.J == cur {
-				parent = e.I
-				break
-			}
-		}
-		if parent < 0 {
-			break
-		}
-		path = append(path, parent)
-		cur = parent
-	}
-	return path
-}
+// StepBudget bounds a canonical search whose caller must answer promptly
+// (the serving layer's cache key): a step is one search node or one
+// adjacency entry the search scans, and a search that would take more
+// stops with ErrBudget. The search is exponential in a graph's symmetry: a
+// one-label K9 takes hundreds of millions of steps, while the largest
+// random-walk query of any benchmark workload takes under 4,000 and of
+// sqbench's 32-edge synthetic queries under 120,000. Minimum runs
+// unbounded.
+const StepBudget = 1 << 24
 
-// minState is the working state of the Minimum search over one graph.
-type minState struct {
-	g        *graph.Graph
-	edgeID   map[[2]int32]int
+var (
+	// ErrDisconnected is returned for a graph with no edge or more than one
+	// connected component: DFS codes are defined for connected patterns.
+	ErrDisconnected = errors.New("dfscode: graph has no edge or is disconnected")
+	// ErrBudget is returned when a bounded search runs out of steps.
+	ErrBudget = errors.New("dfscode: canonical search exceeded its step budget")
+)
+
+// scratch is the working state of one minimum-code search. A pooled
+// scratch keeps its arrays across searches, whatever the sizes of the
+// graphs it saw before, and pins no graph between them.
+type scratch struct {
+	g *graph.Graph
+	// The edge id of v's k-th neighbour is eid[off[v]+k].
+	off, eid []int32
 	used     []bool
 	disc     []int32 // graph vertex -> discovery index, -1 if undiscovered
 	vertexAt []int32 // discovery index -> graph vertex
+	parent   []int32 // discovery index -> discovery index of its tree parent
+	path     []int32 // the current rightmost path, refilled at every node
+	// cands is one slab: each depth appends its minimal candidates and
+	// truncates back to its own start on return.
+	cands    []cand
 	code     Code
 	best     Code
 	haveBest bool
+	left     int // search nodes the budget still allows
+	tripped  bool
+}
+
+// cand is one candidate extension of the code: the entry, the graph vertex
+// it reaches and its edge id.
+type cand struct {
+	ent     Entry
+	to, eid int32
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// AppendMinimumKey appends the Key of g's minimum DFS code to dst. steps
+// bounds the search nodes visited (StepBudget for a prompt caller, 0 for
+// no bound); err is ErrBudget when the bound was hit, ErrDisconnected when
+// g has no edge or is disconnected, and dst comes back unchanged on error.
+func AppendMinimumKey(dst []byte, g *graph.Graph, steps int) ([]byte, error) {
+	s := scratchPool.Get().(*scratch)
+	err := s.run(g, steps)
+	if err == nil {
+		dst = appendKey(dst, s.best)
+	}
+	scratchPool.Put(s)
+	return dst, err
 }
 
 // Minimum returns the minimum (canonical) DFS code of a connected graph with
@@ -266,51 +289,142 @@ func Minimum(g *graph.Graph) Code {
 	if g.NumEdges() == 0 {
 		panic("dfscode: Minimum requires at least one edge")
 	}
-	if !g.IsConnected() {
+	s := scratchPool.Get().(*scratch)
+	if s.run(g, 0) != nil {
 		panic("dfscode: Minimum requires a connected graph")
 	}
-	s := &minState{
-		g:      g,
-		edgeID: make(map[[2]int32]int, g.NumEdges()),
-		used:   make([]bool, g.NumEdges()),
-		disc:   make([]int32, g.NumVertices()),
-	}
-	for i, e := range g.Edges() {
-		s.edgeID[[2]int32{e[0], e[1]}] = i
-		s.edgeID[[2]int32{e[1], e[0]}] = i
-	}
-	// Initial entries: the minimal (0,1,lu,lv) over all oriented edges.
-	bestInit := Entry{}
-	haveInit := false
-	for _, e := range g.Edges() {
-		for _, o := range [2][2]int32{{e[0], e[1]}, {e[1], e[0]}} {
-			ent := Entry{I: 0, J: 1, LI: g.Label(o[0]), LJ: g.Label(o[1])}
-			if !haveInit || Compare(ent, bestInit) < 0 {
-				bestInit, haveInit = ent, true
-			}
-		}
-	}
-	for _, e := range g.Edges() {
-		for _, o := range [2][2]int32{{e[0], e[1]}, {e[1], e[0]}} {
-			ent := Entry{I: 0, J: 1, LI: g.Label(o[0]), LJ: g.Label(o[1])}
-			if Compare(ent, bestInit) != 0 {
-				continue
-			}
-			s.start(o[0], o[1], ent)
-		}
-	}
-	return s.best
+	c := append(Code(nil), s.best...)
+	scratchPool.Put(s)
+	return c
 }
 
-func (s *minState) start(u, v int32, ent Entry) {
+// run leaves g's minimum code in s.best. steps <= 0 means unbounded.
+func (s *scratch) run(g *graph.Graph, steps int) error {
+	if g.NumEdges() == 0 {
+		return ErrDisconnected
+	}
+	s.prepare(g)
+	err := s.minimum(steps)
+	s.g = nil
+	return err
+}
+
+func (s *scratch) minimum(steps int) error {
+	if !s.connected() {
+		return ErrDisconnected
+	}
+	g := s.g
+	s.left, s.tripped, s.haveBest = steps, false, false
+	if steps <= 0 {
+		s.left = math.MaxInt
+	}
+	// Initial entries: the minimal (0,1,lu,lv) over all oriented edges,
+	// each edge visited from its lower end, lower end first.
+	n := int32(g.NumVertices())
+	bestInit := Entry{}
+	haveInit := false
+	for u := int32(0); u < n; u++ {
+		for _, v := range g.Neighbors(u) {
+			for _, o := range [2][2]int32{{u, v}, {v, u}} {
+				ent := Entry{I: 0, J: 1, LI: g.Label(o[0]), LJ: g.Label(o[1])}
+				if !haveInit || Compare(ent, bestInit) < 0 {
+					bestInit, haveInit = ent, true
+				}
+			}
+		}
+	}
+	for u := int32(0); u < n; u++ {
+		for k, v := range g.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			for _, o := range [2][2]int32{{u, v}, {v, u}} {
+				ent := Entry{I: 0, J: 1, LI: g.Label(o[0]), LJ: g.Label(o[1])}
+				if Compare(ent, bestInit) != 0 {
+					continue
+				}
+				s.start(o[0], o[1], ent, s.eid[s.off[u]+int32(k)])
+				if s.tripped {
+					return ErrBudget
+				}
+			}
+		}
+	}
+	return nil
+}
+
+// prepare sizes the arrays for g and numbers its edges: the edge {u, v},
+// u < v, takes the next id at u's slot for v and, found by binary search
+// in v's sorted neighbour list, at v's slot for u.
+func (s *scratch) prepare(g *graph.Graph) {
+	n, m := g.NumVertices(), g.NumEdges()
+	s.g = g
+	s.off = grow(s.off, n+1)
+	s.eid = grow(s.eid, 2*m)
+	s.disc = grow(s.disc, n)
+	if cap(s.used) < m {
+		s.used = make([]bool, m)
+	}
+	s.used = s.used[:m]
+	clear(s.used)
+	s.off[0] = 0
+	for v := int32(0); v < int32(n); v++ {
+		s.off[v+1] = s.off[v] + int32(g.Degree(v))
+	}
+	id := int32(0)
+	for u := int32(0); u < int32(n); u++ {
+		for k, v := range g.Neighbors(u) {
+			if v < u {
+				continue
+			}
+			r, _ := slices.BinarySearch(g.Neighbors(v), u)
+			s.eid[s.off[u]+int32(k)] = id
+			s.eid[s.off[v]+int32(r)] = id
+			id++
+		}
+	}
+}
+
+// grow returns a with length n, reallocated only when its capacity is short.
+func grow(a []int32, n int) []int32 {
+	if cap(a) < n {
+		return make([]int32, n)
+	}
+	return a[:n]
+}
+
+// connected reports whether s.g is connected, by a depth-first sweep that
+// marks disc and stacks on the path buffer. (start resets disc.)
+func (s *scratch) connected() bool {
 	for i := range s.disc {
 		s.disc[i] = -1
 	}
-	s.vertexAt = s.vertexAt[:0]
+	stack := append(s.path[:0], 0)
+	s.disc[0] = 0
+	seen := 1
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, w := range s.g.Neighbors(v) {
+			if s.disc[w] < 0 {
+				s.disc[w] = 0
+				seen++
+				stack = append(stack, w)
+			}
+		}
+	}
+	s.path = stack
+	return seen == len(s.disc)
+}
+
+func (s *scratch) start(u, v int32, ent Entry, eid int32) {
+	for i := range s.disc {
+		s.disc[i] = -1
+	}
 	s.disc[u] = 0
 	s.disc[v] = 1
-	s.vertexAt = append(s.vertexAt, u, v)
-	eid := s.edgeID[[2]int32{u, v}]
+	s.vertexAt = append(s.vertexAt[:0], u, v)
+	s.parent = append(s.parent[:0], -1, 0)
 	s.used[eid] = true
 	s.code = append(s.code[:0], ent)
 	s.search()
@@ -318,11 +432,17 @@ func (s *minState) start(u, v int32, ent Entry) {
 }
 
 // search extends s.code by the minimal candidate entries, branching on ties,
-// until all edges are used; it updates s.best.
-func (s *minState) search() {
-	if len(s.code) == s.g.NumEdges() {
+// until all edges are used; it updates s.best. Every call and every
+// adjacency entry it scans is one step of the budget; once the budget is
+// spent the search unwinds, restoring its state.
+func (s *scratch) search() {
+	if s.left--; s.left < 0 {
+		s.tripped = true
+		return
+	}
+	if len(s.code) == len(s.used) {
 		if !s.haveBest || CompareCodes(s.code, s.best) < 0 {
-			s.best = s.code.Clone()
+			s.best = append(s.best[:0], s.code...)
 			s.haveBest = true
 		}
 		return
@@ -334,85 +454,91 @@ func (s *minState) search() {
 			return
 		}
 	}
-	type cand struct {
-		ent      Entry
-		from, to int32 // graph vertices
+	// The rightmost path runs from the last discovered vertex up the tree
+	// to the root.
+	rm := int32(len(s.vertexAt) - 1)
+	s.path = s.path[:0]
+	for p := rm; p >= 0; p = s.parent[p] {
+		s.path = append(s.path, p)
 	}
-	var cands []cand
-	path := s.code.rightmostPath()
-	rm := path[0]
-	rmVertex := s.vertexAt[rm]
+	g := s.g
+	lo := len(s.cands)
 	// Backward edges from the rightmost vertex to rightmost-path vertices.
-	for _, w := range s.g.Neighbors(rmVertex) {
+	rmVertex := s.vertexAt[rm]
+	base := s.off[rmVertex]
+	nbrs := g.Neighbors(rmVertex)
+	s.left -= len(nbrs)
+	for k, w := range nbrs {
 		dw := s.disc[w]
 		if dw < 0 || dw == rm {
 			continue
 		}
-		if s.used[s.edgeID[[2]int32{rmVertex, w}]] {
+		eid := s.eid[base+int32(k)]
+		if s.used[eid] || !slices.Contains(s.path, dw) {
 			continue
 		}
-		onPath := false
-		for _, p := range path {
-			if p == dw {
-				onPath = true
-				break
-			}
-		}
-		if !onPath {
-			continue
-		}
-		cands = append(cands, cand{
-			ent:  Entry{I: rm, J: dw, LI: s.g.Label(rmVertex), LJ: s.g.Label(w)},
-			from: rmVertex, to: w,
+		s.push(lo, cand{
+			ent: Entry{I: rm, J: dw, LI: g.Label(rmVertex), LJ: g.Label(w)},
+			to:  w, eid: eid,
 		})
 	}
 	// Forward edges from any rightmost-path vertex to an undiscovered vertex.
 	newIdx := int32(len(s.vertexAt))
-	for _, p := range path {
+	for _, p := range s.path {
 		pv := s.vertexAt[p]
-		for _, w := range s.g.Neighbors(pv) {
+		base := s.off[pv]
+		nbrs := g.Neighbors(pv)
+		s.left -= len(nbrs)
+		for k, w := range nbrs {
 			if s.disc[w] >= 0 {
 				continue
 			}
-			cands = append(cands, cand{
-				ent:  Entry{I: p, J: newIdx, LI: s.g.Label(pv), LJ: s.g.Label(w)},
-				from: pv, to: w,
+			s.push(lo, cand{
+				ent: Entry{I: p, J: newIdx, LI: g.Label(pv), LJ: g.Label(w)},
+				to:  w, eid: s.eid[base+int32(k)],
 			})
 		}
 	}
-	if len(cands) == 0 {
-		return // disconnected remainder: cannot happen for connected graphs
-	}
-	// Keep only the minimal entries; branch over ties.
-	minEnt := cands[0].ent
-	for _, c := range cands[1:] {
-		if Compare(c.ent, minEnt) < 0 {
-			minEnt = c.ent
-		}
-	}
-	for _, c := range cands {
-		if Compare(c.ent, minEnt) != 0 {
+	// Branch over the minimal entries. The slab may move under the
+	// recursion, so each candidate is read by index.
+	hi := len(s.cands)
+	for i := lo; i < hi && !s.tripped; i++ {
+		c := s.cands[i]
+		if s.used[c.eid] {
 			continue
 		}
-		eid := s.edgeID[[2]int32{c.from, c.to}]
-		if s.used[eid] {
-			continue
-		}
-		s.used[eid] = true
+		s.used[c.eid] = true
 		s.code = append(s.code, c.ent)
 		forward := c.ent.Forward()
 		if forward {
 			s.disc[c.to] = newIdx
 			s.vertexAt = append(s.vertexAt, c.to)
+			s.parent = append(s.parent, c.ent.I)
 		}
 		s.search()
 		if forward {
 			s.disc[c.to] = -1
-			s.vertexAt = s.vertexAt[:len(s.vertexAt)-1]
+			s.vertexAt = s.vertexAt[:newIdx]
+			s.parent = s.parent[:newIdx]
 		}
 		s.code = s.code[:len(s.code)-1]
-		s.used[eid] = false
+		s.used[c.eid] = false
 	}
+	s.cands = s.cands[:lo]
+}
+
+// push adds c to the candidates s.cands[lo:] of the current depth, which
+// hold only the minimal entries seen so far, in the order they were found.
+func (s *scratch) push(lo int, c cand) {
+	if len(s.cands) > lo {
+		switch Compare(c.ent, s.cands[lo].ent) {
+		case 1:
+			return
+		case -1:
+			s.cands = s.cands[:lo]
+		}
+	}
+	s.cands = append(s.cands, c)
 }
 
 // IsMinimal reports whether c is the minimum DFS code of its pattern graph.

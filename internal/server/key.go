@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/canon"
+	"repro/internal/dfscode"
 	"repro/internal/graph"
 )
 
@@ -20,14 +21,19 @@ import (
 // labelled graphs, so a cache keyed by it hits regardless of vertex
 // ordering. Connected queries key on their minimum DFS code
 // (canon.GraphKey); disconnected queries on the sorted, length-prefixed
-// multiset of their components' keys. ok is false only for the empty
-// graph, which has no meaningful key — such queries bypass the cache.
+// multiset of their components' keys. Each canonical search is bounded by
+// dfscode.StepBudget, since QueryKey runs on the request path and takes no
+// context. ok is false for the empty graph, which has no meaningful key,
+// and for a query whose search ran out of steps (a highly symmetric one,
+// such as a one-label clique): such queries bypass the cache and run
+// through the engine under their request context.
 func QueryKey(q *graph.Graph) (key string, ok bool) {
-	if q.NumVertices() == 0 {
-		return "", false
-	}
-	if k, ok := canon.GraphKey(q); ok {
+	k, err := canon.GraphKeyWithin(q, dfscode.StepBudget)
+	switch {
+	case err == nil:
 		return string(k), true
+	case err == dfscode.ErrBudget || q.NumVertices() == 0:
+		return "", false
 	}
 	comps := q.ConnectedComponents()
 	keys := make([]string, 0, len(comps))
@@ -36,8 +42,8 @@ func QueryKey(q *graph.Graph) (key string, ok bool) {
 		if err != nil {
 			return "", false
 		}
-		k, ok := canon.GraphKey(sub)
-		if !ok {
+		k, err := canon.GraphKeyWithin(sub, dfscode.StepBudget)
+		if err != nil {
 			return "", false
 		}
 		keys = append(keys, string(k))

@@ -330,14 +330,15 @@ func queryStatusCode(err error) int {
 // after N answers and the unexecuted tail of the query is never computed.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	stream := r.URL.Query().Get("stream") != ""
+	params := r.URL.Query()
+	stream := params.Get("stream") != ""
 	if stream {
 		s.cStream.Inc()
 	} else {
 		s.cQuery.Inc()
 	}
 	limit := 0
-	if ls := r.URL.Query().Get("limit"); ls != "" {
+	if ls := params.Get("limit"); ls != "" {
 		n, err := strconv.Atoi(ls)
 		if err != nil || n < 1 {
 			s.fail(w, http.StatusBadRequest, fmt.Errorf("bad limit %q: want a positive integer", ls))
