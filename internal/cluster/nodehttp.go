@@ -110,13 +110,13 @@ func (s *NodeServer) Drain() { s.draining.Store(true) }
 // sq_node_requests_total{kind="errors"}: every non-2xx node answer is one.
 func (s *NodeServer) fail(w http.ResponseWriter, code int, err error) {
 	s.reqErrors.Inc()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = server.ContentJSON
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(server.ErrorResponse{Error: err.Error()})
 }
 
 func (s *NodeServer) writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = server.ContentJSON
 	json.NewEncoder(w).Encode(v)
 }
 
@@ -234,9 +234,10 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 			err = fmt.Errorf("%d epochs for %d shards", len(need), len(shards))
 		}
 	}
-	var gj server.GraphJSON
+	var q *graph.Graph
+	var unknown bool
 	if err == nil {
-		err = server.DecodeJSON(r, w, &gj)
+		q, unknown, err = server.ReadQuery(r, &s.node.src.Dict)
 	}
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -250,11 +251,6 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rc := http.NewResponseController(w)
 		_ = rc.SetWriteDeadline(time.Now().Add(s.cfg.RequestTimeout))
 		defer rc.SetWriteDeadline(time.Time{})
-	}
-	q, unknown, err := server.ToGraph(gj, &s.node.src.Dict)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
 	}
 	// A trace id on the request links this node's spans into the
 	// coordinator's tree: the node runs its own trace under the same id and
@@ -276,7 +272,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// The status goes out with the first line: a refusal can still be a 409.
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = server.ContentNDJSON
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	flush := func() {
@@ -292,7 +288,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &refused) {
 			root.Cancel()
 			s.reqErrors.Inc()
-			w.Header().Set("Content-Type", "application/json")
+			w.Header()["Content-Type"] = server.ContentJSON
 			w.WriteHeader(http.StatusConflict)
 			enc.Encode(refused)
 			return
@@ -337,7 +333,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 func (s *NodeServer) handleAdd(w http.ResponseWriter, r *http.Request) {
 	s.reqMutate.Inc()
 	var req AddRequest
-	if err := server.DecodeJSON(r, w, &req); err != nil {
+	if err := server.DecodeJSON(r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -479,7 +475,7 @@ func (s *NodeServer) fetchIndexFile(ctx context.Context, from string, k int) boo
 // streamed from the owner at From.
 func (s *NodeServer) handleLoad(w http.ResponseWriter, r *http.Request) {
 	var req LoadRequest
-	if err := server.DecodeJSON(r, w, &req); err != nil {
+	if err := server.DecodeJSON(r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}

@@ -49,7 +49,7 @@ type ShardInfo struct {
 // carrying a global answer id, an error, or the done line. The done line
 // adds the leg's pipeline counters, its live candidates (ascending global
 // ids, whole when the leg started from the beginning) for the one-shot
-// response's candidate set, and — when the request carried an X-SQ-Trace
+// response's candidate set, and — when the request carried an X-Sq-Trace
 // header — the node's span subtree, which the coordinator grafts under its
 // leg span so one tree covers both processes.
 type LegLine struct {

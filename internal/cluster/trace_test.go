@@ -19,7 +19,7 @@ import (
 )
 
 // traceQuery POSTs one query through the coordinator's serving face with
-// an X-SQ-Trace header and returns the decoded response.
+// an X-Sq-Trace header and returns the decoded response.
 func traceQuery(t *testing.T, srv *httptest.Server, gj server.GraphJSON, traceID string) server.QueryResponse {
 	t.Helper()
 	body, err := json.Marshal(gj)

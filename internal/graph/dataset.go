@@ -47,6 +47,15 @@ func (d *Dictionary) Lookup(name string) (Label, bool) {
 	return l, ok
 }
 
+// LookupBytes is Lookup for a label held as bytes, without making a string
+// of them.
+func (d *Dictionary) LookupBytes(name []byte) (Label, bool) {
+	d.mu.RLock()
+	l, ok := d.byName[string(name)]
+	d.mu.RUnlock()
+	return l, ok
+}
+
 // Name returns the string for a Label; Labels never interned map to "".
 func (d *Dictionary) Name(l Label) string {
 	d.mu.RLock()

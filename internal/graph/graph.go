@@ -73,6 +73,36 @@ func NewWithCapacity(id ID, n int) *Graph {
 	}
 }
 
+// FromSortedEdges returns the build-phase graph with the given labels
+// (which it keeps) and edges: each edge lower endpoint first, both in
+// range, the list sorted ascending without repeats, as the wire decoder
+// leaves it. Added in that order every edge appends to both adjacency
+// lists, so each list comes out sorted; all of them are carved from one
+// arena, each capped at its own length so a later AddEdge reallocates
+// rather than overwrites its neighbour's list. Four allocations whatever
+// the size: the Graph, the labels, the adjacency headers and the arena.
+func FromSortedEdges(id ID, labels []Label, edges [][2]int32) *Graph {
+	g := &Graph{id: id, labels: labels, adj: make([][]int32, len(labels)), edges: len(edges)}
+	arena := make([]int32, 2*len(edges))
+	// Count degrees into the lengths of slices of the arena, which holds
+	// every degree, then carve each list from its offset.
+	for _, e := range edges {
+		g.adj[e[0]] = arena[:len(g.adj[e[0]])+1]
+		g.adj[e[1]] = arena[:len(g.adj[e[1]])+1]
+	}
+	lo := 0
+	for v, a := range g.adj {
+		hi := lo + len(a)
+		g.adj[v] = arena[lo:lo:hi]
+		lo = hi
+	}
+	for _, e := range edges {
+		g.adj[e[0]] = append(g.adj[e[0]], e[1])
+		g.adj[e[1]] = append(g.adj[e[1]], e[0])
+	}
+	return g
+}
+
 // ID returns the dataset-local identifier of the graph.
 func (g *Graph) ID() ID { return g.id }
 

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -465,5 +466,58 @@ func TestDictionaryConcurrent(t *testing.T) {
 	c.Intern("only-in-copy")
 	if _, ok := d.Lookup("only-in-copy"); ok || c.Len() != names+1 {
 		t.Fatalf("CopyFrom shares state: source has the copy's label, or copy Len = %d", c.Len())
+	}
+}
+
+// TestFromSortedEdges: the arena build gives the graph AddEdge gives, in
+// four allocations, and its lists are capped so a later AddEdge on one
+// vertex cannot overwrite the next vertex's list.
+func TestFromSortedEdges(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		want := New(0)
+		labels := make([]Label, n)
+		for v := range labels {
+			labels[v] = Label(rng.Intn(3))
+			want.AddVertex(labels[v])
+		}
+		var edges [][2]int32
+		for u := int32(0); int(u) < n; u++ {
+			for v := u + 1; int(v) < n; v++ {
+				if rng.Intn(3) == 0 {
+					edges = append(edges, [2]int32{u, v})
+					want.MustAddEdge(u, v)
+				}
+			}
+		}
+		g := FromSortedEdges(0, labels, edges)
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if g.NumEdges() != want.NumEdges() || g.Sealed() {
+			t.Fatalf("%d edges (sealed %v), want %d in the build phase", g.NumEdges(), g.Sealed(), want.NumEdges())
+		}
+		for v := int32(0); int(v) < n; v++ {
+			if g.Label(v) != want.Label(v) || !slices.Equal(g.Neighbors(v), want.Neighbors(v)) {
+				t.Fatalf("vertex %d: label %d, neighbours %v; want %d, %v",
+					v, g.Label(v), g.Neighbors(v), want.Label(v), want.Neighbors(v))
+			}
+		}
+	}
+
+	g := FromSortedEdges(0, []Label{0, 0, 0, 0}, [][2]int32{{0, 1}, {1, 2}, {2, 3}})
+	g.MustAddEdge(0, 3) // grows list 0, which sits right before list 1 in the arena
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if got := g.Neighbors(1); !slices.Equal(got, []int32{0, 2}) {
+		t.Fatalf("vertex 1's list became %v after an edge on vertex 0", got)
+	}
+
+	edges := [][2]int32{{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {5, 6}, {6, 7}}
+	labels := make([]Label, 8)
+	if got := testing.AllocsPerRun(50, func() { FromSortedEdges(0, labels, edges) }); got != 3 {
+		t.Errorf("FromSortedEdges: %.1f allocations beside the labels, want 3", got)
 	}
 }

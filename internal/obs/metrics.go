@@ -2,7 +2,7 @@
 // registry (atomic counters, gauges, fixed-bucket latency histograms with
 // quantile estimation, all groupable into labeled families), a Prometheus
 // text-exposition writer, and a lightweight per-query trace/span model that
-// crosses process boundaries through the X-SQ-Trace header.
+// crosses process boundaries through the X-Sq-Trace header.
 //
 // Everything is safe for concurrent use. The hot path — Counter.Inc,
 // Histogram.Observe — is a handful of atomic operations; families resolve

@@ -16,7 +16,7 @@ import (
 // boundaries: the coordinator sets it on /node/query legs (hedged legs
 // included) so node-side spans join the coordinator's trace, and clients
 // set it on /query to ask the server to trace and echo the span tree.
-const TraceHeader = "X-SQ-Trace"
+const TraceHeader = "X-Sq-Trace"
 
 // Trace collects the spans of one query. A trace is cheap — spans append
 // to a slice under a mutex — and short-lived: it exists for the duration

@@ -17,6 +17,18 @@ import (
 // Labels are the dataset's label strings; a label no dataset graph carries
 // makes the query unsatisfiable and the server answers it empty without
 // touching the engine.
+//
+// It decodes (UnmarshalJSON, and the request handlers directly) with the
+// one decoder in wire.go, whose grammar is encoding/json's for this struct,
+// kept on purpose: keys match case-insensitively, a repeated key's last
+// value wins, unknown keys are skipped whatever they hold, null leaves a
+// field (or the whole value) unset, strings unescape as encoding/json
+// does (invalid UTF-8 and unpaired surrogates become U+FFFD), an endpoint
+// is an integer within int32 ("1.0", "1e0" and 2147483648 are rejected),
+// and an edge is an array whose first two elements are its endpoints,
+// missing ones zero ([[0]] is the self-loop (0,0), [[0,1,2]] the edge
+// (0,1)). A request body with anything but whitespace after the value is
+// rejected.
 type GraphJSON struct {
 	Vertices []string   `json:"vertices"`
 	Edges    [][2]int32 `json:"edges"`
@@ -48,24 +60,9 @@ func GraphToJSON(g *graph.Graph, dict *graph.Dictionary) GraphJSON {
 // empty result instead of growing the shared dictionary with a label no
 // graph carries. gj's edges are normalized and sorted in place.
 func ToGraph(gj GraphJSON, dict *graph.Dictionary) (q *graph.Graph, unknown bool, err error) {
-	if len(gj.Vertices) == 0 {
-		return nil, false, fmt.Errorf("query has no vertices")
-	}
-	if err := sortEdges(gj); err != nil {
-		return nil, false, err
-	}
-	g := graph.NewWithCapacity(0, len(gj.Vertices))
-	for _, name := range gj.Vertices {
-		l, ok := dict.Lookup(name)
-		if !ok {
-			return nil, true, nil
-		}
-		g.AddVertex(l)
-	}
-	for _, e := range gj.Edges {
-		g.MustAddEdge(e[0], e[1])
-	}
-	return g, false, nil
+	return build("query", len(gj.Vertices), gj.Edges, func(v int) (graph.Label, bool) {
+		return dict.Lookup(gj.Vertices[v])
+	})
 }
 
 // InternGraph converts a wire graph for insertion: unlike ToGraph, a
@@ -74,45 +71,56 @@ func ToGraph(gj GraphJSON, dict *graph.Dictionary) (q *graph.Graph, unknown bool
 // interned only once the edges are valid, so a rejected graph leaves dict
 // as it was. gj's edges are normalized and sorted in place.
 func InternGraph(gj GraphJSON, dict *graph.Dictionary) (*graph.Graph, error) {
-	if len(gj.Vertices) == 0 {
-		return nil, fmt.Errorf("graph has no vertices")
-	}
-	if err := sortEdges(gj); err != nil {
-		return nil, err
-	}
-	g := graph.NewWithCapacity(0, len(gj.Vertices))
-	for _, name := range gj.Vertices {
-		g.AddVertex(dict.Intern(name))
-	}
-	for _, e := range gj.Edges {
-		g.MustAddEdge(e[0], e[1])
-	}
-	return g, nil
+	g, _, err := build("graph", len(gj.Vertices), gj.Edges, func(v int) (graph.Label, bool) {
+		return dict.Intern(gj.Vertices[v]), true
+	})
+	return g, err
 }
 
-// sortEdges validates gj's edges and puts each lower endpoint first, then
-// sorts them, all in place: an out-of-range endpoint, a self-loop or a
-// repeated edge is an error, so adding the sorted edges cannot fail. Added
-// in this order, every edge appends to both adjacency lists, so decoding
-// costs O(E log E) however the client ordered the edges, not a shift of a
-// vertex's list per edge.
-func sortEdges(gj GraphJSON) error {
-	n := len(gj.Vertices)
-	for i, e := range gj.Edges {
+// build is ToGraph and InternGraph over either decoded form: n vertices,
+// whose labels resolve returns (ok false for an unknown one), and edges,
+// checked and sorted in place. The errors come in a fixed order: no
+// vertices, then a bad edge, and only then an unknown label, so a query
+// with both an unknown label and a bad edge is rejected.
+func build(what string, n int, edges [][2]int32, resolve func(v int) (graph.Label, bool)) (*graph.Graph, bool, error) {
+	if n == 0 {
+		return nil, false, fmt.Errorf("%s has no vertices", what)
+	}
+	if err := sortEdges(edges, n); err != nil {
+		return nil, false, err
+	}
+	labels := make([]graph.Label, n)
+	for v := range labels {
+		l, ok := resolve(v)
+		if !ok {
+			return nil, true, nil
+		}
+		labels[v] = l
+	}
+	return graph.FromSortedEdges(0, labels, edges), false, nil
+}
+
+// sortEdges validates edges over n vertices and puts each lower endpoint
+// first, then sorts them, all in place: an out-of-range endpoint, a
+// self-loop or a repeated edge is an error, so the sorted edges build a
+// graph as they are (graph.FromSortedEdges), in O(E log E) however the
+// client ordered them.
+func sortEdges(edges [][2]int32, n int) error {
+	for i, e := range edges {
 		switch {
 		case e[0] < 0 || int(e[0]) >= n || e[1] < 0 || int(e[1]) >= n:
 			return fmt.Errorf("edge (%d,%d) out of range [0,%d)", e[0], e[1], n)
 		case e[0] == e[1]:
 			return fmt.Errorf("self-loop on vertex %d", e[0])
 		case e[0] > e[1]:
-			gj.Edges[i] = [2]int32{e[1], e[0]}
+			edges[i] = [2]int32{e[1], e[0]}
 		}
 	}
-	slices.SortFunc(gj.Edges, func(a, b [2]int32) int {
+	slices.SortFunc(edges, func(a, b [2]int32) int {
 		return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1]))
 	})
-	for i := 1; i < len(gj.Edges); i++ {
-		if e := gj.Edges[i]; e == gj.Edges[i-1] {
+	for i := 1; i < len(edges); i++ {
+		if e := edges[i]; e == edges[i-1] {
 			return fmt.Errorf("duplicate edge (%d,%d)", e[0], e[1])
 		}
 	}
@@ -157,7 +165,7 @@ type QueryResponse struct {
 	Produced int `json:"produced,omitempty"`
 	Verified int `json:"verified,omitempty"`
 	// Trace is the server-side span tree, echoed when the request carried
-	// an X-SQ-Trace header. On a cluster coordinator it includes the
+	// an X-Sq-Trace header. On a cluster coordinator it includes the
 	// grafted node-side subtrees.
 	Trace *obs.SpanTree `json:"trace,omitempty"`
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
+	"net/url"
 	"runtime"
 	"strconv"
 	"sync/atomic"
@@ -294,23 +295,22 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) (ctx context.Cont
 // fail writes a JSON error body and counts it.
 func (s *Server) fail(w http.ResponseWriter, code int, err error) {
 	s.cErrors.Inc()
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = ContentJSON
 	w.WriteHeader(code)
 	json.NewEncoder(w).Encode(ErrorResponse{Error: err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
+// ContentJSON and ContentNDJSON are Content-Type header values, shared so
+// setting one allocates nothing (Header.Set makes a slice per call). The
+// header map holds them read-only.
+var (
+	ContentJSON   = []string{"application/json"}
+	ContentNDJSON = []string{"application/x-ndjson"}
+)
 
-// DecodeJSON decodes r's JSON body into v, capped at MaxBodyBytes.
-func DecodeJSON(r *http.Request, w http.ResponseWriter, v any) error {
-	body := http.MaxBytesReader(w, r.Body, MaxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		return fmt.Errorf("decoding request: %w", err)
-	}
-	return nil
+func writeJSON(w http.ResponseWriter, v any) {
+	w.Header()["Content-Type"] = ContentJSON
+	json.NewEncoder(w).Encode(v)
 }
 
 // queryStatusCode maps an engine error to an HTTP status: context ends are
@@ -330,7 +330,10 @@ func queryStatusCode(err error) int {
 // after N answers and the unexecuted tail of the query is never computed.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
-	params := r.URL.Query()
+	var params url.Values // parsing an empty query string still makes a map
+	if r.URL.RawQuery != "" {
+		params = r.URL.Query()
+	}
 	stream := params.Get("stream") != ""
 	if stream {
 		s.cStream.Inc()
@@ -362,12 +365,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		r = r.WithContext(obs.ContextWithSpan(r.Context(), root))
 	}
 	psp := tr.StartSpan(root, "parse")
-	var gj GraphJSON
-	if err := DecodeJSON(r, w, &gj); err != nil {
-		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	q, unknown, err := ToGraph(gj, &s.eng.Dataset().Dict)
+	q, unknown, err := ReadQuery(r, &s.eng.Dataset().Dict)
 	psp.End()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
@@ -377,7 +375,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// A label absent from the dataset dictionary is in no dataset
 		// graph: the answer is empty, no engine work needed.
 		if stream {
-			w.Header().Set("Content-Type", "application/x-ndjson")
+			w.Header()["Content-Type"] = ContentNDJSON
 			json.NewEncoder(w).Encode(StreamLine{Done: true})
 			return
 		}
@@ -452,7 +450,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *grap
 		// write deadlines itself when Server.WriteTimeout is set).
 		defer rc.SetWriteDeadline(time.Time{})
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ContentNDJSON
 	w.WriteHeader(http.StatusOK)
 	fl, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -505,7 +503,7 @@ func (s *Server) streamQuery(ctx context.Context, w http.ResponseWriter, q *grap
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.cBatch.Inc()
 	var req BatchRequest
-	if err := DecodeJSON(r, w, &req); err != nil {
+	if err := DecodeJSON(r, &req); err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
@@ -587,17 +585,18 @@ func mutationStatusCode(err error) int {
 // engine work.
 func (s *Server) handleAddGraph(w http.ResponseWriter, r *http.Request) {
 	s.cMutate.Inc()
-	var gj GraphJSON
-	if err := DecodeJSON(r, w, &gj); err != nil {
+	wg, err := readWire(r)
+	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
+	defer wg.release()
 	ctx, release, ok := s.admit(w, r)
 	if !ok {
 		return
 	}
 	defer release()
-	g, err := InternGraph(gj, &s.eng.Dataset().Dict)
+	g, err := wg.intern(&s.eng.Dataset().Dict)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -710,13 +709,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // load balancers route on this, not on liveness.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = ContentJSON
 		w.WriteHeader(http.StatusServiceUnavailable)
 		json.NewEncoder(w).Encode(map[string]string{"status": "draining"})
 		return
 	}
 	if !s.eng.Ready() {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = ContentJSON
 		w.WriteHeader(http.StatusServiceUnavailable)
 		json.NewEncoder(w).Encode(map[string]string{"status": "warming"})
 		return

@@ -9,6 +9,7 @@ import (
 	"iter"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -420,5 +421,40 @@ func TestServeBadRequests(t *testing.T) {
 	qr := decodeBody[QueryResponse](t, resp)
 	if len(qr.Answers) != 0 || len(qr.Candidates) != 0 {
 		t.Errorf("unknown label answered %v/%v, want empty", qr.Candidates, qr.Answers)
+	}
+}
+
+// TestServeTrailingDataRejected: every body is one JSON value. Data after
+// it is a 400 on /query, /batch and /graphs, where it used to be ignored,
+// while the newline json.Encoder ends a value with stays accepted.
+func TestServeTrailingDataRejected(t *testing.T) {
+	ds, _, ts := newTestService(t, Config{})
+	gj := GraphToJSON(testQueries(t, ds)[0], &ds.Dict)
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/query", gj},
+		{"/batch", BatchRequest{Queries: []GraphJSON{gj}}},
+		{"/graphs", gj},
+	} {
+		b, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tail := range []string{"\n", " \t\r\n", "garbage", "{}", "\n0"} {
+			resp, err := http.Post(ts.URL+c.path, "application/json", bytes.NewReader(append(b, tail...)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			want := http.StatusOK
+			if strings.TrimSpace(tail) != "" {
+				want = http.StatusBadRequest
+			}
+			if resp.StatusCode != want {
+				t.Errorf("POST %s with %q after the body: %s, want %d", c.path, tail, resp.Status, want)
+			}
+		}
 	}
 }
