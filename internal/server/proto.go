@@ -21,14 +21,17 @@ import (
 // It decodes (UnmarshalJSON, and the request handlers directly) with the
 // one decoder in wire.go, whose grammar is encoding/json's for this struct,
 // kept on purpose: keys match case-insensitively, a repeated key's last
-// value wins, unknown keys are skipped whatever they hold, null leaves a
-// field (or the whole value) unset, strings unescape as encoding/json
-// does (invalid UTF-8 and unpaired surrogates become U+FFFD), an endpoint
-// is an integer within int32 ("1.0", "1e0" and 2147483648 are rejected),
-// and an edge is an array whose first two elements are its endpoints,
-// missing ones zero ([[0]] is the self-loop (0,0), [[0,1,2]] the edge
-// (0,1)). A request body with anything but whitespace after the value is
-// rejected.
+// value wins (its list decodes over the slots of the earlier one, as a
+// decode into a GraphJSON already holding lists does, so a null element
+// keeps what its slot held), unknown keys are skipped whatever they hold,
+// null leaves a field (or the whole value) unset, strings unescape as
+// encoding/json does (invalid UTF-8 and unpaired surrogates become
+// U+FFFD), an endpoint is an integer within int32 ("1.0", "1e0" and
+// 2147483648 are rejected), and an edge is an array whose first two
+// elements are its endpoints, missing ones zero ([[0]] is the self-loop
+// (0,0), [[0,1,2]] the edge (0,1)). A request body with anything but
+// whitespace after the value is rejected. Only the error text is the
+// decoder's own: one error naming the byte offset where parsing stopped.
 type GraphJSON struct {
 	Vertices []string   `json:"vertices"`
 	Edges    [][2]int32 `json:"edges"`

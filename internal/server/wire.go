@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -88,12 +87,11 @@ func (w *wireGraph) release() {
 }
 
 // read reads r's body whole into w's buffer; a body over MaxBodyBytes is
-// an error.
+// an error. The buffer grows only with the bytes that arrive, whatever
+// length the request declares, so a client that declares a large body
+// and withholds it pins no memory for it.
 func (w *wireGraph) read(r *http.Request) ([]byte, error) {
 	buf := w.body[:0]
-	if n := r.ContentLength; n >= int64(cap(buf)) && n <= MaxBodyBytes {
-		buf = make([]byte, 0, max(n+1, 512)) // +1 so the read ending at EOF needs no growth
-	}
 	for {
 		if len(buf) == cap(buf) {
 			buf = append(buf, 0)[:len(buf)]
@@ -168,21 +166,26 @@ func (w *wireGraph) query(dict *graph.Dictionary) (*graph.Graph, bool, error) {
 // intern is InternGraph over the decoded value.
 func (w *wireGraph) intern(dict *graph.Dictionary) (*graph.Graph, error) {
 	g, _, err := build("graph", w.verts.n, w.edges.list(), func(v int) (graph.Label, bool) {
-		if l, ok := dict.LookupBytes(w.label(v)); ok {
-			return l, true
-		}
 		return dict.Intern(string(w.label(v))), true
 	})
 	return g, err
 }
 
 // UnmarshalJSON decodes one GraphJSON value with the request decoder. A
-// field the value does not name keeps its value; a decoded list never
+// field the value does not name keeps its value. As in encoding/json, a
+// list decodes over the slots of the one gj holds, out to its capacity,
+// so a null element keeps what its slot held; the decoded list never
 // shares storage with the one it replaces.
 func (gj *GraphJSON) UnmarshalJSON(data []byte) error {
 	w := getWire()
 	defer w.release()
-	if err := w.decode(data); err != nil {
+	w.reset(data)
+	for _, name := range gj.Vertices[:cap(gj.Vertices)] {
+		*w.verts.slot(len(w.verts.slots)) = [2]int32{int32(len(w.names)), int32(len(w.names) + len(name))}
+		w.names = append(w.names, name...)
+	}
+	w.edges.slots = append(w.edges.slots, gj.Edges[:cap(gj.Edges)]...)
+	if err := w.parse(); err != nil {
 		return err
 	}
 	if w.verts.seen {
@@ -207,11 +210,21 @@ func (gj *GraphJSON) UnmarshalJSON(data []byte) error {
 
 // decode parses data as one GraphJSON value into w.
 func (w *wireGraph) decode(data []byte) error {
+	w.reset(data)
+	return w.parse()
+}
+
+// reset empties w's scratch, keeping its buffers, to parse data.
+func (w *wireGraph) reset(data []byte) {
 	*w = wireGraph{
 		body: w.body, names: w.names[:0], key: w.key[:0],
 		verts: wireList{slots: w.verts.slots[:0]}, edges: wireList{slots: w.edges.slots[:0]},
 		data: data,
 	}
+}
+
+// parse parses w.data as one GraphJSON value.
+func (w *wireGraph) parse() error {
 	w.space()
 	var err error
 	switch w.peek() {
@@ -220,13 +233,13 @@ func (w *wireGraph) decode(data []byte) error {
 	case 'n':
 		err = w.literal("null")
 	default:
-		err = w.typeErr("GraphJSON")
+		err = w.fail()
 	}
 	if err != nil {
 		return err
 	}
 	if w.space(); w.pos < len(w.data) {
-		return w.syntaxErr("after top-level value")
+		return w.fail()
 	}
 	return nil
 }
@@ -249,31 +262,10 @@ func (w *wireGraph) space() {
 	}
 }
 
-func (w *wireGraph) syntaxErr(context string) error {
-	if w.pos >= len(w.data) {
-		return errors.New("unexpected end of JSON input")
-	}
-	return fmt.Errorf("invalid character %q %s", w.data[w.pos], context)
-}
-
-// typeErr reports a value of the wrong kind where a want was expected.
-func (w *wireGraph) typeErr(want string) error {
-	var kind string
-	switch c := w.peek(); {
-	case c == '{':
-		kind = "object"
-	case c == '[':
-		kind = "array"
-	case c == '"':
-		kind = "string"
-	case c == 't' || c == 'f':
-		kind = "bool"
-	case c == '-' || '0' <= c && c <= '9':
-		kind = "number"
-	default:
-		return w.syntaxErr("looking for beginning of value")
-	}
-	return fmt.Errorf("json: cannot unmarshal %s into Go value of type %s", kind, want)
+// fail is the one decode error: malformed JSON, a value of the wrong
+// kind, an endpoint outside int32 or nesting too deep, at w.pos.
+func (w *wireGraph) fail() error {
+	return fmt.Errorf("invalid GraphJSON at offset %d", w.pos)
 }
 
 // elements parses an array or object from its opening byte to its
@@ -281,7 +273,7 @@ func (w *wireGraph) typeErr(want string) error {
 // member) and returning how many there were.
 func (w *wireGraph) elements(close byte, each func(i int) error) (int, error) {
 	if w.depth++; w.depth > maxWireDepth {
-		return 0, errors.New("exceeded max depth")
+		return 0, w.fail()
 	}
 	w.pos++
 	w.space()
@@ -298,7 +290,7 @@ func (w *wireGraph) elements(close byte, each func(i int) error) (int, error) {
 		case close:
 			more = false
 		default:
-			return i, w.syntaxErr("after element")
+			return i, w.fail()
 		}
 	}
 	w.pos++
@@ -308,7 +300,7 @@ func (w *wireGraph) elements(close byte, each func(i int) error) (int, error) {
 
 func (w *wireGraph) literal(lit string) error {
 	if end := w.pos + len(lit); end > len(w.data) || string(w.data[w.pos:end]) != lit {
-		return w.syntaxErr("in literal " + lit)
+		return w.fail()
 	}
 	w.pos += len(lit)
 	return nil
@@ -336,14 +328,14 @@ func (w *wireGraph) object() error {
 // member parses an object member's key and colon into w.key.
 func (w *wireGraph) member() ([]byte, error) {
 	if w.peek() != '"' {
-		return nil, w.syntaxErr("looking for beginning of object key string")
+		return nil, w.fail()
 	}
 	key, err := w.str(w.key[:0])
 	if err != nil {
 		return nil, err
 	}
 	if w.space(); w.peek() != ':' {
-		return nil, w.syntaxErr("after object key")
+		return nil, w.fail()
 	}
 	w.pos++
 	w.space()
@@ -359,10 +351,7 @@ func (w *wireGraph) field(l *wireList, verts bool) error {
 		return w.literal("null")
 	case '[':
 	default:
-		if verts {
-			return w.typeErr("[]string")
-		}
-		return w.typeErr("[][2]int32")
+		return w.fail()
 	}
 	n, err := w.elements(']', func(i int) error {
 		if verts {
@@ -392,7 +381,7 @@ func (w *wireGraph) vertex(s *[2]int32) error {
 		*s = [2]int32{int32(start), int32(len(names))}
 		return err
 	}
-	return w.typeErr("string")
+	return w.fail()
 }
 
 // pair decodes one edge into s: its first two elements, null keeping
@@ -403,7 +392,7 @@ func (w *wireGraph) pair(s *[2]int32) error {
 		return w.literal("null")
 	case '[':
 	default:
-		return w.typeErr("[2]int32")
+		return w.fail()
 	}
 	n, err := w.elements(']', func(j int) (err error) {
 		switch c := w.peek(); {
@@ -415,7 +404,7 @@ func (w *wireGraph) pair(s *[2]int32) error {
 			s[j], err = w.int32()
 			return err
 		}
-		return w.typeErr("int32")
+		return w.fail()
 	})
 	for j := n; j < 2; j++ {
 		s[j] = 0
@@ -436,13 +425,13 @@ func (w *wireGraph) number() (integer []byte, integral bool, err error) {
 	case '1' <= c && c <= '9':
 		w.digits()
 	default:
-		return nil, false, w.syntaxErr("in numeric literal")
+		return nil, false, w.fail()
 	}
 	integer, integral = w.data[start:w.pos], true
 	if w.peek() == '.' {
 		w.pos++
 		if !w.digits() {
-			return nil, false, w.syntaxErr("after decimal point in numeric literal")
+			return nil, false, w.fail()
 		}
 		integral = false
 	}
@@ -452,7 +441,7 @@ func (w *wireGraph) number() (integer []byte, integral bool, err error) {
 			w.pos++
 		}
 		if !w.digits() {
-			return nil, false, w.syntaxErr("in exponent of numeric literal")
+			return nil, false, w.fail()
 		}
 		integral = false
 	}
@@ -488,7 +477,8 @@ func (w *wireGraph) int32() (int32, error) {
 			return int32(v), nil
 		}
 	}
-	return 0, fmt.Errorf("json: cannot unmarshal number %s into Go value of type int32", w.data[start:w.pos])
+	w.pos = start
+	return 0, w.fail()
 }
 
 // skip checks and skips any one value.
@@ -518,7 +508,7 @@ func (w *wireGraph) skip() error {
 		_, _, err := w.number()
 		return err
 	}
-	return w.syntaxErr("looking for beginning of value")
+	return w.fail()
 }
 
 // str parses the string at w.pos and appends it, unescaped, to dst the
@@ -538,7 +528,7 @@ func (w *wireGraph) str(dst []byte) ([]byte, error) {
 		dst = append(dst, data[start:w.pos]...)
 		switch c := w.peek(); {
 		case c < ' ': // a control character, or the end of data
-			return dst, w.syntaxErr("in string literal")
+			return dst, w.fail()
 		case c == '"':
 			w.pos++
 			return dst, nil
@@ -568,11 +558,11 @@ func (w *wireGraph) escape(dst []byte) ([]byte, error) {
 			w.pos++
 			return append(dst, "\"\\/\b\f\n\r\t"[i]), nil
 		}
-		return dst, w.syntaxErr("in string escape code")
+		return dst, w.fail()
 	}
 	r := hex4(w.data[w.pos+1:])
 	if r < 0 {
-		return dst, w.syntaxErr(`in \u hexadecimal character escape`)
+		return dst, w.fail()
 	}
 	w.pos += 5
 	if utf16.IsSurrogate(r) {

@@ -6,7 +6,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -160,6 +162,8 @@ func FuzzWireGraphAgreesWithReference(f *testing.F) {
 		`{"vertices":["a","b"],"vertices":[],"vertices":[null,null],"edges":[[0,1]]}`,
 		`{"vertices":["a","b","c"],"edges":[[0,1],[1,2]],"edges":[null,[null,0]]}`,
 		`{"vertices":["a","b","c"],"edges":[[0,1],[1,2]],"edges":null,"edges":[null]}`,
+		`{"vertices":[null,null,null,null],"edges":[null,null,[null,2]]}`,
+		`{"edges":[[null]]}`,
 		`{"vertices":["a","é","😀","\ud83d","\ude00x","\"\\\/\b\f\n\r\t"],"edges":[]}`,
 		"{\"vertices\":[\"\xff\",\"a\xc3\",\"\xed\xa0\x80\"],\"edges\":[[0,1]]}",
 		`{"vertices":["a"],"edges":[]}`,
@@ -214,17 +218,101 @@ func FuzzWireGraphAgreesWithReference(f *testing.F) {
 				t.Fatalf("intern=%v %q: a rejected graph changed the dictionary", intern, data)
 			}
 		}
-		var ref refGraphJSON
-		var gj GraphJSON
-		rerr, werr := json.Unmarshal(data, &ref), json.Unmarshal(data, &gj)
-		if (rerr == nil) != (werr == nil) {
-			t.Fatalf("Unmarshal %q: reference error %v, GraphJSON error %v", data, rerr, werr)
-		}
-		if rerr == nil && (!slices.Equal(ref.Vertices, gj.Vertices) || (ref.Vertices == nil) != (gj.Vertices == nil) ||
-			!slices.Equal(ref.Edges, gj.Edges) || (ref.Edges == nil) != (gj.Edges == nil)) {
-			t.Fatalf("Unmarshal %q: got %#v, want %#v", data, gj, ref)
+		// Into a zero value, and over one already holding lists with spare
+		// capacity, whose slots encoding/json decodes over.
+		for _, prior := range []func() ([]string, [][2]int32){
+			func() ([]string, [][2]int32) { return nil, nil },
+			func() ([]string, [][2]int32) {
+				return []string{"a", "b", "c"}[:1], [][2]int32{{0, 1}, {1, 2}, {2, 0}}[:2]
+			},
+		} {
+			var ref refGraphJSON
+			var gj GraphJSON
+			ref.Vertices, ref.Edges = prior()
+			gj.Vertices, gj.Edges = prior()
+			rerr, werr := json.Unmarshal(data, &ref), json.Unmarshal(data, &gj)
+			if (rerr == nil) != (werr == nil) {
+				t.Fatalf("Unmarshal %q: reference error %v, GraphJSON error %v", data, rerr, werr)
+			}
+			if rerr == nil && (!slices.Equal(ref.Vertices, gj.Vertices) || (ref.Vertices == nil) != (gj.Vertices == nil) ||
+				!slices.Equal(ref.Edges, gj.Edges) || (ref.Edges == nil) != (gj.Edges == nil)) {
+				t.Fatalf("Unmarshal %q: got %#v, want %#v", data, gj, ref)
+			}
 		}
 	})
+}
+
+// TestBatchDecodeOverPriorQueries: a repeated "queries" key decodes each
+// query over the one the earlier array left in its slot, as the
+// reflection decode does, so a null label there keeps the earlier label.
+func TestBatchDecodeOverPriorQueries(t *testing.T) {
+	type refBatch struct {
+		Queries []refGraphJSON `json:"queries"`
+	}
+	for _, body := range []string{
+		`{"queries":[{"vertices":["a","b"]}],"queries":[{"vertices":[null]}]}`,
+		`{"queries":[{"vertices":["a","b"],"edges":[[0,1]]}],"queries":[{"edges":[null,[1,0]]},null]}`,
+		`{"queries":[{"vertices":["a"]},{"vertices":["b"]}],"queries":[null,{"vertices":[]}]}`,
+	} {
+		var ref refBatch
+		var got BatchRequest
+		if err := json.Unmarshal([]byte(body), &ref); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(body), &got); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		want := make([]GraphJSON, len(ref.Queries))
+		for i, q := range ref.Queries {
+			want[i] = GraphJSON(q)
+		}
+		if fmt.Sprintf("%#v", got.Queries) != fmt.Sprintf("%#v", want) {
+			t.Errorf("%s: queries %#v, want %#v", body, got.Queries, want)
+		}
+	}
+}
+
+// withheldBody sends the first bytes of a body and then fails, as a client
+// that declares a length and stops sending does.
+type withheldBody struct{ sent bool }
+
+func (b *withheldBody) Read(p []byte) (int, error) {
+	if b.sent {
+		return 0, io.ErrUnexpectedEOF
+	}
+	b.sent = true
+	return copy(p, `{"vertices":`), nil
+}
+
+func (*withheldBody) Close() error { return nil }
+
+// TestDeclaredLengthPinsNoMemory: a request that declares a body of
+// MaxBodyBytes and sends a few bytes allocates for the bytes sent, not
+// for the length declared, on both read paths every endpoint goes through.
+func TestDeclaredLengthPinsNoMemory(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		read func(*http.Request) error
+	}{
+		{"ReadQuery", func(r *http.Request) error { _, _, err := ReadQuery(r, abcDict()); return err }},
+		{"DecodeJSON", func(r *http.Request) error { var req BatchRequest; return DecodeJSON(r, &req) }},
+	} {
+		req, err := http.NewRequest(http.MethodPost, "/query", &withheldBody{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.ContentLength = MaxBodyBytes
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err = c.read(req)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a body cut short decoded", c.name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > MaxBodyBytes/8 {
+			t.Errorf("%s: %d bytes allocated for a %d-byte declared body that sent 12, want far fewer", c.name, got, MaxBodyBytes)
+		}
+	}
 }
 
 // TestWireDepthLimit: nesting past encoding/json's limit of 10000 is
